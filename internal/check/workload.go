@@ -67,8 +67,7 @@ type Workload struct {
 
 	// Lock and Barrier select the synchronization algorithms
 	// (internal/msync/algo names) used by OpLockedAdd and OpBarrier.
-	// Empty inherits the tool-level default (normally the native
-	// primitives).
+	// Empty inherits the tool-level default (normally token and tree).
 	Lock    string
 	Barrier string
 }

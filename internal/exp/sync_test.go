@@ -118,27 +118,3 @@ func TestSyncSweepWorkersIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestSyncDefaultsKeepSuiteByteIdentical pins the default-path contract
-// at the exp layer: explicitly selecting the default algorithm names
-// yields results and memory bit-identical to a config that never
-// mentions them, for a lock- and barrier-heavy app from the paper suite.
-func TestSyncDefaultsKeepSuiteByteIdentical(t *testing.T) {
-	for _, name := range []string{"tsp", "syncbench"} {
-		plainRes, plainMem, err := harness.RunAppMem(SmallApp(name), Config(8, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		selRes, selMem, err := harness.RunAppMem(SmallApp(name),
-			Config(8, 2, harness.WithLockAlgo(algo.DefaultLock), harness.WithBarrierAlgo(algo.DefaultBarrier)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plainRes, selRes) {
-			t.Errorf("%s: explicit defaults diverge from unset:\nunset: %+v\nnamed: %+v", name, plainRes, selRes)
-		}
-		if !bytes.Equal(plainMem, selMem) {
-			t.Errorf("%s: explicit defaults change final memory", name)
-		}
-	}
-}

@@ -15,8 +15,12 @@ type App interface {
 }
 
 // RunApp builds a machine, runs the app, verifies the answer, and
-// returns the result.
+// returns the result. A configuration that fails Validate is an error,
+// not a panic.
 func RunApp(app App, cfg Config) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, fmt.Errorf("%s: %w", app.Name(), err)
+	}
 	m := NewMachine(cfg)
 	app.Setup(m)
 	res, err := m.Run(app.Body)
@@ -34,6 +38,9 @@ func RunApp(app App, cfg Config) (Result, error) {
 // harness compares the image of a faulty run byte-for-byte against the
 // fault-free baseline's.
 func RunAppMem(app App, cfg Config) (Result, []byte, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, nil, fmt.Errorf("%s: %w", app.Name(), err)
+	}
 	m := NewMachine(cfg)
 	app.Setup(m)
 	res, err := m.Run(app.Body)

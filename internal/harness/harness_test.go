@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
+	"mgs/internal/msync/algo"
 	"mgs/internal/stats"
 	"mgs/internal/vm"
 )
@@ -299,3 +301,54 @@ func (sweepProbe) Name() string          { return "probe" }
 func (sweepProbe) Setup(m *Machine)      { m.Alloc(4096) }
 func (sweepProbe) Body(c *Ctx)           { c.Compute(1000); c.Barrier(0) }
 func (sweepProbe) Verify(*Machine) error { return nil }
+
+// TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name or a shape
+// that does not divide into SSMPs comes back from RunApp/RunAppMem as
+// an error that says what would have been accepted, and NewMachine
+// panics with that same message before constructing anything.
+func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want []string
+	}{
+		{"lock", NewConfig(4, 2, WithLockAlgo("spin")), append([]string{"unknown lock algorithm spin"}, algo.LockNames()...)},
+		{"barrier", NewConfig(4, 2, WithBarrierAlgo("butterfly")), append([]string{"unknown barrier algorithm butterfly"}, algo.BarrierNames()...)},
+		{"shape", NewConfig(6, 4), []string{"P=6 C=4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunApp(sweepProbe{}, tc.cfg)
+			_, _, errMem := RunAppMem(sweepProbe{}, tc.cfg)
+			if err == nil || errMem == nil || err.Error() != errMem.Error() {
+				t.Fatalf("RunApp err = %v, RunAppMem err = %v; want the same non-nil error", err, errMem)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not mention %q", err, w)
+				}
+			}
+			defer func() {
+				if r, _ := recover().(string); r != "harness: "+tc.cfg.Validate().Error() {
+					t.Errorf("NewMachine panic = %q, want the Validate message", r)
+				}
+			}()
+			NewMachine(tc.cfg)
+		})
+	}
+}
+
+// TestEmptyAlgoNamesSelectTheDefaults: "" and the default names are the
+// same registered algorithms, so a machine built either way is the same
+// machine.
+func TestEmptyAlgoNamesSelectTheDefaults(t *testing.T) {
+	unset := NewMachine(NewConfig(4, 2, WithLockAlgo(""), WithBarrierAlgo(""))).Cfg
+	named := NewMachine(NewConfig(4, 2, WithLockAlgo("token"), WithBarrierAlgo("tree"))).Cfg
+	if unset.LockAlgo != named.LockAlgo || unset.BarrierAlgo != named.BarrierAlgo {
+		t.Fatalf("unset resolves to %s/%s, named to %s/%s", unset.LockAlgo, unset.BarrierAlgo, named.LockAlgo, named.BarrierAlgo)
+	}
+	la, _ := algo.LockByName("")
+	ba, _ := algo.BarrierByName("")
+	if la != (algo.Token{}) || ba != (algo.Tree{}) {
+		t.Fatalf(`LockByName("") = %#v, BarrierByName("") = %#v; want the registered Token and Tree`, la, ba)
+	}
+}

@@ -62,15 +62,15 @@ type Config struct {
 	Cache    cache.Costs
 	CacheHW  cache.Params
 	Msg      msg.Costs
-	Sync     msync.Costs
+	Sync     algo.Costs
 
 	// LockAlgo and BarrierAlgo name the synchronization algorithms from
 	// internal/msync/algo ("token", "ticket", "mcs", "tournament" /
 	// "tree", "sense", "dissemination", "mcstree", "tournament"). Empty
-	// or the default name keeps the native primitives — and the native
-	// fast paths in the parallel dispatcher; any other algorithm forces
-	// sequential event dispatch (its handlers share per-object state
-	// across SSMP shards).
+	// selects the paper's defaults, token and tree — the one pair the
+	// parallel dispatcher serves; any other algorithm forces sequential
+	// event dispatch (its handlers share per-object state across SSMP
+	// shards).
 	LockAlgo    string
 	BarrierAlgo string
 }
@@ -110,25 +110,13 @@ func WithEngineWorkers(n int) Option { return func(c *Config) { c.EngineWorkers 
 func WithTopology(t msg.Topology) Option { return func(c *Config) { c.Msg.Topology = t } }
 
 // WithLockAlgo selects the lock algorithm by name (algo.LockNames);
-// "" or "token" keeps the native two-level token lock.
+// "" selects the default, the paper's token lock.
 func WithLockAlgo(name string) Option { return func(c *Config) { c.LockAlgo = name } }
 
 // WithBarrierAlgo selects the barrier algorithm by name
-// (algo.BarrierNames); "" or "tree" keeps the native two-level tree
-// barrier.
+// (algo.BarrierNames); "" selects the default, the paper's two-level
+// tree barrier.
 func WithBarrierAlgo(name string) Option { return func(c *Config) { c.BarrierAlgo = name } }
-
-// WithInterMesh enables the contended 2D-mesh inter-SSMP network at the
-// given per-hop latency.
-//
-// Deprecated: use WithTopology(msg.NewMesh2D()) and set
-// Msg.InterPerHop, or rely on the InterDelay/4 default.
-func WithInterMesh(perHop sim.Time) Option {
-	return func(c *Config) {
-		c.Msg.InterMesh = true
-		c.Msg.InterPerHop = perHop
-	}
-}
 
 // NewConfig returns the calibrated configuration for a P-processor
 // machine with clusters of c processors and the paper's parameters —
@@ -151,7 +139,7 @@ func NewConfig(p, c int, opts ...Option) Config {
 			BytesPerCycle: 1, InterDelay: 1000, InterOverhead: 800,
 			Topology: DefaultTopology,
 		},
-		Sync:        msync.DefaultCosts(),
+		Sync:        algo.DefaultCosts(),
 		LockAlgo:    DefaultLockAlgo,
 		BarrierAlgo: DefaultBarrierAlgo,
 	}
@@ -161,11 +149,26 @@ func NewConfig(p, c int, opts ...Option) Config {
 	return cfg
 }
 
-// DefaultConfig returns the calibrated configuration for a P-processor
-// machine with clusters of c processors.
-//
-// Deprecated: use NewConfig, which takes functional options.
-func DefaultConfig(p, c int) Config { return NewConfig(p, c) }
+// Validate reports the first reason the configuration cannot be built:
+// a machine shape that does not divide into SSMPs, or a lock or barrier
+// name no registered algorithm answers to.
+func (cfg Config) Validate() error {
+	_, _, err := cfg.algos()
+	return err
+}
+
+// algos validates the configuration and resolves its algorithm names.
+func (cfg Config) algos() (algo.LockAlgo, algo.BarrierAlgo, error) {
+	if cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0 {
+		return nil, nil, fmt.Errorf("bad machine shape P=%d C=%d: want P > 0 and C > 0 dividing P", cfg.P, cfg.C)
+	}
+	la, err := algo.LockByName(cfg.LockAlgo)
+	if err != nil {
+		return nil, nil, err
+	}
+	ba, err := algo.BarrierByName(cfg.BarrierAlgo)
+	return la, ba, err
+}
 
 // Machine is one assembled DSSMP.
 type Machine struct {
@@ -181,12 +184,16 @@ type Machine struct {
 	ran    bool
 }
 
-// NewMachine assembles a machine. The configuration's Msg.InterDelay is
-// overridden by Cfg.Delay so callers set the LAN latency in one place.
+// NewMachine assembles a machine, panicking on a configuration that
+// fails Validate. The configuration's Msg.InterDelay is overridden by
+// Cfg.Delay so callers set the LAN latency in one place, and the
+// algorithm names are replaced by the registered names they resolve to.
 func NewMachine(cfg Config) *Machine {
-	if cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0 {
-		panic(fmt.Sprintf("harness: bad machine shape P=%d C=%d", cfg.P, cfg.C))
+	la, ba, err := cfg.algos()
+	if err != nil {
+		panic("harness: " + err.Error())
 	}
+	cfg.LockAlgo, cfg.BarrierAlgo = la.Name(), ba.Name()
 	cfg.Msg.InterDelay = cfg.Delay
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), bodies: make([]func(*Ctx), cfg.P)}
 	for i := 0; i < cfg.P; i++ {
@@ -215,19 +222,8 @@ func NewMachine(cfg Config) *Machine {
 		Disabled: cfg.Disabled,
 	})
 	m.DSM.Obs = cfg.Obs
-	m.Sync = msync.New(m.Eng, m.DSM, m.Net, st, m.Procs, cfg.Sync)
-	m.Sync.Obs = cfg.Obs
-	la, err := algo.LockByName(cfg.LockAlgo)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
-	ba, err := algo.BarrierByName(cfg.BarrierAlgo)
-	if err != nil {
-		panic("harness: " + err.Error())
-	}
-	if la != nil || ba != nil {
-		m.Sync.SetAlgos(la, ba)
-	}
+	m.Sync = msync.New(m.Eng, m.DSM, m.Net, st, cfg.Sync, cfg.Obs)
+	m.Sync.SetAlgos(la, ba)
 	return m
 }
 
@@ -373,10 +369,11 @@ func (m *Machine) parallelOK() bool {
 		return false
 	case m.DSM.DebugChecks:
 		return false
-	case !algo.IsDefaultLock(cfg.LockAlgo), !algo.IsDefaultBarrier(cfg.BarrierAlgo):
-		// Zoo algorithms keep per-object state (queues, brackets, round
-		// counters) that home-side handlers on different SSMPs mutate;
-		// only the native primitives are shard-annotated.
+	case cfg.LockAlgo != algo.DefaultLock, cfg.BarrierAlgo != algo.DefaultBarrier:
+		// The other algorithms keep per-object state (queues, brackets,
+		// round counters) that home-side handlers on different SSMPs
+		// mutate; only the token lock and tree barrier are
+		// shard-annotated.
 		return false
 	}
 	// The topology has the final word: contended topologies (Mesh2D,

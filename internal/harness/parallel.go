@@ -38,8 +38,8 @@ var DefaultTopology msg.Topology
 // DefaultLockAlgo and DefaultBarrierAlgo are the synchronization
 // algorithm names NewConfig applies when no WithLockAlgo /
 // WithBarrierAlgo option overrides them. Empty (the default) means the
-// native primitives — the two-level token lock and tree barrier. The
-// -lock and -barrier flags of the command-line tools set these.
+// paper's token lock and two-level tree barrier. The -lock and -barrier
+// flags of the command-line tools set these.
 var (
 	DefaultLockAlgo    string
 	DefaultBarrierAlgo string

@@ -74,8 +74,12 @@ func (r *taintResult) equal(o *taintResult) bool {
 			return false
 		}
 	}
+	// Only the indices are the lattice value. Why is explanatory text
+	// and grows by a "(via f)" suffix on every pass round a call cycle
+	// (a shim that calls the interface it implements is its own CHA
+	// target), so comparing it would never reach the fixpoint.
 	for i := range r.sinkParams {
-		if r.sinkParams[i] != o.sinkParams[i] {
+		if r.sinkParams[i].Index != o.sinkParams[i].Index {
 			return false
 		}
 	}

@@ -67,3 +67,27 @@ func Local(e *sim.Engine, m map[int]int) {
 		e.At(sim.Time(k), func() {}) // want `map iteration order .*committed event order`
 	}
 }
+
+// Charger, aShim and zBase form a call cycle under CHA: aShim.Charge
+// calls the interface it implements, so it is its own target, and it
+// sorts before the implementation that reaches the sink. The sink
+// fact's explanation then grows on every pass; the fixpoint must
+// compare parameter indices only or it never terminates.
+type Charger interface {
+	Charge(p *sim.Proc, n sim.Time)
+}
+
+type aShim struct{ inner Charger }
+
+func (a aShim) Charge(p *sim.Proc, n sim.Time) { a.inner.Charge(p, n) }
+
+type zBase struct{}
+
+func (zBase) Charge(p *sim.Proc, n sim.Time) { p.Advance(n) }
+
+// Shimmed reaches the sink through the cycle.
+func Shimmed(p *sim.Proc, m map[int]int) {
+	for k := range m {
+		aShim{zBase{}}.Charge(p, sim.Time(k)) // want `map iteration order .*charged cycles \(Proc\.Advance\)`
+	}
+}

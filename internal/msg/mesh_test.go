@@ -10,7 +10,7 @@ import (
 func meshCosts() Costs {
 	return Costs{
 		SendOverhead: 10, HandlerEntry: 50, PerHop: 2, BytesPerCycle: 2,
-		InterOverhead: 100, InterMesh: true, InterPerHop: 200,
+		InterOverhead: 100, Topology: NewMesh2D(), InterPerHop: 200,
 		// InterDelay deliberately set to prove it is ignored in mesh mode.
 		InterDelay: 99999,
 	}
@@ -121,35 +121,9 @@ func TestMeshOppositeDirectionsDoNotContend(t *testing.T) {
 	}
 }
 
-func TestMeshDeterministic(t *testing.T) {
-	run := func() []sim.Time {
-		eng, n, procs := buildMesh(t)
-		var arrivals []sim.Time
-		for i := 0; i < 12; i++ {
-			from, to := i%4, 15-(i%8)
-			if from == to {
-				to = 14
-			}
-			n.Send(from, to, sim.Time(i*3), 256, 0,
-				func(at sim.Time) { arrivals = append(arrivals, at) })
-		}
-		finish(t, eng, procs, 1_000_000)
-		return arrivals
-	}
-	a, b := run(), run()
-	if len(a) != 12 || len(b) != 12 {
-		t.Fatalf("lost messages: %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("run differs at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestMeshIntraSSMPUnaffected(t *testing.T) {
 	// With csize > 1, intra-SSMP messages must still use the intra mesh
-	// even when InterMesh is on.
+	// under a mesh inter-SSMP topology.
 	eng := sim.NewEngine()
 	procs := make([]*sim.Proc, 8)
 	for i := range procs {

@@ -35,17 +35,13 @@ type Costs struct {
 	InterOverhead sim.Time // software protocol stack per inter-SSMP message
 
 	// Topology selects the inter-SSMP interconnect (topology.go). Nil
-	// means the paper's Uniform fixed-delay LAN — unless the deprecated
-	// InterMesh boolean is set, which resolves to Mesh2D. InterOverhead
-	// is always paid as the software stack cost on top of whatever the
-	// topology charges.
+	// means the paper's Uniform fixed-delay LAN. InterOverhead is always
+	// paid as the software stack cost on top of whatever the topology
+	// charges.
 	Topology Topology
 
-	// InterMesh is deprecated: it predates the Topology interface and
-	// is equivalent to Topology: NewMesh2D(). It is consulted only when
-	// Topology is nil. InterPerHop sets the mesh's per-hop latency
-	// (InterDelay/4 when zero).
-	InterMesh   bool
+	// InterPerHop sets Mesh2D's per-hop latency (InterDelay/4 when
+	// zero).
 	InterPerHop sim.Time
 
 	// Jitter, when positive, adds a deterministic pseudo-random extra
@@ -151,11 +147,7 @@ func NewNetwork(eng *sim.Engine, procs []*sim.Proc, csize int, costs Costs) *Net
 	}
 	topo := costs.Topology
 	if topo == nil {
-		if costs.InterMesh {
-			topo = NewMesh2D()
-		} else {
-			topo = NewUniform()
-		}
+		topo = NewUniform()
 	}
 	nssmp := (len(procs) + csize - 1) / csize
 	if s, ok := topo.(sizer); ok {

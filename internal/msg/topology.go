@@ -14,9 +14,9 @@ import (
 // now a first-class Topology: a routing function over directed links,
 // each with its own latency and bandwidth, plus deterministic
 // store-and-forward contention tracked per link. Four implementations
-// ship — Uniform (the paper's LAN), Mesh2D (the PR 3-era InterMesh
-// mode), FatTree (bandwidth fattens toward the root), and Tiered
-// (LAN sites joined by thin, slow WAN links).
+// ship — Uniform (the paper's LAN), Mesh2D, FatTree (bandwidth fattens
+// toward the root), and Tiered (LAN sites joined by thin, slow WAN
+// links).
 //
 // Every topology also reports its own conservative PDES lookahead.
 // Uniform has a fixed latency floor and no shared state, so the

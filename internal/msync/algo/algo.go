@@ -1,20 +1,23 @@
-// Package algo is the pluggable synchronization-algorithm zoo: lock and
-// barrier algorithms expressed purely as message sequences over the MGS
-// interconnect, selected by name through harness.WithLockAlgo /
-// WithBarrierAlgo (or the -lock / -barrier flags of every tool).
+// Package algo is the MGS synchronization-algorithm family: every lock
+// and barrier the machine can run, expressed purely as message sequences
+// over the MGS interconnect and selected by name through
+// harness.WithLockAlgo / WithBarrierAlgo (or the -lock / -barrier flags
+// of every tool). The defaults are the paper's §3.2 library — the
+// token-based distributed lock ("token") and the two-level tree barrier
+// ("tree") — beside ticket, MCS and tournament locks and sense-
+// reversing, dissemination, MCS-tree and tournament barriers.
 //
 // An algorithm never touches the memory system directly. msync.System
-// wraps every algorithm lock/barrier in a shim that runs the release-
-// consistency protocol actions (ReleaseAll before a release or barrier
-// arrival, AcquireSync after a grant or barrier exit) and the profiler
+// wraps every lock/barrier in a shim that runs the release-consistency
+// protocol actions (ReleaseAll before a release or barrier arrival,
+// AcquireSync after a grant or barrier exit) and the profiler
 // attribution, so an implementation here is only the ordering protocol:
 // who sends what to whom, who parks, who wakes. Every message is a real
 // msg.Network send — it pays interconnect latency on every topology,
 // rides the reliable transport under fault injection, and is a labeled
 // delivery the model checker can reorder.
 //
-// Cycle-charging rules (shared by every algorithm, matching the native
-// token lock and tree barrier):
+// Cycle-charging rules, shared by every algorithm:
 //
 //   - a processor-context operation charges Env.LockOp/BarrierOp to its
 //     category, plus Env.SendCost for each message the processor sends;
@@ -24,58 +27,9 @@
 //     the lock.waitcycles / barrier.waitcycles histograms via
 //     Env.LockWaited / Env.BarrierWaited;
 //   - critical-section occupancy feeds Env.CountCS at release.
-//
-// The native algorithms keep their names here ("token", "tree") but map
-// to a nil LockAlgo/BarrierAlgo: msync runs its original code path,
-// byte-identical to a build that never heard of this package.
 package algo
 
-import (
-	"sort"
-
-	"mgs/internal/sim"
-)
-
-// Env is the toolkit msync hands an algorithm: machine shape, cost
-// table, tagged message sends, and the accounting hooks that feed the
-// shared lock/barrier statistics, histograms, and trace stream.
-type Env interface {
-	// Shape.
-	NProcs() int
-	NSSMP() int
-	ClusterSize() int
-	SSMPOf(proc int) int
-	// RepProc is the processor that runs SSMP-side handlers for object
-	// id in SSMP s (spread across the SSMP's processors by id).
-	RepProc(s, id int) int
-
-	// Cost table.
-	LockOp() sim.Time
-	BarrierOp() sim.Time
-	TokenWork() sim.Time
-	SendCost() sim.Time
-
-	// Send delivers a 32-byte control message from processor from to
-	// processor to, no earlier than when, and runs fn as a handler
-	// charged work cycles at the receiver. kind/id/aux label the
-	// delivery as a model-checker choice point; the label is inert
-	// outside the checker.
-	Send(kind string, id, from, to int, when sim.Time, aux int64, work sim.Time, fn func(at sim.Time))
-
-	// Accounting.
-	ChargeLock(p *sim.Proc, cycles sim.Time)
-	ChargeBarrier(p *sim.Proc, cycles sim.Time)
-	// LockWaited / BarrierWaited charge parked time and feed the wait
-	// histograms; call once per park, after the wake.
-	LockWaited(p *sim.Proc, waited sim.Time)
-	BarrierWaited(p *sim.Proc, waited sim.Time)
-	// CountCS records one critical section of the given occupancy.
-	CountCS(held sim.Time)
-
-	// Trace emission (no simulated cost; inert without a sink).
-	EmitLock(at sim.Time, proc, id int, name, format string, args ...any)
-	EmitBarrier(at sim.Time, proc, id int, name, format string, args ...any)
-}
+import "mgs/internal/sim"
 
 // Lock is one lock instance: the contract Ctx.Acquire/Release dispatch
 // through. Acquire returns holding the lock; Release never blocks.
@@ -94,16 +48,19 @@ type Barrier interface {
 	Episodes() int64
 }
 
-// LockAlgo builds lock instances. Name is the -lock flag spelling.
+// LockAlgo builds lock instances. Name is the -lock flag spelling. home
+// is the processor the lock's global state is placed on; implementations
+// reduce it mod NProcs.
 type LockAlgo interface {
 	Name() string
-	NewLock(env Env, id, home int) Lock
+	NewLock(env *Env, id, home int) Lock
 }
 
-// BarrierAlgo builds barrier instances. Name is the -barrier spelling.
+// BarrierAlgo builds barrier instances. Name is the -barrier spelling;
+// home is as for LockAlgo.
 type BarrierAlgo interface {
 	Name() string
-	NewBarrier(env Env, id, home int) Barrier
+	NewBarrier(env *Env, id, home int) Barrier
 }
 
 // Dumper is optionally implemented by locks and barriers that can
@@ -120,33 +77,24 @@ type Quiescer interface {
 	Quiescent() error
 }
 
-// DefaultLock and DefaultBarrier name the native msync algorithms. They
-// resolve to a nil algo so msync keeps its original code path.
+// DefaultLock and DefaultBarrier name the paper's algorithms; an empty
+// selection resolves to them.
 const (
 	DefaultLock    = "token"
 	DefaultBarrier = "tree"
 )
 
-// The registries are sorted literal slices, not maps, so every listing
-// is deterministic without an iteration-order laundering step.
+// The registries are literal slices sorted by name, not maps, so every
+// listing is deterministic without an iteration-order laundering step.
 var (
-	lockAlgos    = []LockAlgo{MCS{}, Ticket{}, Tournament{}}
-	barrierAlgos = []BarrierAlgo{Dissemination{}, MCSTree{}, Sense{}, TournamentBarrier{}}
+	lockAlgos    = []LockAlgo{MCS{}, Ticket{}, Token{}, Tournament{}}
+	barrierAlgos = []BarrierAlgo{Dissemination{}, MCSTree{}, Sense{}, TournamentBarrier{}, Tree{}}
 )
 
-// IsDefaultLock reports whether name selects the native token lock
-// (empty means default).
-func IsDefaultLock(name string) bool { return name == "" || name == DefaultLock }
-
-// IsDefaultBarrier reports whether name selects the native tree
-// barrier (empty means default).
-func IsDefaultBarrier(name string) bool { return name == "" || name == DefaultBarrier }
-
-// LockByName resolves a -lock selection. The default names return
-// (nil, nil): the caller keeps the native path.
+// LockByName resolves a -lock selection; "" selects DefaultLock.
 func LockByName(name string) (LockAlgo, error) {
-	if IsDefaultLock(name) {
-		return nil, nil
+	if name == "" {
+		name = DefaultLock
 	}
 	for _, a := range lockAlgos {
 		if a.Name() == name {
@@ -156,11 +104,11 @@ func LockByName(name string) (LockAlgo, error) {
 	return nil, &UnknownError{Kind: "lock", Name: name, Known: LockNames()}
 }
 
-// BarrierByName resolves a -barrier selection. The default names
-// return (nil, nil): the caller keeps the native path.
+// BarrierByName resolves a -barrier selection; "" selects
+// DefaultBarrier.
 func BarrierByName(name string) (BarrierAlgo, error) {
-	if IsDefaultBarrier(name) {
-		return nil, nil
+	if name == "" {
+		name = DefaultBarrier
 	}
 	for _, a := range barrierAlgos {
 		if a.Name() == name {
@@ -170,23 +118,21 @@ func BarrierByName(name string) (BarrierAlgo, error) {
 	return nil, &UnknownError{Kind: "barrier", Name: name, Known: BarrierNames()}
 }
 
-// LockNames lists every lock algorithm, default included, sorted.
+// LockNames lists every lock algorithm, sorted.
 func LockNames() []string {
-	names := []string{DefaultLock}
-	for _, a := range lockAlgos {
-		names = append(names, a.Name())
+	names := make([]string, len(lockAlgos))
+	for i, a := range lockAlgos {
+		names[i] = a.Name()
 	}
-	sort.Strings(names)
 	return names
 }
 
-// BarrierNames lists every barrier algorithm, default included, sorted.
+// BarrierNames lists every barrier algorithm, sorted.
 func BarrierNames() []string {
-	names := []string{DefaultBarrier}
-	for _, a := range barrierAlgos {
-		names = append(names, a.Name())
+	names := make([]string, len(barrierAlgos))
+	for i, a := range barrierAlgos {
+		names[i] = a.Name()
 	}
-	sort.Strings(names)
 	return names
 }
 

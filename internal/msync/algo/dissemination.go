@@ -22,7 +22,7 @@ type Dissemination struct{}
 func (Dissemination) Name() string { return "dissemination" }
 
 // NewBarrier implements BarrierAlgo.
-func (Dissemination) NewBarrier(env Env, id, home int) Barrier {
+func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 	n := env.NSSMP()
 	b := &dissemBarrier{env: env, id: id, rounds: log2ceil(n)}
 	b.nodes = make([]dissemNode, n)
@@ -49,7 +49,7 @@ type dissemNode struct {
 //
 //mgs:shared
 type dissemBarrier struct {
-	env    Env
+	env    *Env
 	id     int
 	rounds int
 

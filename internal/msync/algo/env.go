@@ -1,0 +1,148 @@
+package algo
+
+import (
+	"fmt"
+
+	"mgs/internal/msg"
+	"mgs/internal/obs"
+	"mgs/internal/sim"
+	"mgs/internal/stats"
+)
+
+// Costs parameterizes synchronization overheads, in cycles.
+type Costs struct {
+	LockOp    sim.Time // local lock manipulation in shared memory
+	BarrierOp sim.Time // local barrier counter update
+	TokenWork sim.Time // global-lock handler bookkeeping
+}
+
+// DefaultCosts returns reasonable hardware-shared-memory costs.
+func DefaultCosts() Costs {
+	return Costs{LockOp: 60, BarrierOp: 60, TokenWork: 120}
+}
+
+// Env is the toolkit an algorithm programs against: machine shape, cost
+// table, tagged message sends over the real msg.Network, and the
+// accounting hooks that feed the shared lock/barrier statistics,
+// histograms, and trace stream. msync.New builds the machine's one Env.
+// It is a concrete type so the trace hooks' variadic arguments stay off
+// the heap when no sink is attached.
+//
+//mgs:shared
+type Env struct {
+	eng   *sim.Engine
+	net   *msg.Network
+	st    *stats.Collector
+	obs   *obs.Observer // nil or sink-less keeps the trace path detached
+	costs Costs
+	p, c  int
+
+	// Wait-time distributions, registered on the collector's registry:
+	// cycles parked per lock acquire and per barrier episode.
+	lockWait, barrierWait *obs.Histogram
+}
+
+// NewEnv builds the environment for a p-processor machine with clusters
+// of c processors.
+func NewEnv(eng *sim.Engine, net *msg.Network, st *stats.Collector, o *obs.Observer, p, c int, costs Costs) *Env {
+	e := &Env{eng: eng, net: net, st: st, obs: o, costs: costs, p: p, c: c}
+	if reg := st.Registry(); reg != nil {
+		e.lockWait = reg.Histogram("lock.waitcycles", nil)
+		e.barrierWait = reg.Histogram("barrier.waitcycles", nil)
+	}
+	return e
+}
+
+// Shape.
+
+func (e *Env) NProcs() int         { return e.p }
+func (e *Env) NSSMP() int          { return e.p / e.c }
+func (e *Env) ClusterSize() int    { return e.c }
+func (e *Env) SSMPOf(proc int) int { return proc / e.c }
+
+// RepProc is the processor that runs SSMP-side handlers for object id
+// in SSMP s — spread across the SSMP's processors by id.
+func (e *Env) RepProc(s, id int) int { return s*e.c + id%e.c }
+
+// Cost table.
+
+func (e *Env) LockOp() sim.Time    { return e.costs.LockOp }
+func (e *Env) BarrierOp() sim.Time { return e.costs.BarrierOp }
+func (e *Env) TokenWork() sim.Time { return e.costs.TokenWork }
+func (e *Env) SendCost() sim.Time  { return e.net.SendCost() }
+
+// Send delivers a 32-byte control message from processor from to
+// processor to, no earlier than when, and runs fn as a handler charged
+// work cycles at the receiver. kind/id/aux label the delivery as a
+// model-checker choice point; the label is inert outside the checker.
+func (e *Env) Send(kind string, id, from, to int, when sim.Time, aux int64, work sim.Time, fn func(at sim.Time)) {
+	e.net.SendTagged(sim.Label{Kind: kind, Page: int64(id), Src: from, Dst: to, Aux: aux},
+		from, to, when, 32, work, fn)
+}
+
+// AtOn schedules fn at time t as an engine event pinned to processor p,
+// from the execution context of a processor in p's SSMP: an in-SSMP
+// wakeup through hardware shared memory, not a message. The pin keeps
+// it a shard-local event under the parallel dispatcher.
+func (e *Env) AtOn(p *sim.Proc, t sim.Time, fn func()) { e.eng.AtOn(p, t, fn) }
+
+// ChargeLock advances p by cycles and attributes them to Lock.
+func (e *Env) ChargeLock(p *sim.Proc, cycles sim.Time) {
+	p.Advance(cycles)
+	e.st.Charge(p.ID, stats.Lock, cycles)
+}
+
+// ChargeBarrier advances p by cycles and attributes them to Barrier.
+func (e *Env) ChargeBarrier(p *sim.Proc, cycles sim.Time) {
+	p.Advance(cycles)
+	e.st.Charge(p.ID, stats.Barrier, cycles)
+}
+
+// LockWaited charges parked time and feeds the lock wait histogram;
+// call once per park, after the wake.
+func (e *Env) LockWaited(p *sim.Proc, waited sim.Time) {
+	e.st.Charge(p.ID, stats.Lock, waited)
+	if e.lockWait != nil {
+		e.lockWait.Observe(int64(waited))
+	}
+}
+
+// BarrierWaited is LockWaited for a barrier episode.
+func (e *Env) BarrierWaited(p *sim.Proc, waited sim.Time) {
+	e.st.Charge(p.ID, stats.Barrier, waited)
+	if e.barrierWait != nil {
+		e.barrierWait.Observe(int64(waited))
+	}
+}
+
+// CountCS records one critical section of the given occupancy.
+func (e *Env) CountCS(held sim.Time) {
+	e.st.Count("lock.heldcycles", int64(held))
+	e.st.Count("lock.cs", 1)
+}
+
+// EmitLock publishes one lock trace event. Detail formatting runs only
+// when a sink is attached; emission charges no simulated cycles.
+func (e *Env) EmitLock(at sim.Time, proc, id int, name, format string, args ...any) {
+	if e.obs.Tracing() {
+		e.emit(at, proc, obs.ObjLock, id, name, format, args)
+	}
+}
+
+// EmitBarrier is EmitLock for barrier events.
+func (e *Env) EmitBarrier(at sim.Time, proc, id int, name, format string, args ...any) {
+	if e.obs.Tracing() {
+		e.emit(at, proc, obs.ObjBarrier, id, name, format, args)
+	}
+}
+
+func (e *Env) emit(at sim.Time, proc int, kind obs.ObjKind, id int, name, format string, args []any) {
+	var detail string
+	if format != "" {
+		detail = fmt.Sprintf(format, args...)
+	}
+	e.obs.Emit(obs.Event{
+		T: at, Proc: proc, Cat: obs.Sync, Name: name,
+		Kind: kind, ID: int64(id), Detail: detail,
+	})
+}

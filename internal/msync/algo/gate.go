@@ -8,13 +8,15 @@ import (
 
 // gate is the per-SSMP combining stage the SSMP-level barriers share:
 // processors of one SSMP count in through hardware shared memory; the
-// last arriver triggers the inter-SSMP protocol. Mirrors the native
-// tree barrier's local combine, including the run-ahead rule: the
-// upward step departs no earlier than the latest local arrival's
-// virtual time.
+// last arriver triggers the inter-SSMP protocol.
 type gate struct {
-	count    int
-	waiting  []*sim.Proc
+	count   int
+	waiting []*sim.Proc
+	// maxClock is the latest virtual arrival time this episode. The
+	// upward step is timestamped with it: under direct execution a
+	// run-ahead processor can arrive first in engine order with a
+	// far-future clock, and the step must not depart before every local
+	// arrival's virtual time.
 	maxClock sim.Time
 }
 
@@ -35,8 +37,7 @@ func (g *gate) arrive(p *sim.Proc, csize int) (last bool, when sim.Time) {
 }
 
 // release wakes every gated processor, staggered by quantum/4 per
-// waiter — the sequential reads of the shared release flag, as in the
-// native tree barrier's local release.
+// waiter — the sequential reads of the shared release flag.
 func (g *gate) release(at, quantum sim.Time) {
 	ws := g.waiting
 	g.waiting = nil

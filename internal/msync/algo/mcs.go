@@ -25,7 +25,7 @@ type MCS struct{}
 func (MCS) Name() string { return "mcs" }
 
 // NewLock implements LockAlgo.
-func (MCS) NewLock(env Env, id, home int) Lock {
+func (MCS) NewLock(env *Env, id, home int) Lock {
 	return &mcsLock{
 		env: env, id: id, home: home % env.NProcs(),
 		tail: -1, node: make([]mcsNode, env.NProcs()),
@@ -50,7 +50,7 @@ type mcsNode struct {
 //
 //mgs:shared
 type mcsLock struct {
-	env  Env
+	env  *Env
 	id   int
 	home int
 

@@ -20,7 +20,7 @@ type MCSTree struct{}
 func (MCSTree) Name() string { return "mcstree" }
 
 // NewBarrier implements BarrierAlgo.
-func (MCSTree) NewBarrier(env Env, id, home int) Barrier {
+func (MCSTree) NewBarrier(env *Env, id, home int) Barrier {
 	return &mcsTreeBarrier{env: env, id: id, nodes: make([]mcsTreeNode, env.NSSMP())}
 }
 
@@ -35,7 +35,7 @@ type mcsTreeNode struct {
 //
 //mgs:shared
 type mcsTreeBarrier struct {
-	env Env
+	env *Env
 	id  int
 
 	nodes []mcsTreeNode //mgs:shardpinned each node is touched only by its own SSMP's handlers; sequential dispatcher enforced for non-default algorithms

@@ -17,7 +17,7 @@ type Sense struct{}
 func (Sense) Name() string { return "sense" }
 
 // NewBarrier implements BarrierAlgo.
-func (Sense) NewBarrier(env Env, id, home int) Barrier {
+func (Sense) NewBarrier(env *Env, id, home int) Barrier {
 	return &senseBarrier{
 		env: env, id: id, home: home % env.NProcs(),
 		waiting: make([]*sim.Proc, env.NProcs()),
@@ -29,7 +29,7 @@ func (Sense) NewBarrier(env Env, id, home int) Barrier {
 //
 //mgs:shared
 type senseBarrier struct {
-	env  Env
+	env  *Env
 	id   int
 	home int
 

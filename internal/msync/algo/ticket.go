@@ -22,7 +22,7 @@ type Ticket struct{}
 func (Ticket) Name() string { return "ticket" }
 
 // NewLock implements LockAlgo.
-func (Ticket) NewLock(env Env, id, home int) Lock {
+func (Ticket) NewLock(env *Env, id, home int) Lock {
 	return &ticketLock{env: env, id: id, home: home % env.NProcs()}
 }
 
@@ -32,7 +32,7 @@ func (Ticket) NewLock(env Env, id, home int) Lock {
 //
 //mgs:shared
 type ticketLock struct {
-	env  Env
+	env  *Env
 	id   int
 	home int
 

@@ -23,7 +23,7 @@ type TournamentBarrier struct{}
 func (TournamentBarrier) Name() string { return "tournament" }
 
 // NewBarrier implements BarrierAlgo.
-func (TournamentBarrier) NewBarrier(env Env, id, home int) Barrier {
+func (TournamentBarrier) NewBarrier(env *Env, id, home int) Barrier {
 	n := env.NSSMP()
 	b := &tourBarrier{env: env, id: id, rounds: log2ceil(n)}
 	b.nodes = make([]tourBarNode, n)
@@ -46,7 +46,7 @@ type tourBarNode struct {
 //
 //mgs:shared
 type tourBarrier struct {
-	env    Env
+	env    *Env
 	id     int
 	rounds int
 

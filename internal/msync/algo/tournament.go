@@ -27,7 +27,7 @@ type Tournament struct{}
 func (Tournament) Name() string { return "tournament" }
 
 // NewLock implements LockAlgo.
-func (Tournament) NewLock(env Env, id, home int) Lock {
+func (Tournament) NewLock(env *Env, id, home int) Lock {
 	l := &tourLock{env: env, id: id}
 	// Build the arbiter tree bottom-up: level 0 is one leaf per SSMP,
 	// each higher level halves (rounding up) until a single root.
@@ -79,7 +79,7 @@ type tourNode struct {
 //
 //mgs:shared
 type tourLock struct {
-	env Env
+	env *Env
 	id  int
 
 	nodes []tourNode //mgs:shardpinned each node is touched only by its host SSMP's handlers; sequential dispatcher enforced for non-default algorithms

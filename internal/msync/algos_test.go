@@ -7,7 +7,7 @@ import (
 	"mgs/internal/sim"
 )
 
-// lockAlgoUnderTest resolves name to a factory (nil = native token).
+// lockAlgoUnderTest resolves name to its registered factory.
 func lockAlgoUnderTest(t *testing.T, name string) algo.LockAlgo {
 	t.Helper()
 	la, err := algo.LockByName(name)
@@ -26,15 +26,15 @@ func barrierAlgoUnderTest(t *testing.T, name string) algo.BarrierAlgo {
 	return ba
 }
 
-// TestAlgoLockMutualExclusion drives every lock algorithm through the
-// round-robin contention scenario the native lock is tested with:
-// mutual exclusion, an exact protected count, and no starvation.
+// TestAlgoLockMutualExclusion drives every lock algorithm through a
+// round-robin contention scenario: mutual exclusion, an exact protected
+// count, and no starvation.
 func TestAlgoLockMutualExclusion(t *testing.T) {
 	const per = 6
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(8, 2, 800)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
 			l := tm.sync.Lock(3)
 			var held, violations, count int
 			got := make([]int, 8)
@@ -88,7 +88,7 @@ func TestAlgoLockSingleSSMPAllHits(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 4, 0)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
 			l := tm.sync.Lock(0)
 			for i := 0; i < 4; i++ {
 				tm.bodies[i] = func(p *sim.Proc) {
@@ -114,13 +114,16 @@ func TestAlgoLockReleaseFlushesDUQ(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
 			va := tm.dsm.Space().AllocPages(1024)
 			l := tm.sync.Lock(0)
 			tm.bodies[2] = func(p *sim.Proc) { // SSMP 1, page home SSMP 0
 				l.Acquire(p)
 				f, off := tm.dsm.Access(p, va, true, false)
 				f.Store64(off, 77)
+				if tm.dsm.DUQLen(p.ID) != 1 {
+					t.Errorf("DUQ len = %d before release, want 1", tm.dsm.DUQLen(p.ID))
+				}
 				l.Release(p)
 				if tm.dsm.DUQLen(p.ID) != 0 {
 					t.Errorf("DUQ len = %d after release, want 0", tm.dsm.DUQLen(p.ID))
@@ -142,7 +145,7 @@ func TestAlgoBarrierSynchronizes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, c := range []int{1, 2, 4, 8} {
 				tm := buildTest(8, c, 600)
-				tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+				tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
 				b := tm.sync.Barrier(0)
 				phase := make([]int, 8)
 				for i := 0; i < 8; i++ {
@@ -172,28 +175,34 @@ func TestAlgoBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-// TestAlgoBarrierRunAheadStraggler: no one may leave the barrier before
-// the straggler's virtual arrival time, for any algorithm.
+// TestAlgoBarrierRunAheadStraggler: under direct execution a processor
+// can run far ahead of the others between yields (Advance does not
+// yield) and arrive at the barrier first in ENGINE order while being
+// last in VIRTUAL time. Nobody may leave the barrier before the
+// straggler's virtual arrival, for any algorithm and wherever the
+// barrier is homed — regression test for the combine-timestamp bug.
 func TestAlgoBarrierRunAheadStraggler(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
-			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
-			after := make([]sim.Time, 4)
-			for i := 0; i < 4; i++ {
-				i := i
-				tm.bodies[i] = func(p *sim.Proc) {
-					if i == 0 {
-						p.Advance(300_000) // run-ahead: no yield before arrival
+			for _, id := range []int{0, 1, 2} { // home in the straggler's SSMP, its second processor, the peer SSMP
+				tm := buildTest(4, 2, 500)
+				tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
+				after := make([]sim.Time, 4)
+				for i := 0; i < 4; i++ {
+					i := i
+					tm.bodies[i] = func(p *sim.Proc) {
+						if i == 0 {
+							p.Advance(300_000) // run-ahead: no yield before arrival
+						}
+						tm.sync.Barrier(id).Arrive(p)
+						after[i] = p.Clock()
 					}
-					tm.sync.Barrier(0).Arrive(p)
-					after[i] = p.Clock()
 				}
-			}
-			tm.run(t)
-			for i, v := range after {
-				if v < 300_000 {
-					t.Fatalf("proc %d left barrier at %d, before the straggler's 300000", i, v)
+				tm.run(t)
+				for i, v := range after {
+					if v < 300_000 {
+						t.Fatalf("id=%d: proc %d left barrier at %d, before the straggler's 300000", id, i, v)
+					}
 				}
 			}
 		})
@@ -206,7 +215,7 @@ func TestAlgoBarrierIsReleasePoint(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+			tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
 			va := tm.dsm.Space().AllocPages(1024)
 			b := tm.sync.Barrier(0)
 			var got uint64
@@ -239,7 +248,7 @@ func TestAlgoBarrierOddSSMPCount(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(6, 2, 400) // 3 SSMPs
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+			tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
 			b := tm.sync.Barrier(1)
 			for i := 0; i < 6; i++ {
 				i := i
@@ -284,7 +293,7 @@ func TestAlgoPinnedContentionScript(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 2, 600)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), nil)
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
 			l := tm.sync.Lock(0)
 			for i := 0; i < 4; i++ {
 				i := i
@@ -317,7 +326,7 @@ func TestAlgoBarrierWaitHistogram(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(8, 2, 600)
-			tm.sync.SetAlgos(nil, barrierAlgoUnderTest(t, name))
+			tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
 			b := tm.sync.Barrier(0)
 			for i := 0; i < 8; i++ {
 				i := i
@@ -350,5 +359,5 @@ func TestSetAlgosAfterUsePanics(t *testing.T) {
 			t.Fatal("SetAlgos after Lock() did not panic")
 		}
 	}()
-	tm.sync.SetAlgos(algo.Ticket{}, nil)
+	tm.sync.SetAlgos(algo.Ticket{}, algo.Tree{})
 }

@@ -2,36 +2,22 @@
 // §3.2): primitives that know the DSSMP hierarchy and contain
 // communication within an SSMP whenever possible.
 //
-// The barrier is a two-level tree: processors first combine inside
-// their SSMP through hardware shared memory, then one COMBINE message
-// per SSMP reaches the barrier's home, which answers with one RELEASE
-// message per SSMP — the minimum two inter-SSMP messages per SSMP.
-//
-// The lock is token-based and distributed: each lock is a local lock
-// per SSMP plus a single global lock (the token home). Acquires succeed
-// locally while the SSMP owns the token; only when consecutive acquires
-// come from different SSMPs does the token move, via the global home.
-// The lock hit ratio (acquires needing no inter-SSMP communication /
-// all acquires) is the paper's Figure 11 metric.
-//
-// Both primitives are release points: they drain the caller's delayed
-// update queue through core.System.ReleaseAll before publishing the
-// release or barrier arrival — which is exactly where the paper's
-// critical-section dilation comes from. Under the lazy-release
-// extension they are acquire points too: every lock grant and barrier
-// exit runs core.System.AcquireSync to validate the acquiring SSMP's
-// copies against the home versions.
-//
-// The algorithms above are the defaults. SetAlgos swaps in any
-// algorithm from the msync/algo zoo (ticket, MCS, tournament locks;
-// sense-reversing, dissemination, MCS-tree, tournament barriers); the
-// release-consistency prologue/epilogue and the profiler attribution
-// stay with System, so every algorithm pays the same coherence costs
-// the defaults do.
+// The ordering protocols themselves — the paper's token-based
+// distributed lock and two-level tree barrier (the defaults), and every
+// other algorithm SetAlgos can select — live in msync/algo as one
+// family of message protocols over one algo.Env. This package owns what
+// they all share: the id → instance registry, and the shim that makes
+// every lock and barrier a release-consistency synchronization point.
+// A release or barrier arrival first drains the caller's delayed update
+// queue through core.System.ReleaseAll — which is exactly where the
+// paper's critical-section dilation comes from — and every lock grant
+// and barrier exit runs core.System.AcquireSync, so under the
+// lazy-release extension they validate the acquiring SSMP's copies
+// against the home versions. Every algorithm therefore pays the same
+// coherence costs.
 package msync
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -43,96 +29,48 @@ import (
 	"mgs/internal/stats"
 )
 
-// Costs parameterizes synchronization overheads, in cycles.
-type Costs struct {
-	LockOp    sim.Time // local lock manipulation in shared memory
-	BarrierOp sim.Time // local barrier counter update
-	TokenWork sim.Time // global-lock handler bookkeeping
-}
-
-// DefaultCosts returns reasonable hardware-shared-memory costs.
-func DefaultCosts() Costs {
-	return Costs{LockOp: 60, BarrierOp: 60, TokenWork: 120}
-}
-
 // System manages the locks and barriers of one machine.
 //
 //mgs:shared
 type System struct {
-	eng   *sim.Engine
-	dsm   *core.System
-	net   *msg.Network
-	st    *stats.Collector
-	procs []*sim.Proc
-	costs Costs
-	p, c  int
+	dsm *core.System
+	st  *stats.Collector
+	env *algo.Env
 
 	// mu guards lazy creation in the locks and barriers maps:
 	// processors on different shards of the parallel dispatcher can
 	// reach a primitive's first use concurrently.
 	mu       sync.Mutex
-	locks    map[int]algo.Lock    //mgs:guardedby mu
-	barriers map[int]algo.Barrier //mgs:guardedby mu
+	locks    map[int]*rcLock    //mgs:guardedby mu
+	barriers map[int]*rcBarrier //mgs:guardedby mu
 
-	// Non-nil algorithm factories replace the native token lock /
-	// two-level tree barrier for primitives created after SetAlgos.
+	// The machine-wide algorithm choice for primitives not yet created.
 	lockAlgo    algo.LockAlgo    //mgs:guardedby mu
 	barrierAlgo algo.BarrierAlgo //mgs:guardedby mu
-
-	// Obs is the observability spine; nil or sink-less keeps the trace
-	// path structurally detached.
-	Obs *obs.Observer
-
-	// Wait-time distributions, registered on the collector's registry:
-	// cycles parked per lock acquire and per barrier episode.
-	lockWait, barrierWait *obs.Histogram
 }
 
-// New builds the synchronization system for the machine owning dsm.
-func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collector, procs []*sim.Proc, costs Costs) *System {
+// New builds the synchronization system for the machine owning dsm,
+// running the default algorithms (token lock, tree barrier). o is the
+// observability spine sync events are traced to; nil or sink-less keeps
+// the trace path structurally detached.
+func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collector, costs algo.Costs, o *obs.Observer) *System {
 	cfg := dsm.Config()
 	m := &System{
-		eng: eng, dsm: dsm, net: net, st: st, procs: procs, costs: costs,
-		p: cfg.NProcs, c: cfg.ClusterSize,
-		locks: make(map[int]algo.Lock), barriers: make(map[int]algo.Barrier),
+		dsm: dsm, st: st,
+		env:   algo.NewEnv(eng, net, st, o, cfg.NProcs, cfg.ClusterSize, costs),
+		locks: make(map[int]*rcLock), barriers: make(map[int]*rcBarrier),
+		lockAlgo: algo.Token{}, barrierAlgo: algo.Tree{},
 	}
 	if reg := st.Registry(); reg != nil {
-		m.lockWait = reg.Histogram("lock.waitcycles", nil)
-		m.barrierWait = reg.Histogram("barrier.waitcycles", nil)
 		reg.Gauge("lock.hits", func() int64 { h, _ := m.LockStats(); return h })
 		reg.Gauge("lock.total", func() int64 { _, t := m.LockStats(); return t })
 	}
 	return m
 }
 
-// emitSync publishes one synchronization event. Detail formatting runs
-// only when a sink is attached; emission charges no simulated cycles.
-func (m *System) emitSync(t sim.Time, proc int, kind obs.ObjKind, id int, name, format string, args ...any) {
-	if !m.Obs.Tracing() {
-		return
-	}
-	var detail string
-	if format != "" {
-		detail = fmt.Sprintf(format, args...)
-	}
-	m.Obs.Emit(obs.Event{
-		T: t, Proc: proc, Cat: obs.Sync, Name: name,
-		Kind: kind, ID: int64(id), Detail: detail,
-	})
-}
-
-func (m *System) nssmp() int          { return m.p / m.c }
-func (m *System) ssmpOf(proc int) int { return proc / m.c }
-
-// repProc is the processor that runs SSMP-side handlers for object id in
-// SSMP s — spread across the SSMP's processors by id.
-func (m *System) repProc(s, id int) int { return s*m.c + id%m.c }
-
 // SetAlgos selects the lock and barrier algorithms for primitives not
-// yet created. A nil factory keeps the corresponding native default
-// (token lock / two-level tree barrier). It must run before any lock
-// or barrier exists: algorithms are a machine-wide choice, not a
-// per-primitive one.
+// yet created. It must run before any lock or barrier exists:
+// algorithms are a machine-wide choice, not a per-primitive one.
 func (m *System) SetAlgos(la algo.LockAlgo, ba algo.BarrierAlgo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -140,6 +78,45 @@ func (m *System) SetAlgos(la algo.LockAlgo, ba algo.BarrierAlgo) {
 		panic("msync: SetAlgos after locks or barriers were created")
 	}
 	m.lockAlgo, m.barrierAlgo = la, ba
+}
+
+// Lock returns the lock with the given id, creating it on first use,
+// homed on processor id mod P.
+func (m *System) Lock(id int) algo.Lock { return m.LockHomed(id, id) }
+
+// LockHomed returns lock id, creating it with its home on the given
+// processor (a lock placed with the data it protects, as the paper's
+// per-molecule locks are). The home only takes effect at creation.
+// Creation is guarded: processors on different shards can reach a
+// lock's first use concurrently, and the created state is a pure
+// function of (id, home), so whichever racer registers it wins without
+// affecting the simulation.
+func (m *System) LockHomed(id, home int) algo.Lock {
+	// The ci:race-sentinel markers let CI's mutation step delete exactly
+	// these two lines and prove shardsafe re-finds the PR 6 race.
+	m.mu.Lock()         // ci:race-sentinel
+	defer m.mu.Unlock() // ci:race-sentinel
+	if l, ok := m.locks[id]; ok {
+		return l
+	}
+	l := &rcLock{m: m, id: id, impl: m.lockAlgo.NewLock(m.env, id, home)}
+	m.locks[id] = l
+	return l
+}
+
+// Barrier returns the barrier with the given id, creating it on first
+// use, homed on processor id mod P. Creation is guarded (see System.mu);
+// the created state is a pure function of id, so concurrent first uses
+// agree.
+func (m *System) Barrier(id int) algo.Barrier {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b, ok := m.barriers[id]; ok {
+		return b
+	}
+	b := &rcBarrier{m: m, id: id, impl: m.barrierAlgo.NewBarrier(m.env, id, id)}
+	m.barriers[id] = b
+	return b
 }
 
 // Quiescent reports whether every lock and barrier has fully settled:
@@ -150,20 +127,37 @@ func (m *System) Quiescent() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, id := range sortedIDs(m.locks) {
-		if q, ok := m.locks[id].(algo.Quiescer); ok {
+		if q, ok := m.locks[id].impl.(algo.Quiescer); ok {
 			if err := q.Quiescent(); err != nil {
 				return err
 			}
 		}
 	}
 	for _, id := range sortedIDs(m.barriers) {
-		if q, ok := m.barriers[id].(algo.Quiescer); ok {
+		if q, ok := m.barriers[id].impl.(algo.Quiescer); ok {
 			if err := q.Quiescent(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// DumpState prints every lock's and barrier's state (deadlock
+// diagnosis; ids print in sorted order so two dumps of the same state
+// compare equal). The model checker also folds this text into its
+// state hash, so synchronization state distinguishes interleavings.
+func (m *System) DumpState(f func(format string, args ...any)) {
+	for _, id := range sortedIDs(m.locks) {
+		if d, ok := m.locks[id].impl.(algo.Dumper); ok {
+			d.Dump(f)
+		}
+	}
+	for _, id := range sortedIDs(m.barriers) {
+		if d, ok := m.barriers[id].impl.(algo.Dumper); ok {
+			d.Dump(f)
+		}
+	}
 }
 
 // sortedIDs returns the map's keys in ascending order, so state walks

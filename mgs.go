@@ -89,15 +89,6 @@ func NewFatTree(arity int) Topology { return msg.NewFatTree(arity) }
 // siteSize <= 0 means the default 8.
 func NewTiered(siteSize int) Topology { return msg.NewTiered(siteSize) }
 
-// DefaultConfig returns the calibrated paper configuration for P
-// processors in clusters of c (1K-byte pages, 1000-cycle inter-SSMP
-// delay; software coherence disabled when c == P, as in the paper's
-// tightly-coupled baseline runs).
-//
-// Deprecated: use NewConfig, which takes functional options
-// (WithPageSize, WithFaultPlan, WithObserver, ...).
-func DefaultConfig(p, c int) Config { return NewConfig(p, c) }
-
 // NewMachine assembles a DSSMP from a configuration.
 func NewMachine(cfg Config) *Machine { return harness.NewMachine(cfg) }
 
