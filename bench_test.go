@@ -23,11 +23,11 @@ import (
 
 var fullScale = flag.Bool("mgs.full", false, "paper-scale benchmarks: P=32, larger problem sizes")
 
-func scale() (p int, mk func(string) harness.App) {
+func scale() (p int, e exp.Env) {
 	if *fullScale {
-		return 32, exp.NewApp
+		return 32, exp.Env{Apps: exp.NewApp}
 	}
-	return 16, exp.SmallApp
+	return 16, exp.Env{Apps: exp.SmallApp}
 }
 
 // BenchmarkTable3Micro measures the primitive shared-memory costs.
@@ -46,11 +46,11 @@ func BenchmarkTable3Micro(b *testing.B) {
 // BenchmarkTable4Speedups measures sequential time and tightly-coupled
 // speedup per application.
 func BenchmarkTable4Speedups(b *testing.B) {
-	p, mk := scale()
+	p, e := scale()
 	var rows []exp.Table4Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.Table4(p, mk)
+		rows, err = exp.Table4(p, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,12 +63,12 @@ func BenchmarkTable4Speedups(b *testing.B) {
 // figure runs one Figures 6–10 sweep and reports the framework metrics.
 func figure(b *testing.B, name string) {
 	b.Helper()
-	p, mk := scale()
+	p, e := scale()
 	var m framework.Metrics
 	var points []harness.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, m, err = exp.FigureSweep(name, p, mk)
+		points, m, err = exp.FigureSweep(name, p, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,12 +90,12 @@ func BenchmarkFig10BarnesHut(b *testing.B) { figure(b, "barnes-hut") }
 // BenchmarkFig11LockHit reports the MGS lock hit ratio versus cluster
 // size for the lock-using applications.
 func BenchmarkFig11LockHit(b *testing.B) {
-	p, mk := scale()
+	p, e := scale()
 	names := []string{"tsp", "water", "barnes-hut"}
 	var out map[string][]exp.HitPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = exp.LockHitSweep(names, p, mk)
+		out, err = exp.LockHitSweep(names, p, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,12 +109,12 @@ func BenchmarkFig11LockHit(b *testing.B) {
 
 // BenchmarkFig12WaterKernel compares the plain and hand-tiled kernels.
 func BenchmarkFig12WaterKernel(b *testing.B) {
-	p, _ := scale()
+	p, e := scale()
 	n := 16 * p
 	var plain, tiled []harness.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		plain, tiled, err = exp.Fig12(p, n)
+		plain, tiled, err = exp.Fig12(p, n, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,18 +127,29 @@ func BenchmarkFig12WaterKernel(b *testing.B) {
 	b.ReportMetric(float64(plain[0].Res.Cycles)/float64(tiled[0].Res.Cycles), "tiled-speedup-C1")
 }
 
-// BenchmarkAblationSingleWriter quantifies the single-writer
-// optimization (§3.1.1) on Water.
-func BenchmarkAblationSingleWriter(b *testing.B) {
-	p, mk := scale()
-	var on, off []harness.SweepPoint
+// ablation runs the named two-sided ablation on Water and returns its
+// baseline and alternative sweeps.
+func ablation(b *testing.B, kind string) (base, alt []harness.SweepPoint) {
+	b.Helper()
+	p, e := scale()
+	ab, ok := exp.AblationByName(kind)
+	if !ok {
+		b.Fatalf("no ablation %q", kind)
+	}
 	for i := 0; i < b.N; i++ {
 		var err error
-		on, off, err = exp.AblationSingleWriter("water", p, mk)
+		base, alt, err = exp.AblationSweep("water", p, ab.Alt, e)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	return base, alt
+}
+
+// BenchmarkAblationSingleWriter quantifies the single-writer
+// optimization (§3.1.1) on Water.
+func BenchmarkAblationSingleWriter(b *testing.B) {
+	on, off := ablation(b, "1writer")
 	for i := range on {
 		b.ReportMetric(float64(off[i].Res.Cycles)/float64(on[i].Res.Cycles),
 			fmt.Sprintf("C%d-off/on", on[i].C))
@@ -148,15 +159,7 @@ func BenchmarkAblationSingleWriter(b *testing.B) {
 // BenchmarkAblationSerialInv compares serial and parallel release-round
 // invalidations.
 func BenchmarkAblationSerialInv(b *testing.B) {
-	p, mk := scale()
-	var serial, par []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		serial, par, err = exp.AblationSerialInv("water", p, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	serial, par := ablation(b, "serialinv")
 	for i := range serial {
 		b.ReportMetric(float64(serial[i].Res.Cycles)/float64(par[i].Res.Cycles),
 			fmt.Sprintf("C%d-serial/par", serial[i].C))
@@ -166,11 +169,11 @@ func BenchmarkAblationSerialInv(b *testing.B) {
 // BenchmarkAblationPageSize sweeps the coherence grain (§2.2) for TSP,
 // whose false sharing makes it grain sensitive.
 func BenchmarkAblationPageSize(b *testing.B) {
-	p, mk := scale()
+	p, e := scale()
 	var pts []exp.PageSizePoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = exp.AblationPageSize("tsp", p, 4, []int{512, 1024, 2048}, mk)
+		pts, err = exp.AblationPageSize("tsp", p, 4, []int{512, 1024, 2048}, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,11 +187,11 @@ func BenchmarkAblationPageSize(b *testing.B) {
 // paper's suite; a sixth sharing pattern — block ownership with
 // broadcast pivot reads).
 func BenchmarkExtLU(b *testing.B) {
-	p, mk := scale()
+	p, e := scale()
 	var m framework.Metrics
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, m, err = exp.FigureSweep("lu", p, mk)
+		_, m, err = exp.FigureSweep("lu", p, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,15 +204,7 @@ func BenchmarkExtLU(b *testing.B) {
 // rounds (the paper's eager protocol) with the update-based variant its
 // related work discusses (Galactica Net).
 func BenchmarkAblationUpdateProtocol(b *testing.B) {
-	p, mk := scale()
-	var inval, update []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		inval, update, err = exp.AblationUpdateProtocol("water", p, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	inval, update := ablation(b, "update")
 	for i := range inval {
 		b.ReportMetric(float64(update[i].Res.Cycles)/float64(inval[i].Res.Cycles),
 			fmt.Sprintf("C%d-upd/inv", inval[i].C))
@@ -221,15 +216,7 @@ func BenchmarkAblationUpdateProtocol(b *testing.B) {
 // per-hop latency chosen so the mean uncontended mesh latency matches
 // the uniform delay (isolating non-uniformity and link contention).
 func BenchmarkAblationMesh(b *testing.B) {
-	p, mk := scale()
-	var uniform, mesh []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		uniform, mesh, err = exp.AblationMesh("water", p, 250, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	uniform, mesh := ablation(b, "mesh")
 	for i := range uniform {
 		b.ReportMetric(float64(mesh[i].Res.Cycles)/float64(uniform[i].Res.Cycles),
 			fmt.Sprintf("C%d-mesh/uniform", uniform[i].C))
@@ -241,15 +228,7 @@ func BenchmarkAblationMesh(b *testing.B) {
 // releases stop invalidating remote copies; lock grants and barrier
 // exits validate the acquiring SSMP against home versions instead.
 func BenchmarkAblationLazy(b *testing.B) {
-	p, mk := scale()
-	var eager, lazy []harness.SweepPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		eager, lazy, err = exp.AblationLazy("water", p, mk)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	eager, lazy := ablation(b, "lazy")
 	for i := range eager {
 		b.ReportMetric(float64(lazy[i].Res.Cycles)/float64(eager[i].Res.Cycles),
 			fmt.Sprintf("C%d-lazy/eager", eager[i].C))

@@ -34,9 +34,8 @@ import (
 )
 
 func main() {
-	t := cli.New("mgs-chaos").ShapeFlags(8, 2, true).SweepFlags()
+	t := cli.New("mgs-chaos").AppsFlag(strings.Join(exp.AppNames, ",")).ShapeFlags(8, 2, true).SweepFlags()
 	var (
-		apps     = flag.String("apps", strings.Join(exp.AppNames, ","), "comma-separated applications")
 		seeds    = flag.Int("seeds", 5, "seeds per app (1..N)")
 		drop     = flag.Int("drop", 300, "drop rate, basis points (100 = 1%)")
 		dup      = flag.Int("dup", 100, "duplication rate, basis points")
@@ -47,12 +46,12 @@ func main() {
 	t.Parse()
 	asCSV := &t.CSV
 
-	mk := t.Apps()
-	names := strings.Split(*apps, ",")
+	e := t.Env()
+	names := t.AppNames()
 
 	if *equiv {
 		for _, name := range names {
-			if err := exp.ZeroFaultEquivalence(name, t.P, t.C, mk); err != nil {
+			if err := exp.ZeroFaultEquivalence(name, t.P, t.C, e); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-12s zero-fault equivalence OK\n", name)
@@ -67,7 +66,7 @@ func main() {
 	mkPlan := func(seed uint64) fault.Plan {
 		return fault.Plan{Seed: seed, DropBP: *drop, DupBP: *dup, DelayBP: *delay, MaxDelay: sim.Time(*maxdelay)}
 	}
-	points, err := exp.ChaosSweep(names, seedList, t.P, t.C, mkPlan, mk)
+	points, err := exp.ChaosSweep(names, seedList, t.P, t.C, mkPlan, e)
 	if err != nil {
 		log.Fatal(err)
 	}

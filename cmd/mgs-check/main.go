@@ -71,9 +71,9 @@ func main() {
 	// deterministic, so parallelism across workloads cannot change any
 	// result (-workers only changes wall-clock time).
 	results := make([]check.Result, len(ws))
-	errs := harness.RunIndexed(len(ws), func(i int) error {
+	errs := harness.RunIndexed(t.Workers, len(ws), func(i int) error {
 		res, err := check.Explore(check.Options{
-			Workload:  ws[i],
+			Workload:  ws[i].WithSync(t.Lock, t.Barrier),
 			Mutate:    *mutate,
 			MaxStates: *maxStates,
 			MaxRuns:   *maxRuns,

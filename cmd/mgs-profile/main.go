@@ -38,30 +38,28 @@ import (
 )
 
 func main() {
-	t := cli.New("mgs-profile").ShapeFlags(8, 2, true)
+	t := cli.New("mgs-profile").AppsFlag("water,tsp").ShapeFlags(8, 2, true)
 	var (
-		apps = flag.String("apps", "water,tsp", "comma-separated applications to profile")
-		out  = flag.String("out", "profile", "output directory for trace and collapsed files")
-		top  = flag.Int("top", 10, "heat-report lines per object kind")
+		out = flag.String("out", "profile", "output directory for trace and collapsed files")
+		top = flag.Int("top", 10, "heat-report lines per object kind")
 	)
 	t.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	mk := t.Apps()
-	for _, name := range strings.Split(*apps, ",") {
-		if err := profileOne(strings.TrimSpace(name), t, mk, *out, *top); err != nil {
+	for _, name := range t.AppNames() {
+		if err := profileOne(name, t, *out, *top); err != nil {
 			log.Fatal(err)
 		}
 	}
 }
 
-func profileOne(name string, t *cli.Tool, mk func(string) harness.App, out string, top int) error {
+func profileOne(name string, t *cli.Tool, out string, top int) error {
 	chrome := obs.NewChromeSink(t.P)
 	o := obs.New().AddSink(chrome).EnableProfiling()
 	m := harness.NewMachine(t.Config(harness.WithObserver(o)))
-	a := mk(name)
+	a := t.Env().Apps(name)
 	a.Setup(m)
 	res, err := m.Run(a.Body)
 	if err != nil {

@@ -46,7 +46,7 @@ func main() {
 		cfg.Msg.InterPerHop = 250
 	}
 
-	res, err := harness.RunApp(t.Apps()(t.App), cfg)
+	res, err := harness.RunApp(t.Env().Apps(t.App), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

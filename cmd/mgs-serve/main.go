@@ -31,6 +31,7 @@ import (
 	"mgs/internal/cli"
 	"mgs/internal/exp"
 	"mgs/internal/fault"
+	"mgs/internal/harness"
 	"mgs/internal/serve"
 	"mgs/internal/sim"
 )
@@ -65,7 +66,7 @@ func main() {
 	}
 
 	if *sweep {
-		points, err := exp.ServeTailSweep(w, t.P, slo)
+		points, err := exp.ServeTailSweep(w, t.P, slo, t.Env())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func main() {
 	if *breakdown {
 		run = exp.ServeRunBreakdown
 	}
-	rep, _, err := run(w, t.P, t.C, plan, slo)
+	rep, _, err := run(w, t.Config(harness.WithFaultPlan(plan)), slo)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"mgs/internal/exp"
+	"mgs/internal/harness"
 	"mgs/internal/serve"
 )
 
 // keyPaths flattens a decoded JSON value into its set of key paths
 // (arrays contribute their element shape once), the structural schema
-// of the document — same guard mgs-bench applies to its report.
+// of the document.
 func keyPaths(v any, prefix string, out map[string]bool) {
 	switch x := v.(type) {
 	case map[string]any:
@@ -52,7 +53,7 @@ func sortedPaths(data []byte, t *testing.T) []string {
 // a rename or removal must be a deliberate, visible change here.
 func TestReportJSONSchema(t *testing.T) {
 	w := serve.DefaultWorkload(true, 1)
-	rep, _, err := exp.ServeRun(w, 8, 2, exp.ServeChaosPlan(1),
+	rep, _, err := exp.ServeRun(w, harness.NewConfig(8, 2, harness.WithFaultPlan(exp.ServeChaosPlan(1))),
 		serve.SLO{P99: 2_500_000, P999: 5_000_000})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestReportJSONSchema(t *testing.T) {
 // exactly these paths.
 func TestBreakdownJSONSchema(t *testing.T) {
 	w := serve.DefaultWorkload(true, 1)
-	rep, _, err := exp.ServeRunBreakdown(w, 8, 2, exp.ServeChaosPlan(1),
+	rep, _, err := exp.ServeRunBreakdown(w, harness.NewConfig(8, 2, harness.WithFaultPlan(exp.ServeChaosPlan(1))),
 		serve.SLO{P99: 2_500_000, P999: 5_000_000})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,9 @@
 //	mgs-sweep -app water            one figure sweep (6-10)
 //	mgs-sweep -fig11
 //	mgs-sweep -fig12
-//	mgs-sweep -ablation 1writer|serialinv [-app water]
+//	mgs-sweep -ablation 1writer|serialinv|update|lazy|mesh [-app water]
 //	mgs-sweep -ablation pagesize   [-app tsp] [-c 4]
+//	mgs-sweep -scale -app jacobi -p 1024 -topology tiered
 //
 // Common flags: -p 32, -small (reduced sizes), -all (figures 6-12),
 // -csv (machine-readable output for plotting), -workers N (concurrent
@@ -62,35 +63,38 @@ func main() {
 		fig12    = flag.Bool("fig12", false, "reproduce Figure 12 (Water kernel)")
 		all      = flag.Bool("all", false, "reproduce Figures 6-12")
 		ablation = flag.String("ablation", "", "ablation: 1writer, serialinv, update, pagesize, mesh, lazy")
+		scale    = flag.Bool("scale", false, "scale sweep: -app sized to one work unit per processor, at ScaleClusterSizes(-p)")
 	)
 	t.Parse()
 	asCSV = t.CSV
-	mk := t.Apps()
+	e := t.Env()
 
 	switch {
 	case *table4:
-		runTable4(t.P, mk)
+		runTable4(t.P, e)
 	case *fig11:
-		runFig11(t.P, mk)
+		runFig11(t.P, e)
 	case *fig12:
-		runFig12(t.P)
+		runFig12(t.P, e)
 	case *ablation != "":
-		runAblation(*ablation, t.App, t.P, t.C, mk)
+		runAblation(*ablation, t.App, t.P, t.C, e)
+	case *scale:
+		runScale(t.App, t.Topology, t.P, e)
 	case *all:
 		for _, name := range exp.AppNames {
-			runFigure(name, t.P, mk)
+			runFigure(name, t.P, e)
 		}
-		runFig11(t.P, mk)
-		runFig12(t.P)
+		runFig11(t.P, e)
+		runFig12(t.P, e)
 	case t.App != "":
-		runFigure(t.App, t.P, mk)
+		runFigure(t.App, t.P, e)
 	default:
 		flag.Usage()
 	}
 }
 
-func runTable4(p int, mk func(string) harness.App) {
-	rows, err := exp.Table4(p, mk)
+func runTable4(p int, e exp.Env) {
+	rows, err := exp.Table4(p, e)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,8 +111,8 @@ func runTable4(p int, mk func(string) harness.App) {
 	}
 }
 
-func runFigure(name string, p int, mk func(string) harness.App) {
-	points, m, err := exp.FigureSweep(name, p, mk)
+func runFigure(name string, p int, e exp.Env) {
+	points, m, err := exp.FigureSweep(name, p, e)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,9 +140,9 @@ func printBreakdowns(points []harness.SweepPoint) {
 	}
 }
 
-func runFig11(p int, mk func(string) harness.App) {
+func runFig11(p int, e exp.Env) {
 	names := []string{"tsp", "water", "barnes-hut"}
-	out, err := exp.LockHitSweep(names, p, mk)
+	out, err := exp.LockHitSweep(names, p, e)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,12 +165,12 @@ func runFig11(p int, mk func(string) harness.App) {
 	}
 }
 
-func runFig12(p int) {
+func runFig12(p int, e exp.Env) {
 	// 16*p is the smallest molecule count whose tiles stay page aligned
 	// at every cluster size (C=1 makes p SSMPs and tiles span 16
 	// molecules), so -small cannot shrink Figure 12 further.
 	n := 16 * p
-	plain, tiled, err := exp.Fig12(p, n)
+	plain, tiled, err := exp.Fig12(p, n, e)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,48 +193,12 @@ func runFig12(p int) {
 	fmt.Printf("  %s\n", framework.Analyze(exp.FrameworkPoints(tiled)))
 }
 
-func runAblation(kind, app string, p, c int, mk func(string) harness.App) {
+func runAblation(kind, app string, p, c int, e exp.Env) {
 	if app == "" {
 		app = "water"
 	}
-	switch kind {
-	case "1writer":
-		on, off, err := exp.AblationSingleWriter(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("single-writer optimization ablation, %s (P=%d)\n", app, p)
-		printOnOff("with", on, "without", off)
-	case "serialinv":
-		serial, par, err := exp.AblationSerialInv(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("serial vs parallel invalidation ablation, %s (P=%d)\n", app, p)
-		printOnOff("serial", serial, "parallel", par)
-	case "update":
-		inval, update, err := exp.AblationUpdateProtocol(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("invalidate vs update protocol ablation, %s (P=%d)\n", app, p)
-		printOnOff("invalidate", inval, "update", update)
-	case "lazy":
-		eager, lazy, err := exp.AblationLazy(app, p, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("eager vs lazy release consistency, %s (P=%d)\n", app, p)
-		printOnOff("eager", eager, "lazy", lazy)
-	case "mesh":
-		uniform, mesh, err := exp.AblationMesh(app, p, 250, mk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("uniform LAN vs contended 2D-mesh interconnect, %s (P=%d)\n", app, p)
-		printOnOff("uniform", uniform, "mesh", mesh)
-	case "pagesize":
-		pts, err := exp.AblationPageSize(app, p, c, []int{256, 512, 1024, 2048, 4096}, mk)
+	if kind == "pagesize" {
+		pts, err := exp.AblationPageSize(app, p, c, []int{256, 512, 1024, 2048, 4096}, e)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -238,9 +206,42 @@ func runAblation(kind, app string, p, c int, mk func(string) harness.App) {
 		for _, pt := range pts {
 			fmt.Printf("  %5dB pages: %12d cycles\n", pt.PageSize, pt.Cycles)
 		}
-	default:
+		return
+	}
+	ab, ok := exp.AblationByName(kind)
+	if !ok {
 		log.Fatalf("unknown ablation %q", kind)
 	}
+	base, alt, err := exp.AblationSweep(app, p, ab.Alt, e)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s, %s (P=%d)\n", ab.Title, app, p)
+	printOnOff(ab.BaseLabel, base, ab.AltLabel, alt)
+}
+
+// runScale is the thousand-processor scale experiment (EXPERIMENTS.md):
+// the framework metrics and, per cluster size, the directory footprint
+// beside what a dense one-record-per-SSMP directory would occupy.
+func runScale(app, topology string, p int, e exp.Env) {
+	if app == "" {
+		app = "jacobi"
+	}
+	points, m, err := exp.ScaleSweep(app, p, exp.ScaleClusterSizes(p), e)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if asCSV {
+		fmt.Print(exp.ScaleCSV(app, topology, p, points))
+		return
+	}
+	fmt.Printf("scale sweep, %s on %s (P=%d)\n", app, topology, p)
+	fmt.Printf("  %-5s %12s %12s %18s %12s %14s\n", "C", "cycles", "link-wait", "dir entries/pages", "dir bytes", "dense bytes")
+	for _, pt := range points {
+		fmt.Printf("  %-5d %12d %12d %18s %12d %14d\n", pt.C, pt.Cycles, pt.LinkWait,
+			fmt.Sprintf("%d/%d", pt.Dir.RmtEntries, pt.Dir.Pages), pt.Dir.Bytes, pt.Dir.DenseBytes(p/pt.C))
+	}
+	fmt.Printf("  %s\n", m)
 }
 
 func printOnOff(an string, a []harness.SweepPoint, bn string, b []harness.SweepPoint) {

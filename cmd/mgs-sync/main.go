@@ -28,7 +28,7 @@ func main() {
 	t := cli.New("mgs-sync").ShapeFlags(32, 0, true).SweepFlags().Parse()
 
 	cs := exp.SyncClusterSizes(t.P)
-	points, err := exp.SyncSweep(t.P, cs, t.Apps())
+	points, err := exp.SyncSweep(t.P, cs, t.Env())
 	if err != nil {
 		log.Fatal(err)
 	}

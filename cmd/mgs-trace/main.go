@@ -86,7 +86,7 @@ func main() {
 			fault.Plan{Seed: *fseed, DropBP: *fdrop, DupBP: *fdup, DelayBP: *fdelay}))
 	}
 	m := harness.NewMachine(t.Config(opts...))
-	a := t.Apps()(t.App)
+	a := t.Env().Apps(t.App)
 	a.Setup(m)
 	res, err := m.Run(a.Body)
 	if err != nil {

@@ -19,7 +19,7 @@ func main() {
 	p := flag.Int("p", 16, "total processors")
 	flag.Parse()
 
-	points, metrics, err := exp.FigureSweep(*app, *p, exp.SmallApp)
+	points, metrics, err := exp.FigureSweep(*app, *p, exp.Env{Apps: exp.SmallApp})
 	if err != nil {
 		log.Fatal(err)
 	}

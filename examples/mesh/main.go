@@ -43,7 +43,7 @@ func main() {
 // returns the result and the total cycles messages spent queued on busy
 // mesh links.
 func run(app string, p, c int, perHop sim.Time) (mgs.Result, int64) {
-	cfg := exp.Config(p, c)
+	cfg := mgs.NewConfig(p, c)
 	if perHop > 0 {
 		cfg.Msg.Topology = mgs.NewMesh2D()
 		cfg.Msg.InterPerHop = perHop

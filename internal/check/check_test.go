@@ -184,3 +184,60 @@ func TestMutationOffClean(t *testing.T) {
 		t.Fatalf("upgrade-race did not reach fixpoint: %+v", res)
 	}
 }
+
+// TestTraceCarriesAlgorithms: a schedule explored under a non-default
+// barrier is saved with the algorithms it ran under, so replaying the
+// file alone — no -lock / -barrier — rebuilds the same machine: every
+// recorded choice is consumed and the verdict is the same. The same
+// file with the algorithms stripped replays a different machine, which
+// is what every trace did before it recorded them.
+func TestTraceCarriesAlgorithms(t *testing.T) {
+	w, _ := Lookup("barrier-tree")
+	w.Barrier = "dissemination" // what Options.Workload carries under mgs-check -barrier
+	first, err := execute(nil, w, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Branch off the default schedule at its last real choice, as the
+	// explorer does, so the trace is not all zeros.
+	d := len(first.steps) - 1
+	for d >= 0 && first.steps[d].fanout < 2 {
+		d--
+	}
+	if d < 0 {
+		t.Fatal("workload never offered a choice")
+	}
+	rc, err := execute(nil, w, append(append([]int(nil), first.taken[:d]...), 1), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rc.trace()
+	if want.Barrier != "dissemination" {
+		t.Fatalf("trace records barrier %q, ran under dissemination", want.Barrier)
+	}
+
+	path := filepath.Join(t.TempDir(), "cx.json")
+	if err := want.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := loaded.replay(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.trace(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay from the file diverges:\n got %+v\nwant %+v", got, want)
+	}
+
+	loaded.Barrier = ""
+	stripped, err := loaded.replay(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(stripped.trace().Labels, want.Labels) {
+		t.Fatal("the schedule replays identically under the tree barrier: the workload does not tell the algorithms apart")
+	}
+}

@@ -259,6 +259,8 @@ func (rc *runChooser) fail(kind string, err error) {
 func (rc *runChooser) trace() Trace {
 	t := Trace{
 		Workload: rc.w.Name,
+		Lock:     rc.w.Lock,
+		Barrier:  rc.w.Barrier,
 		Mutate:   rc.mutate(),
 		Choices:  append([]int(nil), rc.taken...),
 	}

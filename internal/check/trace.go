@@ -14,7 +14,11 @@ import (
 // choice point; Labels renders each chosen delivery for humans. Replay
 // re-executes the schedule bit-identically.
 type Trace struct {
-	Workload  string   `json:"workload"`
+	Workload string `json:"workload"`
+	// Lock and Barrier are the algorithms the run used. Empty (traces
+	// older than the fields) means the workload's own.
+	Lock      string   `json:"lock,omitempty"`
+	Barrier   string   `json:"barrier,omitempty"`
 	Mutate    bool     `json:"mutate,omitempty"`
 	Choices   []int    `json:"choices"`
 	Labels    []string `json:"labels,omitempty"`
@@ -51,13 +55,25 @@ func LoadTrace(path string) (Trace, error) {
 // recorded from a real counterexample, means the implementation no
 // longer exhibits the bug.
 func Replay(t Trace, sink obs.Sink) (*Violation, error) {
-	w, ok := Lookup(t.Workload)
-	if !ok {
-		return nil, fmt.Errorf("check: unknown workload %q", t.Workload)
-	}
-	rc, err := execute(nil, w, t.Choices, t.Mutate, sink)
+	rc, err := t.replay(sink)
 	if err != nil {
 		return nil, err
 	}
 	return rc.vio, nil
+}
+
+// replay rebuilds the machine the trace describes — workload, lock and
+// barrier algorithms, mutation — and runs its schedule.
+func (t Trace) replay(sink obs.Sink) (*runChooser, error) {
+	w, ok := Lookup(t.Workload)
+	if !ok {
+		return nil, fmt.Errorf("check: unknown workload %q", t.Workload)
+	}
+	if t.Lock != "" {
+		w.Lock = t.Lock
+	}
+	if t.Barrier != "" {
+		w.Barrier = t.Barrier
+	}
+	return execute(nil, w, t.Choices, t.Mutate, sink)
 }

@@ -67,9 +67,21 @@ type Workload struct {
 
 	// Lock and Barrier select the synchronization algorithms
 	// (internal/msync/algo names) used by OpLockedAdd and OpBarrier.
-	// Empty inherits the tool-level default (normally token and tree).
+	// Empty means the paper's token lock and tree barrier.
 	Lock    string
 	Barrier string
+}
+
+// WithSync returns the workload with lock and barrier filled in where
+// it names no algorithm of its own (mgs-check -lock / -barrier).
+func (w Workload) WithSync(lock, barrier string) Workload {
+	if w.Lock == "" {
+		w.Lock = lock
+	}
+	if w.Barrier == "" {
+		w.Barrier = barrier
+	}
+	return w
 }
 
 // WriteVal is the sentinel op (proc, index) writes: unique per op, so a
@@ -319,15 +331,11 @@ func (w Workload) newMachine(sp *Spec, extra obs.Sink, mutate bool) (*harness.Ma
 	opts := []harness.Option{
 		harness.WithPageSize(w.PageSize),
 		harness.WithObserver(o),
+		harness.WithLockAlgo(w.Lock),
+		harness.WithBarrierAlgo(w.Barrier),
 	}
 	if w.Delay > 0 {
 		opts = append(opts, harness.WithInterSSMPDelay(w.Delay))
-	}
-	if w.Lock != "" {
-		opts = append(opts, harness.WithLockAlgo(w.Lock))
-	}
-	if w.Barrier != "" {
-		opts = append(opts, harness.WithBarrierAlgo(w.Barrier))
 	}
 	cfg := harness.NewConfig(w.P, w.C, opts...)
 	cfg.Protocol.MutStaleWNotify = mutate

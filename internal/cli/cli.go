@@ -1,15 +1,17 @@
 // Package cli factors out the flag surface the mgs command-line tools
 // share: every simulation tool picks an application, a machine shape
 // (-p, -c), a problem size (-small), and — for the sweep-style tools —
-// a worker count and CSV switch. Before this package each main
-// re-declared the same flags with drifting defaults; now a tool states
-// its defaults once and the registration, parsing side effects, and
-// config construction live here.
+// a worker count and CSV switch. A tool states its defaults once; the
+// registration, validation, and the translation of the parsed flags
+// into harness options live here. Nothing outside the Tool is written:
+// the options reach a run only through Config or Env.
 package cli
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"mgs/internal/exp"
@@ -42,10 +44,11 @@ type Tool struct {
 	// CSV selects machine-readable output (-csv).
 	CSV bool
 
-	hasWorkers       bool
-	hasEngineWorkers bool
-	hasTopology      bool
-	hasSync          bool
+	hasShape bool
+	hasSync  bool
+	// opts is what Parse made of -engine-workers, -topology, -lock and
+	// -barrier: the options every machine of this run is built with.
+	opts []harness.Option
 }
 
 // New configures the standard tool logging — bare messages prefixed
@@ -64,6 +67,13 @@ func (t *Tool) MachineFlags(appDef string, pDef, cDef int, smallDef bool) *Tool 
 	return t.ShapeFlags(pDef, cDef, smallDef)
 }
 
+// AppsFlag registers -apps, a comma-separated application list, for
+// the tools that run several; AppNames reads it back.
+func (t *Tool) AppsFlag(def string) *Tool {
+	flag.StringVar(&t.App, "apps", def, "comma-separated applications: "+strings.Join(AppList(), ", "))
+	return t
+}
+
 // ShapeFlags registers -p, -c, and -small only (for tools with their
 // own application-selection flag). A cDef <= 0 skips -c.
 func (t *Tool) ShapeFlags(pDef, cDef int, smallDef bool) *Tool {
@@ -74,10 +84,9 @@ func (t *Tool) ShapeFlags(pDef, cDef int, smallDef bool) *Tool {
 	flag.BoolVar(&t.Small, "small", smallDef, "use reduced problem sizes")
 	flag.IntVar(&t.EngineWorkers, "engine-workers", 0,
 		"event-dispatch shards per simulation (<=1 = sequential engine; results are bit-identical at any setting)")
-	t.hasEngineWorkers = true
 	flag.StringVar(&t.Topology, "topology", "uniform",
 		"inter-SSMP interconnect: "+strings.Join(msg.TopologyNames(), ", "))
-	t.hasTopology = true
+	t.hasShape = true
 	return t.SyncFlags()
 }
 
@@ -101,54 +110,77 @@ func (t *Tool) SyncFlags() *Tool {
 func (t *Tool) SweepFlags() *Tool {
 	flag.IntVar(&t.Workers, "workers", 0, "concurrent runs (0 = GOMAXPROCS, 1 = sequential)")
 	flag.BoolVar(&t.CSV, "csv", false, "emit CSV rows instead of formatted output")
-	t.hasWorkers = true
 	return t
 }
 
-// Parse parses the process flags and applies the post-parse side
-// effects (the sweep and engine worker counts).
+// Parse parses the process flags and exits with a one-line error on an
+// unknown application, topology, lock or barrier name.
 func (t *Tool) Parse() *Tool {
 	flag.Parse()
-	if t.hasWorkers {
-		harness.SweepWorkers = t.Workers
+	if err := t.resolve(); err != nil {
+		log.Fatal(err)
 	}
-	if t.hasEngineWorkers {
-		harness.EngineWorkers = t.EngineWorkers
+	return t
+}
+
+// resolve validates the parsed names and builds the run's options.
+func (t *Tool) resolve() error {
+	if t.App != "" {
+		for _, name := range t.AppNames() {
+			if !slices.Contains(AppList(), name) {
+				return fmt.Errorf("unknown app %q (known: %s)", name, strings.Join(AppList(), ", "))
+			}
+		}
 	}
-	if t.hasTopology {
+	t.opts = nil
+	if t.hasShape {
 		topo, err := msg.ByName(t.Topology)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		t.opts = append(t.opts, harness.WithEngineWorkers(t.EngineWorkers))
+		// The uniform LAN is the configuration's zero value; naming it
+		// leaves the topology unset, as a run without the flag has it.
 		if t.Topology != "" && t.Topology != "uniform" {
-			harness.DefaultTopology = topo
+			t.opts = append(t.opts, harness.WithTopology(topo))
 		}
 	}
 	if t.hasSync {
 		if _, err := algo.LockByName(t.Lock); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := algo.BarrierByName(t.Barrier); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		harness.DefaultLockAlgo = t.Lock
-		harness.DefaultBarrierAlgo = t.Barrier
+		t.opts = append(t.opts, harness.WithLockAlgo(t.Lock), harness.WithBarrierAlgo(t.Barrier))
 	}
-	return t
+	return nil
 }
 
-// Apps returns the application constructor selected by -small.
-func (t *Tool) Apps() func(string) harness.App {
+// AppNames splits the -app / -apps selection at commas.
+func (t *Tool) AppNames() []string {
+	names := strings.Split(t.App, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return names
+}
+
+// Env is the run as the exp entry points take it: the application
+// constructor -small selects, the parsed options, and the -workers
+// sweep width.
+func (t *Tool) Env() exp.Env {
+	apps := exp.NewApp
 	if t.Small {
-		return exp.SmallApp
+		apps = exp.SmallApp
 	}
-	return exp.NewApp
+	return exp.Env{Apps: apps, Opts: t.opts, Workers: t.Workers}
 }
 
-// Config builds the paper's experiment configuration for the parsed
-// machine shape, with any functional options applied on top.
+// Config builds the paper's configuration for the parsed machine shape
+// under the parsed options, with opts applied on top.
 func (t *Tool) Config(opts ...harness.Option) harness.Config {
-	return exp.Config(t.P, t.C, opts...)
+	return t.Env().Config(t.P, t.C, opts...)
 }
 
 // AppList names every application the exp constructors accept, the

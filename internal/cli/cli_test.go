@@ -3,18 +3,19 @@ package cli
 import (
 	"flag"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mgs/internal/harness"
+	"mgs/internal/msg"
 )
 
 // withArgs runs fn with a fresh flag set and the given command line.
 func withArgs(t *testing.T, args []string, fn func()) {
 	t.Helper()
-	oldFS, oldArgs, oldWorkers, oldEngine := flag.CommandLine, os.Args, harness.SweepWorkers, harness.EngineWorkers
-	defer func() {
-		flag.CommandLine, os.Args, harness.SweepWorkers, harness.EngineWorkers = oldFS, oldArgs, oldWorkers, oldEngine
-	}()
+	oldFS, oldArgs := flag.CommandLine, os.Args
+	defer func() { flag.CommandLine, os.Args = oldFS, oldArgs }()
 	flag.CommandLine = flag.NewFlagSet("cli_test", flag.PanicOnError)
 	os.Args = append([]string{"cli_test"}, args...)
 	fn()
@@ -45,30 +46,66 @@ func TestParsedValuesFlow(t *testing.T) {
 		if !tool.CSV {
 			t.Fatal("-csv not applied")
 		}
-		if harness.SweepWorkers != 3 {
-			t.Fatalf("Parse did not set harness.SweepWorkers: %d", harness.SweepWorkers)
-		}
 		if cfg := tool.Config(harness.WithPageSize(2048)); cfg.PageSize != 2048 {
 			t.Fatalf("options not applied through Config: %+v", cfg)
 		}
 	})
 }
 
-func TestEngineWorkersFlows(t *testing.T) {
-	withArgs(t, []string{"-engine-workers", "4"}, func() {
-		tool := New("cli_test").MachineFlags("water", 8, 2, true).Parse()
-		if tool.EngineWorkers != 4 {
-			t.Fatalf("-engine-workers not parsed: %+v", tool)
+// TestParsedOptionsReachTheRunOnly: every run parameter a flag sets
+// arrives in the Config and Env the Tool builds — and nowhere else: a
+// configuration built without the Tool is what it was before the parse.
+func TestParsedOptionsReachTheRunOnly(t *testing.T) {
+	before := harness.NewConfig(8, 2)
+	withArgs(t, []string{"-topology", "mesh", "-lock", "mcs", "-barrier", "dissemination",
+		"-engine-workers", "4", "-workers", "3"}, func() {
+		tool := New("cli_test").MachineFlags("water", 8, 2, true).SweepFlags().Parse()
+		for _, cfg := range []harness.Config{tool.Config(), tool.Env().Config(8, 2)} {
+			_, mesh := cfg.Msg.Topology.(*msg.Mesh2D)
+			if !mesh || cfg.LockAlgo != "mcs" || cfg.BarrierAlgo != "dissemination" || cfg.EngineWorkers != 4 {
+				t.Fatalf("built Config does not carry the flags: topology=%T lock=%q barrier=%q engine-workers=%d",
+					cfg.Msg.Topology, cfg.LockAlgo, cfg.BarrierAlgo, cfg.EngineWorkers)
+			}
 		}
-		if harness.EngineWorkers != 4 {
-			t.Fatalf("Parse did not set harness.EngineWorkers: %d", harness.EngineWorkers)
-		}
-		// The default flows through NewConfig, so every tool and sweep
-		// path inherits the flag without explicit plumbing.
-		if cfg := tool.Config(); cfg.EngineWorkers != 4 {
-			t.Fatalf("Config did not pick up the engine worker default: %+v", cfg)
+		if w := tool.Env().Workers; w != 3 {
+			t.Fatalf("Env().Workers = %d, want 3", w)
 		}
 	})
+	if after := harness.NewConfig(8, 2); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Parse changed what harness.NewConfig returns:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestBadNamesAreErrors: a name no constructor or registry knows is a
+// one-line error listing the known ones, not a panic at first use.
+func TestBadNamesAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string // substrings of the error
+	}{
+		{[]string{"-app", "bogus"}, []string{`unknown app "bogus"`, "jacobi", "syncbench"}},
+		{[]string{"-apps", "water,bogus"}, []string{`unknown app "bogus"`, "barnes-hut"}},
+		{[]string{"-topology", "torus"}, []string{"torus", "mesh"}},
+		{[]string{"-lock", "spin"}, []string{"spin", "mcs"}},
+		{[]string{"-barrier", "butterfly"}, []string{"butterfly", "dissemination"}},
+	} {
+		withArgs(t, tc.args, func() {
+			tool := New("cli_test").AppsFlag("water,tsp").MachineFlags("water", 8, 2, true)
+			flag.Parse()
+			err := tool.resolve()
+			if err == nil {
+				t.Fatalf("%v: no error", tc.args)
+			}
+			if strings.Contains(err.Error(), "\n") {
+				t.Errorf("%v: error spans lines: %q", tc.args, err)
+			}
+			for _, sub := range tc.want {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("%v: error %q does not mention %q", tc.args, err, sub)
+				}
+			}
+		})
+	}
 }
 
 func TestAppsSelection(t *testing.T) {
@@ -78,10 +115,10 @@ func TestAppsSelection(t *testing.T) {
 		// advertised application name without panicking.
 		for _, small := range []bool{false, true} {
 			tool.Small = small
-			mk := tool.Apps()
+			mk := tool.Env().Apps
 			for _, name := range AppList() {
 				if app := mk(name); app == nil {
-					t.Fatalf("Apps()(%q) returned nil (small=%v)", name, small)
+					t.Fatalf("Env().Apps(%q) returned nil (small=%v)", name, small)
 				}
 			}
 		}

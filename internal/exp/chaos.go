@@ -54,31 +54,27 @@ func (pt ChaosPoint) Slowdown() float64 {
 // then under mkPlan(seed) for every seed, all on a P=p, C=c machine.
 // Each faulty run must pass its app's Verify; MemOK records the
 // byte-for-byte memory comparison against the baseline. Runs execute
-// concurrently (harness.SweepWorkers wide) and, like every sweep in this
-// package, the results are independent of the worker count.
-func ChaosSweep(names []string, seeds []uint64, p, c int, mkPlan func(uint64) fault.Plan, mk func(string) harness.App) ([]ChaosPoint, error) {
+// concurrently and, like every sweep in this package, the results are
+// independent of the width.
+func ChaosSweep(names []string, seeds []uint64, p, c int, mkPlan func(uint64) fault.Plan, e Env) ([]ChaosPoint, error) {
 	baseMem := make([][]byte, len(names))
 	baseRes := make([]harness.Result, len(names))
-	errs := harness.RunIndexed(len(names), func(i int) error {
-		res, mem, err := harness.RunAppMem(mk(names[i]), Config(p, c))
+	err := e.each(len(names), func(i int) error {
+		res, mem, err := harness.RunAppMem(e.Apps(names[i]), e.Config(p, c))
 		if err != nil {
 			return fmt.Errorf("chaos baseline %s: %w", names[i], err)
 		}
 		baseRes[i], baseMem[i] = res, mem
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	points := make([]ChaosPoint, len(names)*len(seeds))
-	errs = harness.RunIndexed(len(points), func(i int) error {
+	err = e.each(len(points), func(i int) error {
 		ai, si := i/len(seeds), i%len(seeds)
 		plan := mkPlan(seeds[si])
-		cfg := Config(p, c)
-		cfg.Fault = plan
-		res, mem, err := harness.RunAppMem(mk(names[ai]), cfg)
+		res, mem, err := harness.RunAppMem(e.Apps(names[ai]), e.Config(p, c, harness.WithFaultPlan(plan)))
 		if err != nil {
 			return fmt.Errorf("chaos %s seed=%d: %w", names[ai], seeds[si], err)
 		}
@@ -89,12 +85,7 @@ func ChaosSweep(names []string, seeds []uint64, p, c int, mkPlan func(uint64) fa
 		}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
+	return points, err
 }
 
 // ZeroFaultEquivalence checks msg.AttachFault's identity contract at the
@@ -102,14 +93,14 @@ func ChaosSweep(names []string, seeds []uint64, p, c int, mkPlan func(uint64) fa
 // attached must produce a Result and final memory image identical to a
 // run that never attached one. A non-nil error describes the first
 // divergence.
-func ZeroFaultEquivalence(name string, p, c int, mk func(string) harness.App) error {
-	plainRes, plainMem, err := harness.RunAppMem(mk(name), Config(p, c))
+func ZeroFaultEquivalence(name string, p, c int, e Env) error {
+	plainRes, plainMem, err := harness.RunAppMem(e.Apps(name), e.Config(p, c))
 	if err != nil {
 		return fmt.Errorf("zero-fault %s plain: %w", name, err)
 	}
-	cfg := Config(p, c)
-	cfg.Fault = fault.Plan{Seed: 12345} // seeded but rateless: still empty
-	attRes, attMem, err := harness.RunAppMem(mk(name), cfg)
+	// Seeded but rateless: still empty.
+	cfg := e.Config(p, c, harness.WithFaultPlan(fault.Plan{Seed: 12345}))
+	attRes, attMem, err := harness.RunAppMem(e.Apps(name), cfg)
 	if err != nil {
 		return fmt.Errorf("zero-fault %s attached: %w", name, err)
 	}

@@ -25,7 +25,7 @@ func envelopePlan(seed uint64) fault.Plan {
 }
 
 func TestChaosSweepAllApps(t *testing.T) {
-	pts, err := ChaosSweep(AppNames, []uint64{1, 2, 3}, 8, 2, envelopePlan, SmallApp)
+	pts, err := ChaosSweep(AppNames, []uint64{1, 2, 3}, 8, 2, envelopePlan, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestChaosSweepAllApps(t *testing.T) {
 func chaosTraceRun(t *testing.T, name string, p, c int, plan fault.Plan) (harness.Result, string) {
 	t.Helper()
 	var b strings.Builder
-	cfg := Config(p, c,
+	cfg := harness.NewConfig(p, c,
 		harness.WithFaultPlan(plan),
 		harness.WithObserver(obs.New().AddSink(obs.NewTextSink(&b))))
 	app := SmallApp(name)
@@ -91,19 +91,15 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 // TestChaosWorkerCountInvariance pins that chaos sweeps, like every
-// other sweep, are a pure function of their inputs: any SweepWorkers
-// value gives bit-identical points. Under -race this also exercises
+// other sweep, are a pure function of their inputs: any sweep width
+// gives bit-identical points. Under -race this also exercises
 // concurrent faulted simulations for shared-state races.
 func TestChaosWorkerCountInvariance(t *testing.T) {
-	old := harness.SweepWorkers
-	defer func() { harness.SweepWorkers = old }()
-
 	var base []ChaosPoint
 	for _, w := range []int{1, 4, 16} {
-		harness.SweepWorkers = w
-		got, err := ChaosSweep([]string{"jacobi", "water"}, []uint64{1, 2}, 8, 2, envelopePlan, SmallApp)
+		got, err := ChaosSweep([]string{"jacobi", "water"}, []uint64{1, 2}, 8, 2, envelopePlan, smallAt(w))
 		if err != nil {
-			t.Fatalf("SweepWorkers=%d: %v", w, err)
+			t.Fatalf("width %d: %v", w, err)
 		}
 		if base == nil {
 			base = got
@@ -117,7 +113,7 @@ func TestChaosWorkerCountInvariance(t *testing.T) {
 
 func TestZeroFaultEquivalenceAllApps(t *testing.T) {
 	for _, name := range AppNames {
-		if err := ZeroFaultEquivalence(name, 8, 2, SmallApp); err != nil {
+		if err := ZeroFaultEquivalence(name, 8, 2, small); err != nil {
 			t.Error(err)
 		}
 	}

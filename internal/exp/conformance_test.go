@@ -70,7 +70,7 @@ func TestProtocolConformance(t *testing.T) {
 func conformanceRun(t *testing.T, mut func(*harness.Config)) []uint64 {
 	t.Helper()
 	const p, c, npages, slots, steps = 8, 2, 4, 8, 50
-	cfg := Config(p, c)
+	cfg := harness.NewConfig(p, c)
 	mut(&cfg)
 	m := harness.NewMachine(cfg)
 	base := m.DSM.Space().AllocPages(npages * 4096) // independent of page size

@@ -13,11 +13,11 @@ import (
 // less means host-side scheduling leaked into simulated time.
 
 func TestFigureSweepReproducible(t *testing.T) {
-	a, ma, err := FigureSweep("jacobi", 8, SmallApp)
+	a, ma, err := FigureSweep("jacobi", 8, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, mb, err := FigureSweep("jacobi", 8, SmallApp)
+	b, mb, err := FigureSweep("jacobi", 8, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,69 +29,40 @@ func TestFigureSweepReproducible(t *testing.T) {
 	}
 }
 
-func TestParallelSweepMatchesSequential(t *testing.T) {
-	mk := func() harness.App { return SmallApp("water") }
-	cfgFor := func(c int) harness.Config { return Config(8, c) }
-	cs := harness.PowersOfTwo(8)
-
-	seq, err := harness.SweepSeq(mk, 8, cs, cfgFor)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	old := harness.SweepWorkers
-	harness.SweepWorkers = 4
-	defer func() { harness.SweepWorkers = old }()
-	par, err := harness.Sweep(mk, 8, cs, cfgFor)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel sweep diverges from sequential:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
 // TestSweepWorkerCountInvariance pins the worker-pool contract that
 // nogoroutine's allow annotation in harness/parallel.go relies on: the
 // pool's output is a pure function of the inputs, identical for any
-// worker count. Run under -race (CI does) it also exercises the pool
-// for data races at several fan-out widths.
+// width. Width 1 runs the points inline on this goroutine, one at a
+// time, and is the reference the concurrent widths must match. Run
+// under -race (CI does) it also exercises the pool for data races at
+// several fan-out widths.
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	mk := func() harness.App { return SmallApp("water") }
-	cfgFor := func(c int) harness.Config { return Config(8, c) }
+	cfgFor := func(c int) harness.Config { return harness.NewConfig(8, c) }
 	cs := harness.PowersOfTwo(8)
-
-	old := harness.SweepWorkers
-	defer func() { harness.SweepWorkers = old }()
 
 	var base []harness.SweepPoint
 	for _, w := range []int{1, 4, 16} {
-		harness.SweepWorkers = w
-		got, err := harness.Sweep(mk, 8, cs, cfgFor)
+		got, err := harness.Sweep(w, mk, cs, cfgFor)
 		if err != nil {
-			t.Fatalf("SweepWorkers=%d: %v", w, err)
+			t.Fatalf("width %d: %v", w, err)
 		}
 		if base == nil {
 			base = got
 			continue
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("sweep output depends on worker count:\nworkers=1  %+v\nworkers=%d %+v", base, w, got)
+			t.Fatalf("sweep output depends on width:\nwidth 1  %+v\nwidth %d %+v", base, w, got)
 		}
 	}
 }
 
 func TestTable4Reproducible(t *testing.T) {
-	old := harness.SweepWorkers
-	harness.SweepWorkers = 4
-	defer func() { harness.SweepWorkers = old }()
-	a, err := Table4(4, SmallApp)
+	a, err := Table4(4, smallAt(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	harness.SweepWorkers = 1
-	b, err := Table4(4, SmallApp)
+	b, err := Table4(4, smallAt(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"mgs/internal/apps"
 	"mgs/internal/framework"
@@ -30,7 +31,7 @@ func NewApp(name string) harness.App {
 		return &apps.TSP{NCities: 10, Depth: 4}
 	case "water":
 		return &apps.Water{N: 64, Iters: 2}
-	case "barnes-hut", "barnes":
+	case "barnes-hut":
 		return &apps.BarnesHut{NBodies: 96, Iters: 2, Theta: 0.6}
 	case "water-kernel":
 		return &apps.WaterKernel{N: 256, Tiled: false}
@@ -57,7 +58,7 @@ func SmallApp(name string) harness.App {
 		return &apps.TSP{NCities: 7, Depth: 3}
 	case "water":
 		return &apps.Water{N: 24, Iters: 1}
-	case "barnes-hut", "barnes":
+	case "barnes-hut":
 		return &apps.BarnesHut{NBodies: 32, Iters: 1, Theta: 0.6}
 	case "water-kernel":
 		return &apps.WaterKernel{N: 128, Tiled: false}
@@ -73,11 +74,39 @@ func SmallApp(name string) harness.App {
 	panic(fmt.Sprintf("exp: unknown app %q", name))
 }
 
-// Config returns the paper's experiment configuration: 1K-byte pages,
-// 1000-cycle inter-SSMP delay, null MGS calls at C = P (§5.2.1), with
-// any functional options applied on top.
-func Config(p, c int, opts ...harness.Option) harness.Config {
-	return harness.NewConfig(p, c, opts...)
+// Env is what every experiment takes from whoever runs it, beside the
+// experiment's own parameters: how to build an application by name, the
+// options every machine of the run is configured with (the experiment
+// applies its own on top), and how many simulations may run at once.
+type Env struct {
+	Apps    func(name string) harness.App // NewApp or SmallApp
+	Opts    []harness.Option
+	Workers int // sweep width: 0 = GOMAXPROCS, 1 = inline on the caller's goroutine
+}
+
+// Config returns the paper's configuration (harness.NewConfig) for a
+// (p, c) machine under the run's options, then extra.
+func (e Env) Config(p, c int, extra ...harness.Option) harness.Config {
+	return harness.NewConfig(p, c, slices.Concat(e.Opts, extra)...)
+}
+
+// each runs job(0) … job(n-1), up to e.Workers at a time, and returns
+// the lowest-indexed error. The jobs are independent simulations, so
+// the outcome does not depend on the width.
+func (e Env) each(n int, job func(i int) error) error {
+	for _, err := range harness.RunIndexed(e.Workers, n, job) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweep runs the named app at every cluster size in cs on a P=p
+// machine, with extra applied on top of the run's options.
+func (e Env) sweep(name string, p int, cs []int, extra ...harness.Option) ([]harness.SweepPoint, error) {
+	return harness.Sweep(e.Workers, func() harness.App { return e.Apps(name) }, cs,
+		func(c int) harness.Config { return e.Config(p, c, extra...) })
 }
 
 // Table3 measures the micro costs (Table 3).
@@ -92,32 +121,25 @@ type Table4Row struct {
 }
 
 // Table4 reports sequential runtime and tightly-coupled speedup per
-// application (Table 4). mk selects the instance size (NewApp or
-// SmallApp). The 2·len(AppNames) runs are independent simulations and
-// execute concurrently (harness.SweepWorkers governs the width).
-func Table4(p int, mk func(string) harness.App) ([]Table4Row, error) {
+// application (Table 4). The 2·len(AppNames) runs are independent
+// simulations and execute concurrently.
+func Table4(p int, e Env) ([]Table4Row, error) {
 	n := len(AppNames)
 	runs := make([]harness.Result, 2*n) // [2k] = seq, [2k+1] = par
-	errs := harness.RunIndexed(2*n, func(i int) error {
-		name := AppNames[i/2]
+	err := e.each(2*n, func(i int) error {
+		name, procs, kind := AppNames[i/2], 1, "seq"
+		if i%2 == 1 {
+			procs, kind = p, "par"
+		}
 		var err error
-		if i%2 == 0 {
-			runs[i], err = harness.RunApp(mk(name), Config(1, 1))
-			if err != nil {
-				return fmt.Errorf("table4 %s seq: %w", name, err)
-			}
-		} else {
-			runs[i], err = harness.RunApp(mk(name), Config(p, p))
-			if err != nil {
-				return fmt.Errorf("table4 %s par: %w", name, err)
-			}
+		runs[i], err = harness.RunApp(e.Apps(name), e.Config(procs, procs))
+		if err != nil {
+			return fmt.Errorf("table4 %s %s: %w", name, kind, err)
 		}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	var rows []Table4Row
 	for k, name := range AppNames {
@@ -133,21 +155,12 @@ func Table4(p int, mk func(string) harness.App) ([]Table4Row, error) {
 // FigureSweep reproduces one of Figures 6–10: the named app across all
 // power-of-two cluster sizes at fixed P, returning the per-point
 // results and the §2.4 framework metrics.
-func FigureSweep(name string, p int, mk func(string) harness.App) ([]harness.SweepPoint, framework.Metrics, error) {
-	points, err := harness.Sweep(func() harness.App { return mk(name) },
-		p, harness.PowersOfTwo(p), func(c int) harness.Config { return Config(p, c) })
+func FigureSweep(name string, p int, e Env) ([]harness.SweepPoint, framework.Metrics, error) {
+	points, err := e.sweep(name, p, harness.PowersOfTwo(p))
 	if err != nil {
 		return nil, framework.Metrics{}, err
 	}
-	return points, metricsOf(points), nil
-}
-
-func metricsOf(points []harness.SweepPoint) framework.Metrics {
-	var fp []framework.Point
-	for _, pt := range points {
-		fp = append(fp, framework.Point{C: pt.C, Time: float64(pt.Res.Cycles)})
-	}
-	return framework.Analyze(fp)
+	return points, framework.Analyze(FrameworkPoints(points)), nil
 }
 
 // FrameworkPoints converts sweep points for framework analysis and
@@ -169,12 +182,12 @@ type HitPoint struct {
 // LockHitSweep reproduces Figure 11: MGS lock hit ratio versus cluster
 // size for the lock-using applications. The C = P point is excluded (no
 // MGS locks run there), as in the figure.
-func LockHitSweep(names []string, p int, mk func(string) harness.App) (map[string][]HitPoint, error) {
+func LockHitSweep(names []string, p int, e Env) (map[string][]HitPoint, error) {
 	cs := harness.PowersOfTwo(p / 2)
 	ratios := make([]float64, len(names)*len(cs))
-	errs := harness.RunIndexed(len(ratios), func(i int) error {
+	err := e.each(len(ratios), func(i int) error {
 		name, c := names[i/len(cs)], cs[i%len(cs)]
-		res, err := harness.RunApp(mk(name), Config(p, c))
+		res, err := harness.RunApp(e.Apps(name), e.Config(p, c))
 		if err != nil {
 			return fmt.Errorf("fig11 %s C=%d: %w", name, c, err)
 		}
@@ -183,10 +196,8 @@ func LockHitSweep(names []string, p int, mk func(string) harness.App) (map[strin
 		}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string][]HitPoint)
 	for i, name := range names {
@@ -197,58 +208,83 @@ func LockHitSweep(names []string, p int, mk func(string) harness.App) (map[strin
 	return out, nil
 }
 
-// Fig12 reproduces Figure 12: the Water force kernel without and with
-// the tiling transformation, swept across cluster sizes.
-func Fig12(p, n int) (plain, tiled []harness.SweepPoint, err error) {
-	plain, err = harness.Sweep(func() harness.App { return &apps.WaterKernel{N: n, Tiled: false} },
-		p, harness.PowersOfTwo(p), func(c int) harness.Config { return Config(p, c) })
-	if err != nil {
+// Fig12 reproduces Figure 12: the Water force kernel on n molecules
+// without and with the tiling transformation, swept across cluster
+// sizes. The kernel is sized by n, so e.Apps is not consulted.
+func Fig12(p, n int, e Env) (plain, tiled []harness.SweepPoint, err error) {
+	kernel := func(tiled bool) ([]harness.SweepPoint, error) {
+		e.Apps = func(string) harness.App { return &apps.WaterKernel{N: n, Tiled: tiled} }
+		return e.sweep("water-kernel", p, harness.PowersOfTwo(p))
+	}
+	if plain, err = kernel(false); err != nil {
 		return nil, nil, fmt.Errorf("fig12 plain: %w", err)
 	}
-	tiled, err = harness.Sweep(func() harness.App { return &apps.WaterKernel{N: n, Tiled: true} },
-		p, harness.PowersOfTwo(p), func(c int) harness.Config { return Config(p, c) })
-	if err != nil {
+	if tiled, err = kernel(true); err != nil {
 		return nil, nil, fmt.Errorf("fig12 tiled: %w", err)
 	}
 	return plain, tiled, nil
 }
 
-// AblationSingleWriter sweeps the named app with the single-writer
-// optimization on and off (§3.1.1).
-func AblationSingleWriter(name string, p int, mk func(string) harness.App) (on, off []harness.SweepPoint, err error) {
-	cfgFor := func(enabled bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.SingleWriter = enabled
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2) // software region only
-	on, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	if err != nil {
-		return nil, nil, err
-	}
-	off, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	return on, off, err
+// Ablation is one two-sided design comparison from DESIGN.md: the
+// run's own configuration (the baseline — every ablated mechanism is
+// in its paper-default state there) against the same configuration
+// with Alt applied on top.
+type Ablation struct {
+	Name  string // mgs-sweep -ablation selector
+	Title string
+	// BaseLabel and AltLabel head the two result columns.
+	BaseLabel, AltLabel string
+	Alt                 []harness.Option
 }
 
-// AblationSerialInv sweeps with serial versus parallel release-round
-// invalidations.
-func AblationSerialInv(name string, p int, mk func(string) harness.App) (serial, parallel []harness.SweepPoint, err error) {
-	cfgFor := func(enabled bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.SerialInv = enabled
-			return cfg
+// meshPerHop is the mesh ablation's per-hop latency in cycles: 250
+// makes the average uncontended mesh latency at C=1, P=32 (a 6×6 grid,
+// ~4 mean hops) comparable to the paper's 1000-cycle uniform delay,
+// isolating the effect of non-uniformity and link contention.
+const meshPerHop = 250
+
+var ablations = []Ablation{
+	// The single-writer optimization of §3.1.1.
+	{"1writer", "single-writer optimization ablation", "with", "without",
+		[]harness.Option{func(c *harness.Config) { c.Protocol.SingleWriter = false }}},
+	// Serial versus parallel release-round invalidations.
+	{"serialinv", "serial vs parallel invalidation ablation", "serial", "parallel",
+		[]harness.Option{func(c *harness.Config) { c.Protocol.SerialInv = false }}},
+	// Invalidate-based (the paper's) versus update-based (Galactica
+	// Net-style) release rounds.
+	{"update", "invalidate vs update protocol ablation", "invalidate", "update",
+		[]harness.Option{func(c *harness.Config) { c.Protocol.UpdateProtocol = true }}},
+	// The paper's eager release consistency versus the TreadMarks-style
+	// lazy variant (the §6 comparison): releases stop invalidating,
+	// acquires validate instead.
+	{"lazy", "eager vs lazy release consistency", "eager", "lazy",
+		[]harness.Option{func(c *harness.Config) { c.Protocol.LazyRelease = true }}},
+	// The run's interconnect (the paper's uniform fixed-delay LAN unless
+	// told otherwise) versus the contended 2D mesh (internal/msg mesh.go).
+	{"mesh", "uniform LAN vs contended 2D-mesh interconnect", "uniform", "mesh",
+		[]harness.Option{harness.WithTopology(msg.NewMesh2D()),
+			func(c *harness.Config) { c.Msg.InterPerHop = meshPerHop }}},
+}
+
+// AblationByName finds a two-sided ablation by its selector.
+func AblationByName(name string) (Ablation, bool) {
+	for _, ab := range ablations {
+		if ab.Name == name {
+			return ab, true
 		}
 	}
+	return Ablation{}, false
+}
+
+// AblationSweep sweeps the named app across the software region
+// (C < P) twice: under the run's own options, then with alt on top.
+func AblationSweep(name string, p int, alt []harness.Option, e Env) (base, with []harness.SweepPoint, err error) {
 	cs := harness.PowersOfTwo(p / 2)
-	serial, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	if err != nil {
+	if base, err = e.sweep(name, p, cs); err != nil {
 		return nil, nil, err
 	}
-	parallel, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	return serial, parallel, err
+	with, err = e.sweep(name, p, cs, alt...)
+	return base, with, err
 }
 
 // PageSizePoint is one page-size ablation sample.
@@ -260,89 +296,15 @@ type PageSizePoint struct {
 // AblationPageSize runs the named app at one cluster size across page
 // sizes (§2.2's grain trade-off: larger pages amortize protocol
 // overhead but aggravate false sharing).
-func AblationPageSize(name string, p, c int, sizes []int, mk func(string) harness.App) ([]PageSizePoint, error) {
+func AblationPageSize(name string, p, c int, sizes []int, e Env) ([]PageSizePoint, error) {
 	out := make([]PageSizePoint, len(sizes))
-	errs := harness.RunIndexed(len(sizes), func(i int) error {
-		cfg := Config(p, c)
-		cfg.PageSize = sizes[i]
-		res, err := harness.RunApp(mk(name), cfg)
+	err := e.each(len(sizes), func(i int) error {
+		res, err := harness.RunApp(e.Apps(name), e.Config(p, c, harness.WithPageSize(sizes[i])))
 		if err != nil {
 			return fmt.Errorf("pagesize %d: %w", sizes[i], err)
 		}
 		out[i] = PageSizePoint{PageSize: sizes[i], Cycles: res.Cycles}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// AblationMesh sweeps the named app under the paper's uniform
-// fixed-delay inter-SSMP LAN versus the contended 2D-mesh topology
-// extension (internal/msg mesh.go). perHop is the mesh's per-hop
-// latency in cycles; 250 makes the average uncontended mesh latency at
-// C=1, P=32 (a 6×6 grid, ~4 mean hops) comparable to the paper's
-// 1000-cycle uniform delay, isolating the effect of non-uniformity and
-// link contention.
-func AblationMesh(name string, p int, perHop sim.Time, mk func(string) harness.App) (uniform, mesh []harness.SweepPoint, err error) {
-	cfgFor := func(useMesh bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			if useMesh {
-				cfg.Msg.Topology = msg.NewMesh2D()
-				cfg.Msg.InterPerHop = perHop
-			}
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2)
-	uniform, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	if err != nil {
-		return nil, nil, err
-	}
-	mesh, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	return uniform, mesh, err
-}
-
-// AblationUpdateProtocol sweeps the named app under invalidate-based
-// (the paper's) versus update-based (Galactica Net-style) release
-// rounds.
-func AblationUpdateProtocol(name string, p int, mk func(string) harness.App) (inval, update []harness.SweepPoint, err error) {
-	cfgFor := func(upd bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.UpdateProtocol = upd
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2)
-	inval, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	if err != nil {
-		return nil, nil, err
-	}
-	update, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	return inval, update, err
-}
-
-// AblationLazy sweeps the named app under the paper's eager release
-// consistency versus the TreadMarks-style lazy variant (the §6
-// comparison): releases stop invalidating, acquires validate instead.
-func AblationLazy(name string, p int, mk func(string) harness.App) (eager, lazy []harness.SweepPoint, err error) {
-	cfgFor := func(lz bool) func(c int) harness.Config {
-		return func(c int) harness.Config {
-			cfg := Config(p, c)
-			cfg.Protocol.LazyRelease = lz
-			return cfg
-		}
-	}
-	cs := harness.PowersOfTwo(p / 2)
-	eager, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(false))
-	if err != nil {
-		return nil, nil, err
-	}
-	lazy, err = harness.Sweep(func() harness.App { return mk(name) }, p, cs, cfgFor(true))
-	return eager, lazy, err
+	return out, err
 }

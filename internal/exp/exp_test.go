@@ -5,8 +5,16 @@ import (
 
 	"mgs/internal/framework"
 	"mgs/internal/harness"
+	"mgs/internal/sim"
 	"mgs/internal/stats"
 )
+
+// small is the test-scale run: reduced apps, no extra options, as many
+// sweep workers as GOMAXPROCS.
+var small = Env{Apps: SmallApp}
+
+// smallAt is small at a fixed sweep width.
+func smallAt(workers int) Env { return Env{Apps: SmallApp, Workers: workers} }
 
 func TestTable3RunsAndIsOrdered(t *testing.T) {
 	mi := Table3()
@@ -19,7 +27,7 @@ func TestTable3RunsAndIsOrdered(t *testing.T) {
 }
 
 func TestTable4Small(t *testing.T) {
-	rows, err := Table4(4, SmallApp)
+	rows, err := Table4(4, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +46,7 @@ func TestTable4Small(t *testing.T) {
 }
 
 func TestFigureSweepSmall(t *testing.T) {
-	points, m, err := FigureSweep("jacobi", 4, SmallApp)
+	points, m, err := FigureSweep("jacobi", 4, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +63,7 @@ func TestFigureSweepSmall(t *testing.T) {
 }
 
 func TestLockHitSweepSmall(t *testing.T) {
-	out, err := LockHitSweep([]string{"water"}, 4, SmallApp)
+	out, err := LockHitSweep([]string{"water"}, 4, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +83,7 @@ func TestLockHitSweepSmall(t *testing.T) {
 }
 
 func TestFig12Small(t *testing.T) {
-	plain, tiled, err := Fig12(4, 64)
+	plain, tiled, err := Fig12(4, 64, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +95,58 @@ func TestFig12Small(t *testing.T) {
 	}
 }
 
-func TestAblationSingleWriterSmall(t *testing.T) {
-	on, off, err := AblationSingleWriter("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
+// TestAblationsSmall runs every two-sided ablation mgs-sweep offers
+// and checks what each comparison is known to show at test scale.
+func TestAblationsSmall(t *testing.T) {
+	// Each check sees one software-region point's baseline and
+	// alternative cycles.
+	checks := map[string]func(t *testing.T, c int, base, alt sim.Time){
+		"serialinv": func(t *testing.T, c int, serial, par sim.Time) {
+			// Serializing invalidations can never beat overlapping them.
+			if serial < par {
+				t.Errorf("C=%d: serial (%d) faster than parallel (%d)", c, serial, par)
+			}
+		},
+		"mesh": func(t *testing.T, c int, uniform, mesh sim.Time) {
+			if mesh == uniform {
+				t.Errorf("C=%d: mesh timing identical to uniform (%d); topology had no effect", c, mesh)
+			}
+		},
+		"lazy": func(t *testing.T, c int, eager, lazy sim.Time) {
+			// Water's migratory locking is lazy's best case: it must win at C=1.
+			if c == 1 && lazy >= eager {
+				t.Errorf("C=1: lazy (%d) not faster than eager (%d)", lazy, eager)
+			}
+		},
 	}
-	if len(on) != len(off) {
-		t.Fatalf("point count mismatch")
+	for _, ab := range ablations {
+		t.Run(ab.Name, func(t *testing.T) {
+			app := "water"
+			if ab.Name == "mesh" {
+				app = "jacobi"
+			}
+			base, alt, err := AblationSweep(app, 4, ab.Alt, small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base) != 2 || len(alt) != 2 { // C = 1, 2
+				t.Fatalf("point counts = %d/%d, want 2/2", len(base), len(alt))
+			}
+			for i := range base {
+				b, a := base[i].Res.Cycles, alt[i].Res.Cycles
+				if b <= 0 || a <= 0 {
+					t.Fatalf("C=%d: zero-cycle run", base[i].C)
+				}
+				if check := checks[ab.Name]; check != nil {
+					check(t, base[i].C, b, a)
+				}
+			}
+		})
 	}
 }
 
 func TestAblationPageSizeSmall(t *testing.T) {
-	pts, err := AblationPageSize("jacobi", 4, 2, []int{512, 1024, 2048}, SmallApp)
+	pts, err := AblationPageSize("jacobi", 4, 2, []int{512, 1024, 2048}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,56 +172,8 @@ func (*nilApp) Setup(*harness.Machine)        {}
 func (*nilApp) Body(*harness.Ctx)             {}
 func (*nilApp) Verify(*harness.Machine) error { return nil }
 
-func TestAblationSerialInvSmall(t *testing.T) {
-	serial, par, err := AblationSerialInv("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(par) || len(serial) != 2 {
-		t.Fatalf("point counts = %d/%d, want 2/2", len(serial), len(par))
-	}
-	for i := range serial {
-		// Serializing invalidations can never beat overlapping them.
-		if serial[i].Res.Cycles < par[i].Res.Cycles {
-			t.Errorf("C=%d: serial (%d) faster than parallel (%d)",
-				serial[i].C, serial[i].Res.Cycles, par[i].Res.Cycles)
-		}
-	}
-}
-
-func TestAblationUpdateProtocolSmall(t *testing.T) {
-	inval, update, err := AblationUpdateProtocol("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inval) != len(update) {
-		t.Fatal("point count mismatch")
-	}
-	for i := range inval {
-		if update[i].Res.Cycles <= 0 || inval[i].Res.Cycles <= 0 {
-			t.Fatalf("C=%d: zero-cycle run", inval[i].C)
-		}
-	}
-}
-
-func TestAblationMeshSmall(t *testing.T) {
-	uniform, mesh, err := AblationMesh("jacobi", 4, 250, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(uniform) != len(mesh) || len(uniform) != 2 {
-		t.Fatalf("point counts = %d/%d, want 2/2", len(uniform), len(mesh))
-	}
-	for i := range uniform {
-		if mesh[i].Res.Cycles == uniform[i].Res.Cycles {
-			t.Errorf("C=%d: mesh timing identical to uniform (%d); topology had no effect",
-				mesh[i].C, mesh[i].Res.Cycles)
-		}
-	}
-}
-
 func TestFrameworkPointsMatchSweep(t *testing.T) {
-	points, _, err := FigureSweep("matmul", 4, SmallApp)
+	points, _, err := FigureSweep("matmul", 4, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,21 +197,6 @@ func TestUnknownAppPanics(t *testing.T) {
 	NewApp("no-such-app")
 }
 
-func TestAblationLazySmall(t *testing.T) {
-	eager, lazy, err := AblationLazy("water", 4, SmallApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eager) != len(lazy) || len(eager) != 2 {
-		t.Fatalf("point counts = %d/%d, want 2/2", len(eager), len(lazy))
-	}
-	// Water's migratory locking is lazy's best case: it must win at C=1.
-	if lazy[0].Res.Cycles >= eager[0].Res.Cycles {
-		t.Errorf("C=1: lazy (%d) not faster than eager (%d)",
-			lazy[0].Res.Cycles, eager[0].Res.Cycles)
-	}
-}
-
 // TestHeadlineShapes pins the qualitative results the reproduction is
 // about, at test scale (P=8, reduced inputs) with comfortable margins:
 // which applications suffer crossing the hardware/software boundary,
@@ -221,7 +206,7 @@ func TestAblationLazySmall(t *testing.T) {
 func TestHeadlineShapes(t *testing.T) {
 	const p = 8
 	sweepFor := func(name string) ([]harness.SweepPoint, framework.Metrics) {
-		points, m, err := FigureSweep(name, p, SmallApp)
+		points, m, err := FigureSweep(name, p, small)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -289,7 +274,7 @@ func TestDeterministicReplay(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			run := func() harness.Result {
-				cfg := Config(8, 2)
+				cfg := harness.NewConfig(8, 2)
 				v.mut(&cfg)
 				res, err := harness.RunApp(SmallApp("water"), cfg)
 				if err != nil {

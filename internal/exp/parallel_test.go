@@ -25,7 +25,7 @@ import (
 // result and final memory image.
 func runWorkers(t *testing.T, name string, workers int, plan fault.Plan) (harness.Result, []byte) {
 	t.Helper()
-	cfg := Config(8, 2)
+	cfg := harness.NewConfig(8, 2)
 	cfg.EngineWorkers = workers
 	cfg.Fault = plan
 	res, mem, err := harness.RunAppMem(SmallApp(name), cfg)
@@ -67,7 +67,7 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 // vacuous: the standard test shape actually runs the sharded
 // dispatcher.
 func TestParallelEngineEngages(t *testing.T) {
-	cfg := Config(8, 2)
+	cfg := harness.NewConfig(8, 2)
 	cfg.EngineWorkers = 4
 	app := SmallApp("water")
 	m := harness.NewMachine(cfg)
@@ -86,7 +86,7 @@ func TestParallelEngineEngages(t *testing.T) {
 func TestParallelTracingFallsBack(t *testing.T) {
 	run := func(workers int) (harness.Result, string) {
 		var b strings.Builder
-		cfg := Config(8, 2,
+		cfg := harness.NewConfig(8, 2,
 			harness.WithObserver(obs.New().AddSink(obs.NewTextSink(&b))))
 		cfg.EngineWorkers = workers
 		app := SmallApp("jacobi")

@@ -8,7 +8,6 @@ import (
 	"mgs/internal/core"
 	"mgs/internal/framework"
 	"mgs/internal/harness"
-	"mgs/internal/msg"
 	"mgs/internal/sim"
 )
 
@@ -50,45 +49,44 @@ func ScaleClusterSizes(p int) []int {
 // natural unit of work per processor (Jacobi rows, MatMul rows, Water
 // molecules...). The fixed SmallApp sizes would leave almost every
 // processor of a 1024-processor machine idle at the barriers.
-func ScaleApp(name string, p int) harness.App {
+func ScaleApp(name string, p int) (harness.App, error) {
 	switch name {
 	case "jacobi":
-		return &apps.Jacobi{N: p + 2, Iters: 1}
+		return &apps.Jacobi{N: p + 2, Iters: 1}, nil
 	case "matmul":
-		return &apps.MatMul{N: p}
+		return &apps.MatMul{N: p}, nil
 	case "water":
-		return &apps.Water{N: p, Iters: 1}
-	case "barnes-hut", "barnes":
-		return &apps.BarnesHut{NBodies: p, Iters: 1, Theta: 0.6}
+		return &apps.Water{N: p, Iters: 1}, nil
+	case "barnes-hut":
+		return &apps.BarnesHut{NBodies: p, Iters: 1, Theta: 0.6}, nil
 	}
-	panic(fmt.Sprintf("exp: no scale sizing for app %q", name))
+	return nil, fmt.Errorf("exp: no scale sizing for app %q (have jacobi, matmul, water, barnes-hut)", name)
 }
 
-// ScaleSweep runs the named app at fixed P across the given cluster
-// sizes on topo (nil = the uniform LAN), returning the per-point
-// results — cycles, link-wait, directory footprint — and the framework
-// metrics (breakup penalty, multigrain potential, curvature). Points
-// run concurrently under harness.SweepWorkers; contended topologies
-// force each point onto the sequential event dispatcher, so the sweep
-// is the only parallelism at scale.
-func ScaleSweep(name string, p int, topo msg.Topology, cs []int) ([]ScalePoint, framework.Metrics, error) {
+// ScaleSweep runs the named app, sized by ScaleApp (e.Apps is not
+// consulted), at fixed P across the given cluster sizes on the
+// topology e's options select, returning the per-point results —
+// cycles, link-wait, directory footprint — and the framework metrics
+// (breakup penalty, multigrain potential, curvature). Points run
+// concurrently; contended topologies force each point onto the
+// sequential event dispatcher, so the sweep is the only parallelism at
+// scale.
+func ScaleSweep(name string, p int, cs []int, e Env) ([]ScalePoint, framework.Metrics, error) {
 	out := make([]ScalePoint, len(cs))
-	errs := harness.RunIndexed(len(cs), func(i int) error {
-		opts := []harness.Option{}
-		if topo != nil {
-			opts = append(opts, harness.WithTopology(topo))
+	err := e.each(len(cs), func(i int) error {
+		app, err := ScaleApp(name, p)
+		if err != nil {
+			return err
 		}
-		res, err := harness.RunApp(ScaleApp(name, p), Config(p, cs[i], opts...))
+		res, err := harness.RunApp(app, e.Config(p, cs[i]))
 		if err != nil {
 			return fmt.Errorf("scale %s P=%d C=%d: %w", name, p, cs[i], err)
 		}
 		out[i] = ScalePoint{C: cs[i], Cycles: res.Cycles, LinkWait: res.LinkWait, Dir: res.Dir}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, framework.Metrics{}, err
-		}
+	if err != nil {
+		return nil, framework.Metrics{}, err
 	}
 	var fp []framework.Point
 	for _, pt := range out {

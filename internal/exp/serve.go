@@ -22,13 +22,11 @@ import (
 // interconnect fattens the tail — while the final memory image stays
 // byte-identical to the fault-free run.
 
-// ServeRun runs the serving app on a P=p, C=c machine under the given
-// workload and fault plan (empty plan = fault-free), returning the
+// ServeRun runs the serving app under the given workload on the
+// machine cfg describes (its fault plan included), returning the
 // latency report and the final shared-memory image.
-func ServeRun(w serve.Workload, p, c int, plan fault.Plan, slo serve.SLO) (serve.Report, []byte, error) {
+func ServeRun(w serve.Workload, cfg harness.Config, slo serve.SLO) (serve.Report, []byte, error) {
 	app := apps.NewServe(w)
-	cfg := Config(p, c)
-	cfg.Fault = plan
 	res, mem, err := harness.RunAppMem(app, cfg)
 	if err != nil {
 		return serve.Report{}, nil, err
@@ -37,15 +35,14 @@ func ServeRun(w serve.Workload, p, c int, plan fault.Plan, slo serve.SLO) (serve
 }
 
 // ServeRunBreakdown is ServeRun with the cycle-attribution profiler
-// armed: the returned report carries a CostBreakdown splitting the
-// run's cycles into user compute, shard-lock wait, barrier wait, MGS
-// protocol work, and transport-fault recovery, plus the per-lock heat
-// ranking (mgs-serve -breakdown).
-func ServeRunBreakdown(w serve.Workload, p, c int, plan fault.Plan, slo serve.SLO) (serve.Report, []byte, error) {
+// armed in place of cfg's observer: the returned report carries a
+// CostBreakdown splitting the run's cycles into user compute,
+// shard-lock wait, barrier wait, MGS protocol work, and transport-fault
+// recovery, plus the per-lock heat ranking (mgs-serve -breakdown).
+func ServeRunBreakdown(w serve.Workload, cfg harness.Config, slo serve.SLO) (serve.Report, []byte, error) {
 	app := apps.NewServe(w)
 	o := obs.New().EnableProfiling()
-	cfg := Config(p, c, harness.WithObserver(o))
-	cfg.Fault = plan
+	cfg.Obs = o
 	res, mem, err := harness.RunAppMem(app, cfg)
 	if err != nil {
 		return serve.Report{}, nil, err
@@ -92,32 +89,31 @@ type ServeTailPoint struct {
 }
 
 // ServeTailSweep runs the workload at every power-of-two cluster size up
-// to p, fault-free and under ServeChaosPlan, concurrently
-// (harness.SweepWorkers wide; results are independent of the width).
-func ServeTailSweep(w serve.Workload, p int, slo serve.SLO) ([]ServeTailPoint, error) {
+// to p, fault-free and under ServeChaosPlan, concurrently (results are
+// independent of the width). The workload is w, so e.Apps is not
+// consulted.
+func ServeTailSweep(w serve.Workload, p int, slo serve.SLO, e Env) ([]ServeTailPoint, error) {
 	cs := harness.PowersOfTwo(p)
 	type cell struct {
 		rep serve.Report
 		mem []byte
 	}
 	cells := make([]cell, 2*len(cs)) // [2k] fault-free, [2k+1] chaos
-	errs := harness.RunIndexed(len(cells), func(i int) error {
+	err := e.each(len(cells), func(i int) error {
 		c, chaos := cs[i/2], i%2 == 1
 		var plan fault.Plan
 		if chaos {
 			plan = ServeChaosPlan(w.Seed)
 		}
-		rep, mem, err := ServeRun(w, p, c, plan, slo)
+		rep, mem, err := ServeRun(w, e.Config(p, c, harness.WithFaultPlan(plan)), slo)
 		if err != nil {
 			return fmt.Errorf("serve sweep C=%d chaos=%t: %w", c, chaos, err)
 		}
 		cells[i] = cell{rep, mem}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	points := make([]ServeTailPoint, len(cs))
 	for k, c := range cs {

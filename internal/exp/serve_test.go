@@ -21,11 +21,11 @@ func serveSLO() serve.SLO { return serve.SLO{P99: 5_000_000, P999: 10_000_000} }
 // TestServeRerunBitIdentical: same seed, same machine — same bytes.
 func TestServeRerunBitIdentical(t *testing.T) {
 	w := serve.DefaultWorkload(true, 7)
-	rep1, mem1, err := ServeRun(w, 8, 2, fault.Plan{}, serveSLO())
+	rep1, mem1, err := ServeRun(w, harness.NewConfig(8, 2), serveSLO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, mem2, err := ServeRun(w, 8, 2, fault.Plan{}, serveSLO())
+	rep2, mem2, err := ServeRun(w, harness.NewConfig(8, 2), serveSLO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestServeEngineWorkersBitIdentical(t *testing.T) {
 		run := func(workers int) (string, []byte) {
 			w := serve.DefaultWorkload(true, 3)
 			app := apps.NewServe(w)
-			cfg := Config(8, 2)
+			cfg := harness.NewConfig(8, 2)
 			cfg.EngineWorkers = workers
 			cfg.Fault = plan
 			res, mem, err := harness.RunAppMem(app, cfg)
@@ -70,15 +70,12 @@ func TestServeEngineWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeSweepWorkersBitIdentical: the tail sweep's CSV must not
+// TestServeSweepWidthBitIdentical: the tail sweep's CSV must not
 // depend on how many runs execute concurrently.
-func TestServeSweepWorkersBitIdentical(t *testing.T) {
+func TestServeSweepWidthBitIdentical(t *testing.T) {
 	w := serve.DefaultWorkload(true, 5)
 	run := func(workers int) string {
-		old := harness.SweepWorkers
-		harness.SweepWorkers = workers
-		defer func() { harness.SweepWorkers = old }()
-		points, err := ServeTailSweep(w, 8, serveSLO())
+		points, err := ServeTailSweep(w, 8, serveSLO(), smallAt(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -96,11 +93,11 @@ func TestServeSweepWorkersBitIdentical(t *testing.T) {
 // or the chaos column in the sweep is measuring nothing.
 func TestServeChaosMemEquivalentFatterTail(t *testing.T) {
 	w := serve.DefaultWorkload(true, 9)
-	clean, cleanMem, err := ServeRun(w, 8, 2, fault.Plan{}, serveSLO())
+	clean, cleanMem, err := ServeRun(w, harness.NewConfig(8, 2), serveSLO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, chaosMem, err := ServeRun(w, 8, 2, ServeChaosPlan(9), serveSLO())
+	chaos, chaosMem, err := ServeRun(w, harness.NewConfig(8, 2, harness.WithFaultPlan(ServeChaosPlan(9))), serveSLO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +126,7 @@ func TestServeChaosMemEquivalentFatterTail(t *testing.T) {
 func TestServeVerifyCatchesCorruption(t *testing.T) {
 	w := serve.DefaultWorkload(true, 1)
 	app := apps.NewServe(w)
-	cfg := Config(8, 2)
+	cfg := harness.NewConfig(8, 2)
 	m := harness.NewMachine(cfg)
 	app.Setup(m)
 	if _, err := m.Run(app.Body); err != nil {

@@ -20,7 +20,7 @@ func TestLockedCounterShadow(t *testing.T) {
 		sh := sh
 		t.Run("", func(t *testing.T) {
 			const buckets = 32
-			cfg := Config(sh.p, sh.c)
+			cfg := harness.NewConfig(sh.p, sh.c)
 			m := harness.NewMachine(cfg)
 			bins := m.DSM.Space().AllocPages(buckets * 8)
 			shadow := make([]int64, buckets)
@@ -57,7 +57,7 @@ func TestLockedCounterShadow(t *testing.T) {
 // with shadow checks on every locked update.
 func TestHistogramShadow(t *testing.T) {
 	const items, buckets, p, c = 2048, 32, 8, 2
-	cfg := Config(p, c)
+	cfg := harness.NewConfig(p, c)
 	m := harness.NewMachine(cfg)
 	val := func(i int) int64 { return int64((i*2654435761 + 12345) % 997) }
 	data := m.DSM.Space().AllocPages(items * 8)
@@ -103,13 +103,13 @@ func TestJitterTorture(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
-		cfg := Config(8, 2)
+		cfg := harness.NewConfig(8, 2)
 		cfg.Msg.Jitter = 3000
 		cfg.Msg.JitterSeed = seed
 		if _, err := harness.RunApp(SmallApp("water"), cfg); err != nil {
 			t.Errorf("water seed %d: %v", seed, err)
 		}
-		cfg2 := Config(8, 4)
+		cfg2 := harness.NewConfig(8, 4)
 		cfg2.Msg.Jitter = 3000
 		cfg2.Msg.JitterSeed = seed
 		if _, err := harness.RunApp(SmallApp("water-kernel"), cfg2); err != nil {
@@ -122,7 +122,7 @@ func TestJitterTorture(t *testing.T) {
 func TestJitterLockedCounters(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		const buckets = 16
-		cfg := Config(8, 2)
+		cfg := harness.NewConfig(8, 2)
 		cfg.Msg.Jitter = 2500
 		cfg.Msg.JitterSeed = seed
 		m := harness.NewMachine(cfg)
@@ -155,7 +155,7 @@ func TestJitterLockedCounters(t *testing.T) {
 // counters must never read stale values, with and without jitter.
 func TestUpdateProtocolCorrectness(t *testing.T) {
 	upd := func(p, c int, jitter int64) harness.Config {
-		cfg := Config(p, c)
+		cfg := harness.NewConfig(p, c)
 		cfg.Protocol.UpdateProtocol = true
 		cfg.Msg.Jitter = sim.Time(jitter)
 		cfg.Msg.JitterSeed = 3
@@ -217,7 +217,7 @@ func TestLazyReleaseShadow(t *testing.T) {
 		sh := sh
 		t.Run("", func(t *testing.T) {
 			const buckets = 24
-			cfg := Config(sh.p, sh.c)
+			cfg := harness.NewConfig(sh.p, sh.c)
 			cfg.Protocol.LazyRelease = true
 			cfg.Msg.Jitter = sh.jitter
 			cfg.Msg.JitterSeed = 23
@@ -260,7 +260,7 @@ func TestLazyAppsVerify(t *testing.T) {
 	for _, name := range append(append([]string{}, AppNames...), "water-kernel-tiled", "lu") {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := Config(8, 2)
+			cfg := harness.NewConfig(8, 2)
 			cfg.Protocol.LazyRelease = true
 			if _, err := harness.RunApp(SmallApp(name), cfg); err != nil {
 				t.Fatal(err)

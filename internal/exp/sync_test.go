@@ -35,7 +35,7 @@ func syncCross() []SyncPair {
 // algorithms, workers, and plan.
 func runSync(t *testing.T, pair SyncPair, workers int, plan fault.Plan) (harness.Result, []byte) {
 	t.Helper()
-	cfg := Config(8, 2,
+	cfg := harness.NewConfig(8, 2,
 		harness.WithLockAlgo(pair.Lock), harness.WithBarrierAlgo(pair.Barrier))
 	cfg.EngineWorkers = workers
 	cfg.Fault = plan
@@ -85,14 +85,11 @@ func TestSyncEngineWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSyncSweepWorkersIndependent pins that SyncSweep's output is
-// independent of the harness.SweepWorkers width.
-func TestSyncSweepWorkersIndependent(t *testing.T) {
+// TestSyncSweepWidthIndependent pins that SyncSweep's output is
+// independent of the sweep width.
+func TestSyncSweepWidthIndependent(t *testing.T) {
 	sweep := func(workers int) []SyncPoint {
-		old := harness.SweepWorkers
-		harness.SweepWorkers = workers
-		defer func() { harness.SweepWorkers = old }()
-		pts, err := SyncSweep(8, []int{2, 8}, SmallApp)
+		pts, err := SyncSweep(8, []int{2, 8}, smallAt(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

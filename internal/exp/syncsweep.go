@@ -76,27 +76,24 @@ type SyncPoint struct {
 // syncNominalCS is SyncBench's critical-section Compute quantum.
 const syncNominalCS = 400.0
 
-// SyncSweep runs mk("syncbench") for every SyncPairs combination at
-// every cluster size in cs on a P=p machine, fault-free and under the
-// 5%-loss plan. Points run concurrently (harness.SweepWorkers wide);
-// results are independent of the worker count.
-func SyncSweep(p int, cs []int, mk func(string) harness.App) ([]SyncPoint, error) {
+// SyncSweep runs e.Apps("syncbench") for every SyncPairs combination
+// at every cluster size in cs on a P=p machine, fault-free and under
+// the 5%-loss plan. Points run concurrently; results are independent of
+// the width.
+func SyncSweep(p int, cs []int, e Env) ([]SyncPoint, error) {
 	pairs := SyncPairs()
 	points := make([]SyncPoint, len(pairs)*len(cs))
-	errs := harness.RunIndexed(len(points), func(i int) error {
+	err := e.each(len(points), func(i int) error {
 		pair, c := pairs[i/len(cs)], cs[i%len(cs)]
-		algos := []harness.Option{
-			harness.WithLockAlgo(pair.Lock), harness.WithBarrierAlgo(pair.Barrier),
-		}
+		lock, barrier := harness.WithLockAlgo(pair.Lock), harness.WithBarrierAlgo(pair.Barrier)
 		o := obs.New()
-		res, mem, err := harness.RunAppMem(mk("syncbench"),
-			Config(p, c, append([]harness.Option{harness.WithObserver(o)}, algos...)...))
+		res, mem, err := harness.RunAppMem(e.Apps("syncbench"),
+			e.Config(p, c, harness.WithObserver(o), lock, barrier))
 		if err != nil {
 			return fmt.Errorf("syncsweep %s/%s C=%d: %w", pair.Lock, pair.Barrier, c, err)
 		}
-		lossCfg := Config(p, c, algos...)
-		lossCfg.Fault = SyncLossPlan(1)
-		lossRes, lossMem, err := harness.RunAppMem(mk("syncbench"), lossCfg)
+		lossRes, lossMem, err := harness.RunAppMem(e.Apps("syncbench"),
+			e.Config(p, c, lock, barrier, harness.WithFaultPlan(SyncLossPlan(1))))
 		if err != nil {
 			return fmt.Errorf("syncsweep %s/%s C=%d loss: %w", pair.Lock, pair.Barrier, c, err)
 		}
@@ -120,12 +117,7 @@ func SyncSweep(p int, cs []int, mk func(string) harness.App) ([]SyncPoint, error
 		points[i] = pt
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
+	return points, err
 }
 
 // SyncCSV renders sweep points as CSV with a header row.

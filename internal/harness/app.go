@@ -59,14 +59,14 @@ type SweepPoint struct {
 	Res Result
 }
 
-// Sweep runs a fresh instance of the app at every cluster size in cs,
-// keeping P fixed — the paper's Figures 6–10 methodology. mk must
-// return a fresh App (apps hold machine-bound addresses). Points run
-// concurrently across up to SweepWorkers goroutines; each point is an
-// independent Engine, so the results are identical to SweepSeq's.
-func Sweep(mk func() App, p int, cs []int, cfgFor func(c int) Config) ([]SweepPoint, error) {
+// Sweep runs a fresh instance of the app at every cluster size in cs —
+// the paper's Figures 6–10 methodology; cfgFor fixes P. mk must return
+// a fresh App (apps hold machine-bound addresses). Up to width points
+// run concurrently (RunIndexed); each point is an independent Engine,
+// so the results do not depend on the width.
+func Sweep(width int, mk func() App, cs []int, cfgFor func(c int) Config) ([]SweepPoint, error) {
 	out := make([]SweepPoint, len(cs))
-	errs := RunIndexed(len(cs), func(i int) error {
+	errs := RunIndexed(width, len(cs), func(i int) error {
 		res, err := RunApp(mk(), cfgFor(cs[i]))
 		if err != nil {
 			return err
@@ -78,21 +78,6 @@ func Sweep(mk func() App, p int, cs []int, cfgFor func(c int) Config) ([]SweepPo
 		if err != nil {
 			return out[:i], fmt.Errorf("C=%d: %w", cs[i], err)
 		}
-	}
-	return out, nil
-}
-
-// SweepSeq is Sweep restricted to the calling goroutine, one point at a
-// time. It exists as the reference for the determinism regression tests
-// and for callers that must not spawn goroutines.
-func SweepSeq(mk func() App, p int, cs []int, cfgFor func(c int) Config) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, c := range cs {
-		res, err := RunApp(mk(), cfgFor(c))
-		if err != nil {
-			return out, fmt.Errorf("C=%d: %w", c, err)
-		}
-		out = append(out, SweepPoint{C: c, Res: res})
 	}
 	return out, nil
 }

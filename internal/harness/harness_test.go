@@ -280,7 +280,7 @@ func TestPowersOfTwo(t *testing.T) {
 
 func TestSweepPointsPerClusterSize(t *testing.T) {
 	app := func() App { return sweepProbe{} }
-	pts, err := Sweep(app, 4, PowersOfTwo(4), func(c int) Config { return testCfg(4, c) })
+	pts, err := Sweep(0, app, PowersOfTwo(4), func(c int) Config { return testCfg(4, c) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,9 +126,8 @@ func WithBarrierAlgo(name string) Option { return func(c *Config) { c.BarrierAlg
 func NewConfig(p, c int, opts ...Option) Config {
 	cfg := Config{
 		P: p, C: c, PageSize: 1024, TLBSize: 64, Delay: 1000,
-		Disabled:      c == p,
-		EngineWorkers: EngineWorkers,
-		Protocol:      core.DefaultCosts(),
+		Disabled: c == p,
+		Protocol: core.DefaultCosts(),
 		Cache: cache.Costs{
 			Hit: 2, Local: 11, Remote: 38, TwoParty: 42,
 			ThreeParty: 63, Software: 425, CleanPerLine: 40,
@@ -137,11 +136,8 @@ func NewConfig(p, c int, opts ...Option) Config {
 		Msg: msg.Costs{
 			SendOverhead: 100, HandlerEntry: 500, PerHop: 2,
 			BytesPerCycle: 1, InterDelay: 1000, InterOverhead: 800,
-			Topology: DefaultTopology,
 		},
-		Sync:        algo.DefaultCosts(),
-		LockAlgo:    DefaultLockAlgo,
-		BarrierAlgo: DefaultBarrierAlgo,
+		Sync: algo.DefaultCosts(),
 	}
 	for _, o := range opts {
 		o(&cfg)
