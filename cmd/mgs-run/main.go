@@ -5,7 +5,8 @@
 // Usage:
 //
 //	mgs-run -app water -p 32 -c 4 [-delay 1000] [-pagesize 1024]
-//	        [-small] [-counters] [-no1w] [-parinv] [-update] [-lazy] [-mesh]
+//	        [-small] [-counters] [-no1w] [-parinv] [-update] [-lazy]
+//	        [-topology mesh] [-lock mcs] [-barrier dissemination]
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"mgs/internal/cli"
 	"mgs/internal/harness"
-	"mgs/internal/msg"
 	"mgs/internal/sim"
 	"mgs/internal/stats"
 )
@@ -30,21 +30,16 @@ func main() {
 		parinv   = flag.Bool("parinv", false, "parallel (not serial) release invalidations")
 		update   = flag.Bool("update", false, "update-based (not invalidate) release rounds")
 		lazy     = flag.Bool("lazy", false, "lazy (TreadMarks-style) instead of eager release consistency")
-		mesh     = flag.Bool("mesh", false, "contended 2D-mesh inter-SSMP network (250 cycles/hop)")
 	)
 	t.Parse()
 
 	cfg := t.Config(
 		harness.WithInterSSMPDelay(sim.Time(*delay)),
 		harness.WithPageSize(*pagesize))
-	cfg.Protocol.SingleWriter = !*no1w
-	cfg.Protocol.SerialInv = !*parinv
-	cfg.Protocol.UpdateProtocol = *update
-	cfg.Protocol.LazyRelease = *lazy
-	if *mesh {
-		cfg.Msg.Topology = msg.NewMesh2D()
-		cfg.Msg.InterPerHop = 250
-	}
+	cfg.Variant.SingleWriter = !*no1w
+	cfg.Variant.SerialInv = !*parinv
+	cfg.Variant.UpdateProtocol = *update
+	cfg.Variant.LazyRelease = *lazy
 
 	res, err := harness.RunApp(t.Env().Apps(t.App), cfg)
 	if err != nil {

@@ -171,7 +171,7 @@ func (t *TSP) Body(c *harness.Ctx) {
 			c.Proc.Yield() // let queued events and peers run
 			if wait < 50_000 {
 				wait *= 2
-			} else if c.Machine().Cfg.Protocol.LazyRelease {
+			} else if c.Machine().Cfg.Variant.LazyRelease {
 				// Backoff ceiling under lazy release consistency:
 				// nothing ever invalidates a racy reader, so refresh
 				// the view through an acquire or this loop never sees

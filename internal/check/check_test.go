@@ -102,7 +102,7 @@ func TestAllWorkloadsClean(t *testing.T) {
 }
 
 // TestMutationFound: re-introducing the stale-WNOTIFY bug (the PR 3
-// phantom-write regression) behind Costs.MutStaleWNotify, the explorer
+// phantom-write regression) with System.MutStaleWNotify, the explorer
 // must find it on the upgrade-race workload and produce a counter-
 // example trace that Replay reproduces identically. The trace is also
 // pinned as a golden fixture so the counterexample stays replayable.

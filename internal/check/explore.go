@@ -16,7 +16,7 @@ import (
 // Options configures one exploration.
 type Options struct {
 	Workload Workload
-	// Mutate arms the seeded stale-WNOTIFY bug (core.Costs.
+	// Mutate arms the seeded stale-WNOTIFY bug (core.System.
 	// MutStaleWNotify) — the mutation-regression target the explorer
 	// must find.
 	Mutate bool

@@ -110,7 +110,7 @@ func Workloads() []Workload {
 			// proc 1 writes and releases: the WNOTIFY from the upgrade
 			// can be delayed past the round's teardown reply for the same
 			// copy — the stale-notification window the home's teardown
-			// ledger guards (and Costs.MutStaleWNotify re-opens). The wide
+			// ledger guards (and System.MutStaleWNotify re-opens). The wide
 			// LAN delay keeps the intra-SSMP capture chain shorter than a
 			// message flight, so the teardown reply can be in the air
 			// while the notification still is (with the default delay,
@@ -322,7 +322,7 @@ func (w Workload) bodyFor(rs *runState, base vm.Addr, i int) func(c *harness.Ctx
 // newMachine assembles one fresh machine for the workload, with the
 // spec listening on the observability spine and (optionally) an extra
 // sink rendering the run for humans. mutate arms the seeded
-// stale-WNOTIFY bug (Costs.MutStaleWNotify).
+// stale-WNOTIFY bug (core.System.MutStaleWNotify).
 func (w Workload) newMachine(sp *Spec, extra obs.Sink, mutate bool) (*harness.Machine, *runState, vm.Addr) {
 	o := obs.New().AddSink(obs.FuncSink(sp.Feed))
 	if extra != nil {
@@ -337,9 +337,10 @@ func (w Workload) newMachine(sp *Spec, extra obs.Sink, mutate bool) (*harness.Ma
 	if w.Delay > 0 {
 		opts = append(opts, harness.WithInterSSMPDelay(w.Delay))
 	}
-	cfg := harness.NewConfig(w.P, w.C, opts...)
-	cfg.Protocol.MutStaleWNotify = mutate
-	m := harness.NewMachine(cfg)
+	m := harness.NewMachine(harness.NewConfig(w.P, w.C, opts...))
+	if mutate {
+		m.DSM.MutStaleWNotify()
+	}
 	base := m.AllocHomed(w.Pages*w.PageSize, func(pg int) int { return w.Home[pg] })
 	sp.SetBase(int64(m.DSM.Space().PageOf(base)))
 	rs := &runState{ip: make([]int64, w.P)}

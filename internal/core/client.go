@@ -58,8 +58,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		if cp.state == PWrite && write {
 			priv = vm.Write
 		}
-		s.insertTLB(ss, p.ID, v, priv)
-		cp.tlbDir |= bit(s.within(p.ID))
+		s.insertTLB(ss, cp, p.ID, priv)
 		if write {
 			ss.duqs[s.within(p.ID)].add(v)
 			// Touch the Server record only when this SSMP is the home
@@ -122,19 +121,23 @@ func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	}
 	s.spend(p, stats.User, s.cfg.Costs.NullFill)
 	s.st.Count("tlbfill.null", 1)
-	s.insertTLB(ss, p.ID, v, vm.Write)
+	s.insertTLB(ss, cp, p.ID, vm.Write)
 	_ = write
 }
 
-// insertTLB fills p's software TLB, keeping the page's tlbDir mask in
-// step when the fill evicts another mapping.
-func (s *System) insertTLB(ss *ssmpState, proc int, v vm.Page, priv vm.Priv) {
-	evicted, did := s.tlbs[proc].Insert(v, priv)
+// insertTLB fills proc's software TLB with a mapping of cp's page and
+// keeps the tlbDir masks in step: cp gains the processor's bit, the
+// page whose mapping the fill evicts (if any) loses it. Every fill goes
+// through here, so a mapping tlbDir does not know — one no shootdown
+// would reach — cannot exist.
+func (s *System) insertTLB(ss *ssmpState, cp *clientPage, proc int, priv vm.Priv) {
+	evicted, did := s.tlbs[proc].Insert(cp.page, priv)
 	if did {
 		if old := ss.pages.get(evicted); old != nil {
 			old.tlbDir &^= bit(s.within(proc))
 		}
 	}
+	cp.tlbDir |= bit(s.within(proc))
 }
 
 // newDir builds the frame directory for cp using its permanent
@@ -200,15 +203,12 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 				o, homeProc, at, c.CtrlBytes, 0, func(at2 sim.Time) {
 					sp := s.server(cp.page)
 					var stale bool
-					if c.LazyRelease {
+					if s.cfg.Variant.LazyRelease {
 						stale = cp.gen != gen || cp.state != PWrite
 					} else {
 						stale = sp.rmtGens(ssmp) != gen
 					}
-					// Costs.MutStaleWNotify (model-checker mutation test
-					// only) bypasses the staleness check, re-introducing
-					// the phantom write_dir bit this check exists to kill.
-					if stale && !s.cfg.Costs.MutStaleWNotify {
+					if stale && !s.acceptStaleWNotify {
 						s.st.Count("wnotify.stale", 1)
 						s.emitPageArgs(at2, -1, sp.page, "WNOTIFY", [3]int64{1, int64(ssmp), gen},
 							"from ssmp %d STALE (gen %d != home gens %d)", ssmp, gen, sp.rmtGens(ssmp))
@@ -218,7 +218,7 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 					s.emitPageArgs(at2, -1, sp.page, "WNOTIFY", [3]int64{0, int64(ssmp), gen},
 						"from ssmp %d (state %d)", ssmp, sp.state)
 					sp.readDir.remove(ssmp)
-					sp.writeDir.add(ssmp, s.dirThresh, s.dirGrain)
+					sp.writeDir.add(ssmp)
 					if sp.state == sRead {
 						sp.state = sWrite
 					}
@@ -231,7 +231,10 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 		o, requester.ID, at, c.CtrlBytes, 0, func(at2 sim.Time) {
 			ss := s.ssmps[cp.ssmp]
 			ss.duqs[s.within(requester.ID)].add(v)
-			s.insertTLB(ss, requester.ID, v, vm.Write)
+			// The fill records the mapping in tlbDir again: a serve-time
+			// shootdown of the home SSMP's mappings (serveData takes no
+			// page-table lock) may have cleared the bit the fault set.
+			s.insertTLB(ss, cp, requester.ID, vm.Write)
 			s.unlock(cp, at2)
 			requester.Wake(at2)
 		})

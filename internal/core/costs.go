@@ -2,7 +2,8 @@ package core
 
 import "mgs/internal/sim"
 
-// Costs parameterizes the software side of the MGS protocol, in cycles.
+// Costs parameterizes the software side of the MGS protocol, in cycles
+// and bytes. Which protocol runs is a Variant (variant.go), not a cost.
 // The Table 3 software numbers (TLB fill, inter-SSMP misses, releases)
 // are not set here directly — they emerge from protocol execution over
 // these primitives plus the message costs in internal/msg; the defaults
@@ -30,69 +31,6 @@ type Costs struct {
 
 	CtrlBytes   int // payload of a control message
 	DiffHdrByte int // per-range overhead in a DIFF payload
-
-	// DirThreshold caps the exact per-page directory: past this many
-	// registered SSMPs the Server's read/write directories collapse to
-	// a 64-bit coarse cluster vector (one bit per ceil(SSMPs/64)
-	// clusters), trading invalidation precision for O(threshold) home
-	// memory — over-invalidated SSMPs answer with the copy-already-gone
-	// acknowledgement, charged in cycles like any INV. Zero means 64,
-	// which keeps machines of up to 64 SSMPs always exact (and their
-	// runs bit-identical to the flat-bitmask directory this replaces).
-	// See dirset.go.
-	DirThreshold int
-
-	// SingleWriter enables the paper's single-writer optimization:
-	// when a release finds exactly one outstanding write copy, the
-	// whole page is shipped home instead of a diff and the writer SSMP
-	// keeps its copy.
-	SingleWriter bool
-
-	// SerialInv makes the Server invalidate one copy at a time during a
-	// release, waiting for each reply before the next INV — the eager
-	// behaviour MGS's measured release costs imply. Clearing it sends
-	// all INVs at once (an ablation).
-	SerialInv bool
-
-	// MigrateAfter, when positive, enables dynamic home migration (the
-	// paper leaves homes "fixed for all time" and names runtime
-	// locality support as future work): after this many consecutive
-	// remote page serves to the same SSMP with no intervening activity
-	// from others, the page's home moves there at the next quiescent
-	// point (a release round that leaves no copies outstanding).
-	MigrateAfter int
-
-	// LazyRelease switches the consistency protocol from the paper's
-	// eager release (every release invalidates all copies) to a
-	// TreadMarks-style lazy variant (the other side of the paper's §6
-	// comparison): a release only pushes the releaser's own diff to the
-	// home and advances the page's version; other copies go stale in
-	// place. Coherence moves to acquire time — every lock grant and
-	// barrier exit validates the acquiring SSMP's copies against the
-	// home versions (idealized write notices), flushing dirty stale
-	// pages and invalidating clean ones. SingleWriter, UpdateProtocol,
-	// and MigrateAfter have no effect in this mode (the eager release
-	// round they modify never runs). See lazy.go.
-	LazyRelease bool
-
-	// MutStaleWNotify re-introduces the stale-WNOTIFY bug the
-	// incarnation check in onUpgrade kills: a write notification delayed
-	// past the release round that captured its copy re-registers a
-	// phantom write_dir bit for an SSMP that holds nothing. It exists
-	// solely so the model checker's mutation regression test
-	// (internal/check) can prove the explorer detects the bug; never set
-	// it outside tests.
-	MutStaleWNotify bool
-
-	// UpdateProtocol switches release rounds from invalidate to update
-	// (the Galactica Net comparison from the paper's related work):
-	// copies are not torn down; after the merge, the home pushes the
-	// merged page back to every copy, which replays its own concurrent
-	// writes on top. Releases complete only after every copy has
-	// acknowledged its refresh. Mappings survive, so steady
-	// producer-consumer sharing stops paying refetch costs, at the
-	// price of page pushes to every sharer on every release.
-	UpdateProtocol bool
 }
 
 // DefaultCosts returns the calibrated cost table (20 MHz Alewife,
@@ -120,8 +58,5 @@ func DefaultCosts() Costs {
 
 		CtrlBytes:   32,
 		DiffHdrByte: 8,
-
-		SingleWriter: true,
-		SerialInv:    true,
 	}
 }

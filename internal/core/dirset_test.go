@@ -1,28 +1,35 @@
 package core
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 
 	"mgs/internal/sim"
 	"mgs/internal/vm"
 )
 
+// has is the membership query the tests ask; the Server itself only
+// ever needs isOnly, empty and the target list.
+func (d dirSet) has(r int) bool {
+	_, ok := d.find(r)
+	return ok
+}
+
 func TestDirSetExactOps(t *testing.T) {
 	var d dirSet
 	if !d.empty() {
 		t.Fatal("zero dirSet not empty")
 	}
-	d.add(5, 64, 1)
-	d.add(2, 64, 1)
-	d.add(5, 64, 1) // duplicate
-	if d.empty() || d.coarse {
-		t.Fatalf("after adds: empty=%v coarse=%v", d.empty(), d.coarse)
+	d.add(5)
+	d.add(2)
+	d.add(5) // duplicate
+	if d.empty() || len(d) != 2 {
+		t.Fatalf("after adds: %v", d)
 	}
 	if got := d.mask64(); got != 1<<5|1<<2 {
 		t.Fatalf("mask64 = %b, want %b", got, uint64(1<<5|1<<2))
 	}
-	if !d.has(5, 1) || d.has(3, 1) {
+	if !d.has(5) || d.has(3) {
 		t.Fatal("exact membership wrong")
 	}
 	if d.isOnly(5) {
@@ -38,42 +45,59 @@ func TestDirSetExactOps(t *testing.T) {
 	}
 }
 
-func TestDirSetCoarseCollapse(t *testing.T) {
-	var d dirSet
-	// Threshold 2, grain 4: the third distinct SSMP collapses the set.
-	d.add(0, 2, 4)
-	d.add(9, 2, 4)
-	if d.coarse {
-		t.Fatal("coarse before threshold exceeded")
-	}
-	d.add(5, 2, 4)
-	if !d.coarse {
-		t.Fatal("not coarse past threshold")
-	}
-	// Clusters: 0 -> group 0, 9 -> group 2, 5 -> group 1.
-	if d.groups != 1<<0|1<<2|1<<1 {
-		t.Fatalf("groups = %b", d.groups)
-	}
-	// Membership over-approximates within a marked cluster...
-	if !d.has(1, 4) || !d.has(5, 4) {
-		t.Fatal("coarse has() missed a marked cluster")
-	}
-	// ...but never claims an unmarked one.
-	if d.has(12, 4) {
-		t.Fatal("coarse has() invented an unmarked cluster")
-	}
-	// Removal is a sound no-op; precision returns only via clear.
-	d.remove(5)
-	if !d.has(5, 4) {
-		t.Fatal("coarse remove dropped a cluster bit")
-	}
-	if d.isOnly(5) {
-		t.Fatal("coarse isOnly must be false")
-	}
-	d.clear()
-	if d.coarse || !d.empty() {
-		t.Fatal("clear did not return to exact mode")
-	}
+// FuzzDirSet is the differential oracle for dirSet: a byte script
+// drives add/remove/clear on a read and a write directory alongside
+// map[int]bool references, and after every step each query the Server
+// makes — has, empty, isOnly, the mask64 projection (ids folded mod
+// 64), and dirTargets' ascending union minus the excluded SSMP — must
+// agree with the answer computed from the maps. Each step is two
+// bytes: the low three bits of the first pick the operation and set,
+// its next two bits and the second byte the SSMP id (0..1023). The seed
+// corpus is testdata/fuzz/FuzzDirSet.
+func FuzzDirSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var sets [2]dirSet
+		refs := [2]map[int]bool{{}, {}}
+		for k := 0; k+1 < len(script); k += 2 {
+			op, which := script[k]&7>>1, int(script[k]&1)
+			r := int(script[k]>>3&3)<<8 | int(script[k+1])
+			switch op {
+			case 0:
+				sets[which].add(r)
+				refs[which][r] = true
+			case 1:
+				sets[which].remove(r)
+				delete(refs[which], r)
+			case 2:
+				sets[which].clear()
+				refs[which] = map[int]bool{}
+			}
+			for w, d := range sets {
+				ref := refs[w]
+				var mask uint64
+				for id := range ref {
+					mask |= 1 << (uint(id) & 63)
+				}
+				if d.has(r) != ref[r] || d.has(r+1) != ref[r+1] {
+					t.Fatalf("step %d set %d: has(%d)=%v has(%d)=%v, reference %v", k/2, w, r, d.has(r), r+1, d.has(r+1), ref)
+				}
+				if d.empty() != (len(ref) == 0) || d.isOnly(r) != (len(ref) == 1 && ref[r]) || d.mask64() != mask {
+					t.Fatalf("step %d set %d: empty=%v isOnly(%d)=%v mask64=%b, reference %v", k/2, w, d.empty(), r, d.isOnly(r), d.mask64(), ref)
+				}
+			}
+			for _, exclude := range []int{-1, r} {
+				var want []int
+				for id := 0; id < 1024; id++ {
+					if id != exclude && (refs[0][id] || refs[1][id]) {
+						want = append(want, id)
+					}
+				}
+				if got := dirTargets(sets[0], sets[1], exclude); !slices.Equal(got, want) {
+					t.Fatalf("step %d: dirTargets(exclude %d) = %v, want %v", k/2, exclude, got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestPageArena(t *testing.T) {
@@ -98,34 +122,6 @@ func TestPageArena(t *testing.T) {
 	}
 }
 
-// TestCoarseDirectoryMemoryEquivalence runs the randomized protocol
-// stress workload once with the default exact directory and once with
-// DirThreshold=1 — every multi-sharer page goes coarse — and checks
-// both that the coarse path actually engaged and that the final home
-// memory is identical: over-invalidation may change timing, never data.
-func TestCoarseDirectoryMemoryEquivalence(t *testing.T) {
-	run := func(thresh int) ([]byte, *testMachine) {
-		tm := buildTest(8, 2, 700, func(cfg *Config) { cfg.Costs.DirThreshold = thresh })
-		runStressBodies(t, tm, 8, 41)
-		tm.run(t)
-		return tm.sys.SnapshotMemory(), tm
-	}
-	exact, _ := run(0)
-	coarse, tmCoarse := run(1)
-	if tmCoarse.st.Counter("dir.coarse") == 0 {
-		t.Fatal("DirThreshold=1 never exercised the coarse expansion")
-	}
-	if string(exact) != string(coarse) {
-		t.Fatal("coarse directory changed final memory")
-	}
-	// With the threshold at 1, single-sharer rounds may still certify a
-	// single writer, but multi-sharer write sets cannot.
-	ds := tmCoarse.sys.DirectoryStats()
-	if ds.Pages == 0 || ds.RmtEntries == 0 {
-		t.Fatalf("DirectoryStats empty after stress: %+v", ds)
-	}
-}
-
 // TestDirectoryStatsSparse checks the home-side scaling claim: copy
 // records exist only for SSMPs actually served, not one per SSMP.
 func TestDirectoryStatsSparse(t *testing.T) {
@@ -143,42 +139,7 @@ func TestDirectoryStatsSparse(t *testing.T) {
 	if ds.RmtEntries != 1 {
 		t.Fatalf("RmtEntries = %d, want 1 (one SSMP served; old dense layout would hold 8)", ds.RmtEntries)
 	}
-	if ds.CoarsePages != 0 {
-		t.Fatalf("CoarsePages = %d, want 0", ds.CoarsePages)
-	}
 	if ds.Bytes <= 0 {
 		t.Fatalf("Bytes = %d", ds.Bytes)
-	}
-}
-
-// runStressBodies installs the randomized disjoint-slot workload from
-// stressOnce on an existing machine (shared by the directory tests).
-func runStressBodies(t *testing.T, tm *testMachine, p int, seed int64) {
-	t.Helper()
-	const npages = 6
-	const slotsPerProc = 8
-	base := tm.sys.Space().AllocPages(npages * 1024)
-	slotVA := func(proc, slot int) vm.Addr {
-		return base + vm.Addr((slot*p+proc)*8)
-	}
-	if slotsPerProc*p*8 > npages*1024 {
-		t.Fatal("slot layout overflows pages")
-	}
-	for i := 0; i < p; i++ {
-		i := i
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		tm.bodies[i] = func(pr *sim.Proc) {
-			for step := 0; step < 60; step++ {
-				slot := rng.Intn(slotsPerProc)
-				store64(tm.sys, pr, slotVA(i, slot), rng.Uint64())
-				if rng.Intn(7) == 0 {
-					tm.sys.ReleaseAll(pr)
-				}
-				if rng.Intn(3) == 0 {
-					load64(tm.sys, pr, slotVA(rng.Intn(p), rng.Intn(slotsPerProc)))
-				}
-			}
-			tm.sys.ReleaseAll(pr)
-		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // invalidates every copy before completing — with the lazy release
 // consistency of systems like TreadMarks, which delay coherence to
 // acquire time. This file implements that other side of the comparison
-// behind Costs.LazyRelease:
+// behind Variant.LazyRelease:
 //
 //   - A release sends only the releasing SSMP's own diff to the home,
 //     which merges it and advances the page's version. No invalidation
@@ -174,7 +174,7 @@ func (s *System) shootLocal(ss *ssmpState, cp *clientPage, p *sim.Proc) {
 // flush their diff home first; every stale copy is then torn down so
 // the next touch refetches the merged image.
 func (s *System) AcquireSync(p *sim.Proc) {
-	if !s.cfg.Costs.LazyRelease || s.cfg.Disabled {
+	if !s.cfg.Variant.LazyRelease || s.cfg.Disabled {
 		return
 	}
 	c := &s.cfg.Costs

@@ -7,7 +7,7 @@ import (
 )
 
 func buildLazy(p, c int, delay sim.Time) *testMachine {
-	return buildTest(p, c, delay, func(cfg *Config) { cfg.Costs.LazyRelease = true })
+	return buildTest(p, c, delay, func(cfg *Config) { cfg.Variant.LazyRelease = true })
 }
 
 // TestLazyReleaseMergesWithoutInvalidation: a release pushes the diff

@@ -12,10 +12,10 @@ import (
 // is met, after which the user's faults are served home-locally.
 func TestHomeMigrationFollowsDominantUser(t *testing.T) {
 	tm := buildTest(4, 2, 1000, func(cfg *Config) {
-		cfg.Costs.MigrateAfter = 3
+		cfg.Variant.MigrateAfter = 3
 		// Disable retention so each release tears the copy down and the
 		// refetch stream is visible to the migration heuristic.
-		cfg.Costs.SingleWriter = false
+		cfg.Variant.SingleWriter = false
 	})
 	va := tm.sys.Space().AllocPages(1024) // page 1, home proc 1 (SSMP 0)
 	page := tm.sys.Space().PageOf(va)
@@ -46,8 +46,8 @@ func TestHomeMigrationFollowsDominantUser(t *testing.T) {
 // SSMPs with releases; every write must survive every migration.
 func TestHomeMigrationKeepsDataCorrect(t *testing.T) {
 	tm := buildTest(6, 2, 800, func(cfg *Config) {
-		cfg.Costs.MigrateAfter = 2
-		cfg.Costs.SingleWriter = false
+		cfg.Variant.MigrateAfter = 2
+		cfg.Variant.SingleWriter = false
 	})
 	va := tm.sys.Space().AllocPages(1024)
 	want := map[int]uint64{}
@@ -73,3 +73,45 @@ func TestHomeMigrationKeepsDataCorrect(t *testing.T) {
 }
 
 func vm2(pr int) vm.Addr { return vm.Addr(8 * (pr + 1)) }
+
+// TestHomeMigrationWaitsForHomeFault: a release round that would
+// migrate the page completes while a processor of the home SSMP is
+// mid-upgrade on it (page-table lock held, UP_ACK in flight). Migrating
+// then tore the home mapping down under the upgrade, whose UP_ACK went
+// on to map a frameless page — a nil dereference on the next access
+// with MigrateAfter = 1. The upgrade's start is swept across the
+// round, so some runs migrate and some must hold off; all keep every
+// write.
+func TestHomeMigrationWaitsForHomeFault(t *testing.T) {
+	migrated := map[int64]int{}
+	for off := sim.Time(0); off < 40_000; off += 25 {
+		tm := buildTest(4, 2, 1000, func(cfg *Config) {
+			cfg.Variant.MigrateAfter = 1
+			cfg.Variant.SingleWriter = false
+		})
+		va := tm.sys.Space().AllocPages(1024) // page 1, home proc 1 (SSMP 0)
+		// SSMP 1: one serve, then the round that would migrate.
+		tm.bodies[2] = func(p *sim.Proc) {
+			store64(tm.sys, p, va+8, 7)
+			tm.sys.ReleaseAll(p)
+		}
+		// Home SSMP: a read copy, then the upgrade.
+		tm.bodies[0] = func(p *sim.Proc) {
+			load64(tm.sys, p, va)
+			p.Sleep(off)
+			store64(tm.sys, p, va+16, 9)
+			store64(tm.sys, p, va+24, 10)
+			tm.sys.ReleaseAll(p)
+		}
+		tm.run(t)
+		for i, want := range []uint64{7, 9, 10} {
+			if got := tm.sys.BackdoorLoad64(va + vm.Addr(8*(i+1))); got != want {
+				t.Fatalf("upgrade at +%d: word %d = %d, want %d", off, i+1, got, want)
+			}
+		}
+		migrated[tm.st.Counter("migrate")]++
+	}
+	if migrated[0] == 0 || migrated[0] == 40_000/25 {
+		t.Fatalf("runs by migration count = %v, want some that held off (0) and some that migrated", migrated)
+	}
+}

@@ -42,7 +42,8 @@ func buildTest(p, c int, delay sim.Time, mutate func(*Config)) *testMachine {
 	space := vm.NewSpace(1024, p)
 	cfg := Config{
 		NProcs: p, ClusterSize: c, PageSize: 1024, TLBSize: 64,
-		Costs: DefaultCosts(), CacheParams: cache.DefaultParams(), CacheCosts: testCacheCosts(),
+		Costs: DefaultCosts(), Variant: DefaultVariant(),
+		CacheParams: cache.DefaultParams(), CacheCosts: testCacheCosts(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -198,7 +199,7 @@ func TestSingleWriterOptimizationRetainsCopy(t *testing.T) {
 }
 
 func TestSingleWriterDisabledUsesDiff(t *testing.T) {
-	tm := buildTest(4, 2, 1000, func(cfg *Config) { cfg.Costs.SingleWriter = false })
+	tm := buildTest(4, 2, 1000, func(cfg *Config) { cfg.Variant.SingleWriter = false })
 	va := tm.sys.Space().AllocPages(1024)
 	page := tm.sys.Space().PageOf(va)
 	tm.bodies[2] = func(p *sim.Proc) {

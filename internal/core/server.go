@@ -55,11 +55,11 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		// its "copy" is the home frame, kept consistent in place. Only
 		// remote copies need invalidating at release.
 		if write {
-			sp.writeDir.add(r, s.dirThresh, s.dirGrain)
+			sp.writeDir.add(r)
 			sp.state = sWrite
 			s.st.Count("wdat", 1)
 		} else {
-			sp.readDir.add(r, s.dirThresh, s.dirGrain)
+			sp.readDir.add(r)
 			s.st.Count("rdat", 1)
 		}
 		// Record where the SSMP's Remote Client lives so invalidations
@@ -154,14 +154,13 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 		cp.state = PRead
 	}
 	at = s.net.Extend(p.ID, at, c.TLBFill)
-	cp.tlbDir = bit(s.within(p.ID))
 	priv := vm.Read
 	if write {
 		priv = vm.Write
 	}
 	s.emitPageArgs(at, p.ID, cp.page, "DATA", [3]int64{b2i(write), b2i(isHome), 0},
 		"at proc %d write=%v", p.ID, write)
-	s.insertTLB(ss, p.ID, cp.page, priv)
+	s.insertTLB(ss, cp, p.ID, priv)
 	s.unlock(cp, at)
 	p.Wake(at)
 }
@@ -192,7 +191,7 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 	// caller's context (the lock or barrier driving the release) after.
 	pk, pid := s.st.ProfContext(p.ID)
 	defer s.st.ProfSet(p.ID, pk, pid)
-	if c.LazyRelease {
+	if s.cfg.Variant.LazyRelease {
 		s.releaseLazy(p, ss, d)
 		return
 	}
@@ -251,7 +250,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 				"from proc %d REQUEUED (copy captured round %d)", relProc, capRound)
 			return
 		}
-		if s.cfg.Costs.UpdateProtocol && sp.refreshDone && s.ssmpOf(relProc) == s.ssmpOf(sp.homeProc) {
+		if s.cfg.Variant.UpdateProtocol && sp.refreshDone && s.ssmpOf(relProc) == s.ssmpOf(sp.homeProc) {
 			// The refresh image was snapshotted before this home-SSMP
 			// release's in-place writes; folding it in would RACK a
 			// release whose data the refreshes never carried.
@@ -275,7 +274,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		s.sendRack(sp, relProc, at)
 		return
 	}
-	targets := s.dirTargets(sp, -1)
+	targets := dirTargets(sp.readDir, sp.writeDir, -1)
 	if len(targets) == 0 {
 		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relNoTargets, 0, 0},
 			"from proc %d NOTARGETS", relProc)
@@ -290,10 +289,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 	sp.count = len(targets)
 	sp.pendRel = append(sp.pendRel, relProc)
 	sp.keepWriter = -1
-	// A coarse write directory can never certify a single writer
-	// (isOnly is false there), so the optimization is forgone — the
-	// round's DIFF replies still carry every writer's data.
-	oneWriter := s.cfg.Costs.SingleWriter && !sp.homeDirty
+	oneWriter := s.cfg.Variant.SingleWriter && !sp.homeDirty
 	for _, r := range targets {
 		oneW := oneWriter && sp.writeDir.isOnly(r)
 		if oneW {
@@ -304,7 +300,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		}
 		sp.invQueue = append(sp.invQueue, invTarget{ssmp: r, oneW: oneW})
 	}
-	if s.cfg.Costs.SerialInv {
+	if s.cfg.Variant.SerialInv {
 		s.dispatchInv(sp, at) // one at a time; replies pull the next
 		return
 	}
@@ -418,7 +414,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 
 	arm := finvAckTeardown
 	switch {
-	case s.cfg.Costs.UpdateProtocol:
+	case s.cfg.Variant.UpdateProtocol:
 		arm = finvUpdateCapture
 	case cp.invOneW:
 		arm = finvOneWRetain
@@ -427,7 +423,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 	}
 	s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{arm, int64(cp.ssmp), b2i(isHome)},
 		"ssmp %d state=%v oneW=%v", cp.ssmp, cp.state, cp.invOneW)
-	if s.cfg.Costs.UpdateProtocol {
+	if s.cfg.Variant.UpdateProtocol {
 		// Update protocol: capture the copy's modifications but keep
 		// the copy itself; the round's refresh phase will overwrite it
 		// with the merged image. The TLB shootdown has already
@@ -612,8 +608,8 @@ func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db 
 // drops it, which would strand a stale copy), RACK every queued
 // releaser, and serve queued replication requests.
 func (s *System) finishRel(sp *serverPage, at sim.Time) {
-	if s.cfg.Costs.UpdateProtocol {
-		targets := s.dirTargets(sp, s.ssmpOf(sp.homeProc))
+	if s.cfg.Variant.UpdateProtocol {
+		targets := dirTargets(sp.readDir, sp.writeDir, s.ssmpOf(sp.homeProc))
 		if !sp.refreshDone && len(targets) != 0 {
 			sp.refreshDone = true
 			// Refresh phase: push the merged image to every copy; the
@@ -697,13 +693,20 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 	sp.writeDir.clear()
 	sp.state = sRead
 	if sp.keepWriter >= 0 {
-		sp.writeDir.add(sp.keepWriter, s.dirThresh, s.dirGrain)
+		sp.writeDir.add(sp.keepWriter)
 		sp.state = sWrite
 		sp.keepWriter = -1
 	}
-	if k := s.cfg.Costs.MigrateAfter; k > 0 && sp.writeDir.empty() && sp.readDir.empty() &&
+	if k := s.cfg.Variant.MigrateAfter; k > 0 && sp.writeDir.empty() && sp.readDir.empty() &&
 		sp.streak >= k && sp.lastReq != s.ssmpOf(sp.homeProc) && len(sp.pendReq) == 0 {
-		s.migrateHome(sp, sp.lastReq, at)
+		// A held page-table lock in the home SSMP is a local fault in
+		// flight (an upgrade waiting for its UP_ACK, say) that will map
+		// the home frame when it completes; the streak stands, so a later
+		// round migrates instead.
+		hcp := s.ssmps[s.ssmpOf(sp.homeProc)].pages.get(sp.page)
+		if hcp == nil || !hcp.lk.held {
+			s.migrateHome(sp, hcp, sp.lastReq, at)
+		}
 	}
 	rel := sp.pendRel
 	sp.pendRel = nil
@@ -764,16 +767,17 @@ func (s *System) sendRefresh(sp *serverPage, r int, img []byte, at sim.Time) {
 }
 
 // migrateHome moves the page's home to SSMP r (dynamic migration, an
-// extension — see Costs.MigrateAfter; sequential-only, so the Server
+// extension — see Variant.MigrateAfter; sequential-only, so the Server
 // record's move between shard maps is safe). Called at a quiescent
-// point: no copies outstanding, no queued requests. The old home SSMP's
-// own mapping is torn down; its processors refetch like any other
-// client.
-func (s *System) migrateHome(sp *serverPage, r int, at sim.Time) {
+// point: no copies outstanding, no queued requests, and the old home
+// SSMP's page-table lock on the page free. hcp is that SSMP's own
+// record of the page (nil if it never touched it): its mapping is torn
+// down, and its processors refetch like any other client.
+func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time) {
 	oldHome := sp.homeProc
 	oldSSMP := s.ssmpOf(oldHome)
 	newHome := s.ssmpBase(r) + int(uint64(sp.page)%uint64(s.cfg.ClusterSize))
-	if hcp := s.ssmps[oldSSMP].pages.get(sp.page); hcp != nil && hcp.frame != nil {
+	if hcp != nil && hcp.frame != nil {
 		for t := hcp.tlbDir; t != 0; t &= t - 1 {
 			q := s.ssmpBase(oldSSMP) + bits.TrailingZeros64(t)
 			s.tlbs[q].Invalidate(sp.page)

@@ -31,10 +31,9 @@
 // registered in write_dir, so a later release still invalidates it —
 // the printed table clears write_dir, which would strand a stale copy.
 //
-// Extensions beyond the paper, each behind a Costs flag and off by
-// default: update-based release rounds (Costs.UpdateProtocol), dynamic
-// home migration (Costs.MigrateAfter), and lazy release consistency
-// (Costs.LazyRelease, lazy.go).
+// Extensions beyond the paper, each a Variant field and off by default:
+// update-based release rounds (UpdateProtocol), dynamic home migration
+// (MigrateAfter), and lazy release consistency (LazyRelease, lazy.go).
 package core
 
 import (
@@ -84,6 +83,7 @@ type Config struct {
 	PageSize    int // bytes
 	TLBSize     int // software TLB entries per processor
 	Costs       Costs
+	Variant     Variant
 	CacheParams cache.Params
 	CacheCosts  cache.Costs
 	// Disabled turns the software layer off (the paper's "null MGS
@@ -172,7 +172,7 @@ type serverPage struct {
 	homeProc int
 	frame    *mem.Frame // the physical home copy
 	state    serverState
-	readDir  dirSet // SSMPs with read copies (exact or coarse — dirset.go)
+	readDir  dirSet // SSMPs with read copies (dirset.go)
 	writeDir dirSet // SSMPs with write copies
 
 	version     int64       // merges applied to the home frame (lazy release only)
@@ -204,11 +204,6 @@ type System struct {
 	tlbs  []*vm.TLB
 	ssmps []*ssmpState
 
-	// Hierarchical directory sizing (dirset.go): exact entries per page
-	// before the coarse collapse, and SSMPs per coarse cluster bit.
-	dirThresh int
-	dirGrain  int
-
 	// acc is the per-processor last-translation micro-cache: the result
 	// of the last successful TLB lookup, revalidated against the TLB
 	// generation so any shootdown, fill, or privilege change drops it.
@@ -222,7 +217,18 @@ type System struct {
 	Obs *obs.Observer
 	// DebugChecks enables extra invariant checking on hot paths (tests).
 	DebugChecks bool
+
+	acceptStaleWNotify bool // the model checker's seeded bug; set only by the method below
 }
+
+// MutStaleWNotify re-introduces the stale-WNOTIFY bug the staleness
+// check in onUpgrade kills: a write notification delayed past the
+// release round that captured its copy re-registers a phantom write_dir
+// bit for an SSMP that holds nothing. It exists solely so the model
+// checker's mutation regression (internal/check) can prove the explorer
+// detects the bug, which is why it is a call on a constructed System
+// and not part of any configuration.
+func (s *System) MutStaleWNotify() { s.acceptStaleWNotify = true }
 
 // emitPage publishes one protocol event about a page. Detail formatting
 // happens only when a sink is attached; emission charges no simulated
@@ -314,11 +320,6 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		acc:  make([]accEntry, cfg.NProcs),
 	}
 	nssmp := cfg.NProcs / cfg.ClusterSize
-	s.dirThresh = cfg.Costs.DirThreshold
-	if s.dirThresh <= 0 {
-		s.dirThresh = 64
-	}
-	s.dirGrain = (nssmp + 63) / 64
 	for i := 0; i < cfg.NProcs; i++ {
 		s.tlbs[i] = vm.NewTLB(cfg.TLBSize)
 	}

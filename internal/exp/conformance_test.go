@@ -4,60 +4,52 @@ import (
 	"math/rand"
 	"testing"
 
+	"mgs/internal/core"
 	"mgs/internal/fault"
 	"mgs/internal/harness"
 	"mgs/internal/msg"
-
 	"mgs/internal/vm"
 )
 
 // TestProtocolConformance runs one deterministic, data-race-free random
-// workload under every protocol variant — invalidate, update, no
-// single-writer, serial and parallel invalidations, message jitter,
-// home migration — and requires the final shared-memory contents to be
-// bit-identical across all of them. Timing may differ arbitrarily;
-// answers may not.
+// workload under every protocol variant core.Variants names, plain and
+// under message jitter, and on the mesh and at other page sizes, and
+// requires the final shared-memory contents to be bit-identical across
+// all of them. Timing may differ arbitrarily; answers may not.
 func TestProtocolConformance(t *testing.T) {
-	variants := []struct {
+	type row struct {
 		name string
 		mut  func(*harness.Config)
-	}{
-		{"default", func(*harness.Config) {}},
-		{"no-singlewriter", func(c *harness.Config) { c.Protocol.SingleWriter = false }},
-		{"parallel-inv", func(c *harness.Config) { c.Protocol.SerialInv = false }},
-		{"update", func(c *harness.Config) { c.Protocol.UpdateProtocol = true }},
-		{"jitter", func(c *harness.Config) { c.Msg.Jitter = 2000; c.Msg.JitterSeed = 11 }},
-		{"update-jitter", func(c *harness.Config) {
-			c.Protocol.UpdateProtocol = true
-			c.Msg.Jitter = 2000
-			c.Msg.JitterSeed = 12
-		}},
-		{"migration", func(c *harness.Config) { c.Protocol.MigrateAfter = 3 }},
-		{"lazy", func(c *harness.Config) { c.Protocol.LazyRelease = true }},
-		{"lazy-jitter", func(c *harness.Config) {
-			c.Protocol.LazyRelease = true
-			c.Msg.Jitter = 2000
-			c.Msg.JitterSeed = 17
-		}},
-		{"mesh", func(c *harness.Config) { c.Msg.Topology = msg.NewMesh2D(); c.Msg.InterPerHop = 250 }},
-		{"mesh-jitter", func(c *harness.Config) {
+	}
+	var rows []row
+	for i, nv := range core.Variants() {
+		nv, seed := nv, uint64(11+i)
+		rows = append(rows,
+			row{nv.Name, func(c *harness.Config) { c.Variant = nv.Variant }},
+			row{nv.Name + "-jitter", func(c *harness.Config) {
+				c.Variant = nv.Variant
+				c.Msg.Jitter = 2000
+				c.Msg.JitterSeed = seed
+			}})
+	}
+	rows = append(rows,
+		row{"mesh", func(c *harness.Config) { c.Msg.Topology = msg.NewMesh2D(); c.Msg.InterPerHop = 250 }},
+		row{"mesh-jitter", func(c *harness.Config) {
 			c.Msg.Topology = msg.NewMesh2D()
 			c.Msg.InterPerHop = 400
 			c.Msg.Jitter = 1500
 			c.Msg.JitterSeed = 13
 		}},
-		{"pagesize-512", func(c *harness.Config) { c.PageSize = 512 }},
-		{"pagesize-2048", func(c *harness.Config) { c.PageSize = 2048 }},
-	}
+		row{"pagesize-512", func(c *harness.Config) { c.PageSize = 512 }},
+		row{"pagesize-2048", func(c *harness.Config) { c.PageSize = 2048 }},
+	)
 
-	run := func(mut func(*harness.Config)) []uint64 { return conformanceRun(t, mut) }
-
-	ref := run(variants[0].mut)
-	for _, v := range variants[1:] {
-		got := run(v.mut)
+	ref := conformanceRun(t, rows[0].mut) // core.Variants lists the default first
+	for _, r := range rows[1:] {
+		got := conformanceRun(t, r.mut)
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Errorf("%s: word %d = %#x, default = %#x", v.name, i, got[i], ref[i])
+				t.Errorf("%s: word %d = %#x, default = %#x", r.name, i, got[i], ref[i])
 				break
 			}
 		}
@@ -112,25 +104,16 @@ func conformanceRun(t *testing.T, mut func(*harness.Config)) []uint64 {
 	return out
 }
 
-// TestConformanceFaultCrossProduct crosses the main protocol variants
-// with fault injection: default, update, and lazy-release protocols each
-// run fault-free and under a 5% message-drop plan (the reliable
-// transport retransmits), and all six final memory images must be
-// bit-identical. This closes the gap between the conformance suite
-// (variants, no faults) and the chaos suite (faults, default variant
-// only): faults may change when the protocol acts, never what memory
-// holds — regardless of which variant is running. The same machinery
-// backs ZeroFaultEquivalence; here the attached plan is hostile instead
-// of empty.
+// TestConformanceFaultCrossProduct crosses every protocol variant
+// core.Variants names with fault injection: each runs fault-free and
+// under a 5% message-drop plan (the reliable transport retransmits), and
+// all final memory images must be bit-identical. This closes the gap
+// between the conformance suite (variants, no faults) and the chaos
+// suite (faults, default variant only): faults may change when the
+// protocol acts, never what memory holds — regardless of which variant
+// is running. The same machinery backs ZeroFaultEquivalence; here the
+// attached plan is hostile instead of empty.
 func TestConformanceFaultCrossProduct(t *testing.T) {
-	protocols := []struct {
-		name string
-		mut  func(*harness.Config)
-	}{
-		{"default", func(*harness.Config) {}},
-		{"update", func(c *harness.Config) { c.Protocol.UpdateProtocol = true }},
-		{"lazy", func(c *harness.Config) { c.Protocol.LazyRelease = true }},
-	}
 	plans := []struct {
 		name string
 		plan fault.Plan
@@ -139,13 +122,13 @@ func TestConformanceFaultCrossProduct(t *testing.T) {
 		{"drop5", fault.Plan{Seed: 42, DropBP: 500}},
 	}
 
-	ref := conformanceRun(t, protocols[0].mut)
-	for _, pr := range protocols {
+	ref := conformanceRun(t, func(*harness.Config) {})
+	for _, nv := range core.Variants() {
 		for _, pl := range plans {
-			pr, pl := pr, pl
-			t.Run(pr.name+"/"+pl.name, func(t *testing.T) {
+			nv, pl := nv, pl
+			t.Run(nv.Name+"/"+pl.name, func(t *testing.T) {
 				got := conformanceRun(t, func(c *harness.Config) {
-					pr.mut(c)
+					c.Variant = nv.Variant
 					c.Fault = pl.plan
 				})
 				for i := range ref {

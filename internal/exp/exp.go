@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"mgs/internal/apps"
+	"mgs/internal/core"
 	"mgs/internal/framework"
 	"mgs/internal/harness"
 	"mgs/internal/msg"
@@ -245,25 +246,31 @@ const meshPerHop = 250
 
 var ablations = []Ablation{
 	// The single-writer optimization of §3.1.1.
-	{"1writer", "single-writer optimization ablation", "with", "without",
-		[]harness.Option{func(c *harness.Config) { c.Protocol.SingleWriter = false }}},
+	{"1writer", "single-writer optimization ablation", "with", "without", variant(core.VariantNoSingleWriter)},
 	// Serial versus parallel release-round invalidations.
-	{"serialinv", "serial vs parallel invalidation ablation", "serial", "parallel",
-		[]harness.Option{func(c *harness.Config) { c.Protocol.SerialInv = false }}},
+	{"serialinv", "serial vs parallel invalidation ablation", "serial", "parallel", variant(core.VariantParallelInv)},
 	// Invalidate-based (the paper's) versus update-based (Galactica
 	// Net-style) release rounds.
-	{"update", "invalidate vs update protocol ablation", "invalidate", "update",
-		[]harness.Option{func(c *harness.Config) { c.Protocol.UpdateProtocol = true }}},
+	{"update", "invalidate vs update protocol ablation", "invalidate", "update", variant(core.VariantUpdate)},
 	// The paper's eager release consistency versus the TreadMarks-style
 	// lazy variant (the §6 comparison): releases stop invalidating,
 	// acquires validate instead.
-	{"lazy", "eager vs lazy release consistency", "eager", "lazy",
-		[]harness.Option{func(c *harness.Config) { c.Protocol.LazyRelease = true }}},
+	{"lazy", "eager vs lazy release consistency", "eager", "lazy", variant(core.VariantLazy)},
 	// The run's interconnect (the paper's uniform fixed-delay LAN unless
 	// told otherwise) versus the contended 2D mesh (internal/msg mesh.go).
 	{"mesh", "uniform LAN vs contended 2D-mesh interconnect", "uniform", "mesh",
 		[]harness.Option{harness.WithTopology(msg.NewMesh2D()),
 			func(c *harness.Config) { c.Msg.InterPerHop = meshPerHop }}},
+}
+
+// variant is the alternative that runs the named core.Variants entry.
+func variant(name string) []harness.Option {
+	for _, nv := range core.Variants() {
+		if nv.Name == name {
+			return []harness.Option{func(c *harness.Config) { c.Variant = nv.Variant }}
+		}
+	}
+	panic("exp: no protocol variant " + name)
 }
 
 // AblationByName finds a two-sided ablation by its selector.

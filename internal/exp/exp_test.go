@@ -267,7 +267,7 @@ func TestDeterministicReplay(t *testing.T) {
 		mut  func(*harness.Config)
 	}{
 		{"eager", func(*harness.Config) {}},
-		{"lazy", func(c *harness.Config) { c.Protocol.LazyRelease = true }},
+		{"lazy", func(c *harness.Config) { c.Variant.LazyRelease = true }},
 		{"jitter", func(c *harness.Config) { c.Msg.Jitter = 1200; c.Msg.JitterSeed = 5 }},
 	}
 	for _, v := range variants {

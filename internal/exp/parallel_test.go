@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mgs/internal/core"
 	"mgs/internal/fault"
 	"mgs/internal/harness"
 	"mgs/internal/obs"
@@ -65,18 +66,22 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 
 // TestParallelEngineEngages pins that the equivalence above is not
 // vacuous: the standard test shape actually runs the sharded
-// dispatcher.
+// dispatcher — under every protocol variant whose handlers stay inside
+// their SSMP shard, and under no other.
 func TestParallelEngineEngages(t *testing.T) {
-	cfg := harness.NewConfig(8, 2)
-	cfg.EngineWorkers = 4
-	app := SmallApp("water")
-	m := harness.NewMachine(cfg)
-	app.Setup(m)
-	if _, err := m.Run(app.Body); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Eng.Parallelized() {
-		t.Fatal("parallel dispatcher did not engage for the standard test shape")
+	for _, nv := range core.Variants() {
+		cfg := harness.NewConfig(8, 2)
+		cfg.EngineWorkers = 4
+		cfg.Variant = nv.Variant
+		app := SmallApp("water")
+		m := harness.NewMachine(cfg)
+		app.Setup(m)
+		if _, err := m.Run(app.Body); err != nil {
+			t.Fatalf("%s: %v", nv.Name, err)
+		}
+		if got, want := m.Eng.Parallelized(), nv.ShardLocal(); got != want {
+			t.Errorf("%s: parallel dispatcher engaged = %v, ShardLocal() = %v", nv.Name, got, want)
+		}
 	}
 }
 

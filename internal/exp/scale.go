@@ -15,8 +15,8 @@ import (
 // paper's 32-processor machine could not ask): the §2.4 performance
 // framework evaluated at P = 256 and P = 1024 on the tiered LAN/WAN
 // topology, with the Server's directory footprint measured alongside —
-// the hierarchical coarse-vector directory keeps it O(sharers) per page
-// instead of O(SSMPs), which is what makes these machine sizes
+// the sparse exact directory (core/dirset.go) keeps it O(sharers) per
+// page instead of O(SSMPs), which is what makes these machine sizes
 // simulable at all.
 
 // ScalePoint is one cluster size of a scale sweep.
@@ -98,7 +98,7 @@ func ScaleSweep(name string, p int, cs []int, e Env) ([]ScalePoint, framework.Me
 // ScaleCSVHeader is ScaleCSV's column set.
 var ScaleCSVHeader = []string{
 	"app", "topology", "p", "c", "cycles", "link_wait",
-	"dir_pages", "dir_rmt_entries", "dir_coarse_pages", "dir_bytes",
+	"dir_pages", "dir_rmt_entries", "dir_bytes",
 }
 
 // ScaleCSV renders a scale sweep, one row per cluster size.
@@ -107,9 +107,9 @@ func ScaleCSV(name, topology string, p int, points []ScalePoint) string {
 	b.WriteString(strings.Join(ScaleCSVHeader, ","))
 	b.WriteByte('\n')
 	for _, pt := range points {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
 			name, topology, p, pt.C, pt.Cycles, pt.LinkWait,
-			pt.Dir.Pages, pt.Dir.RmtEntries, pt.Dir.CoarsePages, pt.Dir.Bytes)
+			pt.Dir.Pages, pt.Dir.RmtEntries, pt.Dir.Bytes)
 	}
 	return b.String()
 }

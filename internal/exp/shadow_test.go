@@ -156,7 +156,7 @@ func TestJitterLockedCounters(t *testing.T) {
 func TestUpdateProtocolCorrectness(t *testing.T) {
 	upd := func(p, c int, jitter int64) harness.Config {
 		cfg := harness.NewConfig(p, c)
-		cfg.Protocol.UpdateProtocol = true
+		cfg.Variant.UpdateProtocol = true
 		cfg.Msg.Jitter = sim.Time(jitter)
 		cfg.Msg.JitterSeed = 3
 		return cfg
@@ -218,7 +218,7 @@ func TestLazyReleaseShadow(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			const buckets = 24
 			cfg := harness.NewConfig(sh.p, sh.c)
-			cfg.Protocol.LazyRelease = true
+			cfg.Variant.LazyRelease = true
 			cfg.Msg.Jitter = sh.jitter
 			cfg.Msg.JitterSeed = 23
 			m := harness.NewMachine(cfg)
@@ -261,7 +261,7 @@ func TestLazyAppsVerify(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := harness.NewConfig(8, 2)
-			cfg.Protocol.LazyRelease = true
+			cfg.Variant.LazyRelease = true
 			if _, err := harness.RunApp(SmallApp(name), cfg); err != nil {
 				t.Fatal(err)
 			}

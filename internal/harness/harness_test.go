@@ -302,9 +302,10 @@ func (sweepProbe) Setup(m *Machine)      { m.Alloc(4096) }
 func (sweepProbe) Body(c *Ctx)           { c.Compute(1000); c.Barrier(0) }
 func (sweepProbe) Verify(*Machine) error { return nil }
 
-// TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name or a shape
-// that does not divide into SSMPs comes back from RunApp/RunAppMem as
-// an error that says what would have been accepted, and NewMachine
+// TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name, a shape
+// that does not divide into SSMPs, a size the substrate cannot build or
+// a self-contradictory protocol variant comes back from RunApp/RunAppMem
+// as an error that says what would have been accepted, and NewMachine
 // panics with that same message before constructing anything.
 func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 	for _, tc := range []struct {
@@ -315,6 +316,14 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"lock", NewConfig(4, 2, WithLockAlgo("spin")), append([]string{"unknown lock algorithm spin"}, algo.LockNames()...)},
 		{"barrier", NewConfig(4, 2, WithBarrierAlgo("butterfly")), append([]string{"unknown barrier algorithm butterfly"}, algo.BarrierNames()...)},
 		{"shape", NewConfig(6, 4), []string{"P=6 C=4"}},
+		{"pagesize-not-pow2", NewConfig(4, 2, WithPageSize(1000)), []string{"page size 1000", "power of two"}},
+		{"pagesize-zero", NewConfig(4, 2, WithPageSize(0)), []string{"page size 0"}},
+		{"pagesize-below-line", NewConfig(4, 2, WithPageSize(4)), []string{"page size 4", "16-byte cache line"}},
+		{"tlbsize", NewConfig(4, 2, WithTLBSize(0)), []string{"TLB size 0"}},
+		{"delay", NewConfig(4, 2, WithInterSSMPDelay(-5)), []string{"delay -5"}},
+		{"migrate-negative", NewConfig(4, 2, func(c *Config) { c.Variant.MigrateAfter = -1 }), []string{"MigrateAfter -1"}},
+		{"lazy-update", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.UpdateProtocol = true, true }), []string{"lazy release", "update protocol"}},
+		{"lazy-migrate", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.MigrateAfter = true, 2 }), []string{"lazy release", "home migration"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := RunApp(sweepProbe{}, tc.cfg)

@@ -36,11 +36,11 @@ type Config struct {
 	// conservative lookahead windows of the inter-SSMP latency. Results
 	// are bit-identical to the sequential engine for every worker count
 	// (1 disarms and is the reference). Configurations the sharded
-	// dispatcher cannot serve — tracing or profiling observers, lazy
-	// release, home migration, the update protocol, jittered networks,
-	// topologies reporting zero lookahead (mesh, fat-tree, tiered),
-	// debug checks, a single SSMP — fall back to sequential dispatch
-	// automatically.
+	// dispatcher cannot serve — tracing or profiling observers, protocol
+	// variants that are not shard-local (core.Variant.ShardLocal),
+	// jittered networks, topologies reporting zero lookahead (mesh,
+	// fat-tree, tiered), debug checks, a single SSMP — fall back to
+	// sequential dispatch automatically.
 	EngineWorkers int
 
 	// Fault, when non-empty, interposes the deterministic fault-injecting
@@ -59,10 +59,13 @@ type Config struct {
 	Obs *obs.Observer
 
 	Protocol core.Costs
-	Cache    cache.Costs
-	CacheHW  cache.Params
-	Msg      msg.Costs
-	Sync     algo.Costs
+	// Variant selects the protocol that runs over those costs; the
+	// default is the paper's (core.DefaultVariant, core.Variants).
+	Variant core.Variant
+	Cache   cache.Costs
+	CacheHW cache.Params
+	Msg     msg.Costs
+	Sync    algo.Costs
 
 	// LockAlgo and BarrierAlgo name the synchronization algorithms from
 	// internal/msync/algo ("token", "ticket", "mcs", "tournament" /
@@ -128,6 +131,7 @@ func NewConfig(p, c int, opts ...Option) Config {
 		P: p, C: c, PageSize: 1024, TLBSize: 64, Delay: 1000,
 		Disabled: c == p,
 		Protocol: core.DefaultCosts(),
+		Variant:  core.DefaultVariant(),
 		Cache: cache.Costs{
 			Hit: 2, Local: 11, Remote: 38, TwoParty: 42,
 			ThreeParty: 63, Software: 425, CleanPerLine: 40,
@@ -146,23 +150,38 @@ func NewConfig(p, c int, opts ...Option) Config {
 }
 
 // Validate reports the first reason the configuration cannot be built:
-// a machine shape that does not divide into SSMPs, or a lock or barrier
-// name no registered algorithm answers to.
+// a machine shape that does not divide into SSMPs, a page, TLB or
+// delay the substrate cannot size, a protocol variant whose fields
+// contradict each other, or a lock or barrier name no registered
+// algorithm answers to.
 func (cfg Config) Validate() error {
 	_, _, err := cfg.algos()
 	return err
 }
 
 // algos validates the configuration and resolves its algorithm names.
-func (cfg Config) algos() (algo.LockAlgo, algo.BarrierAlgo, error) {
-	if cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0 {
-		return nil, nil, fmt.Errorf("bad machine shape P=%d C=%d: want P > 0 and C > 0 dividing P", cfg.P, cfg.C)
+func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
+	v := cfg.Variant
+	switch {
+	case cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0:
+		err = fmt.Errorf("bad machine shape P=%d C=%d: want P > 0 and C > 0 dividing P", cfg.P, cfg.C)
+	case cfg.PageSize < cfg.CacheHW.LineSize || cfg.PageSize&(cfg.PageSize-1) != 0:
+		err = fmt.Errorf("bad page size %d: want a power of two of at least one %d-byte cache line", cfg.PageSize, cfg.CacheHW.LineSize)
+	case cfg.TLBSize <= 0:
+		err = fmt.Errorf("bad TLB size %d: want at least one entry", cfg.TLBSize)
+	case cfg.Delay < 0:
+		err = fmt.Errorf("bad inter-SSMP delay %d: want a non-negative cycle count", cfg.Delay)
+	case v.MigrateAfter < 0:
+		err = fmt.Errorf("bad MigrateAfter %d: want 0 (homes fixed) or a positive serve count", v.MigrateAfter)
+	case v.LazyRelease && (v.UpdateProtocol || v.MigrateAfter > 0):
+		err = fmt.Errorf("lazy release runs no eager release round, so it cannot be combined with the update protocol or home migration, which only modify that round")
 	}
-	la, err := algo.LockByName(cfg.LockAlgo)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		la, err = algo.LockByName(cfg.LockAlgo)
 	}
-	ba, err := algo.BarrierByName(cfg.BarrierAlgo)
+	if err == nil {
+		ba, err = algo.BarrierByName(cfg.BarrierAlgo)
+	}
 	return la, ba, err
 }
 
@@ -213,7 +232,7 @@ func NewMachine(cfg Config) *Machine {
 	space := vm.NewSpace(cfg.PageSize, cfg.P)
 	m.DSM = core.New(m.Eng, m.Net, space, st, m.Procs, core.Config{
 		NProcs: cfg.P, ClusterSize: cfg.C, PageSize: cfg.PageSize,
-		TLBSize: cfg.TLBSize, Costs: cfg.Protocol,
+		TLBSize: cfg.TLBSize, Costs: cfg.Protocol, Variant: cfg.Variant,
 		CacheParams: cfg.CacheHW, CacheCosts: cfg.Cache,
 		Disabled: cfg.Disabled,
 	})
@@ -282,9 +301,9 @@ type Result struct {
 	LinkWait int64
 	// Dir is the Server-side directory footprint at end of run
 	// (core.System.DirectoryStats): how many pages hold server state, how
-	// many sparse per-SSMP copy records exist, and how many directories
-	// collapsed to the coarse cluster vector. Deterministic, so it rides
-	// the bit-identity comparisons like every other field.
+	// many sparse per-SSMP copy records and directory entries exist.
+	// Deterministic, so it rides the bit-identity comparisons like every
+	// other field.
 	Dir core.DirectoryStats
 	// Counters are the protocol event counters, sorted.
 	Counters []string
@@ -351,14 +370,7 @@ func (m *Machine) parallelOK() bool {
 	case cfg.Obs.Profiler() != nil:
 		// The profiler's attribution map is shared across processors.
 		return false
-	case cfg.Protocol.LazyRelease:
-		// Acquire-side validation reads home versions directly.
-		return false
-	case cfg.Protocol.MigrateAfter > 0:
-		// Home migration moves server records between SSMPs.
-		return false
-	case cfg.Protocol.UpdateProtocol:
-		// Update rounds refresh remote copies from the home frame.
+	case !cfg.Variant.ShardLocal():
 		return false
 	case cfg.Msg.Jitter > 0:
 		// Jitter draws from one shared deterministic stream.

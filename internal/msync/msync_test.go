@@ -40,7 +40,7 @@ func buildTest(p, c int, delay sim.Time) *testMachine {
 	space := vm.NewSpace(1024, p)
 	cfg := core.Config{
 		NProcs: p, ClusterSize: c, PageSize: 1024, TLBSize: 64,
-		Costs: core.DefaultCosts(), CacheParams: cache.DefaultParams(),
+		Costs: core.DefaultCosts(), Variant: core.DefaultVariant(), CacheParams: cache.DefaultParams(),
 		CacheCosts: cache.Costs{Hit: 2, Local: 11, Remote: 38, TwoParty: 42, ThreeParty: 63, Software: 425, CleanPerLine: 20},
 	}
 	tm.st, tm.net = st, net
