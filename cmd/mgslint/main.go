@@ -1,32 +1,23 @@
-// Command mgslint runs the internal/lint analyzer suite (see DESIGN.md
-// §"Static invariants"). It operates in two modes:
+// Command mgslint is the vet tool for the internal/lint analyzer suite
+// (see DESIGN.md §"Static invariants"):
 //
-// Standalone, for CI and local use:
+//	go build -o /tmp/mgslint ./cmd/mgslint
+//	go vet -vettool=/tmp/mgslint ./...
 //
-//	mgslint [-json] [packages...]
-//
-// resolves the package patterns (default ./...) with `go list`, builds
-// export data for every dependency with `go list -export -deps`, then
-// type-checks and analyzes each target package. Diagnostics go to
-// stdout (plain or, with -json, as a JSON array); the exit status is 1
-// if any diagnostic fired and 0 otherwise.
-//
-// Vettool, speaking cmd/go's unitchecker protocol:
-//
-//	go vet -vettool=$(command -v mgslint) ./...
-//
-// cmd/go probes the tool with -V=full (cache key) and -flags (accepted
-// flags), then invokes it once per package with a single *.cfg argument
-// describing the compilation unit. Diagnostics go to stderr and the
-// exit status is 2, matching golang.org/x/tools/go/analysis/unitchecker
-// (which this reimplements on the standard library alone, because the
-// module cache does not carry x/tools).
+// It speaks cmd/go's unitchecker protocol and nothing else: cmd/go
+// probes the tool with -V=full (cache key) and -flags (accepted flags,
+// none), then invokes it once per package, in dependency order, with a
+// single *.cfg argument describing the compilation unit. Diagnostics go
+// to stderr and the exit status is 2, matching
+// golang.org/x/tools/go/analysis/unitchecker (which this reimplements
+// on the standard library alone, because the module cache does not
+// carry x/tools). Package loading, build caching, test files and fact
+// threading are all cmd/go's.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -35,8 +26,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 
 	"mgs/internal/lint"
@@ -44,23 +33,20 @@ import (
 )
 
 func main() {
-	// cmd/go's vettool probes come before flag parsing.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		printVersion()
-		return
+	if len(os.Args) == 2 {
+		switch arg := os.Args[1]; {
+		case arg == "-V=full":
+			printVersion()
+			return
+		case arg == "-flags":
+			fmt.Println("[]") // the JSON flag inventory cmd/go may forward: none
+			return
+		case strings.HasSuffix(arg, ".cfg"):
+			os.Exit(runVet(arg))
+		}
 	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		printFlagDefs()
-		return
-	}
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVet(args[0]))
-	}
-	os.Exit(runStandalone(args, *jsonOut, *sarifOut))
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v mgslint) ./...")
+	os.Exit(2)
 }
 
 // inModule reports whether the import path (possibly a test variant
@@ -88,24 +74,6 @@ func printVersion() {
 	}
 	fmt.Printf("mgslint version devel buildID=%x\n", h.Sum(nil))
 }
-
-// printFlagDefs answers -flags: the JSON flag inventory cmd/go uses to
-// decide which `go vet` flags it may forward to the tool.
-func printFlagDefs() {
-	type flagDef struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := []flagDef{
-		{Name: "json", Bool: true, Usage: "emit diagnostics as a JSON array on stdout"},
-		{Name: "sarif", Bool: true, Usage: "emit diagnostics as a SARIF 2.1.0 log on stdout"},
-	}
-	json.NewEncoder(os.Stdout).Encode(defs)
-}
-
-// ---------------------------------------------------------------------
-// Vettool mode: the unitchecker protocol.
 
 // vetConfig is the compilation-unit description cmd/go writes to the
 // *.cfg file (a subset of the fields; unknown ones are ignored).
@@ -252,216 +220,4 @@ func (m *mapImporter) Import(path string) (*types.Package, error) {
 		path = canon
 	}
 	return m.gc.Import(path)
-}
-
-// ---------------------------------------------------------------------
-// Standalone mode: resolve packages with the go tool, analyze in-process.
-
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-}
-
-func runStandalone(patterns []string, jsonOut, sarifOut bool) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	// One -deps pass compiles every dependency (harvesting export data
-	// for type-checking) and yields the packages in dependency order, so
-	// each module package's facts exist before any dependent needs them.
-	// DepOnly marks dependencies that did not match the patterns: they
-	// are analyzed for facts but their diagnostics are not reported.
-	type listPkg struct {
-		ImportPath string
-		Dir        string
-		GoFiles    []string
-		Export     string
-		Standard   bool
-		DepOnly    bool
-	}
-	exports := map[string]string{}
-	var pkgs []listPkg
-	if err := goList(append([]string{"-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly"}, patterns...),
-		func(dec *json.Decoder) error {
-			var p listPkg
-			if err := dec.Decode(&p); err != nil {
-				return err
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-			if !p.Standard && inModule(p.ImportPath) {
-				pkgs = append(pkgs, p)
-			}
-			return nil
-		}); err != nil {
-		fmt.Fprintf(os.Stderr, "mgslint: %v\n", err)
-		return 1
-	}
-
-	fset := token.NewFileSet()
-	imp := &mapImporter{gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})}
-
-	facts := map[string]*analysis.PackageFacts{}
-	imported := func(path string) *analysis.PackageFacts { return facts[path] }
-
-	exit := 0
-	var all []jsonDiag
-	for _, t := range pkgs {
-		var files []*ast.File
-		parseOK := true
-		for _, name := range t.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mgslint: %v\n", err)
-				exit, parseOK = 1, false
-				break
-			}
-			files = append(files, f)
-		}
-		if !parseOK || len(files) == 0 {
-			continue
-		}
-		info := lint.NewTypesInfo()
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(t.ImportPath, fset, files, info)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mgslint: %s: %v\n", t.ImportPath, err)
-			exit = 1
-			continue
-		}
-		diags, pf, err := lint.RunPackage(fset, files, pkg, info, imported)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mgslint: %s: %v\n", t.ImportPath, err)
-			exit = 1
-			continue
-		}
-		facts[t.ImportPath] = pf
-		if t.DepOnly {
-			continue
-		}
-		for _, d := range diags {
-			all = append(all, toJSONDiag(fset, d))
-		}
-	}
-
-	switch {
-	case sarifOut:
-		writeSARIF(os.Stdout, all)
-	case jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if all == nil {
-			all = []jsonDiag{}
-		}
-		enc.Encode(all)
-	default:
-		for _, d := range all {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-		}
-	}
-	if len(all) > 0 && exit == 0 {
-		exit = 1
-	}
-	return exit
-}
-
-// writeSARIF emits the diagnostics as a minimal SARIF 2.1.0 log — the
-// format code-scanning UIs ingest. One run, one rule per analyzer,
-// every diagnostic an error-level result.
-func writeSARIF(w io.Writer, diags []jsonDiag) {
-	type sarifMsg struct {
-		Text string `json:"text"`
-	}
-	type sarifRule struct {
-		ID   string   `json:"id"`
-		Desc sarifMsg `json:"shortDescription"`
-	}
-	type sarifRegion struct {
-		StartLine   int `json:"startLine"`
-		StartColumn int `json:"startColumn"`
-	}
-	type sarifLocation struct {
-		PhysicalLocation struct {
-			ArtifactLocation struct {
-				URI string `json:"uri"`
-			} `json:"artifactLocation"`
-			Region sarifRegion `json:"region"`
-		} `json:"physicalLocation"`
-	}
-	type sarifResult struct {
-		RuleID    string          `json:"ruleId"`
-		Level     string          `json:"level"`
-		Message   sarifMsg        `json:"message"`
-		Locations []sarifLocation `json:"locations"`
-	}
-	rules := []sarifRule{{ID: "mgslint-allow", Desc: sarifMsg{Text: "defective //mgslint:allow comment (unjustified, unknown analyzer, or dead)"}}}
-	for _, a := range lint.All() {
-		rules = append(rules, sarifRule{ID: a.Name, Desc: sarifMsg{Text: a.Doc}})
-	}
-	results := []sarifResult{}
-	for _, d := range diags {
-		r := sarifResult{RuleID: d.Analyzer, Level: "error", Message: sarifMsg{Text: d.Message}}
-		var loc sarifLocation
-		loc.PhysicalLocation.ArtifactLocation.URI = filepath.ToSlash(d.File)
-		loc.PhysicalLocation.Region = sarifRegion{StartLine: d.Line, StartColumn: d.Col}
-		r.Locations = []sarifLocation{loc}
-		results = append(results, r)
-	}
-	log := map[string]any{
-		"$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-		"version": "2.1.0",
-		"runs": []map[string]any{{
-			"tool": map[string]any{"driver": map[string]any{
-				"name":  "mgslint",
-				"rules": rules,
-			}},
-			"results": results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(log)
-}
-
-func toJSONDiag(fset *token.FileSet, d analysis.Diagnostic) jsonDiag {
-	pos := fset.Position(d.Pos)
-	file := pos.Filename
-	if wd, err := os.Getwd(); err == nil {
-		if rel, err := filepath.Rel(wd, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = rel
-		}
-	}
-	return jsonDiag{Analyzer: d.Analyzer, File: file, Line: pos.Line, Col: pos.Column, Message: d.Message}
-}
-
-// goList streams `go list <args>` output through decode.
-func goList(args []string, decode func(*json.Decoder) error) error {
-	cmd := exec.Command("go", append([]string{"list"}, args...)...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	dec := json.NewDecoder(out)
-	for dec.More() {
-		if err := decode(dec); err != nil {
-			cmd.Wait()
-			return err
-		}
-	}
-	return cmd.Wait()
 }

@@ -112,11 +112,16 @@ func TestComputeDiffOwnedAllocs(t *testing.T) {
 	}
 }
 
+// diffSink keeps the accessor results live inside AllocsPerRun.
+var diffSink int
+
 // TestDiffPoolRoundTripZeroAllocs pins the full protocol-path shape the
 // release and refresh handlers use: draw a pooled buffer, compute,
 // apply the diff to a home image, return the buffer. Once the pool is
-// warm the whole round trip allocates nothing — this is what lets the
-// lazy-release and update-refresh paths carry //mgs:noalloc.
+// warm the whole round trip allocates nothing, and neither do the Diff
+// accessors the handlers size and label messages with. This test is
+// the only check on the lazy-release and update-refresh paths staying
+// allocation-free.
 func TestDiffPoolRoundTripZeroAllocs(t *testing.T) {
 	for _, p := range diffPatterns {
 		twin, cur := diffPage(p.changed)
@@ -130,6 +135,7 @@ func TestDiffPoolRoundTripZeroAllocs(t *testing.T) {
 			db := getDiffBuf()
 			d := db.Compute(twin, cur)
 			d.Apply(home)
+			diffSink += d.Len() + d.Bytes(8) + int(d.Checksum())
 			putDiffBuf(db)
 		})
 		if allocs != 0 {

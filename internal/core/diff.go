@@ -25,7 +25,7 @@ type Diff []DiffRange
 // labels so in-flight diffs with different contents never hash to the
 // same pending-event multiset; it is never computed on normal runs.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func (d Diff) Checksum() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -74,7 +74,7 @@ type DiffBuf struct {
 // to a plain byte-at-a-time scan, so message sizes and protocol costs
 // are unchanged.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func (b *DiffBuf) Compute(twin, cur []byte) Diff {
 	if len(twin) != len(cur) {
 		panic("core: twin/page size mismatch")
@@ -171,7 +171,7 @@ func ComputeDiff(twin, cur []byte) Diff {
 
 // Apply merges the diff into dst (the home copy).
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func (d Diff) Apply(dst []byte) {
 	for _, r := range d {
 		copy(dst[r.Off:r.Off+len(r.Data)], r.Data)
@@ -181,7 +181,7 @@ func (d Diff) Apply(dst []byte) {
 // Bytes is the payload size of the diff: changed data plus a fixed
 // per-range header of hdr bytes.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func (d Diff) Bytes(hdr int) int {
 	n := 0
 	for _, r := range d {
@@ -192,5 +192,5 @@ func (d Diff) Bytes(hdr int) int {
 
 // Len reports the number of ranges.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func (d Diff) Len() int { return len(d) }

@@ -143,7 +143,7 @@ type pageArena[T any] struct {
 
 // get returns the record for page v, or nil.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestPageArena.
 func (a *pageArena[T]) get(v vm.Page) *T {
 	if int(v) < len(a.slots) {
 		return a.slots[v]

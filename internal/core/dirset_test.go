@@ -120,6 +120,11 @@ func TestPageArena(t *testing.T) {
 	if a.get(7) != nil || a.n != 1 {
 		t.Fatal("del did not remove")
 	}
+	// Every directory lookup goes through get: hit, hole and
+	// out-of-range all stay allocation-free.
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = a.get(3), a.get(5), a.get(1<<20) }); allocs != 0 {
+		t.Errorf("pageArena.get allocated %.1f times per op, want 0", allocs)
+	}
 }
 
 // TestDirectoryStatsSparse checks the home-side scaling claim: copy

@@ -45,10 +45,10 @@ var diffBufPool = sync.Pool{
 // getDiffBuf draws a reusable diff buffer. Pair with putDiffBuf once
 // the diff computed from it has been applied (or discarded).
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func getDiffBuf() *DiffBuf { return diffBufPool.Get().(*DiffBuf) }
 
-//mgs:noalloc
+// Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func putDiffBuf(b *DiffBuf) {
 	if b != nil {
 		diffBufPool.Put(b)

@@ -38,11 +38,8 @@ type allowSite struct {
 }
 
 // AllowList holds one package's parsed //mgslint:allow comments and
-// tracks which of them earned their keep. Usage accrues through Permit
-// — called both by analyzers consulting the escape hatch mid-analysis
-// (a discharged noalloc call edge) and by Filter suppressing emitted
-// diagnostics — so dead-allow detection sees every consultation, not
-// just the ones that reached a report.
+// tracks which of them earned their keep by suppressing a diagnostic in
+// Filter.
 type AllowList struct {
 	fset  *token.FileSet
 	sites []allowSite
@@ -109,12 +106,11 @@ func (s *allowSite) coversAt(name, file string, commentLine int) bool {
 	return s.file == file && s.line == commentLine
 }
 
-// Permit reports whether a well-formed allow covers the named analyzer
+// permit reports whether a well-formed allow covers the named analyzer
 // at pos, marking the covering site used. A trailing comment on the
 // diagnostic's own line is credited before one on the line above, so
-// consecutive lines each carrying their own allow both stay live. This
-// is the analysis.Pass.Allow hook.
-func (al *AllowList) Permit(analyzer string, pos token.Pos) bool {
+// consecutive lines each carrying their own allow both stay live.
+func (al *AllowList) permit(analyzer string, pos token.Pos) bool {
 	p := al.fset.Position(pos)
 	for _, commentLine := range []int{p.Line, p.Line - 1} {
 		for i := range al.sites {
@@ -138,7 +134,7 @@ func (al *AllowList) Filter(diags []analysis.Diagnostic, ran []string) []analysi
 	}
 	var out []analysis.Diagnostic
 	for _, d := range diags {
-		if !al.Permit(d.Analyzer, d.Pos) {
+		if !al.permit(d.Analyzer, d.Pos) {
 			out = append(out, d)
 		}
 	}
@@ -180,7 +176,7 @@ func (al *AllowList) Filter(diags []analysis.Diagnostic, ran []string) []analysi
 			out = append(out, analysis.Diagnostic{
 				Pos:      s.pos,
 				Analyzer: "mgslint-allow",
-				Message:  "dead mgslint:allow: it suppresses no diagnostic and discharges no analysis; remove it",
+				Message:  "dead mgslint:allow: it suppresses no diagnostic; remove it",
 			})
 		}
 	}

@@ -49,22 +49,9 @@ type Pass struct {
 	// packages outside the module). May itself be nil.
 	ImportedFacts func(path string) *PackageFacts
 
-	// Allow consults the //mgslint:allow escape hatch at pos for the
-	// named analyzer and, when covered, marks the allow site used (so
-	// dead-allow detection does not flag it). Analyzers call it when a
-	// would-be finding gates further traversal — a suppressed allocation
-	// must not poison every transitive caller. May be nil.
-	Allow func(analyzer string, pos token.Pos) bool
-
 	// Report records one diagnostic. Drivers set it; analyzers usually
 	// call Reportf instead.
 	Report func(Diagnostic)
-}
-
-// Allowed reports whether the escape hatch covers (analyzer, pos),
-// tolerating a nil Allow hook.
-func (p *Pass) Allowed(analyzer string, pos token.Pos) bool {
-	return p.Allow != nil && p.Allow(analyzer, pos)
 }
 
 // FactsFor resolves facts for an imported package path, tolerating a

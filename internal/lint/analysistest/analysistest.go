@@ -120,7 +120,7 @@ func (l *loader) load(path string) (*fixturePkg, error) {
 	// package type-checks, every fixture dependency already exported its
 	// facts — the same dependency-order contract cmd/mgslint upholds.
 	p.allow = lint.ParseAllowList(l.fset, files)
-	l.facts[path] = lint.ComputeFacts(l.fset, files, pkg, info, l.imported, p.allow.Permit)
+	l.facts[path] = lint.ComputeFacts(l.fset, files, pkg, info, l.imported)
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -190,7 +190,6 @@ func check(t *testing.T, l *loader, a *analysis.Analyzer, p *fixturePkg) {
 		TypesInfo:     p.info,
 		ImportedFacts: l.imported,
 		Facts:         l.facts[p.pkg.Path()],
-		Allow:         p.allow.Permit,
 		Report:        func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {

@@ -11,11 +11,6 @@ import (
 
 // The //mgs: annotation grammar (DESIGN.md §6):
 //
-//	//mgs:noalloc
-//	    on a function or method declaration: the function, and
-//	    everything it transitively calls, must not allocate. Checked by
-//	    noalloc; escaped per call site with //mgslint:allow noalloc.
-//
 //	//mgs:shared
 //	    on a struct type: instances are reachable from multiple engine
 //	    shards. Every write to any field outside construction must be
@@ -37,19 +32,16 @@ import (
 
 const mgsPrefix = "//mgs:"
 
-// annDiag is a malformed-annotation finding, tagged with the analyzer
-// that owns (and reports) it so the two consumers do not double-report.
+// annDiag is a malformed-annotation finding; shardsafe reports it.
 type annDiag struct {
-	pos   token.Pos
-	owner string // analyzer name: "noalloc" or "shardsafe"
-	msg   string
+	pos token.Pos
+	msg string
 }
 
 // mgsAnnotations is every //mgs: directive in one package.
 type mgsAnnotations struct {
-	noalloc map[*types.Func]token.Pos
-	shared  map[*types.Named]*analysis.SharedTypeFact
-	bad     []annDiag
+	shared map[*types.Named]*analysis.SharedTypeFact
+	bad    []annDiag
 }
 
 // sharedFact returns the annotation summary for a named type, or nil.
@@ -63,31 +55,24 @@ func (a *mgsAnnotations) sharedFact(n *types.Named) *analysis.SharedTypeFact {
 // collectAnnotations parses every //mgs: directive of the pass's
 // non-test files, validating placement and arguments.
 func collectAnnotations(pass *analysis.Pass) *mgsAnnotations {
-	a := &mgsAnnotations{
-		noalloc: map[*types.Func]token.Pos{},
-		shared:  map[*types.Named]*analysis.SharedTypeFact{},
-	}
+	a := &mgsAnnotations{shared: map[*types.Named]*analysis.SharedTypeFact{}}
 	consumed := map[*ast.Comment]bool{}
 	for _, f := range sourceFiles(pass) {
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				a.funcDirectives(pass, d, consumed)
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
 					continue
 				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil && len(d.Specs) == 1 {
-						doc = d.Doc
-					}
-					a.typeDirectives(pass, ts, doc, consumed)
+				doc := ts.Doc
+				if doc == nil && len(d.Specs) == 1 {
+					doc = d.Doc
 				}
+				a.typeDirectives(pass, ts, doc, consumed)
 			}
 		}
 		// Anything left is misplaced or misspelled: say so rather than
@@ -96,9 +81,8 @@ func collectAnnotations(pass *analysis.Pass) *mgsAnnotations {
 			for _, c := range cg.List {
 				if strings.HasPrefix(c.Text, mgsPrefix) && !consumed[c] {
 					a.bad = append(a.bad, annDiag{
-						pos:   c.Pos(),
-						owner: "shardsafe",
-						msg:   "misplaced //mgs: directive (must be in the doc comment of a func, type, or struct field): " + firstLine(c.Text),
+						pos: c.Pos(),
+						msg: "misplaced //mgs: directive (must be in the doc comment of a type or struct field): " + firstLine(c.Text),
 					})
 				}
 			}
@@ -124,37 +108,6 @@ func directive(c *ast.Comment) (verb, rest string, ok bool) {
 	return verb, strings.TrimSpace(rest), true
 }
 
-func (a *mgsAnnotations) funcDirectives(pass *analysis.Pass, fd *ast.FuncDecl, consumed map[*ast.Comment]bool) {
-	if fd.Doc == nil {
-		return
-	}
-	for _, c := range fd.Doc.List {
-		verb, rest, ok := directive(c)
-		if !ok {
-			continue
-		}
-		consumed[c] = true
-		if verb != "noalloc" {
-			a.bad = append(a.bad, annDiag{pos: c.Pos(), owner: "shardsafe",
-				msg: "//mgs:" + verb + " is not valid on a function declaration (only //mgs:noalloc is)"})
-			continue
-		}
-		if rest != "" {
-			a.bad = append(a.bad, annDiag{pos: c.Pos(), owner: "noalloc",
-				msg: "//mgs:noalloc takes no arguments (use //mgslint:allow noalloc at a call site to escape one path)"})
-			continue
-		}
-		if fd.Body == nil {
-			a.bad = append(a.bad, annDiag{pos: c.Pos(), owner: "noalloc",
-				msg: "//mgs:noalloc on a bodyless declaration enforces nothing"})
-			continue
-		}
-		if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-			a.noalloc[obj] = c.Pos()
-		}
-	}
-}
-
 func (a *mgsAnnotations) typeDirectives(pass *analysis.Pass, ts *ast.TypeSpec, doc *ast.CommentGroup, consumed map[*ast.Comment]bool) {
 	obj, _ := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
 	var named *types.Named
@@ -172,12 +125,12 @@ func (a *mgsAnnotations) typeDirectives(pass *analysis.Pass, ts *ast.TypeSpec, d
 			}
 			consumed[c] = true
 			if verb != "shared" {
-				a.bad = append(a.bad, annDiag{pos: c.Pos(), owner: "shardsafe",
+				a.bad = append(a.bad, annDiag{pos: c.Pos(),
 					msg: "//mgs:" + verb + " is not valid on a type declaration (only //mgs:shared is)"})
 				continue
 			}
 			if !isStruct {
-				a.bad = append(a.bad, annDiag{pos: c.Pos(), owner: "shardsafe",
+				a.bad = append(a.bad, annDiag{pos: c.Pos(),
 					msg: "//mgs:shared only applies to struct types"})
 				continue
 			}
@@ -209,37 +162,37 @@ func (a *mgsAnnotations) fieldDirective(pass *analysis.Pass, st *ast.StructType,
 	switch verb {
 	case "guardedby":
 		if rest == "" {
-			a.bad = append(a.bad, annDiag{pos: pos, owner: "shardsafe",
+			a.bad = append(a.bad, annDiag{pos: pos,
 				msg: "//mgs:guardedby needs the name of the guarding mutex field"})
 			return
 		}
 		if !structHasMutexField(pass, st, rest) {
-			a.bad = append(a.bad, annDiag{pos: pos, owner: "shardsafe",
+			a.bad = append(a.bad, annDiag{pos: pos,
 				msg: "//mgs:guardedby " + rest + ": no sync.Mutex/sync.RWMutex field of that name in this struct"})
 			return
 		}
 		ff = &analysis.FieldFact{Kind: "guardedby", Arg: rest}
 	case "atomic":
 		if rest != "" {
-			a.bad = append(a.bad, annDiag{pos: pos, owner: "shardsafe",
+			a.bad = append(a.bad, annDiag{pos: pos,
 				msg: "//mgs:atomic takes no arguments"})
 			return
 		}
 		ff = &analysis.FieldFact{Kind: "atomic"}
 	case "shardpinned":
 		if rest == "" {
-			a.bad = append(a.bad, annDiag{pos: pos, owner: "shardsafe",
+			a.bad = append(a.bad, annDiag{pos: pos,
 				msg: "//mgs:shardpinned needs a justification naming the owning shard/context"})
 			return
 		}
 		ff = &analysis.FieldFact{Kind: "shardpinned", Arg: rest}
 	default:
-		a.bad = append(a.bad, annDiag{pos: pos, owner: "shardsafe",
+		a.bad = append(a.bad, annDiag{pos: pos,
 			msg: "//mgs:" + verb + " is not valid on a struct field (guardedby/atomic/shardpinned are)"})
 		return
 	}
 	if len(field.Names) == 0 {
-		a.bad = append(a.bad, annDiag{pos: pos, owner: "shardsafe",
+		a.bad = append(a.bad, annDiag{pos: pos,
 			msg: "//mgs:" + verb + " on an embedded field is not supported; name the field"})
 		return
 	}

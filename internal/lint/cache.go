@@ -6,19 +6,15 @@ import (
 	"mgs/internal/lint/analysis"
 )
 
-// The interprocedural results (call graph, alloc/taint fixpoints, shard
-// residuals) are needed twice per package: once by ComputeFacts before
-// any analyzer runs, and once by the analyzer that reports from them.
-// They are pure functions of the type-checked package, the allow list,
-// and the imported facts — all identical within one RunPackage — so a
-// process-wide memo keyed by the package's *types.Info (unique per
-// load) shares the work. mgslint is a one-shot, single-threaded
-// process; the memo lives for tens of packages at most.
+// The annotations and shard residuals are needed twice per package:
+// once by ComputeFacts before any analyzer runs, and once by shardsafe
+// when it reports from them. They are pure functions of the
+// type-checked package and the imported facts — both identical within
+// one RunPackage — so a process-wide memo keyed by the package's
+// *types.Info (unique per load) shares the work. mgslint is a one-shot,
+// single-threaded process; the memo lives for tens of packages at most.
 type pkgCache struct {
 	anns  *mgsAnnotations
-	graph *callGraph
-	alloc map[*types.Func]*allocInfo
-	taint map[*types.Func]*taintResult
 	shard []*shardNode
 }
 
@@ -39,30 +35,6 @@ func annsFor(pass *analysis.Pass) *mgsAnnotations {
 		c.anns = collectAnnotations(pass)
 	}
 	return c.anns
-}
-
-func graphFor(pass *analysis.Pass) *callGraph {
-	c := cacheFor(pass)
-	if c.graph == nil {
-		c.graph = buildCallGraph(pass, nil)
-	}
-	return c.graph
-}
-
-func allocInfoFor(pass *analysis.Pass) map[*types.Func]*allocInfo {
-	c := cacheFor(pass)
-	if c.alloc == nil {
-		c.alloc = computeAllocInfo(pass, graphFor(pass))
-	}
-	return c.alloc
-}
-
-func taintFor(pass *analysis.Pass) map[*types.Func]*taintResult {
-	c := cacheFor(pass)
-	if c.taint == nil {
-		c.taint = computeTaint(pass, graphFor(pass))
-	}
-	return c.taint
 }
 
 func shardNodesFor(pass *analysis.Pass) []*shardNode {

@@ -22,7 +22,7 @@ import (
 
 // funcID returns the canonical fact key for f: "Name" for package
 // functions, "(Recv).Name" for methods with any pointer receiver
-// unwrapped, so both drivers and the JSON fact files agree.
+// unwrapped, so every unit's JSON fact file agrees.
 func funcID(f *types.Func) string {
 	if o := f.Origin(); o != nil {
 		f = o
@@ -44,12 +44,12 @@ func funcPkgPath(f *types.Func) string {
 	return canonicalPath(f.Pkg().Path())
 }
 
-// callSite is one call (or method-value) inside a function body.
+// callSite is one resolved call (or method-value) inside a function
+// body. Calls through function values resolve to nothing and are not
+// recorded.
 type callSite struct {
 	pos     token.Pos
-	call    *ast.CallExpr // nil for method values
 	targets []*types.Func // resolved callees (1 static, N for CHA)
-	dynamic string        // non-empty when the call could not be resolved
 }
 
 // cgNode is one declared function and everything callable from it.
@@ -62,9 +62,8 @@ type cgNode struct {
 // callGraph spans one package's declarations, with targets possibly in
 // other packages.
 type callGraph struct {
-	nodes  map[*types.Func]*cgNode
-	byID   map[string]*types.Func        // same-package canonical ID → fn
-	byCall map[*ast.CallExpr]*callSite   // call expression → its resolved site
+	nodes map[*types.Func]*cgNode
+	byID  map[string]*types.Func // same-package canonical ID → fn
 }
 
 // node returns the graph node for fn, or nil (foreign or undeclared).
@@ -84,9 +83,8 @@ func (g *callGraph) node(fn *types.Func) *cgNode {
 // of its module-internal imports.
 func buildCallGraph(pass *analysis.Pass, skip map[*ast.FuncLit]bool) *callGraph {
 	g := &callGraph{
-		nodes:  map[*types.Func]*cgNode{},
-		byID:   map[string]*types.Func{},
-		byCall: map[*ast.CallExpr]*callSite{},
+		nodes: map[*types.Func]*cgNode{},
+		byID:  map[string]*types.Func{},
 	}
 	uni := typeUniverse(pass.Pkg)
 	for _, f := range sourceFiles(pass) {
@@ -103,11 +101,6 @@ func buildCallGraph(pass *analysis.Pass, skip map[*ast.FuncLit]bool) *callGraph 
 			collectSites(pass.TypesInfo, fd.Body, skip, uni, n)
 			g.nodes[obj] = n
 			g.byID[funcID(obj)] = obj
-			for i := range n.sites {
-				if n.sites[i].call != nil {
-					g.byCall[n.sites[i].call] = &n.sites[i]
-				}
-			}
 		}
 	}
 	return g
@@ -158,8 +151,7 @@ func collectSites(info *types.Info, body ast.Node, skip map[*ast.FuncLit]bool, u
 			}
 		case *ast.SelectorExpr:
 			// A method value (x.M not immediately called) binds the
-			// receiver: the method may run later, so it is an edge (and,
-			// for noalloc, the binding itself allocates).
+			// receiver: the method may run later, so it is an edge.
 			if calledFuns[e] {
 				return
 			}
@@ -174,24 +166,18 @@ func collectSites(info *types.Info, body ast.Node, skip map[*ast.FuncLit]bool, u
 	})
 }
 
-// resolveCall classifies one call expression. Conversions and builtins
-// are not call sites (the local analyses handle their allocation and
-// taint behavior directly).
+// resolveCall resolves one call expression to its targets. Conversions,
+// builtins, and calls through function values are not call sites.
 func resolveCall(info *types.Info, call *ast.CallExpr, uni []*types.Named) (callSite, bool) {
 	fun := ast.Unparen(call.Fun)
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
 		return callSite{}, false // conversion
 	}
 	if id, ok := fun.(*ast.Ident); ok {
-		switch obj := info.Uses[id].(type) {
-		case *types.Builtin, nil:
-			return callSite{}, false
-		case *types.Func:
-			return callSite{pos: call.Pos(), call: call, targets: []*types.Func{obj}}, true
-		default:
-			// Call of a function-typed variable: dynamic.
-			return callSite{pos: call.Pos(), call: call, dynamic: "call through function value " + id.Name}, true
+		if f, ok := info.Uses[id].(*types.Func); ok {
+			return callSite{pos: call.Pos(), targets: []*types.Func{f}}, true
 		}
+		return callSite{}, false // builtin, or a function-typed variable
 	}
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
 		if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
@@ -199,18 +185,15 @@ func resolveCall(info *types.Info, call *ast.CallExpr, uni []*types.Named) (call
 			if f == nil {
 				return callSite{}, false
 			}
-			return callSite{pos: call.Pos(), call: call, targets: methodTargets(f, s.Recv(), uni)}, true
+			return callSite{pos: call.Pos(), targets: methodTargets(f, s.Recv(), uni)}, true
 		}
-		// Package-qualified function, or a field of function type.
+		// Package-qualified function (a field of function type resolves
+		// to nothing).
 		if f, ok := info.Uses[sel.Sel].(*types.Func); ok {
-			return callSite{pos: call.Pos(), call: call, targets: []*types.Func{f}}, true
+			return callSite{pos: call.Pos(), targets: []*types.Func{f}}, true
 		}
-		return callSite{pos: call.Pos(), call: call, dynamic: "call through function value " + sel.Sel.Name}, true
 	}
-	if _, ok := fun.(*ast.FuncLit); ok {
-		return callSite{}, false // immediately-invoked literal folds into the enclosing body
-	}
-	return callSite{pos: call.Pos(), call: call, dynamic: "dynamic call"}, true
+	return callSite{}, false
 }
 
 // methodTargets resolves a method call or value: a concrete receiver
@@ -244,17 +227,6 @@ func methodTargets(f *types.Func, recv types.Type, uni []*types.Named) []*types.
 		return []*types.Func{f}
 	}
 	return out
-}
-
-// isInterfaceMethod reports whether f is declared on an interface (no
-// concrete body anywhere we can see).
-func isInterfaceMethod(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	_, ok = sig.Recv().Type().Underlying().(*types.Interface)
-	return ok
 }
 
 // describeFunc renders f for diagnostics: "pkg.Name" or

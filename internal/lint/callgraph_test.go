@@ -59,9 +59,6 @@ func targetsOf(t *testing.T, g *callGraph, fnID string) [][]string {
 	var out [][]string
 	for _, site := range g.nodes[fn].sites {
 		var ids []string
-		if site.dynamic != "" {
-			ids = append(ids, "dynamic:"+site.dynamic)
-		}
 		for _, tg := range site.targets {
 			ids = append(ids, funcID(tg))
 		}
@@ -97,10 +94,9 @@ func TestCallGraphCHA(t *testing.T) {
 		t.Errorf("Bind targets = %v, want %v", got, want)
 	}
 
-	// A call through a function value stays dynamic.
-	got = targetsOf(t, g, "Dyn")
-	if len(got) != 1 || len(got[0]) != 1 || !strings.HasPrefix(got[0][0], "dynamic:") {
-		t.Errorf("Dyn targets = %v, want one dynamic site", got)
+	// A call through a function value resolves to nothing: no site.
+	if got = targetsOf(t, g, "Dyn"); len(got) != 0 {
+		t.Errorf("Dyn targets = %v, want no sites", got)
 	}
 }
 
@@ -130,12 +126,6 @@ func TestFactsRoundTrip(t *testing.T) {
 		Path: "mgs/internal/msync",
 		Funcs: map[string]*analysis.FuncFact{
 			"(System).Deposit": {
-				Allocates: true,
-				AllocWhy:  "msync.go:12: make allocates",
-				TaintBits: analysis.TaintMapOrder | analysis.TaintRandom,
-				TaintWhy:  "map iteration at msync.go:20",
-				PropParams: []int{0, 2},
-				SinkParams: []analysis.SinkParam{{Index: 1, Why: "charged cycles (Proc.Advance)"}},
 				Unguarded: []analysis.UnguardedWrite{{
 					Type: "mgs/internal/msync.System", Field: "locks", Guard: "Mu",
 					Desc: "msync.go:30: write to System.locks",

@@ -17,10 +17,12 @@ import "strings"
 // randomness, no goroutines or channels beyond the annotated engine
 // handshake, no map-iteration-order dependence.
 //
-// Host-side packages (harness, exp, stats, framework, cmd/*) drive
-// simulations and may use host facilities freely — with the one
-// exception of harness's sweep worker pool, which nogoroutine also
-// watches (see scopeNoGoroutine).
+// Host-side packages (harness, exp, stats, cli, framework, cmd/*) drive
+// simulations and may use host facilities — with two exceptions:
+// harness's sweep worker pool, which nogoroutine also watches (see
+// scopeNoGoroutine), and the sources of nondeterminism banned from
+// every package whose output is promised reproducible (see
+// scopeSourceBans).
 var deterministicPkgs = map[string]bool{
 	"sim":        true,
 	"core":       true,
@@ -65,6 +67,17 @@ func internalPkg(path string) string {
 // simulated path and therefore subject to the determinism analyzers.
 func isDeterministic(path string) bool {
 	return deterministicPkgs[internalPkg(path)]
+}
+
+// scopeSourceBans reports whether maprange and nowalltime check the
+// package: the deterministic set plus the host-side packages that
+// produce the artifacts promised reproducible (stats breakdowns, sweep
+// CSVs, CLI output). Nondeterminism is rejected where it is written
+// down — an order-leaking map range, a host clock, a global rand draw,
+// a pointer value — rather than traced to where it lands.
+func scopeSourceBans(path string) bool {
+	p := internalPkg(path)
+	return isDeterministic(path) || p == "harness" || p == "stats" || p == "exp" || p == "cli"
 }
 
 // scopeNoGoroutine reports whether nogoroutine checks the package:

@@ -6,27 +6,33 @@ func TestClassify(t *testing.T) {
 	cases := []struct {
 		path          string
 		deterministic bool
+		sourceBans    bool
 		noGoroutine   bool
 		chargeCost    bool
 	}{
-		{"mgs/internal/sim", true, true, false},
-		{"mgs/internal/core", true, true, true},
-		{"mgs/internal/msg", true, true, true},
-		{"mgs/internal/msync", true, true, false},
-		{"mgs/internal/msync/algo", true, true, false},
-		{"mgs/internal/lint/analysis", false, false, false},
-		{"mgs/internal/harness", false, true, false},
-		{"mgs/internal/exp", false, false, false},
-		{"mgs/internal/stats", false, false, false},
-		{"mgs/cmd/mgssim", false, false, false},
+		{"mgs/internal/sim", true, true, true, false},
+		{"mgs/internal/core", true, true, true, true},
+		{"mgs/internal/msg", true, true, true, true},
+		{"mgs/internal/msync", true, true, true, false},
+		{"mgs/internal/msync/algo", true, true, true, false},
+		{"mgs/internal/lint/analysis", false, false, false, false},
+		{"mgs/internal/harness", false, true, true, false},
+		{"mgs/internal/exp", false, true, false, false},
+		{"mgs/internal/stats", false, true, false, false},
+		{"mgs/internal/cli", false, true, false, false},
+		{"mgs/internal/framework", false, false, false, false},
+		{"mgs/cmd/mgssim", false, false, false, false},
 		// go vet analyzes test variants under a suffixed path.
-		{"mgs/internal/sim [mgs/internal/sim.test]", true, true, false},
+		{"mgs/internal/sim [mgs/internal/sim.test]", true, true, true, false},
 		// The fixture trees mirror real paths and must classify alike.
-		{"mgs/internal/lint/testdata/enginectx/src/mgs/internal/core", true, true, true},
+		{"mgs/internal/lint/testdata/enginectx/src/mgs/internal/core", true, true, true, true},
 	}
 	for _, c := range cases {
 		if got := isDeterministic(c.path); got != c.deterministic {
 			t.Errorf("isDeterministic(%q) = %v, want %v", c.path, got, c.deterministic)
+		}
+		if got := scopeSourceBans(c.path); got != c.sourceBans {
+			t.Errorf("scopeSourceBans(%q) = %v, want %v", c.path, got, c.sourceBans)
 		}
 		if got := scopeNoGoroutine(c.path); got != c.noGoroutine {
 			t.Errorf("scopeNoGoroutine(%q) = %v, want %v", c.path, got, c.noGoroutine)

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -11,61 +10,34 @@ import (
 )
 
 // ComputeFacts summarizes one type-checked package for cross-package
-// analysis: the allocation verdict, nondeterminism taint, sink
-// parameters, and caller-must-guard writes of every declared function,
-// plus the //mgs:shared annotation summaries of its types. Drivers call
-// it in dependency order — imported resolves the facts of packages
-// already analyzed — and thread the result to dependents (in memory
-// standalone, through .vetx files under go vet).
-//
-// allow is the //mgslint:allow hook: a sanctioned slow-path allocation
-// (//mgslint:allow noalloc at the call site) is excluded from the
-// exported verdict so it does not poison transitive callers, and the
-// consultation marks the allow used for dead-allow detection. Every
-// declared function gets an entry, so "no fact" (an invisible body)
-// stays distinguishable from "proven clean".
+// analysis: the caller-must-guard writes of every declared function,
+// plus the //mgs:shared annotation summaries of its types. cmd/go runs
+// the vettool in dependency order and threads the result to dependents
+// through .vetx files; imported resolves the facts of packages already
+// analyzed. Only functions that leave a write for their caller to
+// guard get an entry.
 func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
-	imported func(path string) *analysis.PackageFacts, allow func(analyzer string, pos token.Pos) bool) *analysis.PackageFacts {
+	imported func(path string) *analysis.PackageFacts) *analysis.PackageFacts {
 	pass := &analysis.Pass{
 		Fset:          fset,
 		Files:         files,
 		Pkg:           pkg,
 		TypesInfo:     info,
 		ImportedFacts: imported,
-		Allow:         allow,
 	}
 	anns := annsFor(pass)
-	g := graphFor(pass)
-	allocs := allocInfoFor(pass)
-	taints := taintFor(pass)
 	shards := shardNodesFor(pass)
 
 	pf := &analysis.PackageFacts{
 		Path:  canonicalPath(pkg.Path()),
 		Funcs: map[string]*analysis.FuncFact{},
 	}
-	for fn := range g.nodes {
-		ff := &analysis.FuncFact{}
-		if ai := allocs[fn]; ai != nil && ai.verdict != nil {
-			ff.Allocates = true
-			ff.AllocWhy = fmt.Sprintf("%s: %s", posString(fset, ai.verdict.pos), ai.verdict.why)
-		}
-		if tr := taints[fn]; tr != nil {
-			ff.TaintBits = tr.retBits
-			ff.TaintWhy = tr.retWhy
-			ff.PropParams = tr.propParams
-			ff.SinkParams = tr.sinkParams
-		}
-		pf.Funcs[funcID(fn)] = ff
-	}
 	for _, sn := range shards {
-		if sn.fn == nil {
-			continue // scheduled callbacks are not callable cross-package
+		if sn.fn == nil || len(sn.residual) == 0 {
+			continue // callback literals are not callable cross-package; no residual, no fact
 		}
-		ff := pf.Funcs[funcID(sn.fn)]
-		if ff == nil {
-			continue
-		}
+		ff := &analysis.FuncFact{}
+		pf.Funcs[funcID(sn.fn)] = ff
 		var keys []string
 		for k := range sn.residual {
 			keys = append(keys, k)

@@ -176,3 +176,54 @@ func (g *funcGraph) reach(seeds []*types.Func) map[*types.Func]bool {
 	}
 	return seen
 }
+
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
+// isStringType reports whether t's underlying type is a string.
+func isStringType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+// rootObj strips selectors, indexes, stars, and parens down to the
+// root identifier's object.
+func rootObj(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if x.Name == "_" {
+				return nil
+			}
+			return info.ObjectOf(x)
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// shortFile trims a file path to its last two elements ("pkg/file.go").
+func shortFile(f string) string {
+	if i := strings.LastIndexByte(f, '/'); i >= 0 {
+		if j := strings.LastIndexByte(f[:i], '/'); j >= 0 {
+			return f[j+1:]
+		}
+		return f[i+1:]
+	}
+	return f
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // All returns the full analyzer suite in stable order: the five
-// intra-function analyzers first, then the three interprocedural ones
-// layered on the call graph and cross-package facts.
+// intra-function analyzers first, then shardsafe, the interprocedural
+// one layered on the call graph and cross-package facts.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NoWallTime,
@@ -20,27 +20,18 @@ func All() []*analysis.Analyzer {
 		ChargeCost,
 		EngineCtx,
 		ShardSafe,
-		NoAlloc,
-		DetFlow,
 	}
 }
 
 // RunPackage applies every analyzer in All to one type-checked package
 // and returns the surviving diagnostics sorted by position, plus the
 // package's exported fact summary for dependents. imported resolves the
-// facts of packages already analyzed (drivers call RunPackage in
-// dependency order); nil means no cross-package facts are available and
-// the interprocedural analyzers stay conservative at package
-// boundaries.
-//
-// Fact computation runs first, through the same //mgslint:allow list
-// the analyzers use, so an allow consulted only while summarizing (an
-// excused allocation that must not poison callers) still counts as
-// live for dead-allow detection.
+// facts of packages already analyzed (cmd/go runs the vettool in
+// dependency order); nil means no cross-package facts are available.
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
 	imported func(path string) *analysis.PackageFacts) ([]analysis.Diagnostic, *analysis.PackageFacts, error) {
 	al := ParseAllowList(fset, files)
-	facts := ComputeFacts(fset, files, pkg, info, imported, al.Permit)
+	facts := ComputeFacts(fset, files, pkg, info, imported)
 	var diags []analysis.Diagnostic
 	var ran []string
 	for _, a := range All() {
@@ -52,7 +43,6 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 			TypesInfo:     info,
 			Facts:         facts,
 			ImportedFacts: imported,
-			Allow:         al.Permit,
 			Report:        func(d analysis.Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {

@@ -9,7 +9,8 @@ import (
 
 func TestNoWallTime(t *testing.T) {
 	analysistest.Run(t, "testdata/nowalltime", lint.NoWallTime,
-		"mgs/internal/vm", "mgs/internal/stats", "mgs/internal/fault", "mgs/internal/check")
+		"mgs/internal/vm", "mgs/internal/fault", "mgs/internal/check",
+		"mgs/internal/harness", "mgs/internal/framework")
 }
 
 func TestNoGoroutine(t *testing.T) {
@@ -19,7 +20,7 @@ func TestNoGoroutine(t *testing.T) {
 
 func TestMapRange(t *testing.T) {
 	analysistest.Run(t, "testdata/maprange", lint.MapRange,
-		"mgs/internal/cache", "mgs/internal/check")
+		"mgs/internal/cache", "mgs/internal/check", "mgs/internal/core", "mgs/internal/harness")
 }
 
 func TestChargeCost(t *testing.T) {
@@ -35,14 +36,4 @@ func TestEngineCtx(t *testing.T) {
 func TestShardSafe(t *testing.T) {
 	analysistest.Run(t, "testdata/shardsafe", lint.ShardSafe,
 		"mgs/internal/msync", "mgs/internal/core")
-}
-
-func TestNoAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata/noalloc", lint.NoAlloc,
-		"mgs/internal/mem", "mgs/internal/core")
-}
-
-func TestDetFlow(t *testing.T) {
-	analysistest.Run(t, "testdata/detflow", lint.DetFlow,
-		"mgs/internal/cache", "mgs/internal/core")
 }

@@ -8,19 +8,21 @@ import (
 	"mgs/internal/lint/analysis"
 )
 
-// MapRange flags `for range` over a map in deterministic packages
-// unless the loop provably cannot leak iteration order into simulated
-// state. Map iteration order is randomized per run, so any
-// order-sensitive effect — event scheduling, slice construction, early
-// return — makes two identical runs diverge.
+// MapRange flags `for range` over a map in deterministic packages, and
+// in the host-side packages whose output is promised reproducible (see
+// scopeSourceBans), unless the loop provably cannot leak iteration
+// order into simulated state or that output. Map iteration order is
+// randomized per run, so any order-sensitive effect — event scheduling,
+// slice construction, early return — makes two identical runs diverge.
 //
 // A map range is accepted without annotation when either
 //
 //   - every statement in the body is an order-insensitive update:
 //     body-local declarations, commutative accumulation (+=, -=, *=,
-//     |=, &=, ^=, ++, --), writes indexed by the range key itself
-//     (distinct keys cannot interfere), delete(m, k), and control flow
-//     over those; or
+//     |=, &=, ^=, ++, -- on numbers; string += concatenates in
+//     iteration order and is rejected), writes indexed by the range key
+//     itself (distinct keys cannot interfere), delete(m, k), and
+//     control flow over those; or
 //   - the body only collects keys/values into local slices via append
 //     and the first subsequent use of every such slice is a sort.* /
 //     slices.* call (the collect-then-sort idiom used on the simulated
@@ -34,16 +36,21 @@ var MapRange = &analysis.Analyzer{
 }
 
 func runMapRange(pass *analysis.Pass) error {
-	if !isDeterministic(pass.Pkg.Path()) {
+	if !scopeSourceBans(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range sourceFiles(pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
-			block, ok := n.(*ast.BlockStmt)
-			if !ok {
-				return true
+			var list []ast.Stmt
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				list = n.List
+			case *ast.CaseClause:
+				list = n.Body
+			case *ast.CommClause:
+				list = n.Body
 			}
-			for i, s := range block.List {
+			for i, s := range list {
 				rng, ok := s.(*ast.RangeStmt)
 				if !ok {
 					continue
@@ -55,7 +62,7 @@ func runMapRange(pass *analysis.Pass) error {
 				if _, isMap := t.Type.Underlying().(*types.Map); !isMap {
 					continue
 				}
-				checkMapRange(pass, rng, block.List[i+1:])
+				checkMapRange(pass, rng, list[i+1:])
 			}
 			return true
 		})
@@ -114,14 +121,8 @@ func (c *mapRangeChecker) stmtOK(s ast.Stmt) bool {
 		return c.assignOK(s)
 	case *ast.ExprStmt:
 		// delete(m, k) commutes with itself across distinct keys.
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if _, b := c.pass.TypesInfo.Uses[id].(*types.Builtin); b && id.Name == "delete" {
-					return true
-				}
-			}
-		}
-		return false
+		call, ok := s.X.(*ast.CallExpr)
+		return ok && isBuiltin(c.pass.TypesInfo, call, "delete")
 	case *ast.BlockStmt:
 		for _, t := range s.List {
 			if !c.stmtOK(t) {
@@ -159,7 +160,11 @@ func (c *mapRangeChecker) assignOK(s *ast.AssignStmt) bool {
 	switch s.Tok {
 	case token.DEFINE:
 		return true // declares per-iteration locals
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
+	case token.ADD_ASSIGN:
+		// Numeric += commutes; string += concatenates in iteration order.
+		t := c.pass.TypesInfo.TypeOf(s.Lhs[0])
+		return t != nil && !isStringType(t)
+	case token.SUB_ASSIGN, token.MUL_ASSIGN,
 		token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
 		return true // commutative accumulation
 	case token.ASSIGN:
@@ -202,14 +207,7 @@ func (c *mapRangeChecker) plainAssignOK(lhs ast.Expr, s *ast.AssignStmt, i int) 
 // isAppendTo reports whether e is append(v, ...).
 func isAppendTo(info *types.Info, e ast.Expr, v *types.Var) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if _, b := info.Uses[id].(*types.Builtin); !b {
+	if !ok || len(call.Args) == 0 || !isBuiltin(info, call, "append") {
 		return false
 	}
 	arg0, ok := ast.Unparen(call.Args[0]).(*ast.Ident)

@@ -72,9 +72,7 @@ type shardNode struct {
 func runShardSafe(pass *analysis.Pass) error {
 	anns := annsFor(pass)
 	for _, b := range anns.bad {
-		if b.owner == "shardsafe" {
-			pass.Reportf(b.pos, "%s", b.msg)
-		}
+		pass.Reportf(b.pos, "%s", b.msg)
 	}
 	if !isDeterministic(pass.Pkg.Path()) {
 		return nil

@@ -23,5 +23,5 @@ func UseStatic(s *MapStore) int { return s.Get(2) }
 // edge even without a call.
 func Bind(s *MapStore) func(int) int { return s.Get }
 
-// Dyn calls through a function value: an unresolvable, dynamic site.
+// Dyn calls through a function value: it resolves to no target.
 func Dyn(f func(int) int) int { return f(3) }

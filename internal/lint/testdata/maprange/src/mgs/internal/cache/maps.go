@@ -108,3 +108,32 @@ func SliceRange(s []int) int {
 	}
 	return sum
 }
+
+// CaseBody hides the loop in a case clause; it still picks an arbitrary
+// key.
+func CaseBody(kind int, m map[int]int) int {
+	switch kind {
+	case 0:
+		for k := range m { // want `range over map in deterministic package`
+			return k
+		}
+	default:
+		var keys []int
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		return keys[0]
+	}
+	return -1
+}
+
+// Concat looks like accumulation, but string += concatenates in
+// iteration order.
+func Concat(m map[int]string) string {
+	s := ""
+	for _, v := range m { // want `range over map in deterministic package`
+		s += v
+	}
+	return s
+}

@@ -32,3 +32,10 @@ func Drain(s *msync.System) {
 	defer s.Mu.Unlock()
 	flushInner(s)
 }
+
+// Fast carries a directive outside the grammar — nothing is valid on a
+// function declaration — and is told so rather than silently enforcing
+// nothing.
+//
+//mgs:noalloc // want `misplaced //mgs: directive \(must be in the doc comment of a type or struct field\)`
+func Fast() {}

@@ -28,28 +28,28 @@ func NewFrame(id uint64, pageSize int) *Frame {
 
 // Load64 reads the 8-byte word at byte offset off.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestFrameAccessZeroAllocs.
 func (f *Frame) Load64(off int) uint64 {
 	return binary.LittleEndian.Uint64(f.Data[off : off+8])
 }
 
 // Store64 writes the 8-byte word at byte offset off.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestFrameAccessZeroAllocs.
 func (f *Frame) Store64(off int, v uint64) {
 	binary.LittleEndian.PutUint64(f.Data[off:off+8], v)
 }
 
 // Load32 reads the 4-byte word at byte offset off.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestFrameAccessZeroAllocs.
 func (f *Frame) Load32(off int) uint32 {
 	return binary.LittleEndian.Uint32(f.Data[off : off+4])
 }
 
 // Store32 writes the 4-byte word at byte offset off.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestFrameAccessZeroAllocs.
 func (f *Frame) Store32(off int, v uint32) {
 	binary.LittleEndian.PutUint32(f.Data[off:off+4], v)
 }
@@ -64,7 +64,7 @@ func (f *Frame) Snapshot() []byte {
 // CopyFrom overwrites the frame's contents with src (a DMA page
 // transfer). src must be exactly one page.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestFrameAccessZeroAllocs.
 func (f *Frame) CopyFrom(src []byte) {
 	if len(src) != len(f.Data) {
 		panic("mem: page size mismatch in CopyFrom")

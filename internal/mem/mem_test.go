@@ -84,7 +84,7 @@ func TestAllocatorUniqueIDs(t *testing.T) {
 	}
 }
 
-// TestFrameAccessZeroAllocs pins the //mgs:noalloc contract of the word
+// TestFrameAccessZeroAllocs pins the zero-allocation contract of the word
 // accessors and the DMA copy — the storage behind every simulated
 // Load/Store.
 func TestFrameAccessZeroAllocs(t *testing.T) {

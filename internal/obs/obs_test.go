@@ -266,7 +266,7 @@ func TestObserverProfilerLifecycle(t *testing.T) {
 	}
 }
 
-// TestMetricHotPathZeroAllocs pins the //mgs:noalloc contract of the
+// TestMetricHotPathZeroAllocs pins the zero-allocation contract of the
 // concurrent counting paths the parallel dispatcher's shards hit.
 func TestMetricHotPathZeroAllocs(t *testing.T) {
 	r := NewRegistry()

@@ -57,7 +57,7 @@ func NewRecorder(reg *obs.Registry, phases []Phase) *Recorder {
 // (completion minus scheduled arrival — queueing included) into the
 // phase's histogram, and the op count.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestRecorderObserveZeroAllocs.
 func (r *Recorder) Observe(phase uint8, op Op, lat sim.Time) {
 	r.phases[phase].Observe(int64(lat))
 	r.ops[op].Add(1)

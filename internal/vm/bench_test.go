@@ -52,7 +52,7 @@ func BenchmarkTLBInsertEvict(b *testing.B) {
 	}
 }
 
-// TestLookupZeroAllocs pins the //mgs:noalloc contract of the TLB hit
+// TestLookupZeroAllocs pins the zero-allocation contract of the TLB hit
 // path: every simulated memory access goes through Lookup.
 func TestLookupZeroAllocs(t *testing.T) {
 	tlb := NewTLB(64)

@@ -230,7 +230,7 @@ func (t *TLB) Gen() uint64 { return t.gen }
 // Lookup returns the privilege of the mapping for p, or (None, false) on
 // a TLB miss.
 //
-//mgs:noalloc
+// Must not allocate: pinned by TestLookupZeroAllocs.
 func (t *TLB) Lookup(p Page) (Priv, bool) {
 	mask := uint64(len(t.slots) - 1)
 	for i := t.hash(p); ; i = (i + 1) & mask {
