@@ -3,8 +3,7 @@
 // deterministic open-loop traffic schedule (steady Zipf, working-set
 // drift, flash crowd), reporting per-phase p50/p99/p999 latency in
 // simulated cycles. Output is deterministic: bit-identical across
-// -workers and -engine-workers settings and across reruns at a fixed
-// seed.
+// -workers settings and across reruns at a fixed seed.
 //
 // Usage:
 //

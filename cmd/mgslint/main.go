@@ -11,8 +11,9 @@
 // to stderr and the exit status is 2, matching
 // golang.org/x/tools/go/analysis/unitchecker (which this reimplements
 // on the standard library alone, because the module cache does not
-// carry x/tools). Package loading, build caching, test files and fact
-// threading are all cmd/go's.
+// carry x/tools). Package loading, build caching and test files are
+// all cmd/go's. The analyzers are package-local, so the facts file the
+// protocol makes every unit write is always empty.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"strings"
 
 	"mgs/internal/lint"
-	"mgs/internal/lint/analysis"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func main() {
 
 // inModule reports whether the import path (possibly a test variant
 // like "mgs/internal/sim [mgs/internal/sim.test]") belongs to the mgs
-// module — the only packages whose facts the analyzers consult.
+// module — the only packages the analyzers check.
 func inModule(path string) bool {
 	if i := strings.Index(path, " ["); i >= 0 {
 		path = path[:i]
@@ -86,7 +86,6 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	Standard                  map[string]bool
 	VetxOnly                  bool
 	VetxOutput                string
@@ -104,16 +103,17 @@ func runVet(cfgPath string) int {
 		fmt.Fprintf(os.Stderr, "mgslint: parsing %s: %v\n", cfgPath, err)
 		return 1
 	}
-	// Packages outside the mgs module carry no //mgs annotations and no
-	// facts the analyzers consult; cmd/go still requires the vetx file
-	// to exist, so give it an empty one without type-checking.
-	if !inModule(cfg.ImportPath) {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintf(os.Stderr, "mgslint: %v\n", err)
-				return 1
-			}
+	// cmd/go requires every unit's facts file to exist; the analyzers
+	// export no facts, so it is empty.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			fmt.Fprintf(os.Stderr, "mgslint: %v\n", err)
+			return 1
 		}
+	}
+	// A unit outside the module, or one cmd/go visits only for the
+	// facts its dependents need, has nothing to report.
+	if cfg.VetxOnly || !inModule(cfg.ImportPath) {
 		return 0
 	}
 
@@ -146,42 +146,10 @@ func runVet(cfgPath string) int {
 	if err != nil {
 		return typecheckFailed(cfg, err)
 	}
-	// Dependency facts come from the .vetx files cmd/go already built
-	// (it schedules units in dependency order, threading outputs through
-	// PackageVetx).
-	imported := func(path string) *analysis.PackageFacts {
-		file, ok := cfg.PackageVetx[path]
-		if !ok {
-			return nil
-		}
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil
-		}
-		pf, err := analysis.DecodeFacts(data)
-		if err != nil {
-			return nil
-		}
-		return pf
-	}
-	diags, facts, err := lint.RunPackage(fset, files, pkg, info, imported)
+	diags, err := lint.RunPackage(fset, files, pkg, info)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgslint: %s: %v\n", cfg.ImportPath, err)
 		return 1
-	}
-	if cfg.VetxOutput != "" {
-		data, err := analysis.EncodeFacts(facts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mgslint: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "mgslint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0 // analyzed only for the facts dependents need
 	}
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)

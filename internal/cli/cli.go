@@ -32,9 +32,6 @@ type Tool struct {
 	Small bool
 	// Workers is the -workers concurrency for sweep-style tools.
 	Workers int
-	// EngineWorkers is the -engine-workers shard count for the
-	// parallel event dispatcher inside each simulation.
-	EngineWorkers int
 	// Topology is the -topology inter-SSMP interconnect selection
 	// (uniform, mesh, fattree, tiered).
 	Topology string
@@ -46,8 +43,8 @@ type Tool struct {
 
 	hasShape bool
 	hasSync  bool
-	// opts is what Parse made of -engine-workers, -topology, -lock and
-	// -barrier: the options every machine of this run is built with.
+	// opts is what Parse made of -topology, -lock and -barrier: the
+	// options every machine of this run is built with.
 	opts []harness.Option
 }
 
@@ -82,8 +79,6 @@ func (t *Tool) ShapeFlags(pDef, cDef int, smallDef bool) *Tool {
 		flag.IntVar(&t.C, "c", cDef, "processors per SSMP (cluster size)")
 	}
 	flag.BoolVar(&t.Small, "small", smallDef, "use reduced problem sizes")
-	flag.IntVar(&t.EngineWorkers, "engine-workers", 0,
-		"event-dispatch shards per simulation (<=1 = sequential engine; results are bit-identical at any setting)")
 	flag.StringVar(&t.Topology, "topology", "uniform",
 		"inter-SSMP interconnect: "+strings.Join(msg.TopologyNames(), ", "))
 	t.hasShape = true
@@ -138,7 +133,6 @@ func (t *Tool) resolve() error {
 		if err != nil {
 			return err
 		}
-		t.opts = append(t.opts, harness.WithEngineWorkers(t.EngineWorkers))
 		// The uniform LAN is the configuration's zero value; naming it
 		// leaves the topology unset, as a run without the flag has it.
 		if t.Topology != "" && t.Topology != "uniform" {

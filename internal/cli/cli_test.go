@@ -1,8 +1,10 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -57,14 +59,13 @@ func TestParsedValuesFlow(t *testing.T) {
 // configuration built without the Tool is what it was before the parse.
 func TestParsedOptionsReachTheRunOnly(t *testing.T) {
 	before := harness.NewConfig(8, 2)
-	withArgs(t, []string{"-topology", "mesh", "-lock", "mcs", "-barrier", "dissemination",
-		"-engine-workers", "4", "-workers", "3"}, func() {
+	withArgs(t, []string{"-topology", "mesh", "-lock", "mcs", "-barrier", "dissemination", "-workers", "3"}, func() {
 		tool := New("cli_test").MachineFlags("water", 8, 2, true).SweepFlags().Parse()
 		for _, cfg := range []harness.Config{tool.Config(), tool.Env().Config(8, 2)} {
 			_, mesh := cfg.Msg.Topology.(*msg.Mesh2D)
-			if !mesh || cfg.LockAlgo != "mcs" || cfg.BarrierAlgo != "dissemination" || cfg.EngineWorkers != 4 {
-				t.Fatalf("built Config does not carry the flags: topology=%T lock=%q barrier=%q engine-workers=%d",
-					cfg.Msg.Topology, cfg.LockAlgo, cfg.BarrierAlgo, cfg.EngineWorkers)
+			if !mesh || cfg.LockAlgo != "mcs" || cfg.BarrierAlgo != "dissemination" {
+				t.Fatalf("built Config does not carry the flags: topology=%T lock=%q barrier=%q",
+					cfg.Msg.Topology, cfg.LockAlgo, cfg.BarrierAlgo)
 			}
 		}
 		if w := tool.Env().Workers; w != 3 {
@@ -105,6 +106,30 @@ func TestBadNamesAreErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRemovedFlagIsAUsageError: -engine-workers went with the sharded
+// dispatcher, so a command line that still carries it gets the flag
+// package's own rejection — the one-line "flag provided but not
+// defined" and exit status 2 — not a silently ignored knob. The child
+// is this test binary parsing mgs-run's flag surface.
+func TestRemovedFlagIsAUsageError(t *testing.T) {
+	if os.Getenv("CLI_TEST_CHILD") == "1" {
+		flag.CommandLine = flag.NewFlagSet("mgs-run", flag.ExitOnError)
+		os.Args = []string{"mgs-run", "-engine-workers", "4"}
+		New("mgs-run").MachineFlags("water", 8, 2, true).Parse()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagIsAUsageError$")
+	cmd.Env = append(os.Environ(), "CLI_TEST_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; output:\n%s", err, out)
+	}
+	if first, _, _ := strings.Cut(string(out), "\n"); first != "flag provided but not defined: -engine-workers" {
+		t.Fatalf("first line = %q, want the flag package's rejection", first)
 	}
 }
 

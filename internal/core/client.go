@@ -62,7 +62,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		if write {
 			ss.duqs[s.within(p.ID)].add(v)
 			// Touch the Server record only when this SSMP is the home
-			// (home state is home-shard state under parallel dispatch).
+			// (home state is the home SSMP's state).
 			if s.ssmpOf(s.space.HomeProc(v)) == cp.ssmp {
 				s.server(v).homeDirty = true
 			}
@@ -98,7 +98,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		s.net.SendTagged(sim.Label{Kind: "REQ", Page: int64(v), Src: p.ID, Dst: home, Aux: b2i(write)},
 			p.ID, home, p.Clock(), c.CtrlBytes, c.ReqWork,
 			// The Server record is resolved inside the handler — on the
-			// home shard — not at send time on the faulting shard.
+			// home SSMP — not at send time on the faulting SSMP.
 			func(at sim.Time) { s.onRequest(s.server(v), cpRef, p, w, at) })
 		s.parkCharge(p, stats.MGS) // woken by the RDAT/WDAT handler
 
@@ -168,7 +168,7 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 		if isHome {
 			// The home SSMP writes the home frame in place; no twin,
 			// no WNOTIFY — only the retention veto. (This runs on the
-			// home shard, so touching the Server record is fine.)
+			// home SSMP, so touching the Server record is fine.)
 			s.server(cp.page).homeDirty = true
 		} else {
 			// WNOTIFY to the Server (arc 18). The notification names a
@@ -195,8 +195,8 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 			// round invalidates it anyway, and only the single-writer
 			// optimization is forgone. Under lazy release consistency
 			// teardowns never report home, so that mode keeps the
-			// incarnation check on the copy itself (sequential-only, so
-			// the cross-shard read is harmless there).
+			// incarnation check on the copy itself (a cross-SSMP read,
+			// one of the lazy variant's departures from SSMP locality).
 			ssmp := cp.ssmp
 			gen := cp.gen
 			s.net.SendTagged(sim.Label{Kind: "WNOTIFY", Page: int64(cp.page), Src: o, Dst: homeProc, Aux: gen},

@@ -134,7 +134,7 @@ func (sp *serverPage) rmtGens(r int) int64 {
 // pages. Pages are small dense integers (the space is a bump
 // allocator), so a direct slice index beats map hashing on the Access
 // hot path, iteration is naturally in page order (no collect-then-sort,
-// no map-range determinism hazard), and the arena is shard-local state
+// no map-range determinism hazard), and the arena is SSMP-local state
 // exactly as the maps were.
 type pageArena[T any] struct {
 	slots []*T

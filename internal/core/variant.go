@@ -59,16 +59,6 @@ func DefaultVariant() Variant {
 	return Variant{SingleWriter: true, SerialInv: true}
 }
 
-// ShardLocal reports whether every handler of this variant touches only
-// the state of the SSMP shard it runs on (server.go's shard discipline),
-// which is what the parallel dispatcher needs. Lazy release validates
-// copies against home versions read directly, the update protocol
-// refreshes remote copies from the home frame, and migration moves
-// Server records between SSMPs.
-func (v Variant) ShardLocal() bool {
-	return !v.LazyRelease && !v.UpdateProtocol && v.MigrateAfter == 0
-}
-
 // NamedVariant is one entry of Variants.
 type NamedVariant struct {
 	Name string

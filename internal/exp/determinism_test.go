@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"mgs/internal/harness"
+	"mgs/internal/obs"
 )
 
 // The sweeps must be bit-for-bit reproducible: rerunning a sweep gives
@@ -68,5 +70,32 @@ func TestTable4Reproducible(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Table 4 depends on worker count:\npar %+v\nseq %+v", a, b)
+	}
+}
+
+// TestObserversDoNotPerturbRun: arming an instrument changes what is
+// recorded about a run, never the run — no observer, a metrics-only
+// observer, a text tracer and the cycle profiler all yield the same
+// Result.
+func TestObserversDoNotPerturbRun(t *testing.T) {
+	observers := map[string]func() *obs.Observer{
+		"metrics":  obs.New,
+		"tracer":   func() *obs.Observer { return obs.New().AddSink(obs.NewTextSink(io.Discard)) },
+		"profiler": func() *obs.Observer { return obs.New().EnableProfiling() },
+	}
+	for _, name := range []string{"jacobi", "water"} {
+		bare, err := harness.RunApp(SmallApp(name), harness.NewConfig(8, 2))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for armed, mk := range observers {
+			res, err := harness.RunApp(SmallApp(name), harness.NewConfig(8, 2, harness.WithObserver(mk())))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, armed, err)
+			}
+			if !reflect.DeepEqual(bare, res) {
+				t.Errorf("%s: %s observer perturbs the run\nbare:  %+v\narmed: %+v", name, armed, bare, res)
+			}
+		}
 	}
 }

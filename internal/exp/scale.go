@@ -68,9 +68,7 @@ func ScaleApp(name string, p int) (harness.App, error) {
 // topology e's options select, returning the per-point results —
 // cycles, link-wait, directory footprint — and the framework metrics
 // (breakup penalty, multigrain potential, curvature). Points run
-// concurrently; contended topologies force each point onto the
-// sequential event dispatcher, so the sweep is the only parallelism at
-// scale.
+// concurrently.
 func ScaleSweep(name string, p int, cs []int, e Env) ([]ScalePoint, framework.Metrics, error) {
 	out := make([]ScalePoint, len(cs))
 	err := e.each(len(cs), func(i int) error {

@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"mgs/internal/apps"
-	"mgs/internal/fault"
 	"mgs/internal/harness"
 	"mgs/internal/serve"
 )
 
 // The serving workload's determinism and chaos contracts, pinned at the
 // report level: the latency CSV — quantiles included — must be
-// byte-identical across reruns, engine worker counts, and sweep worker
-// counts at a fixed seed; and a 5%-loss run must end with the same
+// byte-identical across reruns and sweep worker counts at a fixed
+// seed; and a 5%-loss run must end with the same
 // memory as the fault-free run while measurably fattening the tail.
 
 func serveSLO() serve.SLO { return serve.SLO{P99: 5_000_000, P999: 10_000_000} }
@@ -34,39 +33,6 @@ func TestServeRerunBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(mem1, mem2) {
 		t.Error("rerun final memory diverges")
-	}
-}
-
-// TestServeEngineWorkersBitIdentical: the sharded event dispatcher must
-// not move a single latency sample, fault-free or under chaos.
-func TestServeEngineWorkersBitIdentical(t *testing.T) {
-	for planName, plan := range map[string]fault.Plan{
-		"faultfree": {},
-		"chaos5pct": ServeChaosPlan(3),
-	} {
-		run := func(workers int) (string, []byte) {
-			w := serve.DefaultWorkload(true, 3)
-			app := apps.NewServe(w)
-			cfg := harness.NewConfig(8, 2)
-			cfg.EngineWorkers = workers
-			cfg.Fault = plan
-			res, mem, err := harness.RunAppMem(app, cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", planName, workers, err)
-			}
-			return app.Report(res, serveSLO()).CSV(), mem
-		}
-		refCSV, refMem := run(1)
-		for _, workers := range []int{2, 4, 8} {
-			csv, mem := run(workers)
-			if csv != refCSV {
-				t.Errorf("%s: engine workers=%d CSV diverges from sequential:\n%s\nvs\n%s",
-					planName, workers, csv, refCSV)
-			}
-			if !bytes.Equal(mem, refMem) {
-				t.Errorf("%s: engine workers=%d final memory diverges", planName, workers)
-			}
-		}
 	}
 }
 

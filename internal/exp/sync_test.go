@@ -12,11 +12,9 @@ import (
 
 // The synchronization zoo's end-to-end contracts, pinned at the exp
 // layer: every lock×barrier algorithm pair survives the 5%-loss chaos
-// envelope with byte-identical final memory, stays bit-identical across
-// engine-worker counts (non-default algorithms force the sequential
-// dispatcher; the matrix proves the gate, not just the engine), and the
-// sweep itself reports sane metrics. Per-algorithm unit behaviour
-// (fairness, hit accounting, pinned histograms) lives in
+// envelope with byte-identical final memory, and the sweep itself is
+// width-independent and reports sane metrics. Per-algorithm unit
+// behaviour (fairness, hit accounting, pinned histograms) lives in
 // internal/msync/algos_test.go; delivery-interleaving exhaustion lives
 // in internal/check.
 
@@ -32,18 +30,17 @@ func syncCross() []SyncPair {
 }
 
 // runSync runs the small syncbench on a P=8, C=2 machine with the given
-// algorithms, workers, and plan.
-func runSync(t *testing.T, pair SyncPair, workers int, plan fault.Plan) (harness.Result, []byte) {
+// algorithms and plan, and returns the final memory image.
+func runSync(t *testing.T, pair SyncPair, plan fault.Plan) []byte {
 	t.Helper()
 	cfg := harness.NewConfig(8, 2,
 		harness.WithLockAlgo(pair.Lock), harness.WithBarrierAlgo(pair.Barrier))
-	cfg.EngineWorkers = workers
 	cfg.Fault = plan
-	res, mem, err := harness.RunAppMem(SmallApp("syncbench"), cfg)
+	_, mem, err := harness.RunAppMem(SmallApp("syncbench"), cfg)
 	if err != nil {
-		t.Fatalf("syncbench %s/%s workers=%d: %v", pair.Lock, pair.Barrier, workers, err)
+		t.Fatalf("syncbench %s/%s: %v", pair.Lock, pair.Barrier, err)
 	}
-	return res, mem
+	return mem
 }
 
 // TestSyncChaosMemEquivalence is the 5%-loss memory-equivalence gate
@@ -52,34 +49,12 @@ func runSync(t *testing.T, pair SyncPair, workers int, plan fault.Plan) (harness
 // app's own lost-update oracle must still pass (RunAppMem verifies).
 func TestSyncChaosMemEquivalence(t *testing.T) {
 	for _, pair := range syncCross() {
-		_, base := runSync(t, pair, 0, fault.Plan{})
+		base := runSync(t, pair, fault.Plan{})
 		for _, seed := range []uint64{1, 2} {
-			_, mem := runSync(t, pair, 0, SyncLossPlan(seed))
+			mem := runSync(t, pair, SyncLossPlan(seed))
 			if !bytes.Equal(base, mem) {
 				t.Errorf("%s/%s seed=%d: 5%%-loss final memory diverges from fault-free",
 					pair.Lock, pair.Barrier, seed)
-			}
-		}
-	}
-}
-
-// TestSyncEngineWorkersBitIdentical pins the parallel-dispatch gate
-// over the cross-product: any worker count must be bit-identical to the
-// sequential reference. Non-default algorithms are gated to sequential
-// dispatch (harness parallelOK), so this holds by construction — the
-// test proves the gate actually fires.
-func TestSyncEngineWorkersBitIdentical(t *testing.T) {
-	for _, pair := range syncCross() {
-		refRes, refMem := runSync(t, pair, 1, fault.Plan{})
-		for _, w := range []int{4, 8} {
-			res, mem := runSync(t, pair, w, fault.Plan{})
-			if !reflect.DeepEqual(refRes, res) {
-				t.Errorf("%s/%s workers=%d: result diverges from sequential\nseq: %+v\npar: %+v",
-					pair.Lock, pair.Barrier, w, refRes, res)
-				continue
-			}
-			if !bytes.Equal(refMem, mem) {
-				t.Errorf("%s/%s workers=%d: final memory diverges", pair.Lock, pair.Barrier, w)
 			}
 		}
 	}

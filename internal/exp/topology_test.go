@@ -12,13 +12,12 @@ import (
 	"mgs/internal/serve"
 )
 
-// The topology API's experiment-level contracts: contended topologies
-// provably fall back to the sequential event dispatcher (and stay
-// bit-identical at every -engine-workers setting anyway), link-wait
-// accounting is deterministic under both kinds of host parallelism,
-// the tiered WAN measurably fattens the serving tail, and the
-// hierarchical directory keeps the Server's footprint O(sharers) on
-// machines up to 1024 processors.
+// The topology API's experiment-level contracts: on every contended
+// topology each app reruns bit-identically and survives the chaos
+// envelope with its memory intact, link-wait accounting is
+// deterministic at any sweep width, the tiered WAN measurably fattens
+// the serving tail, and the hierarchical directory keeps the Server's
+// footprint O(sharers) on machines up to 1024 processors.
 
 // contendedTopos returns the three contended topology specs by flag
 // name. Specs are immutable and sized per machine, so sharing one
@@ -31,70 +30,28 @@ func contendedTopos() map[string]msg.Topology {
 	}
 }
 
-// TestTopologyForcesSequentialFallback pins satellite #2: a contended
-// topology reports zero lookahead, so a run requested with many engine
-// workers must use the sequential dispatcher — while the uniform LAN
-// control keeps the sharded dispatcher engaged.
-func TestTopologyForcesSequentialFallback(t *testing.T) {
-	run := func(topo msg.Topology) bool {
-		cfg := harness.NewConfig(8, 2, harness.WithTopology(topo))
-		cfg.EngineWorkers = 4
-		app := SmallApp("water")
-		m := harness.NewMachine(cfg)
-		app.Setup(m)
-		if _, err := m.Run(app.Body); err != nil {
-			t.Fatal(err)
-		}
-		return m.Eng.Parallelized()
-	}
-	for name, topo := range contendedTopos() {
-		if run(topo) {
-			t.Errorf("%s: contended topology must force sequential dispatch", name)
-		}
-	}
-	if !run(msg.NewUniform()) {
-		t.Error("uniform: parallel dispatcher did not engage for the control run")
-	}
-}
-
-// TestTopologyWorkersBitIdentical is the acceptance matrix: on every
-// topology, every app's run is bit-identical across -engine-workers
-// settings, and a 5%-loss chaos run ends with memory byte-identical to
-// the sequential fault-free reference.
-func TestTopologyWorkersBitIdentical(t *testing.T) {
-	plans := map[string]fault.Plan{
-		"faultfree": {},
-		"chaos5pct": envelopePlan(13),
-	}
+// TestTopologyChaosMemEquivalence is the acceptance matrix: on every
+// contended topology, every app's run is bit-identical across reruns,
+// and a 5%-loss chaos run ends with memory byte-identical to the
+// fault-free reference.
+func TestTopologyChaosMemEquivalence(t *testing.T) {
 	names := append(append([]string{}, AppNames...), "serve")
 	for topoName, topo := range contendedTopos() {
 		for _, name := range names {
-			run := func(workers int, plan fault.Plan) (harness.Result, []byte) {
-				cfg := harness.NewConfig(8, 2, harness.WithTopology(topo))
-				cfg.EngineWorkers = workers
-				cfg.Fault = plan
-				res, mem, err := harness.RunAppMem(SmallApp(name), cfg)
+			run := func(plan fault.Plan) (harness.Result, []byte) {
+				res, mem, err := harness.RunAppMem(SmallApp(name),
+					harness.NewConfig(8, 2, harness.WithTopology(topo), harness.WithFaultPlan(plan)))
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", topoName, name, workers, err)
+					t.Fatalf("%s/%s: %v", topoName, name, err)
 				}
 				return res, mem
 			}
-			refRes, refMem := run(1, plans["faultfree"])
-			for planName, plan := range plans {
-				for _, w := range []int{1, 8} {
-					if planName == "faultfree" && w == 1 {
-						continue // the reference itself
-					}
-					res, mem := run(w, plan)
-					if !bytes.Equal(refMem, mem) {
-						t.Errorf("%s/%s/%s workers=%d: final memory diverges from sequential fault-free run",
-							topoName, name, planName, w)
-					}
-					if planName == "faultfree" && !reflect.DeepEqual(refRes, res) {
-						t.Errorf("%s/%s workers=%d: result diverges from sequential\nseq: %+v\npar: %+v",
-							topoName, name, w, refRes, res)
-					}
-				}
+			refRes, refMem := run(fault.Plan{})
+			if res, mem := run(fault.Plan{}); !reflect.DeepEqual(refRes, res) || !bytes.Equal(refMem, mem) {
+				t.Errorf("%s/%s: rerun diverges\nfirst:  %+v\nsecond: %+v", topoName, name, refRes, res)
+			}
+			if _, mem := run(envelopePlan(13)); !bytes.Equal(refMem, mem) {
+				t.Errorf("%s/%s: chaos final memory diverges from the fault-free run", topoName, name)
 			}
 		}
 	}

@@ -31,18 +31,6 @@ type Config struct {
 	// plain software virtual memory, no software coherence.
 	Disabled bool
 
-	// EngineWorkers arms parallel event dispatch: the event heap shards
-	// per SSMP and up to this many OS threads advance the shards inside
-	// conservative lookahead windows of the inter-SSMP latency. Results
-	// are bit-identical to the sequential engine for every worker count
-	// (1 disarms and is the reference). Configurations the sharded
-	// dispatcher cannot serve — tracing or profiling observers, protocol
-	// variants that are not shard-local (core.Variant.ShardLocal),
-	// jittered networks, topologies reporting zero lookahead (mesh,
-	// fat-tree, tiered), debug checks, a single SSMP — fall back to
-	// sequential dispatch automatically.
-	EngineWorkers int
-
 	// Fault, when non-empty, interposes the deterministic fault-injecting
 	// reliable transport on every inter-SSMP message (internal/fault,
 	// msg.Network.AttachFault). An empty plan is the identity: the run is
@@ -70,10 +58,7 @@ type Config struct {
 	// LockAlgo and BarrierAlgo name the synchronization algorithms from
 	// internal/msync/algo ("token", "ticket", "mcs", "tournament" /
 	// "tree", "sense", "dissemination", "mcstree", "tournament"). Empty
-	// selects the paper's defaults, token and tree — the one pair the
-	// parallel dispatcher serves; any other algorithm forces sequential
-	// event dispatch (its handlers share per-object state across SSMP
-	// shards).
+	// selects the paper's defaults, token and tree.
 	LockAlgo    string
 	BarrierAlgo string
 }
@@ -101,10 +86,6 @@ func WithFaultPlan(p fault.Plan) Option { return func(c *Config) { c.Fault = p }
 
 // WithObserver attaches an observability spine to the machine.
 func WithObserver(o *obs.Observer) Option { return func(c *Config) { c.Obs = o } }
-
-// WithEngineWorkers sets the parallel event-dispatch worker count
-// (Config.EngineWorkers); n <= 1 keeps the sequential dispatcher.
-func WithEngineWorkers(n int) Option { return func(c *Config) { c.EngineWorkers = n } }
 
 // WithTopology selects the inter-SSMP interconnect: msg.NewUniform()
 // (the default, the paper's fixed-delay LAN), msg.NewMesh2D(),
@@ -327,9 +308,6 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 	for i := range m.bodies {
 		m.bodies[i] = bodyFor(i)
 	}
-	if w := m.Cfg.EngineWorkers; w > 1 && m.parallelOK() {
-		m.Eng.Parallelize(m.Cfg.C, w, m.Net.Lookahead())
-	}
 	if err := m.Eng.Run(); err != nil {
 		return Result{}, err
 	}
@@ -347,48 +325,6 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		Counters:   m.Stats.Counters(),
 		Fault:      m.Stats.Fault,
 	}, nil
-}
-
-// parallelOK reports whether this configuration is served by the
-// sharded parallel dispatcher. The gate is conservative: every feature
-// whose implementation reaches across SSMP boundaries outside the
-// message layer (or renders events to a strictly ordered trace) forces
-// the sequential dispatcher. The engine itself adds its own checks
-// (enough shards, no chooser, all events pinned); ineligible runs are
-// bit-identical by construction, so the gate is a pure performance
-// decision, never a correctness one.
-func (m *Machine) parallelOK() bool {
-	cfg := &m.Cfg
-	switch {
-	case cfg.Disabled:
-		// Null-MGS runs map pages via a single shared space with no
-		// inter-SSMP message latency to provide lookahead.
-		return false
-	case cfg.Obs.Tracing():
-		// Trace sinks receive events in global dispatch order.
-		return false
-	case cfg.Obs.Profiler() != nil:
-		// The profiler's attribution map is shared across processors.
-		return false
-	case !cfg.Variant.ShardLocal():
-		return false
-	case cfg.Msg.Jitter > 0:
-		// Jitter draws from one shared deterministic stream.
-		return false
-	case m.DSM.DebugChecks:
-		return false
-	case cfg.LockAlgo != algo.DefaultLock, cfg.BarrierAlgo != algo.DefaultBarrier:
-		// The other algorithms keep per-object state (queues, brackets,
-		// round counters) that home-side handlers on different SSMPs
-		// mutate; only the token lock and tree barrier are
-		// shard-annotated.
-		return false
-	}
-	// The topology has the final word: contended topologies (Mesh2D,
-	// FatTree, Tiered) report zero lookahead — their link occupancy is
-	// shared state with no fixed latency floor — and provably fall back
-	// to sequential dispatch here. Uniform grants its latency bound.
-	return m.Net.Lookahead() > 0
 }
 
 func (m *Machine) lastClock() sim.Time {

@@ -39,28 +39,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts holds the current package's computed facts. Drivers populate
-	// it (via lint.ComputeFacts) before any analyzer runs; it may be nil
-	// for analyzers that do not consult facts.
-	Facts *PackageFacts
-
-	// ImportedFacts resolves the facts of an imported package by its
-	// canonical import path, or nil when unknown (standard library,
-	// packages outside the module). May itself be nil.
-	ImportedFacts func(path string) *PackageFacts
-
 	// Report records one diagnostic. Drivers set it; analyzers usually
 	// call Reportf instead.
 	Report func(Diagnostic)
-}
-
-// FactsFor resolves facts for an imported package path, tolerating a
-// nil ImportedFacts hook.
-func (p *Pass) FactsFor(path string) *PackageFacts {
-	if p.ImportedFacts == nil {
-		return nil
-	}
-	return p.ImportedFacts(path)
 }
 
 // Reportf reports a formatted diagnostic at pos.

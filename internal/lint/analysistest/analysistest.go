@@ -42,10 +42,9 @@ import (
 func Run(t *testing.T, root string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := &loader{
-		root:  filepath.Join(root, "src"),
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*fixturePkg{},
-		facts: map[string]*analysis.PackageFacts{},
+		root: filepath.Join(root, "src"),
+		fset: token.NewFileSet(),
+		pkgs: map[string]*fixturePkg{},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	for _, path := range pkgPaths {
@@ -65,11 +64,10 @@ type fixturePkg struct {
 }
 
 type loader struct {
-	root  string
-	fset  *token.FileSet
-	std   types.Importer
-	pkgs  map[string]*fixturePkg
-	facts map[string]*analysis.PackageFacts
+	root string
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*fixturePkg
 }
 
 // Import lets the loader serve as the types.Importer for fixture
@@ -115,18 +113,9 @@ func (l *loader) load(path string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &fixturePkg{files: files, pkg: pkg, info: info}
-	// Imports resolve recursively through l.Import, so by the time this
-	// package type-checks, every fixture dependency already exported its
-	// facts — the same dependency-order contract cmd/mgslint upholds.
-	p.allow = lint.ParseAllowList(l.fset, files)
-	l.facts[path] = lint.ComputeFacts(l.fset, files, pkg, info, l.imported)
+	p := &fixturePkg{files: files, pkg: pkg, info: info, allow: lint.ParseAllowList(l.fset, files)}
 	l.pkgs[path] = p
 	return p, nil
-}
-
-func (l *loader) imported(path string) *analysis.PackageFacts {
-	return l.facts[path]
 }
 
 // want is one expectation: a pattern that must match a diagnostic
@@ -183,14 +172,12 @@ func check(t *testing.T, l *loader, a *analysis.Analyzer, p *fixturePkg) {
 	fset := l.fset
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:      a,
-		Fset:          fset,
-		Files:         p.files,
-		Pkg:           p.pkg,
-		TypesInfo:     p.info,
-		ImportedFacts: l.imported,
-		Facts:         l.facts[p.pkg.Path()],
-		Report:        func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     p.files,
+		Pkg:       p.pkg,
+		TypesInfo: p.info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s: analyzer error: %v", p.pkg.Path(), err)

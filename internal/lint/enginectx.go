@@ -9,15 +9,16 @@ import (
 
 // EngineCtx enforces the engine/processor context split documented in
 // internal/sim/proc.go: event callbacks (function literals scheduled
-// via Engine.At/After or delivered via Network.Send) run in engine
-// context, where only the engine-safe Proc methods (Wake, AddDebt,
+// via Engine.At/AtOn/After/AtChoice, delivered as handlers via
+// Network.Send/SendTagged, or handed to algo.Env's Send/At forwarders
+// of those) run in engine context, where only the engine-safe Proc methods (Wake, AddDebt,
 // HandlerStart, Parked, ...) are legal; the yielding methods (Sleep,
 // Park, Yield) and the clock-advancing Advance must only run on the
 // proc's own body goroutine. Violating this either deadlocks the
 // handshake or advances a clock the engine believes is frozen.
 //
 // The analyzer builds a same-package call graph, seeds engine context
-// from every callback literal passed to At/After/Send, seeds proc
+// from every callback literal passed to those schedulers, seeds proc
 // context from functions with a *sim.Proc receiver or parameter that
 // are not engine-reachable, and then:
 //
@@ -55,9 +56,9 @@ func runEngineCtx(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				callee := calleeOf(info, call)
-				if isMethodOn(callee, "sim", "Engine", "At", "After") ||
-					isMethodOn(callee, "msg", "Network", "Send") ||
-					isMethodOn(callee, "sim", "Proc", "Wake") {
+				if isMethodOn(callee, "sim", "Engine", "At", "AtOn", "After", "AtChoice") ||
+					isMethodOn(callee, "msg", "Network", "Send", "SendTagged") ||
+					isMethodOn(callee, "msync/algo", "Env", "Send", "At") {
 					for _, a := range call.Args {
 						if lit, ok := a.(*ast.FuncLit); ok {
 							rootSet[lit] = true

@@ -80,6 +80,14 @@ func isMethodOn(f *types.Func, pkgName, typeName string, names ...string) bool {
 	return false
 }
 
+// funcPkgPath returns the canonical import path defining f, or "".
+func funcPkgPath(f *types.Func) string {
+	if f.Pkg() == nil {
+		return ""
+	}
+	return canonicalPath(f.Pkg().Path())
+}
+
 // pkgNameOf resolves a selector's base to an imported package path, or
 // "" if the base is not a package identifier.
 func pkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
@@ -187,43 +195,14 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok && b.Name() == name
 }
 
+// isIntegerType reports whether t's underlying type is an integer.
+func isIntegerType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0
+}
+
 // isStringType reports whether t's underlying type is a string.
 func isStringType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
-}
-
-// rootObj strips selectors, indexes, stars, and parens down to the
-// root identifier's object.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if x.Name == "_" {
-				return nil
-			}
-			return info.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// shortFile trims a file path to its last two elements ("pkg/file.go").
-func shortFile(f string) string {
-	if i := strings.LastIndexByte(f, '/'); i >= 0 {
-		if j := strings.LastIndexByte(f[:i], '/'); j >= 0 {
-			return f[j+1:]
-		}
-		return f[i+1:]
-	}
-	return f
 }

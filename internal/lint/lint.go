@@ -9,9 +9,7 @@ import (
 	"mgs/internal/lint/analysis"
 )
 
-// All returns the full analyzer suite in stable order: the five
-// intra-function analyzers first, then shardsafe, the interprocedural
-// one layered on the call graph and cross-package facts.
+// All returns the full analyzer suite in stable order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NoWallTime,
@@ -19,34 +17,26 @@ func All() []*analysis.Analyzer {
 		MapRange,
 		ChargeCost,
 		EngineCtx,
-		ShardSafe,
 	}
 }
 
 // RunPackage applies every analyzer in All to one type-checked package
-// and returns the surviving diagnostics sorted by position, plus the
-// package's exported fact summary for dependents. imported resolves the
-// facts of packages already analyzed (cmd/go runs the vettool in
-// dependency order); nil means no cross-package facts are available.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
-	imported func(path string) *analysis.PackageFacts) ([]analysis.Diagnostic, *analysis.PackageFacts, error) {
+// and returns the surviving diagnostics sorted by position.
+func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]analysis.Diagnostic, error) {
 	al := ParseAllowList(fset, files)
-	facts := ComputeFacts(fset, files, pkg, info, imported)
 	var diags []analysis.Diagnostic
 	var ran []string
 	for _, a := range All() {
 		pass := &analysis.Pass{
-			Analyzer:      a,
-			Fset:          fset,
-			Files:         files,
-			Pkg:           pkg,
-			TypesInfo:     info,
-			Facts:         facts,
-			ImportedFacts: imported,
-			Report:        func(d analysis.Diagnostic) { diags = append(diags, d) },
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ran = append(ran, a.Name)
 	}
@@ -57,7 +47,7 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return diags, facts, nil
+	return diags, nil
 }
 
 // NewTypesInfo returns a types.Info with every map the analyzers

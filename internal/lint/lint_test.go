@@ -30,10 +30,5 @@ func TestChargeCost(t *testing.T) {
 
 func TestEngineCtx(t *testing.T) {
 	analysistest.Run(t, "testdata/enginectx", lint.EngineCtx,
-		"mgs/internal/sim", "mgs/internal/core")
-}
-
-func TestShardSafe(t *testing.T) {
-	analysistest.Run(t, "testdata/shardsafe", lint.ShardSafe,
-		"mgs/internal/msync", "mgs/internal/core")
+		"mgs/internal/sim", "mgs/internal/msg", "mgs/internal/core")
 }

@@ -13,16 +13,18 @@ import (
 // scopeSourceBans), unless the loop provably cannot leak iteration
 // order into simulated state or that output. Map iteration order is
 // randomized per run, so any order-sensitive effect — event scheduling,
-// slice construction, early return — makes two identical runs diverge.
+// slice construction, early exit — makes two identical runs diverge.
 //
 // A map range is accepted without annotation when either
 //
 //   - every statement in the body is an order-insensitive update:
 //     body-local declarations, commutative accumulation (+=, -=, *=,
-//     |=, &=, ^=, ++, -- on numbers; string += concatenates in
-//     iteration order and is rejected), writes indexed by the range key
-//     itself (distinct keys cannot interfere), delete(m, k), and
-//     control flow over those; or
+//     |=, &=, ^=, ++, -- on integers; string += concatenates in
+//     iteration order and float arithmetic rounds in it, so both are
+//     rejected), writes indexed by the range key itself (distinct keys
+//     cannot interfere), delete(m, k), and control flow over those that
+//     never leaves the loop early (a break out of it is as
+//     order-sensitive as a return); or
 //   - the body only collects keys/values into local slices via append
 //     and the first subsequent use of every such slice is a sort.* /
 //     slices.* call (the collect-then-sort idiom used on the simulated
@@ -102,6 +104,7 @@ type mapRangeChecker struct {
 	body     *ast.BlockStmt
 	key      *types.Var          // range key variable, if an identifier
 	appended map[*types.Var]bool // locals built by append, must be sorted after
+	inner    int                 // enclosing for/switch statements inside the body: what an unlabeled break leaves
 }
 
 // declaredInBody reports whether the identifier resolves to a variable
@@ -116,7 +119,13 @@ func (c *mapRangeChecker) stmtOK(s ast.Stmt) bool {
 	case nil, *ast.EmptyStmt, *ast.DeclStmt, *ast.IncDecStmt:
 		return true
 	case *ast.BranchStmt:
-		return s.Tok == token.CONTINUE || s.Tok == token.BREAK || s.Tok == token.FALLTHROUGH
+		// A break that leaves the map range itself keeps whichever keys
+		// happened to come first; one that leaves an inner statement does
+		// not. Labeled jumps are not followed.
+		if s.Label != nil {
+			return false
+		}
+		return s.Tok == token.CONTINUE || s.Tok == token.FALLTHROUGH || (s.Tok == token.BREAK && c.inner > 0)
 	case *ast.AssignStmt:
 		return c.assignOK(s)
 	case *ast.ExprStmt:
@@ -133,9 +142,9 @@ func (c *mapRangeChecker) stmtOK(s ast.Stmt) bool {
 	case *ast.IfStmt:
 		return c.stmtOK(s.Init) && c.stmtOK(s.Body) && c.stmtOK(s.Else)
 	case *ast.SwitchStmt:
-		return c.stmtOK(s.Init) && c.stmtOK(s.Body)
+		return c.stmtOK(s.Init) && c.innerOK(s.Body)
 	case *ast.TypeSwitchStmt:
-		return c.stmtOK(s.Init) && c.stmtOK(s.Body)
+		return c.stmtOK(s.Init) && c.innerOK(s.Body)
 	case *ast.CaseClause:
 		for _, t := range s.Body {
 			if !c.stmtOK(t) {
@@ -144,11 +153,11 @@ func (c *mapRangeChecker) stmtOK(s ast.Stmt) bool {
 		}
 		return true
 	case *ast.ForStmt:
-		return c.stmtOK(s.Init) && c.stmtOK(s.Post) && c.stmtOK(s.Body)
+		return c.stmtOK(s.Init) && c.stmtOK(s.Post) && c.innerOK(s.Body)
 	case *ast.RangeStmt:
 		// An inner loop is order-insensitive iff its body is; if it
 		// ranges over a map itself it gets its own diagnostic.
-		return c.stmtOK(s.Body)
+		return c.innerOK(s.Body)
 	default:
 		// return, send, go, defer, labeled jumps, ... — all make the
 		// outcome depend on which key comes first.
@@ -156,16 +165,25 @@ func (c *mapRangeChecker) stmtOK(s ast.Stmt) bool {
 	}
 }
 
+// innerOK checks the body of a for or switch statement nested in the
+// range body, inside which an unlabeled break is harmless.
+func (c *mapRangeChecker) innerOK(body *ast.BlockStmt) bool {
+	c.inner++
+	ok := c.stmtOK(body)
+	c.inner--
+	return ok
+}
+
 func (c *mapRangeChecker) assignOK(s *ast.AssignStmt) bool {
 	switch s.Tok {
 	case token.DEFINE:
 		return true // declares per-iteration locals
-	case token.ADD_ASSIGN:
-		// Numeric += commutes; string += concatenates in iteration order.
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
+		// Integer accumulation commutes; string += concatenates in
+		// iteration order and float arithmetic is not associative.
 		t := c.pass.TypesInfo.TypeOf(s.Lhs[0])
-		return t != nil && !isStringType(t)
-	case token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
+		return t != nil && isIntegerType(t)
+	case token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
 		return true // commutative accumulation
 	case token.ASSIGN:
 		for i, lhs := range s.Lhs {

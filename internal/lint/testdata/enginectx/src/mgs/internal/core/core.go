@@ -1,6 +1,9 @@
 package core
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 type duq struct {
 	queue  []int
@@ -16,6 +19,7 @@ func (d *duq) add(p int) {
 
 type System struct {
 	eng  *sim.Engine
+	net  *msg.Network
 	duqs []*duq
 }
 
@@ -35,6 +39,22 @@ func (s *System) badPoke(p *sim.Proc, page int) {
 func (s *System) badHandler(p *sim.Proc, at sim.Time) {
 	s.eng.At(at, func() {
 		p.Park() // want `Proc\.Park yields or advances the local clock`
+	})
+}
+
+// badUpgrade sleeps inside a message handler: every protocol handler
+// is a literal passed to SendTagged, and runs in engine context.
+func (s *System) badUpgrade(p *sim.Proc, at sim.Time) {
+	s.net.SendTagged(sim.Label{Kind: "UPGRADE"}, p.ID, 0, at, func(done sim.Time) {
+		p.Sleep(1) // want `Proc\.Sleep yields or advances the local clock`
+	})
+}
+
+// badHandoff sleeps inside a literal scheduled through the pinned
+// forwarder, which is At under another name.
+func (s *System) badHandoff(p *sim.Proc, at sim.Time) {
+	s.eng.AtOn(p, at, func() {
+		p.Sleep(1) // want `Proc\.Sleep yields or advances the local clock`
 	})
 }
 

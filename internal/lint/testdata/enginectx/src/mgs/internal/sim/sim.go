@@ -10,9 +10,13 @@ type Engine struct {
 	seq uint64
 }
 
-func (e *Engine) Now() Time               { return e.now }
-func (e *Engine) At(t Time, fn func())    { e.seq++; fn() }
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+type Label struct{ Kind string }
+
+func (e *Engine) Now() Time                           { return e.now }
+func (e *Engine) At(t Time, fn func())                { e.seq++; fn() }
+func (e *Engine) AtOn(_ *Proc, t Time, fn func())     { e.At(t, fn) }
+func (e *Engine) AtChoice(t Time, l Label, fn func()) { e.At(t, fn) }
+func (e *Engine) After(d Time, fn func())             { e.At(e.now+d, fn) }
 
 // push is called from proc context but is an Engine method: it is part
 // of the sanctioned transfer API, so its own field writes are fine.

@@ -91,3 +91,38 @@ func Shimmed(p *Proc, m map[int]int) {
 		aShim{zBase{}}.Charge(p, Time(k))
 	}
 }
+
+// FirstFew stops at whichever key happens to come first: a break out of
+// the range is an early return by another name.
+func FirstFew(p *Proc, m map[int]int) {
+	var x int
+	for id := range m { // want `range over map in deterministic package`
+		x += id
+		break
+	}
+	p.Advance(Time(x))
+}
+
+// InnerBreak leaves only the inner loop; every key is still visited.
+func InnerBreak(p *Proc, m map[int][]int) {
+	var x int
+	for _, vs := range m {
+		for _, v := range vs {
+			if v < 0 {
+				break
+			}
+			x += v
+		}
+	}
+	p.Advance(Time(x))
+}
+
+// FloatSum rounds in iteration order: float addition is not
+// associative, so the total's last bits differ run to run.
+func FloatSum(m map[int]float64) float64 {
+	var s float64
+	for _, v := range m { // want `range over map in deterministic package`
+		s += v
+	}
+	return s
+}

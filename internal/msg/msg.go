@@ -19,8 +19,6 @@
 package msg
 
 import (
-	"sync/atomic"
-
 	"mgs/internal/obs"
 	"mgs/internal/sim"
 )
@@ -106,8 +104,7 @@ type Network struct {
 	rng    uint64 // xorshift state for deterministic jitter
 
 	// topo is the sized inter-SSMP topology; occ is its per-machine
-	// link-contention state (mutated only on the inter send path, which
-	// contended topologies keep sequential via Lookahead 0).
+	// link-contention state (mutated only on the inter send path).
 	topo Topology
 	occ  Occupancy
 
@@ -257,16 +254,13 @@ func (n *Network) Send(from, to int, when sim.Time, bytes int, extra sim.Time, f
 // reliable transport's retransmission timing is outside the checker's
 // interleaving model (the checker never arms a fault plan).
 func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int, extra sim.Time, fn func(done sim.Time)) {
-	// Traffic counters are commutative sums read only after the run, so
-	// atomic adds keep them exact under the parallel dispatcher (senders
-	// on different shards count concurrently).
 	inter := n.SSMPOf(from) != n.SSMPOf(to)
 	if inter {
-		atomic.AddInt64(&n.Counters.InterMsgs, 1)
-		atomic.AddInt64(&n.Counters.InterBytes, int64(bytes))
+		n.Counters.InterMsgs++
+		n.Counters.InterBytes += int64(bytes)
 	} else {
-		atomic.AddInt64(&n.Counters.IntraMsgs, 1)
-		atomic.AddInt64(&n.Counters.IntraBytes, int64(bytes))
+		n.Counters.IntraMsgs++
+		n.Counters.IntraBytes += int64(bytes)
 	}
 	if inter && n.inj != nil {
 		// Fault-injection mode: the message goes through the reliable
@@ -281,28 +275,16 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 	} else {
 		arrive = when + n.costs.SendOverhead + n.Latency(from, to, bytes) + n.jitter()
 	}
-	src, dst := n.procs[from], n.procs[to]
-	n.eng.AtChoiceSend(l, src, dst, arrive, func() {
+	dst := n.procs[to]
+	n.eng.AtChoice(arrive, l, func() {
 		// arrive names the scheduled delivery time; a chooser may run
 		// this event later, but handler occupancy (HandlerStart) and the
 		// engine's At clamp keep every derived time monotone.
 		cost := n.costs.HandlerEntry + extra
 		start := dst.HandlerStart(arrive, cost)
 		n.chargeHandler(to, cost)
-		n.eng.AtOn(dst, start+cost, func() { fn(start + cost) })
+		n.eng.At(start+cost, func() { fn(start + cost) })
 	})
-}
-
-// Lookahead returns the minimum latency any cross-SSMP scheduling pays
-// under the current topology — the conservative PDES lookahead the
-// parallel dispatcher may advance shards by. Each topology reports its
-// own bound (Uniform: InterOverhead + InterDelay, the tightest
-// cross-SSMP gap being a transport-level ack). Zero means no usable
-// lookahead: contended topologies (Mesh2D, FatTree, Tiered) queue
-// messages through shared per-link state with no fixed latency floor,
-// so the engine must fall back to sequential dispatch.
-func (n *Network) Lookahead() sim.Time {
-	return n.topo.Lookahead()
 }
 
 // SendCost is the occupancy a sender spends launching one message.

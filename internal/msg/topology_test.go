@@ -83,21 +83,6 @@ func TestArrivalTriangleInequality(t *testing.T) {
 	}
 }
 
-// TestLookaheadContract pins the parallel-engine contract: the
-// uniform LAN grants its latency floor; every contended topology
-// reports 0, forcing the provable sequential fallback.
-func TestLookaheadContract(t *testing.T) {
-	topos := sizedTopos(t, 16)
-	if got := topos["uniform"].Lookahead(); got != 100+800 {
-		t.Fatalf("uniform lookahead = %d, want 900 (InterOverhead+InterDelay)", got)
-	}
-	for _, name := range []string{"mesh", "fattree", "tiered"} {
-		if got := topos[name].Lookahead(); got != 0 {
-			t.Fatalf("%s lookahead = %d, want 0 (contended topologies must force sequential dispatch)", name, got)
-		}
-	}
-}
-
 func TestDescribeNames(t *testing.T) {
 	topos := sizedTopos(t, 32)
 	want := map[string]string{

@@ -27,8 +27,6 @@ func DefaultCosts() Costs {
 // histograms, and trace stream. msync.New builds the machine's one Env.
 // It is a concrete type so the trace hooks' variadic arguments stay off
 // the heap when no sink is attached.
-//
-//mgs:shared
 type Env struct {
 	eng   *sim.Engine
 	net   *msg.Network
@@ -80,11 +78,9 @@ func (e *Env) Send(kind string, id, from, to int, when sim.Time, aux int64, work
 		from, to, when, 32, work, fn)
 }
 
-// AtOn schedules fn at time t as an engine event pinned to processor p,
-// from the execution context of a processor in p's SSMP: an in-SSMP
-// wakeup through hardware shared memory, not a message. The pin keeps
-// it a shard-local event under the parallel dispatcher.
-func (e *Env) AtOn(p *sim.Proc, t sim.Time, fn func()) { e.eng.AtOn(p, t, fn) }
+// At schedules fn at time t as an engine event: an in-SSMP wakeup
+// through hardware shared memory, not a message.
+func (e *Env) At(t sim.Time, fn func()) { e.eng.At(t, fn) }
 
 // ChargeLock advances p by cycles and attributes them to Lock.
 func (e *Env) ChargeLock(p *sim.Proc, cycles sim.Time) {

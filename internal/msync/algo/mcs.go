@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sync/atomic"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // MCS is the message-passing MCS queue lock: the lock's home holds only
 // the queue tail; each contender swaps itself in with one message and
@@ -47,22 +43,20 @@ type mcsNode struct {
 }
 
 // mcsLock: the tail lives at the home; nodes live at their processors.
-//
-//mgs:shared
 type mcsLock struct {
 	env  *Env
 	id   int
 	home int
 
-	tail    int   //mgs:shardpinned home-side handlers only; sequential dispatcher enforced for non-default algorithms
-	tailSeq int64 //mgs:shardpinned home-side handlers only; sequential dispatcher enforced for non-default algorithms
+	tail    int   // home-side handlers only
+	tailSeq int64 // home-side handlers only
 
-	node []mcsNode //mgs:shardpinned each element is touched only by its own processor's handlers; sequential dispatcher enforced for non-default algorithms
+	node []mcsNode // each element is touched only by its own processor's handlers
 
-	heldSince sim.Time //mgs:shardpinned single holder at a time; sequential dispatcher enforced for non-default algorithms
+	heldSince sim.Time // single holder at a time
 
-	hits  int64 //mgs:atomic
-	total int64 //mgs:atomic
+	hits  int64
+	total int64
 }
 
 // Acquire implements Lock: swap into the queue at the home, park until
@@ -70,7 +64,7 @@ type mcsLock struct {
 // predecessor) wakes us.
 func (l *mcsLock) Acquire(p *sim.Proc) {
 	e := l.env
-	atomic.AddInt64(&l.total, 1)
+	l.total++
 	e.ChargeLock(p, e.LockOp())
 	n := &l.node[p.ID]
 	n.seq++
@@ -142,7 +136,7 @@ func (l *mcsLock) pass(from int, succ *sim.Proc, at sim.Time) {
 func (l *mcsLock) wake(p *sim.Proc, from int, at sim.Time) {
 	e := l.env
 	if e.SSMPOf(from) == e.SSMPOf(p.ID) {
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 	}
 	l.heldSince = at + e.LockOp()
 	p.Wake(at + e.LockOp())
@@ -198,7 +192,7 @@ func (l *mcsLock) onMustPass(pid int, seq int64, at sim.Time) {
 
 // Stats implements Lock.
 func (l *mcsLock) Stats() (hits, total int64) {
-	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
+	return l.hits, l.total
 }
 
 // Dump implements Dumper.

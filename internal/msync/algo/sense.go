@@ -26,17 +26,15 @@ func (Sense) NewBarrier(env *Env, id, home int) Barrier {
 
 // senseBarrier counts at the home; waiting slots live at their own
 // processors.
-//
-//mgs:shared
 type senseBarrier struct {
 	env  *Env
 	id   int
 	home int
 
-	arrived  int   //mgs:shardpinned home-side handlers only; sequential dispatcher enforced for non-default algorithms
-	episodes int64 //mgs:shardpinned home-side handlers only; sequential dispatcher enforced for non-default algorithms
+	arrived  int   // home-side handlers only
+	episodes int64 // home-side handlers only
 
-	waiting []*sim.Proc //mgs:shardpinned slot i is touched only by processor i's context and its RELEASE handler; sequential dispatcher enforced for non-default algorithms
+	waiting []*sim.Proc // slot i is touched only by processor i's context and its RELEASE handler
 }
 
 // Arrive implements Barrier.

@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sync/atomic"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Token is the paper's token-based distributed lock (§3.2) and the
 // default: a local lock per SSMP plus a single global lock at the
@@ -32,30 +28,23 @@ func (Token) NewLock(env *Env, id, home int) Lock {
 	return l
 }
 
-// tokenLock is the one lock algorithm annotated for the parallel
-// dispatcher: every field is pinned to one shard or atomic.
-//
-//mgs:shared
 type tokenLock struct {
 	env  *Env
 	id   int
 	home int // global processor hosting the global lock
 
-	local []tokenLocal //mgs:shardpinned each element is touched only by its own SSMP's shard
+	local []tokenLocal // each element is touched only by its own SSMP
 
 	// Global-lock state: lives at home, mutated only by home-side
-	// handlers — under the parallel dispatcher that makes it shard-local
-	// to the home's shard.
-	tokenOwner int   //mgs:shardpinned home-side handlers only
-	reqQueue   []int //mgs:shardpinned home-side handlers only; FIFO of waiting SSMPs
-	demandOut  bool  //mgs:shardpinned home-side handlers only; a DEMAND is outstanding
+	// handlers.
+	tokenOwner int
+	reqQueue   []int // FIFO of waiting SSMPs
+	demandOut  bool  // a DEMAND is outstanding
 
-	// hits/total update atomically: acquires on different SSMPs run on
-	// different shards concurrently.
-	hits  int64 //mgs:atomic
-	total int64 //mgs:atomic
+	hits  int64
+	total int64
 
-	heldSince sim.Time //mgs:shardpinned only the token-holding SSMP touches it; token transfer crosses a window barrier
+	heldSince sim.Time // only the token-holding SSMP touches it
 }
 
 // tokenLocal is the per-SSMP half of a distributed lock.
@@ -72,13 +61,13 @@ func (l *tokenLock) Acquire(p *sim.Proc) {
 	e := l.env
 	s := e.SSMPOf(p.ID)
 	ll := &l.local[s]
-	atomic.AddInt64(&l.total, 1)
+	l.total++
 	e.ChargeLock(p, e.LockOp())
 
 	if ll.hasToken && !ll.held {
 		ll.held = true
 		l.heldSince = p.Clock()
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 		return
 	}
 	ll.waitQ = append(ll.waitQ, p)
@@ -138,14 +127,13 @@ func (l *tokenLock) Release(p *sim.Proc) {
 		ll.waitQ = ll.waitQ[1:]
 		ll.held = true
 		l.heldSince = p.Clock() + e.LockOp()
-		atomic.AddInt64(&l.hits, 1)
+		l.hits++
 		e.EmitLock(p.Clock(), p.ID, l.id, "HANDOFF", "releaser=%d(clk %d) next=%d(clk %d)", p.ID, p.Clock(), next.ID, next.Clock())
-		// An engine event pinned to the waiter (same SSMP as the
-		// releaser), not a message. The wake time reads the releaser's
-		// clock when the event fires, so a releaser that ran ahead in the
-		// meantime delays the waiter: every pinned cycle count depends on
-		// it.
-		e.AtOn(next, p.Clock()+e.LockOp(), func() { next.Wake(p.Clock() + e.LockOp()) })
+		// An engine event (the waiter is in the releaser's SSMP), not a
+		// message. The wake time reads the releaser's clock when the
+		// event fires, so a releaser that ran ahead in the meantime
+		// delays the waiter: every pinned cycle count depends on it.
+		e.At(p.Clock()+e.LockOp(), func() { next.Wake(p.Clock() + e.LockOp()) })
 	}
 }
 
@@ -235,7 +223,7 @@ func (l *tokenLock) onTokenGrant(s int, at sim.Time) {
 
 // Stats implements Lock.
 func (l *tokenLock) Stats() (hits, total int64) {
-	return atomic.LoadInt64(&l.hits), atomic.LoadInt64(&l.total)
+	return l.hits, l.total
 }
 
 // Dump implements Dumper.

@@ -43,16 +43,14 @@ type tourBarNode struct {
 }
 
 // tourBarrier is the bracket; SSMP 0 is the champion.
-//
-//mgs:shared
 type tourBarrier struct {
 	env    *Env
 	id     int
 	rounds int
 
-	nodes []tourBarNode //mgs:shardpinned each node is touched only by its own SSMP's handlers; sequential dispatcher enforced for non-default algorithms
+	nodes []tourBarNode // each node is touched only by its own SSMP's handlers
 
-	episodes int64 //mgs:shardpinned champion-side handlers only; sequential dispatcher enforced for non-default algorithms
+	episodes int64 // champion-side handlers only
 }
 
 // loserRound returns the round in which SSMP s loses: the index of its

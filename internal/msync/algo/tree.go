@@ -17,19 +17,15 @@ func (Tree) NewBarrier(env *Env, id, home int) Barrier {
 	return &treeBarrier{env: env, id: id, home: home % env.NProcs(), local: make([]gate, env.NSSMP())}
 }
 
-// treeBarrier is the one barrier algorithm annotated for the parallel
-// dispatcher: every field is pinned to one shard.
-//
-//mgs:shared
 type treeBarrier struct {
 	env  *Env
 	id   int
 	home int // global processor hosting the top of the tree
 
-	local   []gate //mgs:shardpinned each combining node is touched only by its own SSMP's shard
-	arrived int    //mgs:shardpinned home-side handlers only; SSMPs combined this episode
+	local   []gate // each combining node is touched only by its own SSMP
+	arrived int    // home-side handlers only; SSMPs combined this episode
 
-	episodes int64 //mgs:shardpinned home-side handlers only
+	episodes int64 // home-side handlers only
 }
 
 // Arrive implements Barrier.

@@ -19,7 +19,6 @@ package msync
 
 import (
 	"sort"
-	"sync"
 
 	"mgs/internal/core"
 	"mgs/internal/msg"
@@ -30,23 +29,17 @@ import (
 )
 
 // System manages the locks and barriers of one machine.
-//
-//mgs:shared
 type System struct {
 	dsm *core.System
 	st  *stats.Collector
 	env *algo.Env
 
-	// mu guards lazy creation in the locks and barriers maps:
-	// processors on different shards of the parallel dispatcher can
-	// reach a primitive's first use concurrently.
-	mu       sync.Mutex
-	locks    map[int]*rcLock    //mgs:guardedby mu
-	barriers map[int]*rcBarrier //mgs:guardedby mu
+	locks    map[int]*rcLock
+	barriers map[int]*rcBarrier
 
 	// The machine-wide algorithm choice for primitives not yet created.
-	lockAlgo    algo.LockAlgo    //mgs:guardedby mu
-	barrierAlgo algo.BarrierAlgo //mgs:guardedby mu
+	lockAlgo    algo.LockAlgo
+	barrierAlgo algo.BarrierAlgo
 }
 
 // New builds the synchronization system for the machine owning dsm,
@@ -72,8 +65,6 @@ func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collecto
 // yet created. It must run before any lock or barrier exists:
 // algorithms are a machine-wide choice, not a per-primitive one.
 func (m *System) SetAlgos(la algo.LockAlgo, ba algo.BarrierAlgo) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.locks) > 0 || len(m.barriers) > 0 {
 		panic("msync: SetAlgos after locks or barriers were created")
 	}
@@ -87,15 +78,7 @@ func (m *System) Lock(id int) algo.Lock { return m.LockHomed(id, id) }
 // LockHomed returns lock id, creating it with its home on the given
 // processor (a lock placed with the data it protects, as the paper's
 // per-molecule locks are). The home only takes effect at creation.
-// Creation is guarded: processors on different shards can reach a
-// lock's first use concurrently, and the created state is a pure
-// function of (id, home), so whichever racer registers it wins without
-// affecting the simulation.
 func (m *System) LockHomed(id, home int) algo.Lock {
-	// The ci:race-sentinel markers let CI's mutation step delete exactly
-	// these two lines and prove shardsafe re-finds the PR 6 race.
-	m.mu.Lock()         // ci:race-sentinel
-	defer m.mu.Unlock() // ci:race-sentinel
 	if l, ok := m.locks[id]; ok {
 		return l
 	}
@@ -105,12 +88,8 @@ func (m *System) LockHomed(id, home int) algo.Lock {
 }
 
 // Barrier returns the barrier with the given id, creating it on first
-// use, homed on processor id mod P. Creation is guarded (see System.mu);
-// the created state is a pure function of id, so concurrent first uses
-// agree.
+// use, homed on processor id mod P.
 func (m *System) Barrier(id int) algo.Barrier {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if b, ok := m.barriers[id]; ok {
 		return b
 	}
@@ -124,8 +103,6 @@ func (m *System) Barrier(id int) algo.Barrier {
 // The model checker asserts this at the end of every delivery
 // interleaving.
 func (m *System) Quiescent() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, id := range sortedIDs(m.locks) {
 		if q, ok := m.locks[id].impl.(algo.Quiescer); ok {
 			if err := q.Quiescent(); err != nil {
@@ -174,8 +151,6 @@ func sortedIDs[V any](m map[int]V) []int {
 // LockStats aggregates hit/total across the given locks (all locks if
 // ids is empty).
 func (m *System) LockStats(ids ...int) (hits, total int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(ids) == 0 {
 		for _, l := range m.locks {
 			h, t := l.Stats()

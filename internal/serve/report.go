@@ -26,14 +26,9 @@ func latencyBuckets() []int64 {
 }
 
 // Recorder owns the per-phase latency histograms and op counters,
-// registered on the machine's metrics registry. Histograms and counters
-// update with atomics (internal/obs), so concurrent engine shards
-// record without coordination and totals stay schedule-independent.
-//
-//mgs:shared
+// registered on the machine's metrics registry.
 type Recorder struct {
-	// phases and ops are fixed at construction and read-only afterwards
-	// (the histograms themselves are internally atomic).
+	// phases and ops are fixed at construction and read-only afterwards.
 	phases []*obs.Histogram
 	ops    [3]*obs.Counter
 	names  []string

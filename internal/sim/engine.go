@@ -20,14 +20,6 @@
 //
 // Ties in virtual time break by scheduling order, so the simulation is
 // a total order over events.
-//
-// Parallel dispatch. Parallelize arms a windowed parallel mode
-// (parallel.go): events pinned to processors are sharded per SSMP and
-// shards advance concurrently inside conservative lookahead windows,
-// with a deterministic merge at every window edge that reconstructs the
-// sequential engine's exact (time, seq) dispatch order. The sequential
-// loop below remains the reference path and is what runs whenever the
-// parallel mode is unarmed or ineligible.
 package sim
 
 import (
@@ -38,16 +30,6 @@ import (
 // Time is virtual time in processor clock cycles.
 type Time int64
 
-// executor is one engine-side end of the coroutine handshake: the
-// channel a yielding Proc signals, and the Proc currently holding
-// control. The sequential engine has exactly one; the parallel mode
-// gives each worker its own, so shards hand control to their own procs
-// independently.
-type executor struct {
-	yield chan struct{} // procs signal "I have blocked" on this
-	cur   *Proc         // proc currently executing user code, if any
-}
-
 // Engine is a deterministic discrete-event simulator. The zero value is
 // not usable; call NewEngine.
 type Engine struct {
@@ -56,15 +38,11 @@ type Engine struct {
 	queue      eventQueue
 	dispatched int64
 
-	seqEx *executor // the sequential dispatcher's handshake
+	yield chan struct{} // procs signal "I have blocked" on this
 
 	procs   []*Proc
 	stopped bool
 	stopErr error
-
-	// par, when non-nil, holds the armed parallel-dispatch configuration
-	// (Parallelize). Run decides per run whether it is eligible.
-	par *parEngine
 
 	// chooser, when non-nil, arbitrates ready labeled events (model
 	// checking; see chooser.go). choiceIdx/choiceBuf are its reusable
@@ -76,7 +54,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{seqEx: &executor{yield: make(chan struct{})}} //mgslint:allow nogoroutine -- the engine handshake channel: unbuffered, used only by Engine.run/Proc.block below
+	return &Engine{yield: make(chan struct{})} //mgslint:allow nogoroutine -- the engine handshake channel: unbuffered, used only by Engine.run/Proc.block below
 }
 
 // Now returns the current virtual time: the timestamp of the event being
@@ -86,54 +64,18 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run in engine context at absolute time t. If t is
 // in the past it runs at the current time (still strictly after all
 // already-scheduled events for that time).
-//
-// At-scheduled events carry no processor pin, so a run containing them
-// cannot be parallelized (Run falls back to the sequential dispatcher).
-// Simulation code that may run under Parallelize must use AtOn/AtSend.
 func (e *Engine) At(t Time, fn func()) {
-	if e.par != nil && e.par.active {
-		panic("sim: unpinned At while the parallel dispatcher is live; use AtOn or AtSend")
-	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, pin: -1})
+	e.queue.Push(event{t: t, seq: e.seq, fn: fn})
 }
 
-// AtOn schedules fn at absolute time t, pinned to processor p: the
-// event models work happening on p's SSMP, and the caller asserts it is
-// scheduling from that same SSMP's execution context (a body or event
-// of p's shard). On the sequential path this is exactly At.
-func (e *Engine) AtOn(p *Proc, t Time, fn func()) {
-	if e.par != nil && e.par.active {
-		e.par.schedule(p, p, t, fn)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, pin: int32(p.ID)})
-}
-
-// AtSend schedules fn at absolute time t pinned to processor dst, from
-// the execution context of processor src — the cross-shard scheduling
-// primitive (message deliveries). The parallel dispatcher requires
-// t - (src's current shard time) >= the configured lookahead whenever
-// src and dst live on different shards; message latencies guarantee
-// this by construction. On the sequential path this is exactly At.
-func (e *Engine) AtSend(src, dst *Proc, t Time, fn func()) {
-	if e.par != nil && e.par.active {
-		e.par.schedule(src, dst, t, fn)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, pin: int32(dst.ID)})
-}
+// AtOn is At; the processor argument is ignored. It survives only
+// because the frozen benchmark driver (bench/drivers.go) calls it — new
+// code calls At.
+func (e *Engine) AtOn(_ *Proc, t Time, fn func()) { e.At(t, fn) }
 
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
@@ -144,24 +86,10 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 func (e *Engine) Dispatched() int64 { return e.dispatched }
 
 // Stop aborts the run after the current event completes. Run returns
-// err. From code that may execute under the parallel dispatcher, use
-// StopOn instead so the abort carries its shard context.
+// err.
 func (e *Engine) Stop(err error) {
 	e.stopped = true
 	e.stopErr = err
-}
-
-// StopOn aborts the run from the execution context of processor p. On
-// the sequential path it is exactly Stop; under the parallel dispatcher
-// the stop is recorded against p's shard and the earliest stop in the
-// sequential dispatch order wins at the next window edge, so the
-// returned error is identical to the sequential run's.
-func (e *Engine) StopOn(p *Proc, err error) {
-	if e.par != nil && e.par.active {
-		e.par.stopOn(p, err)
-		return
-	}
-	e.Stop(err)
 }
 
 // Run dispatches events in time order until the queue drains or Stop is
@@ -169,9 +97,6 @@ func (e *Engine) StopOn(p *Proc, err error) {
 // when the queue drains (a simulated deadlock), with a diagnostic
 // listing the stuck processors.
 func (e *Engine) Run() error {
-	if e.par != nil && e.par.eligible(e) {
-		return e.runParallel()
-	}
 	for e.queue.Len() > 0 && !e.stopped {
 		ev := e.next()
 		// A chooser may dispatch a later-scheduled delivery ahead of an
@@ -186,12 +111,6 @@ func (e *Engine) Run() error {
 	if e.stopped {
 		return e.stopErr
 	}
-	return e.deadlockCheck()
-}
-
-// deadlockCheck reports the stuck-processor diagnostic shared by both
-// dispatchers.
-func (e *Engine) deadlockCheck() error {
 	var stuck []string
 	for _, p := range e.procs {
 		if !p.done {
@@ -205,22 +124,9 @@ func (e *Engine) deadlockCheck() error {
 	return nil
 }
 
-// execFor returns the handshake executor responsible for p: the
-// sequential engine's unless the parallel dispatcher is live, in which
-// case it is the worker driving p's shard.
-func (e *Engine) execFor(p *Proc) *executor {
-	if e.par != nil && e.par.active {
-		return e.par.shards[e.par.shardOf(p.ID)].exec
-	}
-	return e.seqEx
-}
-
 // run transfers control to p and waits until p blocks again (or
-// finishes). Must be called from the dispatcher that owns p's shard.
+// finishes). Must be called from engine context.
 func (e *Engine) run(p *Proc) {
-	ex := e.execFor(p)
-	ex.cur = p
 	p.resume <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: hand control to p's body goroutine
-	<-ex.yield             //mgslint:allow nogoroutine -- engine handshake: block until p yields, so exactly one goroutine per dispatcher is ever runnable
-	ex.cur = nil
+	<-e.yield              //mgslint:allow nogoroutine -- engine handshake: block until p yields, so exactly one goroutine is ever runnable
 }

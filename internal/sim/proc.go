@@ -50,9 +50,9 @@ func (e *Engine) NewProc(id int, start Time, body func(p *Proc)) *Proc {
 		body(p)
 		p.state = stateDone
 		p.done = true
-		e.execFor(p).yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: final yield when the body returns
+		e.yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: final yield when the body returns
 	}()
-	e.AtOn(p, start, func() { e.run(p) })
+	e.At(start, func() { e.run(p) })
 	return p
 }
 
@@ -108,7 +108,7 @@ func (p *Proc) Sleep(d Time) {
 	p.debt = 0
 	p.state = stateSleep
 	e := p.eng
-	e.AtOn(p, p.clock, func() { e.run(p) })
+	e.At(p.clock, func() { e.run(p) })
 	p.block()
 }
 
@@ -137,13 +137,12 @@ func (p *Proc) Wake(t Time) {
 	}
 	p.wakeAt = t
 	e := p.eng
-	e.AtOn(p, t, func() { e.run(p) })
+	e.At(t, func() { e.run(p) })
 }
 
-// block yields control back to the dispatcher that owns this
-// processor's shard and waits to be resumed.
+// block yields control back to the engine and waits to be resumed.
 func (p *Proc) block() {
-	p.eng.execFor(p).yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: yield, then wait for resume; covers both lines
+	p.eng.yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: yield, then wait for resume; covers both lines
 	<-p.resume
 	p.state = stateRunning
 }

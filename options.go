@@ -55,11 +55,6 @@ func WithObserver(o *Observer) Option { return harness.WithObserver(o) }
 //	cfg := mgs.NewConfig(1024, 4, mgs.WithTopology(mgs.NewTiered(8)))
 func WithTopology(t Topology) Option { return harness.WithTopology(t) }
 
-// WithEngineWorkers sets the parallel event-dispatch worker count;
-// n <= 1 keeps the sequential dispatcher. Results are bit-identical at
-// any setting (contended topologies fall back automatically).
-func WithEngineWorkers(n int) Option { return harness.WithEngineWorkers(n) }
-
 // WithLockAlgo selects the lock algorithm by name: "token" (the
 // default two-level MGS token lock), "ticket", "mcs", or "tournament".
 // Every algorithm runs as message sequences over the real protocol, so
