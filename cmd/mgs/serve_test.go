@@ -48,7 +48,7 @@ func sortedPaths(data []byte, t *testing.T) []string {
 	return paths
 }
 
-// TestReportJSONSchema pins the mgs-serve -json document's key paths:
+// TestReportJSONSchema pins the mgs serve -json document's key paths:
 // CI's smoke job and any downstream SLO tracking parse these names, so
 // a rename or removal must be a deliberate, visible change here.
 func TestReportJSONSchema(t *testing.T) {
@@ -86,7 +86,7 @@ func TestReportJSONSchema(t *testing.T) {
 		gotSet[p] = true
 	}
 	if !reflect.DeepEqual(gotSet, wantSet) {
-		t.Fatalf("mgs-serve JSON schema drifted:\ngot:  %v\nwant: %v", got, want)
+		t.Fatalf("mgs serve JSON schema drifted:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 

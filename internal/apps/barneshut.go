@@ -41,10 +41,6 @@ const (
 	bhPrebuilt = 1 + 8 + 64 // root + level-1 + level-2 nodes
 )
 
-// NewBarnesHut returns the default instance (scaled from 2K bodies,
-// 3 iterations).
-func NewBarnesHut() *BarnesHut { return &BarnesHut{NBodies: 96, Iters: 2, Theta: 0.6} }
-
 // Name implements harness.App.
 func (b *BarnesHut) Name() string { return "barnes-hut" }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mgs/internal/harness"
-	"mgs/internal/vm"
 )
 
 // Jacobi is the paper's 2-D grid relaxation: long read/write phases over
@@ -16,10 +15,6 @@ type Jacobi struct {
 
 	src, dst F64Array // double-buffered grids
 }
-
-// NewJacobi returns the default-size instance (scaled from the paper's
-// 1024×1024×10).
-func NewJacobi() *Jacobi { return &Jacobi{N: 128, Iters: 10} }
 
 // Name implements harness.App.
 func (j *Jacobi) Name() string { return "jacobi" }
@@ -120,6 +115,3 @@ func (j *Jacobi) Verify(m *harness.Machine) error {
 	}
 	return nil
 }
-
-// SrcAddr exposes the source-grid address of word i (tests and tools).
-func (j *Jacobi) SrcAddr(i int) vm.Addr { return j.src.At(i) }

@@ -16,9 +16,6 @@ type MatMul struct {
 	a, b, c F64Array
 }
 
-// NewMatMul returns the default-size instance (scaled from 256×256).
-func NewMatMul() *MatMul { return &MatMul{N: 96} }
-
 // Name implements harness.App.
 func (mm *MatMul) Name() string { return "matmul" }
 

@@ -24,9 +24,6 @@ type SyncBench struct {
 	slots  I64Array // per-processor round tallies
 }
 
-// NewSyncBench returns the default-size instance.
-func NewSyncBench() *SyncBench { return &SyncBench{Iters: 12} }
-
 // Name implements harness.App.
 func (b *SyncBench) Name() string { return "syncbench" }
 

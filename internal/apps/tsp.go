@@ -345,6 +345,3 @@ func (t *TSP) Verify(m *harness.Machine) error {
 	}
 	return nil
 }
-
-// Nodes reports how many tour nodes were expanded (tests and tools).
-func (t *TSP) Nodes(m *harness.Machine) int64 { return m.Stats.Counter("app.tsp.nodes") }

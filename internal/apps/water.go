@@ -45,10 +45,6 @@ const waterFxScale = 1 << 40
 func toFx(v float64) int64   { return int64(math.Round(v * waterFxScale)) }
 func fromFx(v int64) float64 { return float64(v) / waterFxScale }
 
-// NewWater returns the default instance (scaled from 343 molecules,
-// 2 iterations).
-func NewWater() *Water { return &Water{N: 64, Iters: 2} }
-
 // Name implements harness.App.
 func (w *Water) Name() string { return "water" }
 
@@ -226,9 +222,3 @@ func (w *Water) Verify(m *harness.Machine) error {
 	}
 	return checkClose("kinetic energy", fromFx(m.GetI64(w.kin)), kin, 1e-9)
 }
-
-// MolAddr exposes molecule i's base address (tests and tools).
-func (w *Water) MolAddr(i int) vm.Addr { return w.mol.At(i * molWords) }
-
-// KinAddr exposes the kinetic-energy accumulator address (tests).
-func (w *Water) KinAddr() vm.Addr { return w.kin }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mgs/internal/harness"
-	"mgs/internal/vm"
 )
 
 // WaterKernel is the force-interaction kernel of Water, the paper's
@@ -23,11 +22,6 @@ type WaterKernel struct {
 
 	mol F64Array
 }
-
-// NewWaterKernel returns the default instance (scaled from 512
-// molecules, 1 iteration). N must keep tiles page-aligned: a multiple
-// of 16 × (number of SSMPs).
-func NewWaterKernel(tiled bool) *WaterKernel { return &WaterKernel{N: 256, Tiled: tiled} }
 
 // Name implements harness.App.
 func (w *WaterKernel) Name() string {
@@ -232,29 +226,4 @@ func (w *WaterKernel) Verify(m *harness.Machine) error {
 		}
 	}
 	return nil
-}
-
-// MolAddr exposes molecule i's base address (tests and tools).
-func (w *WaterKernel) MolAddr(i int) vm.Addr { return w.mol.At(i * molWords) }
-
-// BodyInstrumented runs the tiled body invoking onArrive just before
-// every barrier arrival (test instrumentation).
-func (w *WaterKernel) BodyInstrumented(c *harness.Ctx, onArrive func()) {
-	cfg := c.Machine().Cfg
-	nssmp := cfg.P / cfg.C
-	tiles := 2 * nssmp
-	tileSize := w.N / tiles
-	ssmp := c.ID / cfg.C
-	within := c.ID % cfg.C
-	for t := 0; t < 2; t++ {
-		w.selfTile(c, 2*ssmp+t, tileSize, within, cfg.C)
-	}
-	onArrive()
-	c.Barrier(0)
-	for k := 0; k < tiles-1; k++ {
-		a, b := tournamentPair(tiles, k, ssmp)
-		w.crossTiles(c, a, b, tileSize, within, cfg.C)
-		onArrive()
-		c.Barrier(0)
-	}
 }

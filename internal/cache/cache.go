@@ -368,9 +368,6 @@ func (d *Domain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
 	return sim.Time(d.linesPage) * d.costs.CleanPerLine
 }
 
-// LinesPerPage reports how many cache lines one page spans.
-func (d *Domain) LinesPerPage() int { return d.linesPage }
-
 // cachedState reports processor p's state for offset off of frame f
 // (test hook).
 func (d *Domain) cachedState(p int, f *mem.Frame, off int) LineState {

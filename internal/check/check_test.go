@@ -193,7 +193,7 @@ func TestMutationOffClean(t *testing.T) {
 // is what every trace did before it recorded them.
 func TestTraceCarriesAlgorithms(t *testing.T) {
 	w, _ := Lookup("barrier-tree")
-	w.Barrier = "dissemination" // what Options.Workload carries under mgs-check -barrier
+	w.Barrier = "dissemination" // what Options.Workload carries under mgs check -barrier
 	first, err := execute(nil, w, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@
 // execution against an executable abstract specification of the
 // Local Client / Remote Client / Server state machines (paper Tables
 // 2–3). Counterexamples serialize as replayable choice traces
-// (cmd/mgs-check -replay).
+// (mgs check -replay).
 package check
 
 import (
@@ -73,7 +73,7 @@ type Workload struct {
 }
 
 // WithSync returns the workload with lock and barrier filled in where
-// it names no algorithm of its own (mgs-check -lock / -barrier).
+// it names no algorithm of its own (mgs check -lock / -barrier).
 func (w Workload) WithSync(lock, barrier string) Workload {
 	if w.Lock == "" {
 		w.Lock = lock

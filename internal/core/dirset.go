@@ -187,7 +187,7 @@ func (a *pageArena[T]) each(f func(vm.Page, *T)) {
 
 // DirectoryStats summarizes the Server-side directory memory across
 // every home: what the sparse directory actually holds, and an
-// estimate of its bytes. mgs-sweep -scale reports these to show home
+// estimate of its bytes. mgs sweep -scale reports these to show home
 // state staying O(sharers) — not O(SSMPs) — per page as machines grow.
 type DirectoryStats struct {
 	Pages        int   // server page records

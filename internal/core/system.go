@@ -38,7 +38,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mgs/internal/cache"
 	"mgs/internal/mem"
@@ -175,19 +174,19 @@ type serverPage struct {
 	readDir  dirSet // SSMPs with read copies (dirset.go)
 	writeDir dirSet // SSMPs with write copies
 
-	version     int64       // merges applied to the home frame (lazy release only)
-	lastReq     int         // last remote SSMP served (migration tracking)
-	streak      int         // consecutive serves to lastReq
-	count       int         // outstanding invalidation replies
-	refreshing  int         // outstanding refresh ACKs (update protocol)
-	refreshDone bool        // this round's refresh phase already ran
-	invQueue    []invTarget // targets not yet invalidated (serial mode)
-	keepWriter  int         // SSMP retaining its copy (single-writer opt), or -1
-	sawDiff     bool        // foreign data merged during this round
-	homeDirty   bool        // home-SSMP in-place writes since the last round
+	version     int64        // merges applied to the home frame (lazy release only)
+	lastReq     int          // last remote SSMP served (migration tracking)
+	streak      int          // consecutive serves to lastReq
+	count       int          // outstanding invalidation replies
+	refreshing  int          // outstanding refresh ACKs (update protocol)
+	refreshDone bool         // this round's refresh phase already ran
+	invQueue    []invTarget  // targets not yet invalidated (serial mode)
+	keepWriter  int          // SSMP retaining its copy (single-writer opt), or -1
+	sawDiff     bool         // foreign data merged during this round
+	homeDirty   bool         // home-SSMP in-place writes since the last round
 	round       int64        // release rounds opened; the current round's id while state == sRel
 	rmt         []remoteCopy // sparse, sorted by ssmp; rmtGet/rmtEnsure
-	pendReRel   []int // releases that must run as a fresh round
+	pendReRel   []int        // releases that must run as a fresh round
 	pendReq     []pendingReq
 	pendRel     []int // processors awaiting RACK
 }
@@ -475,7 +474,7 @@ func (s *System) BackdoorLoad64(va vm.Addr) uint64 {
 // untouched pages reading as zeros. After every processor has passed its
 // final release point the home frames are the authoritative image, so
 // two runs of one program must snapshot identically no matter what a
-// fault plan did to the wire — the invariant cmd/mgs-chaos enforces.
+// fault plan did to the wire — the invariant mgs chaos enforces.
 // No simulated cost.
 func (s *System) SnapshotMemory() []byte {
 	brk := s.space.Brk()
@@ -561,32 +560,4 @@ func (s *System) CacheCounters() cache.Counters {
 // DUQLen reports the delayed-update-queue length of processor p.
 func (s *System) DUQLen(p int) int {
 	return s.ssmps[s.ssmpOf(p)].duqs[s.within(p)].len()
-}
-
-// DumpServers prints every server page's round state and every client
-// page's lock state that could hold a round up (deadlock diagnosis;
-// pages print in sorted order so two dumps of the same state compare
-// equal).
-func (s *System) DumpServers(f func(format string, args ...any)) {
-	var pages []vm.Page
-	for _, ss := range s.ssmps {
-		ss.servers.each(func(v vm.Page, _ *serverPage) {
-			pages = append(pages, v)
-		})
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, v := range pages {
-		sp := s.serverIfExists(v)
-		if sp.state == sRel || len(sp.pendRel) > 0 || len(sp.pendReq) > 0 || sp.count != 0 || len(sp.invQueue) > 0 || sp.refreshing != 0 || len(sp.pendReRel) > 0 {
-			f("page=%d state=%d count=%d invQueue=%v keep=%d round=%d pendRel=%v pendReq=%v pendReRel=%v R=%b W=%b",
-				v, sp.state, sp.count, sp.invQueue, sp.keepWriter, sp.round, sp.pendRel, sp.pendReq, sp.pendReRel, sp.readDir.mask64(), sp.writeDir.mask64())
-		}
-	}
-	for si, ss := range s.ssmps {
-		ss.pages.each(func(v vm.Page, cp *clientPage) {
-			if cp.lk.held || len(cp.lk.waiters) > 0 || cp.invCount > 0 {
-				f("ssmp=%d page=%d state=%v lkheld=%v lkq=%d invCount=%d", si, v, cp.state, cp.lk.held, len(cp.lk.waiters), cp.invCount)
-			}
-		})
-	}
 }

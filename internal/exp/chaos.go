@@ -20,15 +20,6 @@ import (
 //     run of the same app on the same machine shape — faults may change
 //     *when* everything happens, never *what* memory holds at the end.
 
-// ChaosPlan is the default chaos schedule for one seed: 3% loss, 1%
-// duplication, 5% of messages delayed up to fault.DefaultMaxDelay
-// cycles. Within the ISSUE's ≤5%-loss / ≤2%-dup operating envelope with
-// room to spare, and harsh enough to force retransmissions and replay
-// suppression on every app.
-func ChaosPlan(seed uint64) fault.Plan {
-	return fault.Plan{Seed: seed, DropBP: 300, DupBP: 100, DelayBP: 500}
-}
-
 // ChaosPoint is the outcome of one (app, seed) chaos run.
 type ChaosPoint struct {
 	App  string

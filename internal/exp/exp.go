@@ -1,7 +1,7 @@
 // Package exp defines the paper's experiments: every table and figure
 // of the evaluation section (§5) is regenerable from here, plus the
-// ablations DESIGN.md calls out. cmd/mgs-sweep, cmd/mgs-micro, and the
-// repository benchmarks are thin wrappers over this package.
+// ablations DESIGN.md calls out. cmd/mgs and the repository benchmarks
+// are thin wrappers over this package.
 package exp
 
 import (
@@ -17,60 +17,61 @@ import (
 	"mgs/internal/sim"
 )
 
-// AppNames lists the application suite in the paper's order.
-var AppNames = []string{"jacobi", "matmul", "tsp", "water", "barnes-hut"}
-
-// NewApp returns a fresh paper-default instance of the named app. The
-// problem sizes are the scaled defaults recorded in EXPERIMENTS.md.
-func NewApp(name string) harness.App {
-	switch name {
-	case "jacobi":
-		return &apps.Jacobi{N: 128, Iters: 10}
-	case "matmul":
-		return &apps.MatMul{N: 128}
-	case "tsp":
-		return &apps.TSP{NCities: 10, Depth: 4}
-	case "water":
-		return &apps.Water{N: 64, Iters: 2}
-	case "barnes-hut":
-		return &apps.BarnesHut{NBodies: 96, Iters: 2, Theta: 0.6}
-	case "water-kernel":
-		return &apps.WaterKernel{N: 256, Tiled: false}
-	case "water-kernel-tiled":
-		return &apps.WaterKernel{N: 256, Tiled: true}
-	case "lu":
-		return &apps.LU{N: 128, B: 16}
-	case "serve":
-		return apps.NewServe(serve.DefaultWorkload(false, 1))
-	case "syncbench":
-		return &apps.SyncBench{Iters: 12}
-	}
-	panic(fmt.Sprintf("exp: unknown app %q", name))
+// appTable is the one ordered list of applications: the paper's suite
+// first, then the kernels and workloads added since. Each row builds a
+// fresh instance at the scaled default size recorded in EXPERIMENTS.md
+// or, with small set, at the reduced size for quick runs and tests.
+var appTable = []struct {
+	name  string
+	paper bool
+	mk    func(small bool) harness.App
+}{
+	{"jacobi", true, func(s bool) harness.App { return &apps.Jacobi{N: size(s, 128, 48), Iters: size(s, 10, 3)} }},
+	{"matmul", true, func(s bool) harness.App { return &apps.MatMul{N: size(s, 128, 24)} }},
+	{"tsp", true, func(s bool) harness.App { return &apps.TSP{NCities: size(s, 10, 7), Depth: size(s, 4, 3)} }},
+	{"water", true, func(s bool) harness.App { return &apps.Water{N: size(s, 64, 24), Iters: size(s, 2, 1)} }},
+	{"barnes-hut", true, func(s bool) harness.App {
+		return &apps.BarnesHut{NBodies: size(s, 96, 32), Iters: size(s, 2, 1), Theta: 0.6}
+	}},
+	{"water-kernel", false, func(s bool) harness.App { return &apps.WaterKernel{N: size(s, 256, 128)} }},
+	{"water-kernel-tiled", false, func(s bool) harness.App { return &apps.WaterKernel{N: size(s, 256, 128), Tiled: true} }},
+	{"lu", false, func(s bool) harness.App { return &apps.LU{N: size(s, 128, 48), B: size(s, 16, 8)} }},
+	{"serve", false, func(s bool) harness.App { return apps.NewServe(serve.DefaultWorkload(s, 1)) }},
+	{"syncbench", false, func(s bool) harness.App { return &apps.SyncBench{Iters: size(s, 12, 4)} }},
 }
 
+func size(small bool, full, reduced int) int {
+	if small {
+		return reduced
+	}
+	return full
+}
+
+// AppNames lists the paper's application suite in the paper's order;
+// AllAppNames is every application NewApp and SmallApp accept.
+var AppNames, AllAppNames = appNames(true), appNames(false)
+
+func appNames(paperOnly bool) []string {
+	var names []string
+	for _, a := range appTable {
+		if a.paper || !paperOnly {
+			names = append(names, a.name)
+		}
+	}
+	return names
+}
+
+// NewApp returns a fresh paper-default instance of the named app.
+func NewApp(name string) harness.App { return newApp(name, false) }
+
 // SmallApp returns a reduced instance for quick runs and tests.
-func SmallApp(name string) harness.App {
-	switch name {
-	case "jacobi":
-		return &apps.Jacobi{N: 48, Iters: 3}
-	case "matmul":
-		return &apps.MatMul{N: 24}
-	case "tsp":
-		return &apps.TSP{NCities: 7, Depth: 3}
-	case "water":
-		return &apps.Water{N: 24, Iters: 1}
-	case "barnes-hut":
-		return &apps.BarnesHut{NBodies: 32, Iters: 1, Theta: 0.6}
-	case "water-kernel":
-		return &apps.WaterKernel{N: 128, Tiled: false}
-	case "water-kernel-tiled":
-		return &apps.WaterKernel{N: 128, Tiled: true}
-	case "lu":
-		return &apps.LU{N: 48, B: 8}
-	case "serve":
-		return apps.NewServe(serve.DefaultWorkload(true, 1))
-	case "syncbench":
-		return &apps.SyncBench{Iters: 4}
+func SmallApp(name string) harness.App { return newApp(name, true) }
+
+func newApp(name string, small bool) harness.App {
+	for _, a := range appTable {
+		if a.name == name {
+			return a.mk(small)
+		}
 	}
 	panic(fmt.Sprintf("exp: unknown app %q", name))
 }
@@ -231,7 +232,7 @@ func Fig12(p, n int, e Env) (plain, tiled []harness.SweepPoint, err error) {
 // in its paper-default state there) against the same configuration
 // with Alt applied on top.
 type Ablation struct {
-	Name  string // mgs-sweep -ablation selector
+	Name  string // mgs sweep -ablation selector
 	Title string
 	// BaseLabel and AltLabel head the two result columns.
 	BaseLabel, AltLabel string

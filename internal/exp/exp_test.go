@@ -95,7 +95,7 @@ func TestFig12Small(t *testing.T) {
 	}
 }
 
-// TestAblationsSmall runs every two-sided ablation mgs-sweep offers
+// TestAblationsSmall runs every two-sided ablation mgs sweep offers
 // and checks what each comparison is known to show at test scale.
 func TestAblationsSmall(t *testing.T) {
 	// Each check sees one software-region point's baseline and

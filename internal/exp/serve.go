@@ -38,7 +38,7 @@ func ServeRun(w serve.Workload, cfg harness.Config, slo serve.SLO) (serve.Report
 // armed in place of cfg's observer: the returned report carries a
 // CostBreakdown splitting the run's cycles into user compute,
 // shard-lock wait, barrier wait, MGS protocol work, and transport-fault
-// recovery, plus the per-lock heat ranking (mgs-serve -breakdown).
+// recovery, plus the per-lock heat ranking (mgs serve -breakdown).
 func ServeRunBreakdown(w serve.Workload, cfg harness.Config, slo serve.SLO) (serve.Report, []byte, error) {
 	app := apps.NewServe(w)
 	o := obs.New().EnableProfiling()

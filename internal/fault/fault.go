@@ -15,7 +15,11 @@
 // suppression — lives in internal/msg (reliable.go).
 package fault
 
-import "mgs/internal/sim"
+import (
+	"fmt"
+
+	"mgs/internal/sim"
+)
 
 // Plan is a deterministic fault schedule for inter-SSMP messages. The
 // zero value injects nothing (Empty reports true) and is the identity:
@@ -52,6 +56,21 @@ const DefaultMaxDelay sim.Time = 2000
 // Empty reports whether the plan injects no faults at all.
 func (p Plan) Empty() bool {
 	return p.DropBP <= 0 && p.DupBP <= 0 && p.DelayBP <= 0
+}
+
+// Validate reports the first reason the plan cannot run: a rate outside
+// [0, 10000] basis points, a drop rate of 10000 (no attempt would ever
+// arrive, so no retry limit terminates), or a negative delay bound.
+func (p Plan) Validate() error {
+	switch {
+	case min(p.DropBP, p.DupBP, p.DelayBP) < 0 || max(p.DropBP, p.DupBP, p.DelayBP) > 10000:
+		return fmt.Errorf("bad fault rates drop=%d dup=%d delay=%d: want 0 to 10000 basis points each", p.DropBP, p.DupBP, p.DelayBP)
+	case p.DropBP == 10000:
+		return fmt.Errorf("bad fault drop rate 10000: no transmission attempt could ever arrive")
+	case p.MaxDelay < 0:
+		return fmt.Errorf("bad fault max delay %d: want a non-negative cycle count (0 selects %d)", p.MaxDelay, DefaultMaxDelay)
+	}
+	return nil
 }
 
 // maxDelay resolves the configured delay bound.

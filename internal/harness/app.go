@@ -18,19 +18,8 @@ type App interface {
 // returns the result. A configuration that fails Validate is an error,
 // not a panic.
 func RunApp(app App, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, fmt.Errorf("%s: %w", app.Name(), err)
-	}
-	m := NewMachine(cfg)
-	app.Setup(m)
-	res, err := m.Run(app.Body)
-	if err != nil {
-		return res, fmt.Errorf("%s: %w", app.Name(), err)
-	}
-	if err := app.Verify(m); err != nil {
-		return res, fmt.Errorf("%s: verification failed: %w", app.Name(), err)
-	}
-	return res, nil
+	res, _, err := runApp(app, cfg)
+	return res, err
 }
 
 // RunAppMem is RunApp, additionally returning the final shared-memory
@@ -38,6 +27,15 @@ func RunApp(app App, cfg Config) (Result, error) {
 // harness compares the image of a faulty run byte-for-byte against the
 // fault-free baseline's.
 func RunAppMem(app App, cfg Config) (Result, []byte, error) {
+	res, m, err := runApp(app, cfg)
+	if err != nil {
+		return res, nil, err
+	}
+	return res, m.DSM.SnapshotMemory(), nil
+}
+
+// runApp is the one build → setup → run → verify sequence.
+func runApp(app App, cfg Config) (Result, *Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, fmt.Errorf("%s: %w", app.Name(), err)
 	}
@@ -50,7 +48,7 @@ func RunAppMem(app App, cfg Config) (Result, []byte, error) {
 	if err := app.Verify(m); err != nil {
 		return res, nil, fmt.Errorf("%s: verification failed: %w", app.Name(), err)
 	}
-	return res, m.DSM.SnapshotMemory(), nil
+	return res, m, nil
 }
 
 // SweepPoint is one cluster size's outcome.

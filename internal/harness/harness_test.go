@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mgs/internal/fault"
 	"mgs/internal/msync/algo"
 	"mgs/internal/stats"
 	"mgs/internal/vm"
@@ -303,10 +304,11 @@ func (sweepProbe) Body(c *Ctx)           { c.Compute(1000); c.Barrier(0) }
 func (sweepProbe) Verify(*Machine) error { return nil }
 
 // TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name, a shape
-// that does not divide into SSMPs, a size the substrate cannot build or
-// a self-contradictory protocol variant comes back from RunApp/RunAppMem
-// as an error that says what would have been accepted, and NewMachine
-// panics with that same message before constructing anything.
+// that does not divide into SSMPs, a size the substrate cannot build, a
+// self-contradictory protocol variant or an out-of-range fault plan
+// comes back from RunApp/RunAppMem as an error that says what would
+// have been accepted, and NewMachine panics with that same message
+// before constructing anything.
 func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -324,6 +326,10 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"migrate-negative", NewConfig(4, 2, func(c *Config) { c.Variant.MigrateAfter = -1 }), []string{"MigrateAfter -1"}},
 		{"lazy-update", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.UpdateProtocol = true, true }), []string{"lazy release", "update protocol"}},
 		{"lazy-migrate", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.MigrateAfter = true, 2 }), []string{"lazy release", "home migration"}},
+		{"fault-negative-rate", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: -5})), []string{"drop=-5", "0 to 10000"}},
+		{"fault-rate-above-10000", NewConfig(4, 2, WithFaultPlan(fault.Plan{DupBP: 20000})), []string{"dup=20000", "0 to 10000"}},
+		{"fault-drop-everything", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: 10000})), []string{"drop rate 10000", "ever arrive"}},
+		{"fault-negative-maxdelay", NewConfig(4, 2, WithFaultPlan(fault.Plan{DelayBP: 500, MaxDelay: -5})), []string{"max delay -5"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := RunApp(sweepProbe{}, tc.cfg)

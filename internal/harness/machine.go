@@ -133,8 +133,9 @@ func NewConfig(p, c int, opts ...Option) Config {
 // Validate reports the first reason the configuration cannot be built:
 // a machine shape that does not divide into SSMPs, a page, TLB or
 // delay the substrate cannot size, a protocol variant whose fields
-// contradict each other, or a lock or barrier name no registered
-// algorithm answers to.
+// contradict each other, a fault plan whose rates or delay bound are out
+// of range, or a lock or barrier name no registered algorithm answers
+// to.
 func (cfg Config) Validate() error {
 	_, _, err := cfg.algos()
 	return err
@@ -156,6 +157,9 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 		err = fmt.Errorf("bad MigrateAfter %d: want 0 (homes fixed) or a positive serve count", v.MigrateAfter)
 	case v.LazyRelease && (v.UpdateProtocol || v.MigrateAfter > 0):
 		err = fmt.Errorf("lazy release runs no eager release round, so it cannot be combined with the update protocol or home migration, which only modify that round")
+	}
+	if err == nil {
+		err = cfg.Fault.Validate()
 	}
 	if err == nil {
 		la, err = algo.LockByName(cfg.LockAlgo)

@@ -28,7 +28,7 @@ import (
 // the rule backwards. A candidate must transitively reach at least
 // one charge:
 // a read of a Costs field, Proc.Advance/Sleep/AddDebt/HandlerStart,
-// Network.Send/Extend/Latency/XferCycles, Engine.After, or Engine.At
+// Network.Send/Extend/Latency, Engine.After, or Engine.At
 // with a time offset (At with a bare time value merely reschedules).
 // Handlers that are legitimately free (their cost is charged upstream,
 // e.g. by Network.Send's HandlerEntry) get //mgslint:allow chargecost.
@@ -167,7 +167,7 @@ func chargesDirectly(pass *analysis.Pass, body *ast.BlockStmt) bool {
 			switch {
 			case isMethodOn(callee, "sim", "Proc", "Advance", "Sleep", "AddDebt", "HandlerStart"):
 				found = true
-			case isMethodOn(callee, "msg", "Network", "Send", "Extend", "Latency", "XferCycles"):
+			case isMethodOn(callee, "msg", "Network", "Send", "Extend", "Latency"):
 				found = true
 			case isMethodOn(callee, "sim", "Engine", "After"):
 				found = true

@@ -72,12 +72,13 @@ func isDeterministic(path string) bool {
 // scopeSourceBans reports whether maprange and nowalltime check the
 // package: the deterministic set plus the host-side packages that
 // produce the artifacts promised reproducible (stats breakdowns, sweep
-// CSVs, CLI output). Nondeterminism is rejected where it is written
+// CSVs, and what cmd/mgs prints). Nondeterminism is rejected where it is written
 // down — an order-leaking map range, a host clock, a global rand draw,
 // a pointer value — rather than traced to where it lands.
 func scopeSourceBans(path string) bool {
 	p := internalPkg(path)
-	return isDeterministic(path) || p == "harness" || p == "stats" || p == "exp" || p == "cli"
+	return isDeterministic(path) || p == "harness" || p == "stats" || p == "exp" || p == "cli" ||
+		strings.HasSuffix(canonicalPath(path), "/cmd/mgs")
 }
 
 // scopeNoGoroutine reports whether nogoroutine checks the package:

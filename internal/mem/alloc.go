@@ -29,9 +29,6 @@ func NewFrameAllocatorAt(base uint64, pageSize int) *FrameAllocator {
 	return &FrameAllocator{base: base, pageSize: pageSize}
 }
 
-// PageSize returns the frame size in bytes.
-func (a *FrameAllocator) PageSize() int { return a.pageSize }
-
 // Alloc returns a zeroed frame with an ID unique among live frames:
 // the most recently recycled frame if one is available, else a fresh
 // frame with a never-used ID.

@@ -12,7 +12,7 @@ import (
 // messages that cross it at the configured DMA bandwidth. This answers
 // a question the paper leaves open — how sensitive the multigrain
 // results are to non-uniform, contended inter-SSMP latency — and backs
-// the `mesh` ablation in cmd/mgs-sweep.
+// the `mesh` ablation in mgs sweep.
 type Mesh2D struct {
 	w      int // mesh width (smallest square holding all SSMPs)
 	perHop sim.Time

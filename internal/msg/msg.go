@@ -175,9 +175,6 @@ func (n *Network) jitter() sim.Time {
 	return sim.Time(v % uint64(n.costs.Jitter))
 }
 
-// Costs returns the cost table in use.
-func (n *Network) Costs() Costs { return n.costs }
-
 // SSMPOf returns the SSMP number of a processor.
 func (n *Network) SSMPOf(proc int) int { return proc / n.csize }
 
@@ -300,12 +297,6 @@ func (n *Network) Extend(proc int, at, extra sim.Time) sim.Time {
 	n.procs[proc].HandlerStart(at, extra)
 	n.chargeHandler(proc, extra)
 	return at + extra
-}
-
-// XferCycles converts a byte count to DMA cycles at the configured
-// bandwidth.
-func (n *Network) XferCycles(bytes int) sim.Time {
-	return sim.Time(bytes / n.costs.BytesPerCycle)
 }
 
 func (n *Network) chargeHandler(proc int, cycles sim.Time) {

@@ -132,14 +132,6 @@ func (n *Network) AttachFault(plan fault.Plan, fs *stats.Fault) {
 	n.inj = &injector{net: n, plan: plan, fs: fs, chans: make(map[chanKey]*chanState)}
 }
 
-// FaultPlan returns the attached plan (empty if none).
-func (n *Network) FaultPlan() fault.Plan {
-	if n.inj == nil {
-		return fault.Plan{}
-	}
-	return n.inj.plan
-}
-
 // emit publishes one transport fate event on the observability spine.
 // The channel coordinates go in the detail; transport events carry
 // Proc -1 so the Chrome exporter gives the wire its own track. Detail

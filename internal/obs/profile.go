@@ -35,7 +35,7 @@ type profCur struct {
 //
 // The profiler's per-(processor, component) totals equal the stats
 // collector's buckets exactly — both are fed by the same Charge calls —
-// which is the reconciliation invariant cmd/mgs-profile asserts.
+// which is the reconciliation invariant mgs profile asserts.
 type Profiler struct {
 	ncomp int
 	cur   []profCur

@@ -1,7 +1,5 @@
 package serve
 
-import "mgs/internal/sim"
-
 // DefaultWorkload returns the standard three-phase serving schedule:
 // steady Zipf traffic, working-set drift, then a flash crowd at 4x the
 // arrival rate concentrated on 1/64th of the keyspace. The small
@@ -10,12 +8,12 @@ import "mgs/internal/sim"
 // session-store shape.
 func DefaultWorkload(small bool, seed uint64) Workload {
 	w := Workload{
-		Seed:   seed,
-		NKeys:  1024,
-		GetBP:  7500,
-		ScanBP: 500,
+		Seed:    seed,
+		NKeys:   1024,
+		GetBP:   7500,
+		ScanBP:  500,
 		ScanLen: 8,
-		Theta:  0.9,
+		Theta:   0.9,
 		Phases: []Phase{
 			{Name: "steady", Kind: Steady, Cycles: 800_000, MeanGap: 2_500},
 			{Name: "drift", Kind: Drift, Cycles: 800_000, MeanGap: 2_500},
@@ -33,7 +31,7 @@ func DefaultWorkload(small bool, seed uint64) Workload {
 	return w
 }
 
-// Mixes are the named op-mix presets mgs-serve's -workload flag
+// Mixes are the named op-mix presets mgs serve's -workload flag
 // accepts, applied on top of DefaultWorkload.
 var Mixes = []string{"default", "read-heavy", "write-heavy", "scan-heavy"}
 
@@ -52,13 +50,4 @@ func ApplyMix(w *Workload, mix string) bool {
 		return false
 	}
 	return true
-}
-
-// TotalCycles is the schedule's offered-traffic span.
-func (w Workload) TotalCycles() sim.Time {
-	var t sim.Time
-	for _, ph := range w.Phases {
-		t += ph.Cycles
-	}
-	return t
 }

@@ -80,7 +80,7 @@ type PhaseStats struct {
 	SLOOK bool    `json:"slo_ok"`
 }
 
-// Report is the serving run's result document (mgs-serve's JSON shape;
+// Report is the serving run's result document (mgs serve's JSON shape;
 // CSV renders the same rows).
 type Report struct {
 	P          int          `json:"p"`
@@ -99,7 +99,7 @@ type Report struct {
 	SLO        SLO          `json:"slo"`
 	SLOOK      bool         `json:"slo_ok"`
 	Phases     []PhaseStats `json:"phases"`
-	// Breakdown is the per-request cost attribution (mgs-serve
+	// Breakdown is the per-request cost attribution (mgs serve
 	// -breakdown); nil — and absent from JSON — unless the run was
 	// profiled (exp.ServeRunBreakdown).
 	Breakdown *CostBreakdown `json:"breakdown,omitempty"`
@@ -179,16 +179,16 @@ func (s SLO) sloOK(ps PhaseStats) bool {
 func (r *Recorder) BuildReport(w Workload, res harness.Result, p, c int, slo SLO) Report {
 	rep := Report{
 		P: p, C: c, Seed: w.Seed, Theta: w.Theta,
-		Cycles:    res.Cycles,
-		Gets:      r.ops[OpGet].Value(),
-		Puts:      r.ops[OpPut].Value(),
-		Scans:     r.ops[OpScan].Value(),
-		LockHits:  res.LockHits,
-		LockTotal: res.LockTotal,
-		Dropped:   res.Fault.Dropped,
+		Cycles:     res.Cycles,
+		Gets:       r.ops[OpGet].Value(),
+		Puts:       r.ops[OpPut].Value(),
+		Scans:      r.ops[OpScan].Value(),
+		LockHits:   res.LockHits,
+		LockTotal:  res.LockTotal,
+		Dropped:    res.Fault.Dropped,
 		Retransmit: res.Fault.Retransmits,
-		SLO:       slo,
-		SLOOK:     true,
+		SLO:        slo,
+		SLOOK:      true,
 	}
 	rep.Requests = rep.Gets + rep.Puts + rep.Scans
 	for i, h := range r.phases {

@@ -107,18 +107,12 @@ func Place(m *harness.Machine, nKeys int, costs Costs) *Store {
 	return s
 }
 
-// NKeys returns the keyspace size.
-func (s *Store) NKeys() int { return s.nKeys }
-
-// Shards returns the shard count (one per SSMP).
-func (s *Store) Shards() int { return s.shards }
-
 // ShardOf is the deterministic sharding function: contiguous key blocks.
 func (s *Store) ShardOf(key int32) int { return int(key) / s.keysPerShard }
 
 // LockID returns the msync lock guarding shard sh. Serve locks start at
 // 0; apps that compose with the store must number their own locks from
-// Shards() up.
+// the shard count (one per SSMP) up.
 func (s *Store) LockID(sh int) int { return sh }
 
 // wordAddr returns the address of the given word of key's record.

@@ -56,9 +56,6 @@ func (e *Engine) NewProc(id int, start Time, body func(p *Proc)) *Proc {
 	return p
 }
 
-// Engine returns the engine this processor belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Clock returns the processor's local virtual time. It can run ahead of
 // Engine.Now between yields (direct execution).
 func (p *Proc) Clock() Time { return p.clock }

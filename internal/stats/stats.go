@@ -90,7 +90,6 @@ func (f Fault) String() string {
 // between the simulation's charge sites and the observability spine.
 type Collector struct {
 	buckets [][NumCategories]sim.Time
-	mode    []Category
 	reg     *obs.Registry
 	prof    *obs.Profiler
 
@@ -99,12 +98,11 @@ type Collector struct {
 	Fault Fault
 }
 
-// NewCollector returns a collector for nprocs processors, all starting
-// in User mode, with a private metrics registry.
+// NewCollector returns a collector for nprocs processors with a private
+// metrics registry.
 func NewCollector(nprocs int) *Collector {
 	c := &Collector{
 		buckets: make([][NumCategories]sim.Time, nprocs),
-		mode:    make([]Category, nprocs),
 		reg:     obs.NewRegistry(),
 	}
 	c.registerFaultGauges()
@@ -113,7 +111,7 @@ func NewCollector(nprocs int) *Collector {
 
 // Use attaches the collector to an observer: counters re-register onto
 // the observer's registry and, when the observer has profiling enabled,
-// every subsequent Charge/ChargeMode also feeds the cycle-attribution
+// every subsequent Charge also feeds the cycle-attribution
 // profiler. Call before the run starts (counters do not migrate).
 func (c *Collector) Use(o *obs.Observer) {
 	if o == nil {
@@ -163,34 +161,11 @@ func (c *Collector) ProfContext(p int) (obs.ObjKind, int64) {
 	return c.prof.Context(p)
 }
 
-// Profiling reports whether a cycle-attribution profiler is armed.
-func (c *Collector) Profiling() bool { return c.prof != nil }
-
-// Mode returns processor p's current attribution mode.
-func (c *Collector) Mode(p int) Category { return c.mode[p] }
-
-// SetMode switches processor p's attribution mode, returning the
-// previous mode so callers can restore it.
-func (c *Collector) SetMode(p int, m Category) Category {
-	prev := c.mode[p]
-	c.mode[p] = m
-	return prev
-}
-
 // Charge adds cycles to a specific bucket of processor p. With a
 // profiler armed, the same cycles are attributed to p's current object
 // context, which is what keeps profiler totals and Breakdown in exact
 // agreement.
 func (c *Collector) Charge(p int, cat Category, cycles sim.Time) {
-	c.buckets[p][cat] += cycles
-	if c.prof != nil {
-		c.prof.Charge(p, int(cat), cycles)
-	}
-}
-
-// ChargeMode adds cycles to processor p's current-mode bucket.
-func (c *Collector) ChargeMode(p int, cycles sim.Time) {
-	cat := c.mode[p]
 	c.buckets[p][cat] += cycles
 	if c.prof != nil {
 		c.prof.Charge(p, int(cat), cycles)

@@ -7,16 +7,8 @@ import (
 
 func TestModeSwitchAndCharge(t *testing.T) {
 	c := NewCollector(2)
-	if c.Mode(0) != User {
-		t.Fatalf("initial mode = %v, want User", c.Mode(0))
-	}
-	c.ChargeMode(0, 100)
-	prev := c.SetMode(0, MGS)
-	if prev != User {
-		t.Fatalf("SetMode returned %v, want User", prev)
-	}
-	c.ChargeMode(0, 50)
-	c.SetMode(0, prev)
+	c.Charge(0, User, 100)
+	c.Charge(0, MGS, 50)
 	c.Charge(1, Barrier, 30)
 
 	b := c.Breakdown()
