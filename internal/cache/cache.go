@@ -125,6 +125,10 @@ func NewDir(homeNode, pageSize, lineSize int) *Dir {
 }
 
 // pcache is one processor's direct-mapped cache (tags + state only).
+// Both arrays are nil until the processor's first Access: zeroing 36 KB
+// per processor up front is most of what building a machine costs, and
+// a processor that is never recorded as a sharer or owner is never
+// looked at.
 type pcache struct {
 	tags  []uint64 // line address + 1; 0 means empty
 	state []LineState
@@ -150,7 +154,7 @@ func NewDomain(nprocs, pageSize int, params Params, costs Costs) *Domain {
 	for 1<<lineShift < params.LineSize {
 		lineShift++
 	}
-	d := &Domain{
+	return &Domain{
 		params:    params,
 		costs:     costs,
 		pageSize:  pageSize,
@@ -160,13 +164,6 @@ func NewDomain(nprocs, pageSize int, params Params, costs Costs) *Domain {
 		caches:    make([]pcache, nprocs),
 		frames:    make(map[uint64]*Dir),
 	}
-	for i := range d.caches {
-		d.caches[i] = pcache{
-			tags:  make([]uint64, d.nlines),
-			state: make([]LineState, d.nlines),
-		}
-	}
-	return d
 }
 
 // Register attaches a frame's directory so evictions and cleaning can
@@ -190,6 +187,10 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 	li := (off >> d.lineShift) % d.linesPage
 	e := &dir.entries[li]
 	c := &d.caches[local]
+	if c.tags == nil {
+		c.tags = make([]uint64, d.nlines)
+		c.state = make([]LineState, d.nlines)
+	}
 	slot := int(la % uint64(d.nlines))
 	hit := c.tags[slot] == la+1
 
@@ -312,8 +313,8 @@ func (d *Domain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Ti
 func (d *Domain) dropLine(p int, la uint64, downgrade bool) {
 	c := &d.caches[p]
 	slot := int(la % uint64(d.nlines))
-	if c.tags[slot] != la+1 {
-		return // already evicted
+	if c.tags == nil || c.tags[slot] != la+1 {
+		return // never cached here, or already evicted
 	}
 	if downgrade {
 		c.state[slot] = Shared
@@ -374,7 +375,7 @@ func (d *Domain) cachedState(p int, f *mem.Frame, off int) LineState {
 	la := d.lineAddr(f, off)
 	c := &d.caches[p]
 	slot := int(la % uint64(d.nlines))
-	if c.tags[slot] != la+1 {
+	if c.tags == nil || c.tags[slot] != la+1 {
 		return Inv
 	}
 	return c.state[slot]

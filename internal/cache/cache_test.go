@@ -245,3 +245,29 @@ func BenchmarkAccessMissMix(b *testing.B) {
 		d.Access(i%8, f, dir, (i%64)*16, i%5 == 0)
 	}
 }
+
+// A processor's tag and state arrays are allocated by its first Access.
+// One that never accessed holds nothing: it reports Inv, and cleaning a
+// page or dropping a line it never held leaves it untouched, without
+// allocating its arrays as a side effect.
+func TestNeverAccessedProcessorHoldsNothing(t *testing.T) {
+	d, f, dir := newTestDomain(4)
+	d.Access(0, f, dir, 0, true)
+	d.Access(1, f, dir, 16, false)
+	const idle = 3
+	if st := d.cachedState(idle, f, 0); st != Inv {
+		t.Fatalf("idle processor reports %v for a line it never touched, want Inv", st)
+	}
+	d.dropLine(idle, d.lineAddr(f, 0), false)
+	d.dropLine(idle, d.lineAddr(f, 16), true)
+	d.CleanPage(f, dir)
+	if st := d.cachedState(idle, f, 16); st != Inv {
+		t.Fatalf("idle processor reports %v after CleanPage, want Inv", st)
+	}
+	if c := d.caches[idle]; c.tags != nil || c.state != nil {
+		t.Fatal("idle processor's cache arrays were allocated although it never accessed")
+	}
+	if d.caches[0].tags == nil || d.caches[1].tags == nil {
+		t.Fatal("accessing processors have no cache arrays")
+	}
+}

@@ -65,3 +65,32 @@ func BenchmarkAccessWritePath(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestAccessHitPathDoesNotAllocate keeps BenchmarkAccessFastPath's
+// 0 allocs/op inside go test: the cache domain allocates a processor's
+// tag and state arrays on its first access, and nothing after that. Two
+// loop lengths are compared so the first access, the fault and the
+// machine cancel.
+func TestAccessHitPathDoesNotAllocate(t *testing.T) {
+	loads := func(n int) {
+		m := NewMachine(NewConfig(2, 1))
+		va := homedAddr(m)
+		if _, err := m.RunPer(func(i int) func(c *Ctx) {
+			if i != 0 {
+				return func(*Ctx) {}
+			}
+			return func(c *Ctx) {
+				for k := 0; k < n; k++ {
+					c.LoadI64(va)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	few := testing.AllocsPerRun(5, func() { loads(100) })
+	many := testing.AllocsPerRun(5, func() { loads(10100) })
+	if many-few >= 10 {
+		t.Fatalf("a cache-hit load allocates: %.0f allocations for 100 loads, %.0f for 10100", few, many)
+	}
+}

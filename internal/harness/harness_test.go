@@ -352,6 +352,31 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 	}
 }
 
+// panicProbe is sweepProbe with a body that fails on processor 1.
+type panicProbe struct{ sweepProbe }
+
+func (panicProbe) Body(c *Ctx) {
+	c.Compute(1000)
+	if c.ID == 1 {
+		panic("app bug on processor 1")
+	}
+	c.Barrier(0)
+}
+
+// TestBodyPanicUnwindsToTheCaller: a panic in an application body comes
+// out of RunApp on the caller's goroutine, where a sweep runner or a
+// test can recover it and name the run, instead of killing the process
+// from a processor goroutine nobody can reach.
+func TestBodyPanicUnwindsToTheCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "app bug on processor 1" {
+			t.Fatalf("recovered %v, want the body's panic value", r)
+		}
+	}()
+	_, err := RunApp(panicProbe{}, NewConfig(4, 2))
+	t.Fatalf("RunApp returned (%v); the body's panic should have unwound through it", err)
+}
+
 // TestEmptyAlgoNamesSelectTheDefaults: "" and the default names are the
 // same registered algorithms, so a machine built either way is the same
 // machine.

@@ -295,6 +295,27 @@ type Result struct {
 	// Fault is the fault-injection transport's accounting (all zeros on
 	// fault-free runs).
 	Fault stats.Fault
+	// Engine is the host work the run took. Deterministic like every
+	// other field: the same run gives the same counts on any host.
+	Engine EngineCounts
+}
+
+// EngineCounts is what a run cost the simulator itself, in exact counts
+// rather than seconds. TestEngineCountsGolden pins them for small
+// shapes of the benchmark workloads, so a change that doubles switches
+// or stops reusing delivery records fails go test.
+type EngineCounts struct {
+	// Events is the number of events dispatched (sim.Engine.Dispatched).
+	Events int64
+	// Switches is the number of processor resumes: each is one coroutine
+	// switch into a body and one back out.
+	Switches int64
+	// PeakQueue is the most events that were pending at once.
+	PeakQueue int
+	// DeliveriesNew and DeliveriesReused split the fault-free messages
+	// sent by whether msg allocated the delivery record or took it from
+	// its free list.
+	DeliveriesNew, DeliveriesReused int64
 }
 
 // Run executes body on every processor and collects the result. A
@@ -328,6 +349,13 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		Dir:        m.DSM.DirectoryStats(),
 		Counters:   m.Stats.Counters(),
 		Fault:      m.Stats.Fault,
+		Engine: EngineCounts{
+			Events:           m.Eng.Dispatched(),
+			Switches:         m.Eng.Switches(),
+			PeakQueue:        m.Eng.PeakQueue(),
+			DeliveriesNew:    m.Net.DeliveriesNew,
+			DeliveriesReused: m.Net.DeliveriesReused,
+		},
 	}, nil
 }
 

@@ -51,7 +51,14 @@ func typeIs(t types.Type, pkgName, typeName string) bool {
 // or plain function), or nil for builtins, conversions, and calls of
 // function-typed values.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) { // an explicit instantiation: f[T](...)
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		f, _ := info.Uses[fun].(*types.Func)
 		return f

@@ -4,14 +4,14 @@
 package harness
 
 func RunPool(n int, job func(int)) {
-	done := make(chan struct{}, n) // want `make\(chan \.\.\.\) outside the engine handshake`
+	done := make(chan struct{}, n) // want `make\(chan \.\.\.\) in a deterministic package`
 	for k := 0; k < n; k++ {
 		go func(k int) { // want `go statement hands scheduling`
 			job(k)
-			done <- struct{}{} // want `channel send outside the engine handshake`
+			done <- struct{}{} // want `channel send in a deterministic package`
 		}(k)
 	}
 	for k := 0; k < n; k++ {
-		<-done // want `channel receive outside the engine handshake`
+		<-done // want `channel receive in a deterministic package`
 	}
 }

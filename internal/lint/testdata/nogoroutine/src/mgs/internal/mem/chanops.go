@@ -7,10 +7,10 @@ func Spawn(fn func()) {
 
 // Channels exercises every forbidden channel operation.
 func Channels() {
-	ch := make(chan int, 1) // want `make\(chan \.\.\.\) outside the engine handshake`
-	ch <- 1                 // want `channel send outside the engine handshake`
-	<-ch                    // want `channel receive outside the engine handshake`
-	close(ch)               // want `close of channel outside the engine handshake`
+	ch := make(chan int, 1) // want `make\(chan \.\.\.\) in a deterministic package`
+	ch <- 1                 // want `channel send in a deterministic package`
+	<-ch                    // want `channel receive in a deterministic package`
+	close(ch)               // want `close of channel in a deterministic package`
 	for range ch { // want `range over channel`
 	}
 }
@@ -18,16 +18,16 @@ func Channels() {
 // Choose is scheduler-dependent by construction.
 func Choose(a, b chan int) int {
 	select { // want `select statement`
-	case v := <-a: // want `channel receive outside the engine handshake`
+	case v := <-a: // want `channel receive in a deterministic package`
 		return v
-	case v := <-b: // want `channel receive outside the engine handshake`
+	case v := <-b: // want `channel receive in a deterministic package`
 		return v
 	}
 }
 
-// Allowed stands in for a sanctioned handshake site.
+// Allowed stands in for a sanctioned site.
 func Allowed() chan struct{} {
-	//mgslint:allow nogoroutine -- fixture: stands in for the annotated engine handshake
+	//mgslint:allow nogoroutine -- fixture: stands in for a sanctioned site
 	return make(chan struct{})
 }
 

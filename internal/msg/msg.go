@@ -126,6 +126,13 @@ type Network struct {
 	Obs *obs.Observer
 
 	Counters Counters
+
+	// free holds the delivery records of completed messages for
+	// SendTagged to reuse. DeliveriesNew and DeliveriesReused count the
+	// records it allocated and the ones it took from here: host work,
+	// never read by the simulation.
+	free                            []*delivery
+	DeliveriesNew, DeliveriesReused int64
 }
 
 // NewNetwork builds the network for nprocs processors grouped into SSMPs
@@ -272,16 +279,49 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 	} else {
 		arrive = when + n.costs.SendOverhead + n.Latency(from, to, bytes) + n.jitter()
 	}
-	dst := n.procs[to]
-	n.eng.AtChoice(arrive, l, func() {
-		// arrive names the scheduled delivery time; a chooser may run
+	var d *delivery
+	if k := len(n.free) - 1; k >= 0 {
+		d, n.free = n.free[k], n.free[:k]
+		n.DeliveriesReused++
+	} else {
+		d = &delivery{n: n}
+		n.DeliveriesNew++
+	}
+	d.to, d.at, d.extra, d.fn = to, arrive, extra, fn
+	n.eng.AtChoiceHandler(arrive, l, d)
+}
+
+// delivery is one message on the perfect wire, and the sim.Handler of
+// both of its events: it fires at arrival, where it queues for the
+// destination's handler resource, and again when the handler body has
+// completed, where it runs fn and goes back on the Network's free list.
+type delivery struct {
+	n        *Network
+	to       int
+	at       sim.Time // scheduled arrival; once handling, the completion time
+	extra    sim.Time
+	fn       func(done sim.Time)
+	handling bool // false until the arrival event has fired
+}
+
+// Fire runs the delivery's next stage.
+func (d *delivery) Fire() {
+	n := d.n
+	if !d.handling {
+		// d.at names the scheduled delivery time; a chooser may run
 		// this event later, but handler occupancy (HandlerStart) and the
 		// engine's At clamp keep every derived time monotone.
-		cost := n.costs.HandlerEntry + extra
-		start := dst.HandlerStart(arrive, cost)
-		n.chargeHandler(to, cost)
-		n.eng.At(start+cost, func() { fn(start + cost) })
-	})
+		cost := n.costs.HandlerEntry + d.extra
+		start := n.procs[d.to].HandlerStart(d.at, cost)
+		n.chargeHandler(d.to, cost)
+		d.handling, d.at = true, start+cost
+		n.eng.AtHandler(d.at, d)
+		return
+	}
+	fn, done := d.fn, d.at
+	d.fn, d.handling = nil, false // drop what fn captured; free before fn so its own sends reuse d
+	n.free = append(n.free, d)
+	fn(done)
 }
 
 // SendCost is the occupancy a sender spends launching one message.

@@ -9,7 +9,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	var q eventQueue
 	fn := func() {}
 	for i := 0; i < 256; i++ {
-		q.Push(event{t: Time(i), seq: uint64(i), fn: fn})
+		q.Push(event{t: Time(i), seq: uint64(i), h: Func(fn)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

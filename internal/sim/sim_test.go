@@ -14,7 +14,7 @@ func TestEventQueueOrdersByTimeThenSeq(t *testing.T) {
 	times := []Time{5, 1, 3, 1, 5, 0, 3}
 	for i, tm := range times {
 		i := i
-		q.Push(event{t: tm, seq: uint64(i), fn: nil})
+		q.Push(event{t: tm, seq: uint64(i), h: nil})
 	}
 	var got []event
 	for q.Len() > 0 {
@@ -32,17 +32,17 @@ func TestEventQueueOrdersByTimeThenSeq(t *testing.T) {
 }
 
 // Pop must zero the vacated tail slot: the slot keeps its backing array
-// position alive, and a stale fn closure there pins everything the
+// position alive, and a stale handler there pins everything the
 // closure captured (procs, pages, buffers) for the life of the queue.
 func TestEventQueuePopClearsTailSlot(t *testing.T) {
 	var q eventQueue
 	for i := 0; i < 4; i++ {
-		q.Push(event{t: Time(i), seq: uint64(i), fn: func() {}})
+		q.Push(event{t: Time(i), seq: uint64(i), h: Func(func() {})})
 	}
 	for q.Len() > 0 {
 		n := q.Len() - 1
 		q.Pop()
-		if got := q.ev[:n+1][n]; got.fn != nil || got.t != 0 || got.seq != 0 {
+		if got := q.ev[:n+1][n]; got.h != nil || got.t != 0 || got.seq != 0 {
 			t.Fatalf("vacated slot %d not cleared: %+v", n, got)
 		}
 	}
@@ -381,4 +381,75 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// assertNoAllocsPerOp runs f(n), a simulation of n operations, for two
+// values of n and fails when 1000 more operations cost ten or more heap
+// allocations more — one allocation per operation would cost a
+// thousand. Comparing two sizes cancels what a run allocates once
+// (engine, heap growth, coroutine); the slack absorbs the runtime's own
+// bookkeeping.
+func assertNoAllocsPerOp(t *testing.T, what string, f func(n int)) {
+	t.Helper()
+	few := testing.AllocsPerRun(5, func() { f(100) })
+	many := testing.AllocsPerRun(5, func() { f(1100) })
+	if many-few >= 10 {
+		t.Fatalf("%s allocates: %.0f allocations for 100, %.0f for 1100", what, few, many)
+	}
+}
+
+// The engine's two yields are what a TLB-thrashing run does a million
+// times (tlb-thrash: 1.4 M allocations a pass when each resume was a
+// closure, 15 k now). A Proc is its own resume event, so neither may
+// allocate.
+func TestSleepAndParkWakeDoNotAllocate(t *testing.T) {
+	assertNoAllocsPerOp(t, "a Sleep/resume round trip", func(n int) {
+		e := NewEngine()
+		e.NewProc(0, 0, func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertNoAllocsPerOp(t, "a Park/Wake round trip", func(n int) {
+		e := NewEngine()
+		p := e.NewProc(0, 0, func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Park()
+			}
+		})
+		left := n
+		var wake func()
+		wake = func() {
+			p.Wake(e.Now())
+			if left--; left > 0 {
+				e.After(1, wake)
+			}
+		}
+		e.At(1, wake)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// A panic in a processor body is the caller's to handle: it unwinds
+// through the resume that switched to the body and out of Run. (When a
+// body was a detached goroutine it killed the process instead.)
+func TestBodyPanicReachesRunsCaller(t *testing.T) {
+	e := NewEngine()
+	e.NewProc(0, 0, func(p *Proc) {
+		p.Sleep(5)
+		panic("body failed")
+	})
+	defer func() {
+		if r := recover(); r != "body failed" {
+			t.Fatalf("recovered %v, want the body's panic value", r)
+		}
+	}()
+	err := e.Run()
+	t.Fatalf("Run returned (%v); the body's panic should have unwound through it", err)
 }
