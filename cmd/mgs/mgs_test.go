@@ -2,12 +2,10 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mgs/internal/exp"
-	"mgs/internal/serve"
 )
 
 // mgs runs one command line in-process.
@@ -17,41 +15,49 @@ func mgs(args ...string) (status int, stdout, stderr string) {
 	return status, out.String(), errb.String()
 }
 
-// TestCSVHeaderOfEveryMode pins the column set of every CSV-emitting mode:
-// plotting scripts and CI parse these names, so a rename or removal
-// must be a deliberate, visible change here.
+// TestCSVHeaderOfEveryMode pins the complete stdout — the header that
+// plotting scripts and CI parse, and every simulated cycle under it — of
+// every table- or CSV-emitting mode at small shapes, byte for byte. A
+// golden is the file in testdata named by the command line, spaces as
+// underscores, and holds that command's stdout and nothing else:
+//
+//	go run ./cmd/mgs sweep -fig11 -small -p 8 -csv > cmd/mgs/testdata/sweep_-fig11_-small_-p_8_-csv
+//
+// regenerates one after a deliberate change.
 func TestCSVHeaderOfEveryMode(t *testing.T) {
-	for _, tc := range []struct {
-		args   string
-		line   int // 0-based stdout line the header is on
-		header string
-	}{
-		{"sweep -app water -small -p 8 -csv", 0, "app,c,cycles,user,lock,barrier,mgs"},
-		{"sweep -table4 -small -p 4 -csv", 0, "app,seq_cycles,par_cycles,speedup"},
-		{"sweep -fig11 -small -p 8 -csv", 0, "app,c,hit_ratio"},
-		{"sweep -fig12 -p 4 -csv", 0, "variant,c,cycles"},
-		// A two-sided ablation titles its table, CSV or not.
-		{"sweep -ablation 1writer -app water -small -p 8 -csv", 1, "c,with,without"},
-		{"sweep -ablation pagesize -app tsp -small -p 8 -c 2 -csv", 0, "app,p,c,page_size,cycles"},
-		{"sweep -scale -p 16 -topology tiered -csv", 0, strings.Join(exp.ScaleCSVHeader, ",")},
-		{"sync -p 8 -small -csv", 0, "lock,barrier,c,cycles,lock_hit_ratio,cs_dilation,barrier_mean_wait,loss5_cycles,loss5_memok"},
-		{"serve -small -p 8 -c 2 -csv", 0, strings.Join(serve.CSVHeader, ",")},
-		// One row per phase (three), then the breakdown table.
-		{"serve -small -p 8 -c 2 -breakdown -csv", 4, strings.Join(serve.BreakdownCSVHeader, ",")},
-		{"serve -small -p 8 -sweep", 0, strings.Join(exp.ServeTailCSVHeader, ",")},
-		{"chaos -apps water -seeds 1 -csv", 0, "app,seed,cycles,base_cycles,slowdown,msgs,dropped,dup,delayed,dupsuppressed,timeouts,retrans,acks,ackdropped,recovery_cycles,mem_ok"},
-		{"check -workloads write-share -csv", 0, "workload,runs,states,choices,max_fanout,complete,violation"},
+	for _, args := range []string{
+		"micro",
+		"sweep -app water -small -p 8 -csv",
+		"sweep -app lu -small -p 8 -csv",
+		"sweep -table4 -small -p 4 -csv",
+		"sweep -fig11 -small -p 8 -csv",
+		"sweep -fig12 -p 4 -csv",
+		"sweep -all -small -p 8 -csv",
+		"sweep -ablation 1writer -app water -small -p 8 -csv",
+		"sweep -ablation serialinv -small -p 8 -csv",
+		"sweep -ablation update -small -p 8 -csv",
+		"sweep -ablation lazy -small -p 8 -csv",
+		"sweep -ablation mesh -small -p 8 -csv",
+		"sweep -ablation pagesize -app tsp -small -p 8 -c 2 -csv",
+		"sweep -scale -p 16 -topology tiered -csv",
+		"sync -p 8 -small -csv",
+		"serve -small -p 8 -c 2 -csv",
+		"serve -small -p 8 -c 2 -breakdown -csv",
+		"serve -small -p 8 -sweep",
+		"chaos -apps water -seeds 1 -csv",
+		"check -csv",
+		"check -workloads write-share -csv",
 	} {
-		status, stdout, stderr := mgs(strings.Fields(tc.args)...)
-		if status != 0 {
-			t.Errorf("mgs %s: status %d, stderr:\n%s", tc.args, status, stderr)
-			continue
-		}
-		lines := strings.Split(stdout, "\n")
-		if len(lines) < tc.line+3 { // the header, at least one row, the final newline
-			t.Errorf("mgs %s: only %d lines of output", tc.args, len(lines))
-		} else if lines[tc.line] != tc.header {
-			t.Errorf("mgs %s: line %d = %q, want header %q", tc.args, tc.line, lines[tc.line], tc.header)
+		golden := filepath.Join("testdata", strings.ReplaceAll(args, " ", "_"))
+		want, err := os.ReadFile(golden)
+		status, stdout, stderr := mgs(strings.Fields(args)...)
+		switch {
+		case err != nil:
+			t.Errorf("mgs %s: %v", args, err)
+		case status != 0:
+			t.Errorf("mgs %s: status %d, stderr:\n%s", args, status, stderr)
+		case stdout != string(want):
+			t.Errorf("mgs %s: stdout differs from %s; got:\n%swant:\n%s", args, golden, stdout, want)
 		}
 	}
 }

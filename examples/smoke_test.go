@@ -1,15 +1,18 @@
 // Smoke test: every example program must build and run to completion
 // with a zero exit status and produce output. The examples double as
 // the public API's integration tests — they compile against the mgs
-// package only, so an API break that misses the unit tests still
-// fails here.
+// package only (an mgs/internal/ import fails the test), so an API
+// break that misses the unit tests still fails here.
 package examples_test
 
 import (
 	"context"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -38,6 +41,15 @@ func TestExamplesBuildAndRun(t *testing.T) {
 		name := e.Name()
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(name, "main.go"), nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if strings.HasPrefix(imp.Path.Value, `"mgs/internal/`) {
+					t.Errorf("examples/%s imports %s: examples use the public mgs package only", name, imp.Path.Value)
+				}
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			cmd := exec.CommandContext(ctx, goBin, "run", "./examples/"+name)

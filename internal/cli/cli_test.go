@@ -30,7 +30,7 @@ func TestDefaultsAndConfig(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", tool)
 	}
 	cfg := tool.Config()
-	if cfg.P != 8 || cfg.C != 2 || cfg.PageSize != 1024 || cfg.Delay != 1000 {
+	if cfg.P != 8 || cfg.C != 2 || cfg.PageSize != 1024 || cfg.Msg.InterDelay != 1000 {
 		t.Fatalf("Config did not use the paper defaults: %+v", cfg)
 	}
 	if cfg.Disabled {

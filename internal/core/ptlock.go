@@ -19,9 +19,6 @@ type ptLock struct {
 // charging the lock operation and any wait time to category cat.
 func (s *System) lockProc(cp *clientPage, p *sim.Proc, cat stats.Category) {
 	s.spend(p, cat, s.cfg.Costs.PTLockOp)
-	if s.DebugChecks {
-		s.emitPage(p.Clock(), p.ID, cp.page, "LOCKPROC", "held=%v", cp.lk.held)
-	}
 	if !cp.lk.held {
 		cp.lk.held = true
 		return
@@ -29,9 +26,6 @@ func (s *System) lockProc(cp *clientPage, p *sim.Proc, cat stats.Category) {
 	c0 := p.Clock()
 	cp.lk.waiters = append(cp.lk.waiters, func(at sim.Time) { p.Wake(at) })
 	p.Park()
-	if s.DebugChecks && p.Clock()-c0 > 100_000 {
-		s.emitPage(p.Clock(), p.ID, cp.page, "LONGPTLOCK", "wait=%d", p.Clock()-c0)
-	}
 	s.st.Charge(p.ID, cat, p.Clock()-c0)
 }
 
@@ -49,9 +43,6 @@ func (s *System) lockHandler(cp *clientPage, at sim.Time, fn func(at sim.Time)) 
 // unlock releases cp's lock at time at, handing it to the next waiter if
 // any. Callable from processor or handler context.
 func (s *System) unlock(cp *clientPage, at sim.Time) {
-	if s.DebugChecks {
-		s.emitPage(at, -1, cp.page, "UNLOCK", "waiters=%d", len(cp.lk.waiters))
-	}
 	if !cp.lk.held {
 		panic("core: unlock of free page-table lock")
 	}

@@ -214,8 +214,6 @@ type System struct {
 	// sinks) keeps the trace path structurally detached: emitPage
 	// checks Tracing() before any event is built.
 	Obs *obs.Observer
-	// DebugChecks enables extra invariant checking on hot paths (tests).
-	DebugChecks bool
 
 	acceptStaleWNotify bool // the model checker's seeded bug; set only by the method below
 }
@@ -260,18 +258,6 @@ func (s *System) emitPageArgs(t sim.Time, proc int, v vm.Page, name string, args
 		T: t, Proc: proc, Cat: obs.Protocol, Name: name,
 		Kind: obs.ObjPage, ID: int64(v), Args: args, Detail: detail,
 	})
-}
-
-// emitProc publishes one protocol event not tied to a page.
-func (s *System) emitProc(t sim.Time, proc int, name, format string, args ...any) {
-	if !s.Obs.Tracing() {
-		return
-	}
-	var detail string
-	if format != "" {
-		detail = fmt.Sprintf(format, args...)
-	}
-	s.Obs.Emit(obs.Event{T: t, Proc: proc, Cat: obs.Protocol, Name: name, Detail: detail})
 }
 
 // emitEngine publishes one software-engine handshake event: a Local
@@ -379,9 +365,6 @@ func (s *System) spend(p *sim.Proc, cat stats.Category, cycles sim.Time) {
 func (s *System) parkCharge(p *sim.Proc, cat stats.Category) {
 	c0 := p.Clock()
 	p.Park()
-	if s.DebugChecks && p.Clock()-c0 > 100_000 {
-		s.emitProc(p.Clock(), p.ID, "LONGPARK", "cat=%v wait=%d", cat, p.Clock()-c0)
-	}
 	s.st.Charge(p.ID, cat, p.Clock()-c0)
 }
 

@@ -32,7 +32,7 @@ func TestFigureSweepReproducible(t *testing.T) {
 }
 
 // TestSweepWorkerCountInvariance pins the worker-pool contract that
-// nogoroutine's allow annotation in harness/parallel.go relies on: the
+// nogoroutine's sanctioned harness.RunIndexed entry relies on: the
 // pool's output is a pure function of the inputs, identical for any
 // width. Width 1 runs the points inline on this goroutine, one at a
 // time, and is the reference the concurrent widths must match. Run

@@ -93,17 +93,10 @@ func ScaleSweep(name string, p int, cs []int, e Env) ([]ScalePoint, framework.Me
 	return out, framework.Analyze(fp), nil
 }
 
-// ScaleCSVHeader is ScaleCSV's column set.
-var ScaleCSVHeader = []string{
-	"app", "topology", "p", "c", "cycles", "link_wait",
-	"dir_pages", "dir_rmt_entries", "dir_bytes",
-}
-
 // ScaleCSV renders a scale sweep, one row per cluster size.
 func ScaleCSV(name, topology string, p int, points []ScalePoint) string {
 	var b strings.Builder
-	b.WriteString(strings.Join(ScaleCSVHeader, ","))
-	b.WriteByte('\n')
+	b.WriteString("app,topology,p,c,cycles,link_wait,dir_pages,dir_rmt_entries,dir_bytes\n")
 	for _, pt := range points {
 		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
 			name, topology, p, pt.C, pt.Cycles, pt.LinkWait,

@@ -7,7 +7,6 @@ package framework
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Point is one cluster size's execution time.
@@ -84,17 +83,4 @@ func Analyze(points []Point) Metrics {
 		m.CurvatureIndex = (t1 - t(mid)) / span
 	}
 	return m
-}
-
-// Table renders a sweep as aligned text (one row per cluster size).
-func Table(points []Point) string {
-	ps := append([]Point(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].C < ps[j].C })
-	var b strings.Builder
-	b.WriteString("  C     cycles   slowdown vs C=P\n")
-	tP := ps[len(ps)-1].Time
-	for _, p := range ps {
-		fmt.Fprintf(&b, "  %-4d %10.0f  %6.2fx\n", p.C, p.Time, p.Time/tP)
-	}
-	return b.String()
 }

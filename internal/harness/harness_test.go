@@ -392,3 +392,23 @@ func TestEmptyAlgoNamesSelectTheDefaults(t *testing.T) {
 		t.Fatalf(`LockByName("") = %#v, BarrierByName("") = %#v; want the registered Token and Tree`, la, ba)
 	}
 }
+
+// TestInterDelayIsOneField: the LAN latency lives in Msg.InterDelay alone,
+// so writing it on a built Config is WithInterSSMPDelay, not the default.
+func TestInterDelayIsOneField(t *testing.T) {
+	cycles := func(cfg Config) int64 {
+		m := NewMachine(cfg)
+		va := m.Alloc(4096)
+		res, err := m.Run(func(c *Ctx) { c.LoadI64(va) }) // one SSMP fetches the page across the LAN
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(res.Cycles)
+	}
+	written := NewConfig(4, 2)
+	written.Msg.InterDelay = 5000
+	byField, byOption, byDefault := cycles(written), cycles(NewConfig(4, 2, WithInterSSMPDelay(5000))), cycles(NewConfig(4, 2))
+	if byField != byOption || byField == byDefault {
+		t.Fatalf("cycles: Msg.InterDelay=5000 %d, WithInterSSMPDelay(5000) %d, default %d; want equal, equal, different", byField, byOption, byDefault)
+	}
+}

@@ -21,11 +21,10 @@ import (
 
 // Config describes one DSSMP configuration.
 type Config struct {
-	P        int      // total processors
-	C        int      // processors per SSMP (cluster size)
-	PageSize int      // bytes
-	TLBSize  int      // software TLB entries per processor
-	Delay    sim.Time // fixed inter-SSMP message latency (LAN model)
+	P        int // total processors
+	C        int // processors per SSMP (cluster size)
+	PageSize int // bytes
+	TLBSize  int // software TLB entries per processor
 
 	// Disabled substitutes null MGS calls (the paper's C = P runs):
 	// plain software virtual memory, no software coherence.
@@ -74,7 +73,7 @@ func WithTLBSize(entries int) Option { return func(c *Config) { c.TLBSize = entr
 
 // WithInterSSMPDelay sets the fixed inter-SSMP message latency (the
 // paper's emulated-LAN knob, Figure 9's x-axis).
-func WithInterSSMPDelay(d sim.Time) Option { return func(c *Config) { c.Delay = d } }
+func WithInterSSMPDelay(d sim.Time) Option { return func(c *Config) { c.Msg.InterDelay = d } }
 
 // WithDisabled forces the software coherence layer off or on,
 // overriding the c == P default.
@@ -109,7 +108,7 @@ func WithBarrierAlgo(name string) Option { return func(c *Config) { c.BarrierAlg
 // layer is disabled, exactly as in the paper's 32-processor runs.
 func NewConfig(p, c int, opts ...Option) Config {
 	cfg := Config{
-		P: p, C: c, PageSize: 1024, TLBSize: 64, Delay: 1000,
+		P: p, C: c, PageSize: 1024, TLBSize: 64,
 		Disabled: c == p,
 		Protocol: core.DefaultCosts(),
 		Variant:  core.DefaultVariant(),
@@ -151,8 +150,8 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 		err = fmt.Errorf("bad page size %d: want a power of two of at least one %d-byte cache line", cfg.PageSize, cfg.CacheHW.LineSize)
 	case cfg.TLBSize <= 0:
 		err = fmt.Errorf("bad TLB size %d: want at least one entry", cfg.TLBSize)
-	case cfg.Delay < 0:
-		err = fmt.Errorf("bad inter-SSMP delay %d: want a non-negative cycle count", cfg.Delay)
+	case cfg.Msg.InterDelay < 0:
+		err = fmt.Errorf("bad inter-SSMP delay %d: want a non-negative cycle count", cfg.Msg.InterDelay)
 	case v.MigrateAfter < 0:
 		err = fmt.Errorf("bad MigrateAfter %d: want 0 (homes fixed) or a positive serve count", v.MigrateAfter)
 	case v.LazyRelease && (v.UpdateProtocol || v.MigrateAfter > 0):
@@ -185,16 +184,14 @@ type Machine struct {
 }
 
 // NewMachine assembles a machine, panicking on a configuration that
-// fails Validate. The configuration's Msg.InterDelay is overridden by
-// Cfg.Delay so callers set the LAN latency in one place, and the
-// algorithm names are replaced by the registered names they resolve to.
+// fails Validate. The algorithm names are replaced by the registered
+// names they resolve to.
 func NewMachine(cfg Config) *Machine {
 	la, ba, err := cfg.algos()
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
 	cfg.LockAlgo, cfg.BarrierAlgo = la.Name(), ba.Name()
-	cfg.Msg.InterDelay = cfg.Delay
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), bodies: make([]func(*Ctx), cfg.P)}
 	for i := 0; i < cfg.P; i++ {
 		i := i
@@ -312,9 +309,9 @@ type EngineCounts struct {
 	Switches int64
 	// PeakQueue is the most events that were pending at once.
 	PeakQueue int
-	// DeliveriesNew and DeliveriesReused split the fault-free messages
-	// sent by whether msg allocated the delivery record or took it from
-	// its free list.
+	// DeliveriesNew and DeliveriesReused split the messages delivered
+	// by whether msg allocated the delivery record or took it from its
+	// free list.
 	DeliveriesNew, DeliveriesReused int64
 }
 

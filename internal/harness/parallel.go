@@ -43,7 +43,7 @@ func RunIndexed(width, n int, job func(i int) error) []error {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
-		go func() { //mgslint:allow nogoroutine -- the sweep worker pool: each worker runs whole single-threaded simulations; results land in caller-indexed slots, so completion order is invisible
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1

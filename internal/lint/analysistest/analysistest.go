@@ -12,9 +12,7 @@
 //
 // on a line asserts that each quoted pattern matches the message of a
 // diagnostic reported on that line; diagnostics without a matching want
-// and wants without a matching diagnostic both fail the test. The
-// //mgslint:allow escape hatch is applied exactly as cmd/mgslint
-// applies it, so fixtures exercise suppression too.
+// and wants without a matching diagnostic both fail the test.
 package analysistest
 
 import (
@@ -37,8 +35,7 @@ import (
 )
 
 // Run loads each named fixture package from root/src and applies a to
-// it, comparing diagnostics (after //mgslint:allow filtering) against
-// the package's // want comments.
+// it, comparing diagnostics against the package's // want comments.
 func Run(t *testing.T, root string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := &loader{
@@ -60,7 +57,6 @@ type fixturePkg struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
-	allow *lint.AllowList
 }
 
 type loader struct {
@@ -113,7 +109,7 @@ func (l *loader) load(path string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &fixturePkg{files: files, pkg: pkg, info: info, allow: lint.ParseAllowList(l.fset, files)}
+	p := &fixturePkg{files: files, pkg: pkg, info: info}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -182,9 +178,6 @@ func check(t *testing.T, l *loader, a *analysis.Analyzer, p *fixturePkg) {
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s: analyzer error: %v", p.pkg.Path(), err)
 	}
-	// Dead-allow detection is scoped to the one analyzer under test:
-	// fixture allows naming other analyzers stay undecided.
-	diags = p.allow.Filter(diags, []string{a.Name})
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 
 	wants := parseWants(t, fset, p.files)
@@ -192,11 +185,7 @@ func check(t *testing.T, l *loader, a *analysis.Analyzer, p *fixturePkg) {
 		pos := fset.Position(d.Pos)
 		found := false
 		for _, w := range wants {
-			// A diagnostic about an //mgslint:allow comment cannot have
-			// a want on its own line (the allow comment runs to end of
-			// line), so those may carry the want on the next line.
-			lineOK := w.line == pos.Line || (d.Analyzer == "mgslint-allow" && w.line == pos.Line+1)
-			if !w.matched && w.file == pos.Filename && lineOK && w.re.MatchString(d.Message) {
+			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
 				w.matched = true
 				found = true
 				break

@@ -30,8 +30,6 @@ import (
 // a read of a Costs field, Proc.Advance/Sleep/AddDebt/HandlerStart,
 // Network.Send/Extend/Latency, Engine.After, or Engine.At
 // with a time offset (At with a bare time value merely reschedules).
-// Handlers that are legitimately free (their cost is charged upstream,
-// e.g. by Network.Send's HandlerEntry) get //mgslint:allow chargecost.
 //
 // For internal/obs the rule inverts: the observability spine's
 // contract is that emission costs zero simulated cycles — a trace,

@@ -6,7 +6,8 @@
 // nothing on the simulated path touches the Go scheduler, wall-clock
 // time, or map iteration order. The analyzers turn that comment into
 // machine-checked rules; see DESIGN.md §"Static invariants" for the
-// full policy, including the //mgslint:allow escape hatch.
+// full policy. There is no suppression comment: a diagnostic is fixed
+// in the code, or the rule is changed in the analyzer that owns it.
 package lint
 
 import "strings"
@@ -14,8 +15,8 @@ import "strings"
 // deterministicPkgs names the packages whose code executes on the
 // simulated path (engine events or Proc bodies). Everything in these
 // packages must be deterministic: no wall-clock time, no global
-// randomness, no goroutines or channels beyond the annotated engine
-// handshake, no map-iteration-order dependence.
+// randomness, no goroutines or channels beyond nogoroutine's
+// sanctioned sites, no map-iteration-order dependence.
 //
 // Host-side packages (harness, exp, stats, cli, framework, cmd/*) drive
 // simulations and may use host facilities — with two exceptions:

@@ -21,11 +21,9 @@ func All() []*analysis.Analyzer {
 }
 
 // RunPackage applies every analyzer in All to one type-checked package
-// and returns the surviving diagnostics sorted by position.
+// and returns the diagnostics sorted by position.
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]analysis.Diagnostic, error) {
-	al := ParseAllowList(fset, files)
 	var diags []analysis.Diagnostic
-	var ran []string
 	for _, a := range All() {
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -38,9 +36,7 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		if err := a.Run(pass); err != nil {
 			return nil, err
 		}
-		ran = append(ran, a.Name)
 	}
-	diags = al.Filter(diags, ran)
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Pos != diags[j].Pos {
 			return diags[i].Pos < diags[j].Pos

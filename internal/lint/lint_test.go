@@ -15,7 +15,7 @@ func TestNoWallTime(t *testing.T) {
 
 func TestNoGoroutine(t *testing.T) {
 	analysistest.Run(t, "testdata/nogoroutine", lint.NoGoroutine,
-		"mgs/internal/mem", "mgs/internal/harness", "mgs/internal/exp")
+		"mgs/internal/mem", "mgs/internal/harness", "mgs/internal/sim", "mgs/internal/exp")
 }
 
 func TestMapRange(t *testing.T) {

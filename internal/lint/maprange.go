@@ -15,7 +15,7 @@ import (
 // randomized per run, so any order-sensitive effect — event scheduling,
 // slice construction, early exit — makes two identical runs diverge.
 //
-// A map range is accepted without annotation when either
+// A map range is accepted when either
 //
 //   - every statement in the body is an order-insensitive update:
 //     body-local declarations, commutative accumulation (+=, -=, *=,
@@ -30,7 +30,7 @@ import (
 //     slices.* call (the collect-then-sort idiom used on the simulated
 //     path, e.g. System.AcquireSync).
 //
-// Anything else needs `//mgslint:allow maprange -- <why>`.
+// Anything else is a diagnostic.
 var MapRange = &analysis.Analyzer{
 	Name: "maprange",
 	Doc:  "flag map iteration in deterministic packages unless provably order-insensitive or collect-then-sort",
@@ -94,7 +94,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, after []ast.Stmt) {
 	}
 	if !ok {
 		pass.Reportf(rng.Pos(),
-			"range over map in deterministic package %s: iteration order is randomized and leaks into simulated state; collect and sort the keys, restrict the body to commutative updates, or annotate //mgslint:allow maprange -- <why>",
+			"range over map in deterministic package %s: iteration order is randomized and leaks into simulated state; collect and sort the keys, or restrict the body to commutative updates",
 			pass.Pkg.Path())
 	}
 }

@@ -60,11 +60,3 @@ func (s *System) sendData(p *sim.Proc, at sim.Time) {
 func (s *System) lazyDone(at sim.Time) {
 	s.pend--
 }
-
-// WakeAll is exported and free, but the entry cost is charged upstream
-// by Network.Send's HandlerEntry before any caller reaches it.
-//
-//mgslint:allow chargecost -- fixture: cost charged upstream by Send's HandlerEntry
-func (s *System) WakeAll(p *sim.Proc) {
-	p.Wake(0)
-}

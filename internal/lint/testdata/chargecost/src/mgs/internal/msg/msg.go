@@ -48,15 +48,6 @@ func (n *Network) onRetryTimeoutFree(fire sim.Time, to int, fn func(done sim.Tim
 	n.eng.At(fire, func() { fn(fire) })
 }
 
-// sendAckFree acknowledges a delivery without charging: transport acks
-// are NIC-level and charged upstream by the delivering handler, which
-// is exactly what the escape hatch is for.
-//
-//mgslint:allow chargecost -- ack emission is billed by the delivering handler's HandlerEntry
-func (n *Network) sendAckFree(arrive sim.Time, to int) {
-	n.eng.At(arrive, func() {})
-}
-
 // Arrive computes a landing time from link state: a cost producer. It
 // returns sim.Time, so the charge is its result — landed by whichever
 // caller schedules against it — and the analyzer must not demand a

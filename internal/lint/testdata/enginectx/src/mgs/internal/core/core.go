@@ -88,10 +88,3 @@ func (s *System) Enter(p *sim.Proc) {
 func (s *System) onPing(p *sim.Proc, at sim.Time) {
 	s.eng.At(at, func() { s.shared(p) })
 }
-
-// exempt documents a deliberate engine-context yield.
-func (s *System) exempt(p *sim.Proc, at sim.Time) {
-	s.eng.At(at, func() {
-		p.Yield() //mgslint:allow enginectx -- fixture: engine intentionally idles this proc during drain
-	})
-}

@@ -91,14 +91,6 @@ func CallsInBody(m map[int]int) {
 	}
 }
 
-// Allowed documents why the order leak is harmless here.
-func Allowed(m map[int]int) {
-	//mgslint:allow maprange -- fixture: diagnostics only, output never feeds simulated state
-	for k := range m {
-		observe(k)
-	}
-}
-
 // SliceRange: not a map, never flagged.
 func SliceRange(s []int) int {
 	sum := 0

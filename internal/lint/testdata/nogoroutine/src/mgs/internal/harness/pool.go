@@ -15,3 +15,18 @@ func RunPool(n int, job func(int)) {
 		<-done // want `channel receive in a deterministic package`
 	}
 }
+
+// RunIndexed is in nogoroutine's sanctionedSites: the worker pool's
+// spawn, and everything else in its body, goes unreported.
+func RunIndexed(n int, job func(int)) {
+	done := make(chan struct{}, n)
+	for k := 0; k < n; k++ {
+		go func(k int) {
+			job(k)
+			done <- struct{}{}
+		}(k)
+	}
+	for k := 0; k < n; k++ {
+		<-done
+	}
+}

@@ -25,12 +25,6 @@ func Choose(a, b chan int) int {
 	}
 }
 
-// Allowed stands in for a sanctioned site.
-func Allowed() chan struct{} {
-	//mgslint:allow nogoroutine -- fixture: stands in for a sanctioned site
-	return make(chan struct{})
-}
-
 // NotChannels shows make/close of non-channel things stay legal.
 func NotChannels() []int {
 	s := make([]int, 4)

@@ -22,12 +22,6 @@ func Instantiated(seq iter.Seq2[int, int]) {
 	stop()
 }
 
-// AllowedCoroutine stands in for sim.Proc.Fire, the one sanctioned site.
-func AllowedCoroutine() func() (int, bool) {
-	next, _ := iter.Pull(count) //mgslint:allow nogoroutine -- fixture: stands in for the processor body's coroutine
-	return next
-}
-
 // RangeOverFunc is an ordinary loop: the compiler calls count with the
 // body as yield on this stack.
 func RangeOverFunc() int {

@@ -20,26 +20,3 @@ func Good(seed int64) int {
 	_ = d
 	return r.Intn(4)
 }
-
-// Allowed demonstrates both placements of the escape hatch.
-func Allowed() (a, b time.Time) {
-	//mgslint:allow nowalltime -- fixture: host-side profiling hook, never on the simulated path
-	a = time.Now()
-	b = time.Now() //mgslint:allow nowalltime -- fixture: trailing-form annotation
-	return a, b
-}
-
-// MissingJustification shows that a bare allow suppresses nothing and
-// is itself reported.
-func MissingJustification() time.Time {
-	//mgslint:allow nowalltime
-	// want `mgslint:allow without a justification`
-	return time.Now() // want `time\.Now reads the host clock`
-}
-
-// UnknownName shows that a typo'd analyzer name suppresses nothing.
-func UnknownName() time.Time {
-	//mgslint:allow nosuchcheck -- the name is wrong, so this is dead
-	// want `unknown analyzer "nosuchcheck"`
-	return time.Now() // want `time\.Now reads the host clock`
-}

@@ -50,38 +50,31 @@ type Costs struct {
 	// loaded network.
 	Jitter     sim.Time
 	JitterSeed uint64
-
-	// Reliable-transport parameters, consulted only while a fault plan
-	// is attached (AttachFault); zero fields take the Default* values.
-	// See reliable.go for the seq/ack/retransmission machinery.
-
-	// RetryTimeout is the initial retransmission timeout: how long the
-	// sender waits for a transport ack before resending. Each further
-	// attempt doubles it, capped at RetryTimeoutMax.
-	RetryTimeout    sim.Time
-	RetryTimeoutMax sim.Time
-	// RetransmitWork is the sender-side timer-interrupt occupancy
-	// charged per retransmission (the driver re-queues the DMA).
-	RetransmitWork sim.Time
-	// AckBytes sizes the transport-level acknowledgment packet.
-	AckBytes int
-	// RetryLimit aborts the run (Engine.Stop) if one message needs more
-	// than this many attempts — a diagnostic backstop, not a protocol
-	// feature: with independent per-attempt fates and any loss rate
-	// below 100% the limit is unreachable in practice.
-	RetryLimit int
 }
 
-// Default reliable-transport parameters. The initial timeout covers the
-// worst uncontended inter-SSMP round trip of the calibrated cost table
-// (two page payloads plus control traffic, both ways) with slack for
-// handler queueing at a hot home processor.
+// The reliable transport's parameters (reliable.go), consulted only
+// while a fault plan is attached.
 const (
+	// DefaultRetryTimeout is the initial retransmission timeout: how
+	// long the sender waits for a transport ack before resending. Each
+	// further attempt doubles it, capped at DefaultRetryTimeoutMax. It
+	// covers the worst uncontended inter-SSMP round trip of the
+	// calibrated cost table (two page payloads plus control traffic,
+	// both ways) with slack for handler queueing at a hot home
+	// processor.
 	DefaultRetryTimeout    sim.Time = 20_000
 	DefaultRetryTimeoutMax sim.Time = 160_000
-	DefaultRetransmitWork  sim.Time = 200
-	DefaultAckBytes                 = 8
-	DefaultRetryLimit               = 30
+	// DefaultRetransmitWork is the sender-side timer-interrupt
+	// occupancy charged per retransmission (the driver re-queues the
+	// DMA).
+	DefaultRetransmitWork sim.Time = 200
+	// DefaultAckBytes sizes the transport-level acknowledgment packet.
+	DefaultAckBytes = 8
+	// DefaultRetryLimit aborts the run (Engine.Stop) if one message
+	// needs more than this many attempts — a diagnostic backstop, not a
+	// protocol feature: with independent per-attempt fates and any loss
+	// rate below 100% the limit is unreachable in practice.
+	DefaultRetryLimit = 30
 )
 
 // Counters tallies traffic.
@@ -128,7 +121,7 @@ type Network struct {
 	Counters Counters
 
 	// free holds the delivery records of completed messages for
-	// SendTagged to reuse. DeliveriesNew and DeliveriesReused count the
+	// newDelivery to reuse. DeliveriesNew and DeliveriesReused count the
 	// records it allocated and the ones it took from here: host work,
 	// never read by the simulation.
 	free                            []*delivery
@@ -279,6 +272,28 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 	} else {
 		arrive = when + n.costs.SendOverhead + n.Latency(from, to, bytes) + n.jitter()
 	}
+	n.eng.AtChoiceHandler(arrive, l, n.newDelivery(to, arrive, extra, fn))
+}
+
+// delivery is one message reaching its handler, and the sim.Handler of
+// both of its events: it fires at arrival, where it queues for the
+// destination's handler resource, and again when the handler body has
+// completed, where it runs fn and goes back on the Network's free list.
+// The perfect wire schedules the arrival; the reliable transport fires
+// it itself, for the one copy of a message that passes the sequence
+// check.
+type delivery struct {
+	n        *Network
+	to       int
+	at       sim.Time // scheduled arrival; once handling, the completion time
+	extra    sim.Time
+	fn       func(done sim.Time)
+	handling bool // false until the arrival event has fired
+}
+
+// newDelivery takes a record off the free list, or allocates one, for a
+// message that reaches processor to at time at.
+func (n *Network) newDelivery(to int, at, extra sim.Time, fn func(done sim.Time)) *delivery {
 	var d *delivery
 	if k := len(n.free) - 1; k >= 0 {
 		d, n.free = n.free[k], n.free[:k]
@@ -287,21 +302,8 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 		d = &delivery{n: n}
 		n.DeliveriesNew++
 	}
-	d.to, d.at, d.extra, d.fn = to, arrive, extra, fn
-	n.eng.AtChoiceHandler(arrive, l, d)
-}
-
-// delivery is one message on the perfect wire, and the sim.Handler of
-// both of its events: it fires at arrival, where it queues for the
-// destination's handler resource, and again when the handler body has
-// completed, where it runs fn and goes back on the Network's free list.
-type delivery struct {
-	n        *Network
-	to       int
-	at       sim.Time // scheduled arrival; once handling, the completion time
-	extra    sim.Time
-	fn       func(done sim.Time)
-	handling bool // false until the arrival event has fired
+	d.to, d.at, d.extra, d.fn = to, at, extra, fn
+	return d
 }
 
 // Fire runs the delivery's next stage.

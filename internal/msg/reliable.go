@@ -102,8 +102,7 @@ type injector struct {
 
 // AttachFault interposes the fault-injecting reliable transport on all
 // inter-SSMP messages, recording its accounting in fs (which must not
-// be nil — the harness passes &Collector.Fault). Zero-valued transport
-// parameters in Costs take the Default* values.
+// be nil — the harness passes &Collector.Fault).
 //
 // An empty plan detaches: the transport elides sequence numbers, acks,
 // and timers entirely, making the run byte-identical to one with no
@@ -113,21 +112,6 @@ func (n *Network) AttachFault(plan fault.Plan, fs *stats.Fault) {
 	if plan.Empty() {
 		n.inj = nil
 		return
-	}
-	if n.costs.RetryTimeout <= 0 {
-		n.costs.RetryTimeout = DefaultRetryTimeout
-	}
-	if n.costs.RetryTimeoutMax <= 0 {
-		n.costs.RetryTimeoutMax = DefaultRetryTimeoutMax
-	}
-	if n.costs.RetransmitWork <= 0 {
-		n.costs.RetransmitWork = DefaultRetransmitWork
-	}
-	if n.costs.AckBytes <= 0 {
-		n.costs.AckBytes = DefaultAckBytes
-	}
-	if n.costs.RetryLimit <= 0 {
-		n.costs.RetryLimit = DefaultRetryLimit
 	}
 	n.inj = &injector{net: n, plan: plan, fs: fs, chans: make(map[chanKey]*chanState)}
 }
@@ -184,7 +168,7 @@ func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time,
 		// bit splits the id space.
 		stream:    in.plan.Stream(id),
 		ackStream: in.plan.Stream(id | 1<<63),
-		rto:       in.net.costs.RetryTimeout,
+		rto:       DefaultRetryTimeout,
 	}
 	in.fs.Messages++
 	in.attempt(m, when)
@@ -196,10 +180,10 @@ func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time,
 func (in *injector) attempt(m *pending, when sim.Time) {
 	n := in.net
 	m.attempts++
-	if m.attempts > n.costs.RetryLimit {
+	if m.attempts > DefaultRetryLimit {
 		n.eng.Stop(fmt.Errorf(
 			"msg: message %d (%d->%d seq %d) undeliverable after %d attempts — loss rate too high for the retry limit",
-			m.id, m.key.from, m.key.to, m.seq, n.costs.RetryLimit))
+			m.id, m.key.from, m.key.to, m.seq, DefaultRetryLimit))
 		return
 	}
 	// The fault-free arrival this attempt would have had, computed
@@ -233,8 +217,8 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 	// departs now with a doubled (capped) timeout.
 	fire := when + m.rto
 	m.rto *= 2
-	if m.rto > n.costs.RetryTimeoutMax {
-		m.rto = n.costs.RetryTimeoutMax
+	if m.rto > DefaultRetryTimeoutMax {
+		m.rto = DefaultRetryTimeoutMax
 	}
 	n.eng.At(fire, func() {
 		if m.acked {
@@ -243,7 +227,7 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 		in.fs.Timeouts++
 		in.fs.Retransmits++
 		in.fs.RetransBytes += int64(m.bytes)
-		n.chargeHandler(m.key.from, n.costs.RetransmitWork)
+		n.chargeHandler(m.key.from, DefaultRetransmitWork)
 		in.emit(fire, "TIMEOUT", m.key.from, m.key.to, m.seq, m.id, "rto=%d -> RETRANSMIT attempt=%d", fire-when, m.attempts+1)
 		in.attempt(m, fire)
 	})
@@ -251,12 +235,12 @@ func (in *injector) attempt(m *pending, when sim.Time) {
 
 // deliverAt schedules one physical copy of m to reach the receiver at
 // time arrive. The first copy past the sequence check dispatches the
-// handler exactly as the fault-free path would; replays are counted and
-// suppressed. Every copy is acknowledged — a duplicate usually means
-// the previous ack was lost, so the receiver re-acks.
+// handler as the fault-free path does — a delivery record, entered at
+// its arrival stage because this event is the arrival; replays are
+// counted and suppressed. Every copy is acknowledged — a duplicate
+// usually means the previous ack was lost, so the receiver re-acks.
 func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 	n := in.net
-	dst := n.procs[m.key.to]
 	n.eng.At(arrive, func() {
 		cs := in.chanOf(m.key)
 		if cs.seen(m.seq) {
@@ -267,11 +251,7 @@ func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 			if arrive > m.firstEst {
 				in.fs.RecoveryCycles += int64(arrive - m.firstEst)
 			}
-			cost := n.costs.HandlerEntry + m.extra
-			start := dst.HandlerStart(arrive, cost)
-			n.chargeHandler(m.key.to, cost)
-			fn := m.fn
-			n.eng.At(start+cost, func() { fn(start + cost) })
+			n.newDelivery(m.key.to, arrive, m.extra, m.fn).Fire()
 		}
 		in.sendAck(m, arrive)
 	})
@@ -290,7 +270,7 @@ func (in *injector) sendAck(m *pending, at sim.Time) {
 		in.emit(at, "ACKDROP", m.key.to, m.key.from, m.seq, m.id, "")
 		return
 	}
-	arrive := at + n.Latency(m.key.to, m.key.from, n.costs.AckBytes) + n.jitter()
+	arrive := at + n.Latency(m.key.to, m.key.from, DefaultAckBytes) + n.jitter()
 	n.eng.At(arrive, func() {
 		if !m.acked {
 			m.acked = true

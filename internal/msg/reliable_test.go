@@ -19,7 +19,7 @@ func buildFaulty(t *testing.T, plan fault.Plan) (*sim.Engine, *Network, []*sim.P
 }
 
 // Under heavy loss every logical message must still be delivered
-// exactly once, in bounded attempts.
+// exactly once, in bounded attempts, through the delivery free list.
 func TestReliableDeliversExactlyOnceUnderLoss(t *testing.T) {
 	plan := fault.Plan{Seed: 3, DropBP: 3000, DupBP: 1000, DelayBP: 2000, MaxDelay: 500}
 	eng, n, _, fs := buildFaulty(t, plan)
@@ -45,6 +45,10 @@ func TestReliableDeliversExactlyOnceUnderLoss(t *testing.T) {
 	}
 	if fs.Dropped == 0 || fs.Retransmits == 0 || fs.Timeouts == 0 {
 		t.Fatalf("plan injected nothing: %s", fs)
+	}
+	// One pooled delivery record per logical message, as on the perfect wire.
+	if n.DeliveriesNew+n.DeliveriesReused != N || n.DeliveriesReused == 0 {
+		t.Fatalf("delivery records: %d new + %d reused, want %d in all and some reused", n.DeliveriesNew, n.DeliveriesReused, N)
 	}
 }
 

@@ -65,7 +65,7 @@ func (e *Engine) NewProc(id int, start Time, body func(p *Proc)) *Proc {
 // through here into Engine.Run's caller.
 func (p *Proc) Fire() {
 	if p.next == nil {
-		p.next, _ = iter.Pull(p.run) //mgslint:allow nogoroutine -- the one second stack in sim: the body's coroutine, entered and left only by direct switches (next/suspend), never scheduled
+		p.next, _ = iter.Pull(p.run)
 	}
 	p.resumes++
 	p.next()

@@ -10,9 +10,9 @@ import (
 
 // This file is the public face of the observability spine and the
 // fault-injection machinery (internal/obs, internal/fault), so that
-// programs using the mgs package — including everything under
-// examples/ — can trace, meter, profile, and chaos-test a machine
-// without reaching into internal packages.
+// programs using the mgs package — examples/chaostrace is one — can
+// trace, meter, profile, and chaos-test a machine without reaching into
+// internal packages.
 
 // Observer is the observability spine of one machine: a structured
 // trace bus with pluggable sinks, a metrics registry, and an optional
