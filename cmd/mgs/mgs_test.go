@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,6 +48,8 @@ func TestCSVHeaderOfEveryMode(t *testing.T) {
 		"chaos -apps water -seeds 1 -csv",
 		"check -csv",
 		"check -workloads write-share -csv",
+		"trace -max 100000",
+		"trace -app tsp -faults -max 100000",
 	} {
 		golden := filepath.Join("testdata", strings.ReplaceAll(args, " ", "_"))
 		want, err := os.ReadFile(golden)
@@ -57,7 +60,23 @@ func TestCSVHeaderOfEveryMode(t *testing.T) {
 		case status != 0:
 			t.Errorf("mgs %s: status %d, stderr:\n%s", args, status, stderr)
 		case stdout != string(want):
-			t.Errorf("mgs %s: stdout differs from %s; got:\n%swant:\n%s", args, golden, stdout, want)
+			t.Errorf("mgs %s: stdout differs from %s at %s", args, golden, firstDiff(stdout, string(want)))
+		}
+	}
+}
+
+// firstDiff names the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.SplitAfter(got, "\n"), strings.SplitAfter(want, "\n")
+	for i := 0; ; i++ {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			line := func(ls []string) string {
+				if i < len(ls) {
+					return ls[i]
+				}
+				return "(end of output)"
+			}
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, line(g), line(w))
 		}
 	}
 }

@@ -124,6 +124,16 @@ func NewDir(homeNode, pageSize, lineSize int) *Dir {
 	return d
 }
 
+// Reset returns d to the state NewDir builds — no line cached anywhere —
+// for a page at homeNode, so a retired directory can serve a new copy
+// of the same page size.
+func (d *Dir) Reset(homeNode int) {
+	d.HomeNode = homeNode
+	for i := range d.entries {
+		d.entries[i] = dirEntry{owner: -1}
+	}
+}
+
 // pcache is one processor's direct-mapped cache (tags + state only).
 // Both arrays are nil until the processor's first Access: zeroing 36 KB
 // per processor up front is most of what building a machine costs, and

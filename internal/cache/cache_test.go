@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mgs/internal/mem"
@@ -269,5 +270,40 @@ func TestNeverAccessedProcessorHoldsNothing(t *testing.T) {
 	}
 	if d.caches[0].tags == nil || d.caches[1].tags == nil {
 		t.Fatal("accessing processors have no cache arrays")
+	}
+}
+
+// A directory recycled with Reset — the protocol hands a torn-down
+// copy's directory to the next copy its SSMP maps — must be
+// indistinguishable from a fresh NewDir, whatever sharers and owners it
+// held: equal as a value, and charging the same costs for the same
+// accesses.
+func TestResetDirIsAFreshDir(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d, f, used := newTestDomain(8)
+	for i := 0; i < 2000; i++ {
+		d.Access(rng.Intn(8), f, used, rng.Intn(1024), rng.Intn(3) == 0)
+	}
+	d.Unregister(f)
+	used.Reset(5)
+	if fresh := NewDir(5, 1024, 16); !reflect.DeepEqual(used, fresh) {
+		t.Fatalf("reset directory %+v differs from a fresh one %+v", used, fresh)
+	}
+	// Same accesses on two clean domains, one through the recycled
+	// directory and one through a fresh one.
+	run := func(dir *Dir) []sim.Time {
+		dom := NewDomain(8, 1024, DefaultParams(), testCosts())
+		g := mem.NewFrame(9, 1024)
+		dom.Register(g, dir)
+		rng := rand.New(rand.NewSource(4))
+		var costs []sim.Time
+		for i := 0; i < 500; i++ {
+			c, _ := dom.Access(rng.Intn(8), g, dir, rng.Intn(1024), rng.Intn(3) == 0)
+			costs = append(costs, c)
+		}
+		return costs
+	}
+	if a, b := run(used), run(NewDir(5, 1024, 16)); !reflect.DeepEqual(a, b) {
+		t.Fatal("a reset directory charges differently from a fresh one")
 	}
 }

@@ -73,8 +73,9 @@ func BenchmarkComputeDiffAlternating(b *testing.B) {
 // TestComputeDiffZeroAllocs pins the steady-state contract of the
 // buffered diff path: once a DiffBuf has grown to a workload's
 // high-water mark, recomputing any change pattern allocates nothing.
-// The protocol's release rounds (diffPool in system.go) rely on this —
-// a regression here turns every invalidation into garbage.
+// The protocol's release rounds (the System's diff-buffer free list,
+// pool.go) rely on this — a regression here turns every invalidation
+// into garbage.
 func TestComputeDiffZeroAllocs(t *testing.T) {
 	for _, p := range diffPatterns {
 		twin, cur := diffPage(p.changed)
@@ -89,11 +90,10 @@ func TestComputeDiffZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestComputeDiffOwnedAllocs pins the throwaway form: ComputeDiff draws
-// its scratch from the pool, so the only allocations left are the
-// clone's two exact-size copies (range headers + payload slab) — and
-// zero for a clean page, whose diff is empty. Before the pooled
-// rewrite a cold `var b DiffBuf` compute cost 5 allocs/op (four
+// TestComputeDiffOwnedAllocs pins the throwaway form: ComputeDiff sizes
+// its storage exactly, so the only allocations are two exact-size ones
+// (range headers + payload slab) — and zero for a clean page, whose
+// diff is empty. Before the exact-size rewrite a cold `var b DiffBuf` compute cost 5 allocs/op (four
 // growth-by-doubling appends plus the payload slab).
 func TestComputeDiffOwnedAllocs(t *testing.T) {
 	for _, p := range diffPatterns {
@@ -102,7 +102,6 @@ func TestComputeDiffOwnedAllocs(t *testing.T) {
 		if p.name == "Clean" {
 			want = 0
 		}
-		ComputeDiff(twin, cur) // warm the pool to this high-water mark
 		allocs := testing.AllocsPerRun(100, func() {
 			ComputeDiff(twin, cur)
 		})
@@ -127,16 +126,17 @@ func TestDiffPoolRoundTripZeroAllocs(t *testing.T) {
 		twin, cur := diffPage(p.changed)
 		home := make([]byte, len(cur))
 		copy(home, twin)
-		// Warm: grow one pooled buffer to this pattern's high-water mark.
-		db := getDiffBuf()
+		// Warm: grow one recycled buffer to this pattern's high-water mark.
+		var s System
+		db := s.getDiffBuf()
 		db.Compute(twin, cur)
-		putDiffBuf(db)
+		s.putDiffBuf(db)
 		allocs := testing.AllocsPerRun(100, func() {
-			db := getDiffBuf()
+			db := s.getDiffBuf()
 			d := db.Compute(twin, cur)
 			d.Apply(home)
 			diffSink += d.Len() + d.Bytes(8) + int(d.Checksum())
-			putDiffBuf(db)
+			s.putDiffBuf(db)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: pooled diff round trip allocated %.1f times per op, want 0", p.name, allocs)

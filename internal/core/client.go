@@ -51,8 +51,10 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	case cp.state == PWrite || (cp.state == PRead && !write):
 		// Arc 1 / arcs 3,4: mapping exists locally; fill the TLB.
 		s.spend(p, stats.MGS, c.TLBFill)
-		s.emitPageArgs(p.Clock(), p.ID, v, "LOCALFILL", [3]int64{b2i(write), int64(cp.state), 0},
-			"proc %d write=%v state=%v", p.ID, write, cp.state)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(p.Clock(), p.ID, v, "LOCALFILL", [3]int64{b2i(write), int64(cp.state), 0},
+				"proc %d write=%v state=%v", p.ID, write, cp.state)
+		}
 		s.st.Count("tlbfill.local", 1)
 		priv := vm.Read
 		if cp.state == PWrite && write {
@@ -74,10 +76,9 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		s.st.Count("upgrade", 1)
 		cp.tlbDir |= bit(s.within(p.ID))
 		s.spend(p, stats.MGS, s.net.SendCost())
-		cpRef := cp
-		s.net.SendTagged(sim.Label{Kind: "UPGRADE", Page: int64(v), Src: p.ID, Dst: cp.ownerProc},
-			p.ID, cp.ownerProc, p.Clock(), c.CtrlBytes, c.UpWork,
-			func(at sim.Time) { s.onUpgrade(cpRef, p, at) })
+		m := s.newMsg(mUpgrade, v)
+		m.cp, m.p = cp, p
+		s.send(m, p.ID, cp.ownerProc, p.Clock(), c.CtrlBytes, c.UpWork, 0)
 		s.parkCharge(p, stats.MGS) // woken by the UP_ACK handler
 		// The UP_ACK handler filled the TLB, added the page to the
 		// DUQ, and released the page-table lock.
@@ -91,15 +92,14 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 			s.st.Count("rreq", 1)
 		}
 		home := s.space.HomeProc(v)
-		s.emitPageArgs(p.Clock(), p.ID, v, "REQSTART", [3]int64{b2i(write), 0, 0},
-			"proc %d write=%v", p.ID, write)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(p.Clock(), p.ID, v, "REQSTART", [3]int64{b2i(write), 0, 0},
+				"proc %d write=%v", p.ID, write)
+		}
 		s.spend(p, stats.MGS, s.net.SendCost())
-		cpRef, w := cp, write
-		s.net.SendTagged(sim.Label{Kind: "REQ", Page: int64(v), Src: p.ID, Dst: home, Aux: b2i(write)},
-			p.ID, home, p.Clock(), c.CtrlBytes, c.ReqWork,
-			// The Server record is resolved inside the handler — on the
-			// home SSMP — not at send time on the faulting SSMP.
-			func(at sim.Time) { s.onRequest(s.server(v), cpRef, p, w, at) })
+		m := s.newMsg(mReq, v)
+		m.cp, m.p, m.write = cp, p, write
+		s.send(m, p.ID, home, p.Clock(), c.CtrlBytes, c.ReqWork, b2i(write))
 		s.parkCharge(p, stats.MGS) // woken by the RDAT/WDAT handler
 
 	default:
@@ -115,7 +115,7 @@ func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		sp := s.server(v)
 		cp.frame = sp.frame
 		cp.ownerProc = sp.homeProc
-		cp.dir = s.newDir(cp)
+		cp.dir = s.newDir(ss, cp)
 		ss.domain.Register(cp.frame, cp.dir)
 		cp.state = PWrite
 	}
@@ -141,8 +141,14 @@ func (s *System) insertTLB(ss *ssmpState, cp *clientPage, proc int, priv vm.Priv
 }
 
 // newDir builds the frame directory for cp using its permanent
-// first-touch placement.
-func (s *System) newDir(cp *clientPage) *cache.Dir {
+// first-touch placement, reusing one a teardown retired.
+func (s *System) newDir(ss *ssmpState, cp *clientPage) *cache.Dir {
+	if n := len(ss.dirs) - 1; n >= 0 {
+		d := ss.dirs[n]
+		ss.dirs = ss.dirs[:n]
+		d.Reset(s.within(cp.ownerProc))
+		return d
+	}
 	return cache.NewDir(s.within(cp.ownerProc), s.cfg.PageSize, s.cfg.CacheParams.LineSize)
 }
 
@@ -197,45 +203,26 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 			// teardowns never report home, so that mode keeps the
 			// incarnation check on the copy itself (a cross-SSMP read,
 			// one of the lazy variant's departures from SSMP locality).
-			ssmp := cp.ssmp
-			gen := cp.gen
-			s.net.SendTagged(sim.Label{Kind: "WNOTIFY", Page: int64(cp.page), Src: o, Dst: homeProc, Aux: gen},
-				o, homeProc, at, c.CtrlBytes, 0, func(at2 sim.Time) {
-					sp := s.server(cp.page)
-					var stale bool
-					if s.cfg.Variant.LazyRelease {
-						stale = cp.gen != gen || cp.state != PWrite
-					} else {
-						stale = sp.rmtGens(ssmp) != gen
-					}
-					if stale && !s.acceptStaleWNotify {
-						s.st.Count("wnotify.stale", 1)
-						s.emitPageArgs(at2, -1, sp.page, "WNOTIFY", [3]int64{1, int64(ssmp), gen},
-							"from ssmp %d STALE (gen %d != home gens %d)", ssmp, gen, sp.rmtGens(ssmp))
-						return
-					}
-					s.st.Count("wnotify", 1)
-					s.emitPageArgs(at2, -1, sp.page, "WNOTIFY", [3]int64{0, int64(ssmp), gen},
-						"from ssmp %d (state %d)", ssmp, sp.state)
-					sp.readDir.remove(ssmp)
-					sp.writeDir.add(ssmp)
-					if sp.state == sRead {
-						sp.state = sWrite
-					}
-				})
+			m := s.newMsg(mWNotify, cp.page)
+			m.cp, m.gen = cp, cp.gen
+			s.send(m, o, homeProc, at, c.CtrlBytes, 0, cp.gen)
 		}
 	}
 	// UP_ACK back to the requester (arc 7).
-	v := cp.page
-	s.net.SendTagged(sim.Label{Kind: "UPACK", Page: int64(v), Src: o, Dst: requester.ID},
-		o, requester.ID, at, c.CtrlBytes, 0, func(at2 sim.Time) {
-			ss := s.ssmps[cp.ssmp]
-			ss.duqs[s.within(requester.ID)].add(v)
-			// The fill records the mapping in tlbDir again: a serve-time
-			// shootdown of the home SSMP's mappings (serveData takes no
-			// page-table lock) may have cleared the bit the fault set.
-			s.insertTLB(ss, cp, requester.ID, vm.Write)
-			s.unlock(cp, at2)
-			requester.Wake(at2)
-		})
+	m := s.newMsg(mUpAck, cp.page)
+	m.cp, m.p = cp, requester
+	s.send(m, o, requester.ID, at, c.CtrlBytes, 0, 0)
+}
+
+// onUpAck is the Local Client's UP_ACK handler (arc 7), running on the
+// upgrading processor, which still holds the page-table lock.
+func (s *System) onUpAck(cp *clientPage, requester *sim.Proc, at sim.Time) {
+	ss := s.ssmps[cp.ssmp]
+	ss.duqs[s.within(requester.ID)].add(cp.page)
+	// The fill records the mapping in tlbDir again: a serve-time
+	// shootdown of the home SSMP's mappings (serveData takes no
+	// page-table lock) may have cleared the bit the fault set.
+	s.insertTLB(ss, cp, requester.ID, vm.Write)
+	s.unlock(cp, at)
+	requester.Wake(at)
 }

@@ -53,8 +53,8 @@ const (
 // DiffBuf is reusable storage for diff computation: the range headers
 // and the payload bytes of one diff at a time. A Diff returned by
 // Compute aliases the buffer, so the buffer must stay untouched until
-// the diff's last Apply; recycling it (diffPool in system.go) then
-// makes steady-state diffing allocation-free.
+// the diff's last Apply; recycling it (the System's free list, pool.go)
+// then makes steady-state diffing allocation-free.
 type DiffBuf struct {
 	ranges []DiffRange
 	data   []byte
@@ -157,16 +157,23 @@ func (d Diff) Clone() Diff {
 }
 
 // ComputeDiff computes a diff the caller may keep: the returned Diff
-// owns its storage. The scratch work happens in a pooled DiffBuf, so
-// the only allocations are the clone's two exact-size copies (ranges
-// and payload slab) — not the buffer's growth-by-doubling, which the
-// pool amortizes away. Protocol paths that apply-and-discard use a
-// pooled DiffBuf directly and skip the copy.
+// owns its storage. A byte-wise pre-pass counts the changed runs and
+// bytes, so the only allocations are two exact-size ones (ranges and
+// payload slab; none for a clean page) — not a buffer's growth by
+// doubling. Protocol paths that apply-and-discard use a recycled
+// DiffBuf directly.
 func ComputeDiff(twin, cur []byte) Diff {
-	b := getDiffBuf()
-	d := b.Compute(twin, cur).Clone()
-	putDiffBuf(b)
-	return d
+	runs, total := 0, 0
+	for i := range cur {
+		if twin[i] != cur[i] {
+			total++
+			if i == 0 || twin[i-1] == cur[i-1] {
+				runs++
+			}
+		}
+	}
+	b := DiffBuf{ranges: make([]DiffRange, 0, runs), data: make([]byte, total)}
+	return b.Compute(twin, cur)
 }
 
 // Apply merges the diff into dst (the home copy).

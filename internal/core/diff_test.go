@@ -221,8 +221,8 @@ func TestDUQReAddAfterRemove(t *testing.T) {
 }
 
 // TestComputeDiffOwnsStorage checks the throwaway form's ownership
-// contract: the returned diff must survive the pooled scratch buffer
-// being recycled and overwritten by a later, different computation.
+// contract: the returned diff must survive later, different
+// computations.
 func TestComputeDiffOwnsStorage(t *testing.T) {
 	twin := make([]byte, 64)
 	cur := make([]byte, 64)
@@ -230,7 +230,7 @@ func TestComputeDiffOwnsStorage(t *testing.T) {
 	d := ComputeDiff(twin, cur)
 	snap := ComputeDiff(twin, cur) // identical second copy for comparison
 
-	// Churn the pool with conflicting contents.
+	// Compute conflicting contents.
 	other := make([]byte, 64)
 	for i := range other {
 		other[i] = 0xAA
@@ -240,11 +240,11 @@ func TestComputeDiffOwnsStorage(t *testing.T) {
 	}
 
 	if len(d) != len(snap) {
-		t.Fatalf("diff changed shape after pool reuse: %+v", d)
+		t.Fatalf("diff changed shape after later computations: %+v", d)
 	}
 	for i := range d {
 		if d[i].Off != snap[i].Off || !bytes.Equal(d[i].Data, snap[i].Data) {
-			t.Fatalf("range %d corrupted by pool reuse: %+v want %+v", i, d[i], snap[i])
+			t.Fatalf("range %d corrupted by later computations: %+v want %+v", i, d[i], snap[i])
 		}
 	}
 }

@@ -69,12 +69,11 @@ func (d dirSet) mask64() uint64 {
 	return m
 }
 
-// dirTargets returns, in ascending SSMP order, the copies a release
-// round must reach: the union of the read and write directories.
-// exclude (-1 for none) drops one SSMP — the update protocol's refresh
-// phase never pushes to the home's own cluster.
-func dirTargets(rd, wd dirSet, exclude int) []int {
-	out := make([]int, 0, len(rd)+len(wd))
+// appendTargets appends to out, in ascending SSMP order, the copies a
+// release round must reach: the union of the read and write
+// directories. exclude (-1 for none) drops one SSMP — the update
+// protocol's refresh phase never pushes to the home's own cluster.
+func appendTargets(out []int, rd, wd dirSet, exclude int) []int {
 	i, j := 0, 0
 	for i < len(rd) || j < len(wd) {
 		var r int
@@ -94,6 +93,13 @@ func dirTargets(rd, wd dirSet, exclude int) []int {
 		}
 	}
 	return out
+}
+
+// roundTargets is appendTargets over sp's directories into the
+// System's scratch buffer: the result is valid until the next call.
+func (s *System) roundTargets(sp *serverPage, exclude int) []int {
+	s.targets = appendTargets(s.targets[:0], sp.readDir, sp.writeDir, exclude)
+	return s.targets
 }
 
 // rmtGet returns the home's copy record for SSMP r, or nil if r has

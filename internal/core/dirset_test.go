@@ -49,7 +49,7 @@ func TestDirSetExactOps(t *testing.T) {
 // drives add/remove/clear on a read and a write directory alongside
 // map[int]bool references, and after every step each query the Server
 // makes — has, empty, isOnly, the mask64 projection (ids folded mod
-// 64), and dirTargets' ascending union minus the excluded SSMP — must
+// 64), and appendTargets' ascending union minus the excluded SSMP — must
 // agree with the answer computed from the maps. Each step is two
 // bytes: the low three bits of the first pick the operation and set,
 // its next two bits and the second byte the SSMP id (0..1023). The seed
@@ -92,8 +92,8 @@ func FuzzDirSet(f *testing.F) {
 						want = append(want, id)
 					}
 				}
-				if got := dirTargets(sets[0], sets[1], exclude); !slices.Equal(got, want) {
-					t.Fatalf("step %d: dirTargets(exclude %d) = %v, want %v", k/2, exclude, got, want)
+				if got := appendTargets(nil, sets[0], sets[1], exclude); !slices.Equal(got, want) {
+					t.Fatalf("step %d: appendTargets(exclude %d) = %v, want %v", k/2, exclude, got, want)
 				}
 			}
 		}

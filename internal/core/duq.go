@@ -10,8 +10,11 @@ import "mgs/internal/vm"
 //
 // Entries are removed out of band when a page is invalidated (a PINV
 // handler runs, Table 1 arc 12); removal is lazy — pop skips dead heads.
+// queue[head:] is pending; the queue rewinds to its start whenever it
+// drains, so the backing array is reused release after release.
 type duq struct {
 	queue  []vm.Page
+	head   int
 	member map[vm.Page]bool
 }
 
@@ -33,14 +36,15 @@ func (d *duq) remove(p vm.Page) { delete(d.member, p) }
 
 // pop returns the oldest live entry, or false if the queue is empty.
 func (d *duq) pop() (vm.Page, bool) {
-	for len(d.queue) > 0 {
-		h := d.queue[0]
-		d.queue = d.queue[1:]
+	for d.head < len(d.queue) {
+		h := d.queue[d.head]
+		d.head++
 		if d.member[h] {
 			delete(d.member, h)
 			return h, true
 		}
 	}
+	d.queue, d.head = d.queue[:0], 0
 	return 0, false
 }
 

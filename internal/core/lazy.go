@@ -87,7 +87,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			s.st.Count("lrel.home", 1)
 		} else {
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-			db = getDiffBuf()
+			db = s.getDiffBuf()
 			diff = db.Compute(cp.twin, cp.frame.Data)
 			bytes += diff.Bytes(c.DiffHdrByte)
 			// Demote to a read copy: reads keep hitting the local frame,
@@ -101,42 +101,40 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 		s.emitPage(p.Clock(), p.ID, v, "LREL", "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
 		s.spend(p, stats.MGS, s.net.SendCost())
 		cp.relInFlight++
-		cpRef, spRef, dRef, dbRef := cp, sp, diff, db
-		s.net.Send(p.ID, sp.homeProc, p.Clock(), bytes, c.RelWork, func(at sim.Time) {
-			s.mergeLazy(spRef, dRef, at, func(newVer int64, at2 sim.Time) {
-				putDiffBuf(dbRef)
-				s.net.Send(spRef.homeProc, p.ID, at2, c.CtrlBytes, 0, func(at3 sim.Time) {
-					if cpRef.gen == fetchGen && newVer == fetchVer+1 {
-						// Same copy incarnation, and only our own merge
-						// happened since it was fetched or last validated:
-						// the copy equals the merged home image, keep it
-						// fresh. (A torn-down-and-refetched copy — gen
-						// moved — may hold a jitter-reordered pre-merge
-						// image and must stay stale.)
-						cpRef.version = newVer
-					}
-					s.lazyRelDone(cpRef, at3)
-					p.Wake(at3)
-				})
-			})
-		})
+		m := s.newMsg(mLazyRel, v)
+		m.sp, m.cp, m.p, m.d, m.db, m.ver, m.gen = sp, cp, p, diff, db, fetchVer, fetchGen
+		s.send(m, p.ID, sp.homeProc, p.Clock(), bytes, c.RelWork, 0)
 		s.unlock(cp, p.Clock())
 		s.parkCharge(p, stats.MGS) // woken by the home's acknowledgement
 	}
 }
 
-// mergeLazy applies a diff (possibly empty) to the home frame, advances
-// the version, and hands the post-merge version to done.
-func (s *System) mergeLazy(sp *serverPage, d Diff, at sim.Time, done func(newVer int64, at sim.Time)) {
+// onLazyRel is the home's handler for a lazy release or an acquire
+// flush: merge the diff (possibly empty), advance the version, and
+// acknowledge to processor p. fetchVer and fetchGen are the version and
+// incarnation of the releasing copy when it was fetched or last
+// validated; a flush passes fetchGen -1, for a copy already torn down.
+func (s *System) onLazyRel(sp *serverPage, cp *clientPage, p *sim.Proc, d Diff, db *DiffBuf, fetchVer, fetchGen int64, at sim.Time) {
 	c := &s.cfg.Costs
 	if len(d) > 0 {
 		at = s.net.Extend(sp.homeProc, at, c.MergeWork+sim.Time(d.Bytes(0))*c.ApplyPerByte)
 		d.Apply(sp.frame.Data)
 		s.st.Count("merge.diff", 1)
 	}
+	s.putDiffBuf(db)
 	sp.homeDirty = false
 	sp.version++
-	done(sp.version, at)
+	ack := s.newMsg(mLazyAck, sp.page)
+	ack.cp, ack.p, ack.ver, ack.gen = cp, p, sp.version, -1
+	if sp.version == fetchVer+1 {
+		// Only our own merge happened since the copy was fetched or last
+		// validated: if it is still the same incarnation when the ack
+		// lands, it equals the merged home image and stays fresh. (A
+		// torn-down-and-refetched copy — gen moved — may hold a
+		// jitter-reordered pre-merge image and must stay stale.)
+		ack.gen = fetchGen
+	}
+	s.send(ack, sp.homeProc, p.ID, at, c.CtrlBytes, 0, 0)
 }
 
 // lazyRelDone retires one in-flight REL of cp's data and wakes the
@@ -146,11 +144,10 @@ func (s *System) lazyRelDone(cp *clientPage, at sim.Time) {
 	if cp.relInFlight > 0 {
 		return
 	}
-	w := cp.relWaiters
-	cp.relWaiters = nil
-	for _, q := range w {
+	for _, q := range cp.relWaiters {
 		q.Wake(at)
 	}
+	cp.relWaiters = cp.relWaiters[:0]
 }
 
 // shootLocal drops every local TLB mapping of cp's page, charging the
@@ -216,7 +213,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			// SSMP ordering survives the teardown).
 			s.st.Count("acq.flush", 1)
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-			db := getDiffBuf()
+			db := s.getDiffBuf()
 			diff := db.Compute(cp.twin, cp.frame.Data)
 			s.shootLocal(ss, cp, p)
 			// No CleanPage ran here: the frame may still have cached
@@ -226,18 +223,9 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			s.emitPage(p.Clock(), p.ID, v, "ACQFLUSH", "proc %d diff=%d", p.ID, len(diff))
 			s.spend(p, stats.MGS, s.net.SendCost())
 			cp.relInFlight++
-			spRef, cpRef := sp, cp
-			s.net.Send(p.ID, sp.homeProc, p.Clock(),
-				c.CtrlBytes+diff.Bytes(c.DiffHdrByte), c.RelWork, func(at sim.Time) {
-					s.mergeLazy(spRef, diff, at, func(_ int64, at2 sim.Time) {
-						putDiffBuf(db)
-						s.net.Send(spRef.homeProc, p.ID, at2, c.CtrlBytes, 0,
-							func(at3 sim.Time) {
-								s.lazyRelDone(cpRef, at3)
-								p.Wake(at3)
-							})
-					})
-				})
+			m := s.newMsg(mLazyRel, v)
+			m.sp, m.cp, m.p, m.d, m.db, m.gen = sp, cp, p, diff, db, -1
+			s.send(m, p.ID, sp.homeProc, p.Clock(), c.CtrlBytes+diff.Bytes(c.DiffHdrByte), c.RelWork, 0)
 			s.parkCharge(p, stats.MGS)
 			s.unlock(cp, p.Clock())
 			continue

@@ -12,7 +12,7 @@ import (
 // deadlocking the handler.
 type ptLock struct {
 	held    bool
-	waiters []func(at sim.Time) // FIFO; lock is handed over held
+	waiters []*message // FIFO of continuations; lock is handed over held
 }
 
 // lockProc acquires cp's page-table lock from processor context,
@@ -24,20 +24,23 @@ func (s *System) lockProc(cp *clientPage, p *sim.Proc, cat stats.Category) {
 		return
 	}
 	c0 := p.Clock()
-	cp.lk.waiters = append(cp.lk.waiters, func(at sim.Time) { p.Wake(at) })
+	w := s.newMsg(kLockWake, cp.page)
+	w.p = p
+	cp.lk.waiters = append(cp.lk.waiters, w)
 	p.Park()
 	s.st.Charge(p.ID, cat, p.Clock()-c0)
 }
 
-// lockHandler acquires cp's lock from handler context: fn runs at time
-// at if the lock is free, or later when the lock is handed over.
-func (s *System) lockHandler(cp *clientPage, at sim.Time, fn func(at sim.Time)) {
+// lockHandler acquires cp's lock from handler context for continuation
+// k: k runs at time at if the lock is free, or later when the lock is
+// handed over.
+func (s *System) lockHandler(cp *clientPage, k *message, at sim.Time) {
 	if !cp.lk.held {
 		cp.lk.held = true
-		fn(at)
+		k.Deliver(at)
 		return
 	}
-	cp.lk.waiters = append(cp.lk.waiters, fn)
+	cp.lk.waiters = append(cp.lk.waiters, k)
 }
 
 // unlock releases cp's lock at time at, handing it to the next waiter if
@@ -51,7 +54,7 @@ func (s *System) unlock(cp *clientPage, at sim.Time) {
 		return
 	}
 	next := cp.lk.waiters[0]
-	cp.lk.waiters = cp.lk.waiters[1:]
-	handoff := at + s.cfg.Costs.PTLockOp
-	s.eng.At(handoff, func() { next(handoff) })
+	cp.lk.waiters = append(cp.lk.waiters[:0], cp.lk.waiters[1:]...)
+	next.at = at + s.cfg.Costs.PTLockOp
+	s.eng.AtHandler(next.at, next)
 }

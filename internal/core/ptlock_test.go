@@ -16,15 +16,26 @@ func ptlockFixture(t *testing.T, p, c int) (*testMachine, *clientPage) {
 	return tm, tm.sys.ssmps[0].ensurePage(tm.sys.Space().PageOf(va))
 }
 
+// waker is a handler-context lock continuation that wakes the parked
+// processor p, so a test observes when the continuation ran on p's
+// clock.
+func waker(tm *testMachine, cp *clientPage, p *sim.Proc) *message {
+	w := tm.sys.newMsg(kLockWake, cp.page)
+	w.p = p
+	return w
+}
+
 func TestPTLockHandlerFastPath(t *testing.T) {
 	tm, cp := ptlockFixture(t, 2, 2)
-	var ran []sim.Time
-	tm.eng.At(100, func() {
-		tm.sys.lockHandler(cp, 100, func(at sim.Time) { ran = append(ran, at) })
-	})
+	var ran sim.Time = -1
+	tm.bodies[1] = func(p *sim.Proc) {
+		p.Park()
+		ran = p.Clock()
+	}
+	tm.eng.At(100, func() { tm.sys.lockHandler(cp, waker(tm, cp, tm.procs[1]), 100) })
 	tm.run(t)
-	if len(ran) != 1 || ran[0] != 100 {
-		t.Fatalf("free-lock handler ran at %v, want [100]", ran)
+	if ran != 100 {
+		t.Fatalf("free-lock continuation ran at %d, want 100", ran)
 	}
 	if !cp.lk.held {
 		t.Fatal("lock not held after handler acquisition")
@@ -32,21 +43,23 @@ func TestPTLockHandlerFastPath(t *testing.T) {
 }
 
 func TestPTLockHandlerQueuesAndHandsOverFIFO(t *testing.T) {
-	tm, cp := ptlockFixture(t, 2, 2)
+	tm, cp := ptlockFixture(t, 4, 4)
 	var order []int
 	var times []sim.Time
-	grab := func(id int) func(at sim.Time) {
-		return func(at sim.Time) {
+	for id := 1; id <= 3; id++ {
+		tm.bodies[id] = func(p *sim.Proc) {
+			p.Park()
 			order = append(order, id)
-			times = append(times, at)
+			times = append(times, p.Clock())
 			// Hold across 50 cycles, then release.
-			tm.eng.At(at+50, func() { tm.sys.unlock(cp, at+50) })
+			p.Sleep(50)
+			tm.sys.unlock(cp, p.Clock())
 		}
 	}
 	tm.eng.At(100, func() {
-		tm.sys.lockHandler(cp, 100, grab(1))
-		tm.sys.lockHandler(cp, 100, grab(2))
-		tm.sys.lockHandler(cp, 100, grab(3))
+		for id := 1; id <= 3; id++ {
+			tm.sys.lockHandler(cp, waker(tm, cp, tm.procs[id]), 100)
+		}
 	})
 	tm.run(t)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -64,11 +77,11 @@ func TestPTLockHandlerQueuesAndHandsOverFIFO(t *testing.T) {
 
 func TestPTLockUnlockWithoutWaitersFrees(t *testing.T) {
 	tm, cp := ptlockFixture(t, 2, 2)
-	tm.eng.At(10, func() {
-		tm.sys.lockHandler(cp, 10, func(at sim.Time) {
-			tm.sys.unlock(cp, at)
-		})
-	})
+	tm.bodies[1] = func(p *sim.Proc) {
+		p.Park()
+		tm.sys.unlock(cp, p.Clock())
+	}
+	tm.eng.At(10, func() { tm.sys.lockHandler(cp, waker(tm, cp, tm.procs[1]), 10) })
 	tm.run(t)
 	if cp.lk.held {
 		t.Fatal("lock held after release with empty wait list")
@@ -85,15 +98,22 @@ func TestPTLockUnlockOfFreeLockPanics(t *testing.T) {
 	tm.sys.unlock(cp, 0)
 }
 
+// holdFrom has a handler-context continuation take cp's lock at time 0
+// for processor 0, which releases it at until.
+func holdFrom(tm *testMachine, cp *clientPage, until sim.Time) {
+	tm.bodies[0] = func(p *sim.Proc) {
+		p.Park()
+		p.Sleep(until - p.Clock())
+		tm.sys.unlock(cp, until)
+	}
+	tm.eng.At(0, func() { tm.sys.lockHandler(cp, waker(tm, cp, tm.procs[0]), 0) })
+}
+
 func TestPTLockProcBlocksUntilHandlerReleases(t *testing.T) {
 	tm, cp := ptlockFixture(t, 2, 2)
 	// A handler takes the lock at t=0 and holds it until t=5000; proc 1
 	// tries to lock from processor context and must wait.
-	tm.eng.At(0, func() {
-		tm.sys.lockHandler(cp, 0, func(at sim.Time) {
-			tm.eng.At(5000, func() { tm.sys.unlock(cp, 5000) })
-		})
-	})
+	holdFrom(tm, cp, 5000)
 	var got sim.Time
 	tm.bodies[1] = func(p *sim.Proc) {
 		p.Sleep(10) // let the handler take the lock first
@@ -109,11 +129,7 @@ func TestPTLockProcBlocksUntilHandlerReleases(t *testing.T) {
 
 func TestPTLockProcWaitChargedToCategory(t *testing.T) {
 	tm, cp := ptlockFixture(t, 2, 2)
-	tm.eng.At(0, func() {
-		tm.sys.lockHandler(cp, 0, func(at sim.Time) {
-			tm.eng.At(20_000, func() { tm.sys.unlock(cp, 20_000) })
-		})
-	})
+	holdFrom(tm, cp, 20_000)
 	tm.bodies[1] = func(p *sim.Proc) {
 		p.Sleep(10)
 		tm.sys.lockProc(cp, p, stats.MGS)

@@ -23,13 +23,17 @@ import (
 // onRequest is the Server's RREQ/WREQ handler (arcs 17–19, 22), running
 // on the page's home processor.
 func (s *System) onRequest(sp *serverPage, cp *clientPage, p *sim.Proc, write bool, at sim.Time) {
-	s.emitEngine(at, -1, sp.page, "SERVER", 0, "home %d for proc %d write=%v", sp.homeProc, p.ID, write)
+	if s.Obs.Tracing() {
+		s.emitEngine(at, -1, sp.page, "SERVER", 0, "home %d for proc %d write=%v", sp.homeProc, p.ID, write)
+	}
 	if sp.state == sRel {
 		// Arc 22: queue behind the release in progress.
 		sp.pendReq = append(sp.pendReq, pendingReq{proc: p.ID, write: write, cp: cp})
 		s.st.Count("req.pended", 1)
-		s.emitPageArgs(at, p.ID, sp.page, "REQ", [3]int64{b2i(write), int64(cp.ssmp), 0},
-			"from proc %d write=%v PENDED", p.ID, write)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, p.ID, sp.page, "REQ", [3]int64{b2i(write), int64(cp.ssmp), 0},
+				"from proc %d write=%v PENDED", p.ID, write)
+		}
 		return
 	}
 	s.serveData(sp, cp, p, write, at)
@@ -101,18 +105,18 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		// The DMA image is captured now, on the home SSMP: the copy
 		// reflects the home version as of SERVE time, and a merge that
 		// lands while the data is on the wire must leave it stale.
-		img = getPageBuf(s.cfg.PageSize)
+		img = s.getPageBuf()
 		copy(img, sp.frame.Data)
 	} else {
 		s.st.Count("rdat.home", 1)
 	}
-	s.emitPageArgs(at, p.ID, sp.page, "SERVE", [3]int64{b2i(write), int64(r), b2i(r == homeSSMP)},
-		"to proc %d (ssmp %d) write=%v dirs R=%b W=%b home=%d", p.ID, r, write, sp.readDir.mask64(), sp.writeDir.mask64(), sp.homeProc)
-	servedVer := sp.version
-	s.net.SendTagged(sim.Label{Kind: "DATA", Page: int64(sp.page), Src: sp.homeProc, Dst: p.ID, Aux: b2i(write)},
-		sp.homeProc, p.ID, at, bytes, 0, func(at2 sim.Time) {
-			s.onData(sp, cp, p, write, servedVer, img, at2)
-		})
+	if s.Obs.Tracing() {
+		s.emitPageArgs(at, p.ID, sp.page, "SERVE", [3]int64{b2i(write), int64(r), b2i(r == homeSSMP)},
+			"to proc %d (ssmp %d) write=%v dirs R=%b W=%b home=%d", p.ID, r, write, sp.readDir.mask64(), sp.writeDir.mask64(), sp.homeProc)
+	}
+	m := s.newMsg(mData, sp.page)
+	m.sp, m.cp, m.p, m.write, m.ver, m.img = sp, cp, p, write, sp.version, img
+	s.send(m, sp.homeProc, p.ID, at, bytes, 0, b2i(write))
 }
 
 // onData is the Local Client's RDAT/WDAT handler (arcs 6–7), running on
@@ -128,7 +132,7 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 	} else {
 		f := ss.frames.Alloc()
 		f.CopyFrom(img)
-		putPageBuf(img)
+		s.putPageBuf(img)
 		cp.frame = f
 	}
 	if cp.ownerProc < 0 {
@@ -136,7 +140,7 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 		cp.ownerProc = p.ID
 	}
 	cp.version = servedVer // home version at serve time (lazy mode)
-	cp.dir = s.newDir(cp)
+	cp.dir = s.newDir(ss, cp)
 	ss.domain.Register(cp.frame, cp.dir)
 	at = s.net.Extend(p.ID, at, c.MapPage)
 	if write {
@@ -158,8 +162,10 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 	if write {
 		priv = vm.Write
 	}
-	s.emitPageArgs(at, p.ID, cp.page, "DATA", [3]int64{b2i(write), b2i(isHome), 0},
-		"at proc %d write=%v", p.ID, write)
+	if s.Obs.Tracing() {
+		s.emitPageArgs(at, p.ID, cp.page, "DATA", [3]int64{b2i(write), b2i(isHome), 0},
+			"at proc %d write=%v", p.ID, write)
+	}
 	s.insertTLB(ss, cp, p.ID, priv)
 	s.unlock(cp, at)
 	p.Wake(at)
@@ -215,11 +221,9 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 		}
 		s.st.Count("rel", 1)
 		s.spend(p, stats.MGS, s.net.SendCost())
-		relProc := p.ID
-		home := s.space.HomeProc(v)
-		s.net.SendTagged(sim.Label{Kind: "REL", Page: int64(v), Src: p.ID, Dst: home},
-			p.ID, home, p.Clock(), c.CtrlBytes, c.RelWork,
-			func(at sim.Time) { s.onRel(s.server(v), relProc, capRound, cond, at) })
+		m := s.newMsg(mRel, v)
+		m.cond, m.round = cond, capRound
+		s.send(m, p.ID, s.space.HomeProc(v), p.Clock(), c.CtrlBytes, c.RelWork, 0)
 		// Deviation from Table 1 (which holds the lock to the RACK):
 		// the release round sends an INV back to this SSMP, and that
 		// handler takes this same lock — holding it here would
@@ -274,16 +278,20 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		s.sendRack(sp, relProc, at)
 		return
 	}
-	targets := dirTargets(sp.readDir, sp.writeDir, -1)
+	targets := s.roundTargets(sp, -1)
 	if len(targets) == 0 {
-		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relNoTargets, 0, 0},
-			"from proc %d NOTARGETS", relProc)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relNoTargets, 0, 0},
+				"from proc %d NOTARGETS", relProc)
+		}
 		s.sendRack(sp, relProc, at)
 		return
 	}
-	tmask := sp.readDir.mask64() | sp.writeDir.mask64()
-	s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relRound, int64(tmask), int64(sp.writeDir.mask64())},
-		"from proc %d -> round targets=%b writeDir=%b", relProc, tmask, sp.writeDir.mask64())
+	if s.Obs.Tracing() {
+		tmask := sp.readDir.mask64() | sp.writeDir.mask64()
+		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relRound, int64(tmask), int64(sp.writeDir.mask64())},
+			"from proc %d -> round targets=%b writeDir=%b", relProc, tmask, sp.writeDir.mask64())
+	}
 	sp.state = sRel
 	sp.round++
 	sp.count = len(targets)
@@ -314,14 +322,11 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 // state is never read from here.
 func (s *System) dispatchInv(sp *serverPage, at sim.Time) {
 	t := sp.invQueue[0]
-	sp.invQueue = sp.invQueue[1:]
+	sp.invQueue = append(sp.invQueue[:0], sp.invQueue[1:]...)
 	rc := sp.rmtGet(t.ssmp)
-	cp, o := rc.cp, int(rc.owner)
-	oneW := t.oneW
-	round := sp.round
-	s.net.SendTagged(sim.Label{Kind: "INV", Page: int64(sp.page), Src: sp.homeProc, Dst: o, Aux: b2i(oneW)},
-		sp.homeProc, o, at, s.cfg.Costs.CtrlBytes, 0,
-		func(at2 sim.Time) { s.onInv(sp, cp, oneW, round, at2) })
+	m := s.newMsg(mInv, sp.page)
+	m.sp, m.cp, m.oneW, m.round = sp, rc.cp, t.oneW, sp.round
+	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.Costs.CtrlBytes, 0, b2i(t.oneW))
 }
 
 // onInv is the Remote Client's INV/1WINV handler (arcs 14–16), running
@@ -330,49 +335,62 @@ func (s *System) dispatchInv(sp *serverPage, at sim.Time) {
 // down TLB mappings, and replies ACK, DIFF, or 1WDATA. round is the
 // capturing round's id, recorded on the copy for its next release.
 func (s *System) onInv(sp *serverPage, cp *clientPage, oneW bool, round int64, at sim.Time) {
-	s.lockHandler(cp, at, func(at sim.Time) {
-		o := s.clientOwner(cp)
-		if cp.state != PWrite && cp.state != PRead {
-			// Copy already gone; acknowledge with nothing to merge.
-			cp.capturedRound = round
-			s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{finvGone, int64(cp.ssmp), 0},
-				"ssmp %d copy already gone (state=%v)", cp.ssmp, cp.state)
-			s.replyInv(sp, o, ackReply, nil, nil, false, at)
-			s.unlock(cp, at)
-			return
-		}
-		ss := s.ssmps[cp.ssmp]
-		at = s.net.Extend(o, at, ss.domain.CleanPage(cp.frame, cp.dir))
-		cp.invOneW = oneW
-		cp.invCount = bits.OnesCount64(cp.tlbDir)
+	k := s.newMsg(kInvLocked, cp.page)
+	k.sp, k.cp, k.oneW, k.round = sp, cp, oneW, round
+	s.lockHandler(cp, k, at)
+}
+
+// onInvLocked is onInv's body, run holding the page-table lock.
+func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round int64, at sim.Time) {
+	o := s.clientOwner(cp)
+	if cp.state != PWrite && cp.state != PRead {
+		// Copy already gone; acknowledge with nothing to merge.
+		cp.capturedRound = round
+		s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{finvGone, int64(cp.ssmp), 0},
+			"ssmp %d copy already gone (state=%v)", cp.ssmp, cp.state)
+		s.replyInv(sp, o, ackReply, nil, nil, false, at)
+		s.unlock(cp, at)
+		return
+	}
+	ss := s.ssmps[cp.ssmp]
+	at = s.net.Extend(o, at, ss.domain.CleanPage(cp.frame, cp.dir))
+	cp.invOneW = oneW
+	cp.invCount = bits.OnesCount64(cp.tlbDir)
+	if s.Obs.Tracing() {
 		s.emitPageArgs(at, -1, cp.page, "INVSTART", [3]int64{int64(cp.ssmp), b2i(oneW), int64(cp.invCount)},
 			"ssmp %d tlbDir=%b state=%v oneW=%v", cp.ssmp, cp.tlbDir, cp.state, oneW)
-		if cp.invCount == 0 {
-			s.finishInv(sp, cp, round, at)
-			return
-		}
-		c := &s.cfg.Costs
-		v := cp.page
-		for t := cp.tlbDir; t != 0; t &= t - 1 {
-			q := s.ssmpBase(cp.ssmp) + bits.TrailingZeros64(t)
-			s.st.Count("pinv", 1)
-			s.net.SendTagged(sim.Label{Kind: "PINV", Page: int64(v), Src: o, Dst: q},
-				o, q, at, c.CtrlBytes, c.PinvWork, func(at2 sim.Time) {
-					// PINV (arc 11): drop the TLB entry, then acknowledge.
-					// Unlike the table's arc 12, the processor's DUQ entry
-					// stays — see the note in finishInv.
-					s.tlbs[q].Invalidate(v)
-					s.net.SendTagged(sim.Label{Kind: "PINVACK", Page: int64(v), Src: q, Dst: o},
-						q, o, at2, c.CtrlBytes, 0, func(at3 sim.Time) {
-							// PINV_ACK (arcs 15–16).
-							cp.invCount--
-							if cp.invCount == 0 {
-								s.finishInv(sp, cp, round, at3)
-							}
-						})
-				})
-		}
-	})
+	}
+	if cp.invCount == 0 {
+		s.finishInv(sp, cp, round, at)
+		return
+	}
+	c := &s.cfg.Costs
+	for t := cp.tlbDir; t != 0; t &= t - 1 {
+		s.st.Count("pinv", 1)
+		m := s.newMsg(mPInv, cp.page)
+		m.sp, m.cp, m.round = sp, cp, round
+		s.send(m, o, s.ssmpBase(cp.ssmp)+bits.TrailingZeros64(t), at, c.CtrlBytes, c.PinvWork, 0)
+	}
+}
+
+// onPInv is a mapping processor's PINV handler (arc 11): drop the TLB
+// entry, then acknowledge to the Remote Client on processor o. Unlike
+// the table's arc 12, the processor's DUQ entry stays — see the note in
+// finishInv.
+func (s *System) onPInv(sp *serverPage, cp *clientPage, round int64, o, q int, at sim.Time) {
+	s.tlbs[q].Invalidate(cp.page)
+	m := s.newMsg(mPInvAck, cp.page)
+	m.sp, m.cp, m.round = sp, cp, round
+	s.send(m, q, o, at, s.cfg.Costs.CtrlBytes, 0, 0)
+}
+
+// onPInvAck is the Remote Client's PINV_ACK handler (arcs 15–16): the
+// last acknowledgement finishes the invalidation.
+func (s *System) onPInvAck(sp *serverPage, cp *clientPage, round int64, at sim.Time) {
+	cp.invCount--
+	if cp.invCount == 0 {
+		s.finishInv(sp, cp, round, at)
+	}
 }
 
 // ssmpBase returns the global processor ID of SSMP r's processor 0.
@@ -433,7 +451,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		var db *DiffBuf
 		if cp.state == PWrite && !isHome {
 			at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-			db = getDiffBuf()
+			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 			s.retwin(cp)
 			s.st.Count("upd.diff", 1)
@@ -458,7 +476,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		var d Diff
 		var db *DiffBuf
 		if !isHome {
-			db = getDiffBuf()
+			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 		}
 		s.retwin(cp)
@@ -476,7 +494,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 			// retention decision below, exactly like a merged diff.
 			sp.sawDiff = true
 		} else {
-			db = getDiffBuf()
+			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 		}
 		s.st.Count("diff", 1)
@@ -494,14 +512,15 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 
 // teardown frees the SSMP's copy of the page. The home SSMP's "copy" is
 // the home frame itself, which survives; only the mapping goes. recycle
-// returns a remote frame to the SSMP's allocator — only safe after a
-// CleanPage has purged every cached line of the frame (the eager
-// invalidation path does; the lazy acquire path does not and passes
-// false).
+// returns a remote frame and its directory to the SSMP's free lists —
+// only safe after a CleanPage has purged every cached line of the frame
+// (the eager invalidation path does; the lazy acquire path does not and
+// passes false).
 func (s *System) teardown(ss *ssmpState, cp *clientPage, isHome, recycle bool) {
 	ss.domain.Unregister(cp.frame)
 	if recycle && !isHome {
 		ss.frames.Recycle(cp.frame)
+		ss.dirs = append(ss.dirs, cp.dir)
 	}
 	cp.frame = nil
 	cp.dir = nil
@@ -544,10 +563,9 @@ func (s *System) replyInv(sp *serverPage, from int, kind invReply, d Diff, db *D
 	if s.eng.Choosing() && len(d) > 0 {
 		aux |= int64(d.Checksum()<<8) >> 8 << 8 // keep kind+teardown in the low byte
 	}
-	s.net.SendTagged(sim.Label{Kind: "IREPLY", Page: int64(sp.page), Src: from, Dst: sp.homeProc, Aux: aux},
-		from, sp.homeProc, at, bytes, 0, func(at2 sim.Time) {
-			s.onInvReply(sp, from, kind, d, db, tornDown, at2)
-		})
+	m := s.newMsg(mIReply, sp.page)
+	m.sp, m.reply, m.d, m.db, m.torn = sp, kind, d, db, tornDown
+	s.send(m, from, sp.homeProc, at, bytes, 0, aux)
 }
 
 // onInvReply is the Server's ACK/DIFF/1WDATA handler (arcs 22–23): merge
@@ -592,7 +610,7 @@ func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db 
 			sp.sawDiff = true
 		}
 	}
-	putDiffBuf(db)
+	s.putDiffBuf(db)
 	sp.count--
 	if len(sp.invQueue) > 0 {
 		s.dispatchInv(sp, at)
@@ -609,7 +627,7 @@ func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db 
 // releaser, and serve queued replication requests.
 func (s *System) finishRel(sp *serverPage, at sim.Time) {
 	if s.cfg.Variant.UpdateProtocol {
-		targets := dirTargets(sp.readDir, sp.writeDir, s.ssmpOf(sp.homeProc))
+		targets := s.roundTargets(sp, s.ssmpOf(sp.homeProc))
 		if !sp.refreshDone && len(targets) != 0 {
 			sp.refreshDone = true
 			// Refresh phase: push the merged image to every copy; the
@@ -649,22 +667,7 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		} else {
 			sp.state = sRead
 		}
-		rel := sp.pendRel
-		sp.pendRel = nil
-		for _, rp := range rel {
-			s.sendRack(sp, rp, at)
-		}
-		reqs := sp.pendReq
-		sp.pendReq = nil
-		for _, rq := range reqs {
-			s.serveData(sp, rq.cp, s.procs[rq.proc], rq.write, at)
-		}
-		rerel := sp.pendReRel
-		sp.pendReRel = nil
-		for _, rp := range rerel {
-			s.st.Count("rel.requeued", 1)
-			s.onRel(sp, rp, -1, false, at)
-		}
+		s.answerRound(sp, at)
 		return
 	}
 	if sp.keepWriter >= 0 && (sp.sawDiff || sp.homeDirty) && sp.keepWriter != s.ssmpOf(sp.homeProc) {
@@ -686,9 +689,11 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 	}
 	sp.sawDiff = false
 	sp.homeDirty = false
-	s.emitPageArgs(at, -1, sp.page, "FINISHREL",
-		[3]int64{int64(sp.keepWriter), int64(len(sp.pendRel)), int64(len(sp.pendReq))},
-		"keep=%d pendRel=%v pendReq=%v", sp.keepWriter, sp.pendRel, sp.pendReq)
+	if s.Obs.Tracing() {
+		s.emitPageArgs(at, -1, sp.page, "FINISHREL",
+			[3]int64{int64(sp.keepWriter), int64(len(sp.pendRel)), int64(len(sp.pendReq))},
+			"keep=%d pendRel=%v pendReq=%v", sp.keepWriter, sp.pendRel, sp.pendReq)
+	}
 	sp.readDir.clear()
 	sp.writeDir.clear()
 	sp.state = sRead
@@ -708,25 +713,31 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 			s.migrateHome(sp, hcp, sp.lastReq, at)
 		}
 	}
-	rel := sp.pendRel
-	sp.pendRel = nil
-	for _, rp := range rel {
+	s.answerRound(sp, at)
+}
+
+// answerRound ends a release round: RACK every releaser it collected,
+// serve the requests queued behind it, and re-run the releases that
+// arrived after their SSMP's capture as a fresh round (the first re-REL
+// opens it; the rest fold in safely, since every capture of the new
+// round postdates their writes). The queues keep their storage. onRel
+// can queue a release again, so the last loop runs over the entries
+// present at entry and keeps what it appends for the next round.
+func (s *System) answerRound(sp *serverPage, at sim.Time) {
+	for _, rp := range sp.pendRel {
 		s.sendRack(sp, rp, at)
 	}
-	reqs := sp.pendReq
-	sp.pendReq = nil
-	for _, rq := range reqs {
+	sp.pendRel = sp.pendRel[:0]
+	for _, rq := range sp.pendReq {
 		s.serveData(sp, rq.cp, s.procs[rq.proc], rq.write, at)
 	}
-	// Releases that arrived after their SSMP's capture start over as a
-	// fresh round (the first re-REL opens it; the rest fold in safely,
-	// since every capture of the new round postdates their writes).
-	rerel := sp.pendReRel
-	sp.pendReRel = nil
-	for _, rp := range rerel {
+	sp.pendReq = sp.pendReq[:0]
+	n := len(sp.pendReRel)
+	for i := 0; i < n; i++ {
 		s.st.Count("rel.requeued", 1)
-		s.onRel(sp, rp, -1, false, at)
+		s.onRel(sp, sp.pendReRel[i], -1, false, at)
 	}
+	sp.pendReRel = append(sp.pendReRel[:0], sp.pendReRel[n:]...)
 }
 
 // sendRefresh pushes the merged page image to one copy (update
@@ -736,34 +747,42 @@ func (s *System) sendRefresh(sp *serverPage, r int, img []byte, at sim.Time) {
 	rc := sp.rmtGet(r)
 	cp, o := rc.cp, int(rc.owner)
 	s.st.Count("upd.refresh", 1)
-	s.net.Send(sp.homeProc, o, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0,
-		func(at2 sim.Time) {
-			s.lockHandler(cp, at2, func(at3 sim.Time) {
-				if cp.frame != nil && (cp.state == PWrite || cp.state == PRead) {
-					c := &s.cfg.Costs
-					at3 = s.net.Extend(s.clientOwner(cp), at3,
-						c.MergeWork+sim.Time(s.cfg.PageSize)*c.ApplyPerByte)
-					if cp.state == PWrite && cp.twin != nil {
-						db := getDiffBuf()
-						local := db.Compute(cp.twin, cp.frame.Data)
-						cp.frame.CopyFrom(img)
-						local.Apply(cp.frame.Data)
-						copy(cp.twin, img)
-						putDiffBuf(db)
-					} else {
-						cp.frame.CopyFrom(img)
-					}
-				}
-				s.unlock(cp, at3)
-				s.net.Send(s.clientOwner(cp), sp.homeProc, at3, s.cfg.Costs.CtrlBytes, 0,
-					func(at4 sim.Time) {
-						sp.refreshing--
-						if sp.refreshing == 0 {
-							s.finishRel(sp, at4)
-						}
-					})
-			})
-		})
+	m := s.newMsg(mRefresh, sp.page)
+	m.sp, m.cp, m.img = sp, cp, img
+	s.send(m, sp.homeProc, o, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
+}
+
+// onRefresh is a copy's refresh handler (update protocol). Like an INV
+// it takes the page-table lock, queuing if busy.
+func (s *System) onRefresh(sp *serverPage, cp *clientPage, img []byte, at sim.Time) {
+	k := s.newMsg(kRefreshLocked, cp.page)
+	k.sp, k.cp, k.img = sp, cp, img
+	s.lockHandler(cp, k, at)
+}
+
+// onRefreshLocked is onRefresh's body, run holding the page-table lock:
+// overwrite the copy with the merged image, replay the copy's own
+// post-capture writes on top, and acknowledge.
+func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at sim.Time) {
+	if cp.frame != nil && (cp.state == PWrite || cp.state == PRead) {
+		c := &s.cfg.Costs
+		at = s.net.Extend(s.clientOwner(cp), at,
+			c.MergeWork+sim.Time(s.cfg.PageSize)*c.ApplyPerByte)
+		if cp.state == PWrite && cp.twin != nil {
+			db := s.getDiffBuf()
+			local := db.Compute(cp.twin, cp.frame.Data)
+			cp.frame.CopyFrom(img)
+			local.Apply(cp.frame.Data)
+			copy(cp.twin, img)
+			s.putDiffBuf(db)
+		} else {
+			cp.frame.CopyFrom(img)
+		}
+	}
+	s.unlock(cp, at)
+	m := s.newMsg(mRefreshAck, sp.page)
+	m.sp = sp
+	s.send(m, s.clientOwner(cp), sp.homeProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
 }
 
 // migrateHome moves the page's home to SSMP r (dynamic migration, an
@@ -799,14 +818,11 @@ func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time
 	s.st.Count("migrate", 1)
 	s.emitPage(at, -1, sp.page, "MIGRATE", "home %d -> %d", oldHome, newHome)
 	// The page image travels to the new home's memory.
-	s.net.Send(oldHome, newHome, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, func(sim.Time) {})
+	s.send(s.newMsg(mMigrate, sp.page), oldHome, newHome, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
 }
 
 // sendRack acknowledges a release to the waiting processor (arc 9–10).
 func (s *System) sendRack(sp *serverPage, relProc int, at sim.Time) {
 	s.st.Count("rack", 1)
-	s.net.SendTagged(sim.Label{Kind: "RACK", Page: int64(sp.page), Src: sp.homeProc, Dst: relProc},
-		sp.homeProc, relProc, at, s.cfg.Costs.CtrlBytes, 0, func(at2 sim.Time) {
-			s.procs[relProc].Wake(at2)
-		})
+	s.send(s.newMsg(mRack, sp.page), sp.homeProc, relProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
 }

@@ -171,7 +171,7 @@ func (s *System) SnapshotProtocol() []PageSnap {
 func (s *System) DUQPages(p int) []vm.Page {
 	d := s.ssmps[s.ssmpOf(p)].duqs[s.within(p)]
 	var out []vm.Page
-	for _, v := range d.queue {
+	for _, v := range d.queue[d.head:] {
 		if d.member[v] {
 			dup := false
 			for _, o := range out {

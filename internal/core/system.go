@@ -215,6 +215,11 @@ type System struct {
 	// checks Tracing() before any event is built.
 	Obs *obs.Observer
 
+	msgFree  []*message // delivered messages and run lock continuations, for newMsg
+	targets  []int      // roundTargets' scratch
+	pageBufs [][]byte   // free page-size buffers (pool.go)
+	diffBufs []*DiffBuf // free diff buffers (pool.go)
+
 	acceptStaleWNotify bool // the model checker's seeded bug; set only by the method below
 }
 
@@ -289,6 +294,7 @@ type ssmpState struct {
 	pages   pageArena[clientPage]
 	servers pageArena[serverPage] // pages homed on this SSMP
 	frames  *mem.FrameAllocator   // this SSMP's physical frame region
+	dirs    []*cache.Dir          // directories of recycled frames, for newDir
 	duqs    []*duq                // one per local processor
 }
 
@@ -368,11 +374,11 @@ func (s *System) parkCharge(p *sim.Proc, cat stats.Category) {
 	s.st.Charge(p.ID, cat, p.Clock()-c0)
 }
 
-// newTwin snapshots f into a page-size buffer drawn from the
-// process-wide pool (pool.go); the buffer is fully overwritten here, so
-// pooling never leaks state between runs.
+// newTwin snapshots f into a page-size buffer drawn from the free list
+// (pool.go); the buffer is fully overwritten here, so reuse never leaks
+// state.
 func (s *System) newTwin(f *mem.Frame) []byte {
-	b := getPageBuf(s.cfg.PageSize)
+	b := s.getPageBuf()
 	copy(b, f.Data)
 	return b
 }
@@ -387,11 +393,11 @@ func (s *System) retwin(cp *clientPage) {
 	copy(cp.twin, cp.frame.Data)
 }
 
-// recycleTwin returns cp's twin buffer (if any) to the pool. Diffs
+// recycleTwin returns cp's twin buffer (if any) to the free list. Diffs
 // never alias twin storage, so a recycled buffer has no live readers.
 func (s *System) recycleTwin(cp *clientPage) {
 	if cp.twin != nil {
-		putPageBuf(cp.twin)
+		s.putPageBuf(cp.twin)
 		cp.twin = nil
 	}
 }

@@ -94,3 +94,45 @@ func TestAccessHitPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a cache-hit load allocates: %.0f allocations for 100 loads, %.0f for 10100", few, many)
 	}
 }
+
+// TestWriteSharingDoesNotAllocate is the protocol's steady state held to
+// the same standard: two SSMPs of two processors read and write two
+// pages under one lock, so every round runs the whole message
+// vocabulary (REQ/DATA, UPGRADE/UP_ACK/WNOTIFY, REL, INV, PINV/PINV_ACK,
+// the DIFF/1WDATA replies, RACK), the lock's hand-offs inside and
+// between SSMPs, twins and diffs, page-table-lock waits, and a
+// torn-down copy's frame and directory going back for the next fetch.
+// Messages, lock continuations and buffers are recycled records, so ten
+// times the rounds must not cost more allocations — under the default
+// token lock and under MCS. (The one-entry TLB makes every round evict:
+// the TLB's FIFO gains an entry per re-fill of an invalidated mapping
+// and only evictions consume them.)
+func TestWriteSharingDoesNotAllocate(t *testing.T) {
+	for _, lock := range []string{"token", "mcs"} {
+		rounds := func(n int) {
+			m := NewMachine(NewConfig(4, 2, WithLockAlgo(lock), WithTLBSize(1)))
+			va := m.Alloc(2 * m.Cfg.PageSize)
+			slot := va + vm.Addr(m.Cfg.PageSize)
+			if _, err := m.RunPer(func(i int) func(c *Ctx) {
+				return func(c *Ctx) {
+					for k := 0; k < n; k++ {
+						c.Acquire(0)
+						c.StoreI64(va, c.LoadI64(va)+1)
+						c.StoreI64(slot+8*vm.Addr(i), int64(k))
+						c.Release(0)
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.GetI64(va); got != int64(4*n) {
+				t.Fatalf("%s lock, %d rounds: counter %d, want %d", lock, n, got, 4*n)
+			}
+		}
+		few := testing.AllocsPerRun(1, func() { rounds(300) })
+		many := testing.AllocsPerRun(1, func() { rounds(3000) })
+		if many-few >= 10 {
+			t.Errorf("%s lock: write-sharing allocates per round: %.0f allocations for 300 rounds, %.0f for 3000", lock, few, many)
+		}
+	}
+}

@@ -25,10 +25,13 @@ import (
 // cost producers — the duration or deadline they compute is the
 // charge, landed by the caller (Network.Latency, Topology.Arrive,
 // Occupancy.Cross) — so auditing them for charges would be reading
-// the rule backwards. A candidate must transitively reach at least
-// one charge:
+// the rule backwards. Message handlers (Deliver(sim.Time), msg.Handler's
+// method) are exempt too: only a delivery calls one, after charging
+// the handler entry and the sender's extra work, and the on* handlers a
+// Deliver dispatches to are audited at their own declarations. A
+// candidate must transitively reach at least one charge:
 // a read of a Costs field, Proc.Advance/Sleep/AddDebt/HandlerStart,
-// Network.Send/Extend/Latency, Engine.After, or Engine.At
+// Network.Send/SendTagged/Extend/Latency, Engine.After, or Engine.At
 // with a time offset (At with a bare time value merely reschedules).
 //
 // For internal/obs the rule inverts: the observability spine's
@@ -120,7 +123,7 @@ func isChargeCandidate(fn *types.Func, decl *ast.FuncDecl) bool {
 			break
 		}
 	}
-	if !timed {
+	if !timed || isDeliver(fn) {
 		return false
 	}
 	// Cost producers return the time they model; their call sites carry
@@ -139,6 +142,14 @@ func isChargeCandidate(fn *types.Func, decl *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// isDeliver reports whether fn is a message handler: a method with
+// msg.Handler's signature, Deliver(sim.Time).
+func isDeliver(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	return sig.Recv() != nil && fn.Name() == "Deliver" && sig.Results().Len() == 0 &&
+		sig.Params().Len() == 1 && typeIs(sig.Params().At(0).Type(), "sim", "Time")
 }
 
 // chargesDirectly reports whether the body (including nested function
@@ -165,7 +176,7 @@ func chargesDirectly(pass *analysis.Pass, body *ast.BlockStmt) bool {
 			switch {
 			case isMethodOn(callee, "sim", "Proc", "Advance", "Sleep", "AddDebt", "HandlerStart"):
 				found = true
-			case isMethodOn(callee, "msg", "Network", "Send", "Extend", "Latency"):
+			case isMethodOn(callee, "msg", "Network", "Send", "SendTagged", "Extend", "Latency"):
 				found = true
 			case isMethodOn(callee, "sim", "Engine", "After"):
 				found = true

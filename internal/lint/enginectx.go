@@ -8,19 +8,25 @@ import (
 )
 
 // EngineCtx enforces the engine/processor context split documented in
-// internal/sim/proc.go: event callbacks (function literals scheduled
-// via Engine.At/AtOn/After/AtChoice, delivered as handlers via
-// Network.Send/SendTagged, or handed to algo.Env's Send/At forwarders
-// of those) run in engine context, where only the engine-safe Proc methods (Wake, AddDebt,
-// HandlerStart, Parked, ...) are legal; the yielding methods (Sleep,
-// Park, Yield) and the clock-advancing Advance must only run on the
-// proc's own body goroutine. Violating this either deadlocks the
-// handshake or advances a clock the engine believes is frozen.
+// internal/sim/proc.go: event callbacks run in engine context, where
+// only the engine-safe Proc methods (Wake, AddDebt, HandlerStart,
+// Parked, ...) are legal; the yielding methods (Sleep, Park, Yield) and
+// the clock-advancing Advance must only run on the proc's own body
+// goroutine. Violating this either deadlocks the handshake or advances
+// a clock the engine believes is frozen.
+//
+// An event callback is whatever is handed to a scheduler — Engine's
+// At/AtOn/After/AtChoice/AtHandler/AtChoiceHandler, Network's
+// Send/SendTagged, or algo.Env's Send/At forwarders of those: a
+// function literal (bare, or converted to an adapter type such as
+// msg.Func), or a record whose static type has the Deliver or Fire
+// method the scheduler will call (a pooled protocol message, a lock
+// hand-off, a delivery).
 //
 // The analyzer builds a same-package call graph, seeds engine context
-// from every callback literal passed to those schedulers, seeds proc
-// context from functions with a *sim.Proc receiver or parameter that
-// are not engine-reachable, and then:
+// from every such literal and record method, seeds proc context from
+// functions with a *sim.Proc receiver or parameter that are not
+// engine-reachable, and then:
 //
 //   - rule 1: flags calls to Proc.Sleep/Park/Yield/Advance inside
 //     engine-reachable code that is not also proc-reachable (functions
@@ -46,24 +52,27 @@ func runEngineCtx(pass *analysis.Pass) error {
 	}
 	info := pass.TypesInfo
 
-	// Engine-context roots: callback literals handed to the scheduler.
-	// They are collected from a plain syntax walk first so the call
-	// graph can avoid attributing their bodies to the function that
-	// merely schedules them.
+	// Engine-context roots: callback literals and handler records handed
+	// to the scheduler. They are collected from a plain syntax walk
+	// first so the call graph can avoid attributing the literals' bodies
+	// to the function that merely schedules them.
 	rootSet := map[*ast.FuncLit]bool{}
 	var rootLits []*ast.FuncLit
+	var engineSeeds []*types.Func
 	for _, f := range sourceFiles(pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				callee := calleeOf(info, call)
-				if isMethodOn(callee, "sim", "Engine", "At", "AtOn", "After", "AtChoice") ||
+				if isMethodOn(callee, "sim", "Engine", "At", "AtOn", "After", "AtChoice", "AtHandler", "AtChoiceHandler") ||
 					isMethodOn(callee, "msg", "Network", "Send", "SendTagged") ||
 					isMethodOn(callee, "msync/algo", "Env", "Send", "At") {
 					for _, a := range call.Args {
-						if lit, ok := a.(*ast.FuncLit); ok {
+						if lit := funcLitArg(info, a); lit != nil {
 							rootSet[lit] = true
 							rootLits = append(rootLits, lit)
+							continue
 						}
+						engineSeeds = append(engineSeeds, handlerMethods(pass, info.TypeOf(a))...)
 					}
 				}
 			}
@@ -73,8 +82,7 @@ func runEngineCtx(pass *analysis.Pass) error {
 	g := buildFuncGraphSkipping(pass, rootSet)
 
 	// Named functions called (same-package) from the engine-context
-	// literals, then everything those reach.
-	var engineSeeds []*types.Func
+	// literals, then everything those and the record methods reach.
 	for _, lit := range rootLits {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
@@ -197,4 +205,33 @@ func runEngineCtx(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// funcLitArg returns the function literal an argument passes, bare or
+// converted to a func-typed adapter (msg.Func(func(...) {...})), or nil.
+func funcLitArg(info *types.Info, a ast.Expr) *ast.FuncLit {
+	a = ast.Unparen(a)
+	if conv, ok := a.(*ast.CallExpr); ok && len(conv.Args) == 1 && info.Types[conv.Fun].IsType() {
+		a = ast.Unparen(conv.Args[0])
+	}
+	lit, _ := a.(*ast.FuncLit)
+	return lit
+}
+
+// handlerMethods returns the Deliver and Fire methods, declared in this
+// package, of a record type handed to a scheduler: the methods the
+// scheduler calls in engine context. An interface-typed argument names
+// no record, and roots nothing.
+func handlerMethods(pass *analysis.Pass, t types.Type) []*types.Func {
+	if t == nil || types.IsInterface(t) {
+		return nil
+	}
+	var out []*types.Func
+	for _, name := range []string{"Deliver", "Fire"} {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, name)
+		if fn, ok := obj.(*types.Func); ok && fn.Pkg() == pass.Pkg {
+			out = append(out, fn)
+		}
+	}
+	return out
 }

@@ -56,6 +56,23 @@ func (s *System) sendData(p *sim.Proc, at sim.Time) {
 	s.net.Send(0, 1, at, 64, func(done sim.Time) {})
 }
 
+// send launches a pooled record with the caller's sizes: the charge is
+// the tagged send itself.
+func (s *System) send(m *message, at sim.Time, bytes int) {
+	s.net.SendTagged("REQ", 0, 1, at, bytes, m)
+}
+
+// message is a pooled record; its Deliver dispatches to on* handlers,
+// which are audited where they are declared.
+type message struct {
+	s *System
+	p *sim.Proc
+}
+
+func (m *message) Deliver(at sim.Time) {
+	m.s.onGood(m.p, at)
+}
+
 // lazyDone is unexported with no handler prefix: out of scope.
 func (s *System) lazyDone(at sim.Time) {
 	s.pend--

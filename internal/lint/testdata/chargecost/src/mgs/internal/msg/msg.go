@@ -24,6 +24,20 @@ func (n *Network) Send(from, to int, when sim.Time, bytes int, fn func(done sim.
 	})
 }
 
+// SendTagged is Send for a Handler, with a label: a charge like Send.
+func (n *Network) SendTagged(label string, from, to int, when sim.Time, bytes int, h Handler) {
+	n.Send(from, to, when, bytes, h.Deliver)
+}
+
+// Handler is a message's handler; Func adapts a literal. Deliver runs
+// only from a delivery, which has charged the handler entry: it is not
+// a send path to audit.
+type Handler interface{ Deliver(done sim.Time) }
+
+type Func func(done sim.Time)
+
+func (f Func) Deliver(done sim.Time) { f(done) }
+
 // SendFree delivers without charging anything.
 func (n *Network) SendFree(from, to int, when sim.Time, fn func(done sim.Time)) { // want `SendFree is a protocol handler/send path but no path through it charges`
 	n.eng.At(when, func() { fn(when) })

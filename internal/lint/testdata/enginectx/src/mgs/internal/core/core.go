@@ -42,12 +42,49 @@ func (s *System) badHandler(p *sim.Proc, at sim.Time) {
 	})
 }
 
-// badUpgrade sleeps inside a message handler: every protocol handler
-// is a literal passed to SendTagged, and runs in engine context.
+// badUpgrade sleeps inside a message handler: a literal converted to
+// the msg.Func adapter and passed to SendTagged runs in engine context.
 func (s *System) badUpgrade(p *sim.Proc, at sim.Time) {
-	s.net.SendTagged(sim.Label{Kind: "UPGRADE"}, p.ID, 0, at, func(done sim.Time) {
+	s.net.SendTagged(sim.Label{Kind: "UPGRADE"}, p.ID, 0, at, msg.Func(func(done sim.Time) {
 		p.Sleep(1) // want `Proc\.Sleep yields or advances the local clock`
-	})
+	}))
+}
+
+// message is a pooled protocol message: SendTagged roots its Deliver,
+// and everything Deliver dispatches to, in engine context.
+type message struct {
+	s    *System
+	kind int
+	p    *sim.Proc
+}
+
+func (m *message) Deliver(at sim.Time) {
+	switch m.kind {
+	case 0:
+		m.p.Wake(at) // engine-safe
+	case 1:
+		m.s.onRecord(m.p, at)
+	}
+}
+
+func (s *System) onRecord(p *sim.Proc, at sim.Time) {
+	p.Sleep(1) // want `Proc\.Sleep yields or advances the local clock`
+}
+
+// sendRecord hands the record to the scheduler.
+func (s *System) sendRecord(p *sim.Proc, at sim.Time) {
+	s.net.SendTagged(sim.Label{Kind: "REQ"}, p.ID, 0, at, &message{s: s, kind: 1, p: p})
+}
+
+// handoff is a lock continuation: AtHandler roots its Fire.
+type handoff struct{ p *sim.Proc }
+
+func (h *handoff) Fire() {
+	h.p.Park() // want `Proc\.Park yields or advances the local clock`
+}
+
+func (s *System) unlock(p *sim.Proc, at sim.Time) {
+	s.eng.AtHandler(at+1, &handoff{p: p})
 }
 
 // badHandoff sleeps inside a literal scheduled through the pinned

@@ -12,8 +12,11 @@ type Engine struct {
 
 type Label struct{ Kind string }
 
+type Handler interface{ Fire() }
+
 func (e *Engine) Now() Time                           { return e.now }
 func (e *Engine) At(t Time, fn func())                { e.seq++; fn() }
+func (e *Engine) AtHandler(t Time, h Handler)         { e.seq++; h.Fire() }
 func (e *Engine) AtOn(_ *Proc, t Time, fn func())     { e.At(t, fn) }
 func (e *Engine) AtChoice(t Time, l Label, fn func()) { e.At(t, fn) }
 func (e *Engine) After(d Time, fn func())             { e.At(e.now+d, fn) }

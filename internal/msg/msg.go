@@ -229,6 +229,20 @@ func (n *Network) interArrive(from, to int, when sim.Time, bytes int) sim.Time {
 	return n.topo.Arrive(&n.occ, n.SSMPOf(from), n.SSMPOf(to), depart, bytes)
 }
 
+// Handler is what a message runs at its destination: Deliver receives
+// the virtual time at which the handler body has completed
+// (HandlerEntry plus the sender's extra cycles of handler work). A
+// protocol's pooled message record implements it and costs no closure
+// per send.
+type Handler interface{ Deliver(done sim.Time) }
+
+// Func adapts a plain continuation to Handler. A func value is
+// pointer-shaped, so the conversion does not allocate.
+type Func func(done sim.Time)
+
+// Deliver calls f.
+func (f Func) Deliver(done sim.Time) { f(done) }
+
 // Send delivers an active message: composed at `when` on processor
 // `from`, arriving at processor `to` after the wire latency, then
 // running `fn` as a handler once the destination processor's handler
@@ -240,17 +254,18 @@ func (n *Network) interArrive(from, to int, when sim.Time, bytes int) sim.Time {
 // occupancy via debt; callers that want the sender's clock to reflect
 // the send should also advance it by SendCost.
 func (n *Network) Send(from, to int, when sim.Time, bytes int, extra sim.Time, fn func(done sim.Time)) {
-	n.SendTagged(sim.Label{}, from, to, when, bytes, extra, fn)
+	n.SendTagged(sim.Label{}, from, to, when, bytes, extra, Func(fn))
 }
 
-// SendTagged is Send with a choice label: while a sim.Chooser is armed
-// on the engine (model checking), the delivery becomes a choice point
-// the checker can reorder against other labeled deliveries. On every
-// normal run — no chooser — AtChoice degrades to At and the schedule is
-// identical to Send's. Fault-injected messages stay unlabeled: the
-// reliable transport's retransmission timing is outside the checker's
-// interleaving model (the checker never arms a fault plan).
-func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int, extra sim.Time, fn func(done sim.Time)) {
+// SendTagged is Send for a Handler, with a choice label: while a
+// sim.Chooser is armed on the engine (model checking), the delivery
+// becomes a choice point the checker can reorder against other labeled
+// deliveries. On every normal run — no chooser — AtChoice degrades to
+// At and the schedule is identical to Send's. Fault-injected messages
+// stay unlabeled: the reliable transport's retransmission timing is
+// outside the checker's interleaving model (the checker never arms a
+// fault plan).
+func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int, extra sim.Time, h Handler) {
 	inter := n.SSMPOf(from) != n.SSMPOf(to)
 	if inter {
 		n.Counters.InterMsgs++
@@ -263,7 +278,7 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 		// Fault-injection mode: the message goes through the reliable
 		// transport (sequence number, ack, retransmission) instead of
 		// the perfect wire.
-		n.inj.send(from, to, when, bytes, extra, fn)
+		n.inj.send(from, to, when, bytes, extra, h)
 		return
 	}
 	var arrive sim.Time
@@ -272,13 +287,13 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 	} else {
 		arrive = when + n.costs.SendOverhead + n.Latency(from, to, bytes) + n.jitter()
 	}
-	n.eng.AtChoiceHandler(arrive, l, n.newDelivery(to, arrive, extra, fn))
+	n.eng.AtChoiceHandler(arrive, l, n.newDelivery(to, arrive, extra, h))
 }
 
 // delivery is one message reaching its handler, and the sim.Handler of
 // both of its events: it fires at arrival, where it queues for the
 // destination's handler resource, and again when the handler body has
-// completed, where it runs fn and goes back on the Network's free list.
+// completed, where it runs h and goes back on the Network's free list.
 // The perfect wire schedules the arrival; the reliable transport fires
 // it itself, for the one copy of a message that passes the sequence
 // check.
@@ -287,13 +302,13 @@ type delivery struct {
 	to       int
 	at       sim.Time // scheduled arrival; once handling, the completion time
 	extra    sim.Time
-	fn       func(done sim.Time)
+	h        Handler
 	handling bool // false until the arrival event has fired
 }
 
 // newDelivery takes a record off the free list, or allocates one, for a
 // message that reaches processor to at time at.
-func (n *Network) newDelivery(to int, at, extra sim.Time, fn func(done sim.Time)) *delivery {
+func (n *Network) newDelivery(to int, at, extra sim.Time, h Handler) *delivery {
 	var d *delivery
 	if k := len(n.free) - 1; k >= 0 {
 		d, n.free = n.free[k], n.free[:k]
@@ -302,7 +317,7 @@ func (n *Network) newDelivery(to int, at, extra sim.Time, fn func(done sim.Time)
 		d = &delivery{n: n}
 		n.DeliveriesNew++
 	}
-	d.to, d.at, d.extra, d.fn = to, at, extra, fn
+	d.to, d.at, d.extra, d.h = to, at, extra, h
 	return d
 }
 
@@ -320,10 +335,10 @@ func (d *delivery) Fire() {
 		n.eng.AtHandler(d.at, d)
 		return
 	}
-	fn, done := d.fn, d.at
-	d.fn, d.handling = nil, false // drop what fn captured; free before fn so its own sends reuse d
+	h, done := d.h, d.at
+	d.h, d.handling = nil, false // drop the handler; free before it runs so its own sends reuse d
 	n.free = append(n.free, d)
-	fn(done)
+	h.Deliver(done)
 }
 
 // SendCost is the occupancy a sender spends launching one message.

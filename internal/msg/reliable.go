@@ -77,7 +77,7 @@ type pending struct {
 	seq       int64
 	bytes     int
 	extra     sim.Time
-	fn        func(done sim.Time)
+	h         Handler
 	stream    fault.Stream // sender-side fate draws (drop/dup/delay)
 	ackStream fault.Stream // receiver-side fate draws (ack loss)
 	acked     bool
@@ -155,14 +155,14 @@ func msgID(key chanKey, seq int64) uint64 {
 // send enters one logical inter-SSMP message into the reliable
 // transport: assign its sequence number, seed its fate streams from the
 // plan and message id, and launch attempt zero.
-func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time, fn func(done sim.Time)) {
+func (in *injector) send(from, to int, when sim.Time, bytes int, extra sim.Time, h Handler) {
 	key := chanKey{from, to}
 	cs := in.chanOf(key)
 	cs.nextSeq++
 	id := msgID(key, cs.nextSeq)
 	m := &pending{
 		id: id, key: key, seq: cs.nextSeq,
-		bytes: bytes, extra: extra, fn: fn,
+		bytes: bytes, extra: extra, h: h,
 		// Separate streams per side, so a message's attempt fates do
 		// not depend on how many acks were drawn in between. The high
 		// bit splits the id space.
@@ -251,7 +251,7 @@ func (in *injector) deliverAt(m *pending, arrive sim.Time) {
 			if arrive > m.firstEst {
 				in.fs.RecoveryCycles += int64(arrive - m.firstEst)
 			}
-			n.newDelivery(m.key.to, arrive, m.extra, m.fn).Fire()
+			n.newDelivery(m.key.to, arrive, m.extra, m.h).Fire()
 		}
 		in.sendAck(m, arrive)
 	})

@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // Dissemination is the dissemination barrier over SSMPs: after a local
 // combine, each SSMP runs ceil(log2(N)) rounds, sending in round r to
@@ -65,7 +68,7 @@ func (b *dissemBarrier) Arrive(p *sim.Proc) {
 		e.EmitBarrier(when, p.ID, b.id, "DSM.LOCAL", "ssmp=%d", s)
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("DSM.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
-			func(at sim.Time) { b.onLocal(s, at) })
+			msg.Func(func(at sim.Time) { b.onLocal(s, at) }))
 	}
 	c0 := p.Clock()
 	p.Park() // woken when this SSMP's last round closes
@@ -111,7 +114,7 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 			to := (s + (1 << r)) % e.NSSMP()
 			toSSMP := to
 			e.Send("DSM.RND", b.id, e.RepProc(s, b.id), e.RepProc(to, b.id), at, int64(r), e.BarrierOp(),
-				func(at2 sim.Time) { b.onRound(toSSMP, r, at2) })
+				msg.Func(func(at2 sim.Time) { b.onRound(toSSMP, r, at2) }))
 		}
 		if n.recv[r] < n.episode+1 {
 			return

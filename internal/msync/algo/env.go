@@ -70,17 +70,18 @@ func (e *Env) TokenWork() sim.Time { return e.costs.TokenWork }
 func (e *Env) SendCost() sim.Time  { return e.net.SendCost() }
 
 // Send delivers a 32-byte control message from processor from to
-// processor to, no earlier than when, and runs fn as a handler charged
+// processor to, no earlier than when, and runs h as a handler charged
 // work cycles at the receiver. kind/id/aux label the delivery as a
 // model-checker choice point; the label is inert outside the checker.
-func (e *Env) Send(kind string, id, from, to int, when sim.Time, aux int64, work sim.Time, fn func(at sim.Time)) {
+// A hot algorithm sends a pooled record; msg.Func adapts a literal.
+func (e *Env) Send(kind string, id, from, to int, when sim.Time, aux int64, work sim.Time, h msg.Handler) {
 	e.net.SendTagged(sim.Label{Kind: kind, Page: int64(id), Src: from, Dst: to, Aux: aux},
-		from, to, when, 32, work, fn)
+		from, to, when, 32, work, h)
 }
 
-// At schedules fn at time t as an engine event: an in-SSMP wakeup
+// At schedules h at time t as an engine event: an in-SSMP wakeup
 // through hardware shared memory, not a message.
-func (e *Env) At(t sim.Time, fn func()) { e.eng.At(t, fn) }
+func (e *Env) At(t sim.Time, h sim.Handler) { e.eng.AtHandler(t, h) }
 
 // ChargeLock advances p by cycles and attributes them to Lock.
 func (e *Env) ChargeLock(p *sim.Proc, cycles sim.Time) {
@@ -116,6 +117,11 @@ func (e *Env) CountCS(held sim.Time) {
 	e.st.Count("lock.heldcycles", int64(held))
 	e.st.Count("lock.cs", 1)
 }
+
+// Tracing reports whether a trace sink is attached. A call site whose
+// arguments would box heap values tests it first, so an untraced run
+// allocates nothing for the trace.
+func (e *Env) Tracing() bool { return e.obs.Tracing() }
 
 // EmitLock publishes one lock trace event. Detail formatting runs only
 // when a sink is attached; emission charges no simulated cycles.

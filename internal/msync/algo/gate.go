@@ -39,11 +39,10 @@ func (g *gate) arrive(p *sim.Proc, csize int) (last bool, when sim.Time) {
 // release wakes every gated processor, staggered by quantum/4 per
 // waiter — the sequential reads of the shared release flag.
 func (g *gate) release(at, quantum sim.Time) {
-	ws := g.waiting
-	g.waiting = nil
-	for i, p := range ws {
+	for i, p := range g.waiting {
 		p.Wake(at + sim.Time(i+1)*quantum/4)
 	}
+	g.waiting = g.waiting[:0]
 }
 
 // idle reports whether the gate holds no partial episode.

@@ -57,6 +57,65 @@ type mcsLock struct {
 
 	hits  int64
 	total int64
+
+	free []*mcsMsg // delivered messages, for send
+}
+
+// mcsKind names one of the lock's messages.
+type mcsKind uint8
+
+const (
+	mcsSwap     mcsKind = iota // p swaps tenure seq into the queue (→ home)
+	mcsGrant                   // the queue was empty: p holds the lock (home →)
+	mcsSetNext                 // tenure seq of pid learns its successor p (home →)
+	mcsPass                    // the lock passes from pid to p
+	mcsRel                     // tenure seq of pid ends (→ home)
+	mcsMustPass                // tenure seq of pid has a successor in flight (home →)
+)
+
+var mcsNames = [...]string{mcsSwap: "MCS.SWAP", mcsGrant: "MCS.GRANT", mcsSetNext: "MCS.SETNEXT",
+	mcsPass: "MCS.PASS", mcsRel: "MCS.REL", mcsMustPass: "MCS.MUSTPASS"}
+
+// mcsMsg is one pooled MCS message (a msg.Handler). It goes back on the
+// lock's free list before its handler runs.
+type mcsMsg struct {
+	l    *mcsLock
+	kind mcsKind
+	p    *sim.Proc
+	pid  int
+	seq  int64
+}
+
+// send sends message k from processor from to processor to; the
+// arguments its handler reads are p, pid and seq, as its kind lists.
+func (l *mcsLock) send(k mcsKind, from, to int, at sim.Time, aux int64, p *sim.Proc, pid int, seq int64) {
+	var m *mcsMsg
+	if n := len(l.free) - 1; n >= 0 {
+		m, l.free = l.free[n], l.free[:n]
+	} else {
+		m = &mcsMsg{l: l}
+	}
+	m.kind, m.p, m.pid, m.seq = k, p, pid, seq
+	l.env.Send(mcsNames[k], l.id, from, to, at, aux, l.env.TokenWork(), m)
+}
+
+// Deliver runs the message's handler (msg.Handler).
+func (m *mcsMsg) Deliver(at sim.Time) {
+	l, k, p, pid, seq := m.l, m.kind, m.p, m.pid, m.seq
+	m.p = nil
+	l.free = append(l.free, m)
+	switch k {
+	case mcsSwap:
+		l.onSwap(p, seq, at)
+	case mcsGrant, mcsPass:
+		l.wake(p, pid, at)
+	case mcsSetNext:
+		l.onSetNext(pid, seq, p, at)
+	case mcsRel:
+		l.onRel(pid, seq, at)
+	case mcsMustPass:
+		l.onMustPass(pid, seq, at)
+	}
 }
 
 // Acquire implements Lock: swap into the queue at the home, park until
@@ -69,10 +128,11 @@ func (l *mcsLock) Acquire(p *sim.Proc) {
 	n := &l.node[p.ID]
 	n.seq++
 	seq := n.seq
-	e.EmitLock(p.Clock(), p.ID, l.id, "MCS.SWAP", "proc=%d seq=%d", p.ID, seq)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "MCS.SWAP", "proc=%d seq=%d", p.ID, seq)
+	}
 	e.ChargeLock(p, e.SendCost())
-	e.Send("MCS.SWAP", l.id, p.ID, l.home, p.Clock(), seq, e.TokenWork(),
-		func(at sim.Time) { l.onSwap(p, seq, at) })
+	l.send(mcsSwap, p.ID, l.home, p.Clock(), seq, p, 0, seq)
 	c0 := p.Clock()
 	p.Park() // woken holding the lock
 	e.LockWaited(p, p.Clock()-c0)
@@ -85,14 +145,14 @@ func (l *mcsLock) onSwap(p *sim.Proc, seq int64, at sim.Time) {
 	e := l.env
 	prev, prevSeq := l.tail, l.tailSeq
 	l.tail, l.tailSeq = p.ID, seq
-	e.EmitLock(at, -1, l.id, "MCS.TAIL", "proc=%d seq=%d prev=%d", p.ID, seq, prev)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "MCS.TAIL", "proc=%d seq=%d prev=%d", p.ID, seq, prev)
+	}
 	if prev < 0 {
-		e.Send("MCS.GRANT", l.id, l.home, p.ID, at, seq, e.TokenWork(),
-			func(at2 sim.Time) { l.wake(p, l.home, at2) })
+		l.send(mcsGrant, l.home, p.ID, at, seq, p, l.home, 0)
 		return
 	}
-	e.Send("MCS.SETNEXT", l.id, l.home, prev, at, int64(p.ID), e.TokenWork(),
-		func(at2 sim.Time) { l.onSetNext(prev, prevSeq, p, at2) })
+	l.send(mcsSetNext, l.home, prev, at, int64(p.ID), p, prev, prevSeq)
 }
 
 // onSetNext runs at the predecessor: pass immediately if this tenure
@@ -127,8 +187,7 @@ func (l *mcsLock) takeSucc(pid int, seq int64) (*sim.Proc, bool) {
 func (l *mcsLock) pass(from int, succ *sim.Proc, at sim.Time) {
 	e := l.env
 	e.EmitLock(at, -1, l.id, "MCS.PASS", "from=%d to=%d", from, succ.ID)
-	e.Send("MCS.PASS", l.id, from, succ.ID, at, int64(succ.ID), e.TokenWork(),
-		func(at2 sim.Time) { l.wake(succ, from, at2) })
+	l.send(mcsPass, from, succ.ID, at, int64(succ.ID), succ, from, 0)
 }
 
 // wake runs at the new holder: count the hit if the lock arrived from
@@ -157,10 +216,11 @@ func (l *mcsLock) Release(p *sim.Proc) {
 		l.pass(p.ID, succ, p.Clock())
 		return
 	}
-	e.EmitLock(p.Clock(), p.ID, l.id, "MCS.REL", "proc=%d seq=%d", p.ID, seq)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "MCS.REL", "proc=%d seq=%d", p.ID, seq)
+	}
 	e.ChargeLock(p, e.SendCost())
-	e.Send("MCS.REL", l.id, p.ID, l.home, p.Clock(), seq, e.TokenWork(),
-		func(at sim.Time) { l.onRel(p.ID, seq, at) })
+	l.send(mcsRel, p.ID, l.home, p.Clock(), seq, nil, p.ID, seq)
 }
 
 // onRel runs at the home. If the releaser's tenure is still the tail
@@ -174,8 +234,7 @@ func (l *mcsLock) onRel(pid int, seq int64, at sim.Time) {
 		e.EmitLock(at, -1, l.id, "MCS.FREE", "proc=%d", pid)
 		return
 	}
-	e.Send("MCS.MUSTPASS", l.id, l.home, pid, at, seq, e.TokenWork(),
-		func(at2 sim.Time) { l.onMustPass(pid, seq, at2) })
+	l.send(mcsMustPass, l.home, pid, at, seq, nil, pid, seq)
 }
 
 // onMustPass runs at the released predecessor: pass now if this

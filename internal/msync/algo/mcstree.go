@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // MCSTree is the MCS tree barrier over SSMPs: arrivals flow up a 4-ary
 // tree (each node reports to parent (s-1)/4 once its own SSMP and all
@@ -61,7 +64,7 @@ func (b *mcsTreeBarrier) Arrive(p *sim.Proc) {
 		e.EmitBarrier(when, p.ID, b.id, "MCT.LOCAL", "ssmp=%d", s)
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("MCT.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
-			func(at sim.Time) { b.onLocal(s, at) })
+			msg.Func(func(at sim.Time) { b.onLocal(s, at) }))
 	}
 	c0 := p.Clock()
 	p.Park() // woken by the wakeup wave
@@ -98,7 +101,7 @@ func (b *mcsTreeBarrier) check(s int, at sim.Time) {
 	}
 	parent := (s - 1) / 4
 	e.Send("MCT.ARRIVE", b.id, e.RepProc(s, b.id), e.RepProc(parent, b.id), at, int64(s), e.BarrierOp(),
-		func(at2 sim.Time) { b.onChild(parent, at2) })
+		msg.Func(func(at2 sim.Time) { b.onChild(parent, at2) }))
 }
 
 // wake runs at SSMP s's representative: release the local gate and
@@ -112,7 +115,7 @@ func (b *mcsTreeBarrier) wake(s int, at sim.Time) {
 		}
 		c := c
 		e.Send("MCT.WAKE", b.id, e.RepProc(s, b.id), e.RepProc(c, b.id), at, int64(c), e.BarrierOp(),
-			func(at2 sim.Time) { b.wake(c, at2) })
+			msg.Func(func(at2 sim.Time) { b.wake(c, at2) }))
 	}
 }
 

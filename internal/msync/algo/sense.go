@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // Sense is the sense-reversing central barrier, deliberately flat: no
 // SSMP combining at all. Every processor sends its own ARRIVE to the
@@ -45,7 +48,7 @@ func (b *senseBarrier) Arrive(p *sim.Proc) {
 	e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
 	e.ChargeBarrier(p, e.SendCost())
 	e.Send("SNS.ARRIVE", b.id, p.ID, b.home, p.Clock(), int64(p.ID), e.BarrierOp(),
-		func(at sim.Time) { b.onArrive(at) })
+		msg.Func(func(at sim.Time) { b.onArrive(at) }))
 	c0 := p.Clock()
 	p.Park() // woken by this processor's RELEASE
 	e.BarrierWaited(p, p.Clock()-c0)
@@ -64,7 +67,7 @@ func (b *senseBarrier) onArrive(at sim.Time) {
 	for i := 0; i < e.NProcs(); i++ {
 		i := i
 		e.Send("SNS.RELEASE", b.id, b.home, i, at, int64(i), e.BarrierOp(),
-			func(at2 sim.Time) { b.onRelease(i, at2) })
+			msg.Func(func(at2 sim.Time) { b.onRelease(i, at2) }))
 	}
 }
 

@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // Ticket is the centralized ticket lock: every acquire draws a ticket
 // at the lock's home processor and is granted in strict ticket order.
@@ -47,7 +50,7 @@ func (l *ticketLock) Acquire(p *sim.Proc) {
 	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REQ", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
-		func(at sim.Time) { l.onReq(p, at) })
+		msg.Func(func(at sim.Time) { l.onReq(p, at) }))
 	c0 := p.Clock()
 	p.Park() // woken holding the lock
 	e.LockWaited(p, p.Clock()-c0)
@@ -71,7 +74,7 @@ func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 	e := l.env
 	e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
 	e.Send("TKT.GRANT", l.id, l.home, p.ID, at, int64(p.ID), e.TokenWork(),
-		func(at2 sim.Time) { l.onGrant(p, at2) })
+		msg.Func(func(at2 sim.Time) { l.onGrant(p, at2) }))
 }
 
 // onGrant runs at the new holder: count the hit if the grant never left
@@ -97,7 +100,7 @@ func (l *ticketLock) Release(p *sim.Proc) {
 	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REL", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
-		func(at sim.Time) { l.onRel(at) })
+		msg.Func(func(at sim.Time) { l.onRel(at) }))
 }
 
 // onRel runs at the home: the current ticket is done.

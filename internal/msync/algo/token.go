@@ -45,6 +45,73 @@ type tokenLock struct {
 	total int64
 
 	heldSince sim.Time // only the token-holding SSMP touches it
+
+	free []*tokenMsg // delivered messages and fired hand-offs, for newMsg
+}
+
+// tokenKind names one of the lock's messages, or the in-SSMP hand-off.
+type tokenKind uint8
+
+const (
+	tkReq     tokenKind = iota // LK.REQ: SSMP s wants the token (→ home)
+	tkBack                     // LK.BACK: SSMP s returns the token (→ home)
+	tkDemand                   // LK.DEM: the home recalls the token from SSMP s
+	tkGrant                    // LK.GRANT: the token goes to SSMP s
+	tkHandoff                  // releaser p passes the lock to next, in its SSMP: an engine event
+)
+
+var tokenNames = [...]string{tkReq: "LK.REQ", tkBack: "LK.BACK", tkDemand: "LK.DEM", tkGrant: "LK.GRANT"}
+
+// tokenMsg is one pooled token-lock message (a msg.Handler) or hand-off
+// (a sim.Handler). It goes back on the lock's free list before its
+// handler runs.
+type tokenMsg struct {
+	l       *tokenLock
+	kind    tokenKind
+	s       int
+	p, next *sim.Proc
+}
+
+// newMsg takes a record off the free list, or allocates one.
+func (l *tokenLock) newMsg(k tokenKind, s int) *tokenMsg {
+	var m *tokenMsg
+	if n := len(l.free) - 1; n >= 0 {
+		m, l.free = l.free[n], l.free[:n]
+	} else {
+		m = &tokenMsg{l: l}
+	}
+	m.kind, m.s = k, s
+	return m
+}
+
+// send sends message k about SSMP s from processor from to processor to.
+func (l *tokenLock) send(k tokenKind, s, from, to int, at sim.Time) {
+	l.env.Send(tokenNames[k], l.id, from, to, at, int64(s), l.env.TokenWork(), l.newMsg(k, s))
+}
+
+// Deliver runs the message's handler (msg.Handler).
+func (m *tokenMsg) Deliver(at sim.Time) {
+	l, k, s := m.l, m.kind, m.s
+	l.free = append(l.free, m)
+	switch k {
+	case tkReq:
+		l.onTokenReq(s, at)
+	case tkBack:
+		l.onTokenBack(at)
+	case tkDemand:
+		l.onDemand(s, at)
+	case tkGrant:
+		l.onTokenGrant(s, at)
+	}
+}
+
+// Fire runs the in-SSMP hand-off (sim.Handler). The wake time reads the
+// releaser's clock now, when the event fires, not when it was scheduled.
+func (m *tokenMsg) Fire() {
+	l, p, next := m.l, m.p, m.next
+	m.p, m.next = nil, nil
+	l.free = append(l.free, m)
+	next.Wake(p.Clock() + l.env.LockOp())
 }
 
 // tokenLocal is the per-SSMP half of a distributed lock.
@@ -85,15 +152,12 @@ func (l *tokenLock) Acquire(p *sim.Proc) {
 func (l *tokenLock) sendReq(p *sim.Proc, s int) {
 	e := l.env
 	e.ChargeLock(p, e.SendCost())
-	e.Send("LK.REQ", l.id, p.ID, l.home, p.Clock(), int64(s), e.TokenWork(),
-		func(at sim.Time) { l.onTokenReq(s, at) })
+	l.send(tkReq, s, p.ID, l.home, p.Clock())
 }
 
 // sendBack returns SSMP s's token to the home from processor from.
 func (l *tokenLock) sendBack(from, s int, at sim.Time) {
-	e := l.env
-	e.Send("LK.BACK", l.id, from, l.home, at, int64(s), e.TokenWork(),
-		func(at2 sim.Time) { l.onTokenBack(at2) })
+	l.send(tkBack, s, from, l.home, at)
 }
 
 // Release implements Lock: pass the lock on — to the home if a remote
@@ -124,22 +188,28 @@ func (l *tokenLock) Release(p *sim.Proc) {
 	}
 	if len(ll.waitQ) > 0 {
 		next := ll.waitQ[0]
-		ll.waitQ = ll.waitQ[1:]
+		ll.waitQ = append(ll.waitQ[:0], ll.waitQ[1:]...)
 		ll.held = true
 		l.heldSince = p.Clock() + e.LockOp()
 		l.hits++
-		e.EmitLock(p.Clock(), p.ID, l.id, "HANDOFF", "releaser=%d(clk %d) next=%d(clk %d)", p.ID, p.Clock(), next.ID, next.Clock())
+		if e.Tracing() {
+			e.EmitLock(p.Clock(), p.ID, l.id, "HANDOFF", "releaser=%d(clk %d) next=%d(clk %d)", p.ID, p.Clock(), next.ID, next.Clock())
+		}
 		// An engine event (the waiter is in the releaser's SSMP), not a
 		// message. The wake time reads the releaser's clock when the
 		// event fires, so a releaser that ran ahead in the meantime
 		// delays the waiter: every pinned cycle count depends on it.
-		e.At(p.Clock()+e.LockOp(), func() { next.Wake(p.Clock() + e.LockOp()) })
+		h := l.newMsg(tkHandoff, s)
+		h.p, h.next = p, next
+		e.At(p.Clock()+e.LockOp(), h)
 	}
 }
 
 // onTokenReq runs at the global lock home: SSMP s wants the token.
 func (l *tokenLock) onTokenReq(s int, at sim.Time) {
-	l.env.EmitLock(at, -1, l.id, "TOKENREQ.HOME", "ssmp=%d queue=%v owner=%d", s, l.reqQueue, l.tokenOwner)
+	if l.env.Tracing() {
+		l.env.EmitLock(at, -1, l.id, "TOKENREQ.HOME", "ssmp=%d queue=%v owner=%d", s, l.reqQueue, l.tokenOwner)
+	}
 	l.reqQueue = append(l.reqQueue, s)
 	l.pumpDemand(at)
 }
@@ -153,9 +223,10 @@ func (l *tokenLock) pumpDemand(at sim.Time) {
 	l.demandOut = true
 	e := l.env
 	owner := l.tokenOwner
-	e.EmitLock(at, -1, l.id, "DEMAND", "-> ssmp=%d queue=%v", owner, l.reqQueue)
-	e.Send("LK.DEM", l.id, l.home, e.RepProc(owner, l.id), at, int64(owner), e.TokenWork(),
-		func(at2 sim.Time) { l.onDemand(owner, at2) })
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "DEMAND", "-> ssmp=%d queue=%v", owner, l.reqQueue)
+	}
+	l.send(tkDemand, owner, l.home, e.RepProc(owner, l.id), at)
 }
 
 // onDemand runs at the token owner SSMP: give the token back to the
@@ -177,7 +248,9 @@ func (l *tokenLock) onDemand(s int, at sim.Time) {
 // onTokenBack runs at the home: hand the token to the first queued SSMP.
 func (l *tokenLock) onTokenBack(at sim.Time) {
 	e := l.env
-	e.EmitLock(at, -1, l.id, "TOKENBACK", "queue=%v", l.reqQueue)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "TOKENBACK", "queue=%v", l.reqQueue)
+	}
 	l.demandOut = false
 	if len(l.reqQueue) == 0 {
 		// No one waiting after all; home's SSMP keeps the token.
@@ -187,10 +260,9 @@ func (l *tokenLock) onTokenBack(at sim.Time) {
 		return
 	}
 	next := l.reqQueue[0]
-	l.reqQueue = l.reqQueue[1:]
+	l.reqQueue = append(l.reqQueue[:0], l.reqQueue[1:]...)
 	l.tokenOwner = next
-	e.Send("LK.GRANT", l.id, l.home, e.RepProc(next, l.id), at, int64(next), e.TokenWork(),
-		func(at2 sim.Time) { l.onTokenGrant(next, at2) })
+	l.send(tkGrant, next, l.home, e.RepProc(next, l.id), at)
 	// More SSMPs queued: recall the token from its new owner too, after
 	// it serves one holder.
 	l.pumpDemand(at)
@@ -215,7 +287,7 @@ func (l *tokenLock) onTokenGrant(s int, at sim.Time) {
 		return
 	}
 	next := ll.waitQ[0]
-	ll.waitQ = ll.waitQ[1:]
+	ll.waitQ = append(ll.waitQ[:0], ll.waitQ[1:]...)
 	ll.held = true
 	l.heldSince = at + e.LockOp()
 	next.Wake(at + e.LockOp())

@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // TournamentBarrier is the tournament barrier over SSMPs: in round r,
 // SSMP s with bit r as its lowest set bit "loses" to winner s - 2^r
@@ -76,7 +79,7 @@ func (b *tourBarrier) Arrive(p *sim.Proc) {
 		e.EmitBarrier(when, p.ID, b.id, "TNB.LOCAL", "ssmp=%d", s)
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("TNB.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
-			func(at sim.Time) { b.onLocal(s, at) })
+			msg.Func(func(at sim.Time) { b.onLocal(s, at) }))
 	}
 	c0 := p.Clock()
 	p.Park() // woken by the reverse bracket
@@ -120,7 +123,7 @@ func (b *tourBarrier) advance(s int, at sim.Time) {
 			}
 			w := s - 1<<lr
 			e.Send("TNB.ARRIVE", b.id, e.RepProc(s, b.id), e.RepProc(w, b.id), at, int64(lr), e.BarrierOp(),
-				func(at2 sim.Time) { b.onArrive(w, lr, at2) })
+				msg.Func(func(at2 sim.Time) { b.onArrive(w, lr, at2) }))
 			return
 		}
 		if partner := s + 1<<r; partner < len(b.nodes) && n.recv[r] < n.started {
@@ -141,7 +144,7 @@ func (b *tourBarrier) wake(s int, at sim.Time) {
 			continue
 		}
 		e.Send("TNB.WAKE", b.id, e.RepProc(s, b.id), e.RepProc(c, b.id), at, int64(c), e.BarrierOp(),
-			func(at2 sim.Time) { b.wake(c, at2) })
+			msg.Func(func(at2 sim.Time) { b.wake(c, at2) }))
 	}
 }
 

@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // Tournament is a tournament (arbiter-tree) lock: a static binary tree
 // over the machine's SSMPs, each node hosted by the leftmost SSMP of
@@ -98,7 +101,7 @@ func (l *tourLock) Acquire(p *sim.Proc) {
 	e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.ENTER", "proc=%d leaf=%d", p.ID, ni)
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TOUR.ACQ", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
-		func(at sim.Time) { l.arrive(w, ni, at) })
+		msg.Func(func(at sim.Time) { l.arrive(w, ni, at) }))
 	c0 := p.Clock()
 	p.Park() // woken holding the lock
 	e.LockWaited(p, p.Clock()-c0)
@@ -125,7 +128,7 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 		crossed := w.crossed || e.SSMPOf(from) != e.SSMPOf(w.p.ID)
 		e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
 		e.Send("TOUR.GRANTMSG", l.id, from, w.p.ID, at, int64(w.p.ID), e.TokenWork(),
-			func(at2 sim.Time) { l.grant(w.p, crossed, at2) })
+			msg.Func(func(at2 sim.Time) { l.grant(w.p, crossed, at2) }))
 		return
 	}
 	from := e.RepProc(n.host, l.id)
@@ -133,7 +136,7 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 	w2 := tourWaiter{p: w.p, crossed: w.crossed || e.SSMPOf(from) != e.SSMPOf(to)}
 	pi := n.parent
 	e.Send("TOUR.ACQ", l.id, from, to, at, int64(pi), e.TokenWork(),
-		func(at2 sim.Time) { l.arrive(w2, pi, at2) })
+		msg.Func(func(at2 sim.Time) { l.arrive(w2, pi, at2) }))
 }
 
 // grant runs at the new holder: a hit is a climb that never left the
@@ -162,7 +165,7 @@ func (l *tourLock) Release(p *sim.Proc) {
 		to := e.RepProc(l.nodes[ni].host, l.id)
 		e.ChargeLock(p, e.SendCost())
 		e.Send("TOUR.REL", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
-			func(at sim.Time) { l.release(ni, at) })
+			msg.Func(func(at sim.Time) { l.release(ni, at) }))
 	}
 }
 

@@ -1,6 +1,9 @@
 package algo
 
-import "mgs/internal/sim"
+import (
+	"mgs/internal/msg"
+	"mgs/internal/sim"
+)
 
 // Tree is the paper's two-level tree barrier (§3.2) and the default:
 // processors first combine inside their SSMP through hardware shared
@@ -37,7 +40,7 @@ func (b *treeBarrier) Arrive(p *sim.Proc) {
 		e.EmitBarrier(when, p.ID, b.id, "COMBINE", "ssmp=%d proc=%d", s, p.ID)
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send("BAR.COMB", b.id, p.ID, b.home, when, int64(s), e.BarrierOp(),
-			func(at sim.Time) { b.onCombine(at) })
+			msg.Func(func(at sim.Time) { b.onCombine(at) }))
 	}
 	c0 := p.Clock()
 	p.Park() // woken by the local release
@@ -57,7 +60,7 @@ func (b *treeBarrier) onCombine(at sim.Time) {
 	for s := 0; s < e.NSSMP(); s++ {
 		s := s
 		e.Send("BAR.REL", b.id, b.home, e.RepProc(s, b.id), at, int64(s), e.BarrierOp(),
-			func(at2 sim.Time) { b.onRelease(s, at2) })
+			msg.Func(func(at2 sim.Time) { b.onRelease(s, at2) }))
 	}
 }
 
