@@ -64,12 +64,12 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// completing early would hand a lock over before the
 			// captured data is visible to the next acquirer.
 			if cp.relInFlight > 0 {
-				s.emitPage(p.Clock(), p.ID, v, "LRELWAIT", "proc %d inflight=%d", p.ID, cp.relInFlight)
+				s.emitPageArgs(p.Clock(), p.ID, v, "LRELWAIT", [3]int64{}, "proc %d inflight=%d", p.ID, cp.relInFlight)
 				s.st.Count("lrel.wait", 1)
 				cp.relWaiters = append(cp.relWaiters, p)
 				s.parkCharge(p, stats.MGS)
 			} else {
-				s.emitPage(p.Clock(), p.ID, v, "LRELSKIP", "proc %d state=%v", p.ID, cp.state)
+				s.emitPageArgs(p.Clock(), p.ID, v, "LRELSKIP", [3]int64{}, "proc %d state=%v", p.ID, cp.state)
 			}
 			s.unlock(cp, p.Clock())
 			continue
@@ -98,7 +98,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			s.st.Count("lrel", 1)
 		}
 		fetchVer, fetchGen := cp.version, cp.gen
-		s.emitPage(p.Clock(), p.ID, v, "LREL", "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
+		s.emitPageArgs(p.Clock(), p.ID, v, "LREL", [3]int64{}, "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
 		s.spend(p, stats.MGS, s.net.SendCost())
 		cp.relInFlight++
 		m := s.newMsg(mLazyRel, v)
@@ -220,7 +220,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			// lines, so it must not be recycled (a recycled frame's ID
 			// reuse would let those lines alias the new page).
 			s.teardown(ss, cp, false, false)
-			s.emitPage(p.Clock(), p.ID, v, "ACQFLUSH", "proc %d diff=%d", p.ID, len(diff))
+			s.emitPageArgs(p.Clock(), p.ID, v, "ACQFLUSH", [3]int64{}, "proc %d diff=%d", p.ID, len(diff))
 			s.spend(p, stats.MGS, s.net.SendCost())
 			cp.relInFlight++
 			m := s.newMsg(mLazyRel, v)
@@ -233,7 +233,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 		// Clean stale copy: the write notice alone kills it, no
 		// communication needed (TreadMarks' acquire-side invalidation).
 		s.st.Count("acq.inval", 1)
-		s.emitPage(p.Clock(), p.ID, v, "ACQINVAL", "proc %d ver=%d<%d", p.ID, cp.version, sp.version)
+		s.emitPageArgs(p.Clock(), p.ID, v, "ACQINVAL", [3]int64{}, "proc %d ver=%d<%d", p.ID, cp.version, sp.version)
 		s.shootLocal(ss, cp, p)
 		s.teardown(ss, cp, false, false)
 		s.unlock(cp, p.Clock())

@@ -217,7 +217,7 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 		cond := cp.state != PWrite
 		capRound := cp.capturedRound
 		if cond {
-			s.emitPage(p.Clock(), p.ID, v, "RELCOND", "proc %d state=%v cap=%d", p.ID, cp.state, capRound)
+			s.emitPageArgs(p.Clock(), p.ID, v, "RELCOND", [3]int64{}, "proc %d state=%v cap=%d", p.ID, cp.state, capRound)
 		}
 		s.st.Count("rel", 1)
 		s.spend(p, stats.MGS, s.net.SendCost())
@@ -250,7 +250,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		// the round — so its data is covered and the REL folds in.
 		if !cond && capRound == sp.round {
 			sp.pendReRel = append(sp.pendReRel, relProc)
-			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relRequeued, 0, 0},
+			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRequeued, 0, 0},
 				"from proc %d REQUEUED (copy captured round %d)", relProc, capRound)
 			return
 		}
@@ -259,12 +259,12 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 			// release's in-place writes; folding it in would RACK a
 			// release whose data the refreshes never carried.
 			sp.pendReRel = append(sp.pendReRel, relProc)
-			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relRequeuedHome, 0, 0},
+			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRequeuedHome, 0, 0},
 				"from proc %d REQUEUED (post-image home release)", relProc)
 			return
 		}
 		sp.pendRel = append(sp.pendRel, relProc)
-		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relPended, 0, 0},
+		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelPended, 0, 0},
 			"from proc %d PENDED", relProc)
 		return
 	}
@@ -273,7 +273,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		// data is merged and every copy served since reflects it. The
 		// release is satisfied with no new round.
 		s.st.Count("rel.sat", 1)
-		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relSatisfied, 0, 0},
+		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelSatisfied, 0, 0},
 			"from proc %d SATISFIED (captured round %d done)", relProc, capRound)
 		s.sendRack(sp, relProc, at)
 		return
@@ -281,7 +281,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 	targets := s.roundTargets(sp, -1)
 	if len(targets) == 0 {
 		if s.Obs.Tracing() {
-			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relNoTargets, 0, 0},
+			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelNoTargets, 0, 0},
 				"from proc %d NOTARGETS", relProc)
 		}
 		s.sendRack(sp, relProc, at)
@@ -289,7 +289,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 	}
 	if s.Obs.Tracing() {
 		tmask := sp.readDir.mask64() | sp.writeDir.mask64()
-		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{relRound, int64(tmask), int64(sp.writeDir.mask64())},
+		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRound, int64(tmask), int64(sp.writeDir.mask64())},
 			"from proc %d -> round targets=%b writeDir=%b", relProc, tmask, sp.writeDir.mask64())
 	}
 	sp.state = sRel
@@ -346,7 +346,7 @@ func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round in
 	if cp.state != PWrite && cp.state != PRead {
 		// Copy already gone; acknowledge with nothing to merge.
 		cp.capturedRound = round
-		s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{finvGone, int64(cp.ssmp), 0},
+		s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{FinvGone, int64(cp.ssmp), 0},
 			"ssmp %d copy already gone (state=%v)", cp.ssmp, cp.state)
 		s.replyInv(sp, o, ackReply, nil, nil, false, at)
 		s.unlock(cp, at)
@@ -430,14 +430,14 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 	// its release could complete before the captured data reaches the
 	// home, and the next lock holder would read stale data.
 
-	arm := finvAckTeardown
+	arm := FinvAckTeardown
 	switch {
 	case s.cfg.Variant.UpdateProtocol:
-		arm = finvUpdateCapture
+		arm = FinvUpdateCapture
 	case cp.invOneW:
-		arm = finvOneWRetain
+		arm = FinvOneWRetain
 	case cp.state == PWrite:
-		arm = finvDiffTeardown
+		arm = FinvDiffTeardown
 	}
 	s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{arm, int64(cp.ssmp), b2i(isHome)},
 		"ssmp %d state=%v oneW=%v", cp.ssmp, cp.state, cp.invOneW)
@@ -816,7 +816,7 @@ func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time
 	s.space.Rehome(sp.page, newHome)
 	s.ssmps[r].servers.put(sp.page, sp)
 	s.st.Count("migrate", 1)
-	s.emitPage(at, -1, sp.page, "MIGRATE", "home %d -> %d", oldHome, newHome)
+	s.emitPageArgs(at, -1, sp.page, "MIGRATE", [3]int64{}, "home %d -> %d", oldHome, newHome)
 	// The page image travels to the new home's memory.
 	s.send(s.newMsg(mMigrate, sp.page), oldHome, newHome, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
 }

@@ -28,22 +28,6 @@ const (
 	FinvUpdateCapture              // update protocol: captured, copy kept
 )
 
-// Aliases used at the emit sites (keeps the call sites compact).
-const (
-	relRound        = RelRound
-	relPended       = RelPended
-	relNoTargets    = RelNoTargets
-	relRequeued     = RelRequeued
-	relRequeuedHome = RelRequeuedHome
-	relSatisfied    = RelSatisfied
-
-	finvAckTeardown   = FinvAckTeardown
-	finvDiffTeardown  = FinvDiffTeardown
-	finvOneWRetain    = FinvOneWRetain
-	finvGone          = FinvGone
-	finvUpdateCapture = FinvUpdateCapture
-)
-
 func b2i(b bool) int64 {
 	if b {
 		return 1

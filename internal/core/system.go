@@ -211,7 +211,7 @@ type System struct {
 	acc []accEntry
 
 	// Obs is the observability spine. Nil (or an observer with no
-	// sinks) keeps the trace path structurally detached: emitPage
+	// sinks) keeps the trace path structurally detached: emitPageArgs
 	// checks Tracing() before any event is built.
 	Obs *obs.Observer
 
@@ -232,25 +232,11 @@ type System struct {
 // and not part of any configuration.
 func (s *System) MutStaleWNotify() { s.acceptStaleWNotify = true }
 
-// emitPage publishes one protocol event about a page. Detail formatting
+// emitPageArgs publishes one protocol event about a page, with the
+// structured Args the model checker's refinement spec consumes
+// (internal/check; zero where an event carries none). Detail formatting
 // happens only when a sink is attached; emission charges no simulated
 // cycles.
-func (s *System) emitPage(t sim.Time, proc int, v vm.Page, name, format string, args ...any) {
-	if !s.Obs.Tracing() {
-		return
-	}
-	var detail string
-	if format != "" {
-		detail = fmt.Sprintf(format, args...)
-	}
-	s.Obs.Emit(obs.Event{
-		T: t, Proc: proc, Cat: obs.Protocol, Name: name,
-		Kind: obs.ObjPage, ID: int64(v), Detail: detail,
-	})
-}
-
-// emitPageArgs is emitPage with structured Args attached — the protocol
-// facts the model checker's refinement spec consumes (internal/check).
 func (s *System) emitPageArgs(t sim.Time, proc int, v vm.Page, name string, args [3]int64, format string, fa ...any) {
 	if !s.Obs.Tracing() {
 		return

@@ -29,8 +29,6 @@ func TestClassify(t *testing.T) {
 		{"mgs/cmd/mgssim", false, false, false, false},
 		// go vet analyzes test variants under a suffixed path.
 		{"mgs/internal/sim [mgs/internal/sim.test]", true, true, true, false},
-		// The fixture trees mirror real paths and must classify alike.
-		{"mgs/internal/lint/testdata/enginectx/src/mgs/internal/core", true, true, true, true},
 	}
 	for _, c := range cases {
 		if got := isDeterministic(c.path); got != c.deterministic {

@@ -110,9 +110,8 @@ func pkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
 }
 
 // funcGraph is a same-package call graph over declared functions and
-// methods. Function literals are folded into their enclosing
-// declaration except where an analyzer treats them as separate roots
-// (enginectx's engine-context closures).
+// methods; function literals are folded into their enclosing
+// declaration.
 type funcGraph struct {
 	decls map[*types.Func]*ast.FuncDecl
 	calls map[*types.Func][]*types.Func // same-package callees only
@@ -122,15 +121,6 @@ type funcGraph struct {
 // non-test files and the same-package calls each makes (including calls
 // made inside nested function literals).
 func buildFuncGraph(pass *analysis.Pass) *funcGraph {
-	return buildFuncGraphSkipping(pass, nil)
-}
-
-// buildFuncGraphSkipping is buildFuncGraph, but function literals in
-// skip are not folded into their enclosing declaration: calls inside
-// them belong to whatever context eventually invokes the literal, not
-// to the function that merely created it (enginectx uses this for
-// scheduled callbacks).
-func buildFuncGraphSkipping(pass *analysis.Pass, skip map[*ast.FuncLit]bool) *funcGraph {
 	g := &funcGraph{
 		decls: map[*types.Func]*ast.FuncDecl{},
 		calls: map[*types.Func][]*types.Func{},
@@ -146,50 +136,17 @@ func buildFuncGraphSkipping(pass *analysis.Pass, skip map[*ast.FuncLit]bool) *fu
 				continue
 			}
 			g.decls[obj] = fd
-			inspectSkipping(fd.Body, skip, func(n ast.Node) {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if callee := calleeOf(pass.TypesInfo, call); callee != nil && callee.Pkg() == pass.Pkg {
 						g.calls[obj] = append(g.calls[obj], callee)
 					}
 				}
+				return true
 			})
 		}
 	}
 	return g
-}
-
-// inspectSkipping walks node, calling fn on every node, but does not
-// descend into function literals present in skip.
-func inspectSkipping(node ast.Node, skip map[*ast.FuncLit]bool, fn func(ast.Node)) {
-	ast.Inspect(node, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && skip[lit] {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
-
-// reach returns the set of functions reachable from seeds through
-// same-package calls (seeds included).
-func (g *funcGraph) reach(seeds []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	var visit func(f *types.Func)
-	visit = func(f *types.Func) {
-		if seen[f] {
-			return
-		}
-		seen[f] = true
-		for _, c := range g.calls[f] {
-			visit(c)
-		}
-	}
-	for _, s := range seeds {
-		visit(s)
-	}
-	return seen
 }
 
 // isBuiltin reports whether call invokes the named builtin.

@@ -16,7 +16,6 @@ func All() []*analysis.Analyzer {
 		NoGoroutine,
 		MapRange,
 		ChargeCost,
-		EngineCtx,
 	}
 }
 

@@ -27,8 +27,3 @@ func TestChargeCost(t *testing.T) {
 	analysistest.Run(t, "testdata/chargecost", lint.ChargeCost,
 		"mgs/internal/msg", "mgs/internal/core", "mgs/internal/obs")
 }
-
-func TestEngineCtx(t *testing.T) {
-	analysistest.Run(t, "testdata/enginectx", lint.EngineCtx,
-		"mgs/internal/sim", "mgs/internal/msg", "mgs/internal/core")
-}

@@ -18,7 +18,10 @@
 //     protocol handlers, message deliveries, and timer expiries run.
 //   - Procs: coroutines with a local clock. A Proc advances its clock
 //     cheaply for local work (Advance) and yields to the engine only
-//     when it must interact with global ordering (Sleep, Park).
+//     when it must interact with global ordering (Sleep, Park). These
+//     methods panic when called from anywhere but the Proc's own body:
+//     the engine dispatches an event only while every Proc is
+//     suspended, so an event that calls them is caught at once.
 //
 // Ties in virtual time break by scheduling order, so the simulation is
 // a total order over events.
@@ -140,7 +143,7 @@ func (e *Engine) Run() error {
 	}
 	var stuck []string
 	for _, p := range e.procs {
-		if !p.done {
+		if p.state != stateDone {
 			stuck = append(stuck, fmt.Sprintf("proc %d (%s, clock %d)", p.ID, p.state, p.clock))
 		}
 	}

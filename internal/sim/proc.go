@@ -20,10 +20,11 @@ const (
 //
 // The body function runs on its own stack, but only while the engine
 // has switched to it; any call that yields (Sleep, Park) suspends the
-// body until the engine resumes it. Proc methods other than Wake and
-// AddDebt must only be called from the body; Wake and AddDebt are
-// called from engine context (event callbacks). A Proc is the Handler
-// of its own resume events.
+// body until the engine resumes it. Advance, Sleep, Yield and Park
+// belong to the body: called from anywhere else — an event callback,
+// another Proc's body, or before the body has started — they panic.
+// Wake, AddDebt and HandlerStart are the engine-context methods, for
+// event callbacks. A Proc is the Handler of its own resume events.
 type Proc struct {
 	// ID is the processor number, unique within an engine.
 	ID int
@@ -33,7 +34,6 @@ type Proc struct {
 	debt  Time // handler preemption time owed, folded in on next Advance
 	body  func(p *Proc)
 	state procState
-	done  bool
 
 	// next switches into the body and returns when it suspends or
 	// finishes; suspend switches back out. Both are nil until the first
@@ -77,7 +77,6 @@ func (p *Proc) run(suspend func(struct{}) bool) {
 	p.state = stateRunning
 	p.body(p)
 	p.state = stateDone
-	p.done = true
 }
 
 // Clock returns the processor's local virtual time. It can run ahead of
@@ -87,8 +86,11 @@ func (p *Proc) Clock() Time { return p.clock }
 // Advance moves the local clock forward by d cycles of local work,
 // folding in any interrupt debt accumulated by protocol handlers that
 // preempted this processor. It does not yield. It returns the total
-// cycles actually charged (d plus debt).
+// cycles actually charged (d plus debt). It panics outside the body.
 func (p *Proc) Advance(d Time) Time {
+	if p.state != stateRunning {
+		panic("sim: Proc.Advance outside the proc's own body")
+	}
 	d += p.debt
 	p.debt = 0
 	p.clock += d
@@ -123,8 +125,12 @@ func (p *Proc) BusyUntil() Time { return p.busyUntil }
 
 // Sleep advances the local clock by d and yields so that other
 // processors and events with earlier timestamps run first. Use it for
-// long local operations whose duration is known up front.
+// long local operations whose duration is known up front. It panics
+// outside the body.
 func (p *Proc) Sleep(d Time) {
+	if p.state != stateRunning {
+		panic("sim: Proc.Sleep outside the proc's own body")
+	}
 	p.clock += d + p.debt
 	p.debt = 0
 	p.state = stateSleep
@@ -133,14 +139,23 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Yield gives the engine a chance to run events scheduled at or before
-// the processor's current clock, without advancing the clock.
-func (p *Proc) Yield() { p.Sleep(0) }
+// the processor's current clock, without advancing the clock. It panics
+// outside the body.
+func (p *Proc) Yield() {
+	if p.state != stateRunning {
+		panic("sim: Proc.Yield outside the proc's own body")
+	}
+	p.Sleep(0)
+}
 
 // Park blocks the processor until some event calls Wake. On return the
 // local clock has advanced to at least the wake time. The caller is
 // responsible for ensuring a Wake will eventually arrive; the engine
-// reports a deadlock otherwise.
+// reports a deadlock otherwise. It panics outside the body.
 func (p *Proc) Park() {
+	if p.state != stateRunning {
+		panic("sim: Proc.Park outside the proc's own body")
+	}
 	p.state = stateParked
 	p.block()
 	if p.wakeAt > p.clock {

@@ -453,3 +453,101 @@ func TestBodyPanicReachesRunsCaller(t *testing.T) {
 	err := e.Run()
 	t.Fatalf("Run returned (%v); the body's panic should have unwound through it", err)
 }
+
+// callRecord is a Handler record that calls one method on a Proc: an
+// AtHandler event, as a pooled protocol message is one.
+type callRecord struct {
+	p    *Proc
+	call func(*Proc)
+}
+
+func (r *callRecord) Fire() { r.call(r.p) }
+
+// panicOf runs f and returns what it panicked with, or nil.
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// Advance, Sleep, Yield and Park belong to the proc's own body. From an
+// event (a callback or a handler record), from another proc's body, or
+// before the body has started, each must panic naming itself — before
+// it moves a clock or queues an event.
+func TestProcContextIsEnforced(t *testing.T) {
+	methods := []struct {
+		name string
+		call func(*Proc)
+	}{
+		{"Advance", func(p *Proc) { p.Advance(1) }},
+		{"Sleep", func(p *Proc) { p.Sleep(1) }},
+		{"Yield", func(p *Proc) { p.Yield() }},
+		{"Park", func(p *Proc) { p.Park() }},
+	}
+	// Each context runs call against a proc that is suspended (or not
+	// yet started) at the moment of the call.
+	contexts := []struct {
+		name string
+		run  func(call func(*Proc)) error
+	}{
+		{"Engine.At callback", func(call func(*Proc)) error {
+			e := NewEngine()
+			v := e.NewProc(0, 0, func(p *Proc) { p.Sleep(10) })
+			e.At(1, func() { call(v) })
+			return e.Run()
+		}},
+		{"AtHandler record", func(call func(*Proc)) error {
+			e := NewEngine()
+			v := e.NewProc(0, 0, func(p *Proc) { p.Sleep(10) })
+			e.AtHandler(1, &callRecord{p: v, call: call})
+			return e.Run()
+		}},
+		{"another proc's body", func(call func(*Proc)) error {
+			e := NewEngine()
+			v := e.NewProc(0, 0, func(p *Proc) { p.Sleep(10) })
+			e.NewProc(1, 1, func(*Proc) { call(v) })
+			return e.Run()
+		}},
+		{"proc not yet started", func(call func(*Proc)) error {
+			e := NewEngine()
+			call(e.NewProc(0, 5, func(*Proc) {}))
+			return e.Run()
+		}},
+	}
+	for _, c := range contexts {
+		for _, m := range methods {
+			t.Run(c.name+"/"+m.name, func(t *testing.T) {
+				want := "sim: Proc." + m.name + " outside the proc's own body"
+				var err error
+				got := panicOf(func() { err = c.run(m.call) })
+				if got != want {
+					t.Fatalf("panicked with %v (Run returned %v), want %q", got, err, want)
+				}
+			})
+		}
+	}
+
+	// The engine-context methods stay legal from a handler.
+	e := NewEngine()
+	var charged, clock Time
+	v := e.NewProc(0, 0, func(p *Proc) {
+		p.Park()
+		charged = p.Advance(0)
+		clock = p.Clock()
+	})
+	e.At(1, func() {
+		v.AddDebt(2)
+		v.HandlerStart(1, 3)
+		v.Wake(4)
+	})
+	if got := panicOf(func() {
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != nil {
+		t.Fatalf("Wake/AddDebt/HandlerStart from a handler panicked: %v", got)
+	}
+	if charged != 2 || clock != 4+2 {
+		t.Fatalf("after the wake: charged %d, clock %d; want the debt 2 on top of the wake time 4", charged, clock)
+	}
+}
