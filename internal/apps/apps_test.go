@@ -73,7 +73,7 @@ func TestTSPNineCities(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if _, err := harness.RunApp(NewTSP(), smallCfg(8, 2)); err != nil {
+	if _, err := harness.RunApp(&TSP{NCities: 9, Depth: 4}, smallCfg(8, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,7 +154,7 @@ func TestLUDefaultSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if _, err := harness.RunApp(NewLU(), smallCfg(16, 4)); err != nil {
+	if _, err := harness.RunApp(&LU{N: 128, B: 16}, smallCfg(16, 4)); err != nil {
 		t.Fatal(err)
 	}
 }

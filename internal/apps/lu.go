@@ -24,9 +24,6 @@ type LU struct {
 	nb int
 }
 
-// NewLU returns the default-size instance.
-func NewLU() *LU { return &LU{N: 128, B: 16} }
-
 // Name implements harness.App.
 func (l *LU) Name() string { return "lu" }
 

@@ -33,9 +33,6 @@ const (
 	tspBarrier   = 0
 )
 
-// NewTSP returns the default instance (9 cities; the paper ran 10).
-func NewTSP() *TSP { return &TSP{NCities: 9, Depth: 4} }
-
 // Name implements harness.App.
 func (t *TSP) Name() string { return "tsp" }
 

@@ -133,29 +133,6 @@ func (b *DiffBuf) Compute(twin, cur []byte) Diff {
 	return d
 }
 
-// Clone copies the diff into exact-size owned storage: one allocation
-// for the range headers and one for a shared payload slab (none for an
-// empty diff). The clone survives recycling of the DiffBuf the receiver
-// was computed from.
-func (d Diff) Clone() Diff {
-	if len(d) == 0 {
-		return nil
-	}
-	total := 0
-	for _, r := range d {
-		total += len(r.Data)
-	}
-	out := make(Diff, len(d))
-	slab := make([]byte, total)
-	pos := 0
-	for i, r := range d {
-		n := copy(slab[pos:pos+len(r.Data)], r.Data)
-		out[i] = DiffRange{Off: r.Off, Data: slab[pos : pos+n : pos+n]}
-		pos += n
-	}
-	return out
-}
-
 // ComputeDiff computes a diff the caller may keep: the returned Diff
 // owns its storage. A byte-wise pre-pass counts the changed runs and
 // bytes, so the only allocations are two exact-size ones (ranges and

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mgs/internal/core"
+	"mgs/internal/fault"
 	"mgs/internal/harness"
 	"mgs/internal/obs"
 )
@@ -76,25 +78,43 @@ func TestTable4Reproducible(t *testing.T) {
 // TestObserversDoNotPerturbRun: arming an instrument changes what is
 // recorded about a run, never the run — no observer, a metrics-only
 // observer, a text tracer and the cycle profiler all yield the same
-// Result.
+// Result. The machines reach every emitter: the protocol engines (the
+// default and the lazy and update variants), the reliable transport (a
+// drop plan) and the lock/barrier zoo through algo.Env (mcs and
+// dissemination). An emit site that changes state only while tracing
+// fails here, naming the machine.
 func TestObserversDoNotPerturbRun(t *testing.T) {
 	observers := map[string]func() *obs.Observer{
 		"metrics":  obs.New,
 		"tracer":   func() *obs.Observer { return obs.New().AddSink(obs.NewTextSink(io.Discard)) },
 		"profiler": func() *obs.Observer { return obs.New().EnableProfiling() },
 	}
-	for _, name := range []string{"jacobi", "water"} {
-		bare, err := harness.RunApp(SmallApp(name), harness.NewConfig(8, 2))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for armed, mk := range observers {
-			res, err := harness.RunApp(SmallApp(name), harness.NewConfig(8, 2, harness.WithObserver(mk())))
+	machines := []struct {
+		name string
+		opts []harness.Option
+	}{
+		{"default", nil},
+		{"fault", []harness.Option{harness.WithFaultPlan(fault.Plan{Seed: 1, DropBP: 500})}},
+		{"zoo", []harness.Option{harness.WithLockAlgo("mcs"), harness.WithBarrierAlgo("dissemination")}},
+		{core.VariantLazy, variant(core.VariantLazy)},
+		{core.VariantUpdate, variant(core.VariantUpdate)},
+	}
+	for _, m := range machines {
+		for _, name := range []string{"jacobi", "water"} {
+			bare, err := harness.RunApp(SmallApp(name), harness.NewConfig(8, 2, m.opts...))
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, armed, err)
+				t.Fatalf("%s/%s: %v", m.name, name, err)
 			}
-			if !reflect.DeepEqual(bare, res) {
-				t.Errorf("%s: %s observer perturbs the run\nbare:  %+v\narmed: %+v", name, armed, bare, res)
+			for armed, mk := range observers {
+				cfg := harness.NewConfig(8, 2, m.opts...)
+				cfg.Obs = mk()
+				res, err := harness.RunApp(SmallApp(name), cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", m.name, name, armed, err)
+				}
+				if !reflect.DeepEqual(bare, res) {
+					t.Errorf("%s/%s: %s observer perturbs the run\nbare:  %+v\narmed: %+v", m.name, name, armed, bare, res)
+				}
 			}
 		}
 	}

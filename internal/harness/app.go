@@ -1,6 +1,9 @@
 package harness
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // App is a shared-memory application runnable on a Machine. Setup
 // allocates and initializes shared data (no simulated cost — the paper
@@ -15,8 +18,8 @@ type App interface {
 }
 
 // RunApp builds a machine, runs the app, verifies the answer, and
-// returns the result. A configuration that fails Validate is an error,
-// not a panic.
+// returns the result. A nil app, or a configuration that fails
+// Validate, is an error, not a panic.
 func RunApp(app App, cfg Config) (Result, error) {
 	res, _, err := runApp(app, cfg)
 	return res, err
@@ -36,6 +39,9 @@ func RunAppMem(app App, cfg Config) (Result, []byte, error) {
 
 // runApp is the one build → setup → run → verify sequence.
 func runApp(app App, cfg Config) (Result, *Machine, error) {
+	if app == nil {
+		return Result{}, nil, errors.New("harness: nil app")
+	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, fmt.Errorf("%s: %w", app.Name(), err)
 	}

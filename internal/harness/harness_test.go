@@ -352,6 +352,21 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 	}
 }
 
+// TestNilAppIsAnErrorNotAPanic: RunApp and RunAppMem reject a nil app
+// before anything else, with a valid configuration or an invalid one
+// (whose Validate error would otherwise be wrapped with the app's name).
+func TestNilAppIsAnErrorNotAPanic(t *testing.T) {
+	for _, cfg := range []Config{NewConfig(4, 2), NewConfig(3, 2)} {
+		_, err := RunApp(nil, cfg)
+		_, _, errMem := RunAppMem(nil, cfg)
+		for _, e := range []error{err, errMem} {
+			if e == nil || !strings.Contains(e.Error(), "nil app") {
+				t.Errorf("P=%d C=%d: err = %v, want the nil-app error", cfg.P, cfg.C, e)
+			}
+		}
+	}
+}
+
 // panicProbe is sweepProbe with a body that fails on processor 1.
 type panicProbe struct{ sweepProbe }
 

@@ -1,5 +1,5 @@
 // Package lint is mgslint: a suite of static analyzers that enforce the
-// simulator's determinism and cost-accounting invariants at vet time.
+// simulator's determinism invariants at vet time.
 //
 // The contract being enforced is the one stated at the top of
 // internal/sim/engine.go: runs are bit-for-bit reproducible because
@@ -87,20 +87,4 @@ func scopeSourceBans(path string) bool {
 // of the two sanctioned goroutine spawn sites.
 func scopeNoGoroutine(path string) bool {
 	return isDeterministic(path) || internalPkg(path) == "harness"
-}
-
-// scopeChargeCost reports whether chargecost checks the package:
-// internal/core (protocol handlers) and internal/msg (send paths),
-// where the rule is "timed surfaces must charge", plus internal/obs,
-// where the rule inverts: emission paths must never charge.
-func scopeChargeCost(path string) bool {
-	p := internalPkg(path)
-	return p == "core" || p == "msg" || p == "obs"
-}
-
-// pkgIs reports whether path denotes internal/<name> (used to identify
-// the real sim/msg packages when resolving types cross-package; fixture
-// packages under testdata mirror the same paths).
-func pkgIs(path, name string) bool {
-	return internalPkg(path) == name
 }

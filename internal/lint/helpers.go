@@ -27,26 +27,6 @@ func sourceFiles(pass *analysis.Pass) []*ast.File {
 	return out
 }
 
-// namedType dereferences pointers and returns t's named type, or nil.
-func namedType(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// typeIs reports whether t (possibly behind a pointer) is the named
-// type pkgName.typeName, where pkgName is matched as internal/<pkgName>
-// so fixture packages under testdata classify like the real ones.
-func typeIs(t types.Type, pkgName, typeName string) bool {
-	n := namedType(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Name() == typeName && pkgIs(n.Obj().Pkg().Path(), pkgName)
-}
-
 // calleeOf resolves the *types.Func a call expression invokes (method
 // or plain function), or nil for builtins, conversions, and calls of
 // function-typed values.
@@ -69,24 +49,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isMethodOn reports whether f is a method named one of names on the
-// named type pkgName.typeName.
-func isMethodOn(f *types.Func, pkgName, typeName string, names ...string) bool {
-	if f == nil {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !typeIs(sig.Recv().Type(), pkgName, typeName) {
-		return false
-	}
-	for _, n := range names {
-		if f.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // funcPkgPath returns the canonical import path defining f, or "".
 func funcPkgPath(f *types.Func) string {
 	if f.Pkg() == nil {
@@ -107,46 +69,6 @@ func pkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
 		return ""
 	}
 	return pn.Imported().Path()
-}
-
-// funcGraph is a same-package call graph over declared functions and
-// methods; function literals are folded into their enclosing
-// declaration.
-type funcGraph struct {
-	decls map[*types.Func]*ast.FuncDecl
-	calls map[*types.Func][]*types.Func // same-package callees only
-}
-
-// buildFuncGraph collects every declared function of the pass's
-// non-test files and the same-package calls each makes (including calls
-// made inside nested function literals).
-func buildFuncGraph(pass *analysis.Pass) *funcGraph {
-	g := &funcGraph{
-		decls: map[*types.Func]*ast.FuncDecl{},
-		calls: map[*types.Func][]*types.Func{},
-	}
-	for _, f := range sourceFiles(pass) {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			g.decls[obj] = fd
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee := calleeOf(pass.TypesInfo, call); callee != nil && callee.Pkg() == pass.Pkg {
-						g.calls[obj] = append(g.calls[obj], callee)
-					}
-				}
-				return true
-			})
-		}
-	}
-	return g
 }
 
 // isBuiltin reports whether call invokes the named builtin.

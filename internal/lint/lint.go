@@ -15,7 +15,6 @@ func All() []*analysis.Analyzer {
 		NoWallTime,
 		NoGoroutine,
 		MapRange,
-		ChargeCost,
 	}
 }
 

@@ -22,8 +22,3 @@ func TestMapRange(t *testing.T) {
 	analysistest.Run(t, "testdata/maprange", lint.MapRange,
 		"mgs/internal/cache", "mgs/internal/check", "mgs/internal/core", "mgs/internal/harness")
 }
-
-func TestChargeCost(t *testing.T) {
-	analysistest.Run(t, "testdata/chargecost", lint.ChargeCost,
-		"mgs/internal/msg", "mgs/internal/core", "mgs/internal/obs")
-}

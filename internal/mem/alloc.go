@@ -16,12 +16,6 @@ type FrameAllocator struct {
 	free     []*Frame // LIFO; retired frames, zeroed, IDs retained
 }
 
-// NewFrameAllocator returns an allocator for frames of pageSize bytes
-// with IDs starting at zero.
-func NewFrameAllocator(pageSize int) *FrameAllocator {
-	return &FrameAllocator{pageSize: pageSize}
-}
-
 // NewFrameAllocatorAt returns an allocator whose IDs start at base.
 // Callers carving one ID space into regions (one per SSMP) must space
 // the bases far enough apart that regions never collide.
@@ -54,6 +48,3 @@ func (a *FrameAllocator) Recycle(f *Frame) {
 	}
 	a.free = append(a.free, f)
 }
-
-// Allocated reports how many distinct frame IDs have been handed out.
-func (a *FrameAllocator) Allocated() uint64 { return a.next }

@@ -40,20 +40,6 @@ func (f *Frame) Store64(off int, v uint64) {
 	binary.LittleEndian.PutUint64(f.Data[off:off+8], v)
 }
 
-// Load32 reads the 4-byte word at byte offset off.
-//
-// Must not allocate: pinned by TestFrameAccessZeroAllocs.
-func (f *Frame) Load32(off int) uint32 {
-	return binary.LittleEndian.Uint32(f.Data[off : off+4])
-}
-
-// Store32 writes the 4-byte word at byte offset off.
-//
-// Must not allocate: pinned by TestFrameAccessZeroAllocs.
-func (f *Frame) Store32(off int, v uint32) {
-	binary.LittleEndian.PutUint32(f.Data[off:off+4], v)
-}
-
 // Snapshot returns a copy of the frame's bytes (a twin).
 func (f *Frame) Snapshot() []byte {
 	twin := make([]byte, len(f.Data))

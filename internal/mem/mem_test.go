@@ -9,15 +9,11 @@ func TestFrameWordAccess(t *testing.T) {
 	f := NewFrame(0, 1024)
 	f.Store64(0, 0xdeadbeefcafebabe)
 	f.Store64(1016, 42)
-	f.Store32(512, 7)
 	if got := f.Load64(0); got != 0xdeadbeefcafebabe {
 		t.Errorf("Load64(0) = %#x", got)
 	}
 	if got := f.Load64(1016); got != 42 {
 		t.Errorf("Load64(1016) = %d", got)
-	}
-	if got := f.Load32(512); got != 7 {
-		t.Errorf("Load32(512) = %d", got)
 	}
 }
 
@@ -67,7 +63,7 @@ func TestCopyFromSizeMismatchPanics(t *testing.T) {
 }
 
 func TestAllocatorUniqueIDs(t *testing.T) {
-	a := NewFrameAllocator(256)
+	a := NewFrameAllocatorAt(0, 256)
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		f := a.Alloc()
@@ -78,9 +74,6 @@ func TestAllocatorUniqueIDs(t *testing.T) {
 		if len(f.Data) != 256 {
 			t.Fatalf("frame size %d, want 256", len(f.Data))
 		}
-	}
-	if a.Allocated() != 100 {
-		t.Fatalf("Allocated() = %d, want 100", a.Allocated())
 	}
 }
 
@@ -93,8 +86,6 @@ func TestFrameAccessZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		f.Store64(8, 0xdeadbeef)
 		_ = f.Load64(8)
-		f.Store32(16, 7)
-		_ = f.Load32(16)
 		f.CopyFrom(src)
 	})
 	if allocs != 0 {

@@ -27,9 +27,12 @@
 // from engine context), so everything here is deterministic — virtual
 // timestamps only, no host clocks, no map-iteration-order leaks, and no
 // simulated cycles are ever charged from an emission path. mgslint
-// enforces all three (the package is on the deterministic allow-list,
-// and chargecost inverts for this package: an emission path that
-// charges cycles is a diagnostic).
+// enforces the first two (the package is on the deterministic
+// allow-list). The third holds by construction here — nothing in obs
+// holds a *sim.Proc, *sim.Engine or *msg.Network — and at every emit
+// site elsewhere by exp.TestObserversDoNotPerturbRun, which arms each
+// instrument on machines that fire every emitter and requires the run
+// to match a bare one.
 //
 // A nil *Observer is valid everywhere and means "observability off";
 // every method short-circuits, so instrumented code needs no branches

@@ -119,10 +119,6 @@ func (p *Proc) HandlerStart(t, cost Time) Time {
 	return start
 }
 
-// BusyUntil reports when the last scheduled handler on this processor
-// finishes.
-func (p *Proc) BusyUntil() Time { return p.busyUntil }
-
 // Sleep advances the local clock by d and yields so that other
 // processors and events with earlier timestamps run first. Use it for
 // long local operations whose duration is known up front. It panics

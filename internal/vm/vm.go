@@ -222,8 +222,8 @@ func (t *TLB) hash(p Page) uint64 {
 	return (uint64(p) * 0x9E3779B97F4A7C15) >> t.shift
 }
 
-// Gen returns the mapping generation: any Insert, Invalidate, or
-// InvalidateAll that changes the mapping set bumps it. Callers caching
+// Gen returns the mapping generation: any Insert or Invalidate that
+// changes the mapping set bumps it. Callers caching
 // translation results revalidate against it.
 func (t *TLB) Gen() uint64 { return t.gen }
 
@@ -370,17 +370,6 @@ func (t *TLB) Invalidate(p Page) bool {
 	t.dead++
 	t.gen++
 	return true
-}
-
-// InvalidateAll clears the TLB.
-func (t *TLB) InvalidateAll() {
-	for i := range t.slots {
-		t.slots[i] = tlbSlot{}
-	}
-	t.live, t.dead = 0, 0
-	t.fifo = t.fifo[:0]
-	t.head = 0
-	t.gen++
 }
 
 // Len reports the number of live mappings.

@@ -139,21 +139,6 @@ func TestTLBInvalidateThenEvict(t *testing.T) {
 	}
 }
 
-func TestTLBInvalidateAll(t *testing.T) {
-	tlb := NewTLB(4)
-	for p := Page(0); p < 4; p++ {
-		tlb.Insert(p, Write)
-	}
-	tlb.InvalidateAll()
-	if tlb.Len() != 0 {
-		t.Fatalf("Len = %d after InvalidateAll", tlb.Len())
-	}
-	tlb.Insert(9, Read)
-	if _, ok := tlb.Lookup(9); !ok {
-		t.Fatal("TLB unusable after InvalidateAll")
-	}
-}
-
 // TestTLBNeverExceedsCapacity drives random traffic.
 func TestTLBNeverExceedsCapacity(t *testing.T) {
 	f := func(ops []uint8) bool {
