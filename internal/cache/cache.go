@@ -116,12 +116,17 @@ type Dir struct {
 // NewDir returns an empty directory for a page of pageSize bytes at
 // homeNode, with lineSize-byte lines.
 func NewDir(homeNode, pageSize, lineSize int) *Dir {
-	n := pageSize / lineSize
-	d := &Dir{HomeNode: homeNode, entries: make([]dirEntry, n)}
-	for i := range d.entries {
-		d.entries[i].owner = -1
-	}
+	d := new(Dir)
+	d.Init(homeNode, pageSize, lineSize)
 	return d
+}
+
+// Init makes d, in place, the directory NewDir returns — for callers
+// that carve Dir headers from their own storage. Its entries are one
+// fresh allocation.
+func (d *Dir) Init(homeNode, pageSize, lineSize int) {
+	d.entries = make([]dirEntry, pageSize/lineSize)
+	d.Reset(homeNode)
 }
 
 // Reset returns d to the state NewDir builds — no line cached anywhere —

@@ -141,7 +141,8 @@ func (s *System) insertTLB(ss *ssmpState, cp *clientPage, proc int, priv vm.Priv
 }
 
 // newDir builds the frame directory for cp using its permanent
-// first-touch placement, reusing one a teardown retired.
+// first-touch placement, reusing one a teardown retired, else carving
+// a header from the SSMP's slab.
 func (s *System) newDir(ss *ssmpState, cp *clientPage) *cache.Dir {
 	if n := len(ss.dirs) - 1; n >= 0 {
 		d := ss.dirs[n]
@@ -149,7 +150,9 @@ func (s *System) newDir(ss *ssmpState, cp *clientPage) *cache.Dir {
 		d.Reset(s.within(cp.ownerProc))
 		return d
 	}
-	return cache.NewDir(s.within(cp.ownerProc), s.cfg.PageSize, s.cfg.CacheParams.LineSize)
+	d := ss.dirSlab.New()
+	d.Init(s.within(cp.ownerProc), s.cfg.PageSize, s.cfg.CacheParams.LineSize)
+	return d
 }
 
 // onUpgrade is the Remote Client's UPGRADE handler (arc 13), running on

@@ -138,55 +138,84 @@ func (sp *serverPage) rmtGens(r int) int64 {
 // pageArena is a page-number-indexed store of per-page records: the
 // per-SSMP replacement for the former Go maps of client and server
 // pages. Pages are small dense integers (the space is a bump
-// allocator), so a direct slice index beats map hashing on the Access
-// hot path, iteration is naturally in page order (no collect-then-sort,
-// no map-range determinism hazard), and the arena is SSMP-local state
+// allocator), so a direct index beats map hashing on the Access hot
+// path, iteration is naturally in page order (no collect-then-sort, no
+// map-range determinism hazard), and the arena is SSMP-local state
 // exactly as the maps were.
+//
+// It is two-level: a top-level slice of pointers to fixed-size chunks
+// of arenaChunk record pointers, a chunk allocated on the first put
+// into it. Every SSMP keeps two arenas indexed by the machine's global
+// page numbers, so a flat slot array would cost O(SSMPs × pages) —
+// 174 MB of a P = 1024 scale run — while an SSMP touches only its own
+// slice of the pages. Chunked, the storage follows the pages touched
+// and the top level is 1/arenaChunk of the flat array.
 type pageArena[T any] struct {
-	slots []*T
-	n     int
+	chunks []*[arenaChunk]*T
+	n      int
 }
+
+const (
+	arenaShift = 6
+	arenaChunk = 1 << arenaShift
+	arenaMask  = arenaChunk - 1
+)
 
 // get returns the record for page v, or nil.
 //
 // Must not allocate: pinned by TestPageArena.
 func (a *pageArena[T]) get(v vm.Page) *T {
-	if int(v) < len(a.slots) {
-		return a.slots[v]
+	if c := v >> arenaShift; c < vm.Page(len(a.chunks)) {
+		if ch := a.chunks[c]; ch != nil {
+			return ch[v&arenaMask]
+		}
 	}
 	return nil
 }
 
 // put stores the record for page v.
 func (a *pageArena[T]) put(v vm.Page, t *T) {
-	if int(v) >= len(a.slots) {
-		size := 2 * len(a.slots)
-		if size < int(v)+1 {
-			size = int(v) + 1
+	c := int(v >> arenaShift)
+	if c >= len(a.chunks) {
+		size := 2 * len(a.chunks)
+		if size < c+1 {
+			size = c + 1
 		}
-		grown := make([]*T, size)
-		copy(grown, a.slots)
-		a.slots = grown
+		grown := make([]*[arenaChunk]*T, size)
+		copy(grown, a.chunks)
+		a.chunks = grown
 	}
-	if a.slots[v] == nil {
+	ch := a.chunks[c]
+	if ch == nil {
+		ch = new([arenaChunk]*T)
+		a.chunks[c] = ch
+	}
+	if ch[v&arenaMask] == nil {
 		a.n++
 	}
-	a.slots[v] = t
+	ch[v&arenaMask] = t
 }
 
-// del removes the record for page v (home migration).
+// del removes the record for page v (home migration). The chunk stays.
 func (a *pageArena[T]) del(v vm.Page) {
-	if int(v) < len(a.slots) && a.slots[v] != nil {
-		a.slots[v] = nil
-		a.n--
+	if c := v >> arenaShift; c < vm.Page(len(a.chunks)) {
+		if ch := a.chunks[c]; ch != nil && ch[v&arenaMask] != nil {
+			ch[v&arenaMask] = nil
+			a.n--
+		}
 	}
 }
 
 // each calls f for every record in ascending page order.
 func (a *pageArena[T]) each(f func(vm.Page, *T)) {
-	for i, t := range a.slots {
-		if t != nil {
-			f(vm.Page(i), t)
+	for c, ch := range a.chunks {
+		if ch == nil {
+			continue
+		}
+		for i, t := range ch {
+			if t != nil {
+				f(vm.Page(c<<arenaShift|i), t)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -120,10 +121,51 @@ func TestPageArena(t *testing.T) {
 	if a.get(7) != nil || a.n != 1 {
 		t.Fatal("del did not remove")
 	}
-	// Every directory lookup goes through get: hit, hole and
-	// out-of-range all stay allocation-free.
-	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = a.get(3), a.get(5), a.get(1<<20) }); allocs != 0 {
+	a.del(7) // absent: no change
+	a.del(1 << 30)
+	if a.n != 1 {
+		t.Fatalf("del of an absent page changed n to %d", a.n)
+	}
+
+	// Chunk boundaries: pages 63 and 64 sit in adjacent chunks, 1<<20
+	// far beyond them; each walks in ascending page order across them.
+	z := 3
+	a.put(1<<20, &z)
+	a.put(64, &x)
+	a.put(63, &y)
+	order = order[:0]
+	a.each(func(v vm.Page, p *int) { order = append(order, v) })
+	if want := []vm.Page{3, 63, 64, 1 << 20}; !slices.Equal(order, want) || a.n != 4 {
+		t.Fatalf("each order = %v (n %d), want %v (n 4)", order, a.n, want)
+	}
+	a.put(64, &z) // overwrite: not a new record
+	if a.get(64) != &z || a.n != 4 {
+		t.Fatalf("overwrite: get(64) wrong or n = %d, want 4", a.n)
+	}
+
+	// Every directory lookup goes through get: a hit, a hole inside a
+	// chunk, a missing chunk and out of range all stay allocation-free.
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _, _, _ = a.get(3), a.get(5), a.get(1<<19), a.get(1<<30)
+	}); allocs != 0 {
 		t.Errorf("pageArena.get allocated %.1f times per op, want 0", allocs)
+	}
+
+	// Storage follows the pages held, not the highest page number: one
+	// record at page 1<<20 costs a top level of 1<<20/64 chunk pointers
+	// and one chunk, where a flat slot array cost 8 MB. Every SSMP keeps
+	// two arenas indexed by global page number, so this is the per-SSMP
+	// cost of a large machine.
+	var before, after runtime.MemStats
+	var sparse pageArena[int]
+	runtime.ReadMemStats(&before)
+	sparse.put(1<<20, &x)
+	runtime.ReadMemStats(&after)
+	if sparse.get(1<<20) != &x || sparse.n != 1 {
+		t.Fatal("get after a sparse put wrong")
+	}
+	if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb >= 256 {
+		t.Errorf("one put at page 1<<20 allocated %d KB, want < 256 KB", kb)
 	}
 }
 

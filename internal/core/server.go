@@ -634,7 +634,7 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 			// round completes only when all have acknowledged, so no
 			// post-release lock grant can read a stale copy.
 			sp.refreshing = len(targets)
-			img := sp.frame.Snapshot()
+			img := s.newTwin(sp.frame)
 			for _, r := range targets {
 				s.sendRefresh(sp, r, img, at)
 			}

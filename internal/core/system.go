@@ -281,6 +281,7 @@ type ssmpState struct {
 	servers pageArena[serverPage] // pages homed on this SSMP
 	frames  *mem.FrameAllocator   // this SSMP's physical frame region
 	dirs    []*cache.Dir          // directories of recycled frames, for newDir
+	dirSlab mem.Slab[cache.Dir]   // headers of fresh directories, for newDir
 	duqs    []*duq                // one per local processor
 }
 

@@ -14,6 +14,7 @@ type FrameAllocator struct {
 	next     uint64
 	pageSize int
 	free     []*Frame // LIFO; retired frames, zeroed, IDs retained
+	headers  Slab[Frame]
 }
 
 // NewFrameAllocatorAt returns an allocator whose IDs start at base.
@@ -25,7 +26,7 @@ func NewFrameAllocatorAt(base uint64, pageSize int) *FrameAllocator {
 
 // Alloc returns a zeroed frame with an ID unique among live frames:
 // the most recently recycled frame if one is available, else a fresh
-// frame with a never-used ID.
+// frame with the next never-used ID (base, base+1, … in order).
 func (a *FrameAllocator) Alloc() *Frame {
 	if n := len(a.free); n > 0 {
 		f := a.free[n-1]
@@ -33,7 +34,8 @@ func (a *FrameAllocator) Alloc() *Frame {
 		a.free = a.free[:n-1]
 		return f
 	}
-	f := NewFrame(a.base+a.next, a.pageSize)
+	f := a.headers.New()
+	f.ID, f.Data = a.base+a.next, make([]byte, a.pageSize)
 	a.next++
 	return f
 }
@@ -47,4 +49,28 @@ func (a *FrameAllocator) Recycle(f *Frame) {
 		f.Data[i] = 0
 	}
 	a.free = append(a.free, f)
+}
+
+// Slab carves zeroed values of T from backing arrays that double from
+// one value up to maxSlab, so a header costs a fraction of an
+// allocation instead of one, and an owner that needs three headers
+// pays for four, not maxSlab. Values are never freed back to it: it
+// suits headers that are recycled by their owner (frames, frame
+// directories) and live as long as it does. The zero value is ready.
+type Slab[T any] struct {
+	buf  []T
+	used int
+}
+
+const maxSlab = 64
+
+// New returns a pointer to a fresh zero T.
+func (s *Slab[T]) New() *T {
+	if s.used == len(s.buf) {
+		s.buf = make([]T, min(max(2*len(s.buf), 1), maxSlab))
+		s.used = 0
+	}
+	p := &s.buf[s.used]
+	s.used++
+	return p
 }

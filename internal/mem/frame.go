@@ -40,13 +40,6 @@ func (f *Frame) Store64(off int, v uint64) {
 	binary.LittleEndian.PutUint64(f.Data[off:off+8], v)
 }
 
-// Snapshot returns a copy of the frame's bytes (a twin).
-func (f *Frame) Snapshot() []byte {
-	twin := make([]byte, len(f.Data))
-	copy(twin, f.Data)
-	return twin
-}
-
 // CopyFrom overwrites the frame's contents with src (a DMA page
 // transfer). src must be exactly one page.
 //

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -27,19 +28,6 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSnapshotIsIndependent(t *testing.T) {
-	f := NewFrame(0, 64)
-	f.Store64(0, 1)
-	twin := f.Snapshot()
-	f.Store64(0, 2)
-	if twin[0] != 1 {
-		t.Errorf("twin mutated with frame: twin[0] = %d", twin[0])
-	}
-	if f.Load64(0) != 2 {
-		t.Errorf("frame lost store")
 	}
 }
 
@@ -79,7 +67,7 @@ func TestAllocatorUniqueIDs(t *testing.T) {
 
 // TestFrameAccessZeroAllocs pins the zero-allocation contract of the word
 // accessors and the DMA copy — the storage behind every simulated
-// Load/Store.
+// Load/Store — and that the copy is one: the frame does not alias src.
 func TestFrameAccessZeroAllocs(t *testing.T) {
 	f := NewFrame(1, 256)
 	src := make([]byte, 256)
@@ -90,5 +78,79 @@ func TestFrameAccessZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("frame access allocated %.1f times per op, want 0", allocs)
+	}
+	src[0] = 1
+	if f.Data[0] != 0 {
+		t.Errorf("frame aliases the CopyFrom source: Data[0] = %d", f.Data[0])
+	}
+}
+
+// TestAllocatorIDSequence pins the exact frame IDs an interleaving of
+// Alloc and Recycle yields: fresh IDs base+next in order, retired
+// frames reused LIFO, every frame zeroed. Cache tags are frame IDs, so
+// this sequence is a simulated output; the fresh frames come from five
+// header slabs (1, 2, 4, 8, 16), whose boundaries must not show.
+func TestAllocatorIDSequence(t *testing.T) {
+	const base = 3 << 40
+	a := NewFrameAllocatorAt(base, 64)
+	live := map[uint64]*Frame{}
+	var got []uint64
+	alloc := func(n int) {
+		for range n {
+			f := a.Alloc()
+			if len(f.Data) != 64 {
+				t.Fatalf("frame %d: %d bytes, want 64", f.ID-base, len(f.Data))
+			}
+			for i, b := range f.Data {
+				if b != 0 {
+					t.Fatalf("frame %d: Data[%d] = %d, want a zeroed frame", f.ID-base, i, b)
+				}
+			}
+			f.Store64(8, f.ID) // dirty it; Recycle must zero it
+			live[f.ID] = f
+			got = append(got, f.ID-base)
+		}
+	}
+	recycle := func(ids ...uint64) {
+		for _, id := range ids {
+			a.Recycle(live[base+id])
+			delete(live, base+id)
+		}
+	}
+	alloc(5)
+	recycle(1, 3)
+	alloc(3)
+	alloc(10)
+	recycle(15, 0, 7)
+	alloc(5)
+	want := []uint64{0, 1, 2, 3, 4, 3, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 7, 0, 15, 16, 17}
+	if !slices.Equal(got, want) {
+		t.Fatalf("frame IDs (minus base)\n got %v\nwant %v", got, want)
+	}
+	if len(a.headers.buf) != 16 {
+		t.Fatalf("header slab of %d, want 16: the sequence no longer spans five slabs", len(a.headers.buf))
+	}
+}
+
+// TestSlabGrowth pins the slab's geometric growth and its cap: the
+// first 127 values come from slabs of 1, 2, 4 … 64, every later slab
+// holds 64, and every value is fresh and zero.
+func TestSlabGrowth(t *testing.T) {
+	var s Slab[[2]int]
+	var sizes []int
+	seen := map[*[2]int]bool{}
+	for range 127 + 2*maxSlab {
+		p := s.New()
+		if *p != [2]int{} || seen[p] {
+			t.Fatalf("New returned a used value %p = %v", p, *p)
+		}
+		seen[p] = true
+		p[0] = 1
+		if s.used == 1 {
+			sizes = append(sizes, len(s.buf))
+		}
+	}
+	if want := []int{1, 2, 4, 8, 16, 32, 64, 64, 64}; !slices.Equal(sizes, want) {
+		t.Fatalf("slab sizes %v, want %v", sizes, want)
 	}
 }
