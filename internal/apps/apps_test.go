@@ -78,6 +78,57 @@ func TestTSPNineCities(t *testing.T) {
 	}
 }
 
+// bruteForceTour is the reference optimalTour is checked against: the
+// cheapest of every tour from city 0, enumerated.
+func bruteForceTour(t *TSP) int64 {
+	n := t.NCities
+	perm := make([]int, 0, n)
+	visited := make([]bool, n)
+	best := int64(1) << 62
+	var rec func(last int, cost int64)
+	rec = func(last int, cost int64) {
+		if len(perm) == n-1 {
+			if total := cost + t.Dist(last, 0); total < best {
+				best = total
+			}
+			return
+		}
+		for city := 1; city < n; city++ {
+			if visited[city] {
+				continue
+			}
+			visited[city] = true
+			perm = append(perm, city)
+			rec(city, cost+t.Dist(last, city))
+			perm = perm[:len(perm)-1]
+			visited[city] = false
+		}
+	}
+	rec(0, 0)
+	return best
+}
+
+// TestTSPOptimalTourMatchesEnumeration: the Held-Karp optimum Verify
+// checks against equals the enumerated optimum at every size the
+// benchmark and the figures run, and Verify accepts exactly that cost.
+func TestTSPOptimalTourMatchesEnumeration(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		tsp := &TSP{NCities: n, Depth: 2}
+		want := bruteForceTour(tsp)
+		if got := tsp.optimalTour(); got != want {
+			t.Errorf("NCities=%d: Held-Karp optimum %d, enumeration %d", n, got, want)
+		}
+		m := harness.NewMachine(smallCfg(2, 1))
+		tsp.Setup(m)
+		for _, best := range []int64{want - 1, want, want + 1} {
+			m.SetI64(tsp.best, best)
+			if err := tsp.Verify(m); (err == nil) != (best == want) {
+				t.Errorf("NCities=%d: Verify with best tour %d (optimum %d) = %v", n, best, want, err)
+			}
+		}
+	}
+}
+
 func TestWaterAllShapes(t *testing.T) {
 	runShapes(t, func() harness.App { return &Water{N: 16, Iters: 2} })
 }

@@ -13,6 +13,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"mgs/internal/mem"
@@ -139,59 +140,124 @@ func (d *Dir) Reset(homeNode int) {
 	}
 }
 
-// pcache is one processor's direct-mapped cache (tags + state only).
-// Both arrays are nil until the processor's first Access: zeroing 36 KB
-// per processor up front is most of what building a machine costs, and
-// a processor that is never recorded as a sharer or owner is never
-// looked at.
-type pcache struct {
-	tags  []uint64 // line address + 1; 0 means empty
-	state []LineState
-}
-
 // Domain is the hardware coherence domain of one SSMP.
+//
+// Its host layout is the simulator's inner loop. Each processor's cache
+// is one []uint64 of (lineAddr+1)<<2 | state words, 0 for an empty
+// slot, allocated by the processor's first Access: zeroing 32 KB per
+// processor up front is most of what building a machine costs, and a
+// processor that is never recorded as a sharer or owner is never looked
+// at. Every slot, line and frame number comes from masks and shifts
+// fixed by NewDomain, which is why Params.Validate wants powers of two.
+// An evicted line finds its frame's directory in reg, indexed by the
+// frame's number within the domain's own frame-ID region
+// (mem.RegionBits wide, starting at base); only frames from another
+// region — a migrated home, or a home frame mapped with the software
+// layer disabled — are looked up in a map.
 type Domain struct {
-	params    Params
-	costs     Costs
-	pageSize  int
-	lineShift uint
-	nlines    int // lines per cache
-	linesPage int // lines per page
-	caches    []pcache
-	frames    map[uint64]*Dir // frame ID -> directory, for exact eviction
-	Counters  Counters
+	costs      Costs
+	hwPointers int
+	lineShift  uint   // log2 bytes per line
+	frameShift uint   // log2 lines per page: line address >> frameShift = frame ID
+	lineMask   uint64 // lines per page - 1
+	slotMask   uint64 // lines per cache - 1
+	caches     [][]uint64
+	base       uint64          // first frame ID of the domain's region
+	reg        []*Dir          // own-region frame ID - base -> directory
+	foreign    map[uint64]*Dir // other regions' frame ID -> directory; nil until needed
+	Counters   Counters
 }
 
 // NewDomain builds a coherence domain for nprocs processors and pages of
-// pageSize bytes.
+// pageSize bytes whose frames come from the ID region starting at 0. It
+// panics on dimensions Params.Validate rejects.
 func NewDomain(nprocs, pageSize int, params Params, costs Costs) *Domain {
-	lineShift := uint(0)
-	for 1<<lineShift < params.LineSize {
-		lineShift++
+	return NewDomainAt(0, nprocs, pageSize, params, costs)
+}
+
+// NewDomainAt is NewDomain for an SSMP whose frames come from the ID
+// region starting at base (mem.NewFrameAllocatorAt's base).
+func NewDomainAt(base uint64, nprocs, pageSize int, params Params, costs Costs) *Domain {
+	if err := params.Validate(pageSize); err != nil {
+		panic("cache: " + err.Error())
 	}
+	lineShift := uint(bits.TrailingZeros(uint(params.LineSize)))
 	return &Domain{
-		params:    params,
-		costs:     costs,
-		pageSize:  pageSize,
-		lineShift: lineShift,
-		nlines:    params.CacheBytes / params.LineSize,
-		linesPage: pageSize / params.LineSize,
-		caches:    make([]pcache, nprocs),
-		frames:    make(map[uint64]*Dir),
+		costs:      costs,
+		hwPointers: params.HWPointers,
+		lineShift:  lineShift,
+		frameShift: uint(bits.TrailingZeros(uint(pageSize))) - lineShift,
+		lineMask:   uint64(pageSize/params.LineSize) - 1,
+		slotMask:   uint64(params.CacheBytes/params.LineSize) - 1,
+		caches:     make([][]uint64, nprocs),
+		base:       base,
 	}
 }
+
+// Validate reports why caches of these dimensions cannot model pages of
+// pageSize bytes. Slots, lines and frames are found by masking, so the
+// line, cache and page sizes must be powers of two and a cache and a
+// page must each hold a line; and a directory needs a hardware pointer
+// to overflow from.
+func (p Params) Validate(pageSize int) error {
+	switch {
+	case !pow2(p.LineSize):
+		return fmt.Errorf("bad cache line size %d: want a power of two", p.LineSize)
+	case !pow2(p.CacheBytes) || p.CacheBytes < p.LineSize:
+		return fmt.Errorf("bad cache size %d: want a power of two of at least one %d-byte line", p.CacheBytes, p.LineSize)
+	case p.HWPointers < 1:
+		return fmt.Errorf("bad directory pointer count %d: want at least 1 hardware pointer", p.HWPointers)
+	case !pow2(pageSize) || pageSize < p.LineSize:
+		return fmt.Errorf("bad page size %d: want a power of two of at least one %d-byte cache line", pageSize, p.LineSize)
+	}
+	return nil
+}
+
+func pow2(x int) bool { return x > 0 && x&(x-1) == 0 }
 
 // Register attaches a frame's directory so evictions and cleaning can
 // find it. Call when the SSMP maps a page onto the frame.
-func (d *Domain) Register(f *mem.Frame, dir *Dir) { d.frames[f.ID] = dir }
+func (d *Domain) Register(f *mem.Frame, dir *Dir) {
+	if n := f.ID - d.base; n < 1<<mem.RegionBits {
+		if n >= uint64(len(d.reg)) {
+			d.reg = append(d.reg, make([]*Dir, n+1-uint64(len(d.reg)))...)
+		}
+		d.reg[n] = dir
+		return
+	}
+	if d.foreign == nil {
+		d.foreign = make(map[uint64]*Dir)
+	}
+	d.foreign[f.ID] = dir
+}
 
 // Unregister detaches a frame (page invalidated and frame freed).
-func (d *Domain) Unregister(f *mem.Frame) { delete(d.frames, f.ID) }
+func (d *Domain) Unregister(f *mem.Frame) {
+	if n := f.ID - d.base; n < uint64(len(d.reg)) {
+		d.reg[n] = nil
+		return
+	}
+	delete(d.foreign, f.ID)
+}
+
+// dirOf returns the directory registered for frame id, or nil.
+func (d *Domain) dirOf(id uint64) *Dir {
+	if n := id - d.base; n < 1<<mem.RegionBits {
+		if n < uint64(len(d.reg)) {
+			return d.reg[n]
+		}
+		return nil
+	}
+	return d.foreign[id]
+}
 
 // lineAddr computes the global line address of offset off in frame f.
 func (d *Domain) lineAddr(f *mem.Frame, off int) uint64 {
-	return (f.ID*uint64(d.pageSize) + uint64(off)) >> d.lineShift
+	return f.ID<<d.frameShift + uint64(off)>>d.lineShift
 }
+
+// tag is the cache word of line la with no state bits.
+func tag(la uint64) uint64 { return (la + 1) << 2 }
 
 // Access simulates processor `local` (within-SSMP index) touching byte
 // offset off of frame f, whose directory is dir. It returns the latency
@@ -199,24 +265,23 @@ func (d *Domain) lineAddr(f *mem.Frame, off int) uint64 {
 // updated to reflect the access.
 func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) (sim.Time, MissKind) {
 	la := d.lineAddr(f, off)
-	li := (off >> d.lineShift) % d.linesPage
-	e := &dir.entries[li]
-	c := &d.caches[local]
-	if c.tags == nil {
-		c.tags = make([]uint64, d.nlines)
-		c.state = make([]LineState, d.nlines)
+	c := d.caches[local]
+	if c == nil {
+		c = make([]uint64, d.slotMask+1)
+		d.caches[local] = c
 	}
-	slot := int(la % uint64(d.nlines))
-	hit := c.tags[slot] == la+1
-
-	if hit {
-		if !write || c.state[slot] == Modified {
+	slot := la & d.slotMask
+	t := tag(la)
+	w := c[slot]
+	if w&^3 == t {
+		if !write || w == t|uint64(Modified) {
 			d.Counters.ByKind[Hit]++
 			return d.costs.Hit, Hit
 		}
 		// Write to a Shared line: upgrade, invalidating peers.
+		e := &dir.entries[la&d.lineMask]
 		cost := d.upgrade(local, la, e, dir.HomeNode)
-		c.state[slot] = Modified
+		c[slot] = t | uint64(Modified)
 		e.sharers = 0
 		e.owner = int8(local)
 		d.Counters.ByKind[Upgrade]++
@@ -224,6 +289,7 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 	}
 
 	// Miss: classify before mutating state.
+	e := &dir.entries[la&d.lineMask]
 	kind := d.classify(local, e, dir.HomeNode)
 	cost := d.missCost(kind)
 
@@ -250,12 +316,13 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 	}
 
 	// Install in the local cache, evicting any conflicting line.
-	d.evict(local, slot)
-	c.tags[slot] = la + 1
+	if w != 0 {
+		d.evict(local, w)
+	}
 	if write {
-		c.state[slot] = Modified
+		c[slot] = t | uint64(Modified)
 	} else {
-		c.state[slot] = Shared
+		c[slot] = t | uint64(Shared)
 	}
 	d.Counters.ByKind[kind]++
 	return cost, kind
@@ -272,7 +339,7 @@ func (d *Domain) classify(local int, e *dirEntry, homeNode int) MissKind {
 			return ThreeParty
 		}
 	}
-	if popcount(e.sharers) >= d.params.HWPointers {
+	if popcount(e.sharers) >= d.hwPointers {
 		return SoftwareDir
 	}
 	if local == homeNode {
@@ -315,7 +382,7 @@ func (d *Domain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Ti
 			third = true
 		}
 	}
-	if popcount(others) >= d.params.HWPointers {
+	if popcount(others) >= d.hwPointers {
 		return d.costs.Software
 	}
 	if third {
@@ -326,39 +393,28 @@ func (d *Domain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Ti
 
 // dropLine removes (or downgrades) line la from processor p's cache.
 func (d *Domain) dropLine(p int, la uint64, downgrade bool) {
-	c := &d.caches[p]
-	slot := int(la % uint64(d.nlines))
-	if c.tags == nil || c.tags[slot] != la+1 {
+	c := d.caches[p]
+	slot := la & d.slotMask
+	if c == nil || c[slot]&^3 != tag(la) {
 		return // never cached here, or already evicted
 	}
 	if downgrade {
-		c.state[slot] = Shared
+		c[slot] = tag(la) | uint64(Shared)
 	} else {
-		c.tags[slot] = 0
-		c.state[slot] = Inv
+		c[slot] = 0
 	}
 }
 
-// evict clears whatever line occupies slot in processor p's cache,
-// updating its directory so state stays exact.
-func (d *Domain) evict(p, slot int) {
-	c := &d.caches[p]
-	old := c.tags[slot]
-	if old == 0 {
-		return
-	}
-	la := old - 1
-	c.tags[slot] = 0
-	st := c.state[slot]
-	c.state[slot] = Inv
-	frameID := la >> uint64(log2(d.linesPage))
-	dir, ok := d.frames[frameID]
-	if !ok {
+// evict updates the directory of the line whose cache word w processor
+// p is about to overwrite, so directory state stays exact.
+func (d *Domain) evict(p int, w uint64) {
+	la := w>>2 - 1
+	dir := d.dirOf(la >> d.frameShift)
+	if dir == nil {
 		return // frame already unregistered
 	}
-	li := int(la % uint64(d.linesPage))
-	e := &dir.entries[li]
-	if st == Modified && int(e.owner) == p {
+	e := &dir.entries[la&d.lineMask]
+	if LineState(w&3) == Modified && int(e.owner) == p {
 		e.owner = -1
 	}
 	e.sharers &^= 1 << uint(p)
@@ -369,9 +425,10 @@ func (d *Domain) evict(p, slot int) {
 // line), returning the cycles the cleaning processor spends. After
 // CleanPage the frame's data is globally coherent and safe to DMA.
 func (d *Domain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
+	first := d.lineAddr(f, 0)
 	for li := range dir.entries {
 		e := &dir.entries[li]
-		la := d.lineAddr(f, li<<d.lineShift)
+		la := first + uint64(li)
 		if e.owner >= 0 {
 			d.dropLine(int(e.owner), la, false)
 			e.owner = -1
@@ -381,29 +438,20 @@ func (d *Domain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
 		}
 		e.sharers = 0
 	}
-	return sim.Time(d.linesPage) * d.costs.CleanPerLine
+	return sim.Time(d.lineMask+1) * d.costs.CleanPerLine
 }
 
 // cachedState reports processor p's state for offset off of frame f
 // (test hook).
 func (d *Domain) cachedState(p int, f *mem.Frame, off int) LineState {
 	la := d.lineAddr(f, off)
-	c := &d.caches[p]
-	slot := int(la % uint64(d.nlines))
-	if c.tags == nil || c.tags[slot] != la+1 {
+	c := d.caches[p]
+	if c == nil || c[la&d.slotMask]&^3 != tag(la) {
 		return Inv
 	}
-	return c.state[slot]
+	return LineState(c[la&d.slotMask] & 3)
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }
 
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
-
-func log2(x int) uint {
-	n := uint(0)
-	for 1<<n < x {
-		n++
-	}
-	return n
-}

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mgs/internal/mem"
@@ -247,10 +248,10 @@ func BenchmarkAccessMissMix(b *testing.B) {
 	}
 }
 
-// A processor's tag and state arrays are allocated by its first Access.
-// One that never accessed holds nothing: it reports Inv, and cleaning a
-// page or dropping a line it never held leaves it untouched, without
-// allocating its arrays as a side effect.
+// A processor's line array is allocated by its first Access. One that
+// never accessed holds nothing: it reports Inv, and cleaning a page or
+// dropping a line it never held leaves it untouched, without allocating
+// its array as a side effect.
 func TestNeverAccessedProcessorHoldsNothing(t *testing.T) {
 	d, f, dir := newTestDomain(4)
 	d.Access(0, f, dir, 0, true)
@@ -265,11 +266,11 @@ func TestNeverAccessedProcessorHoldsNothing(t *testing.T) {
 	if st := d.cachedState(idle, f, 16); st != Inv {
 		t.Fatalf("idle processor reports %v after CleanPage, want Inv", st)
 	}
-	if c := d.caches[idle]; c.tags != nil || c.state != nil {
-		t.Fatal("idle processor's cache arrays were allocated although it never accessed")
+	if d.caches[idle] != nil {
+		t.Fatal("idle processor's cache was allocated although it never accessed")
 	}
-	if d.caches[0].tags == nil || d.caches[1].tags == nil {
-		t.Fatal("accessing processors have no cache arrays")
+	if d.caches[0] == nil || d.caches[1] == nil {
+		t.Fatal("accessing processors have no cache")
 	}
 }
 
@@ -306,4 +307,427 @@ func TestResetDirIsAFreshDir(t *testing.T) {
 	if a, b := run(used), run(NewDir(5, 1024, 16)); !reflect.DeepEqual(a, b) {
 		t.Fatal("a reset directory charges differently from a fresh one")
 	}
+}
+
+// A hit, and a miss whose fill evicts a line of another frame of the
+// domain's own region, allocate nothing once the processor's line array
+// exists: the evicted line's directory comes from the frame registry,
+// not a map.
+func TestAccessZeroAllocs(t *testing.T) {
+	params := Params{LineSize: 16, CacheBytes: 64, HWPointers: 5} // 4-line cache
+	const base = 3 << mem.RegionBits
+	d := NewDomainAt(base, 2, 64, params, testCosts())
+	f1, f2 := mem.NewFrame(base, 64), mem.NewFrame(base+1, 64) // same slots
+	dir1, dir2 := NewDir(0, 64, 16), NewDir(0, 64, 16)
+	d.Register(f1, dir1)
+	d.Register(f2, dir2)
+	d.Access(0, f1, dir1, 0, false)
+	if n := testing.AllocsPerRun(100, func() { d.Access(0, f1, dir1, 0, false) }); n != 0 {
+		t.Errorf("hit: %v allocs, want 0", n)
+	}
+	var kinds [2]MissKind
+	if n := testing.AllocsPerRun(100, func() {
+		_, kinds[0] = d.Access(0, f2, dir2, 0, true)
+		_, kinds[1] = d.Access(0, f1, dir1, 0, true)
+	}); n != 0 {
+		t.Errorf("evicting miss: %v allocs, want 0", n)
+	}
+	if kinds != [2]MissKind{LocalMiss, LocalMiss} || dir2.entries[0].owner != -1 {
+		t.Fatalf("alternating conflicting writes: kinds %v, evicted owner %d; want two local misses, owner -1",
+			kinds, dir2.entries[0].owner)
+	}
+}
+
+// NewDomain finds slots and lines by masking, so it refuses the
+// dimensions harness.Config.Validate refuses, with the same text.
+func TestNewDomainRejectsUnmaskableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		pageSize int
+		params   Params
+	}{
+		{1024, Params{LineSize: 24, CacheBytes: 64 << 10, HWPointers: 5}},
+		{1024, Params{LineSize: 16, CacheBytes: 48 << 10, HWPointers: 5}},
+		{1024, Params{LineSize: 16, CacheBytes: 8, HWPointers: 5}},
+		{1024, Params{LineSize: 16, CacheBytes: 64 << 10, HWPointers: 0}},
+		{1000, DefaultParams()},
+		{8, DefaultParams()},
+	} {
+		err := tc.params.Validate(tc.pageSize)
+		if err == nil {
+			t.Errorf("Validate(%d) of %+v = nil, want an error", tc.pageSize, tc.params)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "cache: "+err.Error() {
+					t.Errorf("NewDomain panic = %v, want %q", r, "cache: "+err.Error())
+				}
+			}()
+			NewDomain(4, tc.pageSize, tc.params, testCosts())
+		}()
+	}
+	if err := DefaultParams().Validate(1024); err != nil {
+		t.Errorf("the default geometry is rejected: %v", err)
+	}
+}
+
+// FuzzDomain runs one byte-decoded script against Domain and the
+// reference model below and requires identical results after every
+// step: the (cost, kind) of each access, the cost of each CleanPage,
+// every processor's state for every line of every frame, the counters,
+// and every directory entry. The first three bytes choose the shape —
+// processor count (up to 130, past the 64-bit sharer masks), line,
+// cache and page sizes (caches of one to eight lines, so fills conflict
+// constantly), hardware pointers, the domain's own region, and which of
+// the six frames come from a foreign region. Then each three-byte step
+// is an access by any processor to any byte of any frame, a CleanPage,
+// an Unregister, or an Unregister and re-Register of the same frame ID
+// with its directory Reset to a new home — a recycled frame.
+func FuzzDomain(f *testing.F) {
+	const maxFuzzSteps = 200 // longer scripts only slow the fuzzer down
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 3 {
+			return
+		}
+		script = script[:min(len(script), 3+3*maxFuzzSteps)]
+		nprocs := []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 130}[int(script[0])%12]
+		geom := script[1]
+		line := 16 << (geom & 1)
+		pageSize := line << (geom >> 1 & 3)
+		params := Params{LineSize: line, CacheBytes: line << (geom >> 3 & 3), HWPointers: 1 + int(geom>>5)}
+		region := uint64(script[2] & 3)
+		d := NewDomainAt(region<<mem.RegionBits, nprocs, pageSize, params, testCosts())
+		ref := newRefDomain(nprocs, pageSize, params, testCosts())
+
+		const nframes = 6
+		var frames [nframes]*mem.Frame
+		var dirs, refDirs [nframes]*Dir
+		for i := range frames {
+			id := region<<mem.RegionBits + uint64(i)
+			if script[2]>>2&(1<<i) != 0 {
+				id = (region+1+uint64(i%3))%5<<mem.RegionBits + uint64(i)
+			}
+			frames[i] = mem.NewFrame(id, pageSize)
+			dirs[i], refDirs[i] = NewDir(i%nprocs, pageSize, line), NewDir(i%nprocs, pageSize, line)
+			d.Register(frames[i], dirs[i])
+			ref.Register(frames[i], refDirs[i])
+		}
+
+		for k := 3; k+2 < len(script); k += 3 {
+			op, a, b := script[k], int(script[k+1]), int(script[k+2])
+			fi := int(op>>3) % nframes
+			fr := frames[fi]
+			switch op & 7 {
+			case 0, 1, 2, 3, 4:
+				write := op&4 != 0
+				c, kind := d.Access(a%nprocs, fr, dirs[fi], b%pageSize, write)
+				rc, rkind := ref.Access(a%nprocs, fr, refDirs[fi], b%pageSize, write)
+				if c != rc || kind != rkind {
+					t.Fatalf("step %d: proc %d frame %#x off %d write=%v: (%d, %v), reference (%d, %v)",
+						k/3, a%nprocs, fr.ID, b%pageSize, write, c, kind, rc, rkind)
+				}
+			case 5:
+				if c, rc := d.CleanPage(fr, dirs[fi]), ref.CleanPage(fr, refDirs[fi]); c != rc {
+					t.Fatalf("step %d: CleanPage of frame %#x costs %d, reference %d", k/3, fr.ID, c, rc)
+				}
+			case 6:
+				d.Unregister(fr)
+				ref.Unregister(fr)
+				dirs[fi].Reset(a % nprocs)
+				refDirs[fi].Reset(a % nprocs)
+				d.Register(fr, dirs[fi])
+				ref.Register(fr, refDirs[fi])
+			case 7:
+				d.Unregister(fr)
+				ref.Unregister(fr)
+			}
+
+			if d.Counters != ref.Counters {
+				t.Fatalf("step %d: counters %v, reference %v", k/3, d.Counters, ref.Counters)
+			}
+			for i, fr := range frames {
+				if dirs[i].HomeNode != refDirs[i].HomeNode || !slices.Equal(dirs[i].entries, refDirs[i].entries) {
+					t.Fatalf("step %d: frame %#x directory %+v, reference %+v", k/3, fr.ID, *dirs[i], *refDirs[i])
+				}
+				for p := range nprocs {
+					for off := 0; off < pageSize; off += line {
+						if st, rst := d.cachedState(p, fr, off), ref.cachedState(p, fr, off); st != rst {
+							t.Fatalf("step %d: proc %d frame %#x off %d is %v, reference %v", k/3, p, fr.ID, off, st, rst)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// The reference model: Domain as it was before its host layout was
+// rebuilt — separate tag and state arrays, a modulo per slot and per
+// line, and a map from every frame ID to its directory — kept verbatim
+// apart from its names. FuzzDomain requires the two to agree on every
+// charge, class, line state, counter and directory entry.
+
+// refCache is one processor's direct-mapped cache (tags + state only).
+// Both arrays are nil until the processor's first Access: zeroing 36 KB
+// per processor up front is most of what building a machine costs, and
+// a processor that is never recorded as a sharer or owner is never
+// looked at.
+type refCache struct {
+	tags  []uint64 // line address + 1; 0 means empty
+	state []LineState
+}
+
+// refDomain is the hardware coherence domain of one SSMP.
+type refDomain struct {
+	params    Params
+	costs     Costs
+	pageSize  int
+	lineShift uint
+	nlines    int // lines per cache
+	linesPage int // lines per page
+	caches    []refCache
+	frames    map[uint64]*Dir // frame ID -> directory, for exact eviction
+	Counters  Counters
+}
+
+// newRefDomain builds a coherence domain for nprocs processors and pages of
+// pageSize bytes.
+func newRefDomain(nprocs, pageSize int, params Params, costs Costs) *refDomain {
+	lineShift := uint(0)
+	for 1<<lineShift < params.LineSize {
+		lineShift++
+	}
+	return &refDomain{
+		params:    params,
+		costs:     costs,
+		pageSize:  pageSize,
+		lineShift: lineShift,
+		nlines:    params.CacheBytes / params.LineSize,
+		linesPage: pageSize / params.LineSize,
+		caches:    make([]refCache, nprocs),
+		frames:    make(map[uint64]*Dir),
+	}
+}
+
+// Register attaches a frame's directory so evictions and cleaning can
+// find it. Call when the SSMP maps a page onto the frame.
+func (d *refDomain) Register(f *mem.Frame, dir *Dir) { d.frames[f.ID] = dir }
+
+// Unregister detaches a frame (page invalidated and frame freed).
+func (d *refDomain) Unregister(f *mem.Frame) { delete(d.frames, f.ID) }
+
+// lineAddr computes the global line address of offset off in frame f.
+func (d *refDomain) lineAddr(f *mem.Frame, off int) uint64 {
+	return (f.ID*uint64(d.pageSize) + uint64(off)) >> d.lineShift
+}
+
+// Access simulates processor `local` (within-SSMP index) touching byte
+// offset off of frame f, whose directory is dir. It returns the latency
+// to charge and the access class. State in the caches and directory is
+// updated to reflect the access.
+func (d *refDomain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) (sim.Time, MissKind) {
+	la := d.lineAddr(f, off)
+	li := (off >> d.lineShift) % d.linesPage
+	e := &dir.entries[li]
+	c := &d.caches[local]
+	if c.tags == nil {
+		c.tags = make([]uint64, d.nlines)
+		c.state = make([]LineState, d.nlines)
+	}
+	slot := int(la % uint64(d.nlines))
+	hit := c.tags[slot] == la+1
+
+	if hit {
+		if !write || c.state[slot] == Modified {
+			d.Counters.ByKind[Hit]++
+			return d.costs.Hit, Hit
+		}
+		// Write to a Shared line: upgrade, invalidating peers.
+		cost := d.upgrade(local, la, e, dir.HomeNode)
+		c.state[slot] = Modified
+		e.sharers = 0
+		e.owner = int8(local)
+		d.Counters.ByKind[Upgrade]++
+		return cost, Upgrade
+	}
+
+	// Miss: classify before mutating state.
+	kind := d.classify(local, e, dir.HomeNode)
+	cost := d.missCost(kind)
+
+	// Pull the dirty copy back / downgrade or invalidate as needed.
+	if e.owner >= 0 && int(e.owner) != local {
+		d.dropLine(int(e.owner), la, !write) // read: downgrade to Shared
+		if !write {
+			e.sharers |= 1 << uint(e.owner)
+		}
+		e.owner = -1
+	}
+	if write {
+		// Invalidate all other sharers.
+		for s := e.sharers; s != 0; s &= s - 1 {
+			p := trailingZeros(s)
+			if p != local {
+				d.dropLine(p, la, false)
+			}
+		}
+		e.sharers = 0
+		e.owner = int8(local)
+	} else {
+		e.sharers |= 1 << uint(local)
+	}
+
+	// Install in the local cache, evicting any conflicting line.
+	d.evict(local, slot)
+	c.tags[slot] = la + 1
+	if write {
+		c.state[slot] = Modified
+	} else {
+		c.state[slot] = Shared
+	}
+	d.Counters.ByKind[kind]++
+	return cost, kind
+}
+
+// classify picks the access class for a miss by processor local on
+// directory entry e with the frame's memory at homeNode.
+func (d *refDomain) classify(local int, e *dirEntry, homeNode int) MissKind {
+	if e.owner >= 0 {
+		switch {
+		case int(e.owner) == homeNode || local == homeNode:
+			return TwoParty
+		default:
+			return ThreeParty
+		}
+	}
+	if popcount(e.sharers) >= d.params.HWPointers {
+		return SoftwareDir
+	}
+	if local == homeNode {
+		return LocalMiss
+	}
+	return RemoteCleanMiss
+}
+
+func (d *refDomain) missCost(k MissKind) sim.Time {
+	switch k {
+	case LocalMiss:
+		return d.costs.Local
+	case RemoteCleanMiss:
+		return d.costs.Remote
+	case TwoParty:
+		return d.costs.TwoParty
+	case ThreeParty:
+		return d.costs.ThreeParty
+	case SoftwareDir:
+		return d.costs.Software
+	}
+	return d.costs.Hit
+}
+
+// upgrade computes the cost of invalidating the other sharers of a line
+// on a write hit to a Shared copy, and drops their copies.
+func (d *refDomain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Time {
+	others := e.sharers &^ (1 << uint(local))
+	if others == 0 {
+		if local == homeNode {
+			return d.costs.Local
+		}
+		return d.costs.Remote
+	}
+	third := false
+	for s := others; s != 0; s &= s - 1 {
+		p := trailingZeros(s)
+		d.dropLine(p, la, false)
+		if p != homeNode && p != local {
+			third = true
+		}
+	}
+	if popcount(others) >= d.params.HWPointers {
+		return d.costs.Software
+	}
+	if third {
+		return d.costs.ThreeParty
+	}
+	return d.costs.TwoParty
+}
+
+// dropLine removes (or downgrades) line la from processor p's cache.
+func (d *refDomain) dropLine(p int, la uint64, downgrade bool) {
+	c := &d.caches[p]
+	slot := int(la % uint64(d.nlines))
+	if c.tags == nil || c.tags[slot] != la+1 {
+		return // never cached here, or already evicted
+	}
+	if downgrade {
+		c.state[slot] = Shared
+	} else {
+		c.tags[slot] = 0
+		c.state[slot] = Inv
+	}
+}
+
+// evict clears whatever line occupies slot in processor p's cache,
+// updating its directory so state stays exact.
+func (d *refDomain) evict(p, slot int) {
+	c := &d.caches[p]
+	old := c.tags[slot]
+	if old == 0 {
+		return
+	}
+	la := old - 1
+	c.tags[slot] = 0
+	st := c.state[slot]
+	c.state[slot] = Inv
+	frameID := la >> uint64(log2(d.linesPage))
+	dir, ok := d.frames[frameID]
+	if !ok {
+		return // frame already unregistered
+	}
+	li := int(la % uint64(d.linesPage))
+	e := &dir.entries[li]
+	if st == Modified && int(e.owner) == p {
+		e.owner = -1
+	}
+	e.sharers &^= 1 << uint(p)
+}
+
+// CleanPage invalidates every line of the frame from every cache in the
+// domain (the paper's page-cleaning loop: prefetch, store, flush each
+// line), returning the cycles the cleaning processor spends. After
+// CleanPage the frame's data is globally coherent and safe to DMA.
+func (d *refDomain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
+	for li := range dir.entries {
+		e := &dir.entries[li]
+		la := d.lineAddr(f, li<<d.lineShift)
+		if e.owner >= 0 {
+			d.dropLine(int(e.owner), la, false)
+			e.owner = -1
+		}
+		for s := e.sharers; s != 0; s &= s - 1 {
+			d.dropLine(trailingZeros(s), la, false)
+		}
+		e.sharers = 0
+	}
+	return sim.Time(d.linesPage) * d.costs.CleanPerLine
+}
+
+// cachedState reports processor p's state for offset off of frame f
+// (test hook).
+func (d *refDomain) cachedState(p int, f *mem.Frame, off int) LineState {
+	la := d.lineAddr(f, off)
+	c := &d.caches[p]
+	slot := int(la % uint64(d.nlines))
+	if c.tags == nil || c.tags[slot] != la+1 {
+		return Inv
+	}
+	return c.state[slot]
+}
+
+func log2(x int) uint {
+	n := uint(0)
+	for 1<<n < x {
+		n++
+	}
+	return n
 }

@@ -132,6 +132,10 @@ type accEntry struct {
 	gen  uint64 // TLB generation the entry was filled at
 }
 
+// procPlace is where a processor sits: its SSMP and its index within
+// that SSMP, tabled so the access path divides by no cluster size.
+type procPlace struct{ ssmp, local int32 }
+
 // invTarget is one SSMP to invalidate in a release round.
 type invTarget struct {
 	ssmp int
@@ -202,6 +206,7 @@ type System struct {
 
 	tlbs  []*vm.TLB
 	ssmps []*ssmpState
+	place []procPlace // by processor: its SSMP and within-SSMP index
 
 	// acc is the per-processor last-translation micro-cache: the result
 	// of the last successful TLB lookup, revalidated against the TLB
@@ -293,20 +298,24 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 	}
 	s := &System{
 		eng: eng, cfg: cfg, net: net, space: space, st: st, procs: procs,
-		tlbs: make([]*vm.TLB, cfg.NProcs),
-		acc:  make([]accEntry, cfg.NProcs),
+		tlbs:  make([]*vm.TLB, cfg.NProcs),
+		acc:   make([]accEntry, cfg.NProcs),
+		place: make([]procPlace, cfg.NProcs),
 	}
 	nssmp := cfg.NProcs / cfg.ClusterSize
 	for i := 0; i < cfg.NProcs; i++ {
 		s.tlbs[i] = vm.NewTLB(cfg.TLBSize)
+		s.place[i] = procPlace{ssmp: int32(i / cfg.ClusterSize), local: int32(i % cfg.ClusterSize)}
 	}
 	for i := 0; i < nssmp; i++ {
+		// Disjoint frame-ID regions (2^40 IDs each) keep frame tags
+		// machine-wide unique with no cross-SSMP coordination; the
+		// domain indexes its own region's directories by frame number.
+		base := uint64(i) << mem.RegionBits
 		ss := &ssmpState{
 			id:     i,
-			domain: cache.NewDomain(cfg.ClusterSize, cfg.PageSize, cfg.CacheParams, cfg.CacheCosts),
-			// Disjoint frame-ID regions (2^40 IDs each) keep frame tags
-			// machine-wide unique with no cross-SSMP coordination.
-			frames: mem.NewFrameAllocatorAt(uint64(i)<<40, cfg.PageSize),
+			domain: cache.NewDomainAt(base, cfg.ClusterSize, cfg.PageSize, cfg.CacheParams, cfg.CacheCosts),
+			frames: mem.NewFrameAllocatorAt(base, cfg.PageSize),
 			duqs:   make([]*duq, cfg.ClusterSize),
 		}
 		for j := range ss.duqs {
@@ -341,8 +350,8 @@ func (s *System) Config() Config { return s.cfg }
 // Space returns the virtual address space.
 func (s *System) Space() *vm.Space { return s.space }
 
-func (s *System) ssmpOf(proc int) int { return proc / s.cfg.ClusterSize }
-func (s *System) within(proc int) int { return proc % s.cfg.ClusterSize }
+func (s *System) ssmpOf(proc int) int { return int(s.place[proc].ssmp) }
+func (s *System) within(proc int) int { return int(s.place[proc].local) }
 
 func bit(i int) uint64 { return 1 << uint(i) }
 
@@ -476,9 +485,11 @@ func (s *System) SnapshotMemory() []byte {
 // pointer-dereference translation sequence.
 //
 // Fast-path invariant: an access whose translation hits (micro-cache or
-// TLB) performs no heap allocation. The micro-cache is purely a host
-// optimization — it caches the result the TLB lookup would produce, so
-// simulated costs and protocol behavior are identical either way.
+// TLB) performs no heap allocation and no division, and charges its
+// translation and hardware cycles in one spend. The micro-cache is
+// purely a host optimization — it caches the result the TLB lookup
+// would produce, so simulated costs and protocol behavior are identical
+// either way.
 func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Frame, int) {
 	page := s.space.PageOf(va)
 	off := s.space.Offset(va)
@@ -486,11 +497,11 @@ func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Fram
 	if pointer {
 		tc = s.cfg.Costs.TransPtr
 	}
-	ss := s.ssmps[s.ssmpOf(p.ID)]
+	pl := s.place[p.ID]
+	ss := s.ssmps[pl.ssmp]
 	tlb := s.tlbs[p.ID]
 	ac := &s.acc[p.ID]
 	for {
-		s.spend(p, stats.User, tc)
 		var cp *clientPage
 		if ac.cp != nil && ac.page == page && ac.gen == tlb.Gen() &&
 			(ac.priv == vm.Write || !write) {
@@ -500,10 +511,11 @@ func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Fram
 			*ac = accEntry{page: page, priv: priv, cp: cp, gen: tlb.Gen()}
 		}
 		if cp != nil {
-			cost, _ := ss.domain.Access(s.within(p.ID), cp.frame, cp.dir, off, write)
-			s.spend(p, stats.User, cost)
+			cost, _ := ss.domain.Access(int(pl.local), cp.frame, cp.dir, off, write)
+			s.spend(p, stats.User, tc+cost)
 			return cp.frame, off
 		}
+		s.spend(p, stats.User, tc)
 		s.fault(p, ss, page, write)
 	}
 }

@@ -68,7 +68,7 @@ func BenchmarkAccessWritePath(b *testing.B) {
 
 // TestAccessHitPathDoesNotAllocate keeps BenchmarkAccessFastPath's
 // 0 allocs/op inside go test: the cache domain allocates a processor's
-// tag and state arrays on its first access, and nothing after that. Two
+// line array on its first access, and nothing after that. Two
 // loop lengths are compared so the first access, the fault and the
 // machine cancel.
 func TestAccessHitPathDoesNotAllocate(t *testing.T) {

@@ -304,7 +304,8 @@ func (sweepProbe) Body(c *Ctx)           { c.Compute(1000); c.Barrier(0) }
 func (sweepProbe) Verify(*Machine) error { return nil }
 
 // TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name, a shape
-// that does not divide into SSMPs, a size the substrate cannot build, a
+// that does not divide into SSMPs, a size the substrate cannot build
+// (cache geometry included: the cache model masks where it divided), a
 // self-contradictory protocol variant or an out-of-range fault plan
 // comes back from RunApp/RunAppMem as an error that says what would
 // have been accepted, and NewMachine panics with that same message
@@ -321,6 +322,10 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"pagesize-not-pow2", NewConfig(4, 2, WithPageSize(1000)), []string{"page size 1000", "power of two"}},
 		{"pagesize-zero", NewConfig(4, 2, WithPageSize(0)), []string{"page size 0"}},
 		{"pagesize-below-line", NewConfig(4, 2, WithPageSize(4)), []string{"page size 4", "16-byte cache line"}},
+		{"line-not-pow2", NewConfig(4, 2, func(c *Config) { c.CacheHW.LineSize = 24 }), []string{"cache line size 24", "power of two"}},
+		{"cache-not-pow2", NewConfig(4, 2, func(c *Config) { c.CacheHW.CacheBytes = 48 << 10 }), []string{"cache size 49152", "power of two"}},
+		{"cache-below-line", NewConfig(4, 2, func(c *Config) { c.CacheHW.CacheBytes = 8 }), []string{"cache size 8", "16-byte line"}},
+		{"hw-pointers-zero", NewConfig(4, 2, func(c *Config) { c.CacheHW.HWPointers = 0 }), []string{"pointer count 0", "at least 1"}},
 		{"tlbsize", NewConfig(4, 2, WithTLBSize(0)), []string{"TLB size 0"}},
 		{"delay", NewConfig(4, 2, WithInterSSMPDelay(-5)), []string{"delay -5"}},
 		{"migrate-negative", NewConfig(4, 2, func(c *Config) { c.Variant.MigrateAfter = -1 }), []string{"MigrateAfter -1"}},

@@ -130,8 +130,9 @@ func NewConfig(p, c int, opts ...Option) Config {
 }
 
 // Validate reports the first reason the configuration cannot be built:
-// a machine shape that does not divide into SSMPs, a page, TLB or
-// delay the substrate cannot size, a protocol variant whose fields
+// a machine shape that does not divide into SSMPs, a TLB or delay the
+// substrate cannot size, cache or page dimensions the cache model
+// cannot mask (cache.Params.Validate), a protocol variant whose fields
 // contradict each other, a fault plan whose rates or delay bound are out
 // of range, or a lock or barrier name no registered algorithm answers
 // to.
@@ -146,8 +147,6 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 	switch {
 	case cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0:
 		err = fmt.Errorf("bad machine shape P=%d C=%d: want P > 0 and C > 0 dividing P", cfg.P, cfg.C)
-	case cfg.PageSize < cfg.CacheHW.LineSize || cfg.PageSize&(cfg.PageSize-1) != 0:
-		err = fmt.Errorf("bad page size %d: want a power of two of at least one %d-byte cache line", cfg.PageSize, cfg.CacheHW.LineSize)
 	case cfg.TLBSize <= 0:
 		err = fmt.Errorf("bad TLB size %d: want at least one entry", cfg.TLBSize)
 	case cfg.Msg.InterDelay < 0:
@@ -156,6 +155,9 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 		err = fmt.Errorf("bad MigrateAfter %d: want 0 (homes fixed) or a positive serve count", v.MigrateAfter)
 	case v.LazyRelease && (v.UpdateProtocol || v.MigrateAfter > 0):
 		err = fmt.Errorf("lazy release runs no eager release round, so it cannot be combined with the update protocol or home migration, which only modify that round")
+	}
+	if err == nil {
+		err = cfg.CacheHW.Validate(cfg.PageSize)
 	}
 	if err == nil {
 		err = cfg.Fault.Validate()

@@ -17,6 +17,11 @@ type FrameAllocator struct {
 	headers  Slab[Frame]
 }
 
+// RegionBits is the width of one frame-ID region: the allocator of
+// region i hands out IDs from i<<RegionBits up, and no run allocates
+// 2^RegionBits frames in one SSMP.
+const RegionBits = 40
+
 // NewFrameAllocatorAt returns an allocator whose IDs start at base.
 // Callers carving one ID space into regions (one per SSMP) must space
 // the bases far enough apart that regions never collide.
