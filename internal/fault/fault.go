@@ -7,8 +7,7 @@
 // message draws from a splitmix64 stream seeded by exactly those two
 // values, so a faulted run composes with the deterministic event engine
 // and is bit-for-bit reproducible. No host clock, no process-global
-// randomness — mgslint's nowalltime analyzer enforces this (the package
-// is on the deterministic allow-list in internal/lint).
+// randomness: the module's TestDeterminismPolicy enforces this.
 //
 // The package only decides fates. The transport that acts on them —
 // sequence numbers, acks, timeout-driven retransmission, duplicate

@@ -6,6 +6,7 @@ import (
 
 	"mgs/internal/fault"
 	"mgs/internal/msync/algo"
+	"mgs/internal/obs"
 	"mgs/internal/stats"
 	"mgs/internal/vm"
 )
@@ -306,8 +307,8 @@ func (sweepProbe) Verify(*Machine) error { return nil }
 // TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name, a shape
 // that does not divide into SSMPs, a size the substrate cannot build
 // (cache geometry included: the cache model masks where it divided), a
-// self-contradictory protocol variant or an out-of-range fault plan
-// comes back from RunApp/RunAppMem as an error that says what would
+// self-contradictory protocol variant, an out-of-range fault plan or a
+// trace sink that would panic on its first event comes back from RunApp/RunAppMem as an error that says what would
 // have been accepted, and NewMachine panics with that same message
 // before constructing anything.
 func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
@@ -335,6 +336,9 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"fault-rate-above-10000", NewConfig(4, 2, WithFaultPlan(fault.Plan{DupBP: 20000})), []string{"dup=20000", "0 to 10000"}},
 		{"fault-drop-everything", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: 10000})), []string{"drop rate 10000", "ever arrive"}},
 		{"fault-negative-maxdelay", NewConfig(4, 2, WithFaultPlan(fault.Plan{DelayBP: 500, MaxDelay: -5})), []string{"max delay -5"}},
+		{"sink-nil", NewConfig(4, 2, WithObserver(obs.New().AddSink(nil))), []string{"trace sink 0", "nil sink"}},
+		{"sink-text-nil-writer", NewConfig(4, 2, WithObserver(obs.New().AddSink(&obs.MemSink{}).AddSink(obs.NewTextSink(nil)))), []string{"trace sink 1", "text sink with a nil writer"}},
+		{"sink-filter-nil-predicate", NewConfig(4, 2, WithObserver(obs.New().AddSink(obs.Filter(&obs.MemSink{}, nil)))), []string{"trace sink 0", "filter sink with a nil predicate"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := RunApp(sweepProbe{}, tc.cfg)

@@ -134,8 +134,8 @@ func NewConfig(p, c int, opts ...Option) Config {
 // substrate cannot size, cache or page dimensions the cache model
 // cannot mask (cache.Params.Validate), a protocol variant whose fields
 // contradict each other, a fault plan whose rates or delay bound are out
-// of range, or a lock or barrier name no registered algorithm answers
-// to.
+// of range, a trace sink that would panic on its first event, or a lock
+// or barrier name no registered algorithm answers to.
 func (cfg Config) Validate() error {
 	_, _, err := cfg.algos()
 	return err
@@ -161,6 +161,9 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 	}
 	if err == nil {
 		err = cfg.Fault.Validate()
+	}
+	if err == nil {
+		err = cfg.Obs.Validate()
 	}
 	if err == nil {
 		la, err = algo.LockByName(cfg.LockAlgo)

@@ -114,9 +114,8 @@ type Sink interface {
 	Emit(e Event)
 }
 
-// FilterFunc adapts a predicate+sink pair: events pass through to the
-// inner sink only when keep returns true. Used by tools for page/time
-// windowing without teaching every sink to filter.
+// filterSink lets tools window a stream by page or time without
+// teaching every sink to filter.
 type filterSink struct {
 	inner Sink
 	keep  func(Event) bool
@@ -132,4 +131,31 @@ func (f *filterSink) Emit(e Event) {
 	if f.keep(e) {
 		f.inner.Emit(e)
 	}
+}
+
+// Validate reports the first sink that would panic on its first event:
+// nil, a text sink with no writer, or a filter with no predicate or over one.
+func (o *Observer) Validate() error {
+	for i := 0; o != nil && i < len(o.sinks); i++ {
+		if why := sinkFault(o.sinks[i]); why != "" {
+			return fmt.Errorf("bad trace sink %d: %s", i, why)
+		}
+	}
+	return nil
+}
+
+func sinkFault(s Sink) string {
+	t, isText := s.(*TextSink)
+	f, isFilter := s.(*filterSink)
+	switch {
+	case s == nil:
+		return "nil sink"
+	case isText && (t == nil || t.w == nil):
+		return "text sink with a nil writer"
+	case isFilter && f.keep == nil:
+		return "filter sink with a nil predicate"
+	case isFilter:
+		return sinkFault(f.inner)
+	}
+	return ""
 }

@@ -26,13 +26,12 @@
 // Determinism contract: obs code runs on the simulated path (sinks fire
 // from engine context), so everything here is deterministic — virtual
 // timestamps only, no host clocks, no map-iteration-order leaks, and no
-// simulated cycles are ever charged from an emission path. mgslint
-// enforces the first two (the package is on the deterministic
-// allow-list). The third holds by construction here — nothing in obs
-// holds a *sim.Proc, *sim.Engine or *msg.Network — and at every emit
-// site elsewhere by exp.TestObserversDoNotPerturbRun, which arms each
-// instrument on machines that fire every emitter and requires the run
-// to match a bare one.
+// simulated cycles are ever charged from an emission path. The module's
+// TestDeterminismPolicy enforces the first two. The third holds by
+// construction here — nothing in obs holds a *sim.Proc, *sim.Engine or
+// *msg.Network — and at every emit site elsewhere by
+// exp.TestObserversDoNotPerturbRun, which arms each instrument on machines
+// that fire every emitter and requires the run to match a bare one.
 //
 // A nil *Observer is valid everywhere and means "observability off";
 // every method short-circuits, so instrumented code needs no branches

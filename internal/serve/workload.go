@@ -16,8 +16,8 @@
 // Determinism: like internal/fault, every random decision draws from a
 // splitmix64 stream seeded purely by the workload seed, and the entire
 // request trace is materialized host-side before the simulation starts.
-// Nothing on the simulated path draws randomness; mgslint's determinism
-// analyzers cover the package (internal/lint classify.go).
+// Nothing on the simulated path draws randomness; the module's
+// TestDeterminismPolicy covers the package.
 package serve
 
 import "mgs/internal/sim"
