@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -116,12 +115,6 @@ func checkCmd(t *cli.Tool, args []string, stdout io.Writer) error {
 		return fmt.Errorf("%d of %d workloads violated an invariant", bad, len(results))
 	}
 	return nil
-}
-
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // runReplay re-executes a saved counterexample and reports whether it

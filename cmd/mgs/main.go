@@ -4,17 +4,19 @@
 // mgs <command> -h lists a command's flags.
 //
 // Exit status: 0 on success; 1 when a run failed (verification, memory
-// divergence, SLO miss, violation found, rejected configuration); 2 on
-// a bad command line.
+// divergence, SLO miss, violation found, rejected configuration) or its
+// output could not be written; 2 on a bad command line.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 
 	"mgs/internal/cli"
@@ -51,9 +53,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
+	out := &stickyWriter{w: stdout}
 	switch args[0] {
 	case "help", "-h", "-help", "--help":
-		usage(stdout)
+		usage(out)
+		if out.err != nil {
+			fmt.Fprintf(stderr, "mgs help: %v\n", out.err)
+			return 1
+		}
 		return 0
 	}
 	for _, c := range commands {
@@ -61,7 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		t := cli.New("mgs "+c.name, stderr)
-		err := c.run(t, args[1:], stdout)
+		err := c.run(t, args[1:], out)
+		if err == nil {
+			err = out.err
+		}
 		switch {
 		case err == nil, errors.Is(err, flag.ErrHelp):
 			return 0
@@ -74,6 +84,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "mgs: unknown command %q\n", args[0])
 	usage(stderr)
 	return 2
+}
+
+// stickyWriter is the stdout every command writes to: it keeps the
+// first write error, writes nothing after it, and lets run turn a lost
+// write into exit status 1 whichever printer lost it.
+type stickyWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (s *stickyWriter) Write(b []byte) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.w.Write(b)
+	s.err = err
+	return n, err
+}
+
+// fixed renders v with prec decimals: the CSV columns whose precision
+// is part of the published format, where cli.CSV's rule would keep six
+// significant digits.
+func fixed(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
+
+// writeJSON prints v as one indented JSON document, the form of every
+// mgs -json output.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func usage(w io.Writer) {
@@ -167,7 +207,15 @@ func syncZoo(t *cli.Tool, args []string, stdout io.Writer) error {
 	}
 
 	if t.CSV {
-		fmt.Fprint(stdout, exp.SyncCSV(points))
+		w := cli.NewCSV(stdout, "lock", "barrier", "c", "cycles", "lock_hit_ratio",
+			"cs_dilation", "barrier_mean_wait", "loss5_cycles", "loss5_memok")
+		for _, pt := range points {
+			w.Row(pt.Lock, pt.Barrier, pt.C, pt.Cycles, fixed(pt.LockHitRatio, 3),
+				fixed(pt.CSDilation, 2), fixed(pt.BarrierMeanWait, 0), pt.LossCycles, pt.MemOK)
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
 	} else {
 		fmt.Fprintf(stdout, "synchronization zoo, syncbench (P=%d)\n", t.P)
 		fmt.Fprintf(stdout, "  %-10s %-13s %-4s %12s %8s %9s %12s %14s %6s\n",

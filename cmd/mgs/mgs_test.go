@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,8 +27,12 @@ func mgs(args ...string) (status int, stdout, stderr string) {
 //	go run ./cmd/mgs sweep -fig11 -small -p 8 -csv > cmd/mgs/testdata/sweep_-fig11_-small_-p_8_-csv
 //
 // regenerates one after a deliberate change.
+//
+// Each command line, plus serve's JSON document, then runs again
+// against a stdout that fails every write: a lost write is exit status
+// 1 and the write error on stderr, whichever printer lost it.
 func TestCSVHeaderOfEveryMode(t *testing.T) {
-	for _, args := range []string{
+	modes := []string{
 		"micro",
 		"sweep -app water -small -p 8 -csv",
 		"sweep -app lu -small -p 8 -csv",
@@ -50,7 +56,8 @@ func TestCSVHeaderOfEveryMode(t *testing.T) {
 		"check -workloads write-share -csv",
 		"trace -max 100000",
 		"trace -app tsp -faults -max 100000",
-	} {
+	}
+	for _, args := range modes {
 		golden := filepath.Join("testdata", strings.ReplaceAll(args, " ", "_"))
 		want, err := os.ReadFile(golden)
 		status, stdout, stderr := mgs(strings.Fields(args)...)
@@ -63,7 +70,22 @@ func TestCSVHeaderOfEveryMode(t *testing.T) {
 			t.Errorf("mgs %s: stdout differs from %s at %s", args, golden, firstDiff(stdout, string(want)))
 		}
 	}
+	for _, args := range append(modes, "serve -small -p 8 -c 2 -json") {
+		var stderr bytes.Buffer
+		fields := strings.Fields(args)
+		status := run(fields, failingWriter{}, &stderr)
+		if want := "mgs " + fields[0] + ": " + errLostWrite.Error() + "\n"; status != 1 || stderr.String() != want {
+			t.Errorf("mgs %s > failing stdout: status %d, stderr %q; want 1, %q", args, status, stderr.String(), want)
+		}
+	}
 }
+
+var errLostWrite = errors.New("disk full")
+
+// failingWriter is a stdout on a full disk.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errLostWrite }
 
 // firstDiff names the first line where got and want differ.
 func firstDiff(got, want string) string {
@@ -142,6 +164,9 @@ func TestHelpListsEveryCommand(t *testing.T) {
 		if !strings.Contains(stdout, "\n  "+c.name+" ") {
 			t.Errorf("mgs help does not list %q:\n%s", c.name, stdout)
 		}
+	}
+	if status := run([]string{"help"}, failingWriter{}, io.Discard); status != 1 {
+		t.Errorf("mgs help > failing stdout: status %d, want 1", status)
 	}
 }
 

@@ -60,7 +60,23 @@ func serveCmd(t *cli.Tool, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, exp.ServeTailCSV(points))
+		w := cli.NewCSV(stdout, "p", "c", "variant", "phase", "count",
+			"mean_cycles", "p50_cycles", "p99_cycles", "p999_cycles",
+			"dropped_msgs", "retransmits", "mem_ok")
+		rows := func(pt exp.ServeTailPoint, variant string, rep serve.Report) {
+			for _, ps := range rep.Phases {
+				w.Row(rep.P, pt.C, variant, ps.Phase, ps.Count,
+					fixed(ps.Mean, 1), fixed(ps.P50, 1), fixed(ps.P99, 1), fixed(ps.P999, 1),
+					rep.Dropped, rep.Retransmit, pt.MemOK)
+			}
+		}
+		for _, pt := range points {
+			rows(pt, "clean", pt.Clean)
+			rows(pt, "chaos", pt.Chaos)
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
 		for _, pt := range points {
 			switch {
 			case !pt.MemOK:
@@ -86,15 +102,12 @@ func serveCmd(t *cli.Tool, args []string, stdout io.Writer) error {
 	}
 	switch {
 	case *asJSON:
-		out, err := rep.JSON()
-		if err != nil {
+		if err := writeJSON(stdout, rep); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "%s\n", out)
 	case t.CSV:
-		fmt.Fprint(stdout, rep.CSV())
-		if *breakdown {
-			fmt.Fprint(stdout, rep.BreakdownCSV())
+		if err := writeReportCSV(stdout, rep); err != nil {
+			return err
 		}
 	default:
 		printReport(stdout, rep)
@@ -162,6 +175,42 @@ func parseSLO(spec string) (serve.SLO, error) {
 	return s, nil
 }
 
+// writeReportCSV writes one row per phase and, for a profiled run, a
+// second table with one row per cost component.
+func writeReportCSV(stdout io.Writer, rep serve.Report) error {
+	w := cli.NewCSV(stdout, "p", "c", "seed", "phase", "count",
+		"mean_cycles", "p50_cycles", "p99_cycles", "p999_cycles",
+		"lock_hits", "lock_total", "dropped_msgs", "retransmits", "slo_ok")
+	for _, ps := range rep.Phases {
+		w.Row(rep.P, rep.C, rep.Seed, ps.Phase, ps.Count,
+			fixed(ps.Mean, 1), fixed(ps.P50, 1), fixed(ps.P99, 1), fixed(ps.P999, 1),
+			rep.LockHits, rep.LockTotal, rep.Dropped, rep.Retransmit, ps.SLOOK)
+	}
+	if b := rep.Breakdown; b != nil {
+		w.Row("component", "cycles", "per_request_cycles")
+		for _, c := range costRows(b) {
+			per := 0.0
+			if rep.Requests > 0 {
+				per = float64(c.cycles) / float64(rep.Requests)
+			}
+			w.Row(c.name, c.cycles, fixed(per, 1))
+		}
+	}
+	return w.Flush()
+}
+
+// costRow is one component of a serving run's cost breakdown.
+type costRow struct {
+	name   string
+	cycles int64
+}
+
+// costRows lists b's components in the order both renders print them.
+func costRows(b *serve.CostBreakdown) []costRow {
+	return []costRow{{"user", b.UserCycles}, {"lock", b.LockCycles}, {"barrier", b.BarrierCycles},
+		{"protocol", b.ProtocolCycles}, {"transport", b.TransportCycles}}
+}
+
 func printReport(stdout io.Writer, rep serve.Report) {
 	fmt.Fprintf(stdout, "serve P=%d C=%d seed=%d theta=%g: %d requests (%d get / %d put / %d scan) in %d cycles\n",
 		rep.P, rep.C, rep.Seed, rep.Theta, rep.Requests, rep.Gets, rep.Puts, rep.Scans, rep.Cycles)
@@ -173,12 +222,9 @@ func printReport(stdout io.Writer, rep serve.Report) {
 	}
 	if b := rep.Breakdown; b != nil {
 		fmt.Fprintf(stdout, "  cost breakdown (%.1f attributed cycles/request):\n", b.PerRequestCycles)
-		row := func(name string, cycles int64) { fmt.Fprintf(stdout, "    %-10s %14d cycles\n", name, cycles) }
-		row("user", b.UserCycles)
-		row("lock", b.LockCycles)
-		row("barrier", b.BarrierCycles)
-		row("protocol", b.ProtocolCycles)
-		row("transport", b.TransportCycles)
+		for _, c := range costRows(b) {
+			fmt.Fprintf(stdout, "    %-10s %14d cycles\n", c.name, c.cycles)
+		}
 		for _, hl := range b.HotLocks {
 			fmt.Fprintf(stdout, "    hot lock %-4d %14d cycles\n", hl.ID, hl.Cycles)
 		}

@@ -231,8 +231,13 @@ func (s sweeper) scale() error {
 		return err
 	}
 	if s.CSV {
-		fmt.Fprint(s.out, exp.ScaleCSV(app, s.Topology, s.P, points))
-		return nil
+		w := cli.NewCSV(s.out, "app", "topology", "p", "c", "cycles", "link_wait",
+			"dir_pages", "dir_rmt_entries", "dir_bytes")
+		for _, pt := range points {
+			w.Row(app, s.Topology, s.P, pt.C, pt.Cycles, pt.LinkWait,
+				pt.Dir.Pages, pt.Dir.RmtEntries, pt.Dir.Bytes)
+		}
+		return w.Flush()
 	}
 	fmt.Fprintf(s.out, "scale sweep, %s on %s (P=%d)\n", app, s.Topology, s.P)
 	fmt.Fprintf(s.out, "  %-5s %12s %12s %18s %12s %14s\n", "C", "cycles", "link-wait", "dir entries/pages", "dir bytes", "dense bytes")

@@ -211,9 +211,10 @@ func (t *Tool) Config(opts ...harness.Option) harness.Config {
 	return t.Env().Config(t.P, t.C, opts...)
 }
 
-// CSV writes the commands' CSV tables: one formatting rule (floats to
-// six significant digits, everything else as %v) and one place where a
-// failed write surfaces.
+// CSV writes the commands' CSV tables, and every mgs CSV goes through
+// it: one formatting rule (floats to six significant digits, everything
+// else as %v, so a column with a published fixed precision passes a
+// preformatted string) and one place where a failed write surfaces.
 type CSV struct{ w *csv.Writer }
 
 // NewCSV starts a CSV table on w with its header row.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mgs/internal/cache"
 	"mgs/internal/obs"
@@ -138,6 +139,19 @@ func (s *System) insertTLB(ss *ssmpState, cp *clientPage, proc int, priv vm.Priv
 		}
 	}
 	cp.tlbDir |= bit(s.within(proc))
+}
+
+// dropMappings is the one local shootdown loop: it invalidates each TLB
+// mapping cp's SSMP holds of cp's page and clears tlbDir, returning how
+// many processors lost one. The caller charges the shootdown.
+func (s *System) dropMappings(cp *clientPage) int {
+	n := 0
+	for t := cp.tlbDir; t != 0; t &= t - 1 {
+		s.tlbs[s.ssmpBase(cp.ssmp)+bits.TrailingZeros64(t)].Invalidate(cp.page)
+		n++
+	}
+	cp.tlbDir = 0
+	return n
 }
 
 // newDir builds the frame directory for cp using its permanent

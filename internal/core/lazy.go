@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"mgs/internal/obs"
 	"mgs/internal/sim"
 	"mgs/internal/stats"
@@ -83,7 +81,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// In-place home writes: nothing travels, but the version must
 			// advance and later local writes must fault back into a
 			// delayed update queue.
-			s.shootLocal(ss, cp, p)
+			s.shootLocal(cp, p)
 			s.st.Count("lrel.home", 1)
 		} else {
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
@@ -94,7 +92,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// the next write upgrades and re-twins.
 			s.recycleTwin(cp)
 			cp.state = PRead
-			s.shootLocal(ss, cp, p)
+			s.shootLocal(cp, p)
 			s.st.Count("lrel", 1)
 		}
 		fetchVer, fetchGen := cp.version, cp.gen
@@ -152,15 +150,8 @@ func (s *System) lazyRelDone(cp *clientPage, at sim.Time) {
 
 // shootLocal drops every local TLB mapping of cp's page, charging the
 // per-processor shootdown work to p (local inter-processor interrupts).
-func (s *System) shootLocal(ss *ssmpState, cp *clientPage, p *sim.Proc) {
-	n := 0
-	for t := cp.tlbDir; t != 0; t &= t - 1 {
-		q := s.ssmpBase(cp.ssmp) + bits.TrailingZeros64(t)
-		s.tlbs[q].Invalidate(cp.page)
-		n++
-	}
-	cp.tlbDir = 0
-	if n > 0 {
+func (s *System) shootLocal(cp *clientPage, p *sim.Proc) {
+	if n := s.dropMappings(cp); n > 0 {
 		s.spend(p, stats.MGS, sim.Time(n)*s.cfg.Costs.PinvWork)
 	}
 }
@@ -215,7 +206,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
 			db := s.getDiffBuf()
 			diff := db.Compute(cp.twin, cp.frame.Data)
-			s.shootLocal(ss, cp, p)
+			s.shootLocal(cp, p)
 			// No CleanPage ran here: the frame may still have cached
 			// lines, so it must not be recycled (a recycled frame's ID
 			// reuse would let those lines alias the new page).
@@ -234,7 +225,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 		// communication needed (TreadMarks' acquire-side invalidation).
 		s.st.Count("acq.inval", 1)
 		s.emitPageArgs(p.Clock(), p.ID, v, "ACQINVAL", [3]int64{}, "proc %d ver=%d<%d", p.ID, cp.version, sp.version)
-		s.shootLocal(ss, cp, p)
+		s.shootLocal(cp, p)
 		s.teardown(ss, cp, false, false)
 		s.unlock(cp, p.Clock())
 	}

@@ -91,13 +91,7 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 			s.st.Count("clean.serve", 1)
 			at = s.net.Extend(sp.homeProc, at, s.ssmps[homeSSMP].domain.CleanPage(hcp.frame, hcp.dir))
 			if hcp.state == PWrite && hcp.tlbDir != 0 {
-				n := 0
-				for t := hcp.tlbDir; t != 0; t &= t - 1 {
-					q := s.ssmpBase(homeSSMP) + bits.TrailingZeros64(t)
-					s.tlbs[q].Invalidate(sp.page)
-					n++
-				}
-				hcp.tlbDir = 0
+				n := s.dropMappings(hcp)
 				s.st.Count("home.shootdown", int64(n))
 				at = s.net.Extend(sp.homeProc, at, sim.Time(n)*c.PinvWork)
 			}
@@ -651,13 +645,7 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		// or the persistent remote copies would go permanently stale.
 		homeSSMP := s.ssmpOf(sp.homeProc)
 		if hcp := s.ssmps[homeSSMP].pages.Get(sp.page); hcp != nil && hcp.state == PWrite && hcp.tlbDir != 0 {
-			n := 0
-			for t := hcp.tlbDir; t != 0; t &= t - 1 {
-				q := s.ssmpBase(homeSSMP) + bits.TrailingZeros64(t)
-				s.tlbs[q].Invalidate(sp.page)
-				n++
-			}
-			hcp.tlbDir = 0
+			n := s.dropMappings(hcp)
 			s.st.Count("upd.homeshootdown", int64(n))
 			s.net.Extend(sp.homeProc, at, sim.Time(n)*s.cfg.Costs.PinvWork)
 		}
@@ -796,13 +784,9 @@ func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time
 	oldSSMP := s.ssmpOf(oldHome)
 	newHome := s.ssmpBase(r) + int(uint64(sp.page)%uint64(s.cfg.ClusterSize))
 	if hcp != nil && hcp.frame != nil {
-		for t := hcp.tlbDir; t != 0; t &= t - 1 {
-			q := s.ssmpBase(oldSSMP) + bits.TrailingZeros64(t)
-			s.tlbs[q].Invalidate(sp.page)
-		}
+		s.dropMappings(hcp)
 		s.ssmps[oldSSMP].domain.CleanPage(hcp.frame, hcp.dir)
 		s.ssmps[oldSSMP].domain.Unregister(hcp.frame)
-		hcp.tlbDir = 0
 		hcp.frame = nil
 		hcp.dir = nil
 		s.recycleTwin(hcp)

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"mgs/internal/apps"
 	"mgs/internal/core"
@@ -94,16 +93,4 @@ func ScaleSweep(name string, p int, cs []int, e Env) ([]ScalePoint, framework.Me
 		fp = append(fp, framework.Point{C: pt.C, Time: float64(pt.Cycles)})
 	}
 	return out, framework.Analyze(fp), nil
-}
-
-// ScaleCSV renders a scale sweep, one row per cluster size.
-func ScaleCSV(name, topology string, p int, points []ScalePoint) string {
-	var b strings.Builder
-	b.WriteString("app,topology,p,c,cycles,link_wait,dir_pages,dir_rmt_entries,dir_bytes\n")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
-			name, topology, p, pt.C, pt.Cycles, pt.LinkWait,
-			pt.Dir.Pages, pt.Dir.RmtEntries, pt.Dir.Bytes)
-	}
-	return b.String()
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"mgs/internal/apps"
 	"mgs/internal/fault"
@@ -117,32 +116,4 @@ func ServeTailSweep(w serve.Workload, p int, slo serve.SLO, e Env) ([]ServeTailP
 		}
 	}
 	return points, nil
-}
-
-// ServeTailCSVHeader is the sweep render's column set.
-var ServeTailCSVHeader = []string{
-	"p", "c", "variant", "phase", "count",
-	"mean_cycles", "p50_cycles", "p99_cycles", "p999_cycles",
-	"dropped_msgs", "retransmits", "mem_ok",
-}
-
-// ServeTailCSV renders the sweep, one row per (cluster size, variant,
-// phase), floats in %.1f so the output is bit-stable.
-func ServeTailCSV(points []ServeTailPoint) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(ServeTailCSVHeader, ","))
-	b.WriteByte('\n')
-	row := func(pt ServeTailPoint, variant string, rep serve.Report) {
-		for _, ps := range rep.Phases {
-			fmt.Fprintf(&b, "%d,%d,%s,%s,%d,%.1f,%.1f,%.1f,%.1f,%d,%d,%t\n",
-				rep.P, pt.C, variant, ps.Phase, ps.Count,
-				ps.Mean, ps.P50, ps.P99, ps.P999,
-				rep.Dropped, rep.Retransmit, pt.MemOK)
-		}
-	}
-	for _, pt := range points {
-		row(pt, "clean", pt.Clean)
-		row(pt, "chaos", pt.Chaos)
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"mgs/internal/apps"
@@ -10,10 +11,10 @@ import (
 )
 
 // The serving workload's determinism and chaos contracts, pinned at the
-// report level: the latency CSV — quantiles included — must be
-// byte-identical across reruns and sweep worker counts at a fixed
-// seed; and a 5%-loss run must end with the same
-// memory as the fault-free run while measurably fattening the tail.
+// report level: the latency report — quantiles included — must be
+// identical across reruns and sweep worker counts at a fixed seed; and
+// a 5%-loss run must end with the same memory as the fault-free run
+// while measurably fattening the tail.
 
 func serveSLO() serve.SLO { return serve.SLO{P99: 5_000_000, P999: 10_000_000} }
 
@@ -28,28 +29,28 @@ func TestServeRerunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.CSV() != rep2.CSV() {
-		t.Errorf("rerun CSV diverges:\n%s\nvs\n%s", rep1.CSV(), rep2.CSV())
+	if !reflect.DeepEqual(rep1, rep2) {
+		t.Errorf("rerun report diverges:\n%+v\nvs\n%+v", rep1, rep2)
 	}
 	if !bytes.Equal(mem1, mem2) {
 		t.Error("rerun final memory diverges")
 	}
 }
 
-// TestServeSweepWidthBitIdentical: the tail sweep's CSV must not
+// TestServeSweepWidthBitIdentical: the tail sweep's points must not
 // depend on how many runs execute concurrently.
 func TestServeSweepWidthBitIdentical(t *testing.T) {
 	w := serve.DefaultWorkload(true, 5)
-	run := func(workers int) string {
+	run := func(workers int) []ServeTailPoint {
 		points, err := ServeTailSweep(w, 8, serveSLO(), smallAt(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return ServeTailCSV(points)
+		return points
 	}
 	seq := run(1)
-	if par := run(4); par != seq {
-		t.Errorf("sweep workers=4 CSV diverges from sequential:\n%s\nvs\n%s", par, seq)
+	if par := run(4); !reflect.DeepEqual(par, seq) {
+		t.Errorf("sweep workers=4 points diverge from sequential:\n%+v\nvs\n%+v", par, seq)
 	}
 }
 

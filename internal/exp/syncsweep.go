@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"mgs/internal/fault"
 	"mgs/internal/harness"
@@ -119,18 +118,6 @@ func SyncSweep(p int, cs []int, e Env) ([]SyncPoint, error) {
 		return nil
 	})
 	return points, err
-}
-
-// SyncCSV renders sweep points as CSV with a header row.
-func SyncCSV(points []SyncPoint) string {
-	var b strings.Builder
-	b.WriteString("lock,barrier,c,cycles,lock_hit_ratio,cs_dilation,barrier_mean_wait,loss5_cycles,loss5_memok\n")
-	for _, pt := range points {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%.3f,%.2f,%.0f,%d,%v\n",
-			pt.Lock, pt.Barrier, pt.C, pt.Cycles, pt.LockHitRatio,
-			pt.CSDilation, pt.BarrierMeanWait, pt.LossCycles, pt.MemOK)
-	}
-	return b.String()
 }
 
 // SyncClusterSizes filters the canonical C ∈ {1, 4, 8, 32} sample set

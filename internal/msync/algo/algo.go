@@ -31,9 +31,20 @@ package algo
 
 import "mgs/internal/sim"
 
+// State is what every lock and barrier shows of itself beside its
+// protocol. Dump renders its state deterministically (deadlock
+// diagnosis and the model checker's state hashing); Quiescent checks it
+// idle — nothing held, no waiter parked, no protocol message
+// outstanding — and the model checker runs it at end of run.
+type State interface {
+	Dump(f func(format string, args ...any))
+	Quiescent() error
+}
+
 // Lock is one lock instance: the contract Ctx.Acquire/Release dispatch
 // through. Acquire returns holding the lock; Release never blocks.
 type Lock interface {
+	State
 	Acquire(p *sim.Proc)
 	Release(p *sim.Proc)
 	// Stats reports hit/total acquire counts (Figure 11): a hit is an
@@ -44,6 +55,7 @@ type Lock interface {
 // Barrier is one barrier instance: Arrive returns after every
 // processor has arrived.
 type Barrier interface {
+	State
 	Arrive(p *sim.Proc)
 	Episodes() int64
 }
@@ -61,20 +73,6 @@ type LockAlgo interface {
 type BarrierAlgo interface {
 	Name() string
 	NewBarrier(env *Env, id, home int) Barrier
-}
-
-// Dumper is optionally implemented by locks and barriers that can
-// render their state deterministically (deadlock diagnosis and the
-// model checker's state hashing).
-type Dumper interface {
-	Dump(f func(format string, args ...any))
-}
-
-// Quiescer is optionally implemented by locks and barriers that can
-// check themselves idle: nothing held, no waiter parked, no protocol
-// message outstanding. The model checker runs it at end of run.
-type Quiescer interface {
-	Quiescent() error
 }
 
 // DefaultLock and DefaultBarrier name the paper's algorithms; an empty

@@ -126,7 +126,7 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *dissemBarrier) Episodes() int64 { return b.nodes[0].episode }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (b *dissemBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=dissemination rounds=%d", b.id, b.rounds)
 	for s := range b.nodes {
@@ -141,7 +141,7 @@ func (b *dissemBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements State.
 func (b *dissemBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]

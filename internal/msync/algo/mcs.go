@@ -254,7 +254,7 @@ func (l *mcsLock) Stats() (hits, total int64) {
 	return l.hits, l.total
 }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (l *mcsLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d algo=mcs home=%d tail=%d tailSeq=%d", l.id, l.home, l.tail, l.tailSeq)
 	for i := range l.node {
@@ -269,7 +269,7 @@ func (l *mcsLock) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements State.
 func (l *mcsLock) Quiescent() error {
 	if l.tail >= 0 {
 		return quiesceErrf("lock %d (mcs): tail=%d (held or handoff in flight)", l.id, l.tail)

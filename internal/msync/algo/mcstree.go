@@ -122,7 +122,7 @@ func (b *mcsTreeBarrier) wake(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *mcsTreeBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (b *mcsTreeBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=mcstree episodes=%d", b.id, b.episodes)
 	for s := range b.nodes {
@@ -137,7 +137,7 @@ func (b *mcsTreeBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements State.
 func (b *mcsTreeBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]

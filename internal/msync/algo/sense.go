@@ -84,7 +84,7 @@ func (b *senseBarrier) onRelease(i int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *senseBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (b *senseBarrier) Dump(f func(format string, args ...any)) {
 	var ws []int
 	for i, p := range b.waiting {
@@ -95,7 +95,7 @@ func (b *senseBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=sense home=%d arrived=%d waiting=%v", b.id, b.home, b.arrived, ws)
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements State.
 func (b *senseBarrier) Quiescent() error {
 	if b.arrived != 0 {
 		return quiesceErrf("barrier %d (sense): %d arrivals uncounted", b.id, b.arrived)

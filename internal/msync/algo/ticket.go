@@ -119,7 +119,7 @@ func (l *ticketLock) Stats() (hits, total int64) {
 	return l.hits, l.total
 }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (l *ticketLock) Dump(f func(format string, args ...any)) {
 	var q []int
 	for _, p := range l.queue {
@@ -128,7 +128,7 @@ func (l *ticketLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d algo=ticket home=%d next=%d serving=%d queue=%v", l.id, l.home, l.nextTicket, l.nowServing, q)
 }
 
-// Quiescent implements Quiescer: every drawn ticket must be served and
+// Quiescent implements State: every drawn ticket must be served and
 // released.
 func (l *ticketLock) Quiescent() error {
 	if len(l.queue) > 0 {

@@ -298,7 +298,7 @@ func (l *tokenLock) Stats() (hits, total int64) {
 	return l.hits, l.total
 }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (l *tokenLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d home=%d owner=%d queue=%v demandOut=%v", l.id, l.home, l.tokenOwner, l.reqQueue, l.demandOut)
 	for s := range l.local {
@@ -313,7 +313,7 @@ func (l *tokenLock) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer: the token is at rest with exactly one
+// Quiescent implements State: the token is at rest with exactly one
 // SSMP, nobody holds or waits, and no recall is in flight.
 func (l *tokenLock) Quiescent() error {
 	tokens := 0

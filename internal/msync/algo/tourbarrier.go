@@ -151,7 +151,7 @@ func (b *tourBarrier) wake(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *tourBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (b *tourBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=tournament rounds=%d episodes=%d", b.id, b.rounds, b.episodes)
 	for s := range b.nodes {
@@ -166,7 +166,7 @@ func (b *tourBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements State.
 func (b *tourBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]

@@ -187,7 +187,7 @@ func (l *tourLock) Stats() (hits, total int64) {
 	return l.hits, l.total
 }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (l *tourLock) Dump(f func(format string, args ...any)) {
 	f("lock=%d algo=tournament nodes=%d", l.id, len(l.nodes))
 	for ni := range l.nodes {
@@ -202,7 +202,7 @@ func (l *tourLock) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer.
+// Quiescent implements State.
 func (l *tourLock) Quiescent() error {
 	for ni := range l.nodes {
 		n := &l.nodes[ni]

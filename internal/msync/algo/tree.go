@@ -74,7 +74,7 @@ func (b *treeBarrier) onRelease(s int, at sim.Time) {
 // Episodes implements Barrier.
 func (b *treeBarrier) Episodes() int64 { return b.episodes }
 
-// Dump implements Dumper.
+// Dump implements State.
 func (b *treeBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d arrived=%d", b.id, b.arrived)
 	for s := range b.local {
@@ -89,7 +89,7 @@ func (b *treeBarrier) Dump(f func(format string, args ...any)) {
 	}
 }
 
-// Quiescent implements Quiescer: no partial episode anywhere.
+// Quiescent implements State: no partial episode anywhere.
 func (b *treeBarrier) Quiescent() error {
 	if b.arrived != 0 {
 		return quiesceErrf("barrier %d (tree): %d SSMP combines unanswered", b.id, b.arrived)

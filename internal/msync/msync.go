@@ -81,7 +81,7 @@ func (m *System) LockHomed(id, home int) algo.Lock {
 	if l, ok := m.locks[id]; ok {
 		return l
 	}
-	l := &rcLock{m: m, id: id, impl: m.lockAlgo.NewLock(m.env, id, home)}
+	l := &rcLock{Lock: m.lockAlgo.NewLock(m.env, id, home), m: m, id: id}
 	m.locks[id] = l
 	return l
 }
@@ -92,7 +92,7 @@ func (m *System) Barrier(id int) algo.Barrier {
 	if b, ok := m.barriers[id]; ok {
 		return b
 	}
-	b := &rcBarrier{m: m, id: id, impl: m.barrierAlgo.NewBarrier(m.env, id, id)}
+	b := &rcBarrier{Barrier: m.barrierAlgo.NewBarrier(m.env, id, id), m: m, id: id}
 	m.barriers[id] = b
 	return b
 }
@@ -103,17 +103,13 @@ func (m *System) Barrier(id int) algo.Barrier {
 // interleaving.
 func (m *System) Quiescent() error {
 	for _, id := range sortedIDs(m.locks) {
-		if q, ok := m.locks[id].impl.(algo.Quiescer); ok {
-			if err := q.Quiescent(); err != nil {
-				return err
-			}
+		if err := m.locks[id].Quiescent(); err != nil {
+			return err
 		}
 	}
 	for _, id := range sortedIDs(m.barriers) {
-		if q, ok := m.barriers[id].impl.(algo.Quiescer); ok {
-			if err := q.Quiescent(); err != nil {
-				return err
-			}
+		if err := m.barriers[id].Quiescent(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -125,14 +121,10 @@ func (m *System) Quiescent() error {
 // state hash, so synchronization state distinguishes interleavings.
 func (m *System) DumpState(f func(format string, args ...any)) {
 	for _, id := range sortedIDs(m.locks) {
-		if d, ok := m.locks[id].impl.(algo.Dumper); ok {
-			d.Dump(f)
-		}
+		m.locks[id].Dump(f)
 	}
 	for _, id := range sortedIDs(m.barriers) {
-		if d, ok := m.barriers[id].impl.(algo.Dumper); ok {
-			d.Dump(f)
-		}
+		m.barriers[id].Dump(f)
 	}
 }
 

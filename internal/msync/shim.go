@@ -10,11 +10,11 @@ import (
 // synchronization point: the ordering yield, the profiler's per-lock
 // attribution window, the release-consistency flush before a release,
 // and the acquire-side validation after a grant. Algorithms stay pure
-// ordering protocols.
+// ordering protocols; Stats, Dump and Quiescent are the algorithm's own.
 type rcLock struct {
-	m    *System
-	id   int
-	impl algo.Lock
+	algo.Lock
+	m  *System
+	id int
 }
 
 // Acquire blocks processor p until it holds the lock. Time spent is
@@ -27,7 +27,7 @@ func (l *rcLock) Acquire(p *sim.Proc) {
 	p.Yield()
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjLock, int64(l.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
-	l.impl.Acquire(p)
+	l.Lock.Acquire(p)
 	m.dsm.AcquireSync(p) // lazy-release acquire-side coherence
 }
 
@@ -40,19 +40,16 @@ func (l *rcLock) Release(p *sim.Proc) {
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjLock, int64(l.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
 	m.dsm.ReleaseAll(p)
-	l.impl.Release(p)
+	l.Lock.Release(p)
 }
-
-// Stats reports the lock's hit and total acquire counts (Figure 11).
-func (l *rcLock) Stats() (hits, total int64) { return l.impl.Stats() }
 
 // rcBarrier is the barrier-side shim: arrival is a release point (the
 // delayed update queue drains first, charged as MGS, and only then does
 // the barrier account start) and exit an acquire point.
 type rcBarrier struct {
-	m    *System
-	id   int
-	impl algo.Barrier
+	algo.Barrier
+	m  *System
+	id int
 }
 
 // Arrive blocks processor p until all processors have arrived.
@@ -62,9 +59,6 @@ func (b *rcBarrier) Arrive(p *sim.Proc) {
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjBarrier, int64(b.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
 	m.dsm.ReleaseAll(p)
-	b.impl.Arrive(p)
+	b.Barrier.Arrive(p)
 	m.dsm.AcquireSync(p) // a barrier exit is an acquire (lazy release)
 }
-
-// Episodes reports how many times the barrier has released.
-func (b *rcBarrier) Episodes() int64 { return b.impl.Episodes() }

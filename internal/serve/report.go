@@ -1,10 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-	"strings"
-
 	"mgs/internal/harness"
 	"mgs/internal/obs"
 	"mgs/internal/sim"
@@ -81,7 +77,7 @@ type PhaseStats struct {
 }
 
 // Report is the serving run's result document (mgs serve's JSON shape;
-// CSV renders the same rows).
+// its CSV has one row per phase).
 type Report struct {
 	P          int          `json:"p"`
 	C          int          `json:"c"`
@@ -130,34 +126,6 @@ type CostBreakdown struct {
 type HotLock struct {
 	ID     int64 `json:"id"`
 	Cycles int64 `json:"cycles"`
-}
-
-// BreakdownCSVHeader is the column set of BreakdownCSV.
-var BreakdownCSVHeader = []string{"component", "cycles", "per_request_cycles"}
-
-// BreakdownCSV renders the breakdown as CSV with a header, one row per
-// cost component.
-func (r Report) BreakdownCSV() string {
-	b := r.Breakdown
-	if b == nil {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteString(strings.Join(BreakdownCSVHeader, ","))
-	sb.WriteByte('\n')
-	row := func(name string, cycles int64) {
-		per := 0.0
-		if r.Requests > 0 {
-			per = float64(cycles) / float64(r.Requests)
-		}
-		fmt.Fprintf(&sb, "%s,%d,%.1f\n", name, cycles, per)
-	}
-	row("user", b.UserCycles)
-	row("lock", b.LockCycles)
-	row("barrier", b.BarrierCycles)
-	row("protocol", b.ProtocolCycles)
-	row("transport", b.TransportCycles)
-	return sb.String()
 }
 
 // sloOK checks one phase digest against the objective.
@@ -211,46 +179,3 @@ func (r *Recorder) BuildReport(w Workload, res harness.Result, p, c int, slo SLO
 	}
 	return rep
 }
-
-// CSVHeader is the column set of CSV renders, one row per phase.
-var CSVHeader = []string{
-	"p", "c", "seed", "phase", "count",
-	"mean_cycles", "p50_cycles", "p99_cycles", "p999_cycles",
-	"lock_hits", "lock_total", "dropped_msgs", "retransmits", "slo_ok",
-}
-
-// CSVRows renders the report as CSV records (no header), one per
-// phase, with float columns in %.1f so output is bit-stable.
-func (r Report) CSVRows() [][]string {
-	var rows [][]string
-	for _, ps := range r.Phases {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.P), fmt.Sprintf("%d", r.C),
-			fmt.Sprintf("%d", r.Seed), ps.Phase,
-			fmt.Sprintf("%d", ps.Count),
-			fmt.Sprintf("%.1f", ps.Mean),
-			fmt.Sprintf("%.1f", ps.P50),
-			fmt.Sprintf("%.1f", ps.P99),
-			fmt.Sprintf("%.1f", ps.P999),
-			fmt.Sprintf("%d", r.LockHits), fmt.Sprintf("%d", r.LockTotal),
-			fmt.Sprintf("%d", r.Dropped), fmt.Sprintf("%d", r.Retransmit),
-			fmt.Sprintf("%t", ps.SLOOK),
-		})
-	}
-	return rows
-}
-
-// CSV renders the report with a header line.
-func (r Report) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(CSVHeader, ","))
-	b.WriteByte('\n')
-	for _, row := range r.CSVRows() {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// JSON renders the report as indented JSON.
-func (r Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
