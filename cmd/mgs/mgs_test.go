@@ -136,6 +136,23 @@ func TestExitStatusAndDiagnosis(t *testing.T) {
 		{[]string{"chaos", "-apps", "water", "-seeds", "1", "-drop", "10000"}, 1, "mgs chaos: chaos water seed=1: water: bad fault drop rate 10000"},
 		{[]string{"chaos", "-apps", "water", "-seeds", "1", "-maxdelay", "-5"}, 1, "mgs chaos: chaos water seed=1: water: bad fault max delay -5"},
 		{[]string{"serve", "-small", "-p", "8", "-c", "2", "-slo", "p99:1", "-enforce-slo"}, 1, "mgs serve: SLO missed"},
+		{[]string{"sweep", "-app", "jacobi", "-small", "-p", "0"}, 2, "mgs sweep: -p 0: want at least one processor"},
+		{[]string{"sync", "-small", "-p", "0"}, 2, "mgs sync: -p 0: want at least one processor"},
+		{[]string{"serve", "-small", "-sweep", "-p", "0"}, 2, "mgs serve: -p 0: want at least one processor"},
+		{[]string{"sweep", "-fig11", "-small", "-p", "0"}, 2, "mgs sweep: -p 0: want at least one processor"},
+		{[]string{"sweep", "-ablation", "mesh", "-app", "water", "-small", "-p", "0"}, 2, "mgs sweep: -p 0: want at least one processor"},
+		{[]string{"sweep", "-app", "jacobi", "-small", "-p", "1"}, 1, "mgs sweep: jacobi P=1: framework: need at least three sweep points (C=1, C=P/2, C=P), have 1"},
+		{[]string{"sweep", "-app", "jacobi", "-small", "-p", "2"}, 1, "mgs sweep: jacobi P=2: framework: need at least three sweep points (C=1, C=P/2, C=P), have 2"},
+		{[]string{"sweep", "-scale", "-app", "jacobi", "-small", "-p", "1"}, 1, "mgs sweep: scale jacobi P=1: framework: need at least"},
+		{[]string{"sweep", "-scale", "-app", "jacobi", "-small", "-p", "2"}, 1, "mgs sweep: scale jacobi P=2: framework: need at least"},
+		{[]string{"sweep", "-scale", "-app", "jacobi", "-small", "-p", "3"}, 1, "mgs sweep: scale jacobi P=3: framework: need at least"},
+		{[]string{"sweep", "-fig12", "-p", "2"}, 1, "mgs sweep: fig12: framework: need at least"},
+		{[]string{"sweep", "-topology", "fattree", "-app", "jacobi", "-small", "-p", "4"}, 1, `mgs sweep: msg: unknown topology "fattree" (want uniform, mesh, or tiered)`},
+		{[]string{"serve", "-small", "-skew", "-1"}, 2, "mgs serve: -skew -1: want a Zipf exponent in [0, 1075]"},
+		{[]string{"serve", "-small", "-skew", "NaN"}, 2, "mgs serve: -skew NaN: want a Zipf exponent"},
+		{[]string{"serve", "-small", "-skew", "Inf"}, 2, "mgs serve: -skew +Inf: want a Zipf exponent"},
+		{[]string{"serve", "-small", "-skew", "1e300"}, 2, "mgs serve: -skew 1e+300: want a Zipf exponent"},
+		{[]string{"serve", "-small", "-skew", "1076"}, 2, "mgs serve: -skew 1076: want a Zipf exponent"},
 	} {
 		status, stdout, stderr := mgs(tc.args...)
 		if status != tc.status {

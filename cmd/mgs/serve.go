@@ -46,6 +46,9 @@ func serveCmd(t *cli.Tool, args []string, stdout io.Writer) error {
 	if !serve.ApplyMix(&w, *workload) {
 		return fmt.Errorf("unknown workload %q (have: %s)", *workload, strings.Join(serve.Mixes, ", "))
 	}
+	if !(*skew >= 0 && *skew <= serve.MaxTheta) { // false for NaN
+		return t.Usagef("-skew %g: want a Zipf exponent in [0, %d]", *skew, serve.MaxTheta)
+	}
 	w.Theta = *skew
 	if err := applyPhases(&w, *phases); err != nil {
 		return err

@@ -78,6 +78,17 @@ func (w *WaterKernel) loadPos(c *harness.Ctx, i int) [3]float64 {
 	}
 }
 
+// addForce adds sign·f to molecule i's force words, which hold Water's
+// fixed point (toFx): integer sums do not depend on the order the
+// per-molecule locks grant in, so final memory is a function of the
+// inputs alone, as the chaos memory comparisons require.
+func (w *WaterKernel) addForce(c *harness.Ctx, i int, f [3]float64, sign int64) {
+	for k := 0; k < 3; k++ {
+		a := w.mol.At(i*molWords + 6 + k)
+		c.StoreI64(a, c.LoadI64(a)+sign*toFx(f[k]))
+	}
+}
+
 // plainBody: unmodified force phase with per-molecule locks, exactly as
 // in Water.
 func (w *WaterKernel) plainBody(c *harness.Ctx) {
@@ -89,14 +100,10 @@ func (w *WaterKernel) plainBody(c *harness.Ctx) {
 			f := pairForce(pi, pj)
 			flop(c, 5000)
 			c.Acquire(waterLockBase + i)
-			for k := 0; k < 3; k++ {
-				w.mol.Store(c, i*molWords+6+k, w.mol.Load(c, i*molWords+6+k)+f[k])
-			}
+			w.addForce(c, i, f, 1)
 			c.Release(waterLockBase + i)
 			c.Acquire(waterLockBase + j)
-			for k := 0; k < 3; k++ {
-				w.mol.Store(c, j*molWords+6+k, w.mol.Load(c, j*molWords+6+k)-f[k])
-			}
+			w.addForce(c, j, f, -1)
 			c.Release(waterLockBase + j)
 		}
 	}
@@ -165,9 +172,7 @@ func (w *WaterKernel) selfTile(c *harness.Ctx, tile, tileSize, within, cprocs in
 				acc[k] += f[k]
 			}
 		}
-		for k := 0; k < 3; k++ {
-			w.mol.Store(c, i*molWords+6+k, w.mol.Load(c, i*molWords+6+k)+acc[k])
-		}
+		w.addForce(c, i, acc, 1)
 	}
 }
 
@@ -194,14 +199,12 @@ func (w *WaterKernel) crossTiles(c *harness.Ctx, a, b, tileSize, within, cprocs 
 				acc[k] += f[k]
 			}
 		}
-		for k := 0; k < 3; k++ {
-			w.mol.Store(c, i*molWords+6+k, w.mol.Load(c, i*molWords+6+k)+acc[k])
-		}
+		w.addForce(c, i, acc, 1)
 	}
 }
 
 // Verify checks every molecule's accumulated force against the host
-// reference (tolerantly: the variants accumulate in different orders).
+// reference (tolerantly: fixed point rounds each added term).
 func (w *WaterKernel) Verify(m *harness.Machine) error {
 	n := w.N
 	pos := make([][3]float64, n)
@@ -220,7 +223,7 @@ func (w *WaterKernel) Verify(m *harness.Machine) error {
 			}
 		}
 		for k := 0; k < 3; k++ {
-			if got := w.mol.Get(m, i*molWords+6+k); !approxEqual(got, want[k], 1e-9) {
+			if got := fromFx(m.GetI64(w.mol.At(i*molWords + 6 + k))); !approxEqual(got, want[k], 1e-9) {
 				return fmt.Errorf("mol %d force[%d] = %g, want %g", i, k, got, want[k])
 			}
 		}

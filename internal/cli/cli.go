@@ -47,7 +47,7 @@ type Tool struct {
 	// Workers is the -workers concurrency for sweep-style commands.
 	Workers int
 	// Topology is the -topology inter-SSMP interconnect selection
-	// (uniform, mesh, fattree, tiered).
+	// (msg.TopologyNames).
 	Topology string
 	// Lock and Barrier are the -lock / -barrier synchronization
 	// algorithm selections (internal/msync/algo names).
@@ -125,9 +125,9 @@ func (t *Tool) SweepFlags() *Tool {
 
 // Parse parses args into the registered flags. flag.ErrHelp means -h
 // printed the usage; ErrUsage means an undefined flag, a malformed
-// value or a stray positional argument was reported on stderr; any
-// other error is a one-line rejection of an unknown application,
-// topology, lock or barrier name.
+// value, a stray positional argument or a -p below 1 was reported on
+// stderr; any other error is a one-line rejection of an unknown
+// application, topology, lock or barrier name.
 func (t *Tool) Parse(args []string) error {
 	if err := t.Flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -137,6 +137,9 @@ func (t *Tool) Parse(args []string) error {
 	}
 	if t.Flags.NArg() > 0 {
 		return t.Usagef("unexpected argument %q", t.Flags.Arg(0))
+	}
+	if t.hasShape && t.P < 1 {
+		return t.Usagef("-p %d: want at least one processor", t.P)
 	}
 	return t.resolve()
 }

@@ -4,9 +4,9 @@ package core
 // one — eager release, serial invalidation, the single-writer
 // optimization — and DefaultVariant is it; every other value is an
 // ablation or an extension of this reproduction. Variants enumerates
-// the named ones, and the conformance suites, the ablation sweeps and
-// the parallel-dispatch gate all work from that list rather than from
-// the fields.
+// the named ones, and the machine table every oracle in internal/exp
+// iterates and the ablation sweeps both work from that list rather
+// than from the fields.
 type Variant struct {
 	// SingleWriter enables the paper's single-writer optimization:
 	// when a release finds exactly one outstanding write copy, the

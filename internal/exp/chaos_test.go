@@ -55,21 +55,10 @@ func TestChaosSweepAllApps(t *testing.T) {
 func chaosTraceRun(t *testing.T, name string, p, c int, plan fault.Plan) (harness.Result, string) {
 	t.Helper()
 	var b strings.Builder
-	cfg := harness.NewConfig(p, c,
+	run := runOn(t, name, harness.NewConfig(p, c,
 		harness.WithFaultPlan(plan),
-		harness.WithObserver(obs.New().AddSink(obs.NewTextSink(&b))))
-	app := SmallApp(name)
-	m := harness.NewMachine(cfg)
-	app.Setup(m)
-	res, err := m.Run(app.Body)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if err := app.Verify(m); err != nil {
-		t.Fatalf("%s verify: %v", name, err)
-	}
-	res.Fault = m.Stats.Fault
-	return res, b.String()
+		harness.WithObserver(obs.New().AddSink(obs.NewTextSink(&b)))))
+	return run.res, b.String()
 }
 
 func TestChaosDeterministic(t *testing.T) {

@@ -162,7 +162,11 @@ func FigureSweep(name string, p int, e Env) ([]harness.SweepPoint, framework.Met
 	if err != nil {
 		return nil, framework.Metrics{}, err
 	}
-	return points, framework.Analyze(FrameworkPoints(points)), nil
+	m, err := framework.Analyze(FrameworkPoints(points))
+	if err != nil {
+		return nil, framework.Metrics{}, fmt.Errorf("%s P=%d: %w", name, p, err)
+	}
+	return points, m, nil
 }
 
 // FrameworkPoints converts sweep points for framework analysis and

@@ -255,56 +255,3 @@ func TestHeadlineShapes(t *testing.T) {
 		t.Errorf("barnes-hut C=1 MGS fraction = %.2f, want > 0.4", mf)
 	}
 }
-
-// TestDeterministicReplay re-runs identical configurations and requires
-// bit-identical results — cycles, breakdown, lock stats, counters. The
-// engine's determinism claim (README) is enforced here end to end, for
-// the eager default, the lazy extension, and a jittered run (jitter
-// must shuffle orders deterministically, not randomly).
-func TestDeterministicReplay(t *testing.T) {
-	variants := []struct {
-		name string
-		mut  func(*harness.Config)
-	}{
-		{"eager", func(*harness.Config) {}},
-		{"lazy", func(c *harness.Config) { c.Variant.LazyRelease = true }},
-		{"jitter", func(c *harness.Config) { c.Msg.Jitter = 1200; c.Msg.JitterSeed = 5 }},
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			run := func() harness.Result {
-				cfg := harness.NewConfig(8, 2)
-				v.mut(&cfg)
-				res, err := harness.RunApp(SmallApp("water"), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			a, b := run(), run()
-			if a.Cycles != b.Cycles {
-				t.Fatalf("cycles differ across identical runs: %d vs %d", a.Cycles, b.Cycles)
-			}
-			if a.LockHits != b.LockHits || a.LockTotal != b.LockTotal {
-				t.Fatalf("lock stats differ: %d/%d vs %d/%d", a.LockHits, a.LockTotal, b.LockHits, b.LockTotal)
-			}
-			if a.InterMsgs != b.InterMsgs || a.InterBytes != b.InterBytes {
-				t.Fatalf("traffic differs: %d/%d vs %d/%d", a.InterMsgs, a.InterBytes, b.InterMsgs, b.InterBytes)
-			}
-			if len(a.Counters) != len(b.Counters) {
-				t.Fatalf("counter sets differ: %d vs %d", len(a.Counters), len(b.Counters))
-			}
-			for i := range a.Counters {
-				if a.Counters[i] != b.Counters[i] {
-					t.Fatalf("counter %q vs %q", a.Counters[i], b.Counters[i])
-				}
-			}
-			for i := range a.Breakdown.PerProc {
-				if a.Breakdown.PerProc[i] != b.Breakdown.PerProc[i] {
-					t.Fatalf("proc %d breakdown differs", i)
-				}
-			}
-		})
-	}
-}

@@ -92,5 +92,9 @@ func ScaleSweep(name string, p int, cs []int, e Env) ([]ScalePoint, framework.Me
 	for _, pt := range out {
 		fp = append(fp, framework.Point{C: pt.C, Time: float64(pt.Cycles)})
 	}
-	return out, framework.Analyze(fp), nil
+	m, err := framework.Analyze(fp)
+	if err != nil {
+		return nil, framework.Metrics{}, fmt.Errorf("scale %s P=%d: %w", name, p, err)
+	}
+	return out, m, nil
 }

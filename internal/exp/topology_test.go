@@ -1,61 +1,20 @@
 package exp
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"mgs/internal/apps"
-	"mgs/internal/fault"
 	"mgs/internal/harness"
 	"mgs/internal/msg"
 	"mgs/internal/serve"
 )
 
-// The topology API's experiment-level contracts: on every contended
-// topology each app reruns bit-identically and survives the chaos
-// envelope with its memory intact, link-wait accounting is
-// deterministic at any sweep width, the tiered WAN measurably fattens
+// The topology API's experiment-level contracts (the machine table,
+// machines_test.go, runs every app on every topology): link-wait
+// accounting is deterministic at any sweep width, the tiered WAN measurably fattens
 // the serving tail, and the hierarchical directory keeps the Server's
 // footprint O(sharers) on machines up to 1024 processors.
-
-// contendedTopos returns the three contended topology specs by flag
-// name. Specs are immutable and sized per machine, so sharing one
-// across runs is safe.
-func contendedTopos() map[string]msg.Topology {
-	return map[string]msg.Topology{
-		"mesh":    msg.NewMesh2D(),
-		"fattree": msg.NewFatTree(0),
-		"tiered":  msg.NewTiered(0),
-	}
-}
-
-// TestTopologyChaosMemEquivalence is the acceptance matrix: on every
-// contended topology, every app's run is bit-identical across reruns,
-// and a 5%-loss chaos run ends with memory byte-identical to the
-// fault-free reference.
-func TestTopologyChaosMemEquivalence(t *testing.T) {
-	names := append(append([]string{}, AppNames...), "serve")
-	for topoName, topo := range contendedTopos() {
-		for _, name := range names {
-			run := func(plan fault.Plan) (harness.Result, []byte) {
-				res, mem, err := harness.RunAppMem(SmallApp(name),
-					harness.NewConfig(8, 2, harness.WithTopology(topo), harness.WithFaultPlan(plan)))
-				if err != nil {
-					t.Fatalf("%s/%s: %v", topoName, name, err)
-				}
-				return res, mem
-			}
-			refRes, refMem := run(fault.Plan{})
-			if res, mem := run(fault.Plan{}); !reflect.DeepEqual(refRes, res) || !bytes.Equal(refMem, mem) {
-				t.Errorf("%s/%s: rerun diverges\nfirst:  %+v\nsecond: %+v", topoName, name, refRes, res)
-			}
-			if _, mem := run(envelopePlan(13)); !bytes.Equal(refMem, mem) {
-				t.Errorf("%s/%s: chaos final memory diverges from the fault-free run", topoName, name)
-			}
-		}
-	}
-}
 
 // TestTopologyLinkWaitDeterministic pins satellite #3's exp-level half:
 // the link-wait counter — shared occupancy state on contended

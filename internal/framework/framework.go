@@ -51,36 +51,42 @@ func (m Metrics) String() string {
 }
 
 // Analyze computes the metrics from a cluster-size sweep. Points must
-// cover C = 1 through C = P in powers of two (any order); it panics on
-// fewer than three points.
-func Analyze(points []Point) Metrics {
+// cover C = 1, the geometric middle of the software region, P/2 and P
+// (any order; a power-of-two sweep from 1 to P has them all); fewer
+// than three points, or a missing one, is an error.
+func Analyze(points []Point) (Metrics, error) {
 	if len(points) < 3 {
-		panic("framework: need at least C=1, C=P/2, C=P points")
+		return Metrics{}, fmt.Errorf("framework: need at least three sweep points (C=1, C=P/2, C=P), have %d", len(points))
 	}
 	ps := append([]Point(nil), points...)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].C < ps[j].C })
+	var missing []int
 	t := func(c int) float64 {
 		for _, p := range ps {
 			if p.C == c {
 				return p.Time
 			}
 		}
-		panic(fmt.Sprintf("framework: no point for C=%d", c))
+		missing = append(missing, c)
+		return 0
 	}
 	p := ps[len(ps)-1].C
-	t1, tHalf, tP := t(1), t(p/2), t(p)
-
-	m := Metrics{
-		BreakupPenalty:      (tHalf - tP) / tP,
-		MultigrainPotential: (t1 - tHalf) / t1,
-	}
 	// Geometric middle of the software region [1, P/2].
 	mid := 1
 	for mid*mid < p/2 {
 		mid *= 2
 	}
-	if span := t1 - tHalf; span > 0 {
-		m.CurvatureIndex = (t1 - t(mid)) / span
+	t1, tMid, tHalf, tP := t(1), t(mid), t(p/2), t(p)
+	if len(missing) > 0 {
+		return Metrics{}, fmt.Errorf("framework: no point for C=%v (P=%d)", missing, p)
 	}
-	return m
+
+	m := Metrics{
+		BreakupPenalty:      (tHalf - tP) / tP,
+		MultigrainPotential: (t1 - tHalf) / t1,
+	}
+	if span := t1 - tHalf; span > 0 {
+		m.CurvatureIndex = (t1 - tMid) / span
+	}
+	return m, nil
 }

@@ -87,9 +87,9 @@ func WithFaultPlan(p fault.Plan) Option { return func(c *Config) { c.Fault = p }
 func WithObserver(o *obs.Observer) Option { return func(c *Config) { c.Obs = o } }
 
 // WithTopology selects the inter-SSMP interconnect: msg.NewUniform()
-// (the default, the paper's fixed-delay LAN), msg.NewMesh2D(),
-// msg.NewFatTree(arity), or msg.NewTiered(siteSize). The spec is sized
-// against the machine shape when the network is built.
+// (the default, the paper's fixed-delay LAN), msg.NewMesh2D(), or
+// msg.NewTiered(siteSize). The spec is sized against the machine shape
+// when the network is built.
 func WithTopology(t msg.Topology) Option { return func(c *Config) { c.Msg.Topology = t } }
 
 // WithLockAlgo selects the lock algorithm by name (algo.LockNames);

@@ -21,7 +21,7 @@ type Mesh2D struct {
 }
 
 // NewMesh2D returns the 2D-mesh spec. The per-hop latency is
-// InterDelay/4, as FatTree and Tiered derive their link latency: at the
+// InterDelay/4, as Tiered derives its LAN link latency: at the
 // paper's 1000-cycle delay that makes the mean uncontended latency of a
 // 6×6 grid (P = 32, C = 1, ~4 hops) comparable to the uniform LAN's.
 func NewMesh2D() *Mesh2D { return &Mesh2D{} }

@@ -14,7 +14,7 @@
 // at the sending processor and a timer interrupt is set for some amount
 // of delay". Contention in the LAN is not modeled under that default
 // (nor was it in MGS); the pluggable Topology interface (topology.go)
-// adds routed, link-contended interconnects — Mesh2D, FatTree, Tiered —
+// adds routed, link-contended interconnects — Mesh2D and Tiered —
 // for scaling studies beyond the paper's 32 processors.
 package msg
 
@@ -78,7 +78,7 @@ type Counters struct {
 	IntraMsgs, InterMsgs   int64
 	IntraBytes, InterBytes int64
 	// LinkWaitCycles accumulates link queueing delay on contended
-	// topologies (Mesh2D, FatTree, Tiered; always 0 under Uniform).
+	// topologies (Mesh2D, Tiered; always 0 under Uniform).
 	LinkWaitCycles int64
 }
 

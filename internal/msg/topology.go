@@ -13,15 +13,15 @@ import (
 // interconnect is where DSSMP design decisions bite, so the network is
 // now a first-class Topology: a routing function over directed links,
 // each with its own latency and bandwidth, plus deterministic
-// store-and-forward contention tracked per link. Four implementations
-// ship — Uniform (the paper's LAN), Mesh2D, FatTree (bandwidth fattens
-// toward the root), and Tiered (LAN sites joined by thin, slow WAN
-// links).
+// store-and-forward contention tracked per link. Three implementations
+// ship — Uniform (the paper's LAN), Mesh2D, and Tiered (LAN sites
+// joined by thin, slow WAN links).
 
 // Link is one directed edge of an inter-SSMP topology. Node numbers are
 // SSMP ids in [0, nssmp); switch nodes use ids >= nssmp. A Link carries
 // its own wire latency and serialization bandwidth, so heterogeneous
-// topologies (thin WAN trunks, fat tree roots) fall out of routing.
+// topologies (thin WAN trunks beside fast site switches) fall out of
+// routing.
 type Link struct {
 	From, To      int
 	Latency       sim.Time // wire latency across this link
@@ -96,24 +96,22 @@ func crossRoute(occ *Occupancy, route []Link, depart sim.Time, bytes int) sim.Ti
 	return t
 }
 
-// ByName resolves a topology flag value ("uniform", "mesh", "fattree",
-// "tiered") to an unsized spec with default parameters.
+// ByName resolves a topology flag value ("uniform", "mesh", "tiered")
+// to an unsized spec with default parameters.
 func ByName(name string) (Topology, error) {
 	switch name {
 	case "", "uniform":
 		return NewUniform(), nil
 	case "mesh":
 		return NewMesh2D(), nil
-	case "fattree":
-		return NewFatTree(0), nil
 	case "tiered":
 		return NewTiered(0), nil
 	}
-	return nil, fmt.Errorf("msg: unknown topology %q (want uniform, mesh, fattree, or tiered)", name)
+	return nil, fmt.Errorf("msg: unknown topology %q (want uniform, mesh, or tiered)", name)
 }
 
 // TopologyNames lists the ByName spellings, for flag help text.
-func TopologyNames() []string { return []string{"uniform", "mesh", "fattree", "tiered"} }
+func TopologyNames() []string { return []string{"uniform", "mesh", "tiered"} }
 
 // Uniform is the paper's emulated LAN: every inter-SSMP message pays
 // the same fixed InterDelay plus DMA transfer, with no contention.
@@ -153,85 +151,6 @@ func (u *Uniform) Arrive(_ *Occupancy, a, b int, depart sim.Time, bytes int) sim
 
 func (u *Uniform) Describe() string {
 	return fmt.Sprintf("uniform(delay=%d)", u.delay)
-}
-
-// FatTree arranges SSMPs as the leaves of an arity-way tree whose link
-// bandwidth doubles per level toward the root, so root trunks don't
-// starve under all-to-all traffic the way a flat mesh does. Routing
-// climbs to the lowest common ancestor and descends.
-type FatTree struct {
-	arity int
-	nssmp int
-	base  sim.Time // per-link wire latency
-	bpc   int      // leaf-level bandwidth; doubles per level up
-	// starts[lv] is the first node id of tree level lv (level 0 = the
-	// SSMPs themselves; switches take ids >= nssmp).
-	starts []int
-}
-
-// NewFatTree returns a fat-tree spec. arity <= 0 means the default 4.
-func NewFatTree(arity int) *FatTree { return &FatTree{arity: arity} }
-
-func (f *FatTree) sized(nssmp int, c Costs) Topology {
-	arity := f.arity
-	if arity <= 1 {
-		arity = 4
-	}
-	base := c.InterDelay / 4
-	if base < 1 {
-		base = 1
-	}
-	bpc := c.BytesPerCycle
-	if bpc <= 0 {
-		bpc = 1
-	}
-	starts := []int{0}
-	count, id := nssmp, nssmp
-	for count > 1 {
-		count = (count + arity - 1) / arity
-		starts = append(starts, id)
-		id += count
-	}
-	return &FatTree{arity: arity, nssmp: nssmp, base: base, bpc: bpc, starts: starts}
-}
-
-// linkBPC is the bandwidth of links between level lv and lv+1: fatter
-// toward the root, doubling per level (shift capped to stay sane).
-func (f *FatTree) linkBPC(lv int) int {
-	if lv > 20 {
-		lv = 20
-	}
-	return f.bpc << uint(lv)
-}
-
-func (f *FatTree) Route(a, b int) []Link {
-	if a == b {
-		return nil
-	}
-	var up, down []Link
-	ia, ib := a, b
-	for lv := 0; ia != ib; lv++ {
-		pa, pb := ia/f.arity, ib/f.arity
-		bpc := f.linkBPC(lv)
-		up = append(up, Link{From: f.starts[lv] + ia, To: f.starts[lv+1] + pa, Latency: f.base, BytesPerCycle: bpc})
-		down = append(down, Link{From: f.starts[lv+1] + pb, To: f.starts[lv] + ib, Latency: f.base, BytesPerCycle: bpc})
-		ia, ib = pa, pb
-	}
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
-	}
-	return up
-}
-
-func (f *FatTree) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) sim.Time {
-	if a == b {
-		return depart
-	}
-	return crossRoute(occ, f.Route(a, b), depart, bytes)
-}
-
-func (f *FatTree) Describe() string {
-	return fmt.Sprintf("fattree(arity=%d,leaves=%d,levels=%d)", f.arity, f.nssmp, len(f.starts)-1)
 }
 
 // Tiered models a heterogeneous LAN/WAN machine: SSMPs cluster into

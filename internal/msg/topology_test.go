@@ -88,7 +88,6 @@ func TestDescribeNames(t *testing.T) {
 	want := map[string]string{
 		"uniform": "uniform(delay=800)",
 		"mesh":    "mesh2d(6x6,perhop=200)",
-		"fattree": "fattree(arity=4,leaves=32,levels=3)",
 		"tiered":  "tiered(sites=4,site=8,wan=8000,wanbpc=1)",
 	}
 	for name, d := range want {
@@ -159,16 +158,5 @@ func TestTieredWANSlowerThanLAN(t *testing.T) {
 	crossSite := topo.Arrive(&occ2, 0, 9, 0, 64) // site 0 -> site 1
 	if crossSite < 5*sameSite {
 		t.Fatalf("cross-site arrival %d not meaningfully slower than same-site %d", crossSite, sameSite)
-	}
-}
-
-// TestFatTreeBandwidthFattens: the serialization charge of a root-level
-// link must be smaller than a leaf link's for the same payload.
-func TestFatTreeBandwidthFattens(t *testing.T) {
-	ft := sizedTopos(t, 64)["fattree"].(*FatTree)
-	route := ft.Route(0, 63) // crosses the root
-	leaf, root := route[0], route[len(route)/2]
-	if root.BytesPerCycle <= leaf.BytesPerCycle {
-		t.Fatalf("root bpc %d not fatter than leaf bpc %d", root.BytesPerCycle, leaf.BytesPerCycle)
 	}
 }

@@ -30,8 +30,8 @@
 // TestDeterminismPolicy enforces the first two. The third holds by
 // construction here — nothing in obs holds a *sim.Proc, *sim.Engine or
 // *msg.Network — and at every emit site elsewhere by
-// exp.TestObserversDoNotPerturbRun, which arms each instrument on machines
-// that fire every emitter and requires the run to match a bare one.
+// exp.TestObserversDoNotPerturbRun, which arms every instrument on each
+// row of the machine table and requires the run to match a bare one.
 //
 // A nil *Observer is valid everywhere and means "observability off";
 // every method short-circuits, so instrumented code needs no branches

@@ -93,7 +93,7 @@ type Workload struct {
 	// ScanLen is the record count of one scan.
 	ScanLen int
 	// Theta is the Zipf skew exponent (0 = uniform; ~0.9 = classic
-	// hot-key skew).
+	// hot-key skew), in [0, MaxTheta].
 	Theta float64
 	// Phases is the traffic schedule, run back to back.
 	Phases []Phase
@@ -136,6 +136,12 @@ func (s *stream) next() uint64 {
 
 // unit draws a float in [0, 1) with 53 random bits.
 func (s *stream) unit() float64 { return float64(s.next()>>11) / (1 << 53) }
+
+// MaxTheta bounds Workload.Theta. At theta = 1075 the weight of rank 1,
+// 2^-1075, already rounds to 0 in float64, and so does every later
+// rank's: a larger exponent generates the same all-rank-0 trace, and
+// ipow's loop is linear in theta.
+const MaxTheta = 1075
 
 // zipfCDF precomputes the cumulative distribution of ranks 0..n-1 with
 // weight (r+1)^-theta. theta = 0 degenerates to uniform.

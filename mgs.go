@@ -80,10 +80,6 @@ func NewUniform() Topology { return msg.NewUniform() }
 // dimension-ordered routing and store-and-forward link contention.
 func NewMesh2D() Topology { return msg.NewMesh2D() }
 
-// NewFatTree returns a fat-tree of SSMPs whose link bandwidth doubles
-// toward the root; arity <= 0 means the default 4.
-func NewFatTree(arity int) Topology { return msg.NewFatTree(arity) }
-
 // NewTiered returns a heterogeneous LAN/WAN topology: sites of siteSize
 // SSMPs on fast local switches, joined by thin, slow WAN trunks;
 // siteSize <= 0 means the default 8.

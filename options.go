@@ -48,8 +48,8 @@ func WithFaultPlan(p FaultPlan) Option { return harness.WithFaultPlan(p) }
 func WithObserver(o *Observer) Option { return harness.WithObserver(o) }
 
 // WithTopology selects the inter-SSMP interconnect. The default is the
-// paper's uniform fixed-delay LAN (NewUniform); NewMesh2D, NewFatTree,
-// and NewTiered add routed topologies with per-link latency and
+// paper's uniform fixed-delay LAN (NewUniform); NewMesh2D and
+// NewTiered add routed topologies with per-link latency and
 // bandwidth contention for scaling studies:
 //
 //	cfg := mgs.NewConfig(1024, 4, mgs.WithTopology(mgs.NewTiered(8)))
