@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mgs/internal/harness"
+	"mgs/internal/obs"
 	"mgs/internal/sim"
 	"mgs/internal/vm"
 )
@@ -17,12 +18,13 @@ type TSP struct {
 	NCities int
 	Depth   int // enqueue partial tours shorter than this; DFS below
 
-	dist    I64Array // NCities × NCities distance matrix
-	queue   I64Array // path elements, 7 words each
-	qTop    vm.Addr  // shared stack top
-	inWork  vm.Addr  // elements popped but not fully expanded
-	best    vm.Addr  // best complete tour cost so far
-	minEdge int64    // for the lower bound (host-computed constant)
+	dist    I64Array     // NCities × NCities distance matrix
+	queue   I64Array     // path elements, 7 words each
+	qTop    vm.Addr      // shared stack top
+	inWork  vm.Addr      // elements popped but not fully expanded
+	best    vm.Addr      // best complete tour cost so far
+	minEdge int64        // for the lower bound (host-computed constant)
+	nodes   *obs.Counter // app.tsp.nodes, resolved by countNode
 }
 
 const tspWords = 7 // 56 bytes per path element, as in the paper
@@ -48,6 +50,7 @@ func (t *TSP) Dist(i, j int) int64 {
 // the queue with the tour {0}.
 func (t *TSP) Setup(m *harness.Machine) {
 	n := t.NCities
+	t.nodes = nil
 	t.dist = AllocI64(m, n*n)
 	t.minEdge = 1 << 62
 	for i := 0; i < n; i++ {
@@ -208,7 +211,7 @@ func (t *TSP) Body(c *harness.Ctx) {
 // expand grows a partial tour by one city, enqueueing children above
 // the DFS cutoff and solving below it.
 func (t *TSP) expand(c *harness.Ctx, e tspElem) {
-	c.Machine().Stats.Count("app.tsp.nodes", 1)
+	t.countNode(c)
 	n := t.NCities
 	if int(e.length) == n {
 		last := int(e.cities[e.length-1])
@@ -251,9 +254,19 @@ func (t *TSP) expand(c *harness.Ctx, e tspElem) {
 	}
 }
 
+// countNode counts one search node, resolving the counter on the
+// run's first node so that, as with a by-name add, a run that expands
+// none registers none.
+func (t *TSP) countNode(c *harness.Ctx) {
+	if t.nodes == nil {
+		t.nodes = c.Machine().Stats.Registry().Counter("app.tsp.nodes")
+	}
+	t.nodes.Add(1)
+}
+
 // dfs finishes a partial tour depth-first without touching the queue.
 func (t *TSP) dfs(c *harness.Ctx, e tspElem) {
-	c.Machine().Stats.Count("app.tsp.nodes", 1)
+	t.countNode(c)
 	n := t.NCities
 	if int(e.length) == n {
 		last := int(e.cities[e.length-1])

@@ -35,9 +35,9 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	c := &s.cfg.Costs
 	s.spend(p, stats.MGS, c.FaultEntry)
 	if write {
-		s.st.Count("fault.write", 1)
+		s.count(ctrFaultWrite, 1)
 	} else {
-		s.st.Count("fault.read", 1)
+		s.count(ctrFaultRead, 1)
 	}
 
 	if s.cfg.Disabled {
@@ -56,7 +56,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 			s.emitPageArgs(p.Clock(), p.ID, v, "LOCALFILL", [3]int64{b2i(write), int64(cp.state), 0},
 				"proc %d write=%v state=%v", p.ID, write, cp.state)
 		}
-		s.st.Count("tlbfill.local", 1)
+		s.count(ctrTLBFillLocal, 1)
 		priv := vm.Read
 		if cp.state == PWrite && write {
 			priv = vm.Write
@@ -74,7 +74,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 
 	case cp.state == PRead && write:
 		// Arc 2: upgrade from read to write privilege.
-		s.st.Count("upgrade", 1)
+		s.count(ctrUpgrade, 1)
 		cp.tlbDir |= bit(s.within(p.ID))
 		s.spend(p, stats.MGS, s.net.SendCost())
 		m := s.newMsg(mUpgrade, v)
@@ -88,9 +88,9 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		// Arc 5: no copy in this SSMP; request one from the Server.
 		cp.state = PBusy
 		if write {
-			s.st.Count("wreq", 1)
+			s.count(ctrWReq, 1)
 		} else {
-			s.st.Count("rreq", 1)
+			s.count(ctrRReq, 1)
 		}
 		home := s.space.HomeProc(v)
 		if s.Obs.Tracing() {
@@ -121,7 +121,7 @@ func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		cp.state = PWrite
 	}
 	s.spend(p, stats.User, s.cfg.Costs.NullFill)
-	s.st.Count("tlbfill.null", 1)
+	s.count(ctrTLBFillNull, 1)
 	s.insertTLB(ss, cp, p.ID, vm.Write)
 	_ = write
 }
@@ -185,7 +185,7 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 		if !isHome {
 			at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.TwinPerByte)
 			cp.twin = s.newTwin(cp.frame)
-			s.st.Count("twin", 1)
+			s.count(ctrTwin, 1)
 		}
 		cp.state = PWrite
 		if isHome {

@@ -63,7 +63,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// captured data is visible to the next acquirer.
 			if cp.relInFlight > 0 {
 				s.emitPageArgs(p.Clock(), p.ID, v, "LRELWAIT", [3]int64{}, "proc %d inflight=%d", p.ID, cp.relInFlight)
-				s.st.Count("lrel.wait", 1)
+				s.count(ctrLRelWait, 1)
 				cp.relWaiters = append(cp.relWaiters, p)
 				s.parkCharge(p, stats.MGS)
 			} else {
@@ -82,7 +82,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// advance and later local writes must fault back into a
 			// delayed update queue.
 			s.shootLocal(cp, p)
-			s.st.Count("lrel.home", 1)
+			s.count(ctrLRelHome, 1)
 		} else {
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
 			db = s.getDiffBuf()
@@ -93,7 +93,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			s.recycleTwin(cp)
 			cp.state = PRead
 			s.shootLocal(cp, p)
-			s.st.Count("lrel", 1)
+			s.count(ctrLRel, 1)
 		}
 		fetchVer, fetchGen := cp.version, cp.gen
 		s.emitPageArgs(p.Clock(), p.ID, v, "LREL", [3]int64{}, "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
@@ -117,7 +117,7 @@ func (s *System) onLazyRel(sp *serverPage, cp *clientPage, p *sim.Proc, d Diff, 
 	if len(d) > 0 {
 		at = s.net.Extend(sp.homeProc, at, c.MergeWork+sim.Time(d.Bytes(0))*c.ApplyPerByte)
 		d.Apply(sp.frame.Data)
-		s.st.Count("merge.diff", 1)
+		s.count(ctrMergeDiff, 1)
 	}
 	s.putDiffBuf(db)
 	sp.homeDirty = false
@@ -196,13 +196,13 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			s.unlock(cp, p.Clock())
 			continue
 		}
-		s.st.Count("acq.stale", 1)
+		s.count(ctrAcqStale, 1)
 		if cp.state == PWrite {
 			// Flush the copy's unreleased writes before dropping it. The
 			// page-table lock is held across the merge so a concurrent
 			// local fault refetches only the post-merge image (within-
 			// SSMP ordering survives the teardown).
-			s.st.Count("acq.flush", 1)
+			s.count(ctrAcqFlush, 1)
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
 			db := s.getDiffBuf()
 			diff := db.Compute(cp.twin, cp.frame.Data)
@@ -223,7 +223,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 		}
 		// Clean stale copy: the write notice alone kills it, no
 		// communication needed (TreadMarks' acquire-side invalidation).
-		s.st.Count("acq.inval", 1)
+		s.count(ctrAcqInval, 1)
 		s.emitPageArgs(p.Clock(), p.ID, v, "ACQINVAL", [3]int64{}, "proc %d ver=%d<%d", p.ID, cp.version, sp.version)
 		s.shootLocal(cp, p)
 		s.teardown(ss, cp, false, false)

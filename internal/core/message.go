@@ -132,12 +132,12 @@ func (m *message) Deliver(at sim.Time) {
 			stale = sp.rmtGens(ssmp) != a.gen
 		}
 		if stale && !s.acceptStaleWNotify {
-			s.st.Count("wnotify.stale", 1)
+			s.count(ctrWNotifyStale, 1)
 			s.emitPageArgs(at, -1, sp.page, "WNOTIFY", [3]int64{1, int64(ssmp), a.gen},
 				"from ssmp %d STALE (gen %d != home gens %d)", ssmp, a.gen, sp.rmtGens(ssmp))
 			return
 		}
-		s.st.Count("wnotify", 1)
+		s.count(ctrWNotify, 1)
 		s.emitPageArgs(at, -1, sp.page, "WNOTIFY", [3]int64{0, int64(ssmp), a.gen},
 			"from ssmp %d (state %d)", ssmp, sp.state)
 		sp.readDir.remove(ssmp)

@@ -29,7 +29,7 @@ func (s *System) onRequest(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 	if sp.state == sRel {
 		// Arc 22: queue behind the release in progress.
 		sp.pendReq = append(sp.pendReq, pendingReq{proc: p.ID, write: write, cp: cp})
-		s.st.Count("req.pended", 1)
+		s.count(ctrReqPended, 1)
 		if s.Obs.Tracing() {
 			s.emitPageArgs(at, p.ID, sp.page, "REQ", [3]int64{b2i(write), int64(cp.ssmp), 0},
 				"from proc %d write=%v PENDED", p.ID, write)
@@ -61,10 +61,10 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		if write {
 			sp.writeDir.add(r)
 			sp.state = sWrite
-			s.st.Count("wdat", 1)
+			s.count(ctrWDat, 1)
 		} else {
 			sp.readDir.add(r)
-			s.st.Count("rdat", 1)
+			s.count(ctrRDat, 1)
 		}
 		// Record where the SSMP's Remote Client lives so invalidations
 		// can be addressed without reading the remote SSMP. The first
@@ -88,11 +88,11 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		// writes fault and re-enter their delayed update queues — from
 		// now on there is a remote copy to keep consistent.
 		if hcp := s.ssmps[homeSSMP].pages.Get(sp.page); hcp != nil && hcp.frame != nil && hcp.dir != nil {
-			s.st.Count("clean.serve", 1)
+			s.count(ctrCleanServe, 1)
 			at = s.net.Extend(sp.homeProc, at, s.ssmps[homeSSMP].domain.CleanPage(hcp.frame, hcp.dir))
 			if hcp.state == PWrite && hcp.tlbDir != 0 {
 				n := s.dropMappings(hcp)
-				s.st.Count("home.shootdown", int64(n))
+				s.count(ctrHomeShootdown, int64(n))
 				at = s.net.Extend(sp.homeProc, at, sim.Time(n)*c.PinvWork)
 			}
 		}
@@ -102,7 +102,7 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		img = s.getPageBuf()
 		copy(img, sp.frame.Data)
 	} else {
-		s.st.Count("rdat.home", 1)
+		s.count(ctrRDatHome, 1)
 	}
 	if s.Obs.Tracing() {
 		s.emitPageArgs(at, p.ID, sp.page, "SERVE", [3]int64{b2i(write), int64(r), b2i(r == homeSSMP)},
@@ -141,7 +141,7 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 		if !isHome {
 			at = s.net.Extend(p.ID, at, sim.Time(s.cfg.PageSize)*c.TwinPerByte)
 			cp.twin = s.newTwin(cp.frame)
-			s.st.Count("twin", 1)
+			s.count(ctrTwin, 1)
 		}
 		cp.state = PWrite
 		if isHome {
@@ -213,7 +213,7 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 		if cond {
 			s.emitPageArgs(p.Clock(), p.ID, v, "RELCOND", [3]int64{}, "proc %d state=%v cap=%d", p.ID, cp.state, capRound)
 		}
-		s.st.Count("rel", 1)
+		s.count(ctrRel, 1)
 		s.spend(p, stats.MGS, s.net.SendCost())
 		m := s.newMsg(mRel, v)
 		m.cond, m.round = cond, capRound
@@ -266,7 +266,7 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		// The capturing round has already completed: the releaser's
 		// data is merged and every copy served since reflects it. The
 		// release is satisfied with no new round.
-		s.st.Count("rel.sat", 1)
+		s.count(ctrRelSat, 1)
 		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelSatisfied, 0, 0},
 			"from proc %d SATISFIED (captured round %d done)", relProc, capRound)
 		s.sendRack(sp, relProc, at)
@@ -296,9 +296,9 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		oneW := oneWriter && sp.writeDir.isOnly(r)
 		if oneW {
 			sp.keepWriter = r
-			s.st.Count("1winv", 1)
+			s.count(ctrOneWInv, 1)
 		} else {
-			s.st.Count("inv", 1)
+			s.count(ctrInv, 1)
 		}
 		sp.invQueue = append(sp.invQueue, invTarget{ssmp: r, oneW: oneW})
 	}
@@ -360,7 +360,7 @@ func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round in
 	}
 	c := &s.cfg.Costs
 	for t := cp.tlbDir; t != 0; t &= t - 1 {
-		s.st.Count("pinv", 1)
+		s.count(ctrPInv, 1)
 		m := s.newMsg(mPInv, cp.page)
 		m.sp, m.cp, m.round = sp, cp, round
 		s.send(m, o, s.ssmpBase(cp.ssmp)+bits.TrailingZeros64(t), at, c.CtrlBytes, c.PinvWork, 0)
@@ -448,7 +448,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 			s.retwin(cp)
-			s.st.Count("upd.diff", 1)
+			s.count(ctrUpdDiff, 1)
 		}
 		cp.tlbDir = 0
 		s.replyInv(sp, o, diffReply, d, db, false, at)
@@ -475,7 +475,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		}
 		s.retwin(cp)
 		cp.tlbDir = 0
-		s.st.Count("1wdata", 1)
+		s.count(ctrOneWData, 1)
 		s.replyInv(sp, o, oneWReply, d, db, false, at)
 
 	case cp.state == PWrite:
@@ -491,13 +491,13 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 		}
-		s.st.Count("diff", 1)
-		s.st.Count("diffbytes", int64(d.Bytes(0)))
+		s.count(ctrDiff, 1)
+		s.count(ctrDiffBytes, int64(d.Bytes(0)))
 		s.teardown(ss, cp, isHome, true)
 		s.replyInv(sp, o, diffReply, d, db, true, at)
 
 	default: // PRead
-		s.st.Count("ackinv", 1)
+		s.count(ctrAckInv, 1)
 		s.teardown(ss, cp, isHome, true)
 		s.replyInv(sp, o, ackReply, nil, nil, true, at)
 	}
@@ -585,7 +585,7 @@ func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db 
 		// retain it again on every subsequent round, forever. Drop the
 		// retention; the round ends with clean directories.
 		sp.keepWriter = -1
-		s.st.Count("1wphantom", 1)
+		s.count(ctrOneWPhantom, 1)
 	}
 	if len(d) > 0 {
 		// A 1WDATA transfer occupies the home for the full page; a
@@ -598,9 +598,9 @@ func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db 
 			c.MergeWork+sim.Time(mergeBytes)*c.ApplyPerByte)
 		d.Apply(sp.frame.Data)
 		if kind == oneWReply {
-			s.st.Count("merge.page", 1)
+			s.count(ctrMergePage, 1)
 		} else {
-			s.st.Count("merge.diff", 1)
+			s.count(ctrMergeDiff, 1)
 			sp.sawDiff = true
 		}
 	}
@@ -646,7 +646,7 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		homeSSMP := s.ssmpOf(sp.homeProc)
 		if hcp := s.ssmps[homeSSMP].pages.Get(sp.page); hcp != nil && hcp.state == PWrite && hcp.tlbDir != 0 {
 			n := s.dropMappings(hcp)
-			s.st.Count("upd.homeshootdown", int64(n))
+			s.count(ctrUpdHomeShootdown, int64(n))
 			s.net.Extend(sp.homeProc, at, sim.Time(n)*s.cfg.Costs.PinvWork)
 		}
 		// Directories persist: the copies are still out there, valid.
@@ -667,7 +667,7 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		// stale copy).
 		s.emitPageArgs(at, -1, sp.page, "DEMOTE", [3]int64{int64(sp.keepWriter), 0, 0},
 			"retained ssmp %d", sp.keepWriter)
-		s.st.Count("1wdemote", 1)
+		s.count(ctrOneWDemote, 1)
 		sp.invQueue = append(sp.invQueue, invTarget{ssmp: sp.keepWriter, oneW: false})
 		sp.keepWriter = -1
 		sp.sawDiff = false
@@ -722,7 +722,7 @@ func (s *System) answerRound(sp *serverPage, at sim.Time) {
 	sp.pendReq = sp.pendReq[:0]
 	n := len(sp.pendReRel)
 	for i := 0; i < n; i++ {
-		s.st.Count("rel.requeued", 1)
+		s.count(ctrRelRequeued, 1)
 		s.onRel(sp, sp.pendReRel[i], -1, false, at)
 	}
 	sp.pendReRel = append(sp.pendReRel[:0], sp.pendReRel[n:]...)
@@ -734,7 +734,7 @@ func (s *System) answerRound(sp *serverPage, at sim.Time) {
 func (s *System) sendRefresh(sp *serverPage, r int, img []byte, at sim.Time) {
 	rc := sp.rmtGet(r)
 	cp, o := rc.cp, int(rc.owner)
-	s.st.Count("upd.refresh", 1)
+	s.count(ctrUpdRefresh, 1)
 	m := s.newMsg(mRefresh, sp.page)
 	m.sp, m.cp, m.img = sp, cp, img
 	s.send(m, sp.homeProc, o, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
@@ -799,7 +799,7 @@ func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time
 	sp.streak = 0
 	s.space.Rehome(sp.page, newHome)
 	s.ssmps[r].servers.Put(sp.page, sp)
-	s.st.Count("migrate", 1)
+	s.count(ctrMigrate, 1)
 	s.emitPageArgs(at, -1, sp.page, "MIGRATE", [3]int64{}, "home %d -> %d", oldHome, newHome)
 	// The page image travels to the new home's memory.
 	s.send(s.newMsg(mMigrate, sp.page), oldHome, newHome, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
@@ -807,6 +807,6 @@ func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time
 
 // sendRack acknowledges a release to the waiting processor (arc 9–10).
 func (s *System) sendRack(sp *serverPage, relProc int, at sim.Time) {
-	s.st.Count("rack", 1)
+	s.count(ctrRack, 1)
 	s.send(s.newMsg(mRack, sp.page), sp.homeProc, relProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
 }

@@ -210,6 +210,8 @@ type System struct {
 	pageBufs [][]byte   // free page-size buffers (pool.go)
 	diffBufs []*DiffBuf // free diff buffers (pool.go)
 
+	ctrs [numCtr]*obs.Counter // protocol counters, resolved by count (counters.go)
+
 	acceptStaleWNotify bool // the model checker's seeded bug; set only by the method below
 }
 

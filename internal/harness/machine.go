@@ -307,17 +307,29 @@ type Result struct {
 // shapes of the benchmark workloads, so a change that doubles switches
 // or stops reusing delivery records fails go test.
 type EngineCounts struct {
-	// Events is the number of events dispatched (sim.Engine.Dispatched).
+	// Events is the number of events the engine took off its queue and
+	// dispatched: sim.Engine.Dispatched less the elided resumes.
 	Events int64
 	// Switches is the number of processor resumes: each is one coroutine
 	// switch into a body and one back out.
 	Switches int64
+	// Elided is the number of Sleeps and Yields that returned without a
+	// switch because nothing was due first (sim.Engine.Elided). Each
+	// would otherwise have been one more Event and one more Switch.
+	Elided int64
+	// FrontHits is the number of Events dispatched from the queue's
+	// front slot without entering the heap (sim.Engine.FrontHits).
+	FrontHits int64
 	// PeakQueue is the most events that were pending at once.
 	PeakQueue int
 	// DeliveriesNew and DeliveriesReused split the messages delivered
 	// by whether msg allocated the delivery record or took it from its
 	// free list.
 	DeliveriesNew, DeliveriesReused int64
+	// Lookups is the number of by-name counter lookups the run itself
+	// made (obs.Registry.Lookups across Engine.Run). Charge sites hold
+	// resolved handles, so it is at most one per counter name.
+	Lookups int64
 }
 
 // Run executes body on every processor and collects the result. A
@@ -335,9 +347,11 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 	for i := range m.bodies {
 		m.bodies[i] = bodyFor(i)
 	}
+	lookups := m.Stats.Registry().Lookups()
 	if err := m.Eng.Run(); err != nil {
 		return Result{}, err
 	}
+	lookups = m.Stats.Registry().Lookups() - lookups
 	hits, total := m.Sync.LockStats()
 	return Result{
 		Cycles:     m.lastClock(),
@@ -352,11 +366,14 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		Counters:   m.Stats.Counters(),
 		Fault:      m.Stats.Fault,
 		Engine: EngineCounts{
-			Events:           m.Eng.Dispatched(),
+			Events:           m.Eng.Dispatched() - m.Eng.Elided(),
 			Switches:         m.Eng.Switches(),
+			Elided:           m.Eng.Elided(),
+			FrontHits:        m.Eng.FrontHits(),
 			PeakQueue:        m.Eng.PeakQueue(),
 			DeliveriesNew:    m.Net.DeliveriesNew,
 			DeliveriesReused: m.Net.DeliveriesReused,
+			Lookups:          lookups,
 		},
 	}, nil
 }

@@ -38,6 +38,10 @@ type Env struct {
 	// Wait-time distributions, registered on the collector's registry:
 	// cycles parked per lock acquire and per barrier episode.
 	lockWait, barrierWait *obs.Histogram
+
+	// Critical-section counters, resolved on the first CountCS so a
+	// run with no lock registers neither.
+	heldCycles, cs *obs.Counter
 }
 
 // NewEnv builds the environment for a p-processor machine with clusters
@@ -107,10 +111,15 @@ func (e *Env) BarrierWaited(p *sim.Proc, waited sim.Time) {
 	e.barrierWait.Observe(int64(waited))
 }
 
-// CountCS records one critical section of the given occupancy.
+// CountCS records one critical section of the given occupancy: its
+// cycles in lock.heldcycles and one lock.cs.
 func (e *Env) CountCS(held sim.Time) {
-	e.st.Count("lock.heldcycles", int64(held))
-	e.st.Count("lock.cs", 1)
+	if e.cs == nil {
+		reg := e.st.Registry()
+		e.heldCycles, e.cs = reg.Counter("lock.heldcycles"), reg.Counter("lock.cs")
+	}
+	e.heldCycles.Add(int64(held))
+	e.cs.Add(1)
 }
 
 // Tracing reports whether a trace sink is attached. A call site whose

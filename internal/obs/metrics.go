@@ -19,6 +19,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]func() int64
 	hists    map[string]*Histogram
+	lookups  int64 // calls to Counter (Add included)
 }
 
 // NewRegistry returns an empty registry.
@@ -45,8 +46,11 @@ func (c *Counter) Add(delta int64) { c.v += delta }
 // Must not allocate: pinned by TestMetricHotPathZeroAllocs.
 func (c *Counter) Value() int64 { return c.v }
 
-// Counter returns (creating if needed) the named counter.
+// Counter returns (creating if needed) the named counter. It is a map
+// lookup by name: a hot charge site resolves its *Counter once and
+// calls Add on that.
 func (r *Registry) Counter(name string) *Counter {
+	r.lookups++
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -57,6 +61,11 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Add increments the named counter, creating it at first touch.
 func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
+
+// Lookups reports the number of by-name counter lookups (Counter and
+// Add calls) so far, like sim.Engine.Dispatched a host-side count: it
+// never appears in a snapshot.
+func (r *Registry) Lookups() int64 { return r.lookups }
 
 // Gauge registers a read-on-snapshot value: fn is evaluated when the
 // registry is snapshotted, so subsystems expose live state (directory

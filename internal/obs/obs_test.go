@@ -74,6 +74,9 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	if got := r.Counter("fault.read").Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
+	if got := r.Lookups(); got != 4 {
+		t.Fatalf("Lookups = %d, want 4 (two Adds, two Counters)", got)
+	}
 	cs := r.CounterStrings()
 	want := []string{"fault.read=5", "twin=1"}
 	if len(cs) != 2 || cs[0] != want[0] || cs[1] != want[1] {

@@ -106,23 +106,24 @@ func (ev *event) label() *Label {
 }
 
 // next returns the event to dispatch. On the nil-chooser path this is
-// the heap minimum, byte-identical to the historical loop. With a
-// chooser installed, a labeled heap minimum opens a choice: every
-// pending labeled event is offered (in canonical (t, seq) order) and
-// the chooser's pick is removed from the queue — which may be an event
-// scheduled later than others still pending, so Run clamps time
-// monotonically rather than assigning it.
+// the queue minimum, byte-identical to the historical loop. With a
+// chooser installed, a labeled queue minimum opens a choice: the front
+// slot is flushed into the heap, every pending labeled event is offered
+// (in canonical (t, seq) order) and the chooser's pick is removed from
+// the queue — which may be an event scheduled later than others still
+// pending, so Run clamps time monotonically rather than assigning it.
 func (e *Engine) next() event {
-	if e.chooser == nil || e.queue.ev[0].label() == nil {
+	if e.chooser == nil || e.queue.min().label() == nil {
 		return e.queue.Pop()
 	}
+	e.queue.flush()
 	idx := e.choiceIdx[:0]
 	for i := range e.queue.ev {
 		if e.queue.ev[i].label() != nil {
 			idx = append(idx, i)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool { return e.queue.less(idx[a], idx[b]) })
+	sort.Slice(idx, func(a, b int) bool { return e.queue.ev[idx[a]].before(&e.queue.ev[idx[b]]) })
 	ready := e.choiceBuf[:0]
 	for _, i := range idx {
 		ev := &e.queue.ev[i]

@@ -1,53 +1,9 @@
 package sim
 
 import (
-	"math/rand"
-	"sort"
+	"fmt"
 	"testing"
 )
-
-func TestEventQueueRemoveAtPreservesHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		var q eventQueue
-		n := 1 + rng.Intn(30)
-		var want []event
-		for i := 0; i < n; i++ {
-			e := event{t: Time(rng.Intn(10)), seq: uint64(i)}
-			q.Push(e)
-			want = append(want, e)
-		}
-		// Remove a few arbitrary positions, tracking what should remain.
-		for k := 0; k < 3 && q.Len() > 0; k++ {
-			i := rng.Intn(q.Len())
-			victim := q.ev[i]
-			got := q.removeAt(i)
-			if got.t != victim.t || got.seq != victim.seq {
-				t.Fatalf("removeAt(%d) returned (t=%d seq=%d), want (t=%d seq=%d)",
-					i, got.t, got.seq, victim.t, victim.seq)
-			}
-			for j, w := range want {
-				if w.seq == victim.seq {
-					want = append(want[:j], want[j+1:]...)
-					break
-				}
-			}
-		}
-		sort.Slice(want, func(a, b int) bool {
-			if want[a].t != want[b].t {
-				return want[a].t < want[b].t
-			}
-			return want[a].seq < want[b].seq
-		})
-		for i := 0; q.Len() > 0; i++ {
-			got := q.Pop()
-			if got.t != want[i].t || got.seq != want[i].seq {
-				t.Fatalf("trial %d pop %d: got (t=%d seq=%d), want (t=%d seq=%d)",
-					trial, i, got.t, got.seq, want[i].t, want[i].seq)
-			}
-		}
-	}
-}
 
 // pickLast always dispatches the latest ready labeled event — the most
 // aggressive reordering a Chooser can ask for.
@@ -109,3 +65,35 @@ func TestDefaultChooserMatchesNilChooser(t *testing.T) {
 		}
 	}
 }
+
+// The front slot is part of the queue a chooser sees: a labeled event
+// waiting there is offered alongside the heap's.
+func TestChooserSeesFrontSlotEvent(t *testing.T) {
+	e := NewEngine()
+	var offered []string
+	e.SetChooser(chooseFunc(func(_ Time, ready []Choice) int {
+		var kinds []string
+		for _, c := range ready {
+			kinds = append(kinds, c.Label.Kind)
+		}
+		offered = append(offered, fmt.Sprint(kinds))
+		return len(ready) - 1
+	}))
+	var order []string
+	rec := func(name string) func() { return func() { order = append(order, name) } }
+	e.AtChoice(10, Label{Kind: "A"}, rec("A"))
+	e.AtChoice(20, Label{Kind: "B"}, rec("B"))
+	if !e.queue.full || e.queue.front.label() == nil || e.queue.front.label().Kind != "A" {
+		t.Fatal("setup: A should wait in the front slot")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(offered) != "[[A B] [A]]" || fmt.Sprint(order) != "[B A]" {
+		t.Fatalf("offered %v, order %v; want [[A B] [A]] and [B A]", offered, order)
+	}
+}
+
+type chooseFunc func(Time, []Choice) int
+
+func (f chooseFunc) Choose(now Time, ready []Choice) int { return f(now, ready) }

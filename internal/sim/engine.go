@@ -25,6 +25,14 @@
 //
 // Ties in virtual time break by scheduling order, so the simulation is
 // a total order over events.
+//
+// The one dispatcher takes two fast paths, each selected from the
+// queue minimum it already holds, and neither changes that order. A
+// Sleep whose resume would be the strict queue minimum returns without
+// queueing the resume or switching coroutines (Engine.Elided): it
+// advances seq and Now exactly as the dispatched resume would have. And
+// an event pushed ahead of everything already queued waits in a
+// one-event front slot instead of entering the heap (Engine.FrontHits).
 package sim
 
 import (
@@ -41,7 +49,8 @@ type Engine struct {
 	now        Time
 	seq        uint64
 	queue      eventQueue
-	dispatched int64
+	dispatched int64 // events Run took off the queue
+	elided     int64 // resumes Sleep carried out without queueing them
 
 	procs   []*Proc
 	stopped bool
@@ -96,10 +105,21 @@ func (e *Engine) AtOn(_ *Proc, t Time, fn func()) { e.At(t, fn) }
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// Dispatched reports the number of events dispatched so far — an
-// engine-activity gauge for the observability spine. Host-side
-// bookkeeping only; it never influences virtual time.
-func (e *Engine) Dispatched() int64 { return e.dispatched }
+// Dispatched reports the number of events carried out so far: those
+// Run dispatched from the queue plus the processor resumes that Sleep
+// carried out in place (Elided) — an engine-activity gauge for the
+// observability spine, and the same number whichever path a resume
+// took. Host-side bookkeeping only; it never influences virtual time.
+func (e *Engine) Dispatched() int64 { return e.dispatched + e.elided }
+
+// Elided reports the number of Sleeps (and so Yields) that returned
+// without a coroutine switch, because their resume would have been the
+// strict queue minimum.
+func (e *Engine) Elided() int64 { return e.elided }
+
+// FrontHits reports the number of events dispatched from the queue's
+// front slot, without entering the heap.
+func (e *Engine) FrontHits() int64 { return e.queue.frontHits }
 
 // Switches reports the number of times a processor has been resumed:
 // each is one coroutine switch into its body and one back out.
@@ -131,7 +151,7 @@ func (e *Engine) Run() error {
 		ev := e.next()
 		// A chooser may dispatch a later-scheduled delivery ahead of an
 		// earlier one; virtual time stays monotone (the clamp is a no-op
-		// on the nil-chooser path, where ev is always the heap minimum).
+		// on the nil-chooser path, where ev is always the queue minimum).
 		if ev.t > e.now {
 			e.now = ev.t
 		}

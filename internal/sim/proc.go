@@ -119,24 +119,41 @@ func (p *Proc) HandlerStart(t, cost Time) Time {
 	return start
 }
 
-// Sleep advances the local clock by d and yields so that other
-// processors and events with earlier timestamps run first. Use it for
-// long local operations whose duration is known up front. It panics
-// outside the body.
+// Sleep advances the local clock by d (plus any debt) and yields so
+// that other processors and events with earlier timestamps run first.
+// Use it for long local operations whose duration is known up front. It
+// panics outside the body.
+//
+// When nothing is due by the new clock — the engine is not stopped, the
+// clock is not behind Now, and the queue is empty or its earliest event
+// is strictly later — the processor's resume would be the strict queue
+// minimum, dispatched at once. Sleep then carries it out in place, without queueing it or
+// switching coroutines: it takes the resume's seq and moves Now to the
+// clock, exactly as the dispatched resume would (Engine.Elided counts
+// these). A tie keeps the switch, so an event already queued at the
+// clock still runs first.
 func (p *Proc) Sleep(d Time) {
 	if p.state != stateRunning {
 		panic("sim: Proc.Sleep outside the proc's own body")
 	}
 	p.clock += d + p.debt
 	p.debt = 0
+	e := p.eng
+	if !e.stopped && p.clock >= e.now && (e.queue.Len() == 0 || e.queue.min().t > p.clock) {
+		e.seq++
+		e.now = p.clock
+		e.elided++
+		return
+	}
 	p.state = stateSleep
-	p.eng.AtHandler(p.clock, p)
+	e.AtHandler(p.clock, p)
 	p.block()
 }
 
 // Yield gives the engine a chance to run events scheduled at or before
-// the processor's current clock, without advancing the clock. It panics
-// outside the body.
+// the processor's current clock, without advancing the clock. Like any
+// Sleep it returns without a switch when nothing is due by then. It
+// panics outside the body.
 func (p *Proc) Yield() {
 	if p.state != stateRunning {
 		panic("sim: Proc.Yield outside the proc's own body")

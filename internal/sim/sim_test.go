@@ -372,10 +372,32 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkProcContextSwitch times a Sleep that switches: two
+// processors in lockstep, so each Sleep finds the other's resume due
+// no later than its own. (A lone processor's Sleep is elided.)
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
+	for id := range 2 {
+		e.NewProc(id, 0, func(p *Proc) {
+			for i := id; i < b.N; i += 2 {
+				p.Sleep(1)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if e.Elided() != 0 {
+		b.Fatalf("%d of the Sleeps were elided", e.Elided())
+	}
+}
+
+// BenchmarkElidedSleep times a Sleep that is carried out in place: a
+// lone processor, with nothing else queued.
+func BenchmarkElidedSleep(b *testing.B) {
+	e := NewEngine()
 	e.NewProc(0, 0, func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+		for range b.N {
 			p.Sleep(1)
 		}
 	})
@@ -402,17 +424,23 @@ func assertNoAllocsPerOp(t *testing.T, what string, f func(n int)) {
 // The engine's two yields are what a TLB-thrashing run does a million
 // times (tlb-thrash: 1.4 M allocations a pass when each resume was a
 // closure, 15 k now). A Proc is its own resume event, so neither may
-// allocate.
+// allocate. Two processors in lockstep keep every Sleep on the switched
+// path; a lone processor's would be elided.
 func TestSleepAndParkWakeDoNotAllocate(t *testing.T) {
 	assertNoAllocsPerOp(t, "a Sleep/resume round trip", func(n int) {
 		e := NewEngine()
-		e.NewProc(0, 0, func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(1)
-			}
-		})
+		for id := range 2 {
+			e.NewProc(id, 0, func(p *Proc) {
+				for i := id; i < n; i += 2 {
+					p.Sleep(1)
+				}
+			})
+		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if e.Elided() != 0 {
+			t.Fatalf("%d of the Sleeps were elided", e.Elided())
 		}
 	})
 	assertNoAllocsPerOp(t, "a Park/Wake round trip", func(n int) {
@@ -550,5 +578,104 @@ func TestProcContextIsEnforced(t *testing.T) {
 	}
 	if charged != 2 || clock != 4+2 {
 		t.Fatalf("after the wake: charged %d, clock %d; want the debt 2 on top of the wake time 4", charged, clock)
+	}
+}
+
+// A Sleep whose resume would be the strict queue minimum returns in
+// place: no event is queued, no coroutine switch is made, and the
+// engine's seq and Now advance exactly as the dispatched resume's
+// would. An event the body schedules in the past then clamps to that
+// Now, as it would after a switch.
+func TestElidedSleepAdvancesNowAndSeq(t *testing.T) {
+	e := NewEngine()
+	var now Time = -1
+	var seq uint64
+	var ran Time = -1
+	e.NewProc(0, 0, func(p *Proc) {
+		p.Sleep(25)
+		now, seq = e.Now(), e.seq
+		e.At(5, func() { ran = e.Now() })
+	})
+	e.At(30, func() {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// seq: 1 the proc's start, 2 the event at 30, 3 the elided resume.
+	if now != 25 || seq != 3 {
+		t.Fatalf("after the elided Sleep: Now %d, seq %d; want 25 and 3", now, seq)
+	}
+	if ran != 25 {
+		t.Fatalf("an At(5) after the elided Sleep ran at %d, want clamped to 25", ran)
+	}
+	if e.Elided() != 1 || e.Switches() != 1 || e.Dispatched() != 4 {
+		t.Fatalf("Elided %d, Switches %d, Dispatched %d; want 1, 1 (the start) and 4", e.Elided(), e.Switches(), e.Dispatched())
+	}
+}
+
+// An event already queued at the processor's new clock ties with its
+// resume, and the tie breaks by seq: the queued event runs first, so the
+// Sleep must switch. One cycle later it would not.
+func TestSleepTieWithQueuedEventSwitches(t *testing.T) {
+	for _, c := range []struct {
+		at     Time
+		want   []string
+		elided int64
+	}{
+		{10, []string{"event@10", "proc@10"}, 0},
+		{11, []string{"proc@10", "event@11"}, 1},
+	} {
+		e := NewEngine()
+		var order []string
+		e.NewProc(0, 0, func(p *Proc) {
+			e.At(c.at, func() { order = append(order, fmt.Sprintf("event@%d", e.Now())) })
+			p.Sleep(10)
+			order = append(order, fmt.Sprintf("proc@%d", p.Clock()))
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(order) != fmt.Sprint(c.want) || e.Elided() != c.elided {
+			t.Fatalf("event at %d: order %v, elided %d; want %v and %d", c.at, order, e.Elided(), c.want, c.elided)
+		}
+	}
+}
+
+// A body that stops the engine and then yields must not continue: the
+// queue is empty, so the resume would be the minimum, but a stopped
+// engine dispatches nothing more and Run returns the stop error.
+func TestYieldAfterStopDoesNotContinue(t *testing.T) {
+	e := NewEngine()
+	sentinel := errors.New("stopped")
+	continued := false
+	e.NewProc(0, 0, func(p *Proc) {
+		e.Stop(sentinel)
+		p.Yield()
+		continued = true
+	})
+	if err := e.Run(); !errors.Is(err, sentinel) {
+		t.Fatalf("Run returned %v, want the stop error", err)
+	}
+	if continued || e.Elided() != 0 {
+		t.Fatalf("the body continued past Yield on a stopped engine (elided %d)", e.Elided())
+	}
+}
+
+// A processor woken at a time earlier than Now keeps its clock, so its
+// clock can trail Now. A Sleep from there must not carry Now back to
+// the clock: it takes the switched path, whose resume clamps to Now.
+func TestSleepBehindNowKeepsNow(t *testing.T) {
+	e := NewEngine()
+	var after Time
+	p := e.NewProc(0, 0, func(p *Proc) {
+		p.Park()
+		p.Sleep(0)
+		after = e.Now()
+	})
+	e.At(50, func() { p.Wake(5) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after != 50 || p.Clock() != 5 {
+		t.Fatalf("after the Sleep: Now %d, clock %d; want 50 and 5", after, p.Clock())
 	}
 }

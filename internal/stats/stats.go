@@ -172,9 +172,6 @@ func (c *Collector) Charge(p int, cat Category, cycles sim.Time) {
 	}
 }
 
-// Count increments the named event counter.
-func (c *Collector) Count(name string, delta int64) { c.reg.Add(name, delta) }
-
 // Counter returns the value of a named counter.
 func (c *Collector) Counter(name string) int64 { return c.reg.Counter(name).Value() }
 

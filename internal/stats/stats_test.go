@@ -28,9 +28,9 @@ func TestModeSwitchAndCharge(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	c := NewCollector(1)
-	c.Count("rreq", 2)
-	c.Count("rel", 1)
-	c.Count("rreq", 1)
+	c.Registry().Counter("rreq").Add(2)
+	c.Registry().Counter("rel").Add(1)
+	c.Registry().Counter("rreq").Add(1)
 	if c.Counter("rreq") != 3 {
 		t.Fatalf("rreq = %d", c.Counter("rreq"))
 	}
