@@ -84,11 +84,18 @@ func blockRange(n, id, nprocs int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// blockOwner inverts blockRange: the processor whose block holds i, or
+// 0 if i is outside [0, n). The first n mod nprocs blocks are one
+// longer than the rest.
+func blockOwner(i, n, nprocs int) int {
+	if i < 0 || i >= n {
+		return 0
 	}
-	return b
+	per, rem := n/nprocs, n%nprocs
+	if long := rem * (per + 1); i >= long {
+		return rem + (i-long)/per
+	}
+	return i / (per + 1)
 }
 
 // flop charges the cost of n floating-point operations.

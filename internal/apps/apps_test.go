@@ -209,3 +209,25 @@ func TestLUDefaultSize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBlockOwnerInvertsBlockRange: blockOwner names the block every
+// index falls in, and 0 for an index outside [0, n).
+func TestBlockOwnerInvertsBlockRange(t *testing.T) {
+	for nprocs := 1; nprocs <= 70; nprocs++ {
+		for n := 0; n <= 300; n++ {
+			for id := 0; id < nprocs; id++ {
+				lo, hi := blockRange(n, id, nprocs)
+				for i := lo; i < hi; i++ {
+					if got := blockOwner(i, n, nprocs); got != id {
+						t.Fatalf("blockOwner(%d, %d, %d) = %d, want %d", i, n, nprocs, got, id)
+					}
+				}
+			}
+			for _, i := range []int{-1, n, n + 1} {
+				if got := blockOwner(i, n, nprocs); got != 0 {
+					t.Fatalf("blockOwner(%d, %d, %d) = %d, want 0 out of range", i, n, nprocs, got)
+				}
+			}
+		}
+	}
+}

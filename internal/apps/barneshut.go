@@ -56,18 +56,9 @@ func bhBody(i int) (pos, vel [3]float64, mass float64) {
 
 // Setup allocates bodies (homed with their owners) and the node pool.
 func (b *BarnesHut) Setup(m *harness.Machine) {
-	owner := func(i int) int {
-		for id := 0; id < m.Cfg.P; id++ {
-			lo, hi := blockRange(b.NBodies, id, m.Cfg.P)
-			if i >= lo && i < hi {
-				return id
-			}
-		}
-		return 0
-	}
 	perPage := m.Cfg.PageSize / (bodyWords * 8)
 	b.body = F64Array{
-		Base: m.AllocHomed(b.NBodies*bodyWords*8, func(page int) int { return owner(page * perPage) }),
+		Base: m.AllocHomed(b.NBodies*bodyWords*8, func(page int) int { return blockOwner(page*perPage, b.NBodies, m.Cfg.P) }),
 		N:    b.NBodies * bodyWords,
 	}
 	for i := 0; i < b.NBodies; i++ {

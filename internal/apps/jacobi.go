@@ -26,8 +26,14 @@ func (j *Jacobi) Setup(m *harness.Machine) {
 	// processor that owns its rows (Alewife compilers did the same),
 	// so the steady-state flush traffic stays SSMP-local.
 	homeOf := func(page int) int {
-		row := page * m.Cfg.PageSize / 8 / n
-		return j.rowOwner(row, m.Cfg.P)
+		switch row := page * m.Cfg.PageSize / 8 / n; {
+		case row < 1:
+			return 0
+		case row > n-2:
+			return m.Cfg.P - 1
+		default: // interior row, updated by its block's owner
+			return blockOwner(row-1, n-2, m.Cfg.P)
+		}
 	}
 	words := n * n
 	j.src = F64Array{Base: m.AllocHomed(words*8, homeOf), N: words}
@@ -42,23 +48,6 @@ func (j *Jacobi) Setup(m *harness.Machine) {
 			j.dst.Set(m, i*n+k, v)
 		}
 	}
-}
-
-// rowOwner maps a grid row to the processor that updates it.
-func (j *Jacobi) rowOwner(row, nprocs int) int {
-	if row < 1 {
-		return 0
-	}
-	if row > j.N-2 {
-		return nprocs - 1
-	}
-	for id := 0; id < nprocs; id++ {
-		lo, hi := blockRange(j.N-2, id, nprocs)
-		if row-1 >= lo && row-1 < hi {
-			return id
-		}
-	}
-	return 0
 }
 
 // Body relaxes the interior with a barrier per iteration.

@@ -25,14 +25,7 @@ func (mm *MatMul) Setup(m *harness.Machine) {
 	// A and C pages live with the processor owning those rows; B is
 	// read by everyone and stays interleaved across all memories.
 	homeOf := func(page int) int {
-		row := page * m.Cfg.PageSize / 8 / n
-		for id := 0; id < m.Cfg.P; id++ {
-			lo, hi := blockRange(n, id, m.Cfg.P)
-			if row >= lo && row < hi {
-				return id
-			}
-		}
-		return 0
+		return blockOwner(page*m.Cfg.PageSize/8/n, n, m.Cfg.P)
 	}
 	words := n * n
 	mm.a = F64Array{Base: m.AllocHomed(words*8, homeOf), N: words}

@@ -89,10 +89,6 @@ func (a *Serve) Verify(m *harness.Machine) error {
 	return nil
 }
 
-// Store exposes the placed table (nil before Setup) for composition
-// and for tests that need record addresses.
-func (a *Serve) Store() *serve.Store { return a.store }
-
 // Report digests the run into the per-phase latency report. Call after
 // the machine ran.
 func (a *Serve) Report(res harness.Result, slo serve.SLO) serve.Report {

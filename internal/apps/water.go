@@ -19,8 +19,14 @@ type Water struct {
 	N     int // molecules
 	Iters int
 
-	mol F64Array // N × molWords (pos 0-2, vel 3-5, force 6-8)
-	kin vm.Addr  // global kinetic-energy accumulator
+	waterMols
+	kin vm.Addr // global kinetic-energy accumulator
+}
+
+// waterMols is the molecule array Water and WaterKernel share: N ×
+// molWords words (pos 0-2, vel 3-5, force 6-8; forces in fixed point).
+type waterMols struct {
+	mol F64Array
 }
 
 const molWords = 16 // 128 bytes per molecule: 8 per 1K page
@@ -60,34 +66,7 @@ func initialMol(i int) (pos, vel [3]float64) {
 
 // Setup allocates and initializes the molecule array and statistics.
 func (w *Water) Setup(m *harness.Machine) {
-	// The global molecule array is distributed among processors
-	// (paper §5.2.1): each block of molecules — and its per-molecule
-	// locks — lives with its owner.
-	owner := func(i int) int {
-		for id := 0; id < m.Cfg.P; id++ {
-			lo, hi := blockRange(w.N, id, m.Cfg.P)
-			if i >= lo && i < hi {
-				return id
-			}
-		}
-		return 0
-	}
-	molPerPage := m.Cfg.PageSize / (molWords * 8)
-	w.mol = F64Array{
-		Base: m.AllocHomed(w.N*molWords*8, func(page int) int { return owner(page * molPerPage) }),
-		N:    w.N * molWords,
-	}
-	for i := 0; i < w.N; i++ {
-		m.Sync.LockHomed(waterLockBase+i, owner(i))
-	}
-	for i := 0; i < w.N; i++ {
-		pos, vel := initialMol(i)
-		for d := 0; d < 3; d++ {
-			w.mol.Set(m, i*molWords+d, pos[d])
-			w.mol.Set(m, i*molWords+3+d, vel[d])
-			w.mol.Set(m, i*molWords+6+d, 0)
-		}
-	}
+	w.setupMols(m, w.N)
 	w.kin = m.Alloc(8)
 	m.SetI64(w.kin, 0) // fixed-point accumulator
 }
@@ -109,11 +88,66 @@ func pairForce(pi, pj [3]float64) [3]float64 {
 	return f
 }
 
-func (w *Water) loadPos(c *harness.Ctx, i int) [3]float64 {
+// setupMols allocates n molecules at their initial state with zeroed
+// forces. The global molecule array is distributed among processors
+// (paper §5.2.1): each block of molecules — and its per-molecule locks
+// — lives with its owner.
+func (w *waterMols) setupMols(m *harness.Machine, n int) {
+	molPerPage := m.Cfg.PageSize / (molWords * 8)
+	w.mol = F64Array{
+		Base: m.AllocHomed(n*molWords*8, func(page int) int { return blockOwner(page*molPerPage, n, m.Cfg.P) }),
+		N:    n * molWords,
+	}
+	for i := 0; i < n; i++ {
+		m.Sync.LockHomed(waterLockBase+i, blockOwner(i, n, m.Cfg.P))
+	}
+	for i := 0; i < n; i++ {
+		pos, vel := initialMol(i)
+		for d := 0; d < 3; d++ {
+			w.mol.Set(m, i*molWords+d, pos[d])
+			w.mol.Set(m, i*molWords+3+d, vel[d])
+			w.mol.Set(m, i*molWords+6+d, 0)
+		}
+	}
+}
+
+func (w *waterMols) loadPos(c *harness.Ctx, i int) [3]float64 {
 	return [3]float64{
 		w.mol.Load(c, i*molWords),
 		w.mol.Load(c, i*molWords+1),
 		w.mol.Load(c, i*molWords+2),
+	}
+}
+
+// addForce adds sign·f to molecule i's force words, which hold
+// fixed point (toFx): integer sums do not depend on the order the
+// per-molecule locks grant in, so final memory is a function of the
+// inputs alone, as the chaos memory comparisons require.
+func (w *waterMols) addForce(c *harness.Ctx, i int, f [3]float64, sign int64) {
+	for k := 0; k < 3; k++ {
+		a := w.mol.At(i*molWords + 6 + k)
+		c.StoreI64(a, c.LoadI64(a)+sign*toFx(f[k]))
+	}
+}
+
+// forcePhase is Water's force phase for molecules [lo, hi): each
+// against every higher-numbered one, both sides' forces updated under
+// the per-molecule locks.
+func (w *waterMols) forcePhase(c *harness.Ctx, lo, hi int) {
+	n := w.mol.N / molWords
+	for i := lo; i < hi; i++ {
+		pi := w.loadPos(c, i)
+		for j := i + 1; j < n; j++ {
+			pj := w.loadPos(c, j)
+			f := pairForce(pi, pj)
+			flop(c, 5000)
+			c.Acquire(waterLockBase + i)
+			w.addForce(c, i, f, 1)
+			c.Release(waterLockBase + i)
+			c.Acquire(waterLockBase + j)
+			w.addForce(c, j, f, -1)
+			c.Release(waterLockBase + j)
+		}
 	}
 }
 
@@ -130,28 +164,8 @@ func (w *Water) Body(c *harness.Ctx) {
 		c.Barrier(0)
 
 		// Phase 2: pairwise interactions for my molecules against all
-		// higher-numbered ones; both sides' forces update under the
-		// per-molecule locks.
-		for i := lo; i < hi; i++ {
-			pi := w.loadPos(c, i)
-			for j := i + 1; j < w.N; j++ {
-				pj := w.loadPos(c, j)
-				f := pairForce(pi, pj)
-				flop(c, 5000)
-				c.Acquire(waterLockBase + i)
-				for k := 0; k < 3; k++ {
-					a := w.mol.At(i*molWords + 6 + k)
-					c.StoreI64(a, c.LoadI64(a)+toFx(f[k]))
-				}
-				c.Release(waterLockBase + i)
-				c.Acquire(waterLockBase + j)
-				for k := 0; k < 3; k++ {
-					a := w.mol.At(j*molWords + 6 + k)
-					c.StoreI64(a, c.LoadI64(a)-toFx(f[k]))
-				}
-				c.Release(waterLockBase + j)
-			}
-		}
+		// higher-numbered ones.
+		w.forcePhase(c, lo, hi)
 		c.Barrier(1)
 
 		// Phase 3: integrate own molecules; fold kinetic energy into

@@ -20,7 +20,7 @@ type WaterKernel struct {
 	N     int
 	Tiled bool
 
-	mol F64Array
+	waterMols
 }
 
 // Name implements harness.App.
@@ -32,81 +32,18 @@ func (w *WaterKernel) Name() string {
 }
 
 // Setup allocates the molecule array with zeroed forces.
-func (w *WaterKernel) Setup(m *harness.Machine) {
-	owner := func(i int) int {
-		for id := 0; id < m.Cfg.P; id++ {
-			lo, hi := blockRange(w.N, id, m.Cfg.P)
-			if i >= lo && i < hi {
-				return id
-			}
-		}
-		return 0
-	}
-	molPerPage := m.Cfg.PageSize / (molWords * 8)
-	w.mol = F64Array{
-		Base: m.AllocHomed(w.N*molWords*8, func(page int) int { return owner(page * molPerPage) }),
-		N:    w.N * molWords,
-	}
-	for i := 0; i < w.N; i++ {
-		m.Sync.LockHomed(waterLockBase+i, owner(i))
-	}
-	for i := 0; i < w.N; i++ {
-		pos, vel := initialMol(i)
-		for d := 0; d < 3; d++ {
-			w.mol.Set(m, i*molWords+d, pos[d])
-			w.mol.Set(m, i*molWords+3+d, vel[d])
-			w.mol.Set(m, i*molWords+6+d, 0)
-		}
-	}
-}
+func (w *WaterKernel) Setup(m *harness.Machine) { w.setupMols(m, w.N) }
 
-// Body dispatches on the variant.
+// Body dispatches on the variant. The plain variant is Water's force
+// phase, unmodified.
 func (w *WaterKernel) Body(c *harness.Ctx) {
 	if w.Tiled {
 		w.tiledBody(c)
 	} else {
-		w.plainBody(c)
+		lo, hi := blockRange(w.N, c.ID, c.NProcs)
+		w.forcePhase(c, lo, hi)
 	}
 	c.Barrier(0)
-}
-
-func (w *WaterKernel) loadPos(c *harness.Ctx, i int) [3]float64 {
-	return [3]float64{
-		w.mol.Load(c, i*molWords),
-		w.mol.Load(c, i*molWords+1),
-		w.mol.Load(c, i*molWords+2),
-	}
-}
-
-// addForce adds sign·f to molecule i's force words, which hold Water's
-// fixed point (toFx): integer sums do not depend on the order the
-// per-molecule locks grant in, so final memory is a function of the
-// inputs alone, as the chaos memory comparisons require.
-func (w *WaterKernel) addForce(c *harness.Ctx, i int, f [3]float64, sign int64) {
-	for k := 0; k < 3; k++ {
-		a := w.mol.At(i*molWords + 6 + k)
-		c.StoreI64(a, c.LoadI64(a)+sign*toFx(f[k]))
-	}
-}
-
-// plainBody: unmodified force phase with per-molecule locks, exactly as
-// in Water.
-func (w *WaterKernel) plainBody(c *harness.Ctx) {
-	lo, hi := blockRange(w.N, c.ID, c.NProcs)
-	for i := lo; i < hi; i++ {
-		pi := w.loadPos(c, i)
-		for j := i + 1; j < w.N; j++ {
-			pj := w.loadPos(c, j)
-			f := pairForce(pi, pj)
-			flop(c, 5000)
-			c.Acquire(waterLockBase + i)
-			w.addForce(c, i, f, 1)
-			c.Release(waterLockBase + i)
-			c.Acquire(waterLockBase + j)
-			w.addForce(c, j, f, -1)
-			c.Release(waterLockBase + j)
-		}
-	}
 }
 
 // tiledBody: the loop transformation. Tiles are contiguous page-aligned

@@ -1,10 +1,6 @@
 package msg
 
-import (
-	"fmt"
-
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Mesh2D arranges the SSMPs in a near-square 2D mesh with
 // dimension-ordered (X-then-Y) routing and deterministic
@@ -17,7 +13,6 @@ type Mesh2D struct {
 	w      int // mesh width (smallest square holding all SSMPs)
 	perHop sim.Time
 	bpc    int
-	nssmp  int
 }
 
 // NewMesh2D returns the 2D-mesh spec. The per-hop latency is
@@ -35,7 +30,7 @@ func (m *Mesh2D) sized(nssmp int, c Costs) Topology {
 	if bpc <= 0 {
 		bpc = 1
 	}
-	return &Mesh2D{w: w, perHop: c.InterDelay / 4, bpc: bpc, nssmp: nssmp}
+	return &Mesh2D{w: w, perHop: c.InterDelay / 4, bpc: bpc}
 }
 
 // Route returns the directed links a message visits travelling from
@@ -84,8 +79,4 @@ func (m *Mesh2D) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) si
 		return depart
 	}
 	return crossRoute(occ, m.Route(a, b), depart, bytes)
-}
-
-func (m *Mesh2D) Describe() string {
-	return fmt.Sprintf("mesh2d(%dx%d,perhop=%d)", m.w, m.w, m.perHop)
 }

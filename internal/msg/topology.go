@@ -66,8 +66,6 @@ type Topology interface {
 	// SSMP a at depart (send overhead and the software stack cost
 	// already paid), updating occ with the links it occupies.
 	Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) sim.Time
-	// Describe names the topology and its resolved parameters.
-	Describe() string
 }
 
 // sizer is implemented by topology specs that must be resolved against
@@ -149,10 +147,6 @@ func (u *Uniform) Arrive(_ *Occupancy, a, b int, depart sim.Time, bytes int) sim
 	return depart + u.delay + sim.Time(bytes/bpc)
 }
 
-func (u *Uniform) Describe() string {
-	return fmt.Sprintf("uniform(delay=%d)", u.delay)
-}
-
 // Tiered models a heterogeneous LAN/WAN machine: SSMPs cluster into
 // sites joined by a fast local switch; sites talk over thin, slow WAN
 // trunks. One WAN link per site pair direction, so cross-site traffic
@@ -222,9 +216,4 @@ func (t *Tiered) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) si
 		return depart
 	}
 	return crossRoute(occ, t.Route(a, b), depart, bytes)
-}
-
-func (t *Tiered) Describe() string {
-	sites := (t.nssmp + t.site - 1) / t.site
-	return fmt.Sprintf("tiered(sites=%d,site=%d,wan=%d,wanbpc=%d)", sites, t.site, t.wanLat, t.wanBPC)
 }

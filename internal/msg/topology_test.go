@@ -83,16 +83,32 @@ func TestArrivalTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestDescribeNames(t *testing.T) {
+// TestSizedRouteLinks pins how each topology sizes itself from the
+// cost table (delay 800, 2 bytes per cycle) at 32 SSMPs: uniform is one
+// link of the delay; the mesh is 6×6 with delay/4 per hop; tiered has
+// sites of 8 joined by a WAN trunk of 10× the delay at 1 byte per
+// cycle, behind delay/4 LAN hops.
+func TestSizedRouteLinks(t *testing.T) {
 	topos := sizedTopos(t, 32)
-	want := map[string]string{
-		"uniform": "uniform(delay=800)",
-		"mesh":    "mesh2d(6x6,perhop=200)",
-		"tiered":  "tiered(sites=4,site=8,wan=8000,wanbpc=1)",
-	}
-	for name, d := range want {
-		if got := topos[name].Describe(); got != d {
-			t.Fatalf("%s.Describe() = %q, want %q", name, got, d)
+	lan := Link{Latency: 200, BytesPerCycle: 2}
+	for _, tc := range []struct {
+		name string
+		a, b int
+		want []Link // From and To not compared
+	}{
+		{"uniform", 0, 31, []Link{{Latency: 800, BytesPerCycle: 2}}},
+		{"mesh", 0, 31, []Link{lan, lan, lan, lan, lan, lan}}, // (0,0) to (1,5)
+		{"tiered", 0, 7, []Link{lan, lan}},
+		{"tiered", 0, 24, []Link{lan, {Latency: 8000, BytesPerCycle: 1}, lan}},
+	} {
+		route := topos[tc.name].Route(tc.a, tc.b)
+		if len(route) != len(tc.want) {
+			t.Fatalf("%s: route %d->%d has %d links, want %d", tc.name, tc.a, tc.b, len(route), len(tc.want))
+		}
+		for i, l := range route {
+			if w := tc.want[i]; l.Latency != w.Latency || l.BytesPerCycle != w.BytesPerCycle {
+				t.Fatalf("%s: route %d->%d link %d = %+v, want latency %d, %d bytes/cycle", tc.name, tc.a, tc.b, i, l, w.Latency, w.BytesPerCycle)
+			}
 		}
 	}
 }

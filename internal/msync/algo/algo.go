@@ -17,16 +17,24 @@
 // rides the reliable transport under fault injection, and is a labeled
 // delivery the model checker can reorder.
 //
-// Cycle-charging rules, shared by every algorithm:
+// Cycle-charging rules, shared by every algorithm, and where each is
+// applied:
 //
-//   - a processor-context operation charges Env.LockOp/BarrierOp to its
-//     category, plus Env.SendCost for each message the processor sends;
+//   - the operation's own Env.LockOp/BarrierOp: the shim, once per
+//     acquire, release and arrival (it also counts the acquires);
+//   - Env.SendCost for each message a processor sends: the sender, since
+//     a barrier sends at its gate's departure time, not at the clock;
 //   - handler-context sends are free to the processor (the handler's
 //     work cycles are charged to the MGS category at the receiver);
-//   - parked time is charged to the category on wake and observed into
-//     the lock.waitcycles / barrier.waitcycles histograms via
-//     Env.LockWaited / Env.BarrierWaited;
-//   - critical-section occupancy feeds Env.CountCS at release.
+//   - parked time, charged to the category on wake and observed into the
+//     lock.waitcycles / barrier.waitcycles histograms: Env.ParkLock /
+//     Env.ParkBarrier, the only way an algorithm parks;
+//   - hits and critical-section occupancy (Env.CountCS at release): the
+//     holding struct every lock embeds. The lock still stamps the start
+//     itself where it grants without a wake (the token lock's local hit
+//     and hand-off);
+//   - the SSMP combine that opens tree, dissemination, MCS-tree and
+//     tournament barriers: the combine stage they embed (gate.go).
 package algo
 
 import "mgs/internal/sim"
@@ -47,10 +55,38 @@ type Lock interface {
 	State
 	Acquire(p *sim.Proc)
 	Release(p *sim.Proc)
-	// Stats reports hit/total acquire counts (Figure 11): a hit is an
-	// acquire granted without inter-SSMP communication.
-	Stats() (hits, total int64)
+	// Hits counts the acquires granted without inter-SSMP communication
+	// (Figure 11's numerator; the shim counts the acquires).
+	Hits() int64
 }
+
+// holding is the accounting every lock embeds: Figure 11's hit count
+// and the start of the current critical section, which feeds
+// lock.heldcycles at release.
+type holding struct {
+	hits      int64
+	heldSince sim.Time // single holder at a time
+}
+
+// granted hands the lock to waiter p at time at: count the hit, stamp
+// the critical section and wake p, both after the LockOp of taking it.
+func (h *holding) granted(e *Env, p *sim.Proc, at sim.Time, hit bool) {
+	if hit {
+		h.hits++
+	}
+	h.heldSince = at + e.LockOp()
+	p.Wake(at + e.LockOp())
+}
+
+// released records the critical section p is leaving.
+func (h *holding) released(e *Env, p *sim.Proc) {
+	if h.heldSince > 0 {
+		e.CountCS(p.Clock() - h.heldSince)
+	}
+}
+
+// Hits implements Lock.
+func (h *holding) Hits() int64 { return h.hits }
 
 // Barrier is one barrier instance: Arrive returns after every
 // processor has arrived.

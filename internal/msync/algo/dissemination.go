@@ -27,7 +27,8 @@ func (Dissemination) Name() string { return "dissemination" }
 // NewBarrier implements BarrierAlgo.
 func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 	n := env.NSSMP()
-	b := &dissemBarrier{env: env, id: id, rounds: log2ceil(n)}
+	b := &dissemBarrier{rounds: log2ceil(n)}
+	b.combine = newCombine(env, id, "DSM.LOCAL", "DSM.LOCAL", -1, b)
 	b.nodes = make([]dissemNode, n)
 	for s := range b.nodes {
 		b.nodes[s].sent = make([]bool, b.rounds)
@@ -37,10 +38,8 @@ func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 }
 
 // dissemNode is one SSMP's barrier state, touched only by handlers at
-// that SSMP's representative (and the local gate by its own
-// processors).
+// that SSMP's representative.
 type dissemNode struct {
-	g         gate
 	localDone bool
 	round     int
 	sent      []bool  // per round, reset each episode
@@ -50,33 +49,16 @@ type dissemNode struct {
 
 // dissemBarrier is the set of per-SSMP nodes.
 type dissemBarrier struct {
-	env    *Env
-	id     int
-	rounds int
+	combine // DSM.LOCAL to the SSMP's representative
+	rounds  int
 
 	nodes []dissemNode // each node is touched only by its own SSMP's handlers
 }
 
-// Arrive implements Barrier: combine locally; the SSMP's last arriver
-// publishes completion to the representative with a message, so the
-// round state machine always runs in handler context.
-func (b *dissemBarrier) Arrive(p *sim.Proc) {
-	e := b.env
-	e.ChargeBarrier(p, e.BarrierOp())
-	s := e.SSMPOf(p.ID)
-	if last, when := b.nodes[s].g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "DSM.LOCAL", "ssmp=%d", s)
-		e.ChargeBarrier(p, e.SendCost())
-		e.Send("DSM.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
-			msg.Func(func(at sim.Time) { b.onLocal(s, at) }))
-	}
-	c0 := p.Clock()
-	p.Park() // woken when this SSMP's last round closes
-	e.BarrierWaited(p, p.Clock()-c0)
-}
-
-// onLocal runs at the representative: the SSMP fully arrived.
-func (b *dissemBarrier) onLocal(s int, at sim.Time) {
+// combined runs at the representative: the SSMP fully arrived. The
+// combine stage's message puts the round state machine in handler
+// context.
+func (b *dissemBarrier) combined(s int, at sim.Time) {
 	b.nodes[s].localDone = true
 	b.advance(s, at)
 }
@@ -99,7 +81,7 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 	for {
 		if n.round == b.rounds {
 			e.EmitBarrier(at, -1, b.id, "DSM.DONE", "ssmp=%d episode=%d", s, n.episode+1)
-			n.g.release(at, e.BarrierOp())
+			b.gates[s].release(at, e.BarrierOp())
 			n.episode++
 			n.localDone = false
 			n.round = 0
@@ -130,13 +112,9 @@ func (b *dissemBarrier) Episodes() int64 { return b.nodes[0].episode }
 func (b *dissemBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=dissemination rounds=%d", b.id, b.rounds)
 	for s := range b.nodes {
-		n := &b.nodes[s]
-		if !n.g.idle() || n.localDone || n.round != 0 {
-			var ws []int
-			for _, p := range n.g.waiting {
-				ws = append(ws, p.ID)
-			}
-			f("  ssmp=%d count=%d waiting=%v localDone=%v round=%d episode=%d", s, n.g.count, ws, n.localDone, n.round, n.episode)
+		n, g := &b.nodes[s], &b.gates[s]
+		if !g.idle() || n.localDone || n.round != 0 {
+			f("  ssmp=%d count=%d waiting=%v localDone=%v round=%d episode=%d", s, g.count, procIDs(g.waiting), n.localDone, n.round, n.episode)
 		}
 	}
 }
@@ -145,7 +123,7 @@ func (b *dissemBarrier) Dump(f func(format string, args ...any)) {
 func (b *dissemBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]
-		if !n.g.idle() || n.localDone || n.round != 0 {
+		if !b.gates[s].idle() || n.localDone || n.round != 0 {
 			return quiesceErrf("barrier %d (dissemination): ssmp %d mid-episode", b.id, s)
 		}
 		if n.episode != b.nodes[0].episode {

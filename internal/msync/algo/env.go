@@ -98,17 +98,19 @@ func (e *Env) ChargeBarrier(p *sim.Proc, cycles sim.Time) {
 	e.st.Charge(p.ID, stats.Barrier, cycles)
 }
 
-// LockWaited charges parked time and feeds the lock wait histogram;
-// call once per park, after the wake.
-func (e *Env) LockWaited(p *sim.Proc, waited sim.Time) {
-	e.st.Charge(p.ID, stats.Lock, waited)
-	e.lockWait.Observe(int64(waited))
-}
+// ParkLock parks p until its grant wakes it, then charges the parked
+// time to Lock and observes it into the lock wait histogram.
+func (e *Env) ParkLock(p *sim.Proc) { e.park(p, stats.Lock, e.lockWait) }
 
-// BarrierWaited is LockWaited for a barrier episode.
-func (e *Env) BarrierWaited(p *sim.Proc, waited sim.Time) {
-	e.st.Charge(p.ID, stats.Barrier, waited)
-	e.barrierWait.Observe(int64(waited))
+// ParkBarrier is ParkLock for a barrier episode.
+func (e *Env) ParkBarrier(p *sim.Proc) { e.park(p, stats.Barrier, e.barrierWait) }
+
+func (e *Env) park(p *sim.Proc, cat stats.Category, h *obs.Histogram) {
+	c0 := p.Clock()
+	p.Park()
+	waited := p.Clock() - c0
+	e.st.Charge(p.ID, cat, waited)
+	h.Observe(int64(waited))
 }
 
 // CountCS records one critical section of the given occupancy: its

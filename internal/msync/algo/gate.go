@@ -6,10 +6,63 @@ import (
 	"mgs/internal/sim"
 )
 
-// gate is the per-SSMP combining stage the SSMP-level barriers share:
-// processors of one SSMP count in through hardware shared memory; the
-// last arriver triggers the inter-SSMP protocol.
+// combine is the arrival stage the SSMP-level barriers share (tree,
+// dissemination, MCS-tree and tournament): processors of one SSMP count
+// in at its gate through hardware shared memory, and the last arriver
+// sends one upward message that starts the inter-SSMP protocol. A
+// barrier embeds it, so combine's Arrive is the barrier's, and keeps
+// only the protocol that runs from combined on.
+type combine struct {
+	env   *Env
+	id    int
+	label string // the upward message's label
+	tag   string // the last arriver's trace event
+	gates []gate // each gate is touched only by its own SSMP
+}
+
+// combiner is the inter-SSMP protocol a combine stage feeds.
+type combiner interface {
+	// combined runs at the upward message's destination once every
+	// processor of SSMP s has arrived.
+	combined(s int, at sim.Time)
+}
+
+// newCombine builds the stage for barrier id. The upward message goes
+// to processor to, or to each SSMP's representative if to < 0.
+func newCombine(env *Env, id int, label, tag string, to int, up combiner) combine {
+	c := combine{env: env, id: id, label: label, tag: tag, gates: make([]gate, env.NSSMP())}
+	for s := range c.gates {
+		g := &c.gates[s]
+		g.up, g.s, g.to = up, s, to
+		if to < 0 {
+			g.to = env.RepProc(s, id)
+		}
+	}
+	return c
+}
+
+// Arrive implements Barrier: count in at the SSMP's gate; the last
+// arriver sends the SSMP upward; every arriver parks until the
+// protocol's release reaches its gate.
+func (c *combine) Arrive(p *sim.Proc) {
+	e := c.env
+	s := e.SSMPOf(p.ID)
+	g := &c.gates[s]
+	if last, when := g.arrive(p, e.ClusterSize()); last {
+		e.EmitBarrier(when, p.ID, c.id, c.tag, "ssmp=%d proc=%d", s, p.ID)
+		e.ChargeBarrier(p, e.SendCost())
+		e.Send(c.label, c.id, p.ID, g.to, when, int64(s), e.BarrierOp(), g)
+	}
+	e.ParkBarrier(p)
+}
+
+// gate is one SSMP's combining node, and the msg.Handler of its upward
+// message: delivery reads only fields fixed at construction, so one
+// record serves every episode.
 type gate struct {
+	up      combiner
+	s       int // the gate's SSMP
+	to      int // the upward message's destination processor
 	count   int
 	waiting []*sim.Proc
 	// maxClock is the latest virtual arrival time this episode. The
@@ -19,6 +72,9 @@ type gate struct {
 	// arrival's virtual time.
 	maxClock sim.Time
 }
+
+// Deliver runs the upward message's handler (msg.Handler).
+func (g *gate) Deliver(at sim.Time) { g.up.combined(g.s, at) }
 
 // arrive registers p and reports whether p completed the SSMP (and if
 // so, the virtual time the SSMP's upward step may depart).
@@ -47,6 +103,15 @@ func (g *gate) release(at, quantum sim.Time) {
 
 // idle reports whether the gate holds no partial episode.
 func (g *gate) idle() bool { return g.count == 0 && len(g.waiting) == 0 }
+
+// procIDs lists the processors' numbers (state dumps).
+func procIDs(ps []*sim.Proc) []int {
+	var ids []int
+	for _, p := range ps {
+		ids = append(ids, p.ID)
+	}
+	return ids
+}
 
 // quiesceErrf builds a quiescence-violation error.
 func quiesceErrf(format string, args ...any) error { return fmt.Errorf(format, args...) }

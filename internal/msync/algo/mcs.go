@@ -53,10 +53,7 @@ type mcsLock struct {
 
 	node []mcsNode // each element is touched only by its own processor's handlers
 
-	heldSince sim.Time // single holder at a time
-
-	hits  int64
-	total int64
+	holding
 
 	free []*mcsMsg // delivered messages, for send
 }
@@ -108,7 +105,8 @@ func (m *mcsMsg) Deliver(at sim.Time) {
 	case mcsSwap:
 		l.onSwap(p, seq, at)
 	case mcsGrant, mcsPass:
-		l.wake(p, pid, at)
+		// The new holder: a hit if the lock came from its own SSMP.
+		l.granted(l.env, p, at, l.env.SSMPOf(pid) == l.env.SSMPOf(p.ID))
 	case mcsSetNext:
 		l.onSetNext(pid, seq, p, at)
 	case mcsRel:
@@ -123,8 +121,6 @@ func (m *mcsMsg) Deliver(at sim.Time) {
 // predecessor) wakes us.
 func (l *mcsLock) Acquire(p *sim.Proc) {
 	e := l.env
-	l.total++
-	e.ChargeLock(p, e.LockOp())
 	n := &l.node[p.ID]
 	n.seq++
 	seq := n.seq
@@ -133,9 +129,7 @@ func (l *mcsLock) Acquire(p *sim.Proc) {
 	}
 	e.ChargeLock(p, e.SendCost())
 	l.send(mcsSwap, p.ID, l.home, p.Clock(), seq, p, 0, seq)
-	c0 := p.Clock()
-	p.Park() // woken holding the lock
-	e.LockWaited(p, p.Clock()-c0)
+	e.ParkLock(p) // woken holding the lock
 }
 
 // onSwap runs at the home: append to the queue. An empty queue grants
@@ -190,26 +184,12 @@ func (l *mcsLock) pass(from int, succ *sim.Proc, at sim.Time) {
 	l.send(mcsPass, from, succ.ID, at, int64(succ.ID), succ, from, 0)
 }
 
-// wake runs at the new holder: count the hit if the lock arrived from
-// the same SSMP, stamp the critical section, wake.
-func (l *mcsLock) wake(p *sim.Proc, from int, at sim.Time) {
-	e := l.env
-	if e.SSMPOf(from) == e.SSMPOf(p.ID) {
-		l.hits++
-	}
-	l.heldSince = at + e.LockOp()
-	p.Wake(at + e.LockOp())
-}
-
 // Release implements Lock: hand off to the known successor, or tell the
 // home this tenure is over (the home answers MUSTPASS if a successor's
 // SET-NEXT is still in flight).
 func (l *mcsLock) Release(p *sim.Proc) {
 	e := l.env
-	e.ChargeLock(p, e.LockOp())
-	if l.heldSince > 0 {
-		e.CountCS(p.Clock() - l.heldSince)
-	}
+	l.released(e, p)
 	seq := l.node[p.ID].seq
 	if succ, ok := l.takeSucc(p.ID, seq); ok {
 		e.ChargeLock(p, e.SendCost())
@@ -247,11 +227,6 @@ func (l *mcsLock) onMustPass(pid int, seq int64, at sim.Time) {
 	}
 	n := &l.node[pid]
 	n.mustPass = append(n.mustPass, seq)
-}
-
-// Stats implements Lock.
-func (l *mcsLock) Stats() (hits, total int64) {
-	return l.hits, l.total
 }
 
 // Dump implements State.

@@ -24,20 +24,20 @@ func (MCSTree) Name() string { return "mcstree" }
 
 // NewBarrier implements BarrierAlgo.
 func (MCSTree) NewBarrier(env *Env, id, home int) Barrier {
-	return &mcsTreeBarrier{env: env, id: id, nodes: make([]mcsTreeNode, env.NSSMP())}
+	b := &mcsTreeBarrier{nodes: make([]mcsTreeNode, env.NSSMP())}
+	b.combine = newCombine(env, id, "MCT.LOCAL", "MCT.LOCAL", -1, b)
+	return b
 }
 
 // mcsTreeNode is one SSMP's tree node.
 type mcsTreeNode struct {
-	g         gate
 	localDone bool
 	kidsIn    int // arrival children reported this episode
 }
 
 // mcsTreeBarrier is the tree; SSMP 0 is the root.
 type mcsTreeBarrier struct {
-	env *Env
-	id  int
+	combine // MCT.LOCAL to the SSMP's representative
 
 	nodes []mcsTreeNode // each node is touched only by its own SSMP's handlers
 
@@ -55,24 +55,8 @@ func (b *mcsTreeBarrier) nkids(s int) int {
 	return k
 }
 
-// Arrive implements Barrier.
-func (b *mcsTreeBarrier) Arrive(p *sim.Proc) {
-	e := b.env
-	e.ChargeBarrier(p, e.BarrierOp())
-	s := e.SSMPOf(p.ID)
-	if last, when := b.nodes[s].g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "MCT.LOCAL", "ssmp=%d", s)
-		e.ChargeBarrier(p, e.SendCost())
-		e.Send("MCT.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
-			msg.Func(func(at sim.Time) { b.onLocal(s, at) }))
-	}
-	c0 := p.Clock()
-	p.Park() // woken by the wakeup wave
-	e.BarrierWaited(p, p.Clock()-c0)
-}
-
-// onLocal runs at SSMP s's representative: its own processors are in.
-func (b *mcsTreeBarrier) onLocal(s int, at sim.Time) {
+// combined runs at SSMP s's representative: its own processors are in.
+func (b *mcsTreeBarrier) combined(s int, at sim.Time) {
 	b.nodes[s].localDone = true
 	b.check(s, at)
 }
@@ -108,7 +92,7 @@ func (b *mcsTreeBarrier) check(s int, at sim.Time) {
 // forward down the binary wakeup tree.
 func (b *mcsTreeBarrier) wake(s int, at sim.Time) {
 	e := b.env
-	b.nodes[s].g.release(at, e.BarrierOp())
+	b.gates[s].release(at, e.BarrierOp())
 	for _, c := range []int{2*s + 1, 2*s + 2} {
 		if c >= len(b.nodes) {
 			continue
@@ -126,13 +110,9 @@ func (b *mcsTreeBarrier) Episodes() int64 { return b.episodes }
 func (b *mcsTreeBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=mcstree episodes=%d", b.id, b.episodes)
 	for s := range b.nodes {
-		n := &b.nodes[s]
-		if !n.g.idle() || n.localDone || n.kidsIn > 0 {
-			var ws []int
-			for _, p := range n.g.waiting {
-				ws = append(ws, p.ID)
-			}
-			f("  ssmp=%d count=%d waiting=%v localDone=%v kidsIn=%d", s, n.g.count, ws, n.localDone, n.kidsIn)
+		n, g := &b.nodes[s], &b.gates[s]
+		if !g.idle() || n.localDone || n.kidsIn > 0 {
+			f("  ssmp=%d count=%d waiting=%v localDone=%v kidsIn=%d", s, g.count, procIDs(g.waiting), n.localDone, n.kidsIn)
 		}
 	}
 }
@@ -141,7 +121,7 @@ func (b *mcsTreeBarrier) Dump(f func(format string, args ...any)) {
 func (b *mcsTreeBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]
-		if !n.g.idle() || n.localDone || n.kidsIn > 0 {
+		if !b.gates[s].idle() || n.localDone || n.kidsIn > 0 {
 			return quiesceErrf("barrier %d (mcstree): ssmp %d mid-episode", b.id, s)
 		}
 	}

@@ -43,15 +43,12 @@ type senseBarrier struct {
 // Arrive implements Barrier.
 func (b *senseBarrier) Arrive(p *sim.Proc) {
 	e := b.env
-	e.ChargeBarrier(p, e.BarrierOp())
 	b.waiting[p.ID] = p
 	e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
 	e.ChargeBarrier(p, e.SendCost())
 	e.Send("SNS.ARRIVE", b.id, p.ID, b.home, p.Clock(), int64(p.ID), e.BarrierOp(),
 		msg.Func(func(at sim.Time) { b.onArrive(at) }))
-	c0 := p.Clock()
-	p.Park() // woken by this processor's RELEASE
-	e.BarrierWaited(p, p.Clock()-c0)
+	e.ParkBarrier(p) // woken by this processor's RELEASE
 }
 
 // onArrive runs at the home: count; the P-th arrival releases everyone.

@@ -35,25 +35,18 @@ type ticketLock struct {
 	nowServing int64       // home-side handlers only
 	queue      []*sim.Proc // home-side handlers only; FIFO by home arrival
 
-	heldSince sim.Time // single holder at a time
-
-	hits  int64
-	total int64
+	holding
 }
 
 // Acquire implements Lock: request a ticket from the home and park
 // until the grant message wakes us.
 func (l *ticketLock) Acquire(p *sim.Proc) {
 	e := l.env
-	l.total++
-	e.ChargeLock(p, e.LockOp())
 	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REQ", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
 		msg.Func(func(at sim.Time) { l.onReq(p, at) }))
-	c0 := p.Clock()
-	p.Park() // woken holding the lock
-	e.LockWaited(p, p.Clock()-c0)
+	e.ParkLock(p) // woken holding the lock
 }
 
 // onReq runs at the home: draw a ticket; grant immediately if it is
@@ -69,23 +62,13 @@ func (l *ticketLock) onReq(p *sim.Proc, at sim.Time) {
 	l.queue = append(l.queue, p)
 }
 
-// grant runs at the home: send the lock to p.
+// grant runs at the home: send the lock to p, a hit if the grant never
+// leaves the home's SSMP.
 func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 	e := l.env
 	e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
 	e.Send("TKT.GRANT", l.id, l.home, p.ID, at, int64(p.ID), e.TokenWork(),
-		msg.Func(func(at2 sim.Time) { l.onGrant(p, at2) }))
-}
-
-// onGrant runs at the new holder: count the hit if the grant never left
-// the home's SSMP, stamp the critical section, wake.
-func (l *ticketLock) onGrant(p *sim.Proc, at sim.Time) {
-	e := l.env
-	if e.SSMPOf(p.ID) == e.SSMPOf(l.home) {
-		l.hits++
-	}
-	l.heldSince = at + e.LockOp()
-	p.Wake(at + e.LockOp())
+		msg.Func(func(at2 sim.Time) { l.granted(l.env, p, at2, l.env.SSMPOf(p.ID) == l.env.SSMPOf(l.home)) }))
 }
 
 // Release implements Lock: notify the home, which advances nowServing
@@ -93,10 +76,7 @@ func (l *ticketLock) onGrant(p *sim.Proc, at sim.Time) {
 // releaser continues immediately.
 func (l *ticketLock) Release(p *sim.Proc) {
 	e := l.env
-	e.ChargeLock(p, e.LockOp())
-	if l.heldSince > 0 {
-		e.CountCS(p.Clock() - l.heldSince)
-	}
+	l.released(e, p)
 	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REL", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
@@ -114,18 +94,9 @@ func (l *ticketLock) onRel(at sim.Time) {
 	l.grant(next, at)
 }
 
-// Stats implements Lock.
-func (l *ticketLock) Stats() (hits, total int64) {
-	return l.hits, l.total
-}
-
 // Dump implements State.
 func (l *ticketLock) Dump(f func(format string, args ...any)) {
-	var q []int
-	for _, p := range l.queue {
-		q = append(q, p.ID)
-	}
-	f("lock=%d algo=ticket home=%d next=%d serving=%d queue=%v", l.id, l.home, l.nextTicket, l.nowServing, q)
+	f("lock=%d algo=ticket home=%d next=%d serving=%d queue=%v", l.id, l.home, l.nextTicket, l.nowServing, procIDs(l.queue))
 }
 
 // Quiescent implements State: every drawn ticket must be served and

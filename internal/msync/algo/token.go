@@ -41,10 +41,7 @@ type tokenLock struct {
 	reqQueue   []int // FIFO of waiting SSMPs
 	demandOut  bool  // a DEMAND is outstanding
 
-	hits  int64
-	total int64
-
-	heldSince sim.Time // only the token-holding SSMP touches it
+	holding // only the token-holding SSMP touches it
 
 	free []*tokenMsg // delivered messages and fired hand-offs, for newMsg
 }
@@ -128,9 +125,6 @@ func (l *tokenLock) Acquire(p *sim.Proc) {
 	e := l.env
 	s := e.SSMPOf(p.ID)
 	ll := &l.local[s]
-	l.total++
-	e.ChargeLock(p, e.LockOp())
-
 	if ll.hasToken && !ll.held {
 		ll.held = true
 		l.heldSince = p.Clock()
@@ -143,9 +137,7 @@ func (l *tokenLock) Acquire(p *sim.Proc) {
 		e.EmitLock(p.Clock(), p.ID, l.id, "TOKENREQ", "ssmp=%d proc=%d", s, p.ID)
 		l.sendReq(p, s)
 	}
-	c0 := p.Clock()
-	p.Park() // woken holding the lock
-	e.LockWaited(p, p.Clock()-c0)
+	e.ParkLock(p) // woken holding the lock
 }
 
 // sendReq asks the home for the token on behalf of SSMP s.
@@ -164,15 +156,12 @@ func (l *tokenLock) sendBack(from, s int, at sim.Time) {
 // SSMP demanded the token, else to the next local waiter.
 func (l *tokenLock) Release(p *sim.Proc) {
 	e := l.env
-	e.ChargeLock(p, e.LockOp())
 	s := e.SSMPOf(p.ID)
 	ll := &l.local[s]
 	if !ll.held || !ll.hasToken {
 		panic("msync: release of a lock not held by this SSMP")
 	}
-	if l.heldSince > 0 {
-		e.CountCS(p.Clock() - l.heldSince)
-	}
+	l.released(e, p)
 	ll.held = false
 	if ll.demand {
 		ll.demand = false
@@ -289,13 +278,7 @@ func (l *tokenLock) onTokenGrant(s int, at sim.Time) {
 	next := ll.waitQ[0]
 	ll.waitQ = append(ll.waitQ[:0], ll.waitQ[1:]...)
 	ll.held = true
-	l.heldSince = at + e.LockOp()
-	next.Wake(at + e.LockOp())
-}
-
-// Stats implements Lock.
-func (l *tokenLock) Stats() (hits, total int64) {
-	return l.hits, l.total
+	l.granted(e, next, at, false)
 }
 
 // Dump implements State.
@@ -304,11 +287,7 @@ func (l *tokenLock) Dump(f func(format string, args ...any)) {
 	for s := range l.local {
 		ll := &l.local[s]
 		if ll.hasToken || ll.held || len(ll.waitQ) > 0 || ll.requested || ll.demand {
-			var ws []int
-			for _, p := range ll.waitQ {
-				ws = append(ws, p.ID)
-			}
-			f("  ssmp=%d hasToken=%v held=%v waitQ=%v requested=%v demand=%v", s, ll.hasToken, ll.held, ws, ll.requested, ll.demand)
+			f("  ssmp=%d hasToken=%v held=%v waitQ=%v requested=%v demand=%v", s, ll.hasToken, ll.held, procIDs(ll.waitQ), ll.requested, ll.demand)
 		}
 	}
 }

@@ -28,7 +28,8 @@ func (TournamentBarrier) Name() string { return "tournament" }
 // NewBarrier implements BarrierAlgo.
 func (TournamentBarrier) NewBarrier(env *Env, id, home int) Barrier {
 	n := env.NSSMP()
-	b := &tourBarrier{env: env, id: id, rounds: log2ceil(n)}
+	b := &tourBarrier{rounds: log2ceil(n)}
+	b.combine = newCombine(env, id, "TNB.LOCAL", "TNB.LOCAL", -1, b)
 	b.nodes = make([]tourBarNode, n)
 	for s := range b.nodes {
 		b.nodes[s].recv = make([]int64, b.rounds)
@@ -38,7 +39,6 @@ func (TournamentBarrier) NewBarrier(env *Env, id, home int) Barrier {
 
 // tourBarNode is one SSMP's bracket state.
 type tourBarNode struct {
-	g         gate
 	localDone bool
 	round     int
 	started   int64   // episodes this node has begun (local combine done)
@@ -47,9 +47,8 @@ type tourBarNode struct {
 
 // tourBarrier is the bracket; SSMP 0 is the champion.
 type tourBarrier struct {
-	env    *Env
-	id     int
-	rounds int
+	combine // TNB.LOCAL to the SSMP's representative
+	rounds  int
 
 	nodes []tourBarNode // each node is touched only by its own SSMP's handlers
 
@@ -70,24 +69,8 @@ func (b *tourBarrier) loserRound(s int) int {
 	return r
 }
 
-// Arrive implements Barrier.
-func (b *tourBarrier) Arrive(p *sim.Proc) {
-	e := b.env
-	e.ChargeBarrier(p, e.BarrierOp())
-	s := e.SSMPOf(p.ID)
-	if last, when := b.nodes[s].g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "TNB.LOCAL", "ssmp=%d", s)
-		e.ChargeBarrier(p, e.SendCost())
-		e.Send("TNB.LOCAL", b.id, p.ID, e.RepProc(s, b.id), when, int64(s), e.BarrierOp(),
-			msg.Func(func(at sim.Time) { b.onLocal(s, at) }))
-	}
-	c0 := p.Clock()
-	p.Park() // woken by the reverse bracket
-	e.BarrierWaited(p, p.Clock()-c0)
-}
-
-// onLocal runs at the representative: the SSMP fully arrived.
-func (b *tourBarrier) onLocal(s int, at sim.Time) {
+// combined runs at the representative: the SSMP fully arrived.
+func (b *tourBarrier) combined(s int, at sim.Time) {
 	n := &b.nodes[s]
 	n.started++
 	n.localDone = true
@@ -137,7 +120,7 @@ func (b *tourBarrier) advance(s int, at sim.Time) {
 // bracket's losers, highest round first.
 func (b *tourBarrier) wake(s int, at sim.Time) {
 	e := b.env
-	b.nodes[s].g.release(at, e.BarrierOp())
+	b.gates[s].release(at, e.BarrierOp())
 	for r := b.loserRound(s) - 1; r >= 0; r-- {
 		c := s + 1<<r
 		if c >= len(b.nodes) {
@@ -155,13 +138,9 @@ func (b *tourBarrier) Episodes() int64 { return b.episodes }
 func (b *tourBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d algo=tournament rounds=%d episodes=%d", b.id, b.rounds, b.episodes)
 	for s := range b.nodes {
-		n := &b.nodes[s]
-		if !n.g.idle() || n.localDone || n.round != 0 {
-			var ws []int
-			for _, p := range n.g.waiting {
-				ws = append(ws, p.ID)
-			}
-			f("  ssmp=%d count=%d waiting=%v localDone=%v round=%d started=%d", s, n.g.count, ws, n.localDone, n.round, n.started)
+		n, g := &b.nodes[s], &b.gates[s]
+		if !g.idle() || n.localDone || n.round != 0 {
+			f("  ssmp=%d count=%d waiting=%v localDone=%v round=%d started=%d", s, g.count, procIDs(g.waiting), n.localDone, n.round, n.started)
 		}
 	}
 }
@@ -170,7 +149,7 @@ func (b *tourBarrier) Dump(f func(format string, args ...any)) {
 func (b *tourBarrier) Quiescent() error {
 	for s := range b.nodes {
 		n := &b.nodes[s]
-		if !n.g.idle() || n.localDone || n.round != 0 {
+		if !b.gates[s].idle() || n.localDone || n.round != 0 {
 			return quiesceErrf("barrier %d (tournament): ssmp %d mid-episode", b.id, s)
 		}
 		if n.started != b.nodes[0].started {

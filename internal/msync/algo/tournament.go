@@ -82,18 +82,13 @@ type tourLock struct {
 	nodes []tourNode // each node is touched only by its host SSMP's handlers
 	leaf  []int      // immutable after construction
 
-	heldSince sim.Time // single holder at a time
-
-	hits  int64
-	total int64
+	holding
 }
 
 // Acquire implements Lock: enter the tree at this SSMP's leaf and park;
 // the climb proceeds entirely in handlers.
 func (l *tourLock) Acquire(p *sim.Proc) {
 	e := l.env
-	l.total++
-	e.ChargeLock(p, e.LockOp())
 	s := e.SSMPOf(p.ID)
 	ni := l.leaf[s]
 	to := e.RepProc(l.nodes[ni].host, l.id)
@@ -102,9 +97,7 @@ func (l *tourLock) Acquire(p *sim.Proc) {
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TOUR.ACQ", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
 		msg.Func(func(at sim.Time) { l.arrive(w, ni, at) }))
-	c0 := p.Clock()
-	p.Park() // woken holding the lock
-	e.LockWaited(p, p.Clock()-c0)
+	e.ParkLock(p) // woken holding the lock
 }
 
 // arrive runs at a node's host: take the node if free, else queue.
@@ -127,8 +120,9 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 		from := e.RepProc(n.host, l.id)
 		crossed := w.crossed || e.SSMPOf(from) != e.SSMPOf(w.p.ID)
 		e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
+		// A hit is a climb that never left the holder's SSMP.
 		e.Send("TOUR.GRANTMSG", l.id, from, w.p.ID, at, int64(w.p.ID), e.TokenWork(),
-			msg.Func(func(at2 sim.Time) { l.grant(w.p, crossed, at2) }))
+			msg.Func(func(at2 sim.Time) { l.granted(l.env, w.p, at2, !crossed) }))
 		return
 	}
 	from := e.RepProc(n.host, l.id)
@@ -139,26 +133,12 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 		msg.Func(func(at2 sim.Time) { l.arrive(w2, pi, at2) }))
 }
 
-// grant runs at the new holder: a hit is a climb that never left the
-// holder's SSMP.
-func (l *tourLock) grant(p *sim.Proc, crossed bool, at sim.Time) {
-	e := l.env
-	if !crossed {
-		l.hits++
-	}
-	l.heldSince = at + e.LockOp()
-	p.Wake(at + e.LockOp())
-}
-
 // Release implements Lock: release every node on the holder's path.
 // Each node independently hands itself to its first queued contender,
 // who resumes climbing from there.
 func (l *tourLock) Release(p *sim.Proc) {
 	e := l.env
-	e.ChargeLock(p, e.LockOp())
-	if l.heldSince > 0 {
-		e.CountCS(p.Clock() - l.heldSince)
-	}
+	l.released(e, p)
 	e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.REL", "proc=%d", p.ID)
 	for ni := l.leaf[e.SSMPOf(p.ID)]; ni >= 0; ni = l.nodes[ni].parent {
 		ni := ni
@@ -180,11 +160,6 @@ func (l *tourLock) release(ni int, at sim.Time) {
 	w := n.queue[0]
 	n.queue = n.queue[1:]
 	l.ascend(w, ni, at)
-}
-
-// Stats implements Lock.
-func (l *tourLock) Stats() (hits, total int64) {
-	return l.hits, l.total
 }
 
 // Dump implements State.

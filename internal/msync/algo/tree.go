@@ -17,38 +17,21 @@ func (Tree) Name() string { return DefaultBarrier }
 
 // NewBarrier implements BarrierAlgo.
 func (Tree) NewBarrier(env *Env, id, home int) Barrier {
-	return &treeBarrier{env: env, id: id, home: home % env.NProcs(), local: make([]gate, env.NSSMP())}
+	b := &treeBarrier{home: home % env.NProcs()}
+	b.combine = newCombine(env, id, "BAR.COMB", "COMBINE", b.home, b)
+	return b
 }
 
 type treeBarrier struct {
-	env  *Env
-	id   int
-	home int // global processor hosting the top of the tree
-
-	local   []gate // each combining node is touched only by its own SSMP
-	arrived int    // home-side handlers only; SSMPs combined this episode
+	combine     // BAR.COMB to the home
+	home    int // global processor hosting the top of the tree
+	arrived int // home-side handlers only; SSMPs combined this episode
 
 	episodes int64 // home-side handlers only
 }
 
-// Arrive implements Barrier.
-func (b *treeBarrier) Arrive(p *sim.Proc) {
-	e := b.env
-	e.ChargeBarrier(p, e.BarrierOp())
-	s := e.SSMPOf(p.ID)
-	if last, when := b.local[s].arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, b.id, "COMBINE", "ssmp=%d proc=%d", s, p.ID)
-		e.ChargeBarrier(p, e.SendCost())
-		e.Send("BAR.COMB", b.id, p.ID, b.home, when, int64(s), e.BarrierOp(),
-			msg.Func(func(at sim.Time) { b.onCombine(at) }))
-	}
-	c0 := p.Clock()
-	p.Park() // woken by the local release
-	e.BarrierWaited(p, p.Clock()-c0)
-}
-
-// onCombine runs at the barrier home: one SSMP has fully arrived.
-func (b *treeBarrier) onCombine(at sim.Time) {
+// combined runs at the barrier home: one SSMP has fully arrived.
+func (b *treeBarrier) combined(_ int, at sim.Time) {
 	e := b.env
 	b.arrived++
 	e.EmitBarrier(at, -1, b.id, "COMBINE.HOME", "arrived=%d/%d", b.arrived, e.NSSMP())
@@ -66,7 +49,7 @@ func (b *treeBarrier) onCombine(at sim.Time) {
 
 // onRelease runs in each SSMP: wake every waiting processor.
 func (b *treeBarrier) onRelease(s int, at sim.Time) {
-	g := &b.local[s]
+	g := &b.gates[s]
 	b.env.EmitBarrier(at, -1, b.id, "RELEASE", "ssmp=%d waiters=%d", s, len(g.waiting))
 	g.release(at, b.env.BarrierOp())
 }
@@ -77,14 +60,10 @@ func (b *treeBarrier) Episodes() int64 { return b.episodes }
 // Dump implements State.
 func (b *treeBarrier) Dump(f func(format string, args ...any)) {
 	f("barrier=%d arrived=%d", b.id, b.arrived)
-	for s := range b.local {
-		g := &b.local[s]
+	for s := range b.gates {
+		g := &b.gates[s]
 		if !g.idle() {
-			var ws []int
-			for _, p := range g.waiting {
-				ws = append(ws, p.ID)
-			}
-			f("  ssmp=%d count=%d waiting=%v", s, g.count, ws)
+			f("  ssmp=%d count=%d waiting=%v", s, g.count, procIDs(g.waiting))
 		}
 	}
 }
@@ -94,8 +73,8 @@ func (b *treeBarrier) Quiescent() error {
 	if b.arrived != 0 {
 		return quiesceErrf("barrier %d (tree): %d SSMP combines unanswered", b.id, b.arrived)
 	}
-	for s := range b.local {
-		if g := &b.local[s]; !g.idle() {
+	for s := range b.gates {
+		if g := &b.gates[s]; !g.idle() {
 			return quiesceErrf("barrier %d (tree): ssmp %d mid-episode (count=%d waiters=%d)", b.id, s, g.count, len(g.waiting))
 		}
 	}

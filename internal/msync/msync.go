@@ -13,8 +13,10 @@
 // paper's critical-section dilation comes from — and every lock grant
 // and barrier exit runs core.System.AcquireSync, so under the
 // lazy-release extension they validate the acquiring SSMP's copies
-// against the home versions. Every algorithm therefore pays the same
-// coherence costs.
+// against the home versions. The shim also charges each acquire,
+// release and arrival its LockOp/BarrierOp and counts the acquires.
+// Every algorithm therefore pays the same coherence and operation
+// costs.
 package msync
 
 import (
@@ -72,12 +74,12 @@ func (m *System) SetAlgos(la algo.LockAlgo, ba algo.BarrierAlgo) {
 
 // Lock returns the lock with the given id, creating it on first use,
 // homed on processor id mod P.
-func (m *System) Lock(id int) algo.Lock { return m.LockHomed(id, id) }
+func (m *System) Lock(id int) *rcLock { return m.LockHomed(id, id) }
 
 // LockHomed returns lock id, creating it with its home on the given
 // processor (a lock placed with the data it protects, as the paper's
 // per-molecule locks are). The home only takes effect at creation.
-func (m *System) LockHomed(id, home int) algo.Lock {
+func (m *System) LockHomed(id, home int) *rcLock {
 	if l, ok := m.locks[id]; ok {
 		return l
 	}
@@ -139,23 +141,12 @@ func sortedIDs[V any](m map[int]V) []int {
 	return ids
 }
 
-// LockStats aggregates hit/total across the given locks (all locks if
-// ids is empty).
-func (m *System) LockStats(ids ...int) (hits, total int64) {
-	if len(ids) == 0 {
-		for _, l := range m.locks {
-			h, t := l.Stats()
-			hits += h
-			total += t
-		}
-		return hits, total
-	}
-	for _, id := range ids {
-		if l, ok := m.locks[id]; ok {
-			h, t := l.Stats()
-			hits += h
-			total += t
-		}
+// LockStats aggregates hit/total across every lock.
+func (m *System) LockStats() (hits, total int64) {
+	for _, l := range m.locks {
+		h, t := l.Stats()
+		hits += h
+		total += t
 	}
 	return hits, total
 }

@@ -8,14 +8,20 @@ import (
 
 // rcLock wraps an algorithm's lock with what makes it an MGS
 // synchronization point: the ordering yield, the profiler's per-lock
-// attribution window, the release-consistency flush before a release,
+// attribution window, the acquire count and the LockOp of taking and
+// of freeing the lock, the release-consistency flush before a release,
 // and the acquire-side validation after a grant. Algorithms stay pure
-// ordering protocols; Stats, Dump and Quiescent are the algorithm's own.
+// ordering protocols; hits, Dump and Quiescent are the algorithm's own.
 type rcLock struct {
 	algo.Lock
-	m  *System
-	id int
+	m     *System
+	id    int
+	total int64 // acquires
 }
+
+// Stats reports hit/total acquire counts (Figure 11): a hit is an
+// acquire granted without inter-SSMP communication.
+func (l *rcLock) Stats() (hits, total int64) { return l.Hits(), l.total }
 
 // Acquire blocks processor p until it holds the lock. Time spent is
 // attributed to the Lock category.
@@ -27,6 +33,8 @@ func (l *rcLock) Acquire(p *sim.Proc) {
 	p.Yield()
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjLock, int64(l.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
+	l.total++
+	m.env.ChargeLock(p, m.env.LockOp())
 	l.Lock.Acquire(p)
 	m.dsm.AcquireSync(p) // lazy-release acquire-side coherence
 }
@@ -40,12 +48,14 @@ func (l *rcLock) Release(p *sim.Proc) {
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjLock, int64(l.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
 	m.dsm.ReleaseAll(p)
+	m.env.ChargeLock(p, m.env.LockOp())
 	l.Lock.Release(p)
 }
 
 // rcBarrier is the barrier-side shim: arrival is a release point (the
 // delayed update queue drains first, charged as MGS, and only then does
-// the barrier account start) and exit an acquire point.
+// the barrier account start with the BarrierOp of arriving) and exit an
+// acquire point.
 type rcBarrier struct {
 	algo.Barrier
 	m  *System
@@ -59,6 +69,7 @@ func (b *rcBarrier) Arrive(p *sim.Proc) {
 	pk, pid := m.st.ProfSet(p.ID, obs.ObjBarrier, int64(b.id))
 	defer m.st.ProfSet(p.ID, pk, pid)
 	m.dsm.ReleaseAll(p)
+	m.env.ChargeBarrier(p, m.env.BarrierOp())
 	b.Barrier.Arrive(p)
 	m.dsm.AcquireSync(p) // a barrier exit is an acquire (lazy release)
 }

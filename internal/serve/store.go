@@ -174,13 +174,6 @@ func (s *Store) Scan(c *harness.Ctx, key int32, n int) uint64 {
 	return v
 }
 
-// Corrupt flips one bit of key's sum word, backdoor. Test support:
-// proves VerifyAgainst actually depends on the record contents.
-func (s *Store) Corrupt(m *harness.Machine, key int32) {
-	a := s.wordAddr(key, recSum)
-	m.SetI64(a, m.GetI64(a)^1)
-}
-
 // VerifyAgainst compares the store's final records (read backdoor, no
 // simulated cost) against the trace's commutative expectation and
 // returns the first mismatch.
