@@ -127,7 +127,7 @@ func TestExitStatusAndDiagnosis(t *testing.T) {
 		{[]string{"chaos", "-apps", ""}, 1, `mgs chaos: unknown app ""`},
 		{[]string{"profile", "-apps", "water,"}, 1, `mgs profile: unknown app ""`},
 		{[]string{"run", "-pagesize", "1000"}, 1, "mgs run: jacobi: bad page size 1000"},
-		{[]string{"run", "-variant", "bogus"}, 1, `mgs run: unknown variant "bogus" (known: default, no-singlewriter, parallel-inv, update, lazy, migration-1, migration-3)`},
+		{[]string{"run", "-variant", "bogus"}, 1, `mgs run: unknown variant "bogus" (known: default, no-singlewriter, parallel-inv, update, lazy)`},
 		{[]string{"trace", "-p", "8", "-c", "3"}, 1, "mgs trace: water: bad machine shape P=8 C=3"},
 		{[]string{"profile", "-p", "8", "-c", "3"}, 1, "mgs profile: water: bad machine shape P=8 C=3"},
 		{[]string{"sweep", "-ablation", "bogus"}, 1, `mgs sweep: unknown ablation "bogus"`},

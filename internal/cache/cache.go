@@ -152,8 +152,8 @@ func (d *Dir) Reset(homeNode int) {
 // An evicted line finds its frame's directory in reg, indexed by the
 // frame's number within the domain's own frame-ID region
 // (mem.RegionBits wide, starting at base); only frames from another
-// region — a migrated home, or a home frame mapped with the software
-// layer disabled — are looked up in a map.
+// region — home frames mapped with the software layer disabled at
+// C < P — are looked up in a map.
 type Domain struct {
 	costs      Costs
 	hwPointers int

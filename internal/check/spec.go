@@ -16,8 +16,8 @@ import (
 // refinement of this machine.
 //
 // The spec covers the default eager-invalidate protocol (with the
-// single-writer optimization). The lazy and update variants and home
-// migration are out of the checker's scope.
+// single-writer optimization). The lazy and update variants are out of
+// the checker's scope.
 type Spec struct {
 	nssmp int
 	c     int   // cluster size (maps an event's processor to its SSMP)
@@ -326,9 +326,6 @@ func (s *Spec) Feed(e obs.Event) {
 		if keep := e.Args[0]; keep >= 0 {
 			p.writeDir = 1 << uint(keep)
 		}
-
-	case "MIGRATE":
-		s.fail(e, "home migration is outside the checked protocol")
 	}
 }
 

@@ -54,7 +54,6 @@ const (
 	ctrAcqStale         // acq.stale: lazy acquire, a local copy older than the home version is found
 	ctrAcqFlush         // acq.flush: lazy acquire, a stale WRITE copy flushes its writes before it is dropped
 	ctrAcqInval         // acq.inval: lazy acquire, a stale READ copy is dropped with no message
-	ctrMigrate          // migrate: home migration (Variant.MigrateAfter), the page's home moves to another SSMP
 	numCtr
 )
 
@@ -99,7 +98,6 @@ var ctrNames = [numCtr]string{
 	ctrAcqStale:         "acq.stale",
 	ctrAcqFlush:         "acq.flush",
 	ctrAcqInval:         "acq.inval",
-	ctrMigrate:          "migrate",
 }
 
 // count adds delta to counter c, resolving its handle on the collector's

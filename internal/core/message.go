@@ -39,7 +39,6 @@ const (
 	mLazyAck    // its acknowledgement: cp, p, ver (merged), gen (incarnation it revalidates, -1 for none)
 	mRefresh    // update protocol, home → copy: sp, cp, img
 	mRefreshAck // copy → home: sp
-	mMigrate    // home migration, page image → new home
 
 	// Page-table-lock continuations: handed the lock, never sent.
 	kLockWake      // lockProc's waiter: p
@@ -49,7 +48,7 @@ const (
 
 // msgNames are the model checker's choice-label kinds, one per kind
 // that is sent; an unnamed kind is sent unlabeled.
-var msgNames = [mMigrate + 1]string{
+var msgNames = [mRefreshAck + 1]string{
 	mReq: "REQ", mData: "DATA", mUpgrade: "UPGRADE", mUpAck: "UPACK",
 	mWNotify: "WNOTIFY", mRel: "REL", mInv: "INV", mPInv: "PINV",
 	mPInvAck: "PINVACK", mIReply: "IREPLY", mRack: "RACK",
@@ -176,8 +175,6 @@ func (m *message) Deliver(at sim.Time) {
 		if a.sp.refreshing == 0 {
 			s.finishRel(a.sp, at)
 		}
-	case mMigrate:
-		// The page image has reached the new home; nothing to do.
 	case kLockWake:
 		a.p.Wake(at)
 	}

@@ -17,8 +17,9 @@ import (
 // record rides the REQ, the capture round rides the REL, teardowns ride
 // the invalidation replies. Fields that are immutable during a run
 // (sp.page, sp.homeProc, cp.page, cp.ssmp) are the only state read
-// across SSMPs. The lazy-release, update and migration variants
-// (variant.go) are extensions that depart from this.
+// across SSMPs: a page's home is fixed for all time. The lazy-release
+// and update variants (variant.go) are extensions that depart from
+// this.
 
 // onRequest is the Server's RREQ/WREQ handler (arcs 17–19, 22), running
 // on the page's home processor.
@@ -49,12 +50,6 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 	bytes := c.CtrlBytes
 	var img []byte
 	if r != homeSSMP {
-		if r == sp.lastReq {
-			sp.streak++
-		} else {
-			sp.lastReq = r
-			sp.streak = 1
-		}
 		// The home SSMP itself is never registered in the directories:
 		// its "copy" is the home frame, kept consistent in place. Only
 		// remote copies need invalidating at release.
@@ -90,11 +85,7 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		if hcp := s.ssmps[homeSSMP].pages.Get(sp.page); hcp != nil && hcp.frame != nil && hcp.dir != nil {
 			s.count(ctrCleanServe, 1)
 			at = s.net.Extend(sp.homeProc, at, s.ssmps[homeSSMP].domain.CleanPage(hcp.frame, hcp.dir))
-			if hcp.state == PWrite && hcp.tlbDir != 0 {
-				n := s.dropMappings(hcp)
-				s.count(ctrHomeShootdown, int64(n))
-				at = s.net.Extend(sp.homeProc, at, sim.Time(n)*c.PinvWork)
-			}
+			at = s.homeShootdown(sp, hcp, ctrHomeShootdown, at)
 		}
 		// The DMA image is captured now, on the home SSMP: the copy
 		// reflects the home version as of SERVE time, and a merge that
@@ -111,6 +102,21 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 	m := s.newMsg(mData, sp.page)
 	m.sp, m.cp, m.p, m.write, m.ver, m.img = sp, cp, p, write, sp.version, img
 	s.send(m, sp.homeProc, p.ID, at, bytes, 0, b2i(write))
+}
+
+// homeShootdown drops the home SSMP's write mappings of the page (hcp
+// is that SSMP's own record of it), so its processors' next in-place
+// writes fault back into their delayed update queues. It counts the
+// dropped mappings on c, charges one PINV's work per mapping to the
+// home processor from at, and returns when the shootdown is done: the
+// earliest time a message that must follow it may leave.
+func (s *System) homeShootdown(sp *serverPage, hcp *clientPage, c ctr, at sim.Time) sim.Time {
+	if hcp.state != PWrite || hcp.tlbDir == 0 {
+		return at
+	}
+	n := s.dropMappings(hcp)
+	s.count(c, int64(n))
+	return s.net.Extend(sp.homeProc, at, sim.Time(n)*s.cfg.Costs.PinvWork)
 }
 
 // onData is the Local Client's RDAT/WDAT handler (arcs 6–7), running on
@@ -643,11 +649,9 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		// write mappings never recurs. Re-arm it here: the next home
 		// in-place write must fault back into a delayed update queue,
 		// or the persistent remote copies would go permanently stale.
-		homeSSMP := s.ssmpOf(sp.homeProc)
-		if hcp := s.ssmps[homeSSMP].pages.Get(sp.page); hcp != nil && hcp.state == PWrite && hcp.tlbDir != 0 {
-			n := s.dropMappings(hcp)
-			s.count(ctrUpdHomeShootdown, int64(n))
-			s.net.Extend(sp.homeProc, at, sim.Time(n)*s.cfg.Costs.PinvWork)
+		// The round is answered once the shootdown is done.
+		if hcp := s.ssmps[s.ssmpOf(sp.homeProc)].pages.Get(sp.page); hcp != nil {
+			at = s.homeShootdown(sp, hcp, ctrUpdHomeShootdown, at)
 		}
 		// Directories persist: the copies are still out there, valid.
 		if !sp.writeDir.empty() {
@@ -689,17 +693,6 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		sp.writeDir.add(sp.keepWriter)
 		sp.state = sWrite
 		sp.keepWriter = -1
-	}
-	if k := s.cfg.Variant.MigrateAfter; k > 0 && sp.writeDir.empty() && sp.readDir.empty() &&
-		sp.streak >= k && sp.lastReq != s.ssmpOf(sp.homeProc) && len(sp.pendReq) == 0 {
-		// A held page-table lock in the home SSMP is a local fault in
-		// flight (an upgrade waiting for its UP_ACK, say) that will map
-		// the home frame when it completes; the streak stands, so a later
-		// round migrates instead.
-		hcp := s.ssmps[s.ssmpOf(sp.homeProc)].pages.Get(sp.page)
-		if hcp == nil || !hcp.lk.held {
-			s.migrateHome(sp, hcp, sp.lastReq, at)
-		}
 	}
 	s.answerRound(sp, at)
 }
@@ -771,38 +764,6 @@ func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at 
 	m := s.newMsg(mRefreshAck, sp.page)
 	m.sp = sp
 	s.send(m, s.clientOwner(cp), sp.homeProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
-}
-
-// migrateHome moves the page's home to SSMP r (dynamic migration, an
-// extension — see Variant.MigrateAfter). Called at a quiescent
-// point: no copies outstanding, no queued requests, and the old home
-// SSMP's page-table lock on the page free. hcp is that SSMP's own
-// record of the page (nil if it never touched it): its mapping is torn
-// down, and its processors refetch like any other client.
-func (s *System) migrateHome(sp *serverPage, hcp *clientPage, r int, at sim.Time) {
-	oldHome := sp.homeProc
-	oldSSMP := s.ssmpOf(oldHome)
-	newHome := s.ssmpBase(r) + int(uint64(sp.page)%uint64(s.cfg.ClusterSize))
-	if hcp != nil && hcp.frame != nil {
-		s.dropMappings(hcp)
-		s.ssmps[oldSSMP].domain.CleanPage(hcp.frame, hcp.dir)
-		s.ssmps[oldSSMP].domain.Unregister(hcp.frame)
-		hcp.frame = nil
-		hcp.dir = nil
-		s.recycleTwin(hcp)
-		hcp.state = PInv
-	}
-	// The Server record follows the home: it lives in the home SSMP's
-	// page table so lookups resolve through the (re-homed) address space.
-	s.ssmps[oldSSMP].servers.Put(sp.page, nil)
-	sp.homeProc = newHome
-	sp.streak = 0
-	s.space.Rehome(sp.page, newHome)
-	s.ssmps[r].servers.Put(sp.page, sp)
-	s.count(ctrMigrate, 1)
-	s.emitPageArgs(at, -1, sp.page, "MIGRATE", [3]int64{}, "home %d -> %d", oldHome, newHome)
-	// The page image travels to the new home's memory.
-	s.send(s.newMsg(mMigrate, sp.page), oldHome, newHome, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
 }
 
 // sendRack acknowledges a release to the waiting processor (arc 9–10).

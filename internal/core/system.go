@@ -32,8 +32,9 @@
 // the printed table clears write_dir, which would strand a stale copy.
 //
 // Extensions beyond the paper, each a Variant field and off by default:
-// update-based release rounds (UpdateProtocol), dynamic home migration
-// (MigrateAfter), and lazy release consistency (LazyRelease, lazy.go).
+// update-based release rounds (UpdateProtocol) and lazy release
+// consistency (LazyRelease, lazy.go). A page's home is fixed for all
+// time, as in the paper.
 package core
 
 import (
@@ -171,8 +172,6 @@ type serverPage struct {
 	writeDir dirSet // SSMPs with write copies
 
 	version     int64        // merges applied to the home frame (lazy release only)
-	lastReq     int          // last remote SSMP served (migration tracking)
-	streak      int          // consecutive serves to lastReq
 	count       int          // outstanding invalidation replies
 	refreshing  int          // outstanding refresh ACKs (update protocol)
 	refreshDone bool         // this round's refresh phase already ran

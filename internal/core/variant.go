@@ -20,15 +20,6 @@ type Variant struct {
 	// all INVs at once (an ablation).
 	SerialInv bool
 
-	// MigrateAfter, when positive, enables dynamic home migration (the
-	// paper leaves homes "fixed for all time" and names runtime
-	// locality support as future work): after this many consecutive
-	// remote page serves to the same SSMP with no intervening activity
-	// from others, the page's home moves there at the next quiescent
-	// point (a release round that leaves no copies outstanding, with no
-	// fault on the page in flight in the old home's SSMP).
-	MigrateAfter int
-
 	// LazyRelease switches the consistency protocol from the paper's
 	// eager release (every release invalidates all copies) to a
 	// TreadMarks-style lazy variant (the other side of the paper's §6
@@ -38,9 +29,9 @@ type Variant struct {
 	// barrier exit validates the acquiring SSMP's copies against the
 	// home versions (idealized write notices), flushing dirty stale
 	// pages and invalidating clean ones. The eager release round never
-	// runs in this mode, so UpdateProtocol and MigrateAfter, which
-	// modify it, cannot be combined with it (harness.Config.Validate),
-	// and SingleWriter has no effect. See lazy.go.
+	// runs in this mode, so UpdateProtocol, which modifies it, cannot
+	// be combined with it (harness.Config.Validate), and SingleWriter
+	// has no effect. See lazy.go.
 	LazyRelease bool
 
 	// UpdateProtocol switches release rounds from invalidate to update
@@ -83,7 +74,5 @@ func Variants() []NamedVariant {
 		{VariantParallelInv, Variant{SingleWriter: true}},
 		{VariantUpdate, Variant{SingleWriter: true, SerialInv: true, UpdateProtocol: true}},
 		{VariantLazy, Variant{SingleWriter: true, SerialInv: true, LazyRelease: true}},
-		{"migration-1", Variant{SingleWriter: true, SerialInv: true, MigrateAfter: 1}},
-		{"migration-3", Variant{SingleWriter: true, SerialInv: true, MigrateAfter: 3}},
 	}
 }

@@ -306,7 +306,8 @@ func (sweepProbe) Verify(*Machine) error { return nil }
 
 // TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name, a shape
 // that does not divide into SSMPs, a size the substrate cannot build
-// (cache geometry included: the cache model masks where it divided), a
+// (cache geometry included: the cache model masks where it divided; a
+// TLB or page too large to allocate on the host), a
 // self-contradictory protocol variant, an out-of-range fault plan or a
 // trace sink that would panic on its first event comes back from RunApp/RunAppMem as an error that says what would
 // have been accepted, and NewMachine panics with that same message
@@ -328,10 +329,10 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"cache-below-line", NewConfig(4, 2, func(c *Config) { c.CacheHW.CacheBytes = 8 }), []string{"cache size 8", "16-byte line"}},
 		{"hw-pointers-zero", NewConfig(4, 2, func(c *Config) { c.CacheHW.HWPointers = 0 }), []string{"pointer count 0", "at least 1"}},
 		{"tlbsize", NewConfig(4, 2, WithTLBSize(0)), []string{"TLB size 0"}},
+		{"tlbsize-huge", NewConfig(8, 2, WithTLBSize(1<<40)), []string{"TLB size 1099511627776", "at most 65536", "allocated whole"}},
+		{"pagesize-huge", NewConfig(8, 2, WithPageSize(1<<40)), []string{"page size 1099511627776", "at most 65536", "allocated whole"}},
 		{"delay", NewConfig(4, 2, WithInterSSMPDelay(-5)), []string{"delay -5"}},
-		{"migrate-negative", NewConfig(4, 2, func(c *Config) { c.Variant.MigrateAfter = -1 }), []string{"MigrateAfter -1"}},
 		{"lazy-update", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.UpdateProtocol = true, true }), []string{"lazy release", "update protocol"}},
-		{"lazy-migrate", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.MigrateAfter = true, 2 }), []string{"lazy release", "home migration"}},
 		{"fault-negative-rate", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: -5})), []string{"drop=-5", "0 to 10000"}},
 		{"fault-rate-above-10000", NewConfig(4, 2, WithFaultPlan(fault.Plan{DupBP: 20000})), []string{"dup=20000", "0 to 10000"}},
 		{"fault-drop-everything", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: 10000})), []string{"drop rate 10000", "ever arrive"}},

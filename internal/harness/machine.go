@@ -129,9 +129,20 @@ func NewConfig(p, c int, opts ...Option) Config {
 	return cfg
 }
 
+// The largest TLB and page Validate accepts. Both are allocated whole
+// on the host — each processor's TLB when the machine is built, a page
+// for every frame, twin and in-flight image of it — so a larger value
+// ends the process out of memory instead of failing the one run. Both
+// lie far past the shapes the experiments use (TLBs of 1 to 256
+// entries, 256-byte to 2 KB pages).
+const (
+	maxTLBSize  = 1 << 16
+	maxPageSize = 1 << 16
+)
+
 // Validate reports the first reason the configuration cannot be built:
-// a machine shape that does not divide into SSMPs, a TLB or delay the
-// substrate cannot size, cache or page dimensions the cache model
+// a machine shape that does not divide into SSMPs, a TLB, page or delay
+// the substrate cannot size, cache or page dimensions the cache model
 // cannot mask (cache.Params.Validate), a protocol variant whose fields
 // contradict each other, a fault plan whose rates or delay bound are out
 // of range, a trace sink that would panic on its first event, or a lock
@@ -149,12 +160,14 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 		err = fmt.Errorf("bad machine shape P=%d C=%d: want P > 0 and C > 0 dividing P", cfg.P, cfg.C)
 	case cfg.TLBSize <= 0:
 		err = fmt.Errorf("bad TLB size %d: want at least one entry", cfg.TLBSize)
+	case cfg.TLBSize > maxTLBSize:
+		err = fmt.Errorf("bad TLB size %d: want at most %d entries (every processor's TLB is allocated whole on the host)", cfg.TLBSize, maxTLBSize)
+	case cfg.PageSize > maxPageSize:
+		err = fmt.Errorf("bad page size %d: want at most %d bytes (every frame, twin and page image is allocated whole on the host)", cfg.PageSize, maxPageSize)
 	case cfg.Msg.InterDelay < 0:
 		err = fmt.Errorf("bad inter-SSMP delay %d: want a non-negative cycle count", cfg.Msg.InterDelay)
-	case v.MigrateAfter < 0:
-		err = fmt.Errorf("bad MigrateAfter %d: want 0 (homes fixed) or a positive serve count", v.MigrateAfter)
-	case v.LazyRelease && (v.UpdateProtocol || v.MigrateAfter > 0):
-		err = fmt.Errorf("lazy release runs no eager release round, so it cannot be combined with the update protocol or home migration, which only modify that round")
+	case v.LazyRelease && v.UpdateProtocol:
+		err = fmt.Errorf("lazy release runs no eager release round, so it cannot be combined with the update protocol, which only modifies that round")
 	}
 	if err == nil {
 		err = cfg.CacheHW.Validate(cfg.PageSize)

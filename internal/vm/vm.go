@@ -136,10 +136,6 @@ func (s *Space) SetHome(p Page, proc int) {
 	s.homes.Put(p, int32(proc+1))
 }
 
-// Rehome moves page p's home (dynamic migration — an extension beyond
-// the paper, whose homes are "fixed for all time").
-func (s *Space) Rehome(p Page, proc int) { s.homes.Put(p, int32(proc+1)) }
-
 // TLB is one processor's software TLB: a small fully-associative
 // structure with FIFO replacement. Replacement is deterministic.
 //

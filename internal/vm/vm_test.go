@@ -290,19 +290,6 @@ func TestBrkTracksAllocations(t *testing.T) {
 	}
 }
 
-func TestRehomeOverridesPlacement(t *testing.T) {
-	s := NewSpace(1024, 8)
-	s.SetHome(5, 2)
-	s.Rehome(5, 6) // migration may move what SetHome pinned
-	if got := s.HomeProc(5); got != 6 {
-		t.Fatalf("home after Rehome = %d, want 6", got)
-	}
-	s.Rehome(9, 3) // and may place a previously interleaved page
-	if got := s.HomeProc(9); got != 3 {
-		t.Fatalf("home after fresh Rehome = %d, want 3", got)
-	}
-}
-
 func TestSetHomeSameProcIdempotent(t *testing.T) {
 	s := NewSpace(1024, 8)
 	s.SetHome(4, 1)

@@ -20,10 +20,12 @@ type Option = harness.Option
 //	    mgs.WithObserver(obsv))
 func NewConfig(p, c int, opts ...Option) Config { return harness.NewConfig(p, c, opts...) }
 
-// WithPageSize sets the virtual page size in bytes (power of two).
+// WithPageSize sets the virtual page size in bytes (a power of two of
+// at least one cache line and at most 64 KB).
 func WithPageSize(bytes int) Option { return harness.WithPageSize(bytes) }
 
-// WithTLBSize sets the per-processor software TLB capacity.
+// WithTLBSize sets the per-processor software TLB capacity (1 to 65536
+// entries).
 func WithTLBSize(entries int) Option { return harness.WithTLBSize(entries) }
 
 // WithInterSSMPDelay sets the fixed inter-SSMP message latency in
