@@ -10,6 +10,11 @@
 // the paper: local 11, remote 38, 2-party 42, 3-party 63, software
 // directory 425 cycles) and to implement page cleaning, which the MGS
 // protocol needs before any DMA page transfer (paper §4.2.4).
+//
+// Host memory follows use: a processor's cache words live in 16-slot
+// chunks carved, on the first fill of one of their slots, from one
+// Store per machine (Domain), and the hit test a caller's fast path
+// inlines is Domain.Hit.
 package cache
 
 import (
@@ -140,20 +145,73 @@ func (d *Dir) Reset(homeNode int) {
 	}
 }
 
+// chunkBits is log2 of the slots in one chunk: the unit in which a
+// processor's cache takes host memory (Domain).
+const (
+	chunkBits  = 4
+	chunkSlots = 1 << chunkBits
+)
+
+// chunk is chunkSlots consecutive slots of one processor's cache: a
+// (lineAddr+1)<<2 | state word per slot, 0 for an empty slot.
+type chunk [chunkSlots]uint64
+
+// Store carves chunks for every coherence domain of one machine from
+// blocks that double from one chunk up to a whole cache's worth. A
+// machine whose processors fill few chunks pays a few allocations for
+// all their caches, one whose processors fill whole caches about one
+// per processor, and either wastes at most the unused rest of its last
+// block. Chunks are never freed back to it; they live as long as the
+// domains they belong to. The zero value is ready.
+type Store struct {
+	none chunk // every slot empty: the table entry of a chunk never filled
+	buf  []chunk
+	used int
+}
+
+// table returns a chunk table of n entries, each the empty chunk.
+func (s *Store) table(n int) []*chunk {
+	t := make([]*chunk, n)
+	for i := range t {
+		t[i] = &s.none
+	}
+	return t
+}
+
+// carve returns a fresh zero chunk, growing the store by a block of at
+// most limit chunks when the current one is used up.
+func (s *Store) carve(limit int) *chunk {
+	if s.used == len(s.buf) {
+		s.buf = make([]chunk, min(max(2*len(s.buf), 1), limit))
+		s.used = 0
+	}
+	c := &s.buf[s.used]
+	s.used++
+	return c
+}
+
 // Domain is the hardware coherence domain of one SSMP.
 //
 // Its host layout is the simulator's inner loop. Each processor's cache
-// is one []uint64 of (lineAddr+1)<<2 | state words, 0 for an empty
-// slot, allocated by the processor's first Access: zeroing 32 KB per
-// processor up front is most of what building a machine costs, and a
-// processor that is never recorded as a sharer or owner is never looked
-// at. Every slot, line and frame number comes from masks and shifts
-// fixed by NewDomain, which is why Params.Validate wants powers of two.
-// An evicted line finds its frame's directory in reg, indexed by the
-// frame's number within the domain's own frame-ID region
-// (mem.RegionBits wide, starting at base); only frames from another
-// region — home frames mapped with the software layer disabled at
-// C < P — are looked up in a map.
+// is 2^chunkShift chunks of chunkSlots words, found through one
+// domain-wide table indexed by local<<chunkShift | slot>>chunkBits: a
+// lookup reads the table entry and then the word, as many levels as a
+// per-processor array would. Nothing of it is allocated by NewDomain:
+// the table comes with the domain's first Register, and a chunk is
+// carved from the machine's Store when one of its slots is first
+// filled.
+// Until then its entry is the store's empty chunk, so looking a line
+// up, dropping it or cleaning a page never allocates, and a
+// processor's host memory follows the lines it touches. Most touch
+// few: a Water or TSP processor fills 1-3 % of its chunks, a Barnes-Hut
+// one 12-21 %, a syncbench one under 1 %; only dense kernels (Jacobi at
+// P = 32, MatMul at C = 4) fill whole caches. Every slot, chunk, line and frame number
+// comes from masks and shifts fixed by NewDomain, which is why
+// Params.Validate wants powers of two. An evicted line finds its
+// frame's directory in reg, indexed by the frame's number within the
+// domain's own frame-ID region (mem.RegionBits wide, starting at base);
+// only frames from another region — home frames mapped with the
+// software layer disabled at C < P — are looked up in a map.
 type Domain struct {
 	costs      Costs
 	hwPointers int
@@ -161,7 +219,10 @@ type Domain struct {
 	frameShift uint   // log2 lines per page: line address >> frameShift = frame ID
 	lineMask   uint64 // lines per page - 1
 	slotMask   uint64 // lines per cache - 1
-	caches     [][]uint64
+	chunkShift uint   // log2 chunks per cache (0 for a cache of one chunk or less)
+	nprocs     int
+	chunks     []*chunk // nil until the domain's first Register
+	store      *Store
 	base       uint64          // first frame ID of the domain's region
 	reg        []*Dir          // own-region frame ID - base -> directory
 	foreign    map[uint64]*Dir // other regions' frame ID -> directory; nil until needed
@@ -169,8 +230,9 @@ type Domain struct {
 }
 
 // NewDomain builds a coherence domain for nprocs processors and pages of
-// pageSize bytes whose frames come from the ID region starting at 0. It
-// panics on dimensions Params.Validate rejects.
+// pageSize bytes whose frames come from the ID region starting at 0,
+// with a Store of its own. It panics on dimensions Params.Validate
+// rejects.
 func NewDomain(nprocs, pageSize int, params Params, costs Costs) *Domain {
 	return NewDomainAt(0, nprocs, pageSize, params, costs)
 }
@@ -178,18 +240,31 @@ func NewDomain(nprocs, pageSize int, params Params, costs Costs) *Domain {
 // NewDomainAt is NewDomain for an SSMP whose frames come from the ID
 // region starting at base (mem.NewFrameAllocatorAt's base).
 func NewDomainAt(base uint64, nprocs, pageSize int, params Params, costs Costs) *Domain {
+	return new(Store).Domain(base, nprocs, pageSize, params, costs)
+}
+
+// Domain is NewDomainAt for one SSMP of a machine whose SSMPs' domains
+// all carve their chunks from s.
+func (s *Store) Domain(base uint64, nprocs, pageSize int, params Params, costs Costs) *Domain {
 	if err := params.Validate(pageSize); err != nil {
 		panic("cache: " + err.Error())
 	}
 	lineShift := uint(bits.TrailingZeros(uint(params.LineSize)))
+	slotShift := uint(bits.TrailingZeros(uint(params.CacheBytes))) - lineShift
+	chunkShift := uint(0)
+	if slotShift > chunkBits {
+		chunkShift = slotShift - chunkBits
+	}
 	return &Domain{
 		costs:      costs,
 		hwPointers: params.HWPointers,
 		lineShift:  lineShift,
 		frameShift: uint(bits.TrailingZeros(uint(pageSize))) - lineShift,
 		lineMask:   uint64(pageSize/params.LineSize) - 1,
-		slotMask:   uint64(params.CacheBytes/params.LineSize) - 1,
-		caches:     make([][]uint64, nprocs),
+		slotMask:   1<<slotShift - 1,
+		chunkShift: chunkShift,
+		nprocs:     nprocs,
+		store:      s,
 		base:       base,
 	}
 }
@@ -216,8 +291,13 @@ func (p Params) Validate(pageSize int) error {
 func pow2(x int) bool { return x > 0 && x&(x-1) == 0 }
 
 // Register attaches a frame's directory so evictions and cleaning can
-// find it. Call when the SSMP maps a page onto the frame.
+// find it. Call when the SSMP maps a page onto the frame, and before
+// any Access or Hit on the domain: the domain's first Register
+// allocates its chunk table.
 func (d *Domain) Register(f *mem.Frame, dir *Dir) {
+	if d.chunks == nil {
+		d.chunks = d.store.table(d.nprocs << d.chunkShift)
+	}
 	if n := f.ID - d.base; n < 1<<mem.RegionBits {
 		if n >= uint64(len(d.reg)) {
 			d.reg = append(d.reg, make([]*Dir, n+1-uint64(len(d.reg)))...)
@@ -262,17 +342,15 @@ func tag(la uint64) uint64 { return (la + 1) << 2 }
 // Access simulates processor `local` (within-SSMP index) touching byte
 // offset off of frame f, whose directory is dir. It returns the latency
 // to charge and the access class. State in the caches and directory is
-// updated to reflect the access.
+// updated to reflect the access; the first fill of one of a chunk's
+// slots carves the chunk from the store.
 func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) (sim.Time, MissKind) {
 	la := d.lineAddr(f, off)
-	c := d.caches[local]
-	if c == nil {
-		c = make([]uint64, d.slotMask+1)
-		d.caches[local] = c
-	}
 	slot := la & d.slotMask
+	ci := d.chunkIndex(local, slot)
+	c := d.chunks[ci]
 	t := tag(la)
-	w := c[slot]
+	w := c[slot&(chunkSlots-1)]
 	if w&^3 == t {
 		if !write || w == t|uint64(Modified) {
 			d.Counters.ByKind[Hit]++
@@ -281,7 +359,7 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 		// Write to a Shared line: upgrade, invalidating peers.
 		e := &dir.entries[la&d.lineMask]
 		cost := d.upgrade(local, la, e, dir.HomeNode)
-		c[slot] = t | uint64(Modified)
+		c[slot&(chunkSlots-1)] = t | uint64(Modified)
 		e.sharers = 0
 		e.owner = int8(local)
 		d.Counters.ByKind[Upgrade]++
@@ -319,13 +397,43 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 	if w != 0 {
 		d.evict(local, w)
 	}
+	if c == &d.store.none {
+		c = d.store.carve(1 << d.chunkShift)
+		d.chunks[ci] = c
+	}
 	if write {
-		c[slot] = t | uint64(Modified)
+		c[slot&(chunkSlots-1)] = t | uint64(Modified)
 	} else {
-		c[slot] = t | uint64(Shared)
+		c[slot&(chunkSlots-1)] = t | uint64(Shared)
 	}
 	d.Counters.ByKind[kind]++
 	return cost, kind
+}
+
+// Hit is the part of Access a caller's own fast path can inline: it
+// reports whether the access hits — the line is in processor local's
+// cache with the rights the access needs — and counts it if so, as
+// Access would. A hit changes no state and costs Costs.Hit; on false
+// nothing has been counted or changed, and the caller calls Access.
+// Like Access, it needs a frame registered on the domain first.
+func (d *Domain) Hit(local int, f *mem.Frame, off int, write bool) bool {
+	// Spelled out rather than through lineAddr, chunkIndex and tag, so
+	// that the compiler's inlining budget covers it. x is the word's
+	// state bits when it holds the line, and above 3 when it does not.
+	la := f.ID<<d.frameShift + uint64(off)>>d.lineShift
+	slot := la & d.slotMask
+	c := d.chunks[uint64(local)<<d.chunkShift|slot>>chunkBits]
+	if x := c[slot&(chunkSlots-1)] ^ (la+1)<<2; x != uint64(Modified) && (write || x > 3) {
+		return false
+	}
+	d.Counters.ByKind[Hit]++
+	return true
+}
+
+// chunkIndex is the table index of the chunk holding slot of processor
+// p's cache.
+func (d *Domain) chunkIndex(p int, slot uint64) uint64 {
+	return uint64(p)<<d.chunkShift | slot>>chunkBits
 }
 
 // classify picks the access class for a miss by processor local on
@@ -393,15 +501,15 @@ func (d *Domain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Ti
 
 // dropLine removes (or downgrades) line la from processor p's cache.
 func (d *Domain) dropLine(p int, la uint64, downgrade bool) {
-	c := d.caches[p]
 	slot := la & d.slotMask
-	if c == nil || c[slot]&^3 != tag(la) {
+	c := d.chunks[d.chunkIndex(p, slot)]
+	if c[slot&(chunkSlots-1)]&^3 != tag(la) {
 		return // never cached here, or already evicted
 	}
 	if downgrade {
-		c[slot] = tag(la) | uint64(Shared)
+		c[slot&(chunkSlots-1)] = tag(la) | uint64(Shared)
 	} else {
-		c[slot] = 0
+		c[slot&(chunkSlots-1)] = 0
 	}
 }
 
@@ -445,11 +553,12 @@ func (d *Domain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
 // (test hook).
 func (d *Domain) cachedState(p int, f *mem.Frame, off int) LineState {
 	la := d.lineAddr(f, off)
-	c := d.caches[p]
-	if c == nil || c[la&d.slotMask]&^3 != tag(la) {
+	slot := la & d.slotMask
+	c := d.chunks[d.chunkIndex(p, slot)]
+	if c[slot&(chunkSlots-1)]&^3 != tag(la) {
 		return Inv
 	}
-	return LineState(c[la&d.slotMask] & 3)
+	return LineState(c[slot&(chunkSlots-1)] & 3)
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -248,10 +248,11 @@ func BenchmarkAccessMissMix(b *testing.B) {
 	}
 }
 
-// A processor's line array is allocated by its first Access. One that
-// never accessed holds nothing: it reports Inv, and cleaning a page or
-// dropping a line it never held leaves it untouched, without allocating
-// its array as a side effect.
+// A processor's cache takes host memory a chunk at a time, on the first
+// fill of one of the chunk's slots. One that never accessed holds
+// nothing: it reports Inv, and cleaning a page or dropping a line it
+// never held leaves it owning no chunk, without carving one as a side
+// effect. One that touched one line owns exactly that line's chunk.
 func TestNeverAccessedProcessorHoldsNothing(t *testing.T) {
 	d, f, dir := newTestDomain(4)
 	d.Access(0, f, dir, 0, true)
@@ -266,12 +267,56 @@ func TestNeverAccessedProcessorHoldsNothing(t *testing.T) {
 	if st := d.cachedState(idle, f, 16); st != Inv {
 		t.Fatalf("idle processor reports %v after CleanPage, want Inv", st)
 	}
-	if d.caches[idle] != nil {
-		t.Fatal("idle processor's cache was allocated although it never accessed")
+	for p, want := range []int{1, 1, 0, 0} {
+		if n := ownedChunks(d, p); n != want {
+			t.Errorf("processor %d owns %d chunks, want %d", p, n, want)
+		}
 	}
-	if d.caches[0] == nil || d.caches[1] == nil {
-		t.Fatal("accessing processors have no cache")
+}
+
+// Hit finds a line wherever its chunk lies: in the first chunk, either
+// side of a chunk edge and in the last chunk of a 64 KB cache. A read
+// of a filled line hits, a write of a Shared one does not until the
+// upgrade, and neither probe counts anything when it fails.
+func TestHitSeesEveryFilledLine(t *testing.T) {
+	d := NewDomain(2, 1024, DefaultParams(), testCosts())
+	var frames []*mem.Frame
+	for _, id := range []uint64{0, 63} { // lines 0-63 and 4032-4095: slots 0-63 and 4032-4095
+		f := mem.NewFrame(id, 1024)
+		d.Register(f, NewDir(0, 1024, 16))
+		frames = append(frames, f)
 	}
+	for _, f := range frames {
+		for _, off := range []int{0, 15 * 16, 16 * 16, 1008} {
+			if d.Hit(1, f, off, false) {
+				t.Fatalf("frame %d off %d: Hit before any fill", f.ID, off)
+			}
+			d.Access(1, f, d.dirOf(f.ID), off, false)
+			if !d.Hit(1, f, off, false) || d.Hit(1, f, off, true) {
+				t.Fatalf("frame %d off %d: after a read fill, read hit %v and write hit %v; want true, false",
+					f.ID, off, d.Hit(1, f, off, false), d.Hit(1, f, off, true))
+			}
+			d.Access(1, f, d.dirOf(f.ID), off, true)
+			if !d.Hit(1, f, off, true) || d.Hit(0, f, off, false) {
+				t.Fatalf("frame %d off %d: after the upgrade, owner write hit %v and other processor's read hit %v; want true, false",
+					f.ID, off, d.Hit(1, f, off, true), d.Hit(0, f, off, false))
+			}
+		}
+	}
+	if hits, n := d.Counters.ByKind[Hit], int64(2*len(frames)*4); hits != n {
+		t.Fatalf("%d hits counted, want %d: one per successful probe", hits, n)
+	}
+}
+
+// ownedChunks counts the chunks processor p has been carved.
+func ownedChunks(d *Domain, p int) int {
+	n := 0
+	for _, c := range d.chunks[p<<d.chunkShift : (p+1)<<d.chunkShift] {
+		if c != &d.store.none {
+			n++
+		}
+	}
+	return n
 }
 
 // A directory recycled with Reset — the protocol hands a torn-down
@@ -378,9 +423,13 @@ func TestNewDomainRejectsUnmaskableGeometry(t *testing.T) {
 // and every directory entry. The first three bytes choose the shape —
 // processor count (up to 130, past the 64-bit sharer masks), line,
 // cache and page sizes (caches of one to eight lines, so fills conflict
-// constantly), hardware pointers, the domain's own region, and which of
+// constantly; with the first byte's top bit set, 16 to 128 lines, one
+// to eight chunks, so a processor's accesses fill some chunks and not
+// others), hardware pointers, the domain's own region, and which of
 // the six frames come from a foreign region. Then each three-byte step
-// is an access by any processor to any byte of any frame, a CleanPage,
+// is an access by any processor to any byte of any frame (every other
+// one made as core.System.Access makes it, Access only when Hit says
+// no), a CleanPage,
 // an Unregister, or an Unregister and re-Register of the same frame ID
 // with its directory Reset to a new home — a recycled frame.
 func FuzzDomain(f *testing.F) {
@@ -390,11 +439,12 @@ func FuzzDomain(f *testing.F) {
 			return
 		}
 		script = script[:min(len(script), 3+3*maxFuzzSteps)]
-		nprocs := []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 130}[int(script[0])%12]
+		nprocs := []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 130}[int(script[0]&0x7f)%12]
 		geom := script[1]
 		line := 16 << (geom & 1)
 		pageSize := line << (geom >> 1 & 3)
-		params := Params{LineSize: line, CacheBytes: line << (geom >> 3 & 3), HWPointers: 1 + int(geom>>5)}
+		cacheLines := 1 << (geom>>3&3 + script[0]>>7*chunkBits)
+		params := Params{LineSize: line, CacheBytes: line * cacheLines, HWPointers: 1 + int(geom>>5)}
 		region := uint64(script[2] & 3)
 		d := NewDomainAt(region<<mem.RegionBits, nprocs, pageSize, params, testCosts())
 		ref := newRefDomain(nprocs, pageSize, params, testCosts())
@@ -420,7 +470,10 @@ func FuzzDomain(f *testing.F) {
 			switch op & 7 {
 			case 0, 1, 2, 3, 4:
 				write := op&4 != 0
-				c, kind := d.Access(a%nprocs, fr, dirs[fi], b%pageSize, write)
+				c, kind := d.costs.Hit, Hit
+				if k/3%2 == 0 || !d.Hit(a%nprocs, fr, b%pageSize, write) {
+					c, kind = d.Access(a%nprocs, fr, dirs[fi], b%pageSize, write)
+				}
 				rc, rkind := ref.Access(a%nprocs, fr, refDirs[fi], b%pageSize, write)
 				if c != rc || kind != rkind {
 					t.Fatalf("step %d: proc %d frame %#x off %d write=%v: (%d, %v), reference (%d, %v)",

@@ -198,6 +198,7 @@ type System struct {
 	tlbs  []*vm.TLB
 	ssmps []*ssmpState
 	place []procPlace // by processor: its SSMP and within-SSMP index
+	lines cache.Store // every SSMP's cache chunks (cache.Domain)
 
 	// Obs is the observability spine. Nil (or an observer with no
 	// sinks) keeps the trace path structurally detached: emitPageArgs
@@ -299,7 +300,7 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		base := uint64(i) << mem.RegionBits
 		ss := &ssmpState{
 			id:     i,
-			domain: cache.NewDomainAt(base, cfg.ClusterSize, cfg.PageSize, cfg.CacheParams, cfg.CacheCosts),
+			domain: s.lines.Domain(base, cfg.ClusterSize, cfg.PageSize, cfg.CacheParams, cfg.CacheCosts),
 			frames: mem.NewFrameAllocatorAt(base, cfg.PageSize),
 			duqs:   make([]*duq, cfg.ClusterSize),
 		}
@@ -467,10 +468,16 @@ func (s *System) SnapshotMemory() []byte {
 // caller should read or write. pointer selects the more expensive
 // pointer-dereference translation sequence.
 //
-// Fast-path invariant: an access whose TLB lookup hits performs no heap
-// allocation and no division, and charges its translation and hardware
-// cycles in one spend. The hit reads two page-indexed tables, the TLB's
-// and the SSMP's page table (vm.PageMap), with two loads each.
+// Fast-path invariant: an access that hits in the TLB and the cache
+// performs no heap allocation, no division and no call but the one
+// spend that charges its translation and hit cycles. The hit is decided
+// here from three reads: the TLB entry, the SSMP's page record
+// (vm.PageMap, two loads each) and one probe of the cache word
+// (cache.Domain.Hit, inlined; a TLB hit means the page is mapped here,
+// so its frame is registered on the domain, as Hit requires). A cache
+// miss or upgrade goes out of line to Domain.Access. A TLB miss goes
+// straight to the Local Client (fault) without translating again, and
+// the loop then retries the TLB.
 func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Frame, int) {
 	page := s.space.PageOf(va)
 	off := s.space.Offset(va)
@@ -484,6 +491,10 @@ func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Fram
 	for {
 		if priv, ok := tlb.Lookup(page); ok && (priv == vm.Write || !write) {
 			cp := ss.pages.Get(page)
+			if ss.domain.Hit(int(pl.local), cp.frame, off, write) {
+				s.spend(p, stats.User, tc+s.cfg.CacheCosts.Hit)
+				return cp.frame, off
+			}
 			cost, _ := ss.domain.Access(int(pl.local), cp.frame, cp.dir, off, write)
 			s.spend(p, stats.User, tc+cost)
 			return cp.frame, off

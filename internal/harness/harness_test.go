@@ -307,7 +307,7 @@ func (sweepProbe) Verify(*Machine) error { return nil }
 // TestBadConfigIsAnErrorNotAPanic: an unknown algorithm name, a shape
 // that does not divide into SSMPs, a size the substrate cannot build
 // (cache geometry included: the cache model masks where it divided; a
-// TLB or page too large to allocate on the host), a
+// machine, TLB, page or cache too large to allocate on the host), a
 // self-contradictory protocol variant, an out-of-range fault plan or a
 // trace sink that would panic on its first event comes back from RunApp/RunAppMem as an error that says what would
 // have been accepted, and NewMachine panics with that same message
@@ -331,6 +331,8 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"tlbsize", NewConfig(4, 2, WithTLBSize(0)), []string{"TLB size 0"}},
 		{"tlbsize-huge", NewConfig(8, 2, WithTLBSize(1<<40)), []string{"TLB size 1099511627776", "at most 65536", "allocated whole"}},
 		{"pagesize-huge", NewConfig(8, 2, WithPageSize(1<<40)), []string{"page size 1099511627776", "at most 65536", "allocated whole"}},
+		{"procs-huge", NewConfig(1<<40, 2), []string{"processor count 1099511627776", "at most 4096", "allocated on the host"}},
+		{"cache-huge", NewConfig(8, 2, func(c *Config) { c.CacheHW.CacheBytes = 1 << 40 }), []string{"cache size 1099511627776", "at most 1048576", "cache table"}},
 		{"delay", NewConfig(4, 2, WithInterSSMPDelay(-5)), []string{"delay -5"}},
 		{"lazy-update", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.UpdateProtocol = true, true }), []string{"lazy release", "update protocol"}},
 		{"fault-negative-rate", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: -5})), []string{"drop=-5", "0 to 10000"}},

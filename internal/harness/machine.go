@@ -129,24 +129,30 @@ func NewConfig(p, c int, opts ...Option) Config {
 	return cfg
 }
 
-// The largest TLB and page Validate accepts. Both are allocated whole
-// on the host — each processor's TLB when the machine is built, a page
-// for every frame, twin and in-flight image of it — so a larger value
-// ends the process out of memory instead of failing the one run. Both
-// lie far past the shapes the experiments use (TLBs of 1 to 256
-// entries, 256-byte to 2 KB pages).
+// The largest machine, TLB, page and cache Validate accepts. Each is
+// allocated on the host in proportion to its size — a coroutine, a TLB
+// and a cache table per processor when the machine is built, each
+// processor's TLB whole, a page for every frame, twin and in-flight
+// image of it, and a table entry per 16-line chunk of every processor's
+// cache — so a larger value ends the process out of memory instead of
+// failing the one run. All lie far past the shapes the experiments use
+// (P up to 1024, TLBs of 1 to 256 entries, 256-byte to 2 KB pages,
+// Alewife's 64 KB caches).
 const (
-	maxTLBSize  = 1 << 16
-	maxPageSize = 1 << 16
+	maxProcs      = 1 << 12
+	maxTLBSize    = 1 << 16
+	maxPageSize   = 1 << 16
+	maxCacheBytes = 1 << 20
 )
 
 // Validate reports the first reason the configuration cannot be built:
-// a machine shape that does not divide into SSMPs, a TLB, page or delay
-// the substrate cannot size, cache or page dimensions the cache model
-// cannot mask (cache.Params.Validate), a protocol variant whose fields
-// contradict each other, a fault plan whose rates or delay bound are out
-// of range, a trace sink that would panic on its first event, or a lock
-// or barrier name no registered algorithm answers to.
+// a machine shape that does not divide into SSMPs, a machine, TLB,
+// page, cache or delay the substrate cannot size, cache or page
+// dimensions the cache model cannot mask (cache.Params.Validate), a
+// protocol variant whose fields contradict each other, a fault plan
+// whose rates or delay bound are out of range, a trace sink that would
+// panic on its first event, or a lock or barrier name no registered
+// algorithm answers to.
 func (cfg Config) Validate() error {
 	_, _, err := cfg.algos()
 	return err
@@ -158,12 +164,16 @@ func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
 	switch {
 	case cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0:
 		err = fmt.Errorf("bad machine shape P=%d C=%d: want P > 0 and C > 0 dividing P", cfg.P, cfg.C)
+	case cfg.P > maxProcs:
+		err = fmt.Errorf("bad processor count %d: want at most %d (every processor's coroutine, TLB and cache table are allocated on the host)", cfg.P, maxProcs)
 	case cfg.TLBSize <= 0:
 		err = fmt.Errorf("bad TLB size %d: want at least one entry", cfg.TLBSize)
 	case cfg.TLBSize > maxTLBSize:
 		err = fmt.Errorf("bad TLB size %d: want at most %d entries (every processor's TLB is allocated whole on the host)", cfg.TLBSize, maxTLBSize)
 	case cfg.PageSize > maxPageSize:
 		err = fmt.Errorf("bad page size %d: want at most %d bytes (every frame, twin and page image is allocated whole on the host)", cfg.PageSize, maxPageSize)
+	case cfg.CacheHW.CacheBytes > maxCacheBytes:
+		err = fmt.Errorf("bad cache size %d: want at most %d bytes (every processor's cache table is sized from it on the host)", cfg.CacheHW.CacheBytes, maxCacheBytes)
 	case cfg.Msg.InterDelay < 0:
 		err = fmt.Errorf("bad inter-SSMP delay %d: want a non-negative cycle count", cfg.Msg.InterDelay)
 	case v.LazyRelease && v.UpdateProtocol:

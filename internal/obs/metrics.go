@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -251,12 +252,19 @@ func sortedNames[V any](m map[string]V) []string {
 }
 
 // CounterStrings renders just the counters as sorted "name=value"
-// lines — the legacy Collector.Counters shape.
+// lines — the legacy Collector.Counters shape. Every line is built in
+// one reused buffer, so a line costs its string and nothing else.
 func (r *Registry) CounterStrings() []string {
 	out := make([]string, 0, len(r.counters))
+	var buf [64]byte // a longer line grows a buffer of its own
 	for k, v := range r.counters {
-		out = append(out, fmt.Sprintf("%s=%d", k, v.Value()))
+		out = append(out, string(counterLine(buf[:0], k, v.Value())))
 	}
 	sort.Strings(out)
 	return out
+}
+
+// counterLine appends the line "name=v" to b.
+func counterLine(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(append(b, name...), '='), v, 10)
 }
