@@ -14,7 +14,9 @@
 // Host memory follows use: a processor's cache words live in 16-slot
 // chunks carved, on the first fill of one of their slots, from one
 // Store per machine (Domain), and the hit test a caller's fast path
-// inlines is Domain.Hit.
+// inlines is Domain.Hit. A frame's directory costs 9 bytes a line — a
+// sharer mask and an owner byte, in two arrays — carved from the same
+// Store (Domain.NewDir).
 package cache
 
 import (
@@ -104,35 +106,32 @@ func (c *Counters) Accesses() int64 {
 	return n
 }
 
-// dirEntry is the directory state for one cache line of one frame.
-type dirEntry struct {
-	sharers uint64 // bitmask of within-SSMP processor indexes, clean copies
-	owner   int8   // within-SSMP index holding Modified copy, or -1
-}
-
-// Dir is the directory for one frame mapped in one SSMP.
+// Dir is the directory for one frame mapped in one SSMP: for each of
+// the frame's lines, the processors holding a clean copy and the one
+// holding it Modified. The two are separate arrays, 9 bytes a line
+// where one struct per line would pad to 16. Both hold within-SSMP
+// processor numbers as one struct did: a processor's sharer bit is
+// 1<<local, which no processor past 63 has, and the owner byte is
+// int8(local), which wraps past 127. SSMPs wider than 64 processors
+// keep those semantics, which the committed scale sweep's C > 64 points
+// were measured with.
 type Dir struct {
 	// HomeNode is the within-SSMP index of the node whose memory holds
 	// the frame (first-touch placement); it determines local vs remote
 	// miss costs.
 	HomeNode int
-	entries  []dirEntry
+	sharers  []uint64 // per line: bitmask of processors with clean copies
+	owner    []int8   // per line: processor with the Modified copy, or -1
 }
 
 // NewDir returns an empty directory for a page of pageSize bytes at
-// homeNode, with lineSize-byte lines.
+// homeNode, with lineSize-byte lines: the directory Domain.NewDir
+// carves, allocated on its own.
 func NewDir(homeNode, pageSize, lineSize int) *Dir {
-	d := new(Dir)
-	d.Init(homeNode, pageSize, lineSize)
-	return d
-}
-
-// Init makes d, in place, the directory NewDir returns — for callers
-// that carve Dir headers from their own storage. Its entries are one
-// fresh allocation.
-func (d *Dir) Init(homeNode, pageSize, lineSize int) {
-	d.entries = make([]dirEntry, pageSize/lineSize)
+	n := pageSize / lineSize
+	d := &Dir{sharers: make([]uint64, n), owner: make([]int8, n)}
 	d.Reset(homeNode)
+	return d
 }
 
 // Reset returns d to the state NewDir builds — no line cached anywhere —
@@ -140,8 +139,9 @@ func (d *Dir) Init(homeNode, pageSize, lineSize int) {
 // of the same page size.
 func (d *Dir) Reset(homeNode int) {
 	d.HomeNode = homeNode
-	for i := range d.entries {
-		d.entries[i] = dirEntry{owner: -1}
+	clear(d.sharers)
+	for i := range d.owner {
+		d.owner[i] = -1
 	}
 }
 
@@ -156,18 +156,30 @@ const (
 // (lineAddr+1)<<2 | state word per slot, 0 for an empty slot.
 type chunk [chunkSlots]uint64
 
-// Store carves chunks for every coherence domain of one machine from
-// blocks that double from one chunk up to a whole cache's worth. A
-// machine whose processors fill few chunks pays a few allocations for
-// all their caches, one whose processors fill whole caches about one
-// per processor, and either wastes at most the unused rest of its last
-// block. Chunks are never freed back to it; they live as long as the
-// domains they belong to. The zero value is ready.
+// Store carves chunks and frame directories for every coherence
+// domain of one machine. Chunks come in blocks that double from one
+// chunk up to a whole cache's worth: a machine whose processors fill
+// few chunks pays a few allocations for all their caches, one whose
+// processors fill whole caches about one per processor. A directory's
+// sharer and owner arrays come from two mem.Blocks carved in step, up
+// to maxDirBlock lines a block, and its header from a slab. Either
+// kind wastes at most the unused rest of its last block. Nothing is
+// freed back to it: chunks live as long as their domains, and the
+// protocol recycles directories itself. The zero value is ready.
 type Store struct {
 	none chunk // every slot empty: the table entry of a chunk never filled
 	buf  []chunk
 	used int
+
+	dirs    mem.Slab[Dir]
+	sharers mem.Blocks[uint64]
+	owners  mem.Blocks[int8]
 }
+
+// maxDirBlock caps a directory block, in lines: 36 KB of sharer masks
+// and owner bytes, 64 directories of a 1 KB page of 16-byte lines. A
+// directory larger than it comes one to a block.
+const maxDirBlock = 4096
 
 // table returns a chunk table of n entries, each the empty chunk.
 func (s *Store) table(n int) []*chunk {
@@ -188,6 +200,14 @@ func (s *Store) carve(limit int) *chunk {
 	c := &s.buf[s.used]
 	s.used++
 	return c
+}
+
+// dir returns an empty directory of n lines at homeNode.
+func (s *Store) dir(homeNode, n int) *Dir {
+	d := s.dirs.New()
+	d.sharers, d.owner = s.sharers.Carve(n, maxDirBlock), s.owners.Carve(n, maxDirBlock)
+	d.Reset(homeNode)
+	return d
 }
 
 // Domain is the hardware coherence domain of one SSMP.
@@ -290,6 +310,13 @@ func (p Params) Validate(pageSize int) error {
 
 func pow2(x int) bool { return x > 0 && x&(x-1) == 0 }
 
+// NewDir returns an empty directory for one of the domain's frames at
+// homeNode: the directory NewDir builds, carved from the machine's
+// Store.
+func (d *Domain) NewDir(homeNode int) *Dir {
+	return d.store.dir(homeNode, int(d.lineMask)+1)
+}
+
 // Register attaches a frame's directory so evictions and cleaning can
 // find it. Call when the SSMP maps a page onto the frame, and before
 // any Access or Hit on the domain: the domain's first Register
@@ -357,40 +384,41 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 			return d.costs.Hit, Hit
 		}
 		// Write to a Shared line: upgrade, invalidating peers.
-		e := &dir.entries[la&d.lineMask]
-		cost := d.upgrade(local, la, e, dir.HomeNode)
+		li := la & d.lineMask
+		cost := d.upgrade(local, la, dir.sharers[li], dir.HomeNode)
 		c[slot&(chunkSlots-1)] = t | uint64(Modified)
-		e.sharers = 0
-		e.owner = int8(local)
+		dir.sharers[li] = 0
+		dir.owner[li] = int8(local)
 		d.Counters.ByKind[Upgrade]++
 		return cost, Upgrade
 	}
 
 	// Miss: classify before mutating state.
-	e := &dir.entries[la&d.lineMask]
-	kind := d.classify(local, e, dir.HomeNode)
+	li := la & d.lineMask
+	sharers, owner := &dir.sharers[li], &dir.owner[li]
+	kind := d.classify(local, *sharers, *owner, dir.HomeNode)
 	cost := d.missCost(kind)
 
 	// Pull the dirty copy back / downgrade or invalidate as needed.
-	if e.owner >= 0 && int(e.owner) != local {
-		d.dropLine(int(e.owner), la, !write) // read: downgrade to Shared
+	if o := *owner; o >= 0 && int(o) != local {
+		d.dropLine(int(o), la, !write) // read: downgrade to Shared
 		if !write {
-			e.sharers |= 1 << uint(e.owner)
+			*sharers |= 1 << uint(o)
 		}
-		e.owner = -1
+		*owner = -1
 	}
 	if write {
 		// Invalidate all other sharers.
-		for s := e.sharers; s != 0; s &= s - 1 {
+		for s := *sharers; s != 0; s &= s - 1 {
 			p := trailingZeros(s)
 			if p != local {
 				d.dropLine(p, la, false)
 			}
 		}
-		e.sharers = 0
-		e.owner = int8(local)
+		*sharers = 0
+		*owner = int8(local)
 	} else {
-		e.sharers |= 1 << uint(local)
+		*sharers |= 1 << uint(local)
 	}
 
 	// Install in the local cache, evicting any conflicting line.
@@ -436,18 +464,19 @@ func (d *Domain) chunkIndex(p int, slot uint64) uint64 {
 	return uint64(p)<<d.chunkShift | slot>>chunkBits
 }
 
-// classify picks the access class for a miss by processor local on
-// directory entry e with the frame's memory at homeNode.
-func (d *Domain) classify(local int, e *dirEntry, homeNode int) MissKind {
-	if e.owner >= 0 {
+// classify picks the access class for a miss by processor local on a
+// line with the given directory state and the frame's memory at
+// homeNode.
+func (d *Domain) classify(local int, sharers uint64, owner int8, homeNode int) MissKind {
+	if owner >= 0 {
 		switch {
-		case int(e.owner) == homeNode || local == homeNode:
+		case int(owner) == homeNode || local == homeNode:
 			return TwoParty
 		default:
 			return ThreeParty
 		}
 	}
-	if popcount(e.sharers) >= d.hwPointers {
+	if popcount(sharers) >= d.hwPointers {
 		return SoftwareDir
 	}
 	if local == homeNode {
@@ -474,8 +503,8 @@ func (d *Domain) missCost(k MissKind) sim.Time {
 
 // upgrade computes the cost of invalidating the other sharers of a line
 // on a write hit to a Shared copy, and drops their copies.
-func (d *Domain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Time {
-	others := e.sharers &^ (1 << uint(local))
+func (d *Domain) upgrade(local int, la uint64, sharers uint64, homeNode int) sim.Time {
+	others := sharers &^ (1 << uint(local))
 	if others == 0 {
 		if local == homeNode {
 			return d.costs.Local
@@ -521,11 +550,11 @@ func (d *Domain) evict(p int, w uint64) {
 	if dir == nil {
 		return // frame already unregistered
 	}
-	e := &dir.entries[la&d.lineMask]
-	if LineState(w&3) == Modified && int(e.owner) == p {
-		e.owner = -1
+	li := la & d.lineMask
+	if LineState(w&3) == Modified && int(dir.owner[li]) == p {
+		dir.owner[li] = -1
 	}
-	e.sharers &^= 1 << uint(p)
+	dir.sharers[li] &^= 1 << uint(p)
 }
 
 // CleanPage invalidates every line of the frame from every cache in the
@@ -534,17 +563,16 @@ func (d *Domain) evict(p int, w uint64) {
 // CleanPage the frame's data is globally coherent and safe to DMA.
 func (d *Domain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
 	first := d.lineAddr(f, 0)
-	for li := range dir.entries {
-		e := &dir.entries[li]
+	for li, o := range dir.owner {
 		la := first + uint64(li)
-		if e.owner >= 0 {
-			d.dropLine(int(e.owner), la, false)
-			e.owner = -1
+		if o >= 0 {
+			d.dropLine(int(o), la, false)
+			dir.owner[li] = -1
 		}
-		for s := e.sharers; s != 0; s &= s - 1 {
+		for s := dir.sharers[li]; s != 0; s &= s - 1 {
 			d.dropLine(trailingZeros(s), la, false)
 		}
-		e.sharers = 0
+		dir.sharers[li] = 0
 	}
 	return sim.Time(d.lineMask+1) * d.costs.CleanPerLine
 }

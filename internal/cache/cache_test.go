@@ -3,7 +3,6 @@ package cache
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"mgs/internal/mem"
@@ -124,8 +123,8 @@ func TestEvictionUpdatesDirectory(t *testing.T) {
 	if st := d.cachedState(0, f1, 0); st != Inv {
 		t.Fatalf("evicted line state = %v, want Inv", st)
 	}
-	if dir1.entries[0].owner != -1 {
-		t.Fatalf("directory owner after eviction = %d, want -1", dir1.entries[0].owner)
+	if dir1.owner[0] != -1 {
+		t.Fatalf("directory owner after eviction = %d, want -1", dir1.owner[0])
 	}
 	// A fresh read by proc 1 must be a plain miss, not see a stale owner.
 	_, k := d.Access(1, f1, dir1, 0, false)
@@ -151,9 +150,9 @@ func TestCleanPage(t *testing.T) {
 			}
 		}
 	}
-	for li, e := range dir.entries {
-		if e.sharers != 0 || e.owner != -1 {
-			t.Fatalf("dir entry %d not reset after clean: %+v", li, e)
+	for li := range dir.owner {
+		if dir.sharers[li] != 0 || dir.owner[li] != -1 {
+			t.Fatalf("dir line %d not reset after clean: sharers %b, owner %d", li, dir.sharers[li], dir.owner[li])
 		}
 	}
 }
@@ -183,17 +182,17 @@ func TestDirectoryInvariants(t *testing.T) {
 		d.Access(p, frames[fi], dirs[fi], off, rng.Intn(2) == 0)
 
 		for i := 0; i < nframes; i++ {
-			for li := range dirs[i].entries {
-				e := dirs[i].entries[li]
-				if e.owner >= 0 && e.sharers != 0 {
-					t.Fatalf("step %d: frame %d line %d has owner %d and sharers %b", step, i, li, e.owner, e.sharers)
+			for li, owner := range dirs[i].owner {
+				sharers := dirs[i].sharers[li]
+				if owner >= 0 && sharers != 0 {
+					t.Fatalf("step %d: frame %d line %d has owner %d and sharers %b", step, i, li, owner, sharers)
 				}
-				if e.owner >= 0 {
-					if st := d.cachedState(int(e.owner), frames[i], li*16); st != Modified {
-						t.Fatalf("step %d: owner %d does not hold Modified copy (%v)", step, e.owner, st)
+				if owner >= 0 {
+					if st := d.cachedState(int(owner), frames[i], li*16); st != Modified {
+						t.Fatalf("step %d: owner %d does not hold Modified copy (%v)", step, owner, st)
 					}
 				}
-				for s := e.sharers; s != 0; s &= s - 1 {
+				for s := sharers; s != 0; s &= s - 1 {
 					sp := trailingZeros(s)
 					if st := d.cachedState(sp, frames[i], li*16); st != Shared {
 						t.Fatalf("step %d: sharer %d state %v, want Shared", step, sp, st)
@@ -377,9 +376,9 @@ func TestAccessZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("evicting miss: %v allocs, want 0", n)
 	}
-	if kinds != [2]MissKind{LocalMiss, LocalMiss} || dir2.entries[0].owner != -1 {
+	if kinds != [2]MissKind{LocalMiss, LocalMiss} || dir2.owner[0] != -1 {
 		t.Fatalf("alternating conflicting writes: kinds %v, evicted owner %d; want two local misses, owner -1",
-			kinds, dir2.entries[0].owner)
+			kinds, dir2.owner[0])
 	}
 }
 
@@ -451,14 +450,15 @@ func FuzzDomain(f *testing.F) {
 
 		const nframes = 6
 		var frames [nframes]*mem.Frame
-		var dirs, refDirs [nframes]*Dir
+		var dirs [nframes]*Dir
+		var refDirs [nframes]*refDir
 		for i := range frames {
 			id := region<<mem.RegionBits + uint64(i)
 			if script[2]>>2&(1<<i) != 0 {
 				id = (region+1+uint64(i%3))%5<<mem.RegionBits + uint64(i)
 			}
 			frames[i] = mem.NewFrame(id, pageSize)
-			dirs[i], refDirs[i] = NewDir(i%nprocs, pageSize, line), NewDir(i%nprocs, pageSize, line)
+			dirs[i], refDirs[i] = NewDir(i%nprocs, pageSize, line), newRefDir(i%nprocs, pageSize, line)
 			d.Register(frames[i], dirs[i])
 			ref.Register(frames[i], refDirs[i])
 		}
@@ -499,7 +499,7 @@ func FuzzDomain(f *testing.F) {
 				t.Fatalf("step %d: counters %v, reference %v", k/3, d.Counters, ref.Counters)
 			}
 			for i, fr := range frames {
-				if dirs[i].HomeNode != refDirs[i].HomeNode || !slices.Equal(dirs[i].entries, refDirs[i].entries) {
+				if !refDirs[i].equal(dirs[i]) {
 					t.Fatalf("step %d: frame %#x directory %+v, reference %+v", k/3, fr.ID, *dirs[i], *refDirs[i])
 				}
 				for p := range nprocs {
@@ -516,9 +516,50 @@ func FuzzDomain(f *testing.F) {
 
 // The reference model: Domain as it was before its host layout was
 // rebuilt — separate tag and state arrays, a modulo per slot and per
-// line, and a map from every frame ID to its directory — kept verbatim
-// apart from its names. FuzzDomain requires the two to agree on every
-// charge, class, line state, counter and directory entry.
+// line, a map from every frame ID to its directory, and a directory of
+// one 16-byte entry per line — kept verbatim apart from its names.
+// FuzzDomain requires the two to agree on every charge, class, line
+// state, counter and directory entry.
+
+// refEntry is the directory state for one cache line of one frame.
+type refEntry struct {
+	sharers uint64 // bitmask of within-SSMP processor indexes, clean copies
+	owner   int8   // within-SSMP index holding Modified copy, or -1
+}
+
+// refDir is the directory for one frame mapped in one SSMP.
+type refDir struct {
+	HomeNode int
+	entries  []refEntry
+}
+
+func newRefDir(homeNode, pageSize, lineSize int) *refDir {
+	d := &refDir{entries: make([]refEntry, pageSize/lineSize)}
+	d.Reset(homeNode)
+	return d
+}
+
+// Reset returns d to the state newRefDir builds.
+func (d *refDir) Reset(homeNode int) {
+	d.HomeNode = homeNode
+	for i := range d.entries {
+		d.entries[i] = refEntry{owner: -1}
+	}
+}
+
+// equal reports whether dir holds the reference's home and, line by
+// line, its sharers and owner.
+func (d *refDir) equal(dir *Dir) bool {
+	if dir.HomeNode != d.HomeNode || len(dir.sharers) != len(d.entries) || len(dir.owner) != len(d.entries) {
+		return false
+	}
+	for li, e := range d.entries {
+		if dir.sharers[li] != e.sharers || int(dir.owner[li]) != int(e.owner) {
+			return false
+		}
+	}
+	return true
+}
 
 // refCache is one processor's direct-mapped cache (tags + state only).
 // Both arrays are nil until the processor's first Access: zeroing 36 KB
@@ -539,7 +580,7 @@ type refDomain struct {
 	nlines    int // lines per cache
 	linesPage int // lines per page
 	caches    []refCache
-	frames    map[uint64]*Dir // frame ID -> directory, for exact eviction
+	frames    map[uint64]*refDir // frame ID -> directory, for exact eviction
 	Counters  Counters
 }
 
@@ -558,13 +599,13 @@ func newRefDomain(nprocs, pageSize int, params Params, costs Costs) *refDomain {
 		nlines:    params.CacheBytes / params.LineSize,
 		linesPage: pageSize / params.LineSize,
 		caches:    make([]refCache, nprocs),
-		frames:    make(map[uint64]*Dir),
+		frames:    make(map[uint64]*refDir),
 	}
 }
 
 // Register attaches a frame's directory so evictions and cleaning can
 // find it. Call when the SSMP maps a page onto the frame.
-func (d *refDomain) Register(f *mem.Frame, dir *Dir) { d.frames[f.ID] = dir }
+func (d *refDomain) Register(f *mem.Frame, dir *refDir) { d.frames[f.ID] = dir }
 
 // Unregister detaches a frame (page invalidated and frame freed).
 func (d *refDomain) Unregister(f *mem.Frame) { delete(d.frames, f.ID) }
@@ -578,7 +619,7 @@ func (d *refDomain) lineAddr(f *mem.Frame, off int) uint64 {
 // offset off of frame f, whose directory is dir. It returns the latency
 // to charge and the access class. State in the caches and directory is
 // updated to reflect the access.
-func (d *refDomain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) (sim.Time, MissKind) {
+func (d *refDomain) Access(local int, f *mem.Frame, dir *refDir, off int, write bool) (sim.Time, MissKind) {
 	la := d.lineAddr(f, off)
 	li := (off >> d.lineShift) % d.linesPage
 	e := &dir.entries[li]
@@ -644,7 +685,7 @@ func (d *refDomain) Access(local int, f *mem.Frame, dir *Dir, off int, write boo
 
 // classify picks the access class for a miss by processor local on
 // directory entry e with the frame's memory at homeNode.
-func (d *refDomain) classify(local int, e *dirEntry, homeNode int) MissKind {
+func (d *refDomain) classify(local int, e *refEntry, homeNode int) MissKind {
 	if e.owner >= 0 {
 		switch {
 		case int(e.owner) == homeNode || local == homeNode:
@@ -680,7 +721,7 @@ func (d *refDomain) missCost(k MissKind) sim.Time {
 
 // upgrade computes the cost of invalidating the other sharers of a line
 // on a write hit to a Shared copy, and drops their copies.
-func (d *refDomain) upgrade(local int, la uint64, e *dirEntry, homeNode int) sim.Time {
+func (d *refDomain) upgrade(local int, la uint64, e *refEntry, homeNode int) sim.Time {
 	others := e.sharers &^ (1 << uint(local))
 	if others == 0 {
 		if local == homeNode {
@@ -749,7 +790,7 @@ func (d *refDomain) evict(p, slot int) {
 // domain (the paper's page-cleaning loop: prefetch, store, flush each
 // line), returning the cycles the cleaning processor spends. After
 // CleanPage the frame's data is globally coherent and safe to DMA.
-func (d *refDomain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
+func (d *refDomain) CleanPage(f *mem.Frame, dir *refDir) sim.Time {
 	for li := range dir.entries {
 		e := &dir.entries[li]
 		la := d.lineAddr(f, li<<d.lineShift)

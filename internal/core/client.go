@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"mgs/internal/cache"
+	"mgs/internal/mem"
 	"mgs/internal/obs"
 	"mgs/internal/sim"
 	"mgs/internal/stats"
@@ -45,7 +46,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		return
 	}
 
-	cp := ss.ensurePage(v)
+	cp := s.ensurePage(ss, v)
 	s.lockProc(cp, p, stats.MGS)
 
 	switch {
@@ -111,12 +112,12 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 // nullFill is the Disabled-mode fill: plain software virtual memory with
 // no coherence protocol. Every page maps the home frame directly.
 func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
-	cp := ss.ensurePage(v)
+	cp := s.ensurePage(ss, v)
 	if cp.state == PInv {
 		sp := s.server(v)
 		cp.frame = sp.frame
 		cp.ownerProc = sp.homeProc
-		cp.dir = s.newDir(ss, cp)
+		cp.dir = ss.newDir(s.within(cp.ownerProc))
 		ss.domain.Register(cp.frame, cp.dir)
 		cp.state = PWrite
 	}
@@ -154,19 +155,25 @@ func (s *System) dropMappings(cp *clientPage) int {
 	return n
 }
 
-// newDir builds the frame directory for cp using its permanent
-// first-touch placement, reusing one a teardown retired, else carving
-// a header from the SSMP's slab.
-func (s *System) newDir(ss *ssmpState, cp *clientPage) *cache.Dir {
+// newDir returns an empty frame directory whose memory sits at
+// within-SSMP processor home (a copy's permanent first-touch
+// placement), reusing one a teardown retired, else carving one from
+// the machine's store.
+func (ss *ssmpState) newDir(home int) *cache.Dir {
 	if n := len(ss.dirs) - 1; n >= 0 {
 		d := ss.dirs[n]
 		ss.dirs = ss.dirs[:n]
-		d.Reset(s.within(cp.ownerProc))
+		d.Reset(home)
 		return d
 	}
-	d := ss.dirSlab.New()
-	d.Init(s.within(cp.ownerProc), s.cfg.PageSize, s.cfg.CacheParams.LineSize)
-	return d
+	return ss.domain.NewDir(home)
+}
+
+// retire returns a torn-down copy's frame and directory to the SSMP's
+// free lists. Only safe once no cache line is tagged with the frame.
+func (ss *ssmpState) retire(f *mem.Frame, d *cache.Dir) {
+	ss.frames.Recycle(f)
+	ss.dirs = append(ss.dirs, d)
 }
 
 // onUpgrade is the Remote Client's UPGRADE handler (arc 13), running on

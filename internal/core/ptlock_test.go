@@ -13,7 +13,7 @@ func ptlockFixture(t *testing.T, p, c int) (*testMachine, *clientPage) {
 	t.Helper()
 	tm := buildTest(p, c, 0, nil)
 	va := tm.sys.Space().AllocPages(1024)
-	return tm, tm.sys.ssmps[0].ensurePage(tm.sys.Space().PageOf(va))
+	return tm, tm.sys.ensurePage(tm.sys.ssmps[0], tm.sys.Space().PageOf(va))
 }
 
 // waker is a handler-context lock continuation that wakes the parked

@@ -140,7 +140,7 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 		cp.ownerProc = p.ID
 	}
 	cp.version = servedVer // home version at serve time (lazy mode)
-	cp.dir = s.newDir(ss, cp)
+	cp.dir = ss.newDir(s.within(cp.ownerProc))
 	ss.domain.Register(cp.frame, cp.dir)
 	at = s.net.Extend(p.ID, at, c.MapPage)
 	if write {
@@ -519,8 +519,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 func (s *System) teardown(ss *ssmpState, cp *clientPage, isHome, recycle bool) {
 	ss.domain.Unregister(cp.frame)
 	if recycle && !isHome {
-		ss.frames.Recycle(cp.frame)
-		ss.dirs = append(ss.dirs, cp.dir)
+		ss.retire(cp.frame, cp.dir)
 	}
 	cp.frame = nil
 	cp.dir = nil

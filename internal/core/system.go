@@ -198,7 +198,13 @@ type System struct {
 	tlbs  []*vm.TLB
 	ssmps []*ssmpState
 	place []procPlace // by processor: its SSMP and within-SSMP index
-	lines cache.Store // every SSMP's cache chunks (cache.Domain)
+
+	// Every SSMP's per-page host state comes from these stores, so a
+	// mapped page makes no allocation of its own.
+	lines       cache.Store          // cache chunks and frame directories
+	frames      mem.Store            // frame headers and bytes
+	clientPages mem.Slab[clientPage] // ensurePage's records
+	serverPages mem.Slab[serverPage] // server's records
 
 	// Obs is the observability spine. Nil (or an observer with no
 	// sinks) keeps the trace path structurally detached: emitPageArgs
@@ -273,7 +279,6 @@ type ssmpState struct {
 	servers vm.PageMap[*serverPage] // pages homed on this SSMP
 	frames  *mem.FrameAllocator     // this SSMP's physical frame region
 	dirs    []*cache.Dir            // directories of recycled frames, for newDir
-	dirSlab mem.Slab[cache.Dir]     // headers of fresh directories, for newDir
 	duqs    []*duq                  // one per local processor
 }
 
@@ -301,7 +306,7 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		ss := &ssmpState{
 			id:     i,
 			domain: s.lines.Domain(base, cfg.ClusterSize, cfg.PageSize, cfg.CacheParams, cfg.CacheCosts),
-			frames: mem.NewFrameAllocatorAt(base, cfg.PageSize),
+			frames: s.frames.Allocator(base, cfg.PageSize),
 			duqs:   make([]*duq, cfg.ClusterSize),
 		}
 		for j := range ss.duqs {
@@ -382,11 +387,12 @@ func (s *System) recycleTwin(cp *clientPage) {
 	}
 }
 
-// ensurePage returns (creating if needed) the SSMP's record for page v.
-func (ss *ssmpState) ensurePage(v vm.Page) *clientPage {
+// ensurePage returns (creating if needed) ss's record for page v.
+func (s *System) ensurePage(ss *ssmpState, v vm.Page) *clientPage {
 	cp := ss.pages.Get(v)
 	if cp == nil {
-		cp = &clientPage{page: v, ssmp: ss.id, state: PInv, ownerProc: -1}
+		cp = s.clientPages.New()
+		*cp = clientPage{page: v, ssmp: ss.id, state: PInv, ownerProc: -1}
 		ss.pages.Put(v, cp)
 	}
 	return cp
@@ -403,7 +409,8 @@ func (s *System) server(v vm.Page) *serverPage {
 		// The per-SSMP copy records (rmt) start empty and grow only as
 		// SSMPs are actually served — home state is O(sharers), not
 		// O(SSMPs) (dirset.go).
-		sp = &serverPage{
+		sp = s.serverPages.New()
+		*sp = serverPage{
 			page: v, homeProc: s.space.HomeProc(v),
 			frame: ss.frames.Alloc(), state: sRead, keepWriter: -1,
 		}

@@ -28,16 +28,21 @@ import (
 //
 // Each row also holds two host allocation budgets per run, each the
 // measured value plus 10 %, the headroom -race needs (it reads up to
-// 4 % higher): mallocs, and KB allocated (runtime.MemStats.TotalAlloc).
-// A change that makes a per-message or per-event path allocate again
-// fails the first; one that makes a per-SSMP table grow with the
-// machine's page count instead of the pages the SSMP touches fails the
-// second — scale-tiered/jacobi-c1, 256 SSMPs of one processor, is the
-// smallest shape where those tables dominated (29,502 KB per run when
-// each was a flat array indexed by global page number) — and so does
-// one that gives a processor its whole cache on its first access
-// instead of the 16-line chunks it fills (17,710 KB on that row with
-// a 32 KB array per processor, 325 KB on fig-fine/water).
+// 9.3 % higher, on scale-tiered/jacobi-c1, whose 256 processor
+// coroutines each allocate more under the race runtime): mallocs, and
+// KB allocated (runtime.MemStats.TotalAlloc). A change that makes a per-message or
+// per-event path allocate again fails the first, and so does one that
+// gives each mapped page an allocation of its own instead of carving
+// it from the machine's stores (18,849 mallocs on jacobi-c1 with only
+// the frame bytes allocated per page, against 16,341 carved). One that
+// makes a per-SSMP table grow with the machine's page count instead of
+// the pages the SSMP touches fails the second — scale-tiered/jacobi-c1,
+// 256 SSMPs of one processor, is the smallest shape where those tables
+// dominated (29,502 KB per run when each was a flat array indexed by
+// global page number) — and so does one that gives a processor its
+// whole cache on its first access instead of the 16-line chunks it
+// fills (17,710 KB on that row with a 32 KB array per processor,
+// 325 KB on fig-fine/water).
 func TestEngineCountsGolden(t *testing.T) {
 	tiered := harness.WithTopology(msg.NewTiered(0))
 	mcs := []harness.Option{harness.WithLockAlgo("mcs"), harness.WithBarrierAlgo("dissemination")}
@@ -57,23 +62,23 @@ func TestEngineCountsGolden(t *testing.T) {
 		maxAllocKB float64
 	}{
 		{"tlb-thrash/matmul", func() harness.App { return &apps.MatMul{N: 24} }, harness.NewConfig(8, 4, harness.WithTLBSize(4)),
-			harness.EngineCounts{Events: 4625, Switches: 4437, Elided: 13, FrontHits: 99, PeakQueue: 8, DeliveriesNew: 4, DeliveriesReused: 72, Lookups: 17}, 602, 165},
+			harness.EngineCounts{Events: 4625, Switches: 4437, Elided: 13, FrontHits: 99, PeakQueue: 8, DeliveriesNew: 4, DeliveriesReused: 72, Lookups: 17}, 578, 157},
 		{"fig-fine/water", func() harness.App { return &apps.Water{N: 16, Iters: 1} }, harness.NewConfig(8, 2),
-			harness.EngineCounts{Events: 5624, Switches: 1315, Elided: 434, FrontHits: 1754, PeakQueue: 11, DeliveriesNew: 9, DeliveriesReused: 2063, Lookups: 30}, 791, 106},
+			harness.EngineCounts{Events: 5624, Switches: 1315, Elided: 434, FrontHits: 1754, PeakQueue: 11, DeliveriesNew: 9, DeliveriesReused: 2063, Lookups: 30}, 786, 103},
 		{"fig-fine/barnes-hut", func() harness.App { return &apps.BarnesHut{NBodies: 24, Iters: 1, Theta: 0.6} }, harness.NewConfig(8, 2),
-			harness.EngineCounts{Events: 2037, Switches: 555, Elided: 112, FrontHits: 638, PeakQueue: 11, DeliveriesNew: 11, DeliveriesReused: 711, Lookups: 29}, 1404, 413},
+			harness.EngineCounts{Events: 2037, Switches: 555, Elided: 112, FrontHits: 638, PeakQueue: 11, DeliveriesNew: 11, DeliveriesReused: 711, Lookups: 29}, 1190, 407},
 		{"fig-fine/tsp", func() harness.App { return &apps.TSP{NCities: 6, Depth: 3} }, harness.NewConfig(8, 2),
-			harness.EngineCounts{Events: 1322, Switches: 322, Elided: 141, FrontHits: 411, PeakQueue: 9, DeliveriesNew: 5, DeliveriesReused: 489, Lookups: 27}, 583, 96},
+			harness.EngineCounts{Events: 1322, Switches: 322, Elided: 141, FrontHits: 411, PeakQueue: 9, DeliveriesNew: 5, DeliveriesReused: 489, Lookups: 27}, 582, 93},
 		{"access-stream/jacobi", func() harness.App { return &apps.Jacobi{N: 34, Iters: 2} }, harness.NewConfig(8, 8, harness.WithTLBSize(256)),
-			harness.EngineCounts{Events: 81, Switches: 73, Elided: 1, FrontHits: 11, PeakQueue: 8, DeliveriesNew: 1, DeliveriesReused: 3, Lookups: 3}, 403, 149},
+			harness.EngineCounts{Events: 81, Switches: 73, Elided: 1, FrontHits: 11, PeakQueue: 8, DeliveriesNew: 1, DeliveriesReused: 3, Lookups: 3}, 388, 145},
 		{"scale-tiered/jacobi", func() harness.App { return &apps.Jacobi{N: 34, Iters: 1} }, harness.NewConfig(16, 4, tiered),
-			harness.EngineCounts{Events: 415, Switches: 165, Elided: 0, FrontHits: 57, PeakQueue: 16, DeliveriesNew: 12, DeliveriesReused: 108, Lookups: 18}, 894, 224},
+			harness.EngineCounts{Events: 415, Switches: 165, Elided: 0, FrontHits: 57, PeakQueue: 16, DeliveriesNew: 12, DeliveriesReused: 108, Lookups: 18}, 814, 222},
 		{"scale-tiered/jacobi-c1", scaleJacobi, harness.NewConfig(256, 1, tiered),
-			harness.EngineCounts{Events: 23284, Switches: 6660, Elided: 12, FrontHits: 298, PeakQueue: 256, DeliveriesNew: 256, DeliveriesReused: 8056, Lookups: 19}, 35213, 12332},
+			harness.EngineCounts{Events: 23284, Switches: 6660, Elided: 12, FrontHits: 298, PeakQueue: 256, DeliveriesNew: 256, DeliveriesReused: 8056, Lookups: 19}, 17976, 10779},
 		{"sync-serve/serve-token", func() harness.App { return apps.NewServe(serve.DefaultWorkload(true, 1)) }, harness.NewConfig(8, 4),
-			harness.EngineCounts{Events: 2392, Switches: 514, Elided: 368, FrontHits: 914, PeakQueue: 9, DeliveriesNew: 5, DeliveriesReused: 923, Lookups: 24}, 668, 154},
+			harness.EngineCounts{Events: 2392, Switches: 514, Elided: 368, FrontHits: 914, PeakQueue: 9, DeliveriesNew: 5, DeliveriesReused: 923, Lookups: 24}, 601, 132},
 		{"sync-serve/syncbench-mcs", func() harness.App { return &apps.SyncBench{Iters: 12} }, harness.NewConfig(8, 4, mcs...),
-			harness.EngineCounts{Events: 3447, Switches: 622, Elided: 429, FrontHits: 1796, PeakQueue: 8, DeliveriesNew: 8, DeliveriesReused: 1404, Lookups: 27}, 516, 70},
+			harness.EngineCounts{Events: 3447, Switches: 622, Elided: 429, FrontHits: 1796, PeakQueue: 8, DeliveriesNew: 8, DeliveriesReused: 1404, Lookups: 27}, 497, 68},
 	}
 	for _, r := range rows {
 		run := func() harness.Result {

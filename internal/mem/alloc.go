@@ -1,5 +1,7 @@
 package mem
 
+import "reflect"
+
 // FrameAllocator hands out unique physical frame IDs from its own ID
 // region and recycles retired frames. Physical capacity is not modeled
 // (the paper's nodes have far more DRAM than any workload here
@@ -8,13 +10,14 @@ package mem
 //
 // Each SSMP owns one allocator (a disjoint ID region via base), so
 // allocation is SSMP-local state: no cross-SSMP ordering can leak into
-// frame IDs.
+// frame IDs. The host memory of fresh frames comes from a Store the
+// allocators of one machine share.
 type FrameAllocator struct {
 	base     uint64
 	next     uint64
 	pageSize int
 	free     []*Frame // LIFO; retired frames, zeroed, IDs retained
-	headers  Slab[Frame]
+	store    *Store
 }
 
 // RegionBits is the width of one frame-ID region: the allocator of
@@ -22,11 +25,19 @@ type FrameAllocator struct {
 // 2^RegionBits frames in one SSMP.
 const RegionBits = 40
 
-// NewFrameAllocatorAt returns an allocator whose IDs start at base.
-// Callers carving one ID space into regions (one per SSMP) must space
-// the bases far enough apart that regions never collide.
+// NewFrameAllocatorAt returns an allocator whose IDs start at base,
+// with a Store of its own. Callers carving one ID space into regions
+// (one per SSMP) must space the bases far enough apart that regions
+// never collide.
 func NewFrameAllocatorAt(base uint64, pageSize int) *FrameAllocator {
-	return &FrameAllocator{base: base, pageSize: pageSize}
+	return new(Store).Allocator(base, pageSize)
+}
+
+// Allocator is NewFrameAllocatorAt for one SSMP of a machine whose
+// SSMPs' allocators all carve their fresh frames from s. Every
+// allocator of one store must use the same page size.
+func (s *Store) Allocator(base uint64, pageSize int) *FrameAllocator {
+	return &FrameAllocator{base: base, pageSize: pageSize, store: s}
 }
 
 // Alloc returns a zeroed frame with an ID unique among live frames:
@@ -39,8 +50,7 @@ func (a *FrameAllocator) Alloc() *Frame {
 		a.free = a.free[:n-1]
 		return f
 	}
-	f := a.headers.New()
-	f.ID, f.Data = a.base+a.next, make([]byte, a.pageSize)
+	f := a.store.frame(a.base+a.next, a.pageSize)
 	a.next++
 	return f
 }
@@ -50,32 +60,73 @@ func (a *FrameAllocator) Alloc() *Frame {
 // whose ID no longer tags any cache line (for the protocol: after a
 // CleanPage); a reused ID must never produce a stale cache hit.
 func (a *FrameAllocator) Recycle(f *Frame) {
-	for i := range f.Data {
-		f.Data[i] = 0
-	}
+	clear(f.Data)
 	a.free = append(a.free, f)
 }
 
-// Slab carves zeroed values of T from backing arrays that double from
-// one value up to maxSlab, so a header costs a fraction of an
-// allocation instead of one, and an owner that needs three headers
-// pays for four, not maxSlab. Values are never freed back to it: it
-// suits headers that are recycled by their owner (frames, frame
-// directories) and live as long as it does. The zero value is ready.
-type Slab[T any] struct {
-	buf  []T
-	used int
+// Blocks carves runs of zeroed values of T — a page's bytes, a
+// directory's lines, one record — from blocks that grow geometrically
+// from one run up to a cap: each new block holds a third as many runs
+// as have been carved so far. A store of a few runs so pays a few
+// allocations and wastes at most a quarter of what it holds; one of
+// thousands pays one allocation per cap's worth. (Doubling would waste
+// half at worst and a third on average: more, on a machine of a few
+// dozen pages, than a directory's 9-byte lines save over 16-byte
+// ones.) Every run has no spare capacity, so no append through it
+// reaches a neighbour. Runs are never freed back: their owners recycle
+// them or live no longer than the store. The zero value is ready.
+type Blocks[T any] struct {
+	buf    []T // the current block's uncarved rest
+	carved int // runs carved in all
 }
 
-const maxSlab = 64
+// Carve returns a fresh run of n values, starting a block of at most
+// max(limit/n, 1) runs when the current one cannot hold it.
+func (b *Blocks[T]) Carve(n, limit int) []T {
+	if len(b.buf) < n {
+		b.buf = make([]T, min(max(b.carved/3, 1), max(limit/n, 1))*n)
+	}
+	run := b.buf[:n:n]
+	b.buf = b.buf[n:]
+	b.carved++
+	return run
+}
+
+// Store carves fresh frames, header and page bytes, for every
+// FrameAllocator of one machine: a machine that maps a few pages pays
+// a few allocations for all of them, one that maps thousands about one
+// per maxBlock bytes of pages. Frames are never freed back to it:
+// allocators recycle their own. The zero value is ready.
+type Store struct {
+	headers Slab[Frame]
+	bytes   Blocks[byte]
+}
+
+// maxBlock caps a block of page bytes; a page larger than it comes one
+// to a block.
+const maxBlock = 64 << 10
+
+// frame returns a fresh zeroed frame of pageSize bytes tagged id.
+func (s *Store) frame(id uint64, pageSize int) *Frame {
+	f := s.headers.New()
+	f.ID, f.Data = id, s.bytes.Carve(pageSize, maxBlock)
+	return f
+}
+
+// Slab carves zeroed values of T one at a time from Blocks of at most
+// maxSlab bytes, so a record costs a fraction of an allocation instead
+// of one. It suits records that are recycled by their owner (frames,
+// frame directories) or live as long as it does (page records). The
+// zero value is ready.
+type Slab[T any] struct{ blocks Blocks[T] }
+
+// maxSlab caps a slab's block: 16 KB less the 8-byte header Go puts in
+// front of an allocation of values holding pointers, so that a full
+// block of any record fits the 16 KB size class. (A block of 64
+// 256-byte Server records, 16 KB and the header, took 18 KB.)
+const maxSlab = 16<<10 - 8
 
 // New returns a pointer to a fresh zero T.
 func (s *Slab[T]) New() *T {
-	if s.used == len(s.buf) {
-		s.buf = make([]T, min(max(2*len(s.buf), 1), maxSlab))
-		s.used = 0
-	}
-	p := &s.buf[s.used]
-	s.used++
-	return p
+	return &s.blocks.Carve(1, maxSlab/int(reflect.TypeFor[T]().Size()))[0]
 }

@@ -88,8 +88,9 @@ func TestFrameAccessZeroAllocs(t *testing.T) {
 // TestAllocatorIDSequence pins the exact frame IDs an interleaving of
 // Alloc and Recycle yields: fresh IDs base+next in order, retired
 // frames reused LIFO, every frame zeroed. Cache tags are frame IDs, so
-// this sequence is a simulated output; the fresh frames come from five
-// header slabs (1, 2, 4, 8, 16), whose boundaries must not show.
+// this sequence is a simulated output; the 18 fresh frames come from
+// eleven blocks (six of one page, then 2, 2, 3, 4 and 5), whose
+// boundaries must not show.
 func TestAllocatorIDSequence(t *testing.T) {
 	const base = 3 << 40
 	a := NewFrameAllocatorAt(base, 64)
@@ -127,30 +128,80 @@ func TestAllocatorIDSequence(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("frame IDs (minus base)\n got %v\nwant %v", got, want)
 	}
-	if len(a.headers.buf) != 16 {
-		t.Fatalf("header slab of %d, want 16: the sequence no longer spans five slabs", len(a.headers.buf))
+	if h, b := a.store.headers.blocks, a.store.bytes; h.carved != 18 || b.carved != 18 || len(h.buf) != 4 || len(b.buf) != 4*64 {
+		t.Fatalf("%d fresh frames with %d left in their header block and %d pages in their byte block; want 18 with 4 and 4 (the first of a block of 5): the sequence no longer spans eleven blocks",
+			b.carved, len(h.buf), len(b.buf)/64)
 	}
 }
 
-// TestSlabGrowth pins the slab's geometric growth and its cap: the
-// first 127 values come from slabs of 1, 2, 4 … 64, every later slab
-// holds 64, and every value is fresh and zero.
+// TestStoreBlocks pins how a Store carves page bytes: blocks grow by a
+// third from one page up to maxBlock bytes, a page larger than
+// maxBlock comes one to a block, and every page is zero, exactly one
+// page long with no spare capacity, and disjoint from every other.
+func TestStoreBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		pageSize int
+		want     []int // pages per block
+	}{
+		{1024, []int{1, 1, 1, 1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12, 16, 22, 29, 39, 52, 64, 64}},
+		{16 << 10, []int{1, 1, 1, 1, 1, 1, 2, 2, 3, 4, 4, 4}},
+		{128 << 10, []int{1, 1, 1}},
+	} {
+		var s Store
+		a, b := s.Allocator(0, tc.pageSize), s.Allocator(1<<RegionBits, tc.pageSize)
+		var blocks []int
+		var live []*Frame
+		for i := 0; len(blocks) < len(tc.want) || len(s.bytes.buf) > 0; i++ {
+			fresh := len(s.bytes.buf) == 0
+			f := []*FrameAllocator{a, b}[i%2].Alloc()
+			if len(f.Data) != tc.pageSize || cap(f.Data) != tc.pageSize {
+				t.Fatalf("page size %d: frame %#x has len %d, cap %d", tc.pageSize, f.ID, len(f.Data), cap(f.Data))
+			}
+			if fresh {
+				blocks = append(blocks, 1+len(s.bytes.buf)/tc.pageSize)
+			}
+			for j, x := range f.Data {
+				if x != 0 {
+					t.Fatalf("page size %d: fresh frame %#x has Data[%d] = %d", tc.pageSize, f.ID, j, x)
+				}
+			}
+			for j := range f.Data {
+				f.Data[j] = byte(i + 1)
+			}
+			live = append(live, f)
+		}
+		for i, f := range live {
+			if f.Data[0] != byte(i+1) || f.Data[tc.pageSize-1] != byte(i+1) {
+				t.Fatalf("page size %d: frame %d was overwritten by another", tc.pageSize, i)
+			}
+		}
+		if !slices.Equal(blocks, tc.want) {
+			t.Fatalf("page size %d: blocks of %v pages, want %v", tc.pageSize, blocks, tc.want)
+		}
+	}
+}
+
+// TestSlabGrowth pins the slab's geometric growth and its cap: slabs
+// of 256-byte values grow by a third from one value up to 63, the most
+// that fit maxSlab, every later slab holds 63, and every value is
+// fresh and zero.
 func TestSlabGrowth(t *testing.T) {
-	var s Slab[[2]int]
+	var s Slab[[32]int]
 	var sizes []int
-	seen := map[*[2]int]bool{}
-	for range 127 + 2*maxSlab {
+	seen := map[*[32]int]bool{}
+	for range 208 + 2*63 {
+		fresh := len(s.blocks.buf) == 0
 		p := s.New()
-		if *p != [2]int{} || seen[p] {
+		if *p != [32]int{} || seen[p] {
 			t.Fatalf("New returned a used value %p = %v", p, *p)
 		}
 		seen[p] = true
 		p[0] = 1
-		if s.used == 1 {
-			sizes = append(sizes, len(s.buf))
+		if fresh {
+			sizes = append(sizes, 1+len(s.blocks.buf))
 		}
 	}
-	if want := []int{1, 2, 4, 8, 16, 32, 64, 64, 64}; !slices.Equal(sizes, want) {
+	if want := []int{1, 1, 1, 1, 1, 1, 2, 2, 3, 4, 5, 7, 9, 12, 16, 22, 29, 39, 52, 63, 63}; !slices.Equal(sizes, want) {
 		t.Fatalf("slab sizes %v, want %v", sizes, want)
 	}
 }

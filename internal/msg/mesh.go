@@ -33,50 +33,47 @@ func (m *Mesh2D) sized(nssmp int, c Costs) Topology {
 	return &Mesh2D{w: w, perHop: c.InterDelay / 4, bpc: bpc}
 }
 
+// next returns the node after cur on the X-then-Y dimension-ordered
+// path to b (cur != b): one step along X until the columns agree, then
+// along Y.
+func (m *Mesh2D) next(cur, b int) int {
+	switch cx, bx := cur%m.w, b%m.w; {
+	case cx < bx:
+		return cur + 1
+	case cx > bx:
+		return cur - 1
+	case cur < b:
+		return cur + m.w
+	}
+	return cur - m.w
+}
+
+// link is the mesh link from node from to its neighbour to.
+func (m *Mesh2D) link(from, to int) Link {
+	return Link{From: from, To: to, Latency: m.perHop, BytesPerCycle: m.bpc}
+}
+
 // Route returns the directed links a message visits travelling from
 // SSMP a to SSMP b under X-then-Y dimension-ordered routing.
 func (m *Mesh2D) Route(a, b int) []Link {
-	if a == b {
-		return nil
-	}
-	w := m.w
-	ax, ay := a%w, a/w
-	bx, by := b%w, b/w
 	var route []Link
-	at := func(x, y int) int { return y*w + x }
-	mk := func(from, to int) Link {
-		return Link{From: from, To: to, Latency: m.perHop, BytesPerCycle: m.bpc}
-	}
-	cur := a
-	for ax != bx {
-		step := 1
-		if bx < ax {
-			step = -1
-		}
-		ax += step
-		next := at(ax, ay)
-		route = append(route, mk(cur, next))
-		cur = next
-	}
-	for ay != by {
-		step := 1
-		if by < ay {
-			step = -1
-		}
-		ay += step
-		next := at(ax, ay)
-		route = append(route, mk(cur, next))
-		cur = next
+	for cur := a; cur != b; {
+		nx := m.next(cur, b)
+		route = append(route, m.link(cur, nx))
+		cur = nx
 	}
 	return route
 }
 
-// Arrive walks the message through its route, queueing behind earlier
-// traffic on each directed link (store-and-forward), so two messages
-// crossing the same link back-to-back see each other.
+// Arrive walks the message hop by hop along Route's path, queueing
+// behind earlier traffic on each directed link (store-and-forward), so
+// two messages crossing the same link back-to-back see each other.
 func (m *Mesh2D) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) sim.Time {
-	if a == b {
-		return depart
+	t := depart
+	for cur := a; cur != b; {
+		nx := m.next(cur, b)
+		t = crossLink(occ, m.link(cur, nx), t, bytes)
+		cur = nx
 	}
-	return crossRoute(occ, m.Route(a, b), depart, bytes)
+	return t
 }

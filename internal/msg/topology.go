@@ -64,7 +64,9 @@ type Topology interface {
 	Route(a, b int) []Link
 	// Arrive returns the arrival time at SSMP b of a message departing
 	// SSMP a at depart (send overhead and the software stack cost
-	// already paid), updating occ with the links it occupies.
+	// already paid), updating occ with the links it occupies, in
+	// Route's order. It builds no route: it runs once per inter-SSMP
+	// message.
 	Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) sim.Time
 }
 
@@ -75,23 +77,13 @@ type sizer interface {
 	sized(nssmp int, c Costs) Topology
 }
 
-// crossRoute walks a message along route, paying per-link queueing and
-// serialization. Each link charges at least one cycle of serialization
-// so back-to-back messages on the same link always see each other.
-func crossRoute(occ *Occupancy, route []Link, depart sim.Time, bytes int) sim.Time {
-	t := depart
-	for _, l := range route {
-		bpc := l.BytesPerCycle
-		if bpc <= 0 {
-			bpc = 1
-		}
-		xfer := sim.Time(bytes / bpc)
-		if xfer < 1 {
-			xfer = 1
-		}
-		t = occ.Cross(l, t, xfer)
-	}
-	return t
+// crossLink moves a message of bytes across l, arriving at its near end at
+// t, paying the link's queueing and serialization. Each link charges
+// at least one cycle of serialization so back-to-back messages on the
+// same link always see each other.
+func crossLink(occ *Occupancy, l Link, t sim.Time, bytes int) sim.Time {
+	xfer := sim.Time(bytes / max(l.BytesPerCycle, 1))
+	return occ.Cross(l, t, max(xfer, 1))
 }
 
 // ByName resolves a topology flag value ("uniform", "mesh", "tiered")
@@ -192,28 +184,35 @@ func (t *Tiered) sized(nssmp int, c Costs) Topology {
 // switchOf returns the node id of a site's local switch.
 func (t *Tiered) switchOf(site int) int { return t.nssmp + site }
 
+// lan is the site link from node from to node to.
+func (t *Tiered) lan(from, to int) Link {
+	return Link{From: from, To: to, Latency: t.lanLat, BytesPerCycle: t.lanBPC}
+}
+
+// wan is the trunk from site switch swA to site switch swB.
+func (t *Tiered) wan(swA, swB int) Link {
+	return Link{From: swA, To: swB, Latency: t.wanLat, BytesPerCycle: t.wanBPC}
+}
+
 func (t *Tiered) Route(a, b int) []Link {
 	if a == b {
 		return nil
 	}
-	sa, sb := a/t.site, b/t.site
-	swA, swB := t.switchOf(sa), t.switchOf(sb)
-	lan := func(from, to int) Link {
-		return Link{From: from, To: to, Latency: t.lanLat, BytesPerCycle: t.lanBPC}
+	swA, swB := t.switchOf(a/t.site), t.switchOf(b/t.site)
+	if swA == swB {
+		return []Link{t.lan(a, swA), t.lan(swA, b)}
 	}
-	if sa == sb {
-		return []Link{lan(a, swA), lan(swA, b)}
-	}
-	return []Link{
-		lan(a, swA),
-		{From: swA, To: swB, Latency: t.wanLat, BytesPerCycle: t.wanBPC},
-		lan(swB, b),
-	}
+	return []Link{t.lan(a, swA), t.wan(swA, swB), t.lan(swB, b)}
 }
 
 func (t *Tiered) Arrive(occ *Occupancy, a, b int, depart sim.Time, bytes int) sim.Time {
 	if a == b {
 		return depart
 	}
-	return crossRoute(occ, t.Route(a, b), depart, bytes)
+	swA, swB := t.switchOf(a/t.site), t.switchOf(b/t.site)
+	at := crossLink(occ, t.lan(a, swA), depart, bytes)
+	if swA != swB {
+		at = crossLink(occ, t.wan(swA, swB), at, bytes)
+	}
+	return crossLink(occ, t.lan(swB, b), at, bytes)
 }

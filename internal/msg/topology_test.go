@@ -163,6 +163,60 @@ func TestContentionDeterminism(t *testing.T) {
 	}
 }
 
+// TestArriveCrossesRoute: on the contended topologies Arrive books the
+// links Route lists, in Route's order, at the times crossing them one
+// by one gives — on an all-pairs burst in which links are busy, so a
+// hop out of order or at another time shows as a different arrival
+// or link wait. (Uniform books no link: its LAN is uncontended.)
+func TestArriveCrossesRoute(t *testing.T) {
+	const nssmp = 20 // a ragged 5x5 mesh, three tiered sites
+	for name, topo := range sizedTopos(t, nssmp) {
+		if name == "uniform" {
+			continue
+		}
+		var wait, refWait int64
+		occ, ref := newOccupancy(&wait), newOccupancy(&refWait)
+		for i := 0; i < nssmp; i++ {
+			for j := 0; j < nssmp; j++ {
+				depart, bytes := sim.Time((i*5+j*3)%40), 64+(i+j)%3*200
+				got := topo.Arrive(&occ, i, j, depart, bytes)
+				want := depart
+				for _, l := range topo.Route(i, j) {
+					want = crossLink(&ref, l, want, bytes)
+				}
+				if got != want || wait != refWait {
+					t.Fatalf("%s: %d->%d arrives at %d with %d link-wait cycles so far; crossing its route gives %d and %d",
+						name, i, j, got, wait, want, refWait)
+				}
+			}
+		}
+		if wait == 0 {
+			t.Fatalf("%s: the burst saw no link contention", name)
+		}
+	}
+}
+
+// TestArriveDoesNotAllocate pins Arrive, which runs once per
+// inter-SSMP message, at zero allocations on every topology once the
+// links it books are known to the Occupancy.
+func TestArriveDoesNotAllocate(t *testing.T) {
+	const nssmp = 20
+	for name, topo := range sizedTopos(t, nssmp) {
+		occ := newOccupancy(new(int64))
+		burst := func() {
+			for i := 0; i < nssmp; i++ {
+				for j := 0; j < nssmp; j++ {
+					topo.Arrive(&occ, i, j, 0, 256)
+				}
+			}
+		}
+		burst()
+		if n := testing.AllocsPerRun(10, burst); n != 0 {
+			t.Errorf("%s: %v allocations per %d arrivals, want 0", name, n, nssmp*nssmp)
+		}
+	}
+}
+
 // TestTieredWANSlowerThanLAN: the whole point of the tiered topology is
 // that crossing sites costs an order of magnitude more than staying in
 // one.

@@ -221,3 +221,32 @@ func TestTournamentLockClimbIsLogarithmic(t *testing.T) {
 		}
 	}
 }
+
+// TestBarrierEpisodesDoNotAllocate pins the tree and dissemination
+// barriers at zero allocations per steady-state episode: their
+// inter-SSMP messages are records built with the barrier, not a
+// closure per send. Two episode counts are compared so the machine and
+// the first episode cancel; 500 more episodes of 8 SSMPs send 7,000
+// tree and 12,000 dissemination messages.
+func TestBarrierEpisodesDoNotAllocate(t *testing.T) {
+	for _, name := range []string{"tree", "dissemination"} {
+		episodes := func(n int) {
+			m := harness.NewMachine(harness.NewConfig(16, 2, harness.WithBarrierAlgo(name)))
+			if _, err := m.RunPer(func(i int) func(*harness.Ctx) {
+				return func(ctx *harness.Ctx) {
+					for e := 0; e < n; e++ {
+						ctx.Compute(sim.Time(100 * (i%3 + 1)))
+						ctx.Barrier(0)
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		few := testing.AllocsPerRun(1, func() { episodes(50) })
+		many := testing.AllocsPerRun(1, func() { episodes(550) })
+		if many-few >= 10 {
+			t.Errorf("%s barrier allocates per episode: %.0f allocations for 50 episodes, %.0f for 550", name, few, many)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Dissemination is the dissemination barrier over SSMPs: after a local
 // combine, each SSMP runs ceil(log2(N)) rounds, sending in round r to
@@ -31,8 +28,13 @@ func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 	b.combine = newCombine(env, id, "DSM.LOCAL", "DSM.LOCAL", -1, b)
 	b.nodes = make([]dissemNode, n)
 	for s := range b.nodes {
-		b.nodes[s].sent = make([]bool, b.rounds)
-		b.nodes[s].recv = make([]int64, b.rounds)
+		nd := &b.nodes[s]
+		nd.sent = make([]bool, b.rounds)
+		nd.recv = make([]int64, b.rounds)
+		nd.out = make([]dissemMsg, b.rounds)
+		for r := range nd.out {
+			nd.out[r] = dissemMsg{b: b, to: (s + 1<<r) % n, r: r}
+		}
 	}
 	return b
 }
@@ -42,10 +44,22 @@ func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 type dissemNode struct {
 	localDone bool
 	round     int
-	sent      []bool  // per round, reset each episode
-	recv      []int64 // per round, cumulative across episodes
-	episode   int64   // completed episodes
+	sent      []bool      // per round, reset each episode
+	recv      []int64     // per round, cumulative across episodes
+	out       []dissemMsg // per round, the message this SSMP sends
+	episode   int64       // completed episodes
 }
+
+// dissemMsg is one SSMP's round-r message (a msg.Handler). Delivery
+// reads only fields fixed at construction, so one record serves every
+// episode, even while the same round of two episodes is in flight.
+type dissemMsg struct {
+	b     *dissemBarrier
+	to, r int // destination SSMP and round
+}
+
+// Deliver runs the round message's handler at its destination.
+func (m *dissemMsg) Deliver(at sim.Time) { m.b.onRound(m.to, m.r, at) }
 
 // dissemBarrier is the set of per-SSMP nodes.
 type dissemBarrier struct {
@@ -80,7 +94,9 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 	}
 	for {
 		if n.round == b.rounds {
-			e.EmitBarrier(at, -1, b.id, "DSM.DONE", "ssmp=%d episode=%d", s, n.episode+1)
+			if e.Tracing() { // an episode past 255 would box onto the heap
+				e.EmitBarrier(at, -1, b.id, "DSM.DONE", "ssmp=%d episode=%d", s, n.episode+1)
+			}
 			b.gates[s].release(at, e.BarrierOp())
 			n.episode++
 			n.localDone = false
@@ -93,10 +109,8 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 		r := n.round
 		if !n.sent[r] {
 			n.sent[r] = true
-			to := (s + (1 << r)) % e.NSSMP()
-			toSSMP := to
-			e.Send("DSM.RND", b.id, e.RepProc(s, b.id), e.RepProc(to, b.id), at, int64(r), e.BarrierOp(),
-				msg.Func(func(at2 sim.Time) { b.onRound(toSSMP, r, at2) }))
+			m := &n.out[r]
+			e.Send("DSM.RND", b.id, e.RepProc(s, b.id), e.RepProc(m.to, b.id), at, int64(r), e.BarrierOp(), m)
 		}
 		if n.recv[r] < n.episode+1 {
 			return

@@ -49,7 +49,9 @@ func (c *combine) Arrive(p *sim.Proc) {
 	s := e.SSMPOf(p.ID)
 	g := &c.gates[s]
 	if last, when := g.arrive(p, e.ClusterSize()); last {
-		e.EmitBarrier(when, p.ID, c.id, c.tag, "ssmp=%d proc=%d", s, p.ID)
+		if e.Tracing() { // an SSMP or processor past 255 would box onto the heap
+			e.EmitBarrier(when, p.ID, c.id, c.tag, "ssmp=%d proc=%d", s, p.ID)
+		}
 		e.ChargeBarrier(p, e.SendCost())
 		e.Send(c.label, c.id, p.ID, g.to, when, int64(s), e.BarrierOp(), g)
 	}

@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
 // Tree is the paper's two-level tree barrier (§3.2) and the default:
 // processors first combine inside their SSMP through hardware shared
@@ -19,6 +16,10 @@ func (Tree) Name() string { return DefaultBarrier }
 func (Tree) NewBarrier(env *Env, id, home int) Barrier {
 	b := &treeBarrier{home: home % env.NProcs()}
 	b.combine = newCombine(env, id, "BAR.COMB", "COMBINE", b.home, b)
+	b.releases = make([]treeRelease, env.NSSMP())
+	for s := range b.releases {
+		b.releases[s] = treeRelease{b: b, s: s}
+	}
 	return b
 }
 
@@ -27,30 +28,44 @@ type treeBarrier struct {
 	home    int // global processor hosting the top of the tree
 	arrived int // home-side handlers only; SSMPs combined this episode
 
-	episodes int64 // home-side handlers only
+	episodes int64         // home-side handlers only
+	releases []treeRelease // per SSMP, its RELEASE message
 }
+
+// treeRelease is one SSMP's RELEASE message (a msg.Handler). Delivery
+// reads only fields fixed at construction, so one record serves every
+// episode.
+type treeRelease struct {
+	b *treeBarrier
+	s int
+}
+
+// Deliver runs the release at the SSMP.
+func (m *treeRelease) Deliver(at sim.Time) { m.b.onRelease(m.s, at) }
 
 // combined runs at the barrier home: one SSMP has fully arrived.
 func (b *treeBarrier) combined(_ int, at sim.Time) {
 	e := b.env
 	b.arrived++
-	e.EmitBarrier(at, -1, b.id, "COMBINE.HOME", "arrived=%d/%d", b.arrived, e.NSSMP())
+	if e.Tracing() { // counts past 255 would box onto the heap
+		e.EmitBarrier(at, -1, b.id, "COMBINE.HOME", "arrived=%d/%d", b.arrived, e.NSSMP())
+	}
 	if b.arrived < e.NSSMP() {
 		return
 	}
 	b.arrived = 0
 	b.episodes++
-	for s := 0; s < e.NSSMP(); s++ {
-		s := s
-		e.Send("BAR.REL", b.id, b.home, e.RepProc(s, b.id), at, int64(s), e.BarrierOp(),
-			msg.Func(func(at2 sim.Time) { b.onRelease(s, at2) }))
+	for s := range b.releases {
+		e.Send("BAR.REL", b.id, b.home, e.RepProc(s, b.id), at, int64(s), e.BarrierOp(), &b.releases[s])
 	}
 }
 
 // onRelease runs in each SSMP: wake every waiting processor.
 func (b *treeBarrier) onRelease(s int, at sim.Time) {
 	g := &b.gates[s]
-	b.env.EmitBarrier(at, -1, b.id, "RELEASE", "ssmp=%d waiters=%d", s, len(g.waiting))
+	if b.env.Tracing() { // an SSMP past 255 would box onto the heap
+		b.env.EmitBarrier(at, -1, b.id, "RELEASE", "ssmp=%d waiters=%d", s, len(g.waiting))
+	}
 	g.release(at, b.env.BarrierOp())
 }
 

@@ -245,10 +245,43 @@ func (ph Phase) driftPeriod() sim.Time {
 	return ph.Cycles / 8
 }
 
+// gap draws the next inter-arrival gap of phase ph: uniform in
+// [1, 2·MeanGap-1], mean MeanGap.
+func (s *stream) gap(ph Phase) sim.Time {
+	if ph.MeanGap > 1 {
+		return 1 + sim.Time(s.next()%uint64(2*ph.MeanGap-1))
+	}
+	return 1
+}
+
+// drawsPerRequest is how many draws Generate takes from the stream for
+// one request after its gap: its rank, its op and its put payload.
+const drawsPerRequest = 3
+
+// count returns how many requests Generate makes from stream s: it
+// takes the same draws, computing nothing from those after each gap.
+func (w Workload) count(s stream) int {
+	n := 0
+	start := sim.Time(0)
+	for _, ph := range w.Phases {
+		end := start + ph.Cycles
+		for at := start + s.gap(ph); at < end; at += s.gap(ph) {
+			for range drawsPerRequest {
+				s.next()
+			}
+			n++
+		}
+		start = end
+	}
+	return n
+}
+
 // Generate materializes the request trace for a machine with nprocs
 // front-end processors. The generation is a pure function of the
 // workload (seed included) and nprocs; it runs host-side with no
-// simulated cost.
+// simulated cost. It counts the requests first, so Reqs is allocated
+// once at its final length, and the per-processor queues are carved
+// from one array of the same length.
 func (w Workload) Generate(nprocs int) Trace {
 	if w.NKeys <= 0 || w.NKeys&(w.NKeys-1) != 0 {
 		panic("serve: NKeys must be a positive power of two")
@@ -256,7 +289,7 @@ func (w Workload) Generate(nprocs int) Trace {
 	mask := uint64(w.NKeys - 1)
 	full := zipfCDF(w.NKeys, w.Theta)
 	s := stream{x: mix64(w.Seed ^ 0x5e5ec0de)}
-	var reqs []Request
+	reqs := make([]Request, 0, w.count(s))
 	start := sim.Time(0)
 	for pi, ph := range w.Phases {
 		end := start + ph.Cycles
@@ -265,17 +298,7 @@ func (w Workload) Generate(nprocs int) Trace {
 			cdf = zipfCDF(ph.hotN(w.NKeys), w.Theta)
 		}
 		driftStep := uint64(w.NKeys/64 + 1)
-		at := start
-		for {
-			// Uniform integer gap in [1, 2·MeanGap-1], mean = MeanGap.
-			gap := sim.Time(1)
-			if ph.MeanGap > 1 {
-				gap = 1 + sim.Time(s.next()%uint64(2*ph.MeanGap-1))
-			}
-			at += gap
-			if at >= end {
-				break
-			}
+		for at := start + s.gap(ph); at < end; at += s.gap(ph) {
 			rank := rankOf(cdf, s.unit())
 			key := uint64(rank) * knuth & mask
 			if ph.Kind == Drift {
@@ -295,10 +318,15 @@ func (w Workload) Generate(nprocs int) Trace {
 		}
 		start = end
 	}
+	// Processor p's queue is requests p, p+nprocs, p+2·nprocs, …
 	per := make([][]Request, nprocs)
+	backing := make([]Request, len(reqs))
+	for p := range min(nprocs, len(reqs)) {
+		n := (len(reqs) - p + nprocs - 1) / nprocs
+		per[p], backing = backing[:n:n], backing[n:]
+	}
 	for i, r := range reqs {
-		p := i % nprocs
-		per[p] = append(per[p], r)
+		per[i%nprocs][i/nprocs] = r
 	}
 	return Trace{Reqs: reqs, PerProc: per}
 }

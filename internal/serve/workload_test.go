@@ -97,6 +97,38 @@ func TestGenerateIsPureAndSeeded(t *testing.T) {
 	}
 }
 
+// TestGenerateSizesOnce: Generate allocates the trace at its final
+// size — Reqs and one backing array its per-processor queues are
+// carved from, each with no spare capacity — so a call costs five
+// allocations (the two CDFs of the default workload's phases, Reqs,
+// the queue headers and their backing) whatever the request count,
+// and the queues are exactly the round-robin split of Reqs, for
+// processor counts that divide the trace, do not, and exceed it.
+func TestGenerateSizesOnce(t *testing.T) {
+	w := DefaultWorkload(true, 3)
+	for _, nprocs := range []int{1, 3, 4, 7, 100_000} {
+		tr := w.Generate(nprocs)
+		if len(tr.Reqs) != cap(tr.Reqs) {
+			t.Fatalf("nprocs %d: Reqs has len %d, cap %d", nprocs, len(tr.Reqs), cap(tr.Reqs))
+		}
+		want := make([][]Request, nprocs)
+		for i, r := range tr.Reqs {
+			want[i%nprocs] = append(want[i%nprocs], r)
+		}
+		if !reflect.DeepEqual(tr.PerProc, want) {
+			t.Fatalf("nprocs %d: queues are not the round-robin split of the trace", nprocs)
+		}
+		for p, q := range tr.PerProc {
+			if len(q) != cap(q) {
+				t.Fatalf("nprocs %d: queue %d has len %d, cap %d", nprocs, p, len(q), cap(q))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { w.Generate(8) }); n != 5 {
+		t.Fatalf("Generate made %v allocations, want 5", n)
+	}
+}
+
 // TestLatencyBucketsIncrease: the recorder's bucket bounds strictly
 // increase, so every latency falls in exactly one bucket.
 func TestLatencyBucketsIncrease(t *testing.T) {
