@@ -290,9 +290,9 @@ func (ex *explorer) runOne(prefix []int) (*runChooser, error) {
 // execute builds a fresh machine, installs the chooser, runs the
 // schedule to completion, and applies the end-of-run oracles: final
 // spec agreement, quiescence invariants (every page quiet, nothing in
-// flight), and the value-level checks (read legality, release
-// visibility of final memory, drained update queues). ex is nil during
-// replay.
+// flight, every request answered), and the value-level checks (read
+// legality, release visibility of final memory, drained update
+// queues). ex is nil during replay.
 func execute(ex *explorer, w Workload, prefix []int, mutate bool, sink obs.Sink) (*runChooser, error) {
 	spec := NewSpec(w)
 	m, rs, base := w.newMachine(spec, sink, mutate)
@@ -329,6 +329,8 @@ func execute(ex *explorer, w Workload, prefix []int, mutate bool, sink obs.Sink)
 		final("invariant", quiescence(snaps))
 	case m.Sync.Quiescent() != nil:
 		final("invariant", m.Sync.Quiescent())
+	case m.DSM.Quiescent() != nil:
+		final("invariant", m.DSM.Quiescent())
 	case w.finalChecks(m, rs) != nil:
 		final("value", w.finalChecks(m, rs))
 	}

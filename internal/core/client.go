@@ -42,7 +42,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	}
 
 	if s.cfg.Disabled {
-		s.nullFill(p, ss, v, write)
+		s.nullFill(p, ss, v)
 		return
 	}
 
@@ -75,7 +75,6 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 
 	case cp.state == PRead && write:
 		// Arc 2: upgrade from read to write privilege.
-		s.count(ctrUpgrade, 1)
 		cp.tlbDir |= bit(s.within(p.ID))
 		s.spend(p, stats.MGS, s.net.SendCost())
 		m := s.newMsg(mUpgrade, v)
@@ -88,11 +87,6 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	case cp.state == PInv:
 		// Arc 5: no copy in this SSMP; request one from the Server.
 		cp.state = PBusy
-		if write {
-			s.count(ctrWReq, 1)
-		} else {
-			s.count(ctrRReq, 1)
-		}
 		home := s.space.HomeProc(v)
 		if s.Obs.Tracing() {
 			s.emitPageArgs(p.Clock(), p.ID, v, "REQSTART", [3]int64{b2i(write), 0, 0},
@@ -111,7 +105,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 
 // nullFill is the Disabled-mode fill: plain software virtual memory with
 // no coherence protocol. Every page maps the home frame directly.
-func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
+func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page) {
 	cp := s.ensurePage(ss, v)
 	if cp.state == PInv {
 		sp := s.server(v)
@@ -124,7 +118,6 @@ func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	s.spend(p, stats.User, s.cfg.Costs.NullFill)
 	s.count(ctrTLBFillNull, 1)
 	s.insertTLB(ss, cp, p.ID, vm.Write)
-	_ = write
 }
 
 // insertTLB fills proc's software TLB with a mapping of cp's page and

@@ -27,18 +27,12 @@ type Diff []DiffRange
 //
 // Must not allocate: pinned by TestDiffPoolRoundTripZeroAllocs.
 func (d Diff) Checksum() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for _, r := range d {
 		for sh := 0; sh < 64; sh += 8 {
-			h = (h ^ (uint64(r.Off) >> sh & 0xff)) * prime64
+			h = (h ^ (uint64(r.Off) >> sh & 0xff)) * fnvPrime64
 		}
-		for _, b := range r.Data {
-			h = (h ^ uint64(b)) * prime64
-		}
+		h = fnvBytes(h, r.Data)
 	}
 	return h
 }

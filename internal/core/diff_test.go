@@ -195,31 +195,6 @@ func TestDUQOrderAndDedup(t *testing.T) {
 	}
 }
 
-func TestDUQRemoveSkipsDeadHead(t *testing.T) {
-	d := newDUQ()
-	d.add(1)
-	d.add(2)
-	d.remove(1)
-	p, ok := d.pop()
-	if !ok || p != 2 {
-		t.Fatalf("pop = (%d,%v), want (2,true)", p, ok)
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-func TestDUQReAddAfterRemove(t *testing.T) {
-	d := newDUQ()
-	d.add(5)
-	d.remove(5)
-	d.add(5)
-	p, ok := d.pop()
-	if !ok || p != 5 {
-		t.Fatalf("pop = (%d,%v), want (5,true)", p, ok)
-	}
-}
-
 // TestComputeDiffOwnsStorage checks the throwaway form's ownership
 // contract: the returned diff must survive later, different
 // computations.

@@ -77,13 +77,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 		var diff Diff
 		var db *DiffBuf
 		bytes := c.CtrlBytes
-		if isHome {
-			// In-place home writes: nothing travels, but the version must
-			// advance and later local writes must fault back into a
-			// delayed update queue.
-			s.shootLocal(cp, p)
-			s.count(ctrLRelHome, 1)
-		} else {
+		if !isHome {
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
 			db = s.getDiffBuf()
 			diff = db.Compute(cp.twin, cp.frame.Data)
@@ -92,9 +86,11 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// the next write upgrades and re-twins.
 			s.recycleTwin(cp)
 			cp.state = PRead
-			s.shootLocal(cp, p)
-			s.count(ctrLRel, 1)
 		}
+		// Later local writes must fault back into a delayed update
+		// queue. In-place home writes ship nothing, but the version
+		// still advances.
+		s.shootLocal(cp, p)
 		fetchVer, fetchGen := cp.version, cp.gen
 		s.emitPageArgs(p.Clock(), p.ID, v, "LREL", [3]int64{}, "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
 		s.spend(p, stats.MGS, s.net.SendCost())
@@ -202,7 +198,6 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			// page-table lock is held across the merge so a concurrent
 			// local fault refetches only the post-merge image (within-
 			// SSMP ordering survives the teardown).
-			s.count(ctrAcqFlush, 1)
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
 			db := s.getDiffBuf()
 			diff := db.Compute(cp.twin, cp.frame.Data)

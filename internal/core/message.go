@@ -27,7 +27,7 @@ const (
 	mUpAck                  // UP_ACK, Remote → Local Client (arc 7): cp, p
 	mWNotify                // WNOTIFY, Remote Client → Server (arc 18): cp, gen
 	mRel                    // REL, releaser → Server (arcs 8, 20–22): v, cond, round (captured)
-	mInv                    // INV/1WINV, Server → Remote Client (arcs 14–16): sp, cp, oneW, round
+	mInv                    // INV/1WINV, Server → Remote Client (arcs 14–16): sp, cp, inv, round
 	mPInv                   // PINV, Remote Client → a mapping processor (arc 11): sp, cp, round
 	mPInvAck                // PINV_ACK, back to the Remote Client (arcs 15–16): sp, cp, round
 	mIReply                 // ACK/DIFF/1WDATA, Remote Client → Server (arcs 22–23): sp, reply, d, db, torn
@@ -42,16 +42,19 @@ const (
 
 	// Page-table-lock continuations: handed the lock, never sent.
 	kLockWake      // lockProc's waiter: p
-	kInvLocked     // onInv's body: sp, cp, oneW, round
+	kInvLocked     // onInv's body: sp, cp, inv, round
 	kRefreshLocked // onRefresh's body: sp, cp, img
 )
 
-// msgNames are the model checker's choice-label kinds, one per kind
-// that is sent; an unnamed kind is sent unlabeled.
-var msgNames = [mRefreshAck + 1]string{
+const numSent = mRefreshAck + 1 // the kinds that are sent
+
+// msgNames name the kinds that are sent. Those before mLazyRel, Table
+// 1's, are also the model checker's choice-label kinds.
+var msgNames = [numSent]string{
 	mReq: "REQ", mData: "DATA", mUpgrade: "UPGRADE", mUpAck: "UPACK",
 	mWNotify: "WNOTIFY", mRel: "REL", mInv: "INV", mPInv: "PINV",
 	mPInvAck: "PINVACK", mIReply: "IREPLY", mRack: "RACK",
+	mLazyRel: "LAZYREL", mLazyAck: "LAZYACK", mRefresh: "REFRESH", mRefreshAck: "REFRESHACK",
 }
 
 // message is one protocol message or lock continuation. Which fields a
@@ -67,12 +70,12 @@ type message struct {
 	cp    *clientPage
 	p     *sim.Proc // the requester, releaser or waiter
 	write bool
-	oneW  bool
-	cond  bool  // REL: the releaser's copy was already captured
-	torn  bool  // IREPLY: the reply retires a copy incarnation
-	ver   int64 // a home version
-	gen   int64 // a copy incarnation
-	round int64 // a release round
+	inv   invKind // INV: plain, 1WINV or a retained writer's demotion
+	cond  bool    // REL: the releaser's copy was already captured
+	torn  bool    // IREPLY: the reply retires a copy incarnation
+	ver   int64   // a home version
+	gen   int64   // a copy incarnation
+	round int64   // a release round
 	reply invReply
 	img   []byte
 	d     Diff
@@ -94,11 +97,16 @@ func (s *System) newMsg(k msgKind, v vm.Page) *message {
 
 // send launches m from processor src at time at to processor dst: bytes
 // on the wire, extra cycles of handler work at dst. aux is the choice
-// label's kind-specific argument.
+// label's kind-specific argument. Every message is booked here, and
+// only here (counters.go).
 func (s *System) send(m *message, src, dst int, at sim.Time, bytes int, extra sim.Time, aux int64) {
 	m.src, m.dst = src, dst
-	s.net.SendTagged(sim.Label{Kind: msgNames[m.kind], Page: int64(m.v), Src: src, Dst: dst, Aux: aux},
-		src, dst, at, bytes, extra, m)
+	s.book(m)
+	l := sim.Label{Page: int64(m.v), Src: src, Dst: dst, Aux: aux}
+	if m.kind < mLazyRel {
+		l.Kind = msgNames[m.kind]
+	}
+	s.net.SendTagged(l, src, dst, at, bytes, extra, m)
 }
 
 // Fire runs a lock continuation at its hand-off time (sim.Handler).
@@ -147,9 +155,9 @@ func (m *message) Deliver(at sim.Time) {
 	case mRel:
 		s.onRel(s.server(a.v), a.src, a.round, a.cond, at)
 	case mInv:
-		s.onInv(a.sp, a.cp, a.oneW, a.round, at)
+		s.onInv(a.sp, a.cp, a.inv, a.round, at)
 	case kInvLocked:
-		s.onInvLocked(a.sp, a.cp, a.oneW, a.round, at)
+		s.onInvLocked(a.sp, a.cp, a.inv == inv1W, a.round, at)
 	case mPInv:
 		s.onPInv(a.sp, a.cp, a.round, a.src, a.dst, at)
 	case mPInvAck:

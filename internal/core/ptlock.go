@@ -23,12 +23,10 @@ func (s *System) lockProc(cp *clientPage, p *sim.Proc, cat stats.Category) {
 		cp.lk.held = true
 		return
 	}
-	c0 := p.Clock()
 	w := s.newMsg(kLockWake, cp.page)
 	w.p = p
 	cp.lk.waiters = append(cp.lk.waiters, w)
-	p.Park()
-	s.st.Charge(p.ID, cat, p.Clock()-c0)
+	s.parkCharge(p, cat)
 }
 
 // lockHandler acquires cp's lock from handler context for continuation

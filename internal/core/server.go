@@ -56,10 +56,8 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		if write {
 			sp.writeDir.add(r)
 			sp.state = sWrite
-			s.count(ctrWDat, 1)
 		} else {
 			sp.readDir.add(r)
-			s.count(ctrRDat, 1)
 		}
 		// Record where the SSMP's Remote Client lives so invalidations
 		// can be addressed without reading the remote SSMP. The first
@@ -92,8 +90,6 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		// lands while the data is on the wire must leave it stale.
 		img = s.getPageBuf()
 		copy(img, sp.frame.Data)
-	} else {
-		s.count(ctrRDatHome, 1)
 	}
 	if s.Obs.Tracing() {
 		s.emitPageArgs(at, p.ID, sp.page, "SERVE", [3]int64{b2i(write), int64(r), b2i(r == homeSSMP)},
@@ -219,7 +215,6 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 		if cond {
 			s.emitPageArgs(p.Clock(), p.ID, v, "RELCOND", [3]int64{}, "proc %d state=%v cap=%d", p.ID, cp.state, capRound)
 		}
-		s.count(ctrRel, 1)
 		s.spend(p, stats.MGS, s.net.SendCost())
 		m := s.newMsg(mRel, v)
 		m.cond, m.round = cond, capRound
@@ -299,14 +294,11 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 	sp.keepWriter = -1
 	oneWriter := s.cfg.Variant.SingleWriter && !sp.homeDirty
 	for _, r := range targets {
-		oneW := oneWriter && sp.writeDir.isOnly(r)
-		if oneW {
-			sp.keepWriter = r
-			s.count(ctrOneWInv, 1)
-		} else {
-			s.count(ctrInv, 1)
+		t := invTarget{ssmp: r}
+		if oneWriter && sp.writeDir.isOnly(r) {
+			sp.keepWriter, t.inv = r, inv1W
 		}
-		sp.invQueue = append(sp.invQueue, invTarget{ssmp: r, oneW: oneW})
+		sp.invQueue = append(sp.invQueue, t)
 	}
 	if s.cfg.Variant.SerialInv {
 		s.dispatchInv(sp, at) // one at a time; replies pull the next
@@ -325,8 +317,8 @@ func (s *System) dispatchInv(sp *serverPage, at sim.Time) {
 	sp.invQueue = append(sp.invQueue[:0], sp.invQueue[1:]...)
 	rc := sp.rmtGet(t.ssmp)
 	m := s.newMsg(mInv, sp.page)
-	m.sp, m.cp, m.oneW, m.round = sp, rc.cp, t.oneW, sp.round
-	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.Costs.CtrlBytes, 0, b2i(t.oneW))
+	m.sp, m.cp, m.inv, m.round = sp, rc.cp, t.inv, sp.round
+	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.Costs.CtrlBytes, 0, b2i(t.inv == inv1W))
 }
 
 // onInv is the Remote Client's INV/1WINV handler (arcs 14–16), running
@@ -334,9 +326,9 @@ func (s *System) dispatchInv(sp *serverPage, at sim.Time) {
 // (queuing if busy, per the paper's footnote 2), cleans the page, shoots
 // down TLB mappings, and replies ACK, DIFF, or 1WDATA. round is the
 // capturing round's id, recorded on the copy for its next release.
-func (s *System) onInv(sp *serverPage, cp *clientPage, oneW bool, round int64, at sim.Time) {
+func (s *System) onInv(sp *serverPage, cp *clientPage, inv invKind, round int64, at sim.Time) {
 	k := s.newMsg(kInvLocked, cp.page)
-	k.sp, k.cp, k.oneW, k.round = sp, cp, oneW, round
+	k.sp, k.cp, k.inv, k.round = sp, cp, inv, round
 	s.lockHandler(cp, k, at)
 }
 
@@ -366,7 +358,6 @@ func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round in
 	}
 	c := &s.cfg.Costs
 	for t := cp.tlbDir; t != 0; t &= t - 1 {
-		s.count(ctrPInv, 1)
 		m := s.newMsg(mPInv, cp.page)
 		m.sp, m.cp, m.round = sp, cp, round
 		s.send(m, o, s.ssmpBase(cp.ssmp)+bits.TrailingZeros64(t), at, c.CtrlBytes, c.PinvWork, 0)
@@ -422,6 +413,8 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 	o := s.clientOwner(cp)
 	ss := s.ssmps[cp.ssmp]
 	isHome := cp.ssmp == s.ssmpOf(sp.homeProc)
+	var d Diff // the captured modifications, backed by db when non-nil
+	var db *DiffBuf
 
 	// Deliberate deviation from Table 1's arc 12: delayed-update-queue
 	// entries are NOT removed by invalidations. A processor whose write
@@ -447,8 +440,6 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		// with the merged image. The TLB shootdown has already
 		// happened, so subsequent writes re-fault (cheap local fills)
 		// and re-enter the delayed update queues.
-		var d Diff
-		var db *DiffBuf
 		if cp.state == PWrite && !isHome {
 			at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
 			db = s.getDiffBuf()
@@ -473,21 +464,16 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		// a "single-writer" round also carry a concurrent diff that a
 		// whole-page copy would clobber.
 		at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.TwinPerByte)
-		var d Diff
-		var db *DiffBuf
 		if !isHome {
 			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 		}
 		s.retwin(cp)
 		cp.tlbDir = 0
-		s.count(ctrOneWData, 1)
 		s.replyInv(sp, o, oneWReply, d, db, false, at)
 
 	case cp.state == PWrite:
 		at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-		var d Diff
-		var db *DiffBuf
 		if isHome {
 			// The home SSMP's writes are already in the home frame —
 			// no diff travels, but they count as foreign data for the
@@ -497,13 +483,10 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 			db = s.getDiffBuf()
 			d = db.Compute(cp.twin, cp.frame.Data)
 		}
-		s.count(ctrDiff, 1)
-		s.count(ctrDiffBytes, int64(d.Bytes(0)))
 		s.teardown(ss, cp, isHome, true)
 		s.replyInv(sp, o, diffReply, d, db, true, at)
 
 	default: // PRead
-		s.count(ctrAckInv, 1)
 		s.teardown(ss, cp, isHome, true)
 		s.replyInv(sp, o, ackReply, nil, nil, true, at)
 	}
@@ -670,8 +653,7 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		// stale copy).
 		s.emitPageArgs(at, -1, sp.page, "DEMOTE", [3]int64{int64(sp.keepWriter), 0, 0},
 			"retained ssmp %d", sp.keepWriter)
-		s.count(ctrOneWDemote, 1)
-		sp.invQueue = append(sp.invQueue, invTarget{ssmp: sp.keepWriter, oneW: false})
+		sp.invQueue = append(sp.invQueue, invTarget{ssmp: sp.keepWriter, inv: invDemote})
 		sp.keepWriter = -1
 		sp.sawDiff = false
 		sp.count = 1
@@ -725,11 +707,9 @@ func (s *System) answerRound(sp *serverPage, at sim.Time) {
 // acknowledges.
 func (s *System) sendRefresh(sp *serverPage, r int, img []byte, at sim.Time) {
 	rc := sp.rmtGet(r)
-	cp, o := rc.cp, int(rc.owner)
-	s.count(ctrUpdRefresh, 1)
 	m := s.newMsg(mRefresh, sp.page)
-	m.sp, m.cp, m.img = sp, cp, img
-	s.send(m, sp.homeProc, o, at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
+	m.sp, m.cp, m.img = sp, rc.cp, img
+	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
 }
 
 // onRefresh is a copy's refresh handler (update protocol). Like an INV
@@ -767,6 +747,5 @@ func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at 
 
 // sendRack acknowledges a release to the waiting processor (arc 9–10).
 func (s *System) sendRack(sp *serverPage, relProc int, at sim.Time) {
-	s.count(ctrRack, 1)
 	s.send(s.newMsg(mRack, sp.page), sp.homeProc, relProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"mgs/internal/vm"
@@ -150,24 +151,9 @@ func (s *System) SnapshotProtocol() []PageSnap {
 	return out
 }
 
-// DUQPages returns processor p's live delayed-update-queue entries in
-// queue order (tests and the model checker).
+// DUQPages returns processor p's delayed-update-queue entries in queue
+// order (tests and the model checker).
 func (s *System) DUQPages(p int) []vm.Page {
 	d := s.ssmps[s.ssmpOf(p)].duqs[s.within(p)]
-	var out []vm.Page
-	for _, v := range d.queue[d.head:] {
-		if d.member[v] {
-			dup := false
-			for _, o := range out {
-				if o == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
+	return slices.Clone(d.queue[d.head:])
 }

@@ -132,8 +132,17 @@ type procPlace struct{ ssmp, local int32 }
 // invTarget is one SSMP to invalidate in a release round.
 type invTarget struct {
 	ssmp int
-	oneW bool
+	inv  invKind
 }
+
+// invKind is which INV a target gets: plain, 1WINV, or a demotion (finishRel).
+type invKind uint8
+
+const (
+	invPlain invKind = iota
+	inv1W
+	invDemote
+)
 
 // pendingReq is a replication request queued behind a release.
 type pendingReq struct {
@@ -216,7 +225,9 @@ type System struct {
 	pageBufs [][]byte   // free page-size buffers (pool.go)
 	diffBufs []*DiffBuf // free diff buffers (pool.go)
 
-	ctrs [numCtr]*obs.Counter // protocol counters, resolved by count (counters.go)
+	ctrs     [numCtr]*obs.Counter     // decision counters, resolved by count (counters.go)
+	sentCtrs [numSent][4]*obs.Counter // message counters, resolved by book
+	sent     [numSent]int64           // messages sent, by kind: the balance oracle's input
 
 	acceptStaleWNotify bool // the model checker's seeded bug; set only by the method below
 }
@@ -350,6 +361,15 @@ func bit(i int) uint64 { return 1 << uint(i) }
 func (s *System) spend(p *sim.Proc, cat stats.Category, cycles sim.Time) {
 	p.Advance(cycles)
 	s.st.Charge(p.ID, cat, cycles)
+}
+
+// handle returns the counter *h, first resolving it by name on the
+// collector's registry (counters.go).
+func (s *System) handle(h **obs.Counter, name string) *obs.Counter {
+	if *h == nil {
+		*h = s.st.Registry().Counter(name)
+	}
+	return *h
 }
 
 // parkCharge parks p and attributes the wait to cat.

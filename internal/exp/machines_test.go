@@ -260,7 +260,7 @@ func (r machine) config(extra ...harness.Option) harness.Config {
 type run struct {
 	res       harness.Result
 	mem       []byte
-	quiescent error // m.Sync.Quiescent at the end
+	quiescent error // m.Sync.Quiescent, then m.DSM.Quiescent, at the end
 }
 
 // runOn runs the named application on cfg's machine, verifies the
@@ -279,7 +279,11 @@ func runOn(t *testing.T, name string, cfg harness.Config) run {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return run{res, m.DSM.SnapshotMemory(), m.Sync.Quiescent()}
+	q := m.Sync.Quiescent()
+	if q == nil {
+		q = m.DSM.Quiescent()
+	}
+	return run{res, m.DSM.SnapshotMemory(), q}
 }
 
 // baseRuns and shadowRuns cache each row's application run and
@@ -351,7 +355,8 @@ func (r machine) proofs() map[string]bool {
 }
 
 // TestMachineTable: the rows cover every pair of factor values; each
-// row's application run ends with every lock and barrier quiescent; and
+// row's application run ends with every lock and barrier quiescent and
+// every protocol request answered (Table 1's pairs balance); and
 // its application and locked-counter runs prove its variant, fault plan
 // and topology ran.
 func TestMachineTable(t *testing.T) {

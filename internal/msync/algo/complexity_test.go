@@ -230,23 +230,110 @@ func TestTournamentLockClimbIsLogarithmic(t *testing.T) {
 // tree and 12,000 dissemination messages.
 func TestBarrierEpisodesDoNotAllocate(t *testing.T) {
 	for _, name := range []string{"tree", "dissemination"} {
-		episodes := func(n int) {
-			m := harness.NewMachine(harness.NewConfig(16, 2, harness.WithBarrierAlgo(name)))
-			if _, err := m.RunPer(func(i int) func(*harness.Ctx) {
-				return func(ctx *harness.Ctx) {
-					for e := 0; e < n; e++ {
-						ctx.Compute(sim.Time(100 * (i%3 + 1)))
-						ctx.Barrier(0)
-					}
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		few := testing.AllocsPerRun(1, func() { episodes(50) })
-		many := testing.AllocsPerRun(1, func() { episodes(550) })
+		few := testing.AllocsPerRun(1, func() { barrierEpisodes(t, 16, 2, name, 50) })
+		many := testing.AllocsPerRun(1, func() { barrierEpisodes(t, 16, 2, name, 550) })
 		if many-few >= 10 {
 			t.Errorf("%s barrier allocates per episode: %.0f allocations for 50 episodes, %.0f for 550", name, few, many)
 		}
 	}
+}
+
+// TestUntracedEmitsDoNotBox: with no trace sink attached, no lock or
+// barrier emit puts a value on the heap. Go boxes an integer of 256 or
+// more when it becomes an interface, so every emit whose arguments can
+// pass 255 tests Tracing first. Closure messages still allocate, so
+// equal windows of work are compared: a barrier's episodes 6–255
+// against 256–505, and a lock's uncontended passages 17–256 against
+// 257–496 (the ticket numbers). At P = 512, processor numbers pass 255
+// too: a lock's passages by processors 256–511 must allocate what those
+// by 0–255 do, and a barrier episode at most one closure per message.
+// The processors are coroutines, not OS threads. Equal means within
+// noise: two runs of one machine differ by up to 5 allocations the Go
+// runtime makes for itself, while a boxed argument costs one per event
+// (129 for the token lock at P = 512, the fewest).
+func TestUntracedEmitsDoNotBox(t *testing.T) {
+	const noise = 16
+	differ := func(a, b float64) bool { return a-b >= noise || b-a >= noise }
+	for _, name := range algo.BarrierNames() {
+		first, second, _ := windowAllocs(func(n int) int64 { return barrierEpisodes(t, 16, 2, name, n) }, 5, 250)
+		if differ(first, second) {
+			t.Errorf("barrier %s: %.0f allocations in episodes 6–255, %.0f in 256–505", name, first, second)
+		}
+		first, second, msgs := windowAllocs(func(n int) int64 { return barrierEpisodes(t, 512, 2, name, n) }, 2, 4)
+		if differ(first, second) || second >= float64(msgs)+noise {
+			t.Errorf("barrier %s at P=512: %.0f and %.0f allocations in two windows of 4 episodes, which send %d messages", name, first, second, msgs)
+		}
+	}
+	for _, name := range algo.LockNames() {
+		first, second, _ := windowAllocs(func(n int) int64 { return lockPassages(t, 16, 2, name, 0, n) }, 16, 240)
+		if differ(first, second) {
+			t.Errorf("lock %s: %.0f allocations in passages 17–256, %.0f in 257–496", name, first, second)
+		}
+		low := testing.AllocsPerRun(1, func() { lockPassages(t, 512, 2, name, 0, 256) })
+		high := testing.AllocsPerRun(1, func() { lockPassages(t, 512, 2, name, 256, 256) })
+		if differ(low, high) {
+			t.Errorf("lock %s at P=512: %.0f allocations for a passage by each of processors 0–255, %.0f by 256–511", name, low, high)
+		}
+	}
+}
+
+// windowAllocs runs run(n) at n = n0, n0+w and n0+2w and returns the
+// allocations of the two windows of w units of work between them (the
+// machine and the first n0 units cancel), and the messages the second
+// window sends.
+func windowAllocs(run func(n int) int64, n0, w int) (first, second float64, msgs int64) {
+	var allocs [3]float64
+	var sent [3]int64
+	for i := range allocs {
+		allocs[i] = testing.AllocsPerRun(1, func() { sent[i] = run(n0 + i*w) })
+	}
+	return allocs[1] - allocs[0], allocs[2] - allocs[1], sent[2] - sent[1]
+}
+
+// barrierEpisodes runs n episodes of barrier 0 on P processors, C to an
+// SSMP, arriving in a fixed staggered order, and returns the messages
+// sent.
+func barrierEpisodes(t *testing.T, p, c int, barrier string, n int) int64 {
+	m := harness.NewMachine(harness.NewConfig(p, c, harness.WithBarrierAlgo(barrier)))
+	res, err := m.RunPer(func(i int) func(*harness.Ctx) {
+		return func(ctx *harness.Ctx) {
+			for e := 0; e < n; e++ {
+				ctx.Compute(sim.Time(100 * (i%3 + 1)))
+				ctx.Barrier(0)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.InterMsgs + res.IntraMsgs
+}
+
+// lockPassages runs n passages of lock 0 on P processors, C to an SSMP,
+// one at a time: passage k starts at cycle 200,000·k, long after the
+// one before has ended, and is made by processor first + k mod
+// (P − first). It returns the messages sent.
+func lockPassages(t *testing.T, p, c int, lock string, first, n int) int64 {
+	const slot = 200_000
+	m := harness.NewMachine(harness.NewConfig(p, c, harness.WithLockAlgo(lock)))
+	res, err := m.RunPer(func(i int) func(*harness.Ctx) {
+		return func(ctx *harness.Ctx) {
+			for k := 0; k < n; k++ {
+				if first+k%(p-first) != i {
+					continue
+				}
+				if ctx.Clock() > sim.Time(k*slot) {
+					t.Errorf("lock %s: passage %d starts after its slot", lock, k)
+				}
+				ctx.Compute(max(sim.Time(k*slot)-ctx.Clock(), 0))
+				ctx.Acquire(0)
+				ctx.Compute(10)
+				ctx.Release(0)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.InterMsgs + res.IntraMsgs
 }

@@ -180,7 +180,9 @@ func (l *mcsLock) takeSucc(pid int, seq int64) (*sim.Proc, bool) {
 // pass sends the lock from processor from to successor succ.
 func (l *mcsLock) pass(from int, succ *sim.Proc, at sim.Time) {
 	e := l.env
-	e.EmitLock(at, -1, l.id, "MCS.PASS", "from=%d to=%d", from, succ.ID)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "MCS.PASS", "from=%d to=%d", from, succ.ID)
+	}
 	l.send(mcsPass, from, succ.ID, at, int64(succ.ID), succ, from, 0)
 }
 
@@ -211,7 +213,9 @@ func (l *mcsLock) onRel(pid int, seq int64, at sim.Time) {
 	e := l.env
 	if l.tail == pid && l.tailSeq == seq {
 		l.tail, l.tailSeq = -1, 0
-		e.EmitLock(at, -1, l.id, "MCS.FREE", "proc=%d", pid)
+		if e.Tracing() {
+			e.EmitLock(at, -1, l.id, "MCS.FREE", "proc=%d", pid)
+		}
 		return
 	}
 	l.send(mcsMustPass, l.home, pid, at, seq, nil, pid, seq)

@@ -79,7 +79,9 @@ func (b *mcsTreeBarrier) check(s int, at sim.Time) {
 	n.kidsIn = 0
 	if s == 0 {
 		b.episodes++
-		e.EmitBarrier(at, -1, b.id, "MCT.ROOT", "episode=%d", b.episodes)
+		if e.Tracing() {
+			e.EmitBarrier(at, -1, b.id, "MCT.ROOT", "episode=%d", b.episodes)
+		}
 		b.wake(0, at)
 		return
 	}

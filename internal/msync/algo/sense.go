@@ -44,7 +44,9 @@ type senseBarrier struct {
 func (b *senseBarrier) Arrive(p *sim.Proc) {
 	e := b.env
 	b.waiting[p.ID] = p
-	e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
+	}
 	e.ChargeBarrier(p, e.SendCost())
 	e.Send("SNS.ARRIVE", b.id, p.ID, b.home, p.Clock(), int64(p.ID), e.BarrierOp(),
 		msg.Func(func(at sim.Time) { b.onArrive(at) }))
@@ -55,7 +57,9 @@ func (b *senseBarrier) Arrive(p *sim.Proc) {
 func (b *senseBarrier) onArrive(at sim.Time) {
 	e := b.env
 	b.arrived++
-	e.EmitBarrier(at, -1, b.id, "SNS.COUNT", "arrived=%d/%d", b.arrived, e.NProcs())
+	if e.Tracing() {
+		e.EmitBarrier(at, -1, b.id, "SNS.COUNT", "arrived=%d/%d", b.arrived, e.NProcs())
+	}
 	if b.arrived < e.NProcs() {
 		return
 	}

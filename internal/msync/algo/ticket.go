@@ -42,7 +42,9 @@ type ticketLock struct {
 // until the grant message wakes us.
 func (l *ticketLock) Acquire(p *sim.Proc) {
 	e := l.env
-	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REQ", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
 		msg.Func(func(at sim.Time) { l.onReq(p, at) }))
@@ -54,7 +56,9 @@ func (l *ticketLock) Acquire(p *sim.Proc) {
 func (l *ticketLock) onReq(p *sim.Proc, at sim.Time) {
 	t := l.nextTicket
 	l.nextTicket++
-	l.env.EmitLock(at, -1, l.id, "TKT.DRAW", "proc=%d ticket=%d serving=%d", p.ID, t, l.nowServing)
+	if l.env.Tracing() {
+		l.env.EmitLock(at, -1, l.id, "TKT.DRAW", "proc=%d ticket=%d serving=%d", p.ID, t, l.nowServing)
+	}
 	if t == l.nowServing {
 		l.grant(p, at)
 		return
@@ -66,7 +70,9 @@ func (l *ticketLock) onReq(p *sim.Proc, at sim.Time) {
 // leaves the home's SSMP.
 func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 	e := l.env
-	e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
+	}
 	e.Send("TKT.GRANT", l.id, l.home, p.ID, at, int64(p.ID), e.TokenWork(),
 		msg.Func(func(at2 sim.Time) { l.granted(l.env, p, at2, l.env.SSMPOf(p.ID) == l.env.SSMPOf(l.home)) }))
 }
@@ -77,7 +83,9 @@ func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 func (l *ticketLock) Release(p *sim.Proc) {
 	e := l.env
 	l.released(e, p)
-	e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TKT.REL", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
 		msg.Func(func(at sim.Time) { l.onRel(at) }))

@@ -134,7 +134,9 @@ func (l *tokenLock) Acquire(p *sim.Proc) {
 	ll.waitQ = append(ll.waitQ, p)
 	if !ll.hasToken && !ll.requested {
 		ll.requested = true
-		e.EmitLock(p.Clock(), p.ID, l.id, "TOKENREQ", "ssmp=%d proc=%d", s, p.ID)
+		if e.Tracing() {
+			e.EmitLock(p.Clock(), p.ID, l.id, "TOKENREQ", "ssmp=%d proc=%d", s, p.ID)
+		}
 		l.sendReq(p, s)
 	}
 	e.ParkLock(p) // woken holding the lock
@@ -222,7 +224,9 @@ func (l *tokenLock) pumpDemand(at sim.Time) {
 // home, now if the local lock is free, or at the next release.
 func (l *tokenLock) onDemand(s int, at sim.Time) {
 	ll := &l.local[s]
-	l.env.EmitLock(at, -1, l.id, "DEMAND.ARRIVE", "ssmp=%d hasToken=%v held=%v", s, ll.hasToken, ll.held)
+	if l.env.Tracing() {
+		l.env.EmitLock(at, -1, l.id, "DEMAND.ARRIVE", "ssmp=%d hasToken=%v held=%v", s, ll.hasToken, ll.held)
+	}
 	if !ll.hasToken || ll.held {
 		// Held: honored at the next release. No token yet: the demand
 		// overtook the grant (possible under message jitter), so the
@@ -262,7 +266,9 @@ func (l *tokenLock) onTokenBack(at sim.Time) {
 func (l *tokenLock) onTokenGrant(s int, at sim.Time) {
 	e := l.env
 	ll := &l.local[s]
-	e.EmitLock(at, -1, l.id, "GRANT", "ssmp=%d waiters=%d demand=%v", s, len(ll.waitQ), ll.demand)
+	if e.Tracing() {
+		e.EmitLock(at, -1, l.id, "GRANT", "ssmp=%d waiters=%d demand=%v", s, len(ll.waitQ), ll.demand)
+	}
 	ll.hasToken = true
 	ll.requested = false
 	if len(ll.waitQ) == 0 {

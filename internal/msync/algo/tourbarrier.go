@@ -100,7 +100,9 @@ func (b *tourBarrier) advance(s int, at sim.Time) {
 			n.round = 0
 			if s == 0 {
 				b.episodes++
-				e.EmitBarrier(at, -1, b.id, "TNB.CHAMPION", "episode=%d", b.episodes)
+				if e.Tracing() {
+					e.EmitBarrier(at, -1, b.id, "TNB.CHAMPION", "episode=%d", b.episodes)
+				}
 				b.wake(s, at)
 				return
 			}

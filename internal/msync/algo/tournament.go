@@ -93,7 +93,9 @@ func (l *tourLock) Acquire(p *sim.Proc) {
 	ni := l.leaf[s]
 	to := e.RepProc(l.nodes[ni].host, l.id)
 	w := tourWaiter{p: p, crossed: e.SSMPOf(p.ID) != e.SSMPOf(to)}
-	e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.ENTER", "proc=%d leaf=%d", p.ID, ni)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.ENTER", "proc=%d leaf=%d", p.ID, ni)
+	}
 	e.ChargeLock(p, e.SendCost())
 	e.Send("TOUR.ACQ", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
 		msg.Func(func(at sim.Time) { l.arrive(w, ni, at) }))
@@ -119,7 +121,9 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 	if n.parent < 0 {
 		from := e.RepProc(n.host, l.id)
 		crossed := w.crossed || e.SSMPOf(from) != e.SSMPOf(w.p.ID)
-		e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
+		if e.Tracing() {
+			e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
+		}
 		// A hit is a climb that never left the holder's SSMP.
 		e.Send("TOUR.GRANTMSG", l.id, from, w.p.ID, at, int64(w.p.ID), e.TokenWork(),
 			msg.Func(func(at2 sim.Time) { l.granted(l.env, w.p, at2, !crossed) }))
@@ -139,7 +143,9 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 func (l *tourLock) Release(p *sim.Proc) {
 	e := l.env
 	l.released(e, p)
-	e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.REL", "proc=%d", p.ID)
+	if e.Tracing() {
+		e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.REL", "proc=%d", p.ID)
+	}
 	for ni := l.leaf[e.SSMPOf(p.ID)]; ni >= 0; ni = l.nodes[ni].parent {
 		ni := ni
 		to := e.RepProc(l.nodes[ni].host, l.id)
