@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"mgs/internal/fault"
 	"mgs/internal/msync/algo"
 	"mgs/internal/obs"
+	"mgs/internal/sim"
 	"mgs/internal/stats"
 	"mgs/internal/vm"
 )
@@ -406,17 +408,32 @@ func TestBodyPanicUnwindsToTheCaller(t *testing.T) {
 
 // TestEmptyAlgoNamesSelectTheDefaults: "" and the default names are the
 // same registered algorithms, so a machine built either way is the same
-// machine.
+// machine: it resolves the same names and runs a lock and a barrier to
+// the same Result.
 func TestEmptyAlgoNamesSelectTheDefaults(t *testing.T) {
-	unset := NewMachine(NewConfig(4, 2, WithLockAlgo(""), WithBarrierAlgo(""))).Cfg
-	named := NewMachine(NewConfig(4, 2, WithLockAlgo("token"), WithBarrierAlgo("tree"))).Cfg
+	run := func(lock, barrier string) (Config, Result) {
+		m := NewMachine(NewConfig(4, 2, WithLockAlgo(lock), WithBarrierAlgo(barrier)))
+		res, err := m.RunPer(func(i int) func(*Ctx) {
+			return func(ctx *Ctx) {
+				ctx.Compute(sim.Time(100 * (i + 1)))
+				ctx.Acquire(0)
+				ctx.Compute(50)
+				ctx.Release(0)
+				ctx.Barrier(0)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Cfg, res
+	}
+	unset, unsetRes := run("", "")
+	named, namedRes := run("token", "tree")
 	if unset.LockAlgo != named.LockAlgo || unset.BarrierAlgo != named.BarrierAlgo {
 		t.Fatalf("unset resolves to %s/%s, named to %s/%s", unset.LockAlgo, unset.BarrierAlgo, named.LockAlgo, named.BarrierAlgo)
 	}
-	la, _ := algo.LockByName("")
-	ba, _ := algo.BarrierByName("")
-	if la != (algo.Token{}) || ba != (algo.Tree{}) {
-		t.Fatalf(`LockByName("") = %#v, BarrierByName("") = %#v; want the registered Token and Tree`, la, ba)
+	if !reflect.DeepEqual(unsetRes, namedRes) {
+		t.Fatalf("unset algorithms ran to %+v, token/tree to %+v", unsetRes, namedRes)
 	}
 }
 

@@ -4,6 +4,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -159,7 +160,7 @@ func (cfg Config) Validate() error {
 }
 
 // algos validates the configuration and resolves its algorithm names.
-func (cfg Config) algos() (la algo.LockAlgo, ba algo.BarrierAlgo, err error) {
+func (cfg Config) algos() (la algo.NewLock, ba algo.NewBarrier, err error) {
 	v := cfg.Variant
 	switch {
 	case cfg.P <= 0 || cfg.C <= 0 || cfg.P%cfg.C != 0:
@@ -212,14 +213,15 @@ type Machine struct {
 }
 
 // NewMachine assembles a machine, panicking on a configuration that
-// fails Validate. The algorithm names are replaced by the registered
-// names they resolve to.
+// fails Validate. An empty algorithm name is replaced by the default it
+// resolves to.
 func NewMachine(cfg Config) *Machine {
 	la, ba, err := cfg.algos()
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
-	cfg.LockAlgo, cfg.BarrierAlgo = la.Name(), ba.Name()
+	cfg.LockAlgo = cmp.Or(cfg.LockAlgo, algo.DefaultLock)
+	cfg.BarrierAlgo = cmp.Or(cfg.BarrierAlgo, algo.DefaultBarrier)
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), bodies: make([]func(*Ctx), cfg.P)}
 	for i := 0; i < cfg.P; i++ {
 		i := i

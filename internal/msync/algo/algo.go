@@ -5,7 +5,9 @@
 // of every tool). The defaults are the paper's §3.2 library — the
 // token-based distributed lock ("token") and the two-level tree barrier
 // ("tree") — beside ticket, MCS and tournament locks and sense-
-// reversing, dissemination, MCS-tree and tournament barriers.
+// reversing, dissemination, MCS-tree and tournament barriers. An
+// algorithm is a constructor listed by name in one of two sorted
+// tables below; LockByName and BarrierByName resolve a name.
 //
 // An algorithm never touches the memory system directly. msync.System
 // wraps every lock/barrier in a shim that runs the release-consistency
@@ -15,7 +17,10 @@
 // who sends what to whom, who parks, who wakes. Every message is a real
 // msg.Network send — it pays interconnect latency on every topology,
 // rides the reliable transport under fault injection, and is a labeled
-// delivery the model checker can reorder.
+// delivery the model checker can reorder. It leaves through Env.Send as
+// the Env's one pooled record, naming the instance that receives it, a
+// kind and the kind's arguments; the instance's deliver dispatches on
+// the kind, so no message allocates.
 //
 // Cycle-charging rules, shared by every algorithm, and where each is
 // applied:
@@ -37,7 +42,11 @@
 //     tournament barriers: the combine stage they embed (gate.go).
 package algo
 
-import "mgs/internal/sim"
+import (
+	"cmp"
+
+	"mgs/internal/sim"
+)
 
 // State is what every lock and barrier shows of itself beside its
 // protocol. Dump renders its state deterministically (deadlock
@@ -96,20 +105,12 @@ type Barrier interface {
 	Episodes() int64
 }
 
-// LockAlgo builds lock instances. Name is the -lock flag spelling. home
-// is the processor the lock's global state is placed on; implementations
-// reduce it mod NProcs.
-type LockAlgo interface {
-	Name() string
-	NewLock(env *Env, id, home int) Lock
-}
+// NewLock builds lock id with its global state placed on processor
+// home, reduced mod NProcs.
+type NewLock func(env *Env, id, home int) Lock
 
-// BarrierAlgo builds barrier instances. Name is the -barrier spelling;
-// home is as for LockAlgo.
-type BarrierAlgo interface {
-	Name() string
-	NewBarrier(env *Env, id, home int) Barrier
-}
+// NewBarrier builds barrier id; home is as for NewLock.
+type NewBarrier func(env *Env, id, home int) Barrier
 
 // DefaultLock and DefaultBarrier name the paper's algorithms; an empty
 // selection resolves to them.
@@ -118,56 +119,58 @@ const (
 	DefaultBarrier = "tree"
 )
 
+// named is one registered algorithm: its -lock or -barrier spelling and
+// its constructor.
+type named[F any] struct {
+	name string
+	new  F
+}
+
 // The registries are literal slices sorted by name, not maps, so every
 // listing is deterministic without an iteration-order laundering step.
 var (
-	lockAlgos    = []LockAlgo{MCS{}, Ticket{}, Token{}, Tournament{}}
-	barrierAlgos = []BarrierAlgo{Dissemination{}, MCSTree{}, Sense{}, TournamentBarrier{}, Tree{}}
+	lockAlgos = []named[NewLock]{
+		{"mcs", newMCS}, {"ticket", newTicket}, {DefaultLock, newToken}, {"tournament", newTournament},
+	}
+	barrierAlgos = []named[NewBarrier]{
+		{"dissemination", newDissemination}, {"mcstree", newMCSTree}, {"sense", newSense},
+		{"tournament", newTournamentBarrier}, {DefaultBarrier, newTree},
+	}
 )
 
 // LockByName resolves a -lock selection; "" selects DefaultLock.
-func LockByName(name string) (LockAlgo, error) {
-	if name == "" {
-		name = DefaultLock
-	}
-	for _, a := range lockAlgos {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	return nil, &UnknownError{Kind: "lock", Name: name, Known: LockNames()}
+func LockByName(name string) (NewLock, error) {
+	return byName("lock", lockAlgos, cmp.Or(name, DefaultLock))
 }
 
 // BarrierByName resolves a -barrier selection; "" selects
 // DefaultBarrier.
-func BarrierByName(name string) (BarrierAlgo, error) {
-	if name == "" {
-		name = DefaultBarrier
-	}
-	for _, a := range barrierAlgos {
-		if a.Name() == name {
-			return a, nil
+func BarrierByName(name string) (NewBarrier, error) {
+	return byName("barrier", barrierAlgos, cmp.Or(name, DefaultBarrier))
+}
+
+func byName[F any](kind string, algos []named[F], name string) (F, error) {
+	for _, a := range algos {
+		if a.name == name {
+			return a.new, nil
 		}
 	}
-	return nil, &UnknownError{Kind: "barrier", Name: name, Known: BarrierNames()}
+	var none F
+	return none, &UnknownError{Kind: kind, Name: name, Known: names(algos)}
 }
 
 // LockNames lists every lock algorithm, sorted.
-func LockNames() []string {
-	names := make([]string, len(lockAlgos))
-	for i, a := range lockAlgos {
-		names[i] = a.Name()
-	}
-	return names
-}
+func LockNames() []string { return names(lockAlgos) }
 
 // BarrierNames lists every barrier algorithm, sorted.
-func BarrierNames() []string {
-	names := make([]string, len(barrierAlgos))
-	for i, a := range barrierAlgos {
-		names[i] = a.Name()
+func BarrierNames() []string { return names(barrierAlgos) }
+
+func names[F any](algos []named[F]) []string {
+	ns := make([]string, len(algos))
+	for i, a := range algos {
+		ns[i] = a.name
 	}
-	return names
+	return ns
 }
 
 // UnknownError reports a name that resolves to no registered algorithm.

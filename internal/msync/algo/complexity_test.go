@@ -222,18 +222,30 @@ func TestTournamentLockClimbIsLogarithmic(t *testing.T) {
 	}
 }
 
-// TestBarrierEpisodesDoNotAllocate pins the tree and dissemination
-// barriers at zero allocations per steady-state episode: their
-// inter-SSMP messages are records built with the barrier, not a
-// closure per send. Two episode counts are compared so the machine and
-// the first episode cancel; 500 more episodes of 8 SSMPs send 7,000
-// tree and 12,000 dissemination messages.
-func TestBarrierEpisodesDoNotAllocate(t *testing.T) {
-	for _, name := range []string{"tree", "dissemination"} {
-		few := testing.AllocsPerRun(1, func() { barrierEpisodes(t, 16, 2, name, 50) })
-		many := testing.AllocsPerRun(1, func() { barrierEpisodes(t, 16, 2, name, 550) })
-		if many-few >= 10 {
-			t.Errorf("%s barrier allocates per episode: %.0f allocations for 50 episodes, %.0f for 550", name, few, many)
+// TestSyncDoesNotAllocate pins every barrier and lock at zero
+// allocations per steady-state episode or passage: each message is a
+// record off the Env's free list, not a closure or a record of its own.
+// Equal windows of work are compared (see TestUntracedEmitsDoNotBox),
+// so the machine and the first episodes or passages cancel; 250
+// episodes of 8 SSMPs send 4,000 tree and 8,000 sense messages.
+func TestSyncDoesNotAllocate(t *testing.T) {
+	const noise = 16
+	type window struct {
+		kind, name string
+		n0, w      int
+		run        func(n int) int64
+	}
+	var windows []window
+	for _, name := range algo.BarrierNames() {
+		windows = append(windows, window{"barrier", name, 5, 250, func(n int) int64 { return barrierEpisodes(t, 16, 2, name, n) }})
+	}
+	for _, name := range algo.LockNames() {
+		windows = append(windows, window{"lock", name, 16, 240, func(n int) int64 { return lockPassages(t, 16, 2, name, 0, n) }})
+	}
+	for _, w := range windows {
+		_, second, msgs := windowAllocs(w.run, w.n0, w.w)
+		if second >= noise {
+			t.Errorf("%s %s allocates: %.0f allocations in a window of %d, which sends %d messages", w.kind, w.name, second, w.w, msgs)
 		}
 	}
 }
@@ -241,12 +253,12 @@ func TestBarrierEpisodesDoNotAllocate(t *testing.T) {
 // TestUntracedEmitsDoNotBox: with no trace sink attached, no lock or
 // barrier emit puts a value on the heap. Go boxes an integer of 256 or
 // more when it becomes an interface, so every emit whose arguments can
-// pass 255 tests Tracing first. Closure messages still allocate, so
-// equal windows of work are compared: a barrier's episodes 6–255
-// against 256–505, and a lock's uncontended passages 17–256 against
-// 257–496 (the ticket numbers). At P = 512, processor numbers pass 255
-// too: a lock's passages by processors 256–511 must allocate what those
-// by 0–255 do, and a barrier episode at most one closure per message.
+// pass 255 tests Tracing first. Equal windows of work are compared: a
+// barrier's episodes 6–255 against 256–505, and a lock's uncontended
+// passages 17–256 against 257–496 (the ticket numbers). At P = 512,
+// processor numbers pass 255 too: a lock's passages by processors
+// 256–511 must allocate what those by 0–255 do, and a barrier episode
+// nothing.
 // The processors are coroutines, not OS threads. Equal means within
 // noise: two runs of one machine differ by up to 5 allocations the Go
 // runtime makes for itself, while a boxed argument costs one per event
@@ -260,7 +272,7 @@ func TestUntracedEmitsDoNotBox(t *testing.T) {
 			t.Errorf("barrier %s: %.0f allocations in episodes 6–255, %.0f in 256–505", name, first, second)
 		}
 		first, second, msgs := windowAllocs(func(n int) int64 { return barrierEpisodes(t, 512, 2, name, n) }, 2, 4)
-		if differ(first, second) || second >= float64(msgs)+noise {
+		if differ(first, second) || second >= noise {
 			t.Errorf("barrier %s at P=512: %.0f and %.0f allocations in two windows of 4 episodes, which send %d messages", name, first, second, msgs)
 		}
 	}

@@ -2,7 +2,7 @@ package algo
 
 import "mgs/internal/sim"
 
-// Dissemination is the dissemination barrier over SSMPs: after a local
+// newDissemination builds the dissemination barrier over SSMPs: after a local
 // combine, each SSMP runs ceil(log2(N)) rounds, sending in round r to
 // SSMP (s + 2^r) mod N and waiting for the matching message from
 // (s - 2^r) mod N. No root and no release wave — every SSMP knows the
@@ -16,13 +16,7 @@ import "mgs/internal/sim"
 // cumulative never-reset per-round receive counters absorb any
 // interleaving: round r of episode e needs recv[r] >= e+1, and early
 // e+1 messages simply pre-pay the counter.
-type Dissemination struct{}
-
-// Name implements BarrierAlgo.
-func (Dissemination) Name() string { return "dissemination" }
-
-// NewBarrier implements BarrierAlgo.
-func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
+func newDissemination(env *Env, id, home int) Barrier {
 	n := env.NSSMP()
 	b := &dissemBarrier{rounds: log2ceil(n)}
 	b.combine = newCombine(env, id, "DSM.LOCAL", "DSM.LOCAL", -1, b)
@@ -31,10 +25,6 @@ func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 		nd := &b.nodes[s]
 		nd.sent = make([]bool, b.rounds)
 		nd.recv = make([]int64, b.rounds)
-		nd.out = make([]dissemMsg, b.rounds)
-		for r := range nd.out {
-			nd.out[r] = dissemMsg{b: b, to: (s + 1<<r) % n, r: r}
-		}
 	}
 	return b
 }
@@ -44,22 +34,10 @@ func (Dissemination) NewBarrier(env *Env, id, home int) Barrier {
 type dissemNode struct {
 	localDone bool
 	round     int
-	sent      []bool      // per round, reset each episode
-	recv      []int64     // per round, cumulative across episodes
-	out       []dissemMsg // per round, the message this SSMP sends
-	episode   int64       // completed episodes
+	sent      []bool  // per round, reset each episode
+	recv      []int64 // per round, cumulative across episodes
+	episode   int64   // completed episodes
 }
-
-// dissemMsg is one SSMP's round-r message (a msg.Handler). Delivery
-// reads only fields fixed at construction, so one record serves every
-// episode, even while the same round of two episodes is in flight.
-type dissemMsg struct {
-	b     *dissemBarrier
-	to, r int // destination SSMP and round
-}
-
-// Deliver runs the round message's handler at its destination.
-func (m *dissemMsg) Deliver(at sim.Time) { m.b.onRound(m.to, m.r, at) }
 
 // dissemBarrier is the set of per-SSMP nodes.
 type dissemBarrier struct {
@@ -77,10 +55,11 @@ func (b *dissemBarrier) combined(s int, at sim.Time) {
 	b.advance(s, at)
 }
 
-// onRound runs at the representative: a round-r message arrived.
-func (b *dissemBarrier) onRound(s, r int, at sim.Time) {
-	b.nodes[s].recv[r]++
-	b.advance(s, at)
+// deliver runs a round-a.b message at SSMP a.a's representative, the
+// barrier's only kind.
+func (b *dissemBarrier) deliver(_ uint8, a args, at sim.Time) {
+	b.nodes[a.a].recv[a.b]++
+	b.advance(a.a, at)
 }
 
 // advance drives SSMP s's round machine as far as received messages
@@ -109,8 +88,8 @@ func (b *dissemBarrier) advance(s int, at sim.Time) {
 		r := n.round
 		if !n.sent[r] {
 			n.sent[r] = true
-			m := &n.out[r]
-			e.Send("DSM.RND", b.id, e.RepProc(s, b.id), e.RepProc(m.to, b.id), at, int64(r), e.BarrierOp(), m)
+			to := (s + 1<<r) % len(b.nodes)
+			e.Send("DSM.RND", b.id, e.RepProc(s, b.id), e.RepProc(to, b.id), at, int64(r), e.BarrierOp(), b, 0, args{a: to, b: int64(r)})
 		}
 		if n.recv[r] < n.episode+1 {
 			return

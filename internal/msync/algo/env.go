@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 
+	"mgs/internal/mem"
 	"mgs/internal/msg"
 	"mgs/internal/obs"
 	"mgs/internal/sim"
@@ -42,6 +43,9 @@ type Env struct {
 	// Critical-section counters, resolved on the first CountCS so a
 	// run with no lock registers neither.
 	heldCycles, cs *obs.Counter
+
+	msgs mem.Slab[message] // every message record
+	free []*message        // delivered records, for newMsg
 }
 
 // NewEnv builds the environment for a p-processor machine with clusters
@@ -73,18 +77,72 @@ func (e *Env) TokenWork() sim.Time { return e.costs.TokenWork }
 func (e *Env) SendCost() sim.Time  { return e.net.SendCost() }
 
 // Send delivers a 32-byte control message from processor from to
-// processor to, no earlier than when, and runs h as a handler charged
-// work cycles at the receiver. kind/id/aux label the delivery as a
-// model-checker choice point; the label is inert outside the checker.
-// A hot algorithm sends a pooled record; msg.Func adapts a literal.
-func (e *Env) Send(kind string, id, from, to int, when sim.Time, aux int64, work sim.Time, h msg.Handler) {
+// processor to, no earlier than when, and runs r.deliver(k, a) as a
+// handler charged work cycles at the receiver. kind/id/aux label the
+// delivery as a model-checker choice point; the label is inert outside
+// the checker. Every message an algorithm sends leaves here.
+func (e *Env) Send(kind string, id, from, to int, when sim.Time, aux int64, work sim.Time, r receiver, k uint8, a args) {
 	e.net.SendTagged(sim.Label{Kind: kind, Page: int64(id), Src: from, Dst: to, Aux: aux},
-		from, to, when, 32, work, h)
+		from, to, when, 32, work, e.newMsg(r, k, a))
 }
 
-// At schedules h at time t as an engine event: an in-SSMP wakeup
-// through hardware shared memory, not a message.
-func (e *Env) At(t sim.Time, h sim.Handler) { e.eng.AtHandler(t, h) }
+// At runs r.deliver(k, a) at time t as an engine event: an in-SSMP
+// wakeup through hardware shared memory, not a message.
+func (e *Env) At(t sim.Time, r receiver, k uint8, a args) {
+	m := e.newMsg(r, k, a)
+	m.at = t
+	e.eng.AtHandler(t, m)
+}
+
+// receiver is a lock or barrier that handles its own messages: k is one
+// of its kinds, a the arguments that kind lists.
+type receiver interface {
+	deliver(k uint8, a args, at sim.Time)
+}
+
+// args are a message's arguments; which ones a kind reads is listed at
+// the kind.
+type args struct {
+	p, q *sim.Proc
+	a    int
+	b    int64
+}
+
+// message is one sync message or in-SSMP wakeup, for every algorithm:
+// the msg.Handler of its delivery or the sim.Handler of its event. It
+// goes back on the Env's free list before its receiver runs, so the
+// messages the handler sends reuse it.
+type message struct {
+	env  *Env
+	rcv  receiver
+	kind uint8
+	at   sim.Time // an At event's time
+	args
+}
+
+// newMsg takes a record off the free list, or carves a fresh one.
+func (e *Env) newMsg(r receiver, k uint8, a args) *message {
+	var m *message
+	if n := len(e.free) - 1; n >= 0 {
+		m, e.free = e.free[n], e.free[:n]
+	} else {
+		m = e.msgs.New()
+		m.env = e
+	}
+	m.rcv, m.kind, m.args = r, k, a
+	return m
+}
+
+// Deliver runs the message's handler at time at (msg.Handler).
+func (m *message) Deliver(at sim.Time) {
+	e, r, k, a := m.env, m.rcv, m.kind, m.args
+	*m = message{env: e} // drop what it referenced
+	e.free = append(e.free, m)
+	r.deliver(k, a, at)
+}
+
+// Fire runs an At event (sim.Handler).
+func (m *message) Fire() { m.Deliver(m.at) }
 
 // ChargeLock advances p by cycles and attributes them to Lock.
 func (e *Env) ChargeLock(p *sim.Proc, cycles sim.Time) {

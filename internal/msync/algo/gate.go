@@ -11,12 +11,15 @@ import (
 // in at its gate through hardware shared memory, and the last arriver
 // sends one upward message that starts the inter-SSMP protocol. A
 // barrier embeds it, so combine's Arrive is the barrier's, and keeps
-// only the protocol that runs from combined on.
+// only the protocol that runs from combined on. The combine stage is
+// the upward message's receiver.
 type combine struct {
 	env   *Env
 	id    int
 	label string // the upward message's label
 	tag   string // the last arriver's trace event
+	to    int    // the upward message's destination, or -1 for each SSMP's representative
+	up    combiner
 	gates []gate // each gate is touched only by its own SSMP
 }
 
@@ -30,15 +33,7 @@ type combiner interface {
 // newCombine builds the stage for barrier id. The upward message goes
 // to processor to, or to each SSMP's representative if to < 0.
 func newCombine(env *Env, id int, label, tag string, to int, up combiner) combine {
-	c := combine{env: env, id: id, label: label, tag: tag, gates: make([]gate, env.NSSMP())}
-	for s := range c.gates {
-		g := &c.gates[s]
-		g.up, g.s, g.to = up, s, to
-		if to < 0 {
-			g.to = env.RepProc(s, id)
-		}
-	}
-	return c
+	return combine{env: env, id: id, label: label, tag: tag, to: to, up: up, gates: make([]gate, env.NSSMP())}
 }
 
 // Arrive implements Barrier: count in at the SSMP's gate; the last
@@ -47,24 +42,25 @@ func newCombine(env *Env, id int, label, tag string, to int, up combiner) combin
 func (c *combine) Arrive(p *sim.Proc) {
 	e := c.env
 	s := e.SSMPOf(p.ID)
-	g := &c.gates[s]
-	if last, when := g.arrive(p, e.ClusterSize()); last {
+	if last, when := c.gates[s].arrive(p, e.ClusterSize()); last {
 		if e.Tracing() { // an SSMP or processor past 255 would box onto the heap
 			e.EmitBarrier(when, p.ID, c.id, c.tag, "ssmp=%d proc=%d", s, p.ID)
 		}
+		to := c.to
+		if to < 0 {
+			to = e.RepProc(s, c.id)
+		}
 		e.ChargeBarrier(p, e.SendCost())
-		e.Send(c.label, c.id, p.ID, g.to, when, int64(s), e.BarrierOp(), g)
+		e.Send(c.label, c.id, p.ID, to, when, int64(s), e.BarrierOp(), c, 0, args{a: s})
 	}
 	e.ParkBarrier(p)
 }
 
-// gate is one SSMP's combining node, and the msg.Handler of its upward
-// message: delivery reads only fields fixed at construction, so one
-// record serves every episode.
+// deliver runs the upward message from SSMP a.a, the stage's only kind.
+func (c *combine) deliver(_ uint8, a args, at sim.Time) { c.up.combined(a.a, at) }
+
+// gate is one SSMP's combining node.
 type gate struct {
-	up      combiner
-	s       int // the gate's SSMP
-	to      int // the upward message's destination processor
 	count   int
 	waiting []*sim.Proc
 	// maxClock is the latest virtual arrival time this episode. The
@@ -74,9 +70,6 @@ type gate struct {
 	// arrival's virtual time.
 	maxClock sim.Time
 }
-
-// Deliver runs the upward message's handler (msg.Handler).
-func (g *gate) Deliver(at sim.Time) { g.up.combined(g.s, at) }
 
 // arrive registers p and reports whether p completed the SSMP (and if
 // so, the virtual time the SSMP's upward step may depart).

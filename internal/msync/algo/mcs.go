@@ -2,7 +2,7 @@ package algo
 
 import "mgs/internal/sim"
 
-// MCS is the message-passing MCS queue lock: the lock's home holds only
+// newMCS builds the message-passing MCS queue lock: the lock's home holds only
 // the queue tail; each contender swaps itself in with one message and
 // thereafter the lock travels point-to-point from predecessor to
 // successor. Under contention a handoff is a single message between
@@ -15,13 +15,7 @@ import "mgs/internal/sim"
 // belong to, and a node keeps per-tenure pending lists, so a delayed
 // SET-NEXT from an old tenure can never hand the lock to the wrong
 // tenure's successor no matter how deliveries interleave.
-type MCS struct{}
-
-// Name implements LockAlgo.
-func (MCS) Name() string { return "mcs" }
-
-// NewLock implements LockAlgo.
-func (MCS) NewLock(env *Env, id, home int) Lock {
+func newMCS(env *Env, id, home int) Lock {
 	return &mcsLock{
 		env: env, id: id, home: home % env.NProcs(),
 		tail: -1, node: make([]mcsNode, env.NProcs()),
@@ -54,65 +48,41 @@ type mcsLock struct {
 	node []mcsNode // each element is touched only by its own processor's handlers
 
 	holding
-
-	free []*mcsMsg // delivered messages, for send
 }
 
-// mcsKind names one of the lock's messages.
-type mcsKind uint8
-
+// The lock's messages. Each carries a processor p, a processor number
+// pid (args.a) and a tenure seq (args.b), as its kind lists.
 const (
-	mcsSwap     mcsKind = iota // p swaps tenure seq into the queue (→ home)
-	mcsGrant                   // the queue was empty: p holds the lock (home →)
-	mcsSetNext                 // tenure seq of pid learns its successor p (home →)
-	mcsPass                    // the lock passes from pid to p
-	mcsRel                     // tenure seq of pid ends (→ home)
-	mcsMustPass                // tenure seq of pid has a successor in flight (home →)
+	mcsSwap     = iota // p swaps tenure seq into the queue (→ home)
+	mcsGrant           // the queue was empty: p holds the lock (home →)
+	mcsSetNext         // tenure seq of pid learns its successor p (home →)
+	mcsPass            // the lock passes from pid to p
+	mcsRel             // tenure seq of pid ends (→ home)
+	mcsMustPass        // tenure seq of pid has a successor in flight (home →)
 )
 
 var mcsNames = [...]string{mcsSwap: "MCS.SWAP", mcsGrant: "MCS.GRANT", mcsSetNext: "MCS.SETNEXT",
 	mcsPass: "MCS.PASS", mcsRel: "MCS.REL", mcsMustPass: "MCS.MUSTPASS"}
 
-// mcsMsg is one pooled MCS message (a msg.Handler). It goes back on the
-// lock's free list before its handler runs.
-type mcsMsg struct {
-	l    *mcsLock
-	kind mcsKind
-	p    *sim.Proc
-	pid  int
-	seq  int64
+// send sends message k from processor from to processor to.
+func (l *mcsLock) send(k uint8, from, to int, at sim.Time, aux int64, p *sim.Proc, pid int, seq int64) {
+	l.env.Send(mcsNames[k], l.id, from, to, at, aux, l.env.TokenWork(), l, k, args{p: p, a: pid, b: seq})
 }
 
-// send sends message k from processor from to processor to; the
-// arguments its handler reads are p, pid and seq, as its kind lists.
-func (l *mcsLock) send(k mcsKind, from, to int, at sim.Time, aux int64, p *sim.Proc, pid int, seq int64) {
-	var m *mcsMsg
-	if n := len(l.free) - 1; n >= 0 {
-		m, l.free = l.free[n], l.free[:n]
-	} else {
-		m = &mcsMsg{l: l}
-	}
-	m.kind, m.p, m.pid, m.seq = k, p, pid, seq
-	l.env.Send(mcsNames[k], l.id, from, to, at, aux, l.env.TokenWork(), m)
-}
-
-// Deliver runs the message's handler (msg.Handler).
-func (m *mcsMsg) Deliver(at sim.Time) {
-	l, k, p, pid, seq := m.l, m.kind, m.p, m.pid, m.seq
-	m.p = nil
-	l.free = append(l.free, m)
+// deliver implements receiver.
+func (l *mcsLock) deliver(k uint8, a args, at sim.Time) {
 	switch k {
 	case mcsSwap:
-		l.onSwap(p, seq, at)
+		l.onSwap(a.p, a.b, at)
 	case mcsGrant, mcsPass:
 		// The new holder: a hit if the lock came from its own SSMP.
-		l.granted(l.env, p, at, l.env.SSMPOf(pid) == l.env.SSMPOf(p.ID))
+		l.granted(l.env, a.p, at, l.env.SSMPOf(a.a) == l.env.SSMPOf(a.p.ID))
 	case mcsSetNext:
-		l.onSetNext(pid, seq, p, at)
+		l.onSetNext(a.a, a.b, a.p, at)
 	case mcsRel:
-		l.onRel(pid, seq, at)
+		l.onRel(a.a, a.b, at)
 	case mcsMustPass:
-		l.onMustPass(pid, seq, at)
+		l.onMustPass(a.a, a.b, at)
 	}
 }
 

@@ -1,11 +1,8 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
-// MCSTree is the MCS tree barrier over SSMPs: arrivals flow up a 4-ary
+// newMCSTree builds the MCS tree barrier over SSMPs: arrivals flow up a 4-ary
 // tree (each node reports to parent (s-1)/4 once its own SSMP and all
 // arrival children are in), the root detects completion, and wakeups
 // flow down a separate binary tree (children 2s+1, 2s+2) — the
@@ -17,13 +14,7 @@ import (
 // episode before the global release of this one (which is causally
 // after the parent's report), so each inter-reset window sees exactly
 // one ARRIVE per child and plain counters suffice.
-type MCSTree struct{}
-
-// Name implements BarrierAlgo.
-func (MCSTree) Name() string { return "mcstree" }
-
-// NewBarrier implements BarrierAlgo.
-func (MCSTree) NewBarrier(env *Env, id, home int) Barrier {
+func newMCSTree(env *Env, id, home int) Barrier {
 	b := &mcsTreeBarrier{nodes: make([]mcsTreeNode, env.NSSMP())}
 	b.combine = newCombine(env, id, "MCT.LOCAL", "MCT.LOCAL", -1, b)
 	return b
@@ -42,6 +33,21 @@ type mcsTreeBarrier struct {
 	nodes []mcsTreeNode // each node is touched only by its own SSMP's handlers
 
 	episodes int64 // root-side handlers only
+}
+
+// The barrier's messages, both to SSMP a's representative.
+const (
+	mctArrive = iota // MCT.ARRIVE: an arrival child of a reported
+	mctWake          // MCT.WAKE: a is released
+)
+
+// deliver implements receiver.
+func (b *mcsTreeBarrier) deliver(k uint8, a args, at sim.Time) {
+	if k == mctArrive {
+		b.onChild(a.a, at)
+	} else {
+		b.wake(a.a, at)
+	}
 }
 
 // nkids counts SSMP s's arrival-tree children.
@@ -86,8 +92,7 @@ func (b *mcsTreeBarrier) check(s int, at sim.Time) {
 		return
 	}
 	parent := (s - 1) / 4
-	e.Send("MCT.ARRIVE", b.id, e.RepProc(s, b.id), e.RepProc(parent, b.id), at, int64(s), e.BarrierOp(),
-		msg.Func(func(at2 sim.Time) { b.onChild(parent, at2) }))
+	e.Send("MCT.ARRIVE", b.id, e.RepProc(s, b.id), e.RepProc(parent, b.id), at, int64(s), e.BarrierOp(), b, mctArrive, args{a: parent})
 }
 
 // wake runs at SSMP s's representative: release the local gate and
@@ -95,13 +100,8 @@ func (b *mcsTreeBarrier) check(s int, at sim.Time) {
 func (b *mcsTreeBarrier) wake(s int, at sim.Time) {
 	e := b.env
 	b.gates[s].release(at, e.BarrierOp())
-	for _, c := range []int{2*s + 1, 2*s + 2} {
-		if c >= len(b.nodes) {
-			continue
-		}
-		c := c
-		e.Send("MCT.WAKE", b.id, e.RepProc(s, b.id), e.RepProc(c, b.id), at, int64(c), e.BarrierOp(),
-			msg.Func(func(at2 sim.Time) { b.wake(c, at2) }))
+	for c := 2*s + 1; c <= 2*s+2 && c < len(b.nodes); c++ {
+		e.Send("MCT.WAKE", b.id, e.RepProc(s, b.id), e.RepProc(c, b.id), at, int64(c), e.BarrierOp(), b, mctWake, args{a: c})
 	}
 }
 

@@ -1,11 +1,8 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
-// Sense is the sense-reversing central barrier, deliberately flat: no
+// newSense builds the sense-reversing central barrier, deliberately flat: no
 // SSMP combining at all. Every processor sends its own ARRIVE to the
 // barrier's home, which counts to P and answers with one RELEASE per
 // processor — 2P messages per episode, most of them inter-SSMP. The
@@ -14,13 +11,7 @@ import (
 // arrivals are anonymous, a processor cannot re-arrive before its own
 // release, so a plain counter per episode is reorder-safe. This is the
 // zoo's baseline showing what the hierarchy buys the other barriers.
-type Sense struct{}
-
-// Name implements BarrierAlgo.
-func (Sense) Name() string { return "sense" }
-
-// NewBarrier implements BarrierAlgo.
-func (Sense) NewBarrier(env *Env, id, home int) Barrier {
+func newSense(env *Env, id, home int) Barrier {
 	return &senseBarrier{
 		env: env, id: id, home: home % env.NProcs(),
 		waiting: make([]*sim.Proc, env.NProcs()),
@@ -40,6 +31,21 @@ type senseBarrier struct {
 	waiting []*sim.Proc // slot i is touched only by processor i's context and its RELEASE handler
 }
 
+// The barrier's messages.
+const (
+	snsArrive  = iota // SNS.ARRIVE: one more processor is in (→ home)
+	snsRelease        // SNS.RELEASE: processor a is released (home →)
+)
+
+// deliver implements receiver.
+func (b *senseBarrier) deliver(k uint8, a args, at sim.Time) {
+	if k == snsArrive {
+		b.onArrive(at)
+	} else {
+		b.onRelease(a.a, at)
+	}
+}
+
 // Arrive implements Barrier.
 func (b *senseBarrier) Arrive(p *sim.Proc) {
 	e := b.env
@@ -48,8 +54,7 @@ func (b *senseBarrier) Arrive(p *sim.Proc) {
 		e.EmitBarrier(p.Clock(), p.ID, b.id, "SNS.ARRIVE", "proc=%d", p.ID)
 	}
 	e.ChargeBarrier(p, e.SendCost())
-	e.Send("SNS.ARRIVE", b.id, p.ID, b.home, p.Clock(), int64(p.ID), e.BarrierOp(),
-		msg.Func(func(at sim.Time) { b.onArrive(at) }))
+	e.Send("SNS.ARRIVE", b.id, p.ID, b.home, p.Clock(), int64(p.ID), e.BarrierOp(), b, snsArrive, args{})
 	e.ParkBarrier(p) // woken by this processor's RELEASE
 }
 
@@ -65,10 +70,8 @@ func (b *senseBarrier) onArrive(at sim.Time) {
 	}
 	b.arrived = 0
 	b.episodes++
-	for i := 0; i < e.NProcs(); i++ {
-		i := i
-		e.Send("SNS.RELEASE", b.id, b.home, i, at, int64(i), e.BarrierOp(),
-			msg.Func(func(at2 sim.Time) { b.onRelease(i, at2) }))
+	for i := range e.NProcs() {
+		e.Send("SNS.RELEASE", b.id, b.home, i, at, int64(i), e.BarrierOp(), b, snsRelease, args{a: i})
 	}
 }
 

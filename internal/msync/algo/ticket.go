@@ -1,11 +1,8 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
-// Ticket is the centralized ticket lock: every acquire draws a ticket
+// newTicket builds the centralized ticket lock: every acquire draws a ticket
 // at the lock's home processor and is granted in strict ticket order.
 // Perfectly fair (FIFO by home arrival) but with no SSMP locality —
 // every acquire pays a request/grant message pair to the home and every
@@ -15,13 +12,7 @@ import (
 // message reordering: requests are ordered by home arrival, releases
 // are anonymous, and a release can never overtake the grant that caused
 // it (the grant is the holder's causal past).
-type Ticket struct{}
-
-// Name implements LockAlgo.
-func (Ticket) Name() string { return "ticket" }
-
-// NewLock implements LockAlgo.
-func (Ticket) NewLock(env *Env, id, home int) Lock {
+func newTicket(env *Env, id, home int) Lock {
 	return &ticketLock{env: env, id: id, home: home % env.NProcs()}
 }
 
@@ -38,6 +29,25 @@ type ticketLock struct {
 	holding
 }
 
+// The lock's messages.
+const (
+	tktReq   = iota // TKT.REQ: p wants a ticket (→ home)
+	tktGrant        // TKT.GRANT: p holds the lock (home →)
+	tktRel          // TKT.REL: the current ticket is done (→ home)
+)
+
+// deliver implements receiver.
+func (l *ticketLock) deliver(k uint8, a args, at sim.Time) {
+	switch k {
+	case tktReq:
+		l.onReq(a.p, at)
+	case tktGrant:
+		l.granted(l.env, a.p, at, l.env.SSMPOf(a.p.ID) == l.env.SSMPOf(l.home))
+	case tktRel:
+		l.onRel(at)
+	}
+}
+
 // Acquire implements Lock: request a ticket from the home and park
 // until the grant message wakes us.
 func (l *ticketLock) Acquire(p *sim.Proc) {
@@ -46,8 +56,7 @@ func (l *ticketLock) Acquire(p *sim.Proc) {
 		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REQ", "proc=%d", p.ID)
 	}
 	e.ChargeLock(p, e.SendCost())
-	e.Send("TKT.REQ", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
-		msg.Func(func(at sim.Time) { l.onReq(p, at) }))
+	e.Send("TKT.REQ", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(), l, tktReq, args{p: p})
 	e.ParkLock(p) // woken holding the lock
 }
 
@@ -73,8 +82,7 @@ func (l *ticketLock) grant(p *sim.Proc, at sim.Time) {
 	if e.Tracing() {
 		e.EmitLock(at, -1, l.id, "TKT.GRANT", "proc=%d", p.ID)
 	}
-	e.Send("TKT.GRANT", l.id, l.home, p.ID, at, int64(p.ID), e.TokenWork(),
-		msg.Func(func(at2 sim.Time) { l.granted(l.env, p, at2, l.env.SSMPOf(p.ID) == l.env.SSMPOf(l.home)) }))
+	e.Send("TKT.GRANT", l.id, l.home, p.ID, at, int64(p.ID), e.TokenWork(), l, tktGrant, args{p: p})
 }
 
 // Release implements Lock: notify the home, which advances nowServing
@@ -87,8 +95,7 @@ func (l *ticketLock) Release(p *sim.Proc) {
 		e.EmitLock(p.Clock(), p.ID, l.id, "TKT.REL", "proc=%d", p.ID)
 	}
 	e.ChargeLock(p, e.SendCost())
-	e.Send("TKT.REL", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(),
-		msg.Func(func(at sim.Time) { l.onRel(at) }))
+	e.Send("TKT.REL", l.id, p.ID, l.home, p.Clock(), int64(p.ID), e.TokenWork(), l, tktRel, args{})
 }
 
 // onRel runs at the home: the current ticket is done.

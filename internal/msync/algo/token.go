@@ -2,7 +2,7 @@ package algo
 
 import "mgs/internal/sim"
 
-// Token is the paper's token-based distributed lock (§3.2) and the
+// newToken builds the paper's token-based distributed lock (§3.2), the
 // default: a local lock per SSMP plus a single global lock at the
 // token's home. Acquires succeed locally, through hardware shared
 // memory, while the SSMP owns the token; only when consecutive acquires
@@ -11,13 +11,7 @@ import "mgs/internal/sim"
 // ratio (acquires needing no inter-SSMP communication / all acquires)
 // is the paper's Figure 11 metric. A fresh lock's token sits at its
 // home SSMP.
-type Token struct{}
-
-// Name implements LockAlgo.
-func (Token) Name() string { return DefaultLock }
-
-// NewLock implements LockAlgo.
-func (Token) NewLock(env *Env, id, home int) Lock {
+func newToken(env *Env, id, home int) Lock {
 	home %= env.NProcs()
 	l := &tokenLock{
 		env: env, id: id, home: home,
@@ -42,73 +36,40 @@ type tokenLock struct {
 	demandOut  bool  // a DEMAND is outstanding
 
 	holding // only the token-holding SSMP touches it
-
-	free []*tokenMsg // delivered messages and fired hand-offs, for newMsg
 }
 
-// tokenKind names one of the lock's messages, or the in-SSMP hand-off.
-type tokenKind uint8
-
+// The lock's messages, and its in-SSMP hand-off.
 const (
-	tkReq     tokenKind = iota // LK.REQ: SSMP s wants the token (→ home)
-	tkBack                     // LK.BACK: SSMP s returns the token (→ home)
-	tkDemand                   // LK.DEM: the home recalls the token from SSMP s
-	tkGrant                    // LK.GRANT: the token goes to SSMP s
-	tkHandoff                  // releaser p passes the lock to next, in its SSMP: an engine event
+	tkReq     = iota // LK.REQ: SSMP a wants the token (→ home)
+	tkBack           // LK.BACK: SSMP a returns the token (→ home)
+	tkDemand         // LK.DEM: the home recalls the token from SSMP a
+	tkGrant          // LK.GRANT: the token goes to SSMP a
+	tkHandoff        // releaser p passes the lock to q, in its SSMP: an engine event
 )
 
 var tokenNames = [...]string{tkReq: "LK.REQ", tkBack: "LK.BACK", tkDemand: "LK.DEM", tkGrant: "LK.GRANT"}
 
-// tokenMsg is one pooled token-lock message (a msg.Handler) or hand-off
-// (a sim.Handler). It goes back on the lock's free list before its
-// handler runs.
-type tokenMsg struct {
-	l       *tokenLock
-	kind    tokenKind
-	s       int
-	p, next *sim.Proc
-}
-
-// newMsg takes a record off the free list, or allocates one.
-func (l *tokenLock) newMsg(k tokenKind, s int) *tokenMsg {
-	var m *tokenMsg
-	if n := len(l.free) - 1; n >= 0 {
-		m, l.free = l.free[n], l.free[:n]
-	} else {
-		m = &tokenMsg{l: l}
-	}
-	m.kind, m.s = k, s
-	return m
-}
-
 // send sends message k about SSMP s from processor from to processor to.
-func (l *tokenLock) send(k tokenKind, s, from, to int, at sim.Time) {
-	l.env.Send(tokenNames[k], l.id, from, to, at, int64(s), l.env.TokenWork(), l.newMsg(k, s))
+func (l *tokenLock) send(k uint8, s, from, to int, at sim.Time) {
+	l.env.Send(tokenNames[k], l.id, from, to, at, int64(s), l.env.TokenWork(), l, k, args{a: s})
 }
 
-// Deliver runs the message's handler (msg.Handler).
-func (m *tokenMsg) Deliver(at sim.Time) {
-	l, k, s := m.l, m.kind, m.s
-	l.free = append(l.free, m)
+// deliver implements receiver.
+func (l *tokenLock) deliver(k uint8, a args, at sim.Time) {
 	switch k {
 	case tkReq:
-		l.onTokenReq(s, at)
+		l.onTokenReq(a.a, at)
 	case tkBack:
 		l.onTokenBack(at)
 	case tkDemand:
-		l.onDemand(s, at)
+		l.onDemand(a.a, at)
 	case tkGrant:
-		l.onTokenGrant(s, at)
+		l.onTokenGrant(a.a, at)
+	case tkHandoff:
+		// The wake time reads the releaser's clock now, when the event
+		// fires, not when it was scheduled.
+		a.q.Wake(a.p.Clock() + l.env.LockOp())
 	}
-}
-
-// Fire runs the in-SSMP hand-off (sim.Handler). The wake time reads the
-// releaser's clock now, when the event fires, not when it was scheduled.
-func (m *tokenMsg) Fire() {
-	l, p, next := m.l, m.p, m.next
-	m.p, m.next = nil, nil
-	l.free = append(l.free, m)
-	next.Wake(p.Clock() + l.env.LockOp())
 }
 
 // tokenLocal is the per-SSMP half of a distributed lock.
@@ -190,9 +151,7 @@ func (l *tokenLock) Release(p *sim.Proc) {
 		// message. The wake time reads the releaser's clock when the
 		// event fires, so a releaser that ran ahead in the meantime
 		// delays the waiter: every pinned cycle count depends on it.
-		h := l.newMsg(tkHandoff, s)
-		h.p, h.next = p, next
-		e.At(p.Clock()+e.LockOp(), h)
+		e.At(p.Clock()+e.LockOp(), l, tkHandoff, args{p: p, q: next})
 	}
 }
 

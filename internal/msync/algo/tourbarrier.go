@@ -1,11 +1,8 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
-// TournamentBarrier is the tournament barrier over SSMPs: in round r,
+// newTournamentBarrier builds the tournament barrier over SSMPs: in round r,
 // SSMP s with bit r as its lowest set bit "loses" to winner s - 2^r
 // (after first collecting arrivals as the winner of rounds 0..r-1 from
 // partners s + 2^k); SSMP 0 is the champion. Wakeups retrace the
@@ -20,13 +17,7 @@ import (
 // round instead of corrupting this one. Skew beyond one episode cannot
 // occur: a loser restarts only after its wakeup, which is causally
 // after the champion completed the previous episode.
-type TournamentBarrier struct{}
-
-// Name implements BarrierAlgo.
-func (TournamentBarrier) Name() string { return "tournament" }
-
-// NewBarrier implements BarrierAlgo.
-func (TournamentBarrier) NewBarrier(env *Env, id, home int) Barrier {
+func newTournamentBarrier(env *Env, id, home int) Barrier {
 	n := env.NSSMP()
 	b := &tourBarrier{rounds: log2ceil(n)}
 	b.combine = newCombine(env, id, "TNB.LOCAL", "TNB.LOCAL", -1, b)
@@ -53,6 +44,21 @@ type tourBarrier struct {
 	nodes []tourBarNode // each node is touched only by its own SSMP's handlers
 
 	episodes int64 // champion-side handlers only
+}
+
+// The barrier's messages, both to SSMP a's representative.
+const (
+	tnbArrive = iota // TNB.ARRIVE: a's round-b loser reported
+	tnbWake          // TNB.WAKE: a is released
+)
+
+// deliver implements receiver.
+func (b *tourBarrier) deliver(k uint8, a args, at sim.Time) {
+	if k == tnbArrive {
+		b.onArrive(a.a, int(a.b), at)
+	} else {
+		b.wake(a.a, at)
+	}
 }
 
 // loserRound returns the round in which SSMP s loses: the index of its
@@ -107,8 +113,7 @@ func (b *tourBarrier) advance(s int, at sim.Time) {
 				return
 			}
 			w := s - 1<<lr
-			e.Send("TNB.ARRIVE", b.id, e.RepProc(s, b.id), e.RepProc(w, b.id), at, int64(lr), e.BarrierOp(),
-				msg.Func(func(at2 sim.Time) { b.onArrive(w, lr, at2) }))
+			e.Send("TNB.ARRIVE", b.id, e.RepProc(s, b.id), e.RepProc(w, b.id), at, int64(lr), e.BarrierOp(), b, tnbArrive, args{a: w, b: int64(lr)})
 			return
 		}
 		if partner := s + 1<<r; partner < len(b.nodes) && n.recv[r] < n.started {
@@ -128,8 +133,7 @@ func (b *tourBarrier) wake(s int, at sim.Time) {
 		if c >= len(b.nodes) {
 			continue
 		}
-		e.Send("TNB.WAKE", b.id, e.RepProc(s, b.id), e.RepProc(c, b.id), at, int64(c), e.BarrierOp(),
-			msg.Func(func(at2 sim.Time) { b.wake(c, at2) }))
+		e.Send("TNB.WAKE", b.id, e.RepProc(s, b.id), e.RepProc(c, b.id), at, int64(c), e.BarrierOp(), b, tnbWake, args{a: c})
 	}
 }
 

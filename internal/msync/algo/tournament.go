@@ -1,11 +1,8 @@
 package algo
 
-import (
-	"mgs/internal/msg"
-	"mgs/internal/sim"
-)
+import "mgs/internal/sim"
 
-// Tournament is a tournament (arbiter-tree) lock: a static binary tree
+// newTournament builds a tournament (arbiter-tree) lock: a static binary tree
 // over the machine's SSMPs, each node hosted by the leftmost SSMP of
 // its subtree. A contender enters at its SSMP's leaf and climbs,
 // acquiring each node in turn (lock-coupling); owning the root is
@@ -20,13 +17,7 @@ import (
 // release can never overtake the acquire that won it (the releaser's
 // ownership is in the release's causal past), and releases of distinct
 // nodes commute.
-type Tournament struct{}
-
-// Name implements LockAlgo.
-func (Tournament) Name() string { return "tournament" }
-
-// NewLock implements LockAlgo.
-func (Tournament) NewLock(env *Env, id, home int) Lock {
+func newTournament(env *Env, id, home int) Lock {
 	l := &tourLock{env: env, id: id}
 	// Build the arbiter tree bottom-up: level 0 is one leaf per SSMP,
 	// each higher level halves (rounding up) until a single root.
@@ -85,6 +76,38 @@ type tourLock struct {
 	holding
 }
 
+// The lock's messages. A contender in flight is args.p, with args.b 1
+// if its path so far crossed an SSMP boundary.
+const (
+	tourAcq   = iota // TOUR.ACQ: the contender arrives at node a
+	tourGrant        // TOUR.GRANTMSG: the contender holds the lock
+	tourRel          // TOUR.REL: node a is released
+)
+
+var tourNames = [...]string{tourAcq: "TOUR.ACQ", tourGrant: "TOUR.GRANTMSG", tourRel: "TOUR.REL"}
+
+// deliver implements receiver.
+func (l *tourLock) deliver(k uint8, a args, at sim.Time) {
+	switch k {
+	case tourAcq:
+		l.arrive(tourWaiter{p: a.p, crossed: a.b != 0}, a.a, at)
+	case tourGrant:
+		// A hit is a climb that never left the holder's SSMP.
+		l.granted(l.env, a.p, at, a.b == 0)
+	case tourRel:
+		l.release(a.a, at)
+	}
+}
+
+// send sends message k for waiter w about node ni.
+func (l *tourLock) send(k uint8, from, to int, at sim.Time, aux int64, w tourWaiter, ni int) {
+	a := args{p: w.p, a: ni}
+	if w.crossed {
+		a.b = 1
+	}
+	l.env.Send(tourNames[k], l.id, from, to, at, aux, l.env.TokenWork(), l, k, a)
+}
+
 // Acquire implements Lock: enter the tree at this SSMP's leaf and park;
 // the climb proceeds entirely in handlers.
 func (l *tourLock) Acquire(p *sim.Proc) {
@@ -97,8 +120,7 @@ func (l *tourLock) Acquire(p *sim.Proc) {
 		e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.ENTER", "proc=%d leaf=%d", p.ID, ni)
 	}
 	e.ChargeLock(p, e.SendCost())
-	e.Send("TOUR.ACQ", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
-		msg.Func(func(at sim.Time) { l.arrive(w, ni, at) }))
+	l.send(tourAcq, p.ID, to, p.Clock(), int64(ni), w, ni)
 	e.ParkLock(p) // woken holding the lock
 }
 
@@ -124,17 +146,13 @@ func (l *tourLock) ascend(w tourWaiter, ni int, at sim.Time) {
 		if e.Tracing() {
 			e.EmitLock(at, -1, l.id, "TOUR.GRANT", "proc=%d crossed=%v", w.p.ID, crossed)
 		}
-		// A hit is a climb that never left the holder's SSMP.
-		e.Send("TOUR.GRANTMSG", l.id, from, w.p.ID, at, int64(w.p.ID), e.TokenWork(),
-			msg.Func(func(at2 sim.Time) { l.granted(l.env, w.p, at2, !crossed) }))
+		l.send(tourGrant, from, w.p.ID, at, int64(w.p.ID), tourWaiter{p: w.p, crossed: crossed}, 0)
 		return
 	}
 	from := e.RepProc(n.host, l.id)
 	to := e.RepProc(l.nodes[n.parent].host, l.id)
 	w2 := tourWaiter{p: w.p, crossed: w.crossed || e.SSMPOf(from) != e.SSMPOf(to)}
-	pi := n.parent
-	e.Send("TOUR.ACQ", l.id, from, to, at, int64(pi), e.TokenWork(),
-		msg.Func(func(at2 sim.Time) { l.arrive(w2, pi, at2) }))
+	l.send(tourAcq, from, to, at, int64(n.parent), w2, n.parent)
 }
 
 // Release implements Lock: release every node on the holder's path.
@@ -147,11 +165,9 @@ func (l *tourLock) Release(p *sim.Proc) {
 		e.EmitLock(p.Clock(), p.ID, l.id, "TOUR.REL", "proc=%d", p.ID)
 	}
 	for ni := l.leaf[e.SSMPOf(p.ID)]; ni >= 0; ni = l.nodes[ni].parent {
-		ni := ni
 		to := e.RepProc(l.nodes[ni].host, l.id)
 		e.ChargeLock(p, e.SendCost())
-		e.Send("TOUR.REL", l.id, p.ID, to, p.Clock(), int64(ni), e.TokenWork(),
-			msg.Func(func(at sim.Time) { l.release(ni, at) }))
+		l.send(tourRel, p.ID, to, p.Clock(), int64(ni), tourWaiter{}, ni)
 	}
 }
 

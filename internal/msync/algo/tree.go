@@ -2,24 +2,14 @@ package algo
 
 import "mgs/internal/sim"
 
-// Tree is the paper's two-level tree barrier (§3.2) and the default:
-// processors first combine inside their SSMP through hardware shared
-// memory, then one COMBINE message per SSMP reaches the barrier's home,
-// which answers with one RELEASE message per SSMP — the minimum two
-// inter-SSMP messages per SSMP.
-type Tree struct{}
-
-// Name implements BarrierAlgo.
-func (Tree) Name() string { return DefaultBarrier }
-
-// NewBarrier implements BarrierAlgo.
-func (Tree) NewBarrier(env *Env, id, home int) Barrier {
+// newTree builds the paper's two-level tree barrier (§3.2), the
+// default: processors first combine inside their SSMP through hardware
+// shared memory, then one COMBINE message per SSMP reaches the
+// barrier's home, which answers with one RELEASE message per SSMP — the
+// minimum two inter-SSMP messages per SSMP.
+func newTree(env *Env, id, home int) Barrier {
 	b := &treeBarrier{home: home % env.NProcs()}
 	b.combine = newCombine(env, id, "BAR.COMB", "COMBINE", b.home, b)
-	b.releases = make([]treeRelease, env.NSSMP())
-	for s := range b.releases {
-		b.releases[s] = treeRelease{b: b, s: s}
-	}
 	return b
 }
 
@@ -28,20 +18,11 @@ type treeBarrier struct {
 	home    int // global processor hosting the top of the tree
 	arrived int // home-side handlers only; SSMPs combined this episode
 
-	episodes int64         // home-side handlers only
-	releases []treeRelease // per SSMP, its RELEASE message
+	episodes int64 // home-side handlers only
 }
 
-// treeRelease is one SSMP's RELEASE message (a msg.Handler). Delivery
-// reads only fields fixed at construction, so one record serves every
-// episode.
-type treeRelease struct {
-	b *treeBarrier
-	s int
-}
-
-// Deliver runs the release at the SSMP.
-func (m *treeRelease) Deliver(at sim.Time) { m.b.onRelease(m.s, at) }
+// deliver runs a BAR.REL at SSMP a.a, the barrier's only kind.
+func (b *treeBarrier) deliver(_ uint8, a args, at sim.Time) { b.onRelease(a.a, at) }
 
 // combined runs at the barrier home: one SSMP has fully arrived.
 func (b *treeBarrier) combined(_ int, at sim.Time) {
@@ -55,8 +36,8 @@ func (b *treeBarrier) combined(_ int, at sim.Time) {
 	}
 	b.arrived = 0
 	b.episodes++
-	for s := range b.releases {
-		e.Send("BAR.REL", b.id, b.home, e.RepProc(s, b.id), at, int64(s), e.BarrierOp(), &b.releases[s])
+	for s := range e.NSSMP() {
+		e.Send("BAR.REL", b.id, b.home, e.RepProc(s, b.id), at, int64(s), e.BarrierOp(), b, 0, args{a: s})
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"mgs/internal/sim"
 )
 
-// lockAlgoUnderTest resolves name to its registered factory.
-func lockAlgoUnderTest(t *testing.T, name string) algo.LockAlgo {
+// lockAlgoUnderTest resolves name to its registered constructor.
+func lockAlgoUnderTest(t *testing.T, name string) algo.NewLock {
 	t.Helper()
 	la, err := algo.LockByName(name)
 	if err != nil {
@@ -17,7 +17,7 @@ func lockAlgoUnderTest(t *testing.T, name string) algo.LockAlgo {
 	return la
 }
 
-func barrierAlgoUnderTest(t *testing.T, name string) algo.BarrierAlgo {
+func barrierAlgoUnderTest(t *testing.T, name string) algo.NewBarrier {
 	t.Helper()
 	ba, err := algo.BarrierByName(name)
 	if err != nil {
@@ -34,7 +34,7 @@ func TestAlgoLockMutualExclusion(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(8, 2, 800)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), barrierAlgoUnderTest(t, "tree"))
 			l := tm.sync.Lock(3)
 			var held, violations, count int
 			got := make([]int, 8)
@@ -88,7 +88,7 @@ func TestAlgoLockSingleSSMPAllHits(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 4, 0)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), barrierAlgoUnderTest(t, "tree"))
 			l := tm.sync.Lock(0)
 			for i := 0; i < 4; i++ {
 				tm.bodies[i] = func(p *sim.Proc) {
@@ -114,7 +114,7 @@ func TestAlgoLockReleaseFlushesDUQ(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), barrierAlgoUnderTest(t, "tree"))
 			va := tm.dsm.Space().AllocPages(1024)
 			l := tm.sync.Lock(0)
 			tm.bodies[2] = func(p *sim.Proc) { // SSMP 1, page home SSMP 0
@@ -145,7 +145,7 @@ func TestAlgoBarrierSynchronizes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, c := range []int{1, 2, 4, 8} {
 				tm := buildTest(8, c, 600)
-				tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
+				tm.sync.SetAlgos(lockAlgoUnderTest(t, "token"), barrierAlgoUnderTest(t, name))
 				b := tm.sync.Barrier(0)
 				phase := make([]int, 8)
 				for i := 0; i < 8; i++ {
@@ -186,7 +186,7 @@ func TestAlgoBarrierRunAheadStraggler(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, id := range []int{0, 1, 2} { // home in the straggler's SSMP, its second processor, the peer SSMP
 				tm := buildTest(4, 2, 500)
-				tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
+				tm.sync.SetAlgos(lockAlgoUnderTest(t, "token"), barrierAlgoUnderTest(t, name))
 				after := make([]sim.Time, 4)
 				for i := 0; i < 4; i++ {
 					i := i
@@ -215,7 +215,7 @@ func TestAlgoBarrierIsReleasePoint(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 2, 500)
-			tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, "token"), barrierAlgoUnderTest(t, name))
 			va := tm.dsm.Space().AllocPages(1024)
 			b := tm.sync.Barrier(0)
 			var got uint64
@@ -248,7 +248,7 @@ func TestAlgoBarrierOddSSMPCount(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(6, 2, 400) // 3 SSMPs
-			tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, "token"), barrierAlgoUnderTest(t, name))
 			b := tm.sync.Barrier(1)
 			for i := 0; i < 6; i++ {
 				i := i
@@ -293,7 +293,7 @@ func TestAlgoPinnedContentionScript(t *testing.T) {
 	for _, name := range algo.LockNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(4, 2, 600)
-			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), algo.Tree{})
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, name), barrierAlgoUnderTest(t, "tree"))
 			l := tm.sync.Lock(0)
 			for i := 0; i < 4; i++ {
 				i := i
@@ -326,7 +326,7 @@ func TestAlgoBarrierWaitHistogram(t *testing.T) {
 	for _, name := range algo.BarrierNames() {
 		t.Run(name, func(t *testing.T) {
 			tm := buildTest(8, 2, 600)
-			tm.sync.SetAlgos(algo.Token{}, barrierAlgoUnderTest(t, name))
+			tm.sync.SetAlgos(lockAlgoUnderTest(t, "token"), barrierAlgoUnderTest(t, name))
 			b := tm.sync.Barrier(0)
 			for i := 0; i < 8; i++ {
 				i := i
@@ -359,5 +359,5 @@ func TestSetAlgosAfterUsePanics(t *testing.T) {
 			t.Fatal("SetAlgos after Lock() did not panic")
 		}
 	}()
-	tm.sync.SetAlgos(algo.Ticket{}, algo.Tree{})
+	tm.sync.SetAlgos(lockAlgoUnderTest(t, "ticket"), barrierAlgoUnderTest(t, "tree"))
 }

@@ -40,8 +40,8 @@ type System struct {
 	barriers map[int]*rcBarrier
 
 	// The machine-wide algorithm choice for primitives not yet created.
-	lockAlgo    algo.LockAlgo
-	barrierAlgo algo.BarrierAlgo
+	newLock    algo.NewLock
+	newBarrier algo.NewBarrier
 }
 
 // New builds the synchronization system for the machine owning dsm,
@@ -54,8 +54,9 @@ func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collecto
 		dsm: dsm, st: st,
 		env:   algo.NewEnv(eng, net, st, o, cfg.NProcs, cfg.ClusterSize, costs),
 		locks: make(map[int]*rcLock), barriers: make(map[int]*rcBarrier),
-		lockAlgo: algo.Token{}, barrierAlgo: algo.Tree{},
 	}
+	m.newLock, _ = algo.LockByName("") // the defaults always resolve
+	m.newBarrier, _ = algo.BarrierByName("")
 	reg := st.Registry()
 	reg.Gauge("lock.hits", func() int64 { h, _ := m.LockStats(); return h })
 	reg.Gauge("lock.total", func() int64 { _, t := m.LockStats(); return t })
@@ -65,11 +66,11 @@ func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collecto
 // SetAlgos selects the lock and barrier algorithms for primitives not
 // yet created. It must run before any lock or barrier exists:
 // algorithms are a machine-wide choice, not a per-primitive one.
-func (m *System) SetAlgos(la algo.LockAlgo, ba algo.BarrierAlgo) {
+func (m *System) SetAlgos(la algo.NewLock, ba algo.NewBarrier) {
 	if len(m.locks) > 0 || len(m.barriers) > 0 {
 		panic("msync: SetAlgos after locks or barriers were created")
 	}
-	m.lockAlgo, m.barrierAlgo = la, ba
+	m.newLock, m.newBarrier = la, ba
 }
 
 // Lock returns the lock with the given id, creating it on first use,
@@ -83,7 +84,7 @@ func (m *System) LockHomed(id, home int) *rcLock {
 	if l, ok := m.locks[id]; ok {
 		return l
 	}
-	l := &rcLock{Lock: m.lockAlgo.NewLock(m.env, id, home), m: m, id: id}
+	l := &rcLock{Lock: m.newLock(m.env, id, home), m: m, id: id}
 	m.locks[id] = l
 	return l
 }
@@ -94,7 +95,7 @@ func (m *System) Barrier(id int) algo.Barrier {
 	if b, ok := m.barriers[id]; ok {
 		return b
 	}
-	b := &rcBarrier{Barrier: m.barrierAlgo.NewBarrier(m.env, id, id), m: m, id: id}
+	b := &rcBarrier{Barrier: m.newBarrier(m.env, id, id), m: m, id: id}
 	m.barriers[id] = b
 	return b
 }
