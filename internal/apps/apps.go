@@ -13,6 +13,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"mgs/internal/harness"
 	"mgs/internal/sim"
@@ -45,6 +46,19 @@ func (a F64Array) Set(m *harness.Machine, i int, v float64) { m.SetF64(a.At(i), 
 // Get reads element i with no simulated cost (verification only).
 func (a F64Array) Get(m *harness.Machine, i int) float64 { return m.GetF64(a.At(i)) }
 
+// Fill sets elements lo..hi-1 to f(i) with no simulated cost (setup
+// only), a page at a time (harness.Machine.FillWords), so the range's
+// pages are first touched in address order.
+func (a F64Array) Fill(m *harness.Machine, lo, hi int, f func(i int) float64) {
+	m.FillWords(a.At(lo), hi-lo, func(k int) uint64 { return math.Float64bits(f(lo + k)) })
+}
+
+// Visit calls f(i, v) for elements lo..hi-1 in order with no simulated
+// cost (verification only) and returns f's first error.
+func (a F64Array) Visit(m *harness.Machine, lo, hi int, f func(i int, v float64) error) error {
+	return m.VisitWords(a.At(lo), hi-lo, func(k int, w uint64) error { return f(lo+k, math.Float64frombits(w)) })
+}
+
 // I64Array is a shared array of int64 in simulated memory.
 type I64Array struct {
 	Base vm.Addr
@@ -70,6 +84,32 @@ func (a I64Array) Set(m *harness.Machine, i int, v int64) { m.SetI64(a.At(i), v)
 
 // Get reads element i with no simulated cost.
 func (a I64Array) Get(m *harness.Machine, i int) int64 { return m.GetI64(a.At(i)) }
+
+// Fill sets elements lo..hi-1 to f(i) with no simulated cost, as
+// F64Array.Fill does.
+func (a I64Array) Fill(m *harness.Machine, lo, hi int, f func(i int) int64) {
+	m.FillWords(a.At(lo), hi-lo, func(k int) uint64 { return uint64(f(lo + k)) })
+}
+
+// Visit calls f(i, v) for elements lo..hi-1 in order with no simulated
+// cost and returns f's first error.
+func (a I64Array) Visit(m *harness.Machine, lo, hi int, f func(i int, v int64) error) error {
+	return m.VisitWords(a.At(lo), hi-lo, func(k int, w uint64) error { return f(lo+k, int64(w)) })
+}
+
+// fillInTurn sets elements 0..n-1 of a to fa(i) and of b to fb(i), one
+// page of each in turn: page k of a, then page k of b. Both arrays are
+// page aligned, so their home pages are first touched in the order a
+// word loop setting a[i] then b[i] touches them — the order that
+// numbers their home frames (DESIGN §3.2).
+func fillInTurn(m *harness.Machine, a, b F64Array, n int, fa, fb func(i int) float64) {
+	per := m.Cfg.PageSize / 8
+	for lo := 0; lo < n; lo += per {
+		hi := min(lo+per, n)
+		a.Fill(m, lo, hi, fa)
+		b.Fill(m, lo, hi, fb)
+	}
+}
 
 // blockRange splits [0, n) into nprocs contiguous blocks and returns
 // processor id's half-open range.

@@ -61,14 +61,22 @@ func (b *BarnesHut) Setup(m *harness.Machine) {
 		Base: m.AllocHomed(b.NBodies*bodyWords*8, func(page int) int { return blockOwner(page*perPage, b.NBodies, m.Cfg.P) }),
 		N:    b.NBodies * bodyWords,
 	}
-	for i := 0; i < b.NBodies; i++ {
-		pos, vel, mass := bhBody(i)
-		for d := 0; d < 3; d++ {
-			b.body.Set(m, i*bodyWords+d, pos[d])
-			b.body.Set(m, i*bodyWords+3+d, vel[d])
+	var pos, vel [3]float64
+	var mass float64
+	b.body.Fill(m, 0, b.NBodies*bodyWords, func(k int) float64 {
+		switch d := k % bodyWords; {
+		case d == 0:
+			pos, vel, mass = bhBody(k / bodyWords)
+			return pos[0]
+		case d < 3:
+			return pos[d]
+		case d < 6:
+			return vel[d-3]
+		case d == 6:
+			return mass
 		}
-		b.body.Set(m, i*bodyWords+6, mass)
-	}
+		return 0 // padding
+	})
 	// Worst case: a chain of internal nodes per body; 16× bodies is
 	// generous for jittered positions. Each processor allocates from
 	// its own page-aligned slab, homed in its own memory.
@@ -384,14 +392,12 @@ func (b *BarnesHut) Verify(m *harness.Machine) error {
 		}
 	}
 	const tol = 1e-9
-	for i := 0; i < n; i++ {
-		for k := 0; k < 3; k++ {
-			if got := b.body.Get(m, i*bodyWords+k); !approxEqual(got, pos[i][k], tol) {
-				return fmt.Errorf("body %d pos[%d] = %g, want %g", i, k, got, pos[i][k])
-			}
+	return b.body.Visit(m, 0, n*bodyWords, func(k int, got float64) error {
+		if i, d := k/bodyWords, k%bodyWords; d < 3 && !approxEqual(got, pos[i][d], tol) {
+			return fmt.Errorf("body %d pos[%d] = %g, want %g", i, d, got, pos[i][d])
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // hostTree is the host-side reference octree (same geometry rules).

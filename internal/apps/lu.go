@@ -222,12 +222,14 @@ func (l *LU) Verify(m *harness.Machine) error {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if got, want := l.a.Get(m, idx(i, j)), a[idx(i, j)]; !approxEqual(got, want, 1e-9) {
-				return fmt.Errorf("A[%d,%d] = %g, want %g", i, j, got, want)
-			}
+	// Compare in storage order, a page at a time: block (bi, bj) is
+	// contiguous, row r of it after r rows of b words.
+	return l.a.Visit(m, 0, n*n, func(w int, got float64) error {
+		if want := a[w]; !approxEqual(got, want, 1e-9) {
+			blk, in := w/(b*b), w%(b*b)
+			i, j := blk/nb*b+in/b, blk%nb*b+in%b
+			return fmt.Errorf("A[%d,%d] = %g, want %g", i, j, got, want)
 		}
-	}
-	return nil
+		return nil
+	})
 }

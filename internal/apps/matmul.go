@@ -31,10 +31,9 @@ func (mm *MatMul) Setup(m *harness.Machine) {
 	mm.a = F64Array{Base: m.AllocHomed(words*8, homeOf), N: words}
 	mm.b = AllocF64(m, words)
 	mm.c = F64Array{Base: m.AllocHomed(words*8, homeOf), N: words}
-	for i := 0; i < n*n; i++ {
-		mm.a.Set(m, i, float64(i%7)-3)
-		mm.b.Set(m, i, float64(i%5)-2)
-	}
+	fillInTurn(m, mm.a, mm.b, words,
+		func(i int) float64 { return float64(i%7) - 3 },
+		func(i int) float64 { return float64(i%5) - 2 })
 }
 
 // Body computes C = A×B by row blocks.
@@ -63,16 +62,15 @@ func (mm *MatMul) Verify(m *harness.Machine) error {
 		a[i] = float64(i%7) - 3
 		b[i] = float64(i%5) - 2
 	}
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			sum := 0.0
-			for x := 0; x < n; x++ {
-				sum += a[i*n+x] * b[x*n+k]
-			}
-			if got := mm.c.Get(m, i*n+k); got != sum {
-				return fmt.Errorf("C[%d,%d] = %g, want %g", i, k, got, sum)
-			}
+	return mm.c.Visit(m, 0, n*n, func(w int, got float64) error {
+		i, k := w/n, w%n
+		sum := 0.0
+		for x := 0; x < n; x++ {
+			sum += a[i*n+x] * b[x*n+k]
 		}
-	}
-	return nil
+		if got != sum {
+			return fmt.Errorf("C[%d,%d] = %g, want %g", i, k, got, sum)
+		}
+		return nil
+	})
 }

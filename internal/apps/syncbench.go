@@ -56,10 +56,10 @@ func (b *SyncBench) Verify(m *harness.Machine) error {
 	if got, want := b.sum.Get(m, 0), int64(b.nprocs*b.Iters); got != want {
 		return fmt.Errorf("sum = %d, want %d (lost update)", got, want)
 	}
-	for i := 0; i < b.nprocs; i++ {
-		if got := b.slots.Get(m, i); got != int64(b.Iters) {
+	return b.slots.Visit(m, 0, b.nprocs, func(i int, got int64) error {
+		if got != int64(b.Iters) {
 			return fmt.Errorf("slot[%d] = %d, want %d", i, got, b.Iters)
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -53,15 +53,14 @@ func (t *TSP) Setup(m *harness.Machine) {
 	t.nodes = nil
 	t.dist = AllocI64(m, n*n)
 	t.minEdge = 1 << 62
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d := t.Dist(i, j)
-			t.dist.Set(m, i*n+j, d)
-			if i != j && d < t.minEdge {
-				t.minEdge = d
-			}
+	t.dist.Fill(m, 0, n*n, func(k int) int64 {
+		i, j := k/n, k%n
+		d := t.Dist(i, j)
+		if i != j && d < t.minEdge {
+			t.minEdge = d
 		}
-	}
+		return d
+	})
 	// Generous queue bound: breadth-first frontier below Depth.
 	maxQ := 1
 	width := 1
@@ -88,12 +87,13 @@ func (t *TSP) Setup(m *harness.Machine) {
 // cities packed per word.
 func (t *TSP) writeElemBackdoor(m *harness.Machine, idx int, cost, length, mask int64, cities [4]int64) {
 	base := idx * tspWords
-	t.queue.Set(m, base, cost)
-	t.queue.Set(m, base+1, length)
-	t.queue.Set(m, base+2, mask)
-	for w := 0; w < 4; w++ {
-		t.queue.Set(m, base+3+w, cities[w])
-	}
+	head := [3]int64{cost, length, mask}
+	t.queue.Fill(m, base, base+tspWords, func(w int) int64 {
+		if w -= base; w < 3 {
+			return head[w]
+		}
+		return cities[w-3]
+	})
 }
 
 type tspElem struct {

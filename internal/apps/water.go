@@ -101,14 +101,19 @@ func (w *waterMols) setupMols(m *harness.Machine, n int) {
 	for i := 0; i < n; i++ {
 		m.Sync.LockHomed(waterLockBase+i, blockOwner(i, n, m.Cfg.P))
 	}
-	for i := 0; i < n; i++ {
-		pos, vel := initialMol(i)
-		for d := 0; d < 3; d++ {
-			w.mol.Set(m, i*molWords+d, pos[d])
-			w.mol.Set(m, i*molWords+3+d, vel[d])
-			w.mol.Set(m, i*molWords+6+d, 0)
+	var pos, vel [3]float64
+	w.mol.Fill(m, 0, n*molWords, func(k int) float64 {
+		switch d := k % molWords; {
+		case d == 0:
+			pos, vel = initialMol(k / molWords)
+			return pos[0]
+		case d < 3:
+			return pos[d]
+		case d < 6:
+			return vel[d-3]
 		}
-	}
+		return 0 // forces and padding
+	})
 }
 
 func (w *waterMols) loadPos(c *harness.Ctx, i int) [3]float64 {
@@ -224,15 +229,17 @@ func (w *Water) Verify(m *harness.Machine) error {
 		}
 	}
 	const tol = 1e-9
-	for i := 0; i < n; i++ {
-		for k := 0; k < 3; k++ {
-			if got := w.mol.Get(m, i*molWords+k); !approxEqual(got, pos[i][k], tol) {
-				return fmt.Errorf("mol %d pos[%d] = %g, want %g", i, k, got, pos[i][k])
-			}
-			if got := w.mol.Get(m, i*molWords+3+k); !approxEqual(got, vel[i][k], tol) {
-				return fmt.Errorf("mol %d vel[%d] = %g, want %g", i, k, got, vel[i][k])
-			}
+	if err := w.mol.Visit(m, 0, n*molWords, func(k int, got float64) error {
+		i, d := k/molWords, k%molWords
+		switch {
+		case d < 3 && !approxEqual(got, pos[i][d], tol):
+			return fmt.Errorf("mol %d pos[%d] = %g, want %g", i, d, got, pos[i][d])
+		case d >= 3 && d < 6 && !approxEqual(got, vel[i][d-3], tol):
+			return fmt.Errorf("mol %d vel[%d] = %g, want %g", i, d-3, got, vel[i][d-3])
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return checkClose("kinetic energy", fromFx(m.GetI64(w.kin)), kin, 1e-9)
 }

@@ -448,18 +448,20 @@ func (w Workload) finalChecks(m *harness.Machine, rs *runState) error {
 	// The shared region is the machine's only allocation; recover its
 	// base from the break and the workload geometry.
 	base := m.DSM.Space().Brk() - vm.Addr(w.Pages*w.PageSize)
-	for pg := 0; pg < w.Pages; pg++ {
-		for wd := 0; wd < w.PageSize/8; wd++ {
-			want := last[wordKey{pg, wd}] // zero for unwritten words
-			if s, ok := lockedSum[wordKey{pg, wd}]; ok {
-				want = s // locked words: no update may be lost
-			}
-			got := m.GetI64(w.wordAddr(base, pg, wd))
-			if got != want {
-				return fmt.Errorf("check: final memory word (%d,%d) = %d, want %d (release visibility)",
-					pg, wd, got, want)
-			}
+	perPage := w.PageSize / 8
+	if err := m.VisitWords(base, w.Pages*perPage, func(i int, got uint64) error {
+		key := wordKey{i / perPage, i % perPage}
+		want := last[key] // zero for unwritten words
+		if s, ok := lockedSum[key]; ok {
+			want = s // locked words: no update may be lost
 		}
+		if int64(got) != want {
+			return fmt.Errorf("check: final memory word (%d,%d) = %d, want %d (release visibility)",
+				key[0], key[1], int64(got), want)
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	for p := 0; p < w.P; p++ {
 		if q := m.DSM.DUQPages(p); len(q) != 0 {

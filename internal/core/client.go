@@ -177,10 +177,12 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 	o := cp.ownerProc
 	homeProc := s.space.HomeProc(cp.page)
 	isHome := cp.ssmp == s.ssmpOf(homeProc)
-	s.emitEngine(at, -1, cp.page, "RCLIENT", 0, "owner %d for proc %d", o, requester.ID)
-	s.emitPageArgs(at, requester.ID, cp.page, "UPGRADE",
-		[3]int64{b2i(cp.state == PRead), int64(cp.ssmp), b2i(isHome)},
-		"ssmp %d applied=%v", cp.ssmp, cp.state == PRead)
+	if s.Obs.Tracing() {
+		s.emitEngine(at, -1, cp.page, "RCLIENT", 0, "owner %d for proc %d", o, requester.ID)
+		s.emitPageArgs(at, requester.ID, cp.page, "UPGRADE",
+			[3]int64{b2i(cp.state == PRead), int64(cp.ssmp), b2i(isHome)},
+			"ssmp %d applied=%v", cp.ssmp, cp.state == PRead)
+	}
 	if cp.state == PRead {
 		if !isHome {
 			at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.TwinPerByte)

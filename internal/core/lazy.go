@@ -62,11 +62,13 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 			// completing early would hand a lock over before the
 			// captured data is visible to the next acquirer.
 			if cp.relInFlight > 0 {
-				s.emitPageArgs(p.Clock(), p.ID, v, "LRELWAIT", [3]int64{}, "proc %d inflight=%d", p.ID, cp.relInFlight)
+				if s.Obs.Tracing() {
+					s.emitPageArgs(p.Clock(), p.ID, v, "LRELWAIT", [3]int64{}, "proc %d inflight=%d", p.ID, cp.relInFlight)
+				}
 				s.count(ctrLRelWait, 1)
 				cp.relWaiters = append(cp.relWaiters, p)
 				s.parkCharge(p, stats.MGS)
-			} else {
+			} else if s.Obs.Tracing() {
 				s.emitPageArgs(p.Clock(), p.ID, v, "LRELSKIP", [3]int64{}, "proc %d state=%v", p.ID, cp.state)
 			}
 			s.unlock(cp, p.Clock())
@@ -92,7 +94,9 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 		// still advances.
 		s.shootLocal(cp, p)
 		fetchVer, fetchGen := cp.version, cp.gen
-		s.emitPageArgs(p.Clock(), p.ID, v, "LREL", [3]int64{}, "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(p.Clock(), p.ID, v, "LREL", [3]int64{}, "proc %d home=%v diff=%d ver=%d", p.ID, isHome, len(diff), sp.version)
+		}
 		s.spend(p, stats.MGS, s.net.SendCost())
 		cp.relInFlight++
 		m := s.newMsg(mLazyRel, v)
@@ -206,7 +210,9 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			// lines, so it must not be recycled (a recycled frame's ID
 			// reuse would let those lines alias the new page).
 			s.teardown(ss, cp, false, false)
-			s.emitPageArgs(p.Clock(), p.ID, v, "ACQFLUSH", [3]int64{}, "proc %d diff=%d", p.ID, len(diff))
+			if s.Obs.Tracing() {
+				s.emitPageArgs(p.Clock(), p.ID, v, "ACQFLUSH", [3]int64{}, "proc %d diff=%d", p.ID, len(diff))
+			}
 			s.spend(p, stats.MGS, s.net.SendCost())
 			cp.relInFlight++
 			m := s.newMsg(mLazyRel, v)
@@ -219,7 +225,9 @@ func (s *System) AcquireSync(p *sim.Proc) {
 		// Clean stale copy: the write notice alone kills it, no
 		// communication needed (TreadMarks' acquire-side invalidation).
 		s.count(ctrAcqInval, 1)
-		s.emitPageArgs(p.Clock(), p.ID, v, "ACQINVAL", [3]int64{}, "proc %d ver=%d<%d", p.ID, cp.version, sp.version)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(p.Clock(), p.ID, v, "ACQINVAL", [3]int64{}, "proc %d ver=%d<%d", p.ID, cp.version, sp.version)
+		}
 		s.shootLocal(cp, p)
 		s.teardown(ss, cp, false, false)
 		s.unlock(cp, p.Clock())

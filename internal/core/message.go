@@ -38,7 +38,7 @@ const (
 	mLazyRel    // lazy release or acquire flush, → home: sp, cp, p, d, db, ver (fetched), gen (fetched, -1 for a flush)
 	mLazyAck    // its acknowledgement: cp, p, ver (merged), gen (incarnation it revalidates, -1 for none)
 	mRefresh    // update protocol, home → copy: sp, cp, img
-	mRefreshAck // copy → home: sp
+	mRefreshAck // copy → home: sp, img (recycled at the round's last ack)
 
 	// Page-table-lock continuations: handed the lock, never sent.
 	kLockWake      // lockProc's waiter: p
@@ -140,13 +140,17 @@ func (m *message) Deliver(at sim.Time) {
 		}
 		if stale && !s.acceptStaleWNotify {
 			s.count(ctrWNotifyStale, 1)
-			s.emitPageArgs(at, -1, sp.page, "WNOTIFY", [3]int64{1, int64(ssmp), a.gen},
-				"from ssmp %d STALE (gen %d != home gens %d)", ssmp, a.gen, sp.rmtGens(ssmp))
+			if s.Obs.Tracing() {
+				s.emitPageArgs(at, -1, sp.page, "WNOTIFY", [3]int64{1, int64(ssmp), a.gen},
+					"from ssmp %d STALE (gen %d != home gens %d)", ssmp, a.gen, sp.rmtGens(ssmp))
+			}
 			return
 		}
 		s.count(ctrWNotify, 1)
-		s.emitPageArgs(at, -1, sp.page, "WNOTIFY", [3]int64{0, int64(ssmp), a.gen},
-			"from ssmp %d (state %d)", ssmp, sp.state)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, -1, sp.page, "WNOTIFY", [3]int64{0, int64(ssmp), a.gen},
+				"from ssmp %d (state %d)", ssmp, sp.state)
+		}
 		sp.readDir.remove(ssmp)
 		sp.writeDir.add(ssmp)
 		if sp.state == sRead {
@@ -181,6 +185,8 @@ func (m *message) Deliver(at sim.Time) {
 	case mRefreshAck:
 		a.sp.refreshing--
 		if a.sp.refreshing == 0 {
+			// Every copy has applied the round's one image: recycle it.
+			s.putPageBuf(a.img)
 			s.finishRel(a.sp, at)
 		}
 	case kLockWake:

@@ -213,7 +213,9 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 		cond := cp.state != PWrite
 		capRound := cp.capturedRound
 		if cond {
-			s.emitPageArgs(p.Clock(), p.ID, v, "RELCOND", [3]int64{}, "proc %d state=%v cap=%d", p.ID, cp.state, capRound)
+			if s.Obs.Tracing() {
+				s.emitPageArgs(p.Clock(), p.ID, v, "RELCOND", [3]int64{}, "proc %d state=%v cap=%d", p.ID, cp.state, capRound)
+			}
 		}
 		s.spend(p, stats.MGS, s.net.SendCost())
 		m := s.newMsg(mRel, v)
@@ -245,8 +247,10 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		// the round — so its data is covered and the REL folds in.
 		if !cond && capRound == sp.round {
 			sp.pendReRel = append(sp.pendReRel, relProc)
-			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRequeued, 0, 0},
-				"from proc %d REQUEUED (copy captured round %d)", relProc, capRound)
+			if s.Obs.Tracing() {
+				s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRequeued, 0, 0},
+					"from proc %d REQUEUED (copy captured round %d)", relProc, capRound)
+			}
 			return
 		}
 		if s.cfg.Variant.UpdateProtocol && sp.refreshDone && s.ssmpOf(relProc) == s.ssmpOf(sp.homeProc) {
@@ -254,13 +258,17 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 			// release's in-place writes; folding it in would RACK a
 			// release whose data the refreshes never carried.
 			sp.pendReRel = append(sp.pendReRel, relProc)
-			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRequeuedHome, 0, 0},
-				"from proc %d REQUEUED (post-image home release)", relProc)
+			if s.Obs.Tracing() {
+				s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelRequeuedHome, 0, 0},
+					"from proc %d REQUEUED (post-image home release)", relProc)
+			}
 			return
 		}
 		sp.pendRel = append(sp.pendRel, relProc)
-		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelPended, 0, 0},
-			"from proc %d PENDED", relProc)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelPended, 0, 0},
+				"from proc %d PENDED", relProc)
+		}
 		return
 	}
 	if cond {
@@ -268,8 +276,10 @@ func (s *System) onRel(sp *serverPage, relProc int, capRound int64, cond bool, a
 		// data is merged and every copy served since reflects it. The
 		// release is satisfied with no new round.
 		s.count(ctrRelSat, 1)
-		s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelSatisfied, 0, 0},
-			"from proc %d SATISFIED (captured round %d done)", relProc, capRound)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, relProc, sp.page, "REL", [3]int64{RelSatisfied, 0, 0},
+				"from proc %d SATISFIED (captured round %d done)", relProc, capRound)
+		}
 		s.sendRack(sp, relProc, at)
 		return
 	}
@@ -338,8 +348,10 @@ func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round in
 	if cp.state != PWrite && cp.state != PRead {
 		// Copy already gone; acknowledge with nothing to merge.
 		cp.capturedRound = round
-		s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{FinvGone, int64(cp.ssmp), 0},
-			"ssmp %d copy already gone (state=%v)", cp.ssmp, cp.state)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{FinvGone, int64(cp.ssmp), 0},
+				"ssmp %d copy already gone (state=%v)", cp.ssmp, cp.state)
+		}
 		s.replyInv(sp, o, ackReply, nil, nil, false, at)
 		s.unlock(cp, at)
 		return
@@ -432,8 +444,10 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 	case cp.state == PWrite:
 		arm = FinvDiffTeardown
 	}
-	s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{arm, int64(cp.ssmp), b2i(isHome)},
-		"ssmp %d state=%v oneW=%v", cp.ssmp, cp.state, cp.invOneW)
+	if s.Obs.Tracing() {
+		s.emitPageArgs(at, -1, cp.page, "FINISHINV", [3]int64{arm, int64(cp.ssmp), b2i(isHome)},
+			"ssmp %d state=%v oneW=%v", cp.ssmp, cp.state, cp.invOneW)
+	}
 	if s.cfg.Variant.UpdateProtocol {
 		// Update protocol: capture the copy's modifications but keep
 		// the copy itself; the round's refresh phase will overwrite it
@@ -556,8 +570,10 @@ func (s *System) replyInv(sp *serverPage, from int, kind invReply, d Diff, db *D
 // processor.
 func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db *DiffBuf, tornDown bool, at sim.Time) {
 	c := &s.cfg.Costs
-	s.emitPageArgs(at, -1, sp.page, "INVREPLY", [3]int64{int64(kind), int64(s.ssmpOf(from)), b2i(tornDown)},
-		"kind=%d diff=%d torn=%v count->%d", kind, len(d), tornDown, sp.count-1)
+	if s.Obs.Tracing() {
+		s.emitPageArgs(at, -1, sp.page, "INVREPLY", [3]int64{int64(kind), int64(s.ssmpOf(from)), b2i(tornDown)},
+			"kind=%d diff=%d torn=%v count->%d", kind, len(d), tornDown, sp.count-1)
+	}
 	if tornDown {
 		// One more incarnation of this SSMP's copy is fully retired;
 		// WNOTIFYs naming earlier incarnations are stale from now on.
@@ -651,8 +667,10 @@ func (s *System) finishRel(sp *serverPage, at sim.Time) {
 		// it with a follow-up INV before the round completes (and thus
 		// before any RACK — so no post-release lock grant can read the
 		// stale copy).
-		s.emitPageArgs(at, -1, sp.page, "DEMOTE", [3]int64{int64(sp.keepWriter), 0, 0},
-			"retained ssmp %d", sp.keepWriter)
+		if s.Obs.Tracing() {
+			s.emitPageArgs(at, -1, sp.page, "DEMOTE", [3]int64{int64(sp.keepWriter), 0, 0},
+				"retained ssmp %d", sp.keepWriter)
+		}
 		sp.invQueue = append(sp.invQueue, invTarget{ssmp: sp.keepWriter, inv: invDemote})
 		sp.keepWriter = -1
 		sp.sawDiff = false
@@ -741,7 +759,7 @@ func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at 
 	}
 	s.unlock(cp, at)
 	m := s.newMsg(mRefreshAck, sp.page)
-	m.sp = sp
+	m.sp, m.img = sp, img
 	s.send(m, s.clientOwner(cp), sp.homeProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
 }
 

@@ -245,7 +245,9 @@ func (s *System) MutStaleWNotify() { s.acceptStaleWNotify = true }
 // structured Args the model checker's refinement spec consumes
 // (internal/check; zero where an event carries none). Detail formatting
 // happens only when a sink is attached; emission charges no simulated
-// cycles.
+// cycles. Every call site tests s.Obs.Tracing() first: Go boxes an
+// integer argument over 255 into the variadic slice at the call, before
+// this method runs, so an unguarded call allocates with no sink.
 func (s *System) emitPageArgs(t sim.Time, proc int, v vm.Page, name string, args [3]int64, format string, fa ...any) {
 	if !s.Obs.Tracing() {
 		return
@@ -445,24 +447,25 @@ func (s *System) serverIfExists(v vm.Page) *serverPage {
 	return s.ssmps[s.ssmpOf(s.space.HomeProc(v))].servers.Get(v)
 }
 
-// BackdoorFrame returns the home frame of the page containing va,
-// without simulated cost. It is the setup/verification hook: apps
-// initialize their data sets and check results through it.
+// HomeFrameID returns the physical frame number of page v's home copy,
+// or false if the page has no home frame yet. Host-side, no simulated
+// cost, and it creates nothing: tests read a setup's first-touch order
+// from it.
+func (s *System) HomeFrameID(v vm.Page) (uint64, bool) {
+	if sp := s.serverIfExists(v); sp != nil {
+		return sp.frame.ID, true
+	}
+	return 0, false
+}
+
+// BackdoorFrame returns the home frame of the page containing va and
+// va's offset in it, without simulated cost, creating the frame if the
+// page has none yet. It is the setup/verification hook: apps initialize
+// their data sets and check results through harness.Machine's
+// FillWords and VisitWords, which resolve each page here once. The home
+// copy is current after any release point.
 func (s *System) BackdoorFrame(va vm.Addr) (*mem.Frame, int) {
 	return s.server(s.space.PageOf(va)).frame, s.space.Offset(va)
-}
-
-// BackdoorStore64 writes v at va with no simulated cost.
-func (s *System) BackdoorStore64(va vm.Addr, v uint64) {
-	f, off := s.BackdoorFrame(va)
-	f.Store64(off, v)
-}
-
-// BackdoorLoad64 reads va with no simulated cost. It reads the home
-// copy, which is current after any release point.
-func (s *System) BackdoorLoad64(va vm.Addr) uint64 {
-	f, off := s.BackdoorFrame(va)
-	return f.Load64(off)
 }
 
 // SnapshotMemory returns the contents of the allocated shared address

@@ -422,10 +422,10 @@ func conformanceWords(t *testing.T, cfg harness.Config) []uint64 {
 	var out []uint64
 	for proc := 0; proc < cfg.P; proc++ {
 		for slot := 0; slot < slots; slot++ {
-			out = append(out, m.DSM.BackdoorLoad64(slotVA(proc, slot)))
+			out = append(out, uint64(m.GetI64(slotVA(proc, slot))))
 		}
 	}
-	return append(out, m.DSM.BackdoorLoad64(ctr))
+	return append(out, uint64(m.GetI64(ctr)))
 }
 
 // defaultWords caches the default machine's conformance words by shape.
@@ -603,7 +603,7 @@ func lockedCounters(t *testing.T, cfg harness.Config) counterRun {
 		t.Fatal(err)
 	}
 	for b := range shadow {
-		if got := int64(m.DSM.BackdoorLoad64(bins + vm.Addr(b*8))); got != shadow[b] {
+		if got := m.GetI64(bins + vm.Addr(b*8)); got != shadow[b] {
 			stale("bucket %d home = %d, shadow %d", b, got, shadow[b])
 		}
 	}

@@ -15,9 +15,7 @@ func TestHistogramShadow(t *testing.T) {
 	m := harness.NewMachine(cfg)
 	val := func(i int) int64 { return int64((i*2654435761 + 12345) % 997) }
 	data := m.DSM.Space().AllocPages(items * 8)
-	for i := 0; i < items; i++ {
-		m.DSM.BackdoorStore64(data+vm.Addr(i*8), uint64(val(i)))
-	}
+	m.FillWords(data, items, func(i int) uint64 { return uint64(val(i)) })
 	bins := m.DSM.Space().AllocPages(buckets * 8)
 	shadow := make([]int64, buckets)
 	_, err := m.Run(func(ctx *harness.Ctx) {
@@ -42,7 +40,7 @@ func TestHistogramShadow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 0; b < buckets; b++ {
-		if got := int64(m.DSM.BackdoorLoad64(bins + vm.Addr(b*8))); got != shadow[b] {
+		if got := m.GetI64(bins + vm.Addr(b*8)); got != shadow[b] {
 			t.Errorf("bucket %d home=%d shadow=%d", b, got, shadow[b])
 		}
 	}

@@ -5,6 +5,7 @@ package harness
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -278,24 +279,64 @@ func (m *Machine) AllocHomed(bytes int, homeOf func(page int) int) vm.Addr {
 	return base
 }
 
-// SetF64 initializes a shared float64 without simulated cost (setup).
-func (m *Machine) SetF64(va vm.Addr, v float64) {
-	m.DSM.BackdoorStore64(va, math.Float64bits(v))
+// FillWords writes f(i) to the i-th of the n shared words from va,
+// calling f once per word in order, with no simulated cost (setup). It
+// is the backdoor's write half: the range is walked a page at a time,
+// each page's home frame is resolved once (core.System.BackdoorFrame,
+// which creates it on first touch, so pages are first touched in
+// address order) and its words are written in place. va must be word
+// aligned.
+func (m *Machine) FillWords(va vm.Addr, n int, f func(i int) uint64) {
+	for i := 0; i < n; {
+		for d := m.pageWords(va+vm.Addr(8*i), n-i); len(d) > 0; d = d[8:] {
+			binary.LittleEndian.PutUint64(d, f(i))
+			i++
+		}
+	}
 }
 
-// GetF64 reads a shared float64 without simulated cost (verification).
-func (m *Machine) GetF64(va vm.Addr) float64 {
-	return math.Float64frombits(m.DSM.BackdoorLoad64(va))
+// VisitWords calls f(i, w) with the i-th of the n shared words from va,
+// in order, with no simulated cost (verification), and returns the
+// first error f returns, visiting no word after it. It walks the range
+// as FillWords does and reads the home copies, which are current after
+// every release point.
+func (m *Machine) VisitWords(va vm.Addr, n int, f func(i int, w uint64) error) error {
+	for i := 0; i < n; {
+		for d := m.pageWords(va+vm.Addr(8*i), n-i); len(d) > 0; d = d[8:] {
+			if err := f(i, binary.LittleEndian.Uint64(d)); err != nil {
+				return err
+			}
+			i++
+		}
+	}
+	return nil
 }
+
+// pageWords returns the bytes of at most n words from va to the end of
+// va's page, in the page's home frame.
+func (m *Machine) pageWords(va vm.Addr, n int) []byte {
+	f, off := m.DSM.BackdoorFrame(va)
+	if off&7 != 0 {
+		panic(fmt.Sprintf("harness: backdoor address %#x is not word aligned", va))
+	}
+	return f.Data[off:min(len(f.Data), off+8*n)]
+}
+
+// SetF64 initializes a shared float64 without simulated cost (setup).
+func (m *Machine) SetF64(va vm.Addr, v float64) { m.SetI64(va, int64(math.Float64bits(v))) }
+
+// GetF64 reads a shared float64 without simulated cost (verification).
+func (m *Machine) GetF64(va vm.Addr) float64 { return math.Float64frombits(uint64(m.GetI64(va))) }
 
 // SetI64 initializes a shared int64 without simulated cost.
 func (m *Machine) SetI64(va vm.Addr, v int64) {
-	m.DSM.BackdoorStore64(va, uint64(v))
+	m.FillWords(va, 1, func(int) uint64 { return uint64(v) })
 }
 
 // GetI64 reads a shared int64 without simulated cost.
-func (m *Machine) GetI64(va vm.Addr) int64 {
-	return int64(m.DSM.BackdoorLoad64(va))
+func (m *Machine) GetI64(va vm.Addr) (v int64) {
+	m.VisitWords(va, 1, func(_ int, w uint64) error { v = int64(w); return nil })
+	return v
 }
 
 // Result summarizes one run.

@@ -84,13 +84,11 @@ type Counters struct {
 
 // Network routes messages between the processors of one machine.
 type Network struct {
-	eng    *sim.Engine
-	procs  []*sim.Proc
-	nprocs int
-	csize  int // processors per SSMP
-	meshW  int // width of the intra-SSMP mesh
-	costs  Costs
-	rng    uint64 // xorshift state for deterministic jitter
+	eng   *sim.Engine
+	procs []*sim.Proc
+	sites []site // by processor
+	costs Costs
+	rng   uint64 // xorshift state for deterministic jitter
 
 	// topo is the sized inter-SSMP topology; occ is its per-machine
 	// link-contention state (mutated only on the inter send path).
@@ -124,6 +122,11 @@ type Network struct {
 	DeliveriesNew, DeliveriesReused int64
 }
 
+// site is where a processor sits: its SSMP and its (x, y) in the SSMP's
+// square mesh. NewNetwork tables them so that no send divides by the
+// cluster size or the mesh width.
+type site struct{ ssmp, x, y int32 }
+
 // NewNetwork builds the network for nprocs processors grouped into SSMPs
 // of csize each. procs[i] must be the simulated processor i.
 func NewNetwork(eng *sim.Engine, procs []*sim.Proc, csize int, costs Costs) *Network {
@@ -147,9 +150,12 @@ func NewNetwork(eng *sim.Engine, procs []*sim.Proc, csize int, costs Costs) *Net
 		topo = s.sized(nssmp, costs)
 	}
 	n := &Network{
-		eng: eng, procs: procs, nprocs: len(procs), csize: csize,
-		meshW: w, costs: costs, rng: seed,
-		topo: topo,
+		eng: eng, procs: procs, sites: make([]site, len(procs)),
+		costs: costs, rng: seed, topo: topo,
+	}
+	for i := range n.sites {
+		in := i % csize
+		n.sites[i] = site{ssmp: int32(i / csize), x: int32(in % w), y: int32(in / w)}
 	}
 	n.occ = newOccupancy(&n.Counters.LinkWaitCycles)
 	return n
@@ -172,15 +178,13 @@ func (n *Network) jitter() sim.Time {
 }
 
 // SSMPOf returns the SSMP number of a processor.
-func (n *Network) SSMPOf(proc int) int { return proc / n.csize }
+func (n *Network) SSMPOf(proc int) int { return int(n.sites[proc].ssmp) }
 
 // hops is the Manhattan distance between two processors of the same SSMP
 // laid out in a square mesh.
 func (n *Network) hops(a, b int) sim.Time {
-	ai, bi := a%n.csize, b%n.csize
-	ax, ay := ai%n.meshW, ai/n.meshW
-	bx, by := bi%n.meshW, bi/n.meshW
-	dx, dy := ax-bx, ay-by
+	sa, sb := n.sites[a], n.sites[b]
+	dx, dy := sa.x-sb.x, sa.y-sb.y
 	if dx < 0 {
 		dx = -dx
 	}

@@ -129,6 +129,38 @@ func TestHopsSymmetricAndZeroSelf(t *testing.T) {
 	}
 }
 
+// TestSitesMatchArithmetic: the per-processor site table answers what
+// dividing by the cluster size and the mesh width answers, at square
+// and non-square cluster sizes.
+func TestSitesMatchArithmetic(t *testing.T) {
+	for _, c := range []int{1, 2, 3, 4, 5, 8, 9, 16} {
+		w := 1
+		for w*w < c {
+			w++
+		}
+		eng := sim.NewEngine()
+		procs := make([]*sim.Proc, 4*c)
+		for i := range procs {
+			procs[i] = eng.NewProc(i, 0, func(p *sim.Proc) {})
+		}
+		n := NewNetwork(eng, procs, c, testCosts())
+		for a := range procs {
+			if got := n.SSMPOf(a); got != a/c {
+				t.Fatalf("C=%d: SSMPOf(%d) = %d, want %d", c, a, got, a/c)
+			}
+			for b := range procs {
+				ai, bi := a%c, b%c
+				want := sim.Time(abs(ai%w-bi%w) + abs(ai/w-bi/w))
+				if got := n.hops(a, b); got != want {
+					t.Fatalf("C=%d: hops(%d,%d) = %d, want %d", c, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+func abs(x int) int { return max(x, -x) }
+
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	run := func() []sim.Time {
 		eng := sim.NewEngine()

@@ -227,25 +227,29 @@ func TestTournamentLockClimbIsLogarithmic(t *testing.T) {
 // record off the Env's free list, not a closure or a record of its own.
 // Equal windows of work are compared (see TestUntracedEmitsDoNotBox),
 // so the machine and the first episodes or passages cancel; 250
-// episodes of 8 SSMPs send 4,000 tree and 8,000 sense messages.
+// episodes of 8 SSMPs send 4,000 tree and 8,000 sense messages. The
+// records themselves come from a slab, a few hundred to an allocation,
+// so an algorithm that stopped reusing them could stay under the noise
+// bound: the steady window must also carve no record at all.
 func TestSyncDoesNotAllocate(t *testing.T) {
 	const noise = 16
 	type window struct {
 		kind, name string
 		n0, w      int
-		run        func(n int) int64
+		run        func(n int) tally
 	}
 	var windows []window
 	for _, name := range algo.BarrierNames() {
-		windows = append(windows, window{"barrier", name, 5, 250, func(n int) int64 { return barrierEpisodes(t, 16, 2, name, n) }})
+		windows = append(windows, window{"barrier", name, 5, 250, func(n int) tally { return barrierEpisodes(t, 16, 2, name, n) }})
 	}
 	for _, name := range algo.LockNames() {
-		windows = append(windows, window{"lock", name, 16, 240, func(n int) int64 { return lockPassages(t, 16, 2, name, 0, n) }})
+		windows = append(windows, window{"lock", name, 16, 240, func(n int) tally { return lockPassages(t, 16, 2, name, 0, n) }})
 	}
 	for _, w := range windows {
-		_, second, msgs := windowAllocs(w.run, w.n0, w.w)
-		if second >= noise {
-			t.Errorf("%s %s allocates: %.0f allocations in a window of %d, which sends %d messages", w.kind, w.name, second, w.w, msgs)
+		_, second, r := windowAllocs(w.run, w.n0, w.w)
+		if second >= noise || r.records != 0 {
+			t.Errorf("%s %s allocates: %.0f allocations and %d message records carved in a window of %d, which sends %d messages",
+				w.kind, w.name, second, r.records, w.w, r.msgs)
 		}
 	}
 }
@@ -267,17 +271,17 @@ func TestUntracedEmitsDoNotBox(t *testing.T) {
 	const noise = 16
 	differ := func(a, b float64) bool { return a-b >= noise || b-a >= noise }
 	for _, name := range algo.BarrierNames() {
-		first, second, _ := windowAllocs(func(n int) int64 { return barrierEpisodes(t, 16, 2, name, n) }, 5, 250)
+		first, second, _ := windowAllocs(func(n int) tally { return barrierEpisodes(t, 16, 2, name, n) }, 5, 250)
 		if differ(first, second) {
 			t.Errorf("barrier %s: %.0f allocations in episodes 6–255, %.0f in 256–505", name, first, second)
 		}
-		first, second, msgs := windowAllocs(func(n int) int64 { return barrierEpisodes(t, 512, 2, name, n) }, 2, 4)
+		first, second, r := windowAllocs(func(n int) tally { return barrierEpisodes(t, 512, 2, name, n) }, 2, 4)
 		if differ(first, second) || second >= noise {
-			t.Errorf("barrier %s at P=512: %.0f and %.0f allocations in two windows of 4 episodes, which send %d messages", name, first, second, msgs)
+			t.Errorf("barrier %s at P=512: %.0f and %.0f allocations in two windows of 4 episodes, which send %d messages", name, first, second, r.msgs)
 		}
 	}
 	for _, name := range algo.LockNames() {
-		first, second, _ := windowAllocs(func(n int) int64 { return lockPassages(t, 16, 2, name, 0, n) }, 16, 240)
+		first, second, _ := windowAllocs(func(n int) tally { return lockPassages(t, 16, 2, name, 0, n) }, 16, 240)
 		if differ(first, second) {
 			t.Errorf("lock %s: %.0f allocations in passages 17–256, %.0f in 257–496", name, first, second)
 		}
@@ -289,23 +293,27 @@ func TestUntracedEmitsDoNotBox(t *testing.T) {
 	}
 }
 
-// windowAllocs runs run(n) at n = n0, n0+w and n0+2w and returns the
+// tally is what one machine's run of a window's work did: the messages it
+// sent and the message records its Env carved.
+type tally struct{ msgs, records int64 }
+
+// windowAllocs runs work(n) at n = n0, n0+w and n0+2w and returns the
 // allocations of the two windows of w units of work between them (the
-// machine and the first n0 units cancel), and the messages the second
-// window sends.
-func windowAllocs(run func(n int) int64, n0, w int) (first, second float64, msgs int64) {
+// machine and the first n0 units cancel), and what the second window
+// added to the run.
+func windowAllocs(work func(n int) tally, n0, w int) (first, second float64, r tally) {
 	var allocs [3]float64
-	var sent [3]int64
+	var runs [3]tally
 	for i := range allocs {
-		allocs[i] = testing.AllocsPerRun(1, func() { sent[i] = run(n0 + i*w) })
+		allocs[i] = testing.AllocsPerRun(1, func() { runs[i] = work(n0 + i*w) })
 	}
-	return allocs[1] - allocs[0], allocs[2] - allocs[1], sent[2] - sent[1]
+	return allocs[1] - allocs[0], allocs[2] - allocs[1], tally{runs[2].msgs - runs[1].msgs, runs[2].records - runs[1].records}
 }
 
 // barrierEpisodes runs n episodes of barrier 0 on P processors, C to an
 // SSMP, arriving in a fixed staggered order, and returns the messages
-// sent.
-func barrierEpisodes(t *testing.T, p, c int, barrier string, n int) int64 {
+// sent and the records carved.
+func barrierEpisodes(t *testing.T, p, c int, barrier string, n int) tally {
 	m := harness.NewMachine(harness.NewConfig(p, c, harness.WithBarrierAlgo(barrier)))
 	res, err := m.RunPer(func(i int) func(*harness.Ctx) {
 		return func(ctx *harness.Ctx) {
@@ -318,14 +326,14 @@ func barrierEpisodes(t *testing.T, p, c int, barrier string, n int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.InterMsgs + res.IntraMsgs
+	return tally{res.InterMsgs + res.IntraMsgs, int64(m.Sync.Records())}
 }
 
 // lockPassages runs n passages of lock 0 on P processors, C to an SSMP,
 // one at a time: passage k starts at cycle 200,000·k, long after the
 // one before has ended, and is made by processor first + k mod
-// (P − first). It returns the messages sent.
-func lockPassages(t *testing.T, p, c int, lock string, first, n int) int64 {
+// (P − first). It returns the messages sent and the records carved.
+func lockPassages(t *testing.T, p, c int, lock string, first, n int) tally {
 	const slot = 200_000
 	m := harness.NewMachine(harness.NewConfig(p, c, harness.WithLockAlgo(lock)))
 	res, err := m.RunPer(func(i int) func(*harness.Ctx) {
@@ -347,5 +355,5 @@ func lockPassages(t *testing.T, p, c int, lock string, first, n int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.InterMsgs + res.IntraMsgs
+	return tally{res.InterMsgs + res.IntraMsgs, int64(m.Sync.Records())}
 }

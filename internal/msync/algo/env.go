@@ -44,8 +44,9 @@ type Env struct {
 	// run with no lock registers neither.
 	heldCycles, cs *obs.Counter
 
-	msgs mem.Slab[message] // every message record
-	free []*message        // delivered records, for newMsg
+	msgs   mem.Slab[message] // every message record
+	free   []*message        // delivered records, for newMsg
+	carved int               // records carved from msgs
 }
 
 // NewEnv builds the environment for a p-processor machine with clusters
@@ -128,10 +129,16 @@ func (e *Env) newMsg(r receiver, k uint8, a args) *message {
 	} else {
 		m = e.msgs.New()
 		m.env = e
+		e.carved++
 	}
 	m.rcv, m.kind, m.args = r, k, a
 	return m
 }
+
+// Carved is how many message records the Env has carved in all: the
+// most sync messages and wakeups that were ever in flight at once, as
+// long as every delivered record is reused.
+func (e *Env) Carved() int { return e.carved }
 
 // Deliver runs the message's handler at time at (msg.Handler).
 func (m *message) Deliver(at sim.Time) {

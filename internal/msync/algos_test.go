@@ -130,8 +130,8 @@ func TestAlgoLockReleaseFlushesDUQ(t *testing.T) {
 				}
 			}
 			tm.run(t)
-			if got := tm.dsm.BackdoorLoad64(va); got != 77 {
-				t.Fatalf("home = %d, want 77 (release must flush)", got)
+			if f, off := tm.dsm.BackdoorFrame(va); f.Load64(off) != 77 {
+				t.Fatalf("home = %d, want 77 (release must flush)", f.Load64(off))
 			}
 		})
 	}

@@ -100,6 +100,10 @@ func (m *System) Barrier(id int) algo.Barrier {
 	return b
 }
 
+// Records is how many message records the algorithms' Env has carved
+// (algo.Env.Carved).
+func (m *System) Records() int { return m.env.Carved() }
+
 // Quiescent reports whether every lock and barrier has fully settled:
 // no holder, no queued waiter, no protocol message logically in flight.
 // The model checker asserts this at the end of every delivery

@@ -101,8 +101,14 @@ func Place(m *harness.Machine, nKeys int, costs Costs) *Store {
 	s.base = m.AllocHomed(shards*pagesPerShard*pageSize, func(page int) int {
 		return (page / pagesPerShard) * c
 	})
-	for k := 0; k < nKeys; k++ {
-		m.SetI64(s.wordAddr(int32(k), recTag), int64(uint64(k)^tagSalt))
+	for sh := 0; sh < shards; sh++ {
+		first := sh * keysPerShard
+		m.FillWords(s.wordAddr(int32(first), 0), keysPerShard*RecWords, func(i int) uint64 {
+			if i%RecWords != recTag {
+				return 0
+			}
+			return uint64(first+i/RecWords) ^ tagSalt
+		})
 	}
 	return s
 }
@@ -181,19 +187,31 @@ func (s *Store) VerifyAgainst(m *harness.Machine, e Expect) error {
 	check := func(k int, word string, got, want int64) error {
 		return fmt.Errorf("serve: key %d %s = %d, want %d", k, word, got, want)
 	}
-	for k := 0; k < s.nKeys; k++ {
-		key := int32(k)
-		if got, want := m.GetI64(s.wordAddr(key, recVersion)), e.Count[k]; got != want {
-			return check(k, "version", got, want)
-		}
-		if got, want := m.GetI64(s.wordAddr(key, recSum)), int64(e.Sum[k]); got != want {
-			return check(k, "sum", got, want)
-		}
-		if got, want := m.GetI64(s.wordAddr(key, recXor)), int64(e.Xor[k]); got != want {
-			return check(k, "xor", got, want)
-		}
-		if got, want := m.GetI64(s.wordAddr(key, recTag)), int64(uint64(k)^tagSalt); got != want {
-			return check(k, "tag", got, want)
+	for sh := 0; sh < s.shards; sh++ {
+		first := sh * s.keysPerShard
+		if err := m.VisitWords(s.wordAddr(int32(first), 0), s.keysPerShard*RecWords, func(i int, w uint64) error {
+			k, got := first+i/RecWords, int64(w)
+			switch i % RecWords {
+			case recVersion:
+				if want := e.Count[k]; got != want {
+					return check(k, "version", got, want)
+				}
+			case recSum:
+				if want := int64(e.Sum[k]); got != want {
+					return check(k, "sum", got, want)
+				}
+			case recXor:
+				if want := int64(e.Xor[k]); got != want {
+					return check(k, "xor", got, want)
+				}
+			case recTag:
+				if want := int64(uint64(k) ^ tagSalt); got != want {
+					return check(k, "tag", got, want)
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
