@@ -258,7 +258,7 @@ func NewDomain(nprocs, pageSize int, params Params, costs Costs) *Domain {
 }
 
 // NewDomainAt is NewDomain for an SSMP whose frames come from the ID
-// region starting at base (mem.NewFrameAllocatorAt's base).
+// region starting at base (mem.Store.Allocator's base).
 func NewDomainAt(base uint64, nprocs, pageSize int, params Params, costs Costs) *Domain {
 	return new(Store).Domain(base, nprocs, pageSize, params, costs)
 }

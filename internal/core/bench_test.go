@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"mgs/internal/mem"
+)
 
 // diffPage builds a 1K twin/current pair with the given set of changed
 // byte offsets.
@@ -73,8 +77,8 @@ func BenchmarkComputeDiffAlternating(b *testing.B) {
 // TestComputeDiffZeroAllocs pins the steady-state contract of the
 // buffered diff path: once a DiffBuf has grown to a workload's
 // high-water mark, recomputing any change pattern allocates nothing.
-// The protocol's release rounds (the System's diff-buffer free list,
-// pool.go) rely on this — a regression here turns every invalidation
+// The protocol's release rounds (the System's diff-buffer pool,
+// diffTwin) rely on this — a regression here turns every invalidation
 // into garbage.
 func TestComputeDiffZeroAllocs(t *testing.T) {
 	for _, p := range diffPatterns {
@@ -128,15 +132,14 @@ func TestDiffPoolRoundTripZeroAllocs(t *testing.T) {
 		copy(home, twin)
 		// Warm: grow one recycled buffer to this pattern's high-water mark.
 		var s System
-		db := s.getDiffBuf()
-		db.Compute(twin, cur)
-		s.putDiffBuf(db)
+		cp := &clientPage{twin: twin, frame: &mem.Frame{Data: cur}}
+		db, _ := s.diffTwin(cp)
+		s.diffBufs.Put(db)
 		allocs := testing.AllocsPerRun(100, func() {
-			db := s.getDiffBuf()
-			d := db.Compute(twin, cur)
+			db, d := s.diffTwin(cp)
 			d.Apply(home)
 			diffSink += d.Len() + d.Bytes(8) + int(d.Checksum())
-			s.putDiffBuf(db)
+			s.diffBufs.Put(db)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: pooled diff round trip allocated %.1f times per op, want 0", p.name, allocs)

@@ -153,9 +153,7 @@ func (s *System) dropMappings(cp *clientPage) int {
 // placement), reusing one a teardown retired, else carving one from
 // the machine's store.
 func (ss *ssmpState) newDir(home int) *cache.Dir {
-	if n := len(ss.dirs) - 1; n >= 0 {
-		d := ss.dirs[n]
-		ss.dirs = ss.dirs[:n]
+	if d, ok := ss.dirs.Get(); ok {
 		d.Reset(home)
 		return d
 	}
@@ -163,10 +161,10 @@ func (ss *ssmpState) newDir(home int) *cache.Dir {
 }
 
 // retire returns a torn-down copy's frame and directory to the SSMP's
-// free lists. Only safe once no cache line is tagged with the frame.
+// pools. Only safe once no cache line is tagged with the frame.
 func (ss *ssmpState) retire(f *mem.Frame, d *cache.Dir) {
 	ss.frames.Recycle(f)
-	ss.dirs = append(ss.dirs, d)
+	ss.dirs.Put(d)
 }
 
 // onUpgrade is the Remote Client's UPGRADE handler (arc 13), running on

@@ -47,7 +47,7 @@ const (
 // DiffBuf is reusable storage for diff computation: the range headers
 // and the payload bytes of one diff at a time. A Diff returned by
 // Compute aliases the buffer, so the buffer must stay untouched until
-// the diff's last Apply; recycling it (the System's free list, pool.go)
+// the diff's last Apply; recycling it (the System's pool, diffTwin)
 // then makes steady-state diffing allocation-free.
 type DiffBuf struct {
 	ranges []DiffRange

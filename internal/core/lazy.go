@@ -81,8 +81,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 		bytes := c.CtrlBytes
 		if !isHome {
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-			db = s.getDiffBuf()
-			diff = db.Compute(cp.twin, cp.frame.Data)
+			db, diff = s.diffTwin(cp)
 			bytes += diff.Bytes(c.DiffHdrByte)
 			// Demote to a read copy: reads keep hitting the local frame,
 			// the next write upgrades and re-twins.
@@ -119,7 +118,9 @@ func (s *System) onLazyRel(sp *serverPage, cp *clientPage, p *sim.Proc, d Diff, 
 		d.Apply(sp.frame.Data)
 		s.count(ctrMergeDiff, 1)
 	}
-	s.putDiffBuf(db)
+	if db != nil {
+		s.diffBufs.Put(db)
+	}
 	sp.homeDirty = false
 	sp.version++
 	ack := s.newMsg(mLazyAck, sp.page)
@@ -203,8 +204,7 @@ func (s *System) AcquireSync(p *sim.Proc) {
 			// local fault refetches only the post-merge image (within-
 			// SSMP ordering survives the teardown).
 			s.spend(p, stats.MGS, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-			db := s.getDiffBuf()
-			diff := db.Compute(cp.twin, cp.frame.Data)
+			db, diff := s.diffTwin(cp)
 			s.shootLocal(cp, p)
 			// No CleanPage ran here: the frame may still have cached
 			// lines, so it must not be recycled (a recycled frame's ID

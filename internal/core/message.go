@@ -11,10 +11,10 @@ import (
 // vocabulary of typed messages — Table 1's REQ, DATA, UPGRADE, UP_ACK,
 // WNOTIFY, REL, INV/1WINV, PINV, PINV_ACK, ACK/DIFF/1WDATA and RACK,
 // plus the extensions' own — carried by one record type. A record is
-// taken from the System's free list, filled with the arguments its kind
-// names, and is the msg.Handler of its delivery; Deliver puts it back on
-// the free list before the handler body runs, so the replies the body
-// sends reuse it. A page-table-lock continuation (ptlock.go) is the same
+// taken from the System's mem.Pool, filled with the arguments its kind
+// names, and is the msg.Handler of its delivery; Deliver puts it back in
+// the pool before the handler body runs, so the replies the body sends
+// reuse it. A page-table-lock continuation (ptlock.go) is the same
 // record, queued on the lock instead of sent.
 
 // msgKind names a message (or a lock continuation).
@@ -82,14 +82,13 @@ type message struct {
 	db    *DiffBuf
 }
 
-// newMsg takes a record off the free list, or allocates one, for a
+// newMsg takes a record off the pool, or carves a fresh one, for a
 // message of kind k about page v.
 func (s *System) newMsg(k msgKind, v vm.Page) *message {
-	var m *message
-	if n := len(s.msgFree) - 1; n >= 0 {
-		m, s.msgFree = s.msgFree[n], s.msgFree[:n]
-	} else {
-		m = &message{s: s}
+	m, ok := s.msgFree.Get()
+	if !ok {
+		m = s.msgs.New()
+		m.s = s
 	}
 	m.kind, m.v = k, v
 	return m
@@ -116,7 +115,7 @@ func (m *message) Fire() { m.Deliver(m.at) }
 func (m *message) Deliver(at sim.Time) {
 	s, a := m.s, *m
 	*m = message{s: s} // drop what it referenced
-	s.msgFree = append(s.msgFree, m)
+	s.msgFree.Put(m)
 	switch a.kind {
 	case mReq:
 		// The Server record is resolved here, on the home SSMP, not at
@@ -186,7 +185,7 @@ func (m *message) Deliver(at sim.Time) {
 		a.sp.refreshing--
 		if a.sp.refreshing == 0 {
 			// Every copy has applied the round's one image: recycle it.
-			s.putPageBuf(a.img)
+			s.pageBufs.Put(a.img)
 			s.finishRel(a.sp, at)
 		}
 	case kLockWake:

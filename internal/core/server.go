@@ -88,8 +88,7 @@ func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 		// The DMA image is captured now, on the home SSMP: the copy
 		// reflects the home version as of SERVE time, and a merge that
 		// lands while the data is on the wire must leave it stale.
-		img = s.getPageBuf()
-		copy(img, sp.frame.Data)
+		img = s.newTwin(sp.frame)
 	}
 	if s.Obs.Tracing() {
 		s.emitPageArgs(at, p.ID, sp.page, "SERVE", [3]int64{b2i(write), int64(r), b2i(r == homeSSMP)},
@@ -128,7 +127,7 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 	} else {
 		f := ss.frames.Alloc()
 		f.CopyFrom(img)
-		s.putPageBuf(img)
+		s.pageBufs.Put(img)
 		cp.frame = f
 	}
 	if cp.ownerProc < 0 {
@@ -456,8 +455,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		// and re-enter the delayed update queues.
 		if cp.state == PWrite && !isHome {
 			at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.DiffPerByte)
-			db = s.getDiffBuf()
-			d = db.Compute(cp.twin, cp.frame.Data)
+			db, d = s.diffTwin(cp)
 			s.retwin(cp)
 			s.count(ctrUpdDiff, 1)
 		}
@@ -479,8 +477,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 		// whole-page copy would clobber.
 		at = s.net.Extend(o, at, sim.Time(s.cfg.PageSize)*c.TwinPerByte)
 		if !isHome {
-			db = s.getDiffBuf()
-			d = db.Compute(cp.twin, cp.frame.Data)
+			db, d = s.diffTwin(cp)
 		}
 		s.retwin(cp)
 		cp.tlbDir = 0
@@ -494,8 +491,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 			// retention decision below, exactly like a merged diff.
 			sp.sawDiff = true
 		} else {
-			db = s.getDiffBuf()
-			d = db.Compute(cp.twin, cp.frame.Data)
+			db, d = s.diffTwin(cp)
 		}
 		s.teardown(ss, cp, isHome, true)
 		s.replyInv(sp, o, diffReply, d, db, true, at)
@@ -509,7 +505,7 @@ func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.T
 
 // teardown frees the SSMP's copy of the page. The home SSMP's "copy" is
 // the home frame itself, which survives; only the mapping goes. recycle
-// returns a remote frame and its directory to the SSMP's free lists —
+// returns a remote frame and its directory to the SSMP's pools —
 // only safe after a CleanPage has purged every cached line of the frame
 // (the eager invalidation path does; the lazy acquire path does not and
 // passes false).
@@ -608,7 +604,9 @@ func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db 
 			sp.sawDiff = true
 		}
 	}
-	s.putDiffBuf(db)
+	if db != nil {
+		s.diffBufs.Put(db)
+	}
 	sp.count--
 	if len(sp.invQueue) > 0 {
 		s.dispatchInv(sp, at)
@@ -747,12 +745,11 @@ func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at 
 		at = s.net.Extend(s.clientOwner(cp), at,
 			c.MergeWork+sim.Time(s.cfg.PageSize)*c.ApplyPerByte)
 		if cp.state == PWrite && cp.twin != nil {
-			db := s.getDiffBuf()
-			local := db.Compute(cp.twin, cp.frame.Data)
+			db, local := s.diffTwin(cp)
 			cp.frame.CopyFrom(img)
 			local.Apply(cp.frame.Data)
 			copy(cp.twin, img)
-			s.putDiffBuf(db)
+			s.diffBufs.Put(db)
 		} else {
 			cp.frame.CopyFrom(img)
 		}

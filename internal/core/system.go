@@ -220,10 +220,16 @@ type System struct {
 	// checks Tracing() before any event is built.
 	Obs *obs.Observer
 
-	msgFree  []*message // delivered messages and run lock continuations, for newMsg
-	targets  []int      // roundTargets' scratch
-	pageBufs [][]byte   // free page-size buffers (pool.go)
-	diffBufs []*DiffBuf // free diff buffers (pool.go)
+	// Recycled records, each in a mem.Pool (frames and directories in
+	// their SSMP's), so the steady state allocates nothing. Buffer
+	// contents never reach the simulation: a page buffer is overwritten
+	// whole before any simulated read (newTwin), and a DiffBuf's Compute
+	// overwrites everything it exposes.
+	msgs     mem.Slab[message]  // every message record
+	msgFree  mem.Pool[*message] // delivered messages and run lock continuations, for newMsg
+	pageBufs mem.Pool[[]byte]   // twins, DMA page images and refresh images (newTwin)
+	diffBufs mem.Pool[*DiffBuf] // diff buffers (diffTwin)
+	targets  []int              // roundTargets' scratch
 
 	ctrs     [numCtr]*obs.Counter     // decision counters, resolved by count (counters.go)
 	sentCtrs [numSent][4]*obs.Counter // message counters, resolved by book
@@ -291,7 +297,7 @@ type ssmpState struct {
 	pages   vm.PageMap[*clientPage]
 	servers vm.PageMap[*serverPage] // pages homed on this SSMP
 	frames  *mem.FrameAllocator     // this SSMP's physical frame region
-	dirs    []*cache.Dir            // directories of recycled frames, for newDir
+	dirs    mem.Pool[*cache.Dir]    // directories of recycled frames, for newDir
 	duqs    []*duq                  // one per local processor
 }
 
@@ -381,11 +387,14 @@ func (s *System) parkCharge(p *sim.Proc, cat stats.Category) {
 	s.st.Charge(p.ID, cat, p.Clock()-c0)
 }
 
-// newTwin snapshots f into a page-size buffer drawn from the free list
-// (pool.go); the buffer is fully overwritten here, so reuse never leaks
-// state.
+// newTwin snapshots f into a page-size buffer from the pool: a twin, a
+// DMA page image or a refresh image. The buffer is overwritten whole
+// here, so reuse never leaks state.
 func (s *System) newTwin(f *mem.Frame) []byte {
-	b := s.getPageBuf()
+	b, ok := s.pageBufs.Get()
+	if !ok {
+		b = make([]byte, s.cfg.PageSize)
+	}
 	copy(b, f.Data)
 	return b
 }
@@ -400,13 +409,37 @@ func (s *System) retwin(cp *clientPage) {
 	copy(cp.twin, cp.frame.Data)
 }
 
-// recycleTwin returns cp's twin buffer (if any) to the free list. Diffs
+// recycleTwin returns cp's twin buffer (if any) to the pool. Diffs
 // never alias twin storage, so a recycled buffer has no live readers.
 func (s *System) recycleTwin(cp *clientPage) {
 	if cp.twin != nil {
-		s.putPageBuf(cp.twin)
+		s.pageBufs.Put(cp.twin)
 		cp.twin = nil
 	}
+}
+
+// diffTwin computes cp's changes since its twin into a diff buffer from
+// the pool; put the buffer back once the diff has been applied (or
+// discarded). A fresh buffer's range headers are pre-sized so its first
+// Compute does not pay the append growth-by-doubling walk; the payload
+// slab still grows to the first diff's high-water mark on demand.
+//
+// Must not allocate once warm: pinned by TestDiffPoolRoundTripZeroAllocs.
+func (s *System) diffTwin(cp *clientPage) (*DiffBuf, Diff) {
+	b, ok := s.diffBufs.Get()
+	if !ok {
+		b = &DiffBuf{ranges: make([]DiffRange, 0, 32)}
+	}
+	return b, b.Compute(cp.twin, cp.frame.Data)
+}
+
+// Pools returns the counts of the System's pools: message records, page
+// buffers, diff buffers, and every SSMP's frames and directories summed.
+func (s *System) Pools() (msgs, pageBufs, diffBufs, frames, dirs mem.Counts) {
+	for _, ss := range s.ssmps {
+		frames, dirs = frames.Add(ss.frames.Counts()), dirs.Add(ss.dirs.Counts)
+	}
+	return s.msgFree.Counts, s.pageBufs.Counts, s.diffBufs.Counts, frames, dirs
 }
 
 // ensurePage returns (creating if needed) ss's record for page v.

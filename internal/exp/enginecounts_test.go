@@ -6,6 +6,7 @@ import (
 
 	"mgs/internal/apps"
 	"mgs/internal/harness"
+	"mgs/internal/mem"
 	"mgs/internal/msg"
 	"mgs/internal/serve"
 )
@@ -15,9 +16,11 @@ import (
 // workloads (bench/workloads.go, one point of each kind). The counts are
 // a pure function of the run, so this is the host-speed regression test
 // that has no noise: a change that doubles coroutine switches, adds an
-// event per message or stops reusing delivery records fails here on any
-// machine. A change that means to move them re-pins the table from the
-// failure message.
+// event per message or stops reusing any recycled record fails here on
+// any machine. Every mem.Pool's carved and reused values are pinned, so
+// a record that stops going back to its pool moves an exact count, not
+// only a malloc budget. A change that means to move them re-pins the
+// table from the failure message.
 //
 // Elided and FrontHits pin the engine's two fast paths: a Sleep that
 // would resume at once and so does not switch (each would have been one
@@ -62,23 +65,32 @@ func TestEngineCountsGolden(t *testing.T) {
 		maxAllocKB float64
 	}{
 		{"tlb-thrash/matmul", func() harness.App { return &apps.MatMul{N: 24} }, harness.NewConfig(8, 4, harness.WithTLBSize(4)),
-			harness.EngineCounts{Events: 4625, Switches: 4437, Elided: 13, FrontHits: 99, PeakQueue: 8, DeliveriesNew: 4, DeliveriesReused: 72, Lookups: 17}, 578, 157},
+			harness.EngineCounts{Events: 4625, Switches: 4437, Elided: 13, FrontHits: 99, PeakQueue: 8, Lookups: 17,
+				Deliveries: pool(4, 72), SyncRecords: pool(2, 2), Messages: pool(8, 101), PageBufs: pool(2, 6), DiffBufs: pool(1, 0), Frames: pool(22, 0), Dirs: pool(22, 0)}, 578, 157},
 		{"fig-fine/water", func() harness.App { return &apps.Water{N: 16, Iters: 1} }, harness.NewConfig(8, 2),
-			harness.EngineCounts{Events: 5624, Switches: 1315, Elided: 434, FrontHits: 1754, PeakQueue: 11, DeliveriesNew: 9, DeliveriesReused: 2063, Lookups: 30}, 786, 103},
+			harness.EngineCounts{Events: 5624, Switches: 1315, Elided: 434, FrontHits: 1754, PeakQueue: 11, Lookups: 30,
+				Deliveries: pool(9, 2063), SyncRecords: pool(4, 399), Messages: pool(9, 1963), PageBufs: pool(4, 198), DiffBufs: pool(2, 123), Frames: pool(8, 114), Dirs: pool(7, 115)}, 786, 103},
 		{"fig-fine/barnes-hut", func() harness.App { return &apps.BarnesHut{NBodies: 24, Iters: 1, Theta: 0.6} }, harness.NewConfig(8, 2),
-			harness.EngineCounts{Events: 2037, Switches: 555, Elided: 112, FrontHits: 638, PeakQueue: 11, DeliveriesNew: 11, DeliveriesReused: 711, Lookups: 29}, 1190, 407},
+			harness.EngineCounts{Events: 2037, Switches: 555, Elided: 112, FrontHits: 638, PeakQueue: 11, Lookups: 29,
+				Deliveries: pool(11, 711), SyncRecords: pool(6, 102), Messages: pool(11, 688), PageBufs: pool(12, 102), DiffBufs: pool(4, 40), Frames: pool(76, 28), Dirs: pool(76, 28)}, 1190, 407},
 		{"fig-fine/tsp", func() harness.App { return &apps.TSP{NCities: 6, Depth: 3} }, harness.NewConfig(8, 2),
-			harness.EngineCounts{Events: 1322, Switches: 322, Elided: 141, FrontHits: 411, PeakQueue: 9, DeliveriesNew: 5, DeliveriesReused: 489, Lookups: 27}, 582, 93},
+			harness.EngineCounts{Events: 1322, Switches: 322, Elided: 141, FrontHits: 411, PeakQueue: 9, Lookups: 27,
+				Deliveries: pool(5, 489), SyncRecords: pool(4, 192), Messages: pool(8, 335), PageBufs: pool(3, 40), DiffBufs: pool(1, 10), Frames: pool(12, 28), Dirs: pool(12, 28)}, 582, 93},
 		{"access-stream/jacobi", func() harness.App { return &apps.Jacobi{N: 34, Iters: 2} }, harness.NewConfig(8, 8, harness.WithTLBSize(256)),
-			harness.EngineCounts{Events: 81, Switches: 73, Elided: 1, FrontHits: 11, PeakQueue: 8, DeliveriesNew: 1, DeliveriesReused: 3, Lookups: 3}, 388, 145},
+			harness.EngineCounts{Events: 81, Switches: 73, Elided: 1, FrontHits: 11, PeakQueue: 8, Lookups: 3,
+				Deliveries: pool(1, 3), SyncRecords: pool(1, 3), Messages: pool(0, 0), PageBufs: pool(0, 0), DiffBufs: pool(0, 0), Frames: pool(20, 0), Dirs: pool(20, 0)}, 388, 145},
 		{"scale-tiered/jacobi", func() harness.App { return &apps.Jacobi{N: 34, Iters: 1} }, harness.NewConfig(16, 4, tiered),
-			harness.EngineCounts{Events: 415, Switches: 165, Elided: 0, FrontHits: 57, PeakQueue: 16, DeliveriesNew: 12, DeliveriesReused: 108, Lookups: 18}, 814, 222},
+			harness.EngineCounts{Events: 415, Switches: 165, Elided: 0, FrontHits: 57, PeakQueue: 16, Lookups: 18,
+				Deliveries: pool(12, 108), SyncRecords: pool(4, 4), Messages: pool(16, 109), PageBufs: pool(3, 6), DiffBufs: pool(3, 0), Frames: pool(26, 0), Dirs: pool(25, 0)}, 814, 222},
 		{"scale-tiered/jacobi-c1", scaleJacobi, harness.NewConfig(256, 1, tiered),
-			harness.EngineCounts{Events: 23284, Switches: 6660, Elided: 12, FrontHits: 298, PeakQueue: 256, DeliveriesNew: 256, DeliveriesReused: 8056, Lookups: 19}, 17976, 10779},
+			harness.EngineCounts{Events: 23284, Switches: 6660, Elided: 12, FrontHits: 298, PeakQueue: 256, Lookups: 19,
+				Deliveries: pool(256, 8056), SyncRecords: pool(256, 256), Messages: pool(256, 7857), PageBufs: pool(347, 1434), DiffBufs: pool(91, 222), Frames: pool(2564, 8), Dirs: pool(2544, 24)}, 17976, 10779},
 		{"sync-serve/serve-token", func() harness.App { return apps.NewServe(serve.DefaultWorkload(true, 1)) }, harness.NewConfig(8, 4),
-			harness.EngineCounts{Events: 2392, Switches: 514, Elided: 368, FrontHits: 914, PeakQueue: 9, DeliveriesNew: 5, DeliveriesReused: 923, Lookups: 24}, 601, 132},
+			harness.EngineCounts{Events: 2392, Switches: 514, Elided: 368, FrontHits: 914, PeakQueue: 9, Lookups: 24,
+				Deliveries: pool(5, 923), SyncRecords: pool(4, 550), Messages: pool(4, 427), PageBufs: pool(3, 35), DiffBufs: pool(1, 22), Frames: pool(16, 20), Dirs: pool(16, 20)}, 601, 132},
 		{"sync-serve/syncbench-mcs", func() harness.App { return &apps.SyncBench{Iters: 12} }, harness.NewConfig(8, 4, mcs...),
-			harness.EngineCounts{Events: 3447, Switches: 622, Elided: 429, FrontHits: 1796, PeakQueue: 8, DeliveriesNew: 8, DeliveriesReused: 1404, Lookups: 27}, 497, 68},
+			harness.EngineCounts{Events: 3447, Switches: 622, Elided: 429, FrontHits: 1796, PeakQueue: 8, Lookups: 27,
+				Deliveries: pool(8, 1404), SyncRecords: pool(8, 328), Messages: pool(5, 1210), PageBufs: pool(2, 124), DiffBufs: pool(2, 136), Frames: pool(4, 61), Dirs: pool(4, 61)}, 497, 68},
 	}
 	for _, r := range rows {
 		run := func() harness.Result {
@@ -96,6 +108,7 @@ func TestEngineCountsGolden(t *testing.T) {
 			t.Errorf("%s: %d by-name counter lookups during the run, more than its %d counter names", r.name, res.Engine.Lookups, n)
 		}
 		mallocs, kb := allocsPerRun(3, func() { run() })
+		t.Logf("%s: %.0f mallocs (budget %.0f), %.0f KB (budget %.0f) per run", r.name, mallocs, r.maxMallocs, kb, r.maxAllocKB)
 		if mallocs > r.maxMallocs {
 			t.Errorf("%s: %.0f mallocs per run, budget %.0f", r.name, mallocs, r.maxMallocs)
 		}
@@ -104,6 +117,9 @@ func TestEngineCountsGolden(t *testing.T) {
 		}
 	}
 }
+
+// pool is the counts of one mem.Pool: values carved, values reused.
+func pool(carved, reused int64) mem.Counts { return mem.Counts{Carved: carved, Reused: reused} }
 
 // allocsPerRun is testing.AllocsPerRun reporting bytes as well: the
 // mallocs and the KB one call of f allocates, averaged over runs calls

@@ -12,6 +12,7 @@ import (
 	"mgs/internal/cache"
 	"mgs/internal/core"
 	"mgs/internal/fault"
+	"mgs/internal/mem"
 	"mgs/internal/msg"
 	"mgs/internal/msync"
 	"mgs/internal/msync/algo"
@@ -371,7 +372,7 @@ type Result struct {
 // EngineCounts is what a run cost the simulator itself, in exact counts
 // rather than seconds. TestEngineCountsGolden pins them for small
 // shapes of the benchmark workloads, so a change that doubles switches
-// or stops reusing delivery records fails go test.
+// or stops reusing a recycled record fails go test.
 type EngineCounts struct {
 	// Events is the number of events the engine took off its queue and
 	// dispatched: sim.Engine.Dispatched less the elided resumes.
@@ -388,10 +389,10 @@ type EngineCounts struct {
 	FrontHits int64
 	// PeakQueue is the most events that were pending at once.
 	PeakQueue int
-	// DeliveriesNew and DeliveriesReused split the messages delivered
-	// by whether msg allocated the delivery record or took it from its
-	// free list.
-	DeliveriesNew, DeliveriesReused int64
+	// The counts of each mem.Pool of recycled records: msg's deliveries,
+	// algo's and core's message records, core's page and diff buffers,
+	// and the SSMPs' frames and directories (summed).
+	Deliveries, SyncRecords, Messages, PageBufs, DiffBufs, Frames, Dirs mem.Counts
 	// Lookups is the number of by-name counter lookups the run itself
 	// made (obs.Registry.Lookups across Engine.Run). Charge sites hold
 	// resolved handles, so it is at most one per counter name.
@@ -419,6 +420,17 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 	}
 	lookups = m.Stats.Registry().Lookups() - lookups
 	hits, total := m.Sync.LockStats()
+	e := EngineCounts{
+		Events:      m.Eng.Dispatched() - m.Eng.Elided(),
+		Switches:    m.Eng.Switches(),
+		Elided:      m.Eng.Elided(),
+		FrontHits:   m.Eng.FrontHits(),
+		PeakQueue:   m.Eng.PeakQueue(),
+		Lookups:     lookups,
+		Deliveries:  m.Net.Deliveries(),
+		SyncRecords: m.Sync.Records(),
+	}
+	e.Messages, e.PageBufs, e.DiffBufs, e.Frames, e.Dirs = m.DSM.Pools()
 	return Result{
 		Cycles:     m.lastClock(),
 		Breakdown:  m.Stats.Breakdown(),
@@ -431,16 +443,7 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		Dir:        m.DSM.DirectoryStats(),
 		Counters:   m.Stats.Counters(),
 		Fault:      m.Stats.Fault,
-		Engine: EngineCounts{
-			Events:           m.Eng.Dispatched() - m.Eng.Elided(),
-			Switches:         m.Eng.Switches(),
-			Elided:           m.Eng.Elided(),
-			FrontHits:        m.Eng.FrontHits(),
-			PeakQueue:        m.Eng.PeakQueue(),
-			DeliveriesNew:    m.Net.DeliveriesNew,
-			DeliveriesReused: m.Net.DeliveriesReused,
-			Lookups:          lookups,
-		},
+		Engine:     e,
 	}, nil
 }
 

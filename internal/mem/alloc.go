@@ -14,9 +14,8 @@ import "reflect"
 // allocators of one machine share.
 type FrameAllocator struct {
 	base     uint64
-	next     uint64
 	pageSize int
-	free     []*Frame // LIFO; retired frames, zeroed, IDs retained
+	free     Pool[*Frame] // retired frames, zeroed, IDs retained
 	store    *Store
 }
 
@@ -25,34 +24,23 @@ type FrameAllocator struct {
 // 2^RegionBits frames in one SSMP.
 const RegionBits = 40
 
-// NewFrameAllocatorAt returns an allocator whose IDs start at base,
-// with a Store of its own. Callers carving one ID space into regions
-// (one per SSMP) must space the bases far enough apart that regions
-// never collide.
-func NewFrameAllocatorAt(base uint64, pageSize int) *FrameAllocator {
-	return new(Store).Allocator(base, pageSize)
-}
-
-// Allocator is NewFrameAllocatorAt for one SSMP of a machine whose
-// SSMPs' allocators all carve their fresh frames from s. Every
-// allocator of one store must use the same page size.
+// Allocator returns an allocator whose IDs start at base, for one SSMP
+// of a machine whose SSMPs' allocators all carve their fresh frames
+// from s. Every allocator of one store must use the same page size, and
+// their bases must lie far enough apart that regions never collide.
 func (s *Store) Allocator(base uint64, pageSize int) *FrameAllocator {
 	return &FrameAllocator{base: base, pageSize: pageSize, store: s}
 }
 
 // Alloc returns a zeroed frame with an ID unique among live frames:
 // the most recently recycled frame if one is available, else a fresh
-// frame with the next never-used ID (base, base+1, … in order).
+// frame with the next never-used ID (base, base+1, … in order: the
+// pool's carves count the fresh frames).
 func (a *FrameAllocator) Alloc() *Frame {
-	if n := len(a.free); n > 0 {
-		f := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
+	if f, ok := a.free.Get(); ok {
 		return f
 	}
-	f := a.store.frame(a.base+a.next, a.pageSize)
-	a.next++
-	return f
+	return a.store.frame(a.base+uint64(a.free.Carved)-1, a.pageSize)
 }
 
 // Recycle retires f for reuse by a later Alloc. The frame is zeroed
@@ -61,8 +49,11 @@ func (a *FrameAllocator) Alloc() *Frame {
 // CleanPage); a reused ID must never produce a stale cache hit.
 func (a *FrameAllocator) Recycle(f *Frame) {
 	clear(f.Data)
-	a.free = append(a.free, f)
+	a.free.Put(f)
 }
+
+// Counts returns the counts of the allocator's pool of retired frames.
+func (a *FrameAllocator) Counts() Counts { return a.free.Counts }
 
 // Blocks carves runs of zeroed values of T — a page's bytes, a
 // directory's lines, one record — from blocks that grow geometrically
@@ -130,3 +121,34 @@ const maxSlab = 16<<10 - 8
 func (s *Slab[T]) New() *T {
 	return &s.blocks.Carve(1, maxSlab/int(reflect.TypeFor[T]().Size()))[0]
 }
+
+// Pool is a LIFO free list of recycled values of T that counts what it
+// does. LIFO is part of the machine for frames, whose reused IDs tag
+// cache lines. Owners carve fresh values and wipe the ones they put
+// back; the pool does neither. The zero value is ready.
+type Pool[T any] struct {
+	free []T
+	Counts
+}
+
+// Counts is what a Pool has done: values its owner carved because it
+// was empty, and values it handed back. Host work, never simulated.
+type Counts struct{ Carved, Reused int64 }
+
+// Get returns the value put most recently and true, or false, counted
+// as a carve, when the caller must carve a fresh one.
+func (p *Pool[T]) Get() (v T, ok bool) {
+	if n := len(p.free) - 1; n >= 0 {
+		v, p.free = p.free[n], p.free[:n]
+		p.Reused++
+		return v, true
+	}
+	p.Carved++
+	return v, false
+}
+
+// Put returns v for a later Get.
+func (p *Pool[T]) Put(v T) { p.free = append(p.free, v) }
+
+// Add returns the sum of two pools' counts.
+func (c Counts) Add(d Counts) Counts { return Counts{c.Carved + d.Carved, c.Reused + d.Reused} }

@@ -1,4 +1,5 @@
-// Package mem models physical page frames.
+// Package mem models physical page frames and the host memory of the
+// simulator's records: Blocks, Slab and Store carve them, Pool recycles them.
 //
 // A Frame is the unit of physical memory the MGS protocol replicates
 // between SSMPs: the home SSMP holds the home copy, and each client SSMP

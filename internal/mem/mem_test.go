@@ -51,7 +51,7 @@ func TestCopyFromSizeMismatchPanics(t *testing.T) {
 }
 
 func TestAllocatorUniqueIDs(t *testing.T) {
-	a := NewFrameAllocatorAt(0, 256)
+	a := new(Store).Allocator(0, 256)
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		f := a.Alloc()
@@ -93,7 +93,7 @@ func TestFrameAccessZeroAllocs(t *testing.T) {
 // boundaries must not show.
 func TestAllocatorIDSequence(t *testing.T) {
 	const base = 3 << 40
-	a := NewFrameAllocatorAt(base, 64)
+	a := new(Store).Allocator(base, 64)
 	live := map[uint64]*Frame{}
 	var got []uint64
 	alloc := func(n int) {

@@ -19,6 +19,7 @@
 package msg
 
 import (
+	"mgs/internal/mem"
 	"mgs/internal/obs"
 	"mgs/internal/sim"
 )
@@ -114,12 +115,8 @@ type Network struct {
 
 	Counters Counters
 
-	// free holds the delivery records of completed messages for
-	// newDelivery to reuse. DeliveriesNew and DeliveriesReused count the
-	// records it allocated and the ones it took from here: host work,
-	// never read by the simulation.
-	free                            []*delivery
-	DeliveriesNew, DeliveriesReused int64
+	records mem.Slab[delivery]  // fresh delivery records
+	free    mem.Pool[*delivery] // completed ones, for newDelivery
 }
 
 // site is where a processor sits: its SSMP and its (x, y) in the SSMP's
@@ -293,7 +290,7 @@ func (n *Network) SendTagged(l sim.Label, from, to int, when sim.Time, bytes int
 // delivery is one message reaching its handler, and the sim.Handler of
 // both of its events: it fires at arrival, where it queues for the
 // destination's handler resource, and again when the handler body has
-// completed, where it runs h and goes back on the Network's free list.
+// completed, where it goes back to the Network's pool and runs h.
 // The perfect wire schedules the arrival; the reliable transport fires
 // it itself, for the one copy of a message that passes the sequence
 // check.
@@ -306,18 +303,14 @@ type delivery struct {
 	handling bool // false until the arrival event has fired
 }
 
-// newDelivery takes a record off the free list, or allocates one, for a
+// newDelivery takes a record off the pool, or carves a fresh one, for a
 // message that reaches processor to at time at.
 func (n *Network) newDelivery(to int, at, extra sim.Time, h Handler) *delivery {
-	var d *delivery
-	if k := len(n.free) - 1; k >= 0 {
-		d, n.free = n.free[k], n.free[:k]
-		n.DeliveriesReused++
-	} else {
-		d = &delivery{n: n}
-		n.DeliveriesNew++
+	d, ok := n.free.Get()
+	if !ok {
+		d = n.records.New()
 	}
-	d.to, d.at, d.extra, d.h = to, at, extra, h
+	*d = delivery{n: n, to: to, at: at, extra: extra, h: h}
 	return d
 }
 
@@ -337,9 +330,12 @@ func (d *delivery) Fire() {
 	}
 	h, done := d.h, d.at
 	d.h, d.handling = nil, false // drop the handler; free before it runs so its own sends reuse d
-	n.free = append(n.free, d)
+	n.free.Put(d)
 	h.Deliver(done)
 }
+
+// Deliveries returns the counts of the pool of delivery records.
+func (n *Network) Deliveries() mem.Counts { return n.free.Counts }
 
 // SendCost is the occupancy a sender spends launching one message.
 func (n *Network) SendCost() sim.Time { return n.costs.SendOverhead }

@@ -3,6 +3,7 @@ package msg
 import (
 	"testing"
 
+	"mgs/internal/mem"
 	"mgs/internal/sim"
 )
 
@@ -221,7 +222,7 @@ func (h *hop) Deliver(done sim.Time) {
 }
 
 // A message in flight is one delivery record that is the handler of
-// both of its events and goes back on the Network's free list, so a
+// both of its events and goes back to the Network's pool, so a
 // steady stream of sends allocates nothing of its own: what is left is
 // the caller's handler, here built once before the chain starts — a
 // closure passed to Send (the frozen bench driver's shape, adapted by
@@ -264,9 +265,9 @@ func TestSteadyStateSendDoesNotAllocate(t *testing.T) {
 		if many-few >= 10 {
 			t.Fatalf("record=%v: Send allocates per message: %.0f allocations for 100 messages, %.0f for 1100", record, few, many)
 		}
-		if net := chain(1100); net.DeliveriesNew != 1 || net.DeliveriesReused != 1099 {
-			t.Fatalf("record=%v: a chain of 1100 messages, one in flight at a time, allocated %d delivery records and reused %d; want 1 and 1099",
-				record, net.DeliveriesNew, net.DeliveriesReused)
+		if c := chain(1100).Deliveries(); c != (mem.Counts{Carved: 1, Reused: 1099}) {
+			t.Fatalf("record=%v: a chain of 1100 messages, one in flight at a time, carved %d delivery records and reused %d; want 1 and 1099",
+				record, c.Carved, c.Reused)
 		}
 	}
 }

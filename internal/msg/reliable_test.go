@@ -19,7 +19,7 @@ func buildFaulty(t *testing.T, plan fault.Plan) (*sim.Engine, *Network, []*sim.P
 }
 
 // Under heavy loss every logical message must still be delivered
-// exactly once, in bounded attempts, through the delivery free list.
+// exactly once, in bounded attempts, through the delivery pool.
 func TestReliableDeliversExactlyOnceUnderLoss(t *testing.T) {
 	plan := fault.Plan{Seed: 3, DropBP: 3000, DupBP: 1000, DelayBP: 2000, MaxDelay: 500}
 	eng, n, _, fs := buildFaulty(t, plan)
@@ -47,8 +47,8 @@ func TestReliableDeliversExactlyOnceUnderLoss(t *testing.T) {
 		t.Fatalf("plan injected nothing: %s", fs)
 	}
 	// One pooled delivery record per logical message, as on the perfect wire.
-	if n.DeliveriesNew+n.DeliveriesReused != N || n.DeliveriesReused == 0 {
-		t.Fatalf("delivery records: %d new + %d reused, want %d in all and some reused", n.DeliveriesNew, n.DeliveriesReused, N)
+	if c := n.Deliveries(); c.Carved+c.Reused != N || c.Reused == 0 {
+		t.Fatalf("delivery records: %d carved + %d reused, want %d in all and some reused", c.Carved, c.Reused, N)
 	}
 }
 

@@ -17,10 +17,10 @@
 // who sends what to whom, who parks, who wakes. Every message is a real
 // msg.Network send — it pays interconnect latency on every topology,
 // rides the reliable transport under fault injection, and is a labeled
-// delivery the model checker can reorder. It leaves through Env.Send as
-// the Env's one pooled record, naming the instance that receives it, a
-// kind and the kind's arguments; the instance's deliver dispatches on
-// the kind, so no message allocates.
+// delivery the model checker can reorder. It leaves through Env.Send in
+// a record from the Env's mem.Pool, naming the instance that receives
+// it, a kind and the kind's arguments; the instance's deliver dispatches
+// on the kind, so no message allocates.
 //
 // Cycle-charging rules, shared by every algorithm, and where each is
 // applied:

@@ -224,7 +224,7 @@ func TestTournamentLockClimbIsLogarithmic(t *testing.T) {
 
 // TestSyncDoesNotAllocate pins every barrier and lock at zero
 // allocations per steady-state episode or passage: each message is a
-// record off the Env's free list, not a closure or a record of its own.
+// record off the Env's pool, not a closure or a record of its own.
 // Equal windows of work are compared (see TestUntracedEmitsDoNotBox),
 // so the machine and the first episodes or passages cancel; 250
 // episodes of 8 SSMPs send 4,000 tree and 8,000 sense messages. The
@@ -326,7 +326,7 @@ func barrierEpisodes(t *testing.T, p, c int, barrier string, n int) tally {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tally{res.InterMsgs + res.IntraMsgs, int64(m.Sync.Records())}
+	return tally{res.InterMsgs + res.IntraMsgs, res.Engine.SyncRecords.Carved}
 }
 
 // lockPassages runs n passages of lock 0 on P processors, C to an SSMP,
@@ -355,5 +355,5 @@ func lockPassages(t *testing.T, p, c int, lock string, first, n int) tally {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tally{res.InterMsgs + res.IntraMsgs, int64(m.Sync.Records())}
+	return tally{res.InterMsgs + res.IntraMsgs, res.Engine.SyncRecords.Carved}
 }

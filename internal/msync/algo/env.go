@@ -44,9 +44,8 @@ type Env struct {
 	// run with no lock registers neither.
 	heldCycles, cs *obs.Counter
 
-	msgs   mem.Slab[message] // every message record
-	free   []*message        // delivered records, for newMsg
-	carved int               // records carved from msgs
+	msgs mem.Slab[message]  // every message record
+	free mem.Pool[*message] // delivered records, for newMsg
 }
 
 // NewEnv builds the environment for a p-processor machine with clusters
@@ -111,8 +110,8 @@ type args struct {
 
 // message is one sync message or in-SSMP wakeup, for every algorithm:
 // the msg.Handler of its delivery or the sim.Handler of its event. It
-// goes back on the Env's free list before its receiver runs, so the
-// messages the handler sends reuse it.
+// goes back to the Env's pool before its receiver runs, so the messages
+// the handler sends reuse it.
 type message struct {
 	env  *Env
 	rcv  receiver
@@ -121,30 +120,25 @@ type message struct {
 	args
 }
 
-// newMsg takes a record off the free list, or carves a fresh one.
+// newMsg takes a record off the pool, or carves a fresh one.
 func (e *Env) newMsg(r receiver, k uint8, a args) *message {
-	var m *message
-	if n := len(e.free) - 1; n >= 0 {
-		m, e.free = e.free[n], e.free[:n]
-	} else {
+	m, ok := e.free.Get()
+	if !ok {
 		m = e.msgs.New()
-		m.env = e
-		e.carved++
 	}
-	m.rcv, m.kind, m.args = r, k, a
+	*m = message{env: e, rcv: r, kind: k, args: a}
 	return m
 }
 
-// Carved is how many message records the Env has carved in all: the
-// most sync messages and wakeups that were ever in flight at once, as
-// long as every delivered record is reused.
-func (e *Env) Carved() int { return e.carved }
+// Records returns the counts of the Env's pool of message records: it
+// carves only as many as were ever in flight at once.
+func (e *Env) Records() mem.Counts { return e.free.Counts }
 
 // Deliver runs the message's handler at time at (msg.Handler).
 func (m *message) Deliver(at sim.Time) {
 	e, r, k, a := m.env, m.rcv, m.kind, m.args
 	*m = message{env: e} // drop what it referenced
-	e.free = append(e.free, m)
+	e.free.Put(m)
 	r.deliver(k, a, at)
 }
 

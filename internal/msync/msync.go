@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"mgs/internal/core"
+	"mgs/internal/mem"
 	"mgs/internal/msg"
 	"mgs/internal/msync/algo"
 	"mgs/internal/obs"
@@ -100,9 +101,8 @@ func (m *System) Barrier(id int) algo.Barrier {
 	return b
 }
 
-// Records is how many message records the algorithms' Env has carved
-// (algo.Env.Carved).
-func (m *System) Records() int { return m.env.Carved() }
+// Records returns the counts of algo.Env's pool of message records.
+func (m *System) Records() mem.Counts { return m.env.Records() }
 
 // Quiescent reports whether every lock and barrier has fully settled:
 // no holder, no queued waiter, no protocol message logically in flight.
