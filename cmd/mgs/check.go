@@ -37,6 +37,14 @@ func checkCmd(t *cli.Tool, args []string, stdout io.Writer) error {
 	if err := t.Parse(args); err != nil {
 		return err
 	}
+	for _, b := range []struct {
+		flag  string
+		value int
+	}{{"maxstates", opt.MaxStates}, {"maxruns", opt.MaxRuns}, {"maxdepth", opt.MaxDepth}} {
+		if b.value < 1 {
+			return t.Usagef("-%s %d: want a budget of at least 1", b.flag, b.value)
+		}
+	}
 
 	if *replay != "" {
 		return runReplay(stdout, *replay, *trace, *asJSON)

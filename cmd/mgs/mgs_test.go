@@ -153,6 +153,12 @@ func TestExitStatusAndDiagnosis(t *testing.T) {
 		{[]string{"serve", "-small", "-skew", "Inf"}, 2, "mgs serve: -skew +Inf: want a Zipf exponent"},
 		{[]string{"serve", "-small", "-skew", "1e300"}, 2, "mgs serve: -skew 1e+300: want a Zipf exponent"},
 		{[]string{"serve", "-small", "-skew", "1076"}, 2, "mgs serve: -skew 1076: want a Zipf exponent"},
+		{[]string{"check", "-maxstates", "0"}, 2, "mgs check: -maxstates 0: want a budget of at least 1"},
+		{[]string{"check", "-maxruns", "-1"}, 2, "mgs check: -maxruns -1: want a budget of at least 1"},
+		{[]string{"check", "-maxdepth", "0"}, 2, "mgs check: -maxdepth 0: want a budget of at least 1"},
+		{[]string{"trace", "-max", "-1"}, 2, "mgs trace: -max -1: want at least one event"},
+		{[]string{"trace", "-max", "0"}, 2, "mgs trace: -max 0: want at least one event"},
+		{[]string{"profile", "-top", "-1"}, 2, "mgs profile: -top -1: want 0 or more lines per kind"},
 	} {
 		status, stdout, stderr := mgs(tc.args...)
 		if status != tc.status {

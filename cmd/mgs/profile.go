@@ -37,6 +37,9 @@ func profile(t *cli.Tool, args []string, stdout io.Writer) error {
 	if err := t.Parse(args); err != nil {
 		return err
 	}
+	if *top < 0 {
+		return t.Usagef("-top %d: want 0 or more lines per kind", *top)
+	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err

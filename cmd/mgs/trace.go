@@ -43,6 +43,9 @@ func trace(t *cli.Tool, args []string, stdout io.Writer) error {
 	if err := t.Parse(args); err != nil {
 		return err
 	}
+	if *max < 1 {
+		return t.Usagef("-max %d: want at least one event", *max)
+	}
 
 	keepCat, err := catFilter(*cats)
 	if err != nil {

@@ -167,9 +167,10 @@ type chunk [chunkSlots]uint64
 // freed back to it: chunks live as long as their domains, and the
 // protocol recycles directories itself. The zero value is ready.
 type Store struct {
-	none chunk // every slot empty: the table entry of a chunk never filled
-	buf  []chunk
-	used int
+	none   chunk // every slot empty: the table entry of a chunk never filled
+	buf    []chunk
+	used   int
+	blocks int64 // chunk blocks allocated
 
 	dirs    mem.Slab[Dir]
 	sharers mem.Blocks[uint64]
@@ -196,11 +197,15 @@ func (s *Store) carve(limit int) *chunk {
 	if s.used == len(s.buf) {
 		s.buf = make([]chunk, min(max(2*len(s.buf), 1), limit))
 		s.used = 0
+		s.blocks++
 	}
 	c := &s.buf[s.used]
 	s.used++
 	return c
 }
+
+// ChunkBlocks returns the number of blocks of chunks allocated.
+func (s *Store) ChunkBlocks() int64 { return s.blocks }
 
 // dir returns an empty directory of n lines at homeNode.
 func (s *Store) dir(homeNode, n int) *Dir {

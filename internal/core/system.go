@@ -442,6 +442,12 @@ func (s *System) Pools() (msgs, pageBufs, diffBufs, frames, dirs mem.Counts) {
 	return s.msgFree.Counts, s.pageBufs.Counts, s.diffBufs.Counts, frames, dirs
 }
 
+// Blocks returns the blocks the machine's stores allocated: of page
+// bytes, and of cache chunks.
+func (s *System) Blocks() (pages, chunks int64) {
+	return s.frames.PageBlocks(), s.lines.ChunkBlocks()
+}
+
 // ensurePage returns (creating if needed) ss's record for page v.
 func (s *System) ensurePage(ss *ssmpState, v vm.Page) *clientPage {
 	cp := ss.pages.Get(v)

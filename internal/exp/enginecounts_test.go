@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -19,8 +20,11 @@ import (
 // event per message or stops reusing any recycled record fails here on
 // any machine. Every mem.Pool's carved and reused values are pinned, so
 // a record that stops going back to its pool moves an exact count, not
-// only a malloc budget. A change that means to move them re-pins the
-// table from the failure message.
+// only a malloc budget; so are the blocks of page bytes and of cache
+// chunks the machine's stores allocated, so a page or chunk allocated
+// on its own instead of carved moves one too. A failure names each
+// field that differs, and a change that means to move them re-pins
+// those fields from it.
 //
 // Elided and FrontHits pin the engine's two fast paths: a Sleep that
 // would resume at once and so does not switch (each would have been one
@@ -33,19 +37,14 @@ import (
 // measured value plus 10 %, the headroom -race needs (it reads up to
 // 9.3 % higher, on scale-tiered/jacobi-c1, whose 256 processor
 // coroutines each allocate more under the race runtime): mallocs, and
-// KB allocated (runtime.MemStats.TotalAlloc). A change that makes a per-message or
-// per-event path allocate again fails the first, and so does one that
-// gives each mapped page an allocation of its own instead of carving
-// it from the machine's stores (18,849 mallocs on jacobi-c1 with only
-// the frame bytes allocated per page, against 16,341 carved). One that
-// makes a per-SSMP table grow with the machine's page count instead of
-// the pages the SSMP touches fails the second — scale-tiered/jacobi-c1,
+// KB allocated (runtime.MemStats.TotalAlloc). A change that makes a
+// per-message or per-event path allocate again fails the first. One
+// that makes a per-SSMP table grow with the machine's page count instead
+// of the pages the SSMP touches fails the second: scale-tiered/jacobi-c1,
 // 256 SSMPs of one processor, is the smallest shape where those tables
 // dominated (29,502 KB per run when each was a flat array indexed by
-// global page number) — and so does one that gives a processor its
-// whole cache on its first access instead of the 16-line chunks it
-// fills (17,710 KB on that row with a 32 KB array per processor,
-// 325 KB on fig-fine/water).
+// global page number). The page-store and cache-footprint rows of
+// internal/mutants need a budget failure and a block count failure.
 func TestEngineCountsGolden(t *testing.T) {
 	tiered := harness.WithTopology(msg.NewTiered(0))
 	mcs := []harness.Option{harness.WithLockAlgo("mcs"), harness.WithBarrierAlgo("dissemination")}
@@ -66,31 +65,40 @@ func TestEngineCountsGolden(t *testing.T) {
 	}{
 		{"tlb-thrash/matmul", func() harness.App { return &apps.MatMul{N: 24} }, harness.NewConfig(8, 4, harness.WithTLBSize(4)),
 			harness.EngineCounts{Events: 4625, Switches: 4437, Elided: 13, FrontHits: 99, PeakQueue: 8, Lookups: 17,
-				Deliveries: pool(4, 72), SyncRecords: pool(2, 2), Messages: pool(8, 101), PageBufs: pool(2, 6), DiffBufs: pool(1, 0), Frames: pool(22, 0), Dirs: pool(22, 0)}, 578, 157},
+				Deliveries: pool(4, 72), SyncRecords: pool(2, 2), Messages: pool(8, 101), PageBufs: pool(2, 6), DiffBufs: pool(1, 0), Frames: pool(22, 0), Dirs: pool(22, 0),
+				PageBlocks: 11, ChunkBlocks: 8}, 578, 157},
 		{"fig-fine/water", func() harness.App { return &apps.Water{N: 16, Iters: 1} }, harness.NewConfig(8, 2),
 			harness.EngineCounts{Events: 5624, Switches: 1315, Elided: 434, FrontHits: 1754, PeakQueue: 11, Lookups: 30,
-				Deliveries: pool(9, 2063), SyncRecords: pool(4, 399), Messages: pool(9, 1963), PageBufs: pool(4, 198), DiffBufs: pool(2, 123), Frames: pool(8, 114), Dirs: pool(7, 115)}, 786, 103},
+				Deliveries: pool(9, 2063), SyncRecords: pool(4, 399), Messages: pool(9, 1963), PageBufs: pool(4, 198), DiffBufs: pool(2, 123), Frames: pool(8, 114), Dirs: pool(7, 115),
+				PageBlocks: 7, ChunkBlocks: 6}, 786, 103},
 		{"fig-fine/barnes-hut", func() harness.App { return &apps.BarnesHut{NBodies: 24, Iters: 1, Theta: 0.6} }, harness.NewConfig(8, 2),
 			harness.EngineCounts{Events: 2037, Switches: 555, Elided: 112, FrontHits: 638, PeakQueue: 11, Lookups: 29,
-				Deliveries: pool(11, 711), SyncRecords: pool(6, 102), Messages: pool(11, 688), PageBufs: pool(12, 102), DiffBufs: pool(4, 40), Frames: pool(76, 28), Dirs: pool(76, 28)}, 1190, 407},
+				Deliveries: pool(11, 711), SyncRecords: pool(6, 102), Messages: pool(11, 688), PageBufs: pool(12, 102), DiffBufs: pool(4, 40), Frames: pool(76, 28), Dirs: pool(76, 28),
+				PageBlocks: 16, ChunkBlocks: 9}, 1190, 407},
 		{"fig-fine/tsp", func() harness.App { return &apps.TSP{NCities: 6, Depth: 3} }, harness.NewConfig(8, 2),
 			harness.EngineCounts{Events: 1322, Switches: 322, Elided: 141, FrontHits: 411, PeakQueue: 9, Lookups: 27,
-				Deliveries: pool(5, 489), SyncRecords: pool(4, 192), Messages: pool(8, 335), PageBufs: pool(3, 40), DiffBufs: pool(1, 10), Frames: pool(12, 28), Dirs: pool(12, 28)}, 582, 93},
+				Deliveries: pool(5, 489), SyncRecords: pool(4, 192), Messages: pool(8, 335), PageBufs: pool(3, 40), DiffBufs: pool(1, 10), Frames: pool(12, 28), Dirs: pool(12, 28),
+				PageBlocks: 9, ChunkBlocks: 5}, 582, 93},
 		{"access-stream/jacobi", func() harness.App { return &apps.Jacobi{N: 34, Iters: 2} }, harness.NewConfig(8, 8, harness.WithTLBSize(256)),
 			harness.EngineCounts{Events: 81, Switches: 73, Elided: 1, FrontHits: 11, PeakQueue: 8, Lookups: 3,
-				Deliveries: pool(1, 3), SyncRecords: pool(1, 3), Messages: pool(0, 0), PageBufs: pool(0, 0), DiffBufs: pool(0, 0), Frames: pool(20, 0), Dirs: pool(20, 0)}, 388, 145},
+				Deliveries: pool(1, 3), SyncRecords: pool(1, 3), Messages: pool(0, 0), PageBufs: pool(0, 0), DiffBufs: pool(0, 0), Frames: pool(20, 0), Dirs: pool(20, 0),
+				PageBlocks: 11, ChunkBlocks: 7}, 388, 145},
 		{"scale-tiered/jacobi", func() harness.App { return &apps.Jacobi{N: 34, Iters: 1} }, harness.NewConfig(16, 4, tiered),
 			harness.EngineCounts{Events: 415, Switches: 165, Elided: 0, FrontHits: 57, PeakQueue: 16, Lookups: 18,
-				Deliveries: pool(12, 108), SyncRecords: pool(4, 4), Messages: pool(16, 109), PageBufs: pool(3, 6), DiffBufs: pool(3, 0), Frames: pool(26, 0), Dirs: pool(25, 0)}, 814, 222},
+				Deliveries: pool(12, 108), SyncRecords: pool(4, 4), Messages: pool(16, 109), PageBufs: pool(3, 6), DiffBufs: pool(3, 0), Frames: pool(26, 0), Dirs: pool(25, 0),
+				PageBlocks: 12, ChunkBlocks: 8}, 814, 222},
 		{"scale-tiered/jacobi-c1", scaleJacobi, harness.NewConfig(256, 1, tiered),
 			harness.EngineCounts{Events: 23284, Switches: 6660, Elided: 12, FrontHits: 298, PeakQueue: 256, Lookups: 19,
-				Deliveries: pool(256, 8056), SyncRecords: pool(256, 256), Messages: pool(256, 7857), PageBufs: pool(347, 1434), DiffBufs: pool(91, 222), Frames: pool(2564, 8), Dirs: pool(2544, 24)}, 17976, 10779},
+				Deliveries: pool(256, 8056), SyncRecords: pool(256, 256), Messages: pool(256, 7857), PageBufs: pool(347, 1434), DiffBufs: pool(91, 222), Frames: pool(2564, 8), Dirs: pool(2544, 24),
+				PageBlocks: 56, ChunkBlocks: 42}, 17976, 10779},
 		{"sync-serve/serve-token", func() harness.App { return apps.NewServe(serve.DefaultWorkload(true, 1)) }, harness.NewConfig(8, 4),
 			harness.EngineCounts{Events: 2392, Switches: 514, Elided: 368, FrontHits: 914, PeakQueue: 9, Lookups: 24,
-				Deliveries: pool(5, 923), SyncRecords: pool(4, 550), Messages: pool(4, 427), PageBufs: pool(3, 35), DiffBufs: pool(1, 22), Frames: pool(16, 20), Dirs: pool(16, 20)}, 601, 132},
+				Deliveries: pool(5, 923), SyncRecords: pool(4, 550), Messages: pool(4, 427), PageBufs: pool(3, 35), DiffBufs: pool(1, 22), Frames: pool(16, 20), Dirs: pool(16, 20),
+				PageBlocks: 10, ChunkBlocks: 7}, 601, 132},
 		{"sync-serve/syncbench-mcs", func() harness.App { return &apps.SyncBench{Iters: 12} }, harness.NewConfig(8, 4, mcs...),
 			harness.EngineCounts{Events: 3447, Switches: 622, Elided: 429, FrontHits: 1796, PeakQueue: 8, Lookups: 27,
-				Deliveries: pool(8, 1404), SyncRecords: pool(8, 328), Messages: pool(5, 1210), PageBufs: pool(2, 124), DiffBufs: pool(2, 136), Frames: pool(4, 61), Dirs: pool(4, 61)}, 497, 68},
+				Deliveries: pool(8, 1404), SyncRecords: pool(8, 328), Messages: pool(5, 1210), PageBufs: pool(2, 124), DiffBufs: pool(2, 136), Frames: pool(4, 61), Dirs: pool(4, 61),
+				PageBlocks: 4, ChunkBlocks: 5}, 497, 68},
 	}
 	for _, r := range rows {
 		run := func() harness.Result {
@@ -101,8 +109,11 @@ func TestEngineCountsGolden(t *testing.T) {
 			return res
 		}
 		res := run()
-		if res.Engine != r.want {
-			t.Errorf("%s:\n got %#v\nwant %#v", r.name, res.Engine, r.want)
+		got, want := reflect.ValueOf(res.Engine), reflect.ValueOf(r.want)
+		for i := range got.NumField() {
+			if g, w := got.Field(i).Interface(), want.Field(i).Interface(); g != w {
+				t.Errorf("%s: %s = %+v, want %+v", r.name, got.Type().Field(i).Name, g, w)
+			}
 		}
 		if n := int64(len(res.Counters)); res.Engine.Lookups > n {
 			t.Errorf("%s: %d by-name counter lookups during the run, more than its %d counter names", r.name, res.Engine.Lookups, n)

@@ -393,6 +393,11 @@ type EngineCounts struct {
 	// algo's and core's message records, core's page and diff buffers,
 	// and the SSMPs' frames and directories (summed).
 	Deliveries, SyncRecords, Messages, PageBufs, DiffBufs, Frames, Dirs mem.Counts
+	// PageBlocks and ChunkBlocks are the blocks the machine's two
+	// carving stores allocated: of frame bytes (mem.Store) and of
+	// cache chunks (cache.Store). A page or chunk allocated on its own
+	// instead of carved leaves them short.
+	PageBlocks, ChunkBlocks int64
 	// Lookups is the number of by-name counter lookups the run itself
 	// made (obs.Registry.Lookups across Engine.Run). Charge sites hold
 	// resolved handles, so it is at most one per counter name.
@@ -431,6 +436,7 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 		SyncRecords: m.Sync.Records(),
 	}
 	e.Messages, e.PageBufs, e.DiffBufs, e.Frames, e.Dirs = m.DSM.Pools()
+	e.PageBlocks, e.ChunkBlocks = m.DSM.Blocks()
 	return Result{
 		Cycles:     m.lastClock(),
 		Breakdown:  m.Stats.Breakdown(),

@@ -69,6 +69,7 @@ func (a *FrameAllocator) Counts() Counts { return a.free.Counts }
 type Blocks[T any] struct {
 	buf    []T // the current block's uncarved rest
 	carved int // runs carved in all
+	made   int // blocks allocated
 }
 
 // Carve returns a fresh run of n values, starting a block of at most
@@ -76,6 +77,7 @@ type Blocks[T any] struct {
 func (b *Blocks[T]) Carve(n, limit int) []T {
 	if len(b.buf) < n {
 		b.buf = make([]T, min(max(b.carved/3, 1), max(limit/n, 1))*n)
+		b.made++
 	}
 	run := b.buf[:n:n]
 	b.buf = b.buf[n:]
@@ -96,6 +98,9 @@ type Store struct {
 // maxBlock caps a block of page bytes; a page larger than it comes one
 // to a block.
 const maxBlock = 64 << 10
+
+// PageBlocks returns the number of blocks of page bytes allocated.
+func (s *Store) PageBlocks() int64 { return int64(s.bytes.made) }
 
 // frame returns a fresh zeroed frame of pageSize bytes tagged id.
 func (s *Store) frame(id uint64, pageSize int) *Frame {
