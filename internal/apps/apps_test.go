@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"mgs/internal/harness"
@@ -30,6 +31,49 @@ func runShapes(t *testing.T, mk func() harness.App) {
 
 func TestJacobiAllShapes(t *testing.T) {
 	runShapes(t, func() harness.App { return &Jacobi{N: 32, Iters: 3} })
+}
+
+// jacobiGrid is Jacobi's full-grid host reference, the one Verify used
+// before the wavefront: it relaxes one n×n grid in place, row by row,
+// saving old rows i-1 and i before they are overwritten, so each point
+// sums Body's operands in Body's order.
+func jacobiGrid(n, iters int) []float64 {
+	buf := make([]float64, n*n+2*n)
+	g, up, cur := buf[:n*n], buf[n*n:n*n+n], buf[n*n+n:]
+	for k := 0; k < n; k++ {
+		g[k] = 1
+	}
+	for it := 0; it < iters; it++ {
+		copy(up, g[:n])
+		for i := 1; i < n-1; i++ {
+			row, below := g[i*n:(i+1)*n], g[(i+1)*n:(i+2)*n]
+			copy(cur, row)
+			for k := 1; k < n-1; k++ {
+				row[k] = 0.25 * (up[k] + below[k] + cur[k-1] + cur[k+1])
+			}
+			up, cur = cur, up
+		}
+	}
+	return g
+}
+
+// The wavefront Verify checks against yields, row by row, exactly the
+// full-grid reference's bits, including the boundary rows and columns,
+// at grids of one interior row up and at zero to seven iterations.
+func TestJacobiRowsMatchFullGrid(t *testing.T) {
+	for _, n := range []int{3, 4, 34, 130} {
+		for _, iters := range []int{0, 1, 2, 7} {
+			g, rows := jacobiGrid(n, iters), newJacobiRows(n, iters)
+			for i := range n {
+				row := rows.next()
+				for k, v := range row {
+					if want := g[i*n+k]; math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("N=%d Iters=%d: row %d col %d = %v, full grid %v", n, iters, i, k, v, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestMatMulAllShapes(t *testing.T) {

@@ -68,36 +68,89 @@ func (j *Jacobi) Body(c *harness.Ctx) {
 }
 
 // Verify recomputes the relaxation on the host and compares the full
-// final grid. The reference updates one grid in place, row by row: old
-// row i-1 and old row i are saved before they are overwritten, so every
-// point sums the operands the double-buffered relaxation sums, in the
-// same order, and the result is bit-identical.
+// final grid, row by row as Visit reaches it. The reference is a
+// wavefront (jacobiRows) holding three rows per iteration rather than
+// a grid: host memory O(Iters·N), not O(N²).
 func (j *Jacobi) Verify(m *harness.Machine) error {
 	n := j.N
-	buf := make([]float64, n*n+2*n)
-	g, up, cur := buf[:n*n], buf[n*n:n*n+n], buf[n*n+n:]
-	for k := 0; k < n; k++ {
-		g[k] = 1
-	}
-	for it := 0; it < j.Iters; it++ {
-		copy(up, g[:n])
-		for i := 1; i < n-1; i++ {
-			row, below := g[i*n:(i+1)*n], g[(i+1)*n:(i+2)*n]
-			copy(cur, row)
-			for k := 1; k < n-1; k++ {
-				row[k] = 0.25 * (up[k] + below[k] + cur[k-1] + cur[k+1])
-			}
-			up, cur = cur, up
-		}
-	}
 	final := j.src
 	if j.Iters%2 == 1 {
 		final = j.dst
 	}
+	rows := newJacobiRows(n, j.Iters)
+	var want []float64
+	k := n // column of the next word
 	return final.Visit(m, 0, n*n, func(w int, got float64) error {
-		if want := g[w]; got != want {
-			return fmt.Errorf("grid[%d,%d] = %g, want %g", w/n, w%n, got, want)
+		if k == n {
+			want, k = rows.next(), 0
 		}
+		if got != want[k] {
+			return fmt.Errorf("grid[%d,%d] = %g, want %g", w/n, k, got, want[k])
+		}
+		k++
 		return nil
 	})
+}
+
+// jacobiRows yields the rows of the relaxed grid in order, computing
+// each iteration's row i from the previous iteration's rows i-1, i and
+// i+1 with Body's four operands in Body's order, so every point is
+// bit-identical to the double-buffered relaxation's. Level t (the grid
+// after t iterations) keeps its last three rows, row r in ring[t][r%3];
+// step s computes row s+iters-t of every level t, lowest level first,
+// so each row's three inputs are the level below's newest row, made in
+// the same step, and the two before it.
+type jacobiRows struct {
+	n, iters int
+	step     int // the step advance runs next: it makes the final grid's row step
+	ring     [][3][]float64
+}
+
+func newJacobiRows(n, iters int) *jacobiRows {
+	buf := make([]float64, 3*(iters+1)*n)
+	r := &jacobiRows{n: n, iters: iters, step: -iters, ring: make([][3][]float64, iters+1)}
+	for t := range r.ring {
+		for k := range r.ring[t] {
+			r.ring[t][k], buf = buf[:n:n], buf[n:]
+		}
+	}
+	for r.step < 0 {
+		r.advance()
+	}
+	return r
+}
+
+// next returns the final grid's next row, valid until the next call.
+func (r *jacobiRows) next() []float64 {
+	i := r.step
+	r.advance()
+	return r.ring[r.iters][i%3]
+}
+
+// advance computes, on every level, the row step s reaches.
+func (r *jacobiRows) advance() {
+	n, s := r.n, r.step
+	r.step++
+	for t := range r.ring {
+		i := s + r.iters - t
+		if i < 0 || i >= n {
+			continue
+		}
+		row := r.ring[t][i%3]
+		if t == 0 || i == 0 || i == n-1 { // Setup's values, which Body never writes
+			v := 0.0
+			if i == 0 {
+				v = 1 // hot top edge
+			}
+			for k := range row {
+				row[k] = v
+			}
+			continue
+		}
+		up, cur, below := r.ring[t-1][(i-1)%3], r.ring[t-1][i%3], r.ring[t-1][(i+1)%3]
+		for k := 1; k < n-1; k++ {
+			row[k] = 0.25 * (up[k] + below[k] + cur[k-1] + cur[k+1])
+		}
+		row[0], row[n-1] = 0, 0
+	}
 }

@@ -14,9 +14,10 @@
 // Host memory follows use: a processor's cache words live in 16-slot
 // chunks carved, on the first fill of one of their slots, from one
 // Store per machine (Domain), and the hit test a caller's fast path
-// inlines is Domain.Hit. A frame's directory costs 9 bytes a line — a
-// sharer mask and an owner byte, in two arrays — carved from the same
-// Store (Domain.NewDir).
+// inlines is Domain.Hit. A frame's directory costs w/8 + 1 bytes a line
+// — a w-bit sharer set, w the SSMP's processor count rounded up to a
+// power of two and capped at 64, and an owner byte, in two arrays —
+// carved from the same Store (Domain.NewDir).
 package cache
 
 import (
@@ -108,25 +109,29 @@ func (c *Counters) Accesses() int64 {
 
 // Dir is the directory for one frame mapped in one SSMP: for each of
 // the frame's lines, the processors holding a clean copy and the one
-// holding it Modified. The two are separate arrays, 9 bytes a line
-// where one struct per line would pad to 16. Both hold within-SSMP
-// processor numbers as one struct did: a processor's sharer bit is
-// 1<<local, which no processor past 63 has, and the owner byte is
-// int8(local), which wraps past 127. SSMPs wider than 64 processors
-// keep those semantics, which the committed scale sweep's C > 64 points
-// were measured with.
+// holding it Modified. The two are separate arrays. The sharer sets are
+// packed: each is a field of w bits, w the width of the domain the
+// directory was carved for (Domain), 64/w of them to a word, so a line
+// costs w/8 + 1 bytes — 1.5 at C = 4, 5 at C = 32, 9 from C = 33 up.
+// Both hold within-SSMP processor numbers as one struct per line did: a
+// processor's sharer bit is 1<<local, which no processor past 63 has,
+// and the owner byte is int8(local), which wraps past 127. SSMPs wider
+// than 64 processors keep those semantics, which the committed scale
+// sweep's C > 64 points were measured with.
 type Dir struct {
 	// HomeNode is the within-SSMP index of the node whose memory holds
 	// the frame (first-touch placement); it determines local vs remote
 	// miss costs.
 	HomeNode int
-	sharers  []uint64 // per line: bitmask of processors with clean copies
+	sharers  []uint64 // packed w-bit sets of processors with clean copies (Domain.sharersOf)
 	owner    []int8   // per line: processor with the Modified copy, or -1
 }
 
 // NewDir returns an empty directory for a page of pageSize bytes at
-// homeNode, with lineSize-byte lines: the directory Domain.NewDir
-// carves, allocated on its own.
+// homeNode, with lineSize-byte lines, allocated on its own. Its sharer
+// sets are 64 bits wide, one to a word: the widest layout, valid on a
+// domain of any width. Domain.NewDir carves one of the domain's own
+// width.
 func NewDir(homeNode, pageSize, lineSize int) *Dir {
 	n := pageSize / lineSize
 	d := &Dir{sharers: make([]uint64, n), owner: make([]int8, n)}
@@ -161,8 +166,8 @@ type chunk [chunkSlots]uint64
 // chunk up to a whole cache's worth: a machine whose processors fill
 // few chunks pays a few allocations for all their caches, one whose
 // processors fill whole caches about one per processor. A directory's
-// sharer and owner arrays come from two mem.Blocks carved in step, up
-// to maxDirBlock lines a block, and its header from a slab. Either
+// sharer words and owner bytes come from two mem.Blocks carved in step,
+// up to maxDirBlock values a block, and its header from a slab. Either
 // kind wastes at most the unused rest of its last block. Nothing is
 // freed back to it: chunks live as long as their domains, and the
 // protocol recycles directories itself. The zero value is ready.
@@ -172,14 +177,16 @@ type Store struct {
 	used   int
 	blocks int64 // chunk blocks allocated
 
-	dirs    mem.Slab[Dir]
-	sharers mem.Blocks[uint64]
-	owners  mem.Blocks[int8]
+	dirs     mem.Slab[Dir]
+	sharers  mem.Blocks[uint64]
+	owners   mem.Blocks[int8]
+	dirWords int64 // sharer words carved
 }
 
-// maxDirBlock caps a directory block, in lines: 36 KB of sharer masks
-// and owner bytes, 64 directories of a 1 KB page of 16-byte lines. A
-// directory larger than it comes one to a block.
+// maxDirBlock caps a block of sharer words or of owner bytes, in
+// values: 32 KB of words, 4 KB of bytes — 64 directories of a 1 KB page
+// of 16-byte lines at the widest sets, 64 × 64/w sharer arrays at w
+// bits. An array larger than it comes one to a block.
 const maxDirBlock = 4096
 
 // table returns a chunk table of n entries, each the empty chunk.
@@ -207,10 +214,16 @@ func (s *Store) carve(limit int) *chunk {
 // ChunkBlocks returns the number of blocks of chunks allocated.
 func (s *Store) ChunkBlocks() int64 { return s.blocks }
 
-// dir returns an empty directory of n lines at homeNode.
-func (s *Store) dir(homeNode, n int) *Dir {
+// DirWords returns the number of sharer words the store's directories
+// were carved with.
+func (s *Store) DirWords() int64 { return s.dirWords }
+
+// dir returns an empty directory of n lines, their sharer sets packed
+// in words words, at homeNode.
+func (s *Store) dir(homeNode, n, words int) *Dir {
 	d := s.dirs.New()
-	d.sharers, d.owner = s.sharers.Carve(n, maxDirBlock), s.owners.Carve(n, maxDirBlock)
+	d.sharers, d.owner = s.sharers.Carve(words, maxDirBlock), s.owners.Carve(n, maxDirBlock)
+	s.dirWords += int64(words)
 	d.Reset(homeNode)
 	return d
 }
@@ -228,11 +241,13 @@ func (s *Store) dir(homeNode, n int) *Dir {
 // Until then its entry is the store's empty chunk, so looking a line
 // up, dropping it or cleaning a page never allocates, and a
 // processor's host memory follows the lines it touches. Most touch
-// few: a Water or TSP processor fills 1-3 % of its chunks, a Barnes-Hut
-// one 12-21 %, a syncbench one under 1 %; only dense kernels (Jacobi at
-// P = 32, MatMul at C = 4) fill whole caches. Every slot, chunk, line and frame number
-// comes from masks and shifts fixed by NewDomain, which is why
-// Params.Validate wants powers of two. An evicted line finds its
+// few: at the default sizes and P = 32, from C = 1 to C = 32, a TSP
+// processor fills 3 % of its chunks, a Water one 4-7 %, a Jacobi one
+// 19 %, a Barnes-Hut one 32-47 % and a syncbench one under 1 %; only
+// MatMul fills whole caches (at C ≤ 16). Every slot, chunk, line and
+// frame number, and a line's sharer set within its frame's directory
+// (sharersOf), comes from masks and shifts fixed by NewDomain, which is
+// why Params.Validate wants powers of two. An evicted line finds its
 // frame's directory in reg, indexed by the frame's number within the
 // domain's own frame-ID region (mem.RegionBits wide, starting at base);
 // only frames from another region — home frames mapped with the
@@ -243,6 +258,9 @@ type Domain struct {
 	lineShift  uint   // log2 bytes per line
 	frameShift uint   // log2 lines per page: line address >> frameShift = frame ID
 	lineMask   uint64 // lines per page - 1
+	setBits    uint   // log2 w, the bits of a line's sharer set: nprocs rounded up to a power of two, at most 64
+	setShift   uint   // log2 sharer sets per directory word: 6 - setBits
+	setMask    uint64 // w ones: a sharer set's field, at bit 0
 	slotMask   uint64 // lines per cache - 1
 	chunkShift uint   // log2 chunks per cache (0 for a cache of one chunk or less)
 	nprocs     int
@@ -280,12 +298,16 @@ func (s *Store) Domain(base uint64, nprocs, pageSize int, params Params, costs C
 	if slotShift > chunkBits {
 		chunkShift = slotShift - chunkBits
 	}
+	setBits := min(uint(bits.Len(uint(max(nprocs-1, 0)))), 6)
 	return &Domain{
 		costs:      costs,
 		hwPointers: params.HWPointers,
 		lineShift:  lineShift,
 		frameShift: uint(bits.TrailingZeros(uint(pageSize))) - lineShift,
 		lineMask:   uint64(pageSize/params.LineSize) - 1,
+		setBits:    setBits,
+		setShift:   6 - setBits,
+		setMask:    ^uint64(0) >> (64 - 1<<setBits),
 		slotMask:   1<<slotShift - 1,
 		chunkShift: chunkShift,
 		nprocs:     nprocs,
@@ -316,17 +338,28 @@ func (p Params) Validate(pageSize int) error {
 func pow2(x int) bool { return x > 0 && x&(x-1) == 0 }
 
 // NewDir returns an empty directory for one of the domain's frames at
-// homeNode: the directory NewDir builds, carved from the machine's
-// Store.
+// homeNode, its sharer sets packed at the domain's width, carved from
+// the machine's Store.
 func (d *Domain) NewDir(homeNode int) *Dir {
-	return d.store.dir(homeNode, int(d.lineMask)+1)
+	return d.store.dir(homeNode, int(d.lineMask)+1, d.dirWords())
+}
+
+// dirWords is the number of words a frame's sharer sets take at the
+// domain's width: lines·w/64, and at least one.
+func (d *Domain) dirWords() int {
+	return max(1, int(d.lineMask+1)>>d.setShift)
 }
 
 // Register attaches a frame's directory so evictions and cleaning can
 // find it. Call when the SSMP maps a page onto the frame, and before
 // any Access or Hit on the domain: the domain's first Register
-// allocates its chunk table.
+// allocates its chunk table. It panics on a directory whose sharer
+// words are too few for the domain's width.
 func (d *Domain) Register(f *mem.Frame, dir *Dir) {
+	if len(dir.sharers) < d.dirWords() {
+		panic(fmt.Sprintf("cache: a directory of %d sharer words registered on a domain whose %d-bit sets need %d",
+			len(dir.sharers), 1<<d.setBits, d.dirWords()))
+	}
 	if d.chunks == nil {
 		d.chunks = d.store.table(d.nprocs << d.chunkShift)
 	}
@@ -390,9 +423,9 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 		}
 		// Write to a Shared line: upgrade, invalidating peers.
 		li := la & d.lineMask
-		cost := d.upgrade(local, la, dir.sharers[li], dir.HomeNode)
+		cost := d.upgrade(local, la, d.sharersOf(dir, li), dir.HomeNode)
 		c[slot&(chunkSlots-1)] = t | uint64(Modified)
-		dir.sharers[li] = 0
+		d.setSharers(dir, li, 0)
 		dir.owner[li] = int8(local)
 		d.Counters.ByKind[Upgrade]++
 		return cost, Upgrade
@@ -400,31 +433,34 @@ func (d *Domain) Access(local int, f *mem.Frame, dir *Dir, off int, write bool) 
 
 	// Miss: classify before mutating state.
 	li := la & d.lineMask
-	sharers, owner := &dir.sharers[li], &dir.owner[li]
-	kind := d.classify(local, *sharers, *owner, dir.HomeNode)
+	sharers, owner := d.sharersOf(dir, li), &dir.owner[li]
+	kind := d.classify(local, sharers, *owner, dir.HomeNode)
 	cost := d.missCost(kind)
 
 	// Pull the dirty copy back / downgrade or invalidate as needed.
 	if o := *owner; o >= 0 && int(o) != local {
 		d.dropLine(int(o), la, !write) // read: downgrade to Shared
 		if !write {
-			*sharers |= 1 << uint(o)
+			sharers |= 1 << uint(o)
 		}
 		*owner = -1
 	}
 	if write {
 		// Invalidate all other sharers.
-		for s := *sharers; s != 0; s &= s - 1 {
+		for s := sharers; s != 0; s &= s - 1 {
 			p := trailingZeros(s)
 			if p != local {
 				d.dropLine(p, la, false)
 			}
 		}
-		*sharers = 0
+		sharers = 0
 		*owner = int8(local)
 	} else {
-		*sharers |= 1 << uint(local)
+		sharers |= 1 << uint(local)
 	}
+	// Stored before the eviction below, which may update a set that
+	// shares the word.
+	d.setSharers(dir, li, sharers)
 
 	// Install in the local cache, evicting any conflicting line.
 	if w != 0 {
@@ -461,6 +497,20 @@ func (d *Domain) Hit(local int, f *mem.Frame, off int, write bool) bool {
 	}
 	d.Counters.ByKind[Hit]++
 	return true
+}
+
+// sharersOf returns line li's sharer set in dir: the w-bit field at bit
+// li<<setBits&63 of word li>>setShift. Both shift counts are below 64,
+// and the &63 on each lets the compiler drop its test for larger ones.
+func (d *Domain) sharersOf(dir *Dir, li uint64) uint64 {
+	return dir.sharers[li>>(d.setShift&63)] >> (li << (d.setBits & 63) & 63) & d.setMask
+}
+
+// setSharers makes s line li's sharer set in dir. s holds processors
+// below the domain's nprocs, so it fits in the set's w bits.
+func (d *Domain) setSharers(dir *Dir, li, s uint64) {
+	at, w := li<<(d.setBits&63)&63, &dir.sharers[li>>(d.setShift&63)]
+	*w = *w&^(d.setMask<<at) | s<<at
 }
 
 // chunkIndex is the table index of the chunk holding slot of processor
@@ -559,7 +609,7 @@ func (d *Domain) evict(p int, w uint64) {
 	if LineState(w&3) == Modified && int(dir.owner[li]) == p {
 		dir.owner[li] = -1
 	}
-	dir.sharers[li] &^= 1 << uint(p)
+	d.setSharers(dir, li, d.sharersOf(dir, li)&^(1<<uint(p)))
 }
 
 // CleanPage invalidates every line of the frame from every cache in the
@@ -574,11 +624,11 @@ func (d *Domain) CleanPage(f *mem.Frame, dir *Dir) sim.Time {
 			d.dropLine(int(o), la, false)
 			dir.owner[li] = -1
 		}
-		for s := dir.sharers[li]; s != 0; s &= s - 1 {
+		for s := d.sharersOf(dir, uint64(li)); s != 0; s &= s - 1 {
 			d.dropLine(trailingZeros(s), la, false)
 		}
-		dir.sharers[li] = 0
 	}
+	clear(dir.sharers)
 	return sim.Time(d.lineMask+1) * d.costs.CleanPerLine
 }
 

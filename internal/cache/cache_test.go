@@ -16,7 +16,7 @@ func testCosts() Costs {
 func newTestDomain(nprocs int) (*Domain, *mem.Frame, *Dir) {
 	d := NewDomain(nprocs, 1024, DefaultParams(), testCosts())
 	f := mem.NewFrame(7, 1024)
-	dir := NewDir(0, 1024, 16)
+	dir := d.NewDir(0)
 	d.Register(f, dir)
 	return d, f, dir
 }
@@ -94,7 +94,7 @@ func TestReadDowngradesOwner(t *testing.T) {
 func TestSoftwareDirectoryOverflow(t *testing.T) {
 	d := NewDomain(8, 1024, DefaultParams(), testCosts())
 	f := mem.NewFrame(1, 1024)
-	dir := NewDir(0, 1024, 16)
+	dir := d.NewDir(0)
 	d.Register(f, dir)
 	// 5 hardware pointers; the 6th reader goes to software.
 	var k MissKind
@@ -114,8 +114,8 @@ func TestEvictionUpdatesDirectory(t *testing.T) {
 	d := NewDomain(2, 64, params, testCosts())
 	f1 := mem.NewFrame(0, 64)
 	f2 := mem.NewFrame(4, 64) // chosen so lines conflict (same slots)
-	dir1 := NewDir(0, 64, 16)
-	dir2 := NewDir(0, 64, 16)
+	dir1 := d.NewDir(0)
+	dir2 := d.NewDir(0)
 	d.Register(f1, dir1)
 	d.Register(f2, dir2)
 	d.Access(0, f1, dir1, 0, true) // dirty in proc 0
@@ -151,8 +151,8 @@ func TestCleanPage(t *testing.T) {
 		}
 	}
 	for li := range dir.owner {
-		if dir.sharers[li] != 0 || dir.owner[li] != -1 {
-			t.Fatalf("dir line %d not reset after clean: sharers %b, owner %d", li, dir.sharers[li], dir.owner[li])
+		if s := d.sharersOf(dir, uint64(li)); s != 0 || dir.owner[li] != -1 {
+			t.Fatalf("dir line %d not reset after clean: sharers %b, owner %d", li, s, dir.owner[li])
 		}
 	}
 }
@@ -171,7 +171,7 @@ func TestDirectoryInvariants(t *testing.T) {
 	dirs := make([]*Dir, nframes)
 	for i := range frames {
 		frames[i] = mem.NewFrame(uint64(i), 256)
-		dirs[i] = NewDir(i%nprocs, 256, 16)
+		dirs[i] = d.NewDir(i % nprocs)
 		d.Register(frames[i], dirs[i])
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -183,7 +183,7 @@ func TestDirectoryInvariants(t *testing.T) {
 
 		for i := 0; i < nframes; i++ {
 			for li, owner := range dirs[i].owner {
-				sharers := dirs[i].sharers[li]
+				sharers := d.sharersOf(dirs[i], uint64(li))
 				if owner >= 0 && sharers != 0 {
 					t.Fatalf("step %d: frame %d line %d has owner %d and sharers %b", step, i, li, owner, sharers)
 				}
@@ -282,7 +282,7 @@ func TestHitSeesEveryFilledLine(t *testing.T) {
 	var frames []*mem.Frame
 	for _, id := range []uint64{0, 63} { // lines 0-63 and 4032-4095: slots 0-63 and 4032-4095
 		f := mem.NewFrame(id, 1024)
-		d.Register(f, NewDir(0, 1024, 16))
+		d.Register(f, d.NewDir(0))
 		frames = append(frames, f)
 	}
 	for _, f := range frames {
@@ -320,9 +320,9 @@ func ownedChunks(d *Domain, p int) int {
 
 // A directory recycled with Reset — the protocol hands a torn-down
 // copy's directory to the next copy its SSMP maps — must be
-// indistinguishable from a fresh NewDir, whatever sharers and owners it
-// held: equal as a value, and charging the same costs for the same
-// accesses.
+// indistinguishable from a fresh carve of the same width, whatever
+// sharers and owners it held: equal as a value, and charging the same
+// costs for the same accesses.
 func TestResetDirIsAFreshDir(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d, f, used := newTestDomain(8)
@@ -331,7 +331,8 @@ func TestResetDirIsAFreshDir(t *testing.T) {
 	}
 	d.Unregister(f)
 	used.Reset(5)
-	if fresh := NewDir(5, 1024, 16); !reflect.DeepEqual(used, fresh) {
+	fresh := func() *Dir { return NewDomain(8, 1024, DefaultParams(), testCosts()).NewDir(5) }
+	if fresh := fresh(); !reflect.DeepEqual(used, fresh) {
 		t.Fatalf("reset directory %+v differs from a fresh one %+v", used, fresh)
 	}
 	// Same accesses on two clean domains, one through the recycled
@@ -348,7 +349,7 @@ func TestResetDirIsAFreshDir(t *testing.T) {
 		}
 		return costs
 	}
-	if a, b := run(used), run(NewDir(5, 1024, 16)); !reflect.DeepEqual(a, b) {
+	if a, b := run(used), run(fresh()); !reflect.DeepEqual(a, b) {
 		t.Fatal("a reset directory charges differently from a fresh one")
 	}
 }
@@ -362,7 +363,7 @@ func TestAccessZeroAllocs(t *testing.T) {
 	const base = 3 << mem.RegionBits
 	d := NewDomainAt(base, 2, 64, params, testCosts())
 	f1, f2 := mem.NewFrame(base, 64), mem.NewFrame(base+1, 64) // same slots
-	dir1, dir2 := NewDir(0, 64, 16), NewDir(0, 64, 16)
+	dir1, dir2 := d.NewDir(0), d.NewDir(0)
 	d.Register(f1, dir1)
 	d.Register(f2, dir2)
 	d.Access(0, f1, dir1, 0, false)
@@ -380,6 +381,72 @@ func TestAccessZeroAllocs(t *testing.T) {
 		t.Fatalf("alternating conflicting writes: kinds %v, evicted owner %d; want two local misses, owner -1",
 			kinds, dir2.owner[0])
 	}
+}
+
+// TestDirWidth pins the width of a domain's sharer sets: the words a
+// directory of a 1 KB page of 16-byte lines is carved with, and which
+// processors get a sharer bit. Every processor reads three lines, the
+// first, second and last of the page, on a directory of the domain's
+// width and on the widest one NewDir builds; both must hold the same
+// sets, each with a bit for every processor below 64 and none above.
+// Past 64 processors the sets stay 64 bits and a processor past 63 gets
+// no bit, as before the sets were packed: processor 100's copy stays
+// unknown to the directory, so a write by another processor does not
+// invalidate it. Widening the sets is meant to change this table.
+func TestDirWidth(t *testing.T) {
+	for _, tc := range []struct{ nprocs, words int }{
+		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {8, 8}, {32, 32}, {64, 64}, {65, 64}, {128, 64},
+	} {
+		var store Store
+		d := store.Domain(0, tc.nprocs, 1024, DefaultParams(), testCosts())
+		packed, wide := d.NewDir(0), NewDir(0, 1024, 16)
+		if len(packed.sharers) != tc.words || store.DirWords() != int64(tc.words) {
+			t.Errorf("C = %d: a directory of %d sharer words (store counts %d), want %d",
+				tc.nprocs, len(packed.sharers), store.DirWords(), tc.words)
+		}
+		f, g := mem.NewFrame(1, 1024), mem.NewFrame(2, 1024)
+		d.Register(f, packed)
+		d.Register(g, wide)
+		var want uint64
+		for p := range tc.nprocs {
+			for _, li := range []int{0, 1, 63} {
+				d.Access(p, f, packed, li*16, false)
+				d.Access(p, g, wide, li*16, false)
+			}
+			want |= 1 << uint(p)
+		}
+		for li := range uint64(64) {
+			w := want
+			if li != 0 && li != 1 && li != 63 {
+				w = 0
+			}
+			if got, wgot := d.sharersOf(packed, li), d.sharersOf(wide, li); got != w || wgot != w {
+				t.Errorf("C = %d: line %d sharers %#x packed, %#x widest; want %#x", tc.nprocs, li, got, wgot, w)
+			}
+		}
+		if tc.nprocs > 100 {
+			d.Access(100, f, packed, 2*16, false)
+			d.Access(0, f, packed, 2*16, true)
+			if s, st := d.sharersOf(packed, 2), d.cachedState(100, f, 2*16); s != 0 || st != Shared {
+				t.Errorf("C = %d: after processor 100 reads line 2 and processor 0 writes it, sharers %#x and processor 100 %v; want 0 and shared",
+					tc.nprocs, s, st)
+			}
+		}
+	}
+}
+
+// Register refuses a directory whose sharer words are too few for the
+// domain's width, naming both sizes.
+func TestRegisterRejectsNarrowDir(t *testing.T) {
+	narrow := NewDomain(2, 1024, DefaultParams(), testCosts()).NewDir(0)
+	d := NewDomain(4, 1024, DefaultParams(), testCosts())
+	defer func() {
+		want := "cache: a directory of 2 sharer words registered on a domain whose 4-bit sets need 4"
+		if r := recover(); r != want {
+			t.Errorf("Register panic = %v, want %q", r, want)
+		}
+	}()
+	d.Register(mem.NewFrame(0, 1024), narrow)
 }
 
 // NewDomain finds slots and lines by masking, so it refuses the
@@ -420,7 +487,7 @@ func TestNewDomainRejectsUnmaskableGeometry(t *testing.T) {
 // step: the (cost, kind) of each access, the cost of each CleanPage,
 // every processor's state for every line of every frame, the counters,
 // and every directory entry. The first three bytes choose the shape —
-// processor count (up to 130, past the 64-bit sharer masks), line,
+// processor count (up to 130, past the 64-bit sharer sets), line,
 // cache and page sizes (caches of one to eight lines, so fills conflict
 // constantly; with the first byte's top bit set, 16 to 128 lines, one
 // to eight chunks, so a processor's accesses fill some chunks and not
@@ -430,7 +497,10 @@ func TestNewDomainRejectsUnmaskableGeometry(t *testing.T) {
 // one made as core.System.Access makes it, Access only when Hit says
 // no), a CleanPage,
 // an Unregister, or an Unregister and re-Register of the same frame ID
-// with its directory Reset to a new home — a recycled frame.
+// with its directory Reset to a new home — a recycled frame. Directories
+// are carved by Domain.NewDir, their sharer sets packed at the domain's
+// width, so the packing is checked against the reference's one set per
+// line.
 func FuzzDomain(f *testing.F) {
 	const maxFuzzSteps = 200 // longer scripts only slow the fuzzer down
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -458,7 +528,7 @@ func FuzzDomain(f *testing.F) {
 				id = (region+1+uint64(i%3))%5<<mem.RegionBits + uint64(i)
 			}
 			frames[i] = mem.NewFrame(id, pageSize)
-			dirs[i], refDirs[i] = NewDir(i%nprocs, pageSize, line), newRefDir(i%nprocs, pageSize, line)
+			dirs[i], refDirs[i] = d.NewDir(i%nprocs), newRefDir(i%nprocs, pageSize, line)
 			d.Register(frames[i], dirs[i])
 			ref.Register(frames[i], refDirs[i])
 		}
@@ -499,7 +569,7 @@ func FuzzDomain(f *testing.F) {
 				t.Fatalf("step %d: counters %v, reference %v", k/3, d.Counters, ref.Counters)
 			}
 			for i, fr := range frames {
-				if !refDirs[i].equal(dirs[i]) {
+				if !refDirs[i].equal(d, dirs[i]) {
 					t.Fatalf("step %d: frame %#x directory %+v, reference %+v", k/3, fr.ID, *dirs[i], *refDirs[i])
 				}
 				for p := range nprocs {
@@ -547,14 +617,14 @@ func (d *refDir) Reset(homeNode int) {
 	}
 }
 
-// equal reports whether dir holds the reference's home and, line by
-// line, its sharers and owner.
-func (d *refDir) equal(dir *Dir) bool {
-	if dir.HomeNode != d.HomeNode || len(dir.sharers) != len(d.entries) || len(dir.owner) != len(d.entries) {
+// equal reports whether dir, carved for dom, holds the reference's home
+// and, line by line, its sharers and owner.
+func (d *refDir) equal(dom *Domain, dir *Dir) bool {
+	if dir.HomeNode != d.HomeNode || len(dir.sharers) != dom.dirWords() || len(dir.owner) != len(d.entries) {
 		return false
 	}
 	for li, e := range d.entries {
-		if dir.sharers[li] != e.sharers || int(dir.owner[li]) != int(e.owner) {
+		if dom.sharersOf(dir, uint64(li)) != e.sharers || int(dir.owner[li]) != int(e.owner) {
 			return false
 		}
 	}

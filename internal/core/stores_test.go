@@ -30,7 +30,8 @@ func dirSpans(d *cache.Dir) [2]span {
 // them, under any interleaving of allocation, writes and retirement,
 // and requires every frame or directory drawn to be what a fresh one
 // is: a frame of all zeros with len == cap == the page size, a
-// directory reflect.DeepEqual to the one cache.NewDir builds; and no
+// directory reflect.DeepEqual to one carved from a fresh store at the
+// same cluster size, so of the same sharer-set width; and no
 // two live ones to share a byte. The first byte picks the page and
 // line size and the cluster size; then each three-byte step is, on
 // SSMP op&1: allocate a frame (filled at once with a byte its own, so
@@ -113,7 +114,7 @@ func FuzzPageStores(f *testing.F) {
 			case 1:
 				home := a % csize
 				d := ss.newDir(home)
-				if want := cache.NewDir(home, pageSize, line); !reflect.DeepEqual(d, want) {
+				if want := new(cache.Store).Domain(0, csize, pageSize, params, cache.Costs{}).NewDir(home); !reflect.DeepEqual(d, want) {
 					t.Fatalf("step %d: directory drawn as %+v, want %+v", step, *d, *want)
 				}
 				for _, s := range dirSpans(d) {

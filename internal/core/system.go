@@ -448,6 +448,10 @@ func (s *System) Blocks() (pages, chunks int64) {
 	return s.frames.PageBlocks(), s.lines.ChunkBlocks()
 }
 
+// DirWords returns the sharer words the machine's frame directories
+// were carved with.
+func (s *System) DirWords() int64 { return s.lines.DirWords() }
+
 // ensurePage returns (creating if needed) ss's record for page v.
 func (s *System) ensurePage(ss *ssmpState, v vm.Page) *clientPage {
 	cp := ss.pages.Get(v)

@@ -398,6 +398,10 @@ type EngineCounts struct {
 	// cache chunks (cache.Store). A page or chunk allocated on its own
 	// instead of carved leaves them short.
 	PageBlocks, ChunkBlocks int64
+	// DirWords is the sharer words the machine's frame directories were
+	// carved with (cache.Store.DirWords): a line's sharer set is as wide
+	// as its SSMP needs, so it falls with the cluster size.
+	DirWords int64
 	// Lookups is the number of by-name counter lookups the run itself
 	// made (obs.Registry.Lookups across Engine.Run). Charge sites hold
 	// resolved handles, so it is at most one per counter name.
@@ -437,6 +441,7 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 	}
 	e.Messages, e.PageBufs, e.DiffBufs, e.Frames, e.Dirs = m.DSM.Pools()
 	e.PageBlocks, e.ChunkBlocks = m.DSM.Blocks()
+	e.DirWords = m.DSM.DirWords()
 	return Result{
 		Cycles:     m.lastClock(),
 		Breakdown:  m.Stats.Breakdown(),

@@ -59,6 +59,9 @@ var sentinels = []sentinel{
 	{"cache-footprint", "a whole cache allocated for every chunk filled", "internal/cache/cache.go",
 		[][2]string{{"\n\t\tc = d.store.carve(1 << d.chunkShift)\n", "\n\t\tc = &make([]chunk, 1<<d.chunkShift)[0]\n"}},
 		"./internal/exp", "TestEngineCountsGolden", []string{"KB allocated per run, budget", "ChunkBlocks = 0, want"}},
+	{"dir-width", "every directory's sharer sets 64 bits wide, whatever the cluster size", "internal/cache/cache.go",
+		[][2]string{{"\n\tsetBits := min(uint(bits.Len(uint(max(nprocs-1, 0)))), 6)\n", "\n\tsetBits := uint(6)\n"}},
+		"./internal/exp", "TestEngineCountsGolden", []string{"KB allocated per run, budget", "jacobi-c1: DirWords = 162816, want 2544"}},
 	{"page-store", "a frame's bytes allocated per mapped page", "internal/mem/alloc.go",
 		[][2]string{{"\n\tf.ID, f.Data = id, s.bytes.Carve(pageSize, maxBlock)\n", "\n\tf.ID, f.Data = id, make([]byte, pageSize)\n"}},
 		"./internal/exp", "TestEngineCountsGolden", []string{"mallocs per run, budget", "PageBlocks = 0, want"}},
