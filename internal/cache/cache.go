@@ -249,9 +249,8 @@ func (s *Store) dir(homeNode, n, words int) *Dir {
 // (sharersOf), comes from masks and shifts fixed by NewDomain, which is
 // why Params.Validate wants powers of two. An evicted line finds its
 // frame's directory in reg, indexed by the frame's number within the
-// domain's own frame-ID region (mem.RegionBits wide, starting at base);
-// only frames from another region — home frames mapped with the
-// software layer disabled at C < P — are looked up in a map.
+// domain's own frame-ID region (mem.RegionBits wide, starting at base):
+// an SSMP caches only frames it allocated.
 type Domain struct {
 	costs      Costs
 	hwPointers int
@@ -266,9 +265,8 @@ type Domain struct {
 	nprocs     int
 	chunks     []*chunk // nil until the domain's first Register
 	store      *Store
-	base       uint64          // first frame ID of the domain's region
-	reg        []*Dir          // own-region frame ID - base -> directory
-	foreign    map[uint64]*Dir // other regions' frame ID -> directory; nil until needed
+	base       uint64 // first frame ID of the domain's region
+	reg        []*Dir // frame ID - base -> directory
 	Counters   Counters
 }
 
@@ -353,9 +351,15 @@ func (d *Domain) dirWords() int {
 // Register attaches a frame's directory so evictions and cleaning can
 // find it. Call when the SSMP maps a page onto the frame, and before
 // any Access or Hit on the domain: the domain's first Register
-// allocates its chunk table. It panics on a directory whose sharer
-// words are too few for the domain's width.
+// allocates its chunk table. It panics on a frame from outside the
+// domain's region and on a directory whose sharer words are too few
+// for the domain's width.
 func (d *Domain) Register(f *mem.Frame, dir *Dir) {
+	n := f.ID - d.base
+	if n >= 1<<mem.RegionBits {
+		panic(fmt.Sprintf("cache: frame %#x registered on the domain of frames %#x to %#x",
+			f.ID, d.base, d.base+1<<mem.RegionBits-1))
+	}
 	if len(dir.sharers) < d.dirWords() {
 		panic(fmt.Sprintf("cache: a directory of %d sharer words registered on a domain whose %d-bit sets need %d",
 			len(dir.sharers), 1<<d.setBits, d.dirWords()))
@@ -363,37 +367,25 @@ func (d *Domain) Register(f *mem.Frame, dir *Dir) {
 	if d.chunks == nil {
 		d.chunks = d.store.table(d.nprocs << d.chunkShift)
 	}
-	if n := f.ID - d.base; n < 1<<mem.RegionBits {
-		if n >= uint64(len(d.reg)) {
-			d.reg = append(d.reg, make([]*Dir, n+1-uint64(len(d.reg)))...)
-		}
-		d.reg[n] = dir
-		return
+	if n >= uint64(len(d.reg)) {
+		d.reg = append(d.reg, make([]*Dir, n+1-uint64(len(d.reg)))...)
 	}
-	if d.foreign == nil {
-		d.foreign = make(map[uint64]*Dir)
-	}
-	d.foreign[f.ID] = dir
+	d.reg[n] = dir
 }
 
 // Unregister detaches a frame (page invalidated and frame freed).
 func (d *Domain) Unregister(f *mem.Frame) {
 	if n := f.ID - d.base; n < uint64(len(d.reg)) {
 		d.reg[n] = nil
-		return
 	}
-	delete(d.foreign, f.ID)
 }
 
 // dirOf returns the directory registered for frame id, or nil.
 func (d *Domain) dirOf(id uint64) *Dir {
-	if n := id - d.base; n < 1<<mem.RegionBits {
-		if n < uint64(len(d.reg)) {
-			return d.reg[n]
-		}
-		return nil
+	if n := id - d.base; n < uint64(len(d.reg)) {
+		return d.reg[n]
 	}
-	return d.foreign[id]
+	return nil
 }
 
 // lineAddr computes the global line address of offset off in frame f.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -449,6 +450,24 @@ func TestRegisterRejectsNarrowDir(t *testing.T) {
 	d.Register(mem.NewFrame(0, 1024), narrow)
 }
 
+// An SSMP caches only frames from its own ID region, so Register
+// refuses one from another region, naming the frame and the region.
+func TestRegisterRejectsForeignFrame(t *testing.T) {
+	d := NewDomainAt(1<<mem.RegionBits, 4, 1024, DefaultParams(), testCosts())
+	d.Register(mem.NewFrame(1<<mem.RegionBits+5, 1024), d.NewDir(0))
+	for _, id := range []uint64{5, 2<<mem.RegionBits + 5} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("cache: frame %#x registered on the domain of frames 0x10000000000 to 0x1ffffffffff", id)
+				if r := recover(); r != want {
+					t.Errorf("Register panic = %v, want %q", r, want)
+				}
+			}()
+			d.Register(mem.NewFrame(id, 1024), d.NewDir(0))
+		}()
+	}
+}
+
 // NewDomain finds slots and lines by masking, so it refuses the
 // dimensions harness.Config.Validate refuses, with the same text.
 func TestNewDomainRejectsUnmaskableGeometry(t *testing.T) {
@@ -491,8 +510,8 @@ func TestNewDomainRejectsUnmaskableGeometry(t *testing.T) {
 // cache and page sizes (caches of one to eight lines, so fills conflict
 // constantly; with the first byte's top bit set, 16 to 128 lines, one
 // to eight chunks, so a processor's accesses fill some chunks and not
-// others), hardware pointers, the domain's own region, and which of
-// the six frames come from a foreign region. Then each three-byte step
+// others), hardware pointers, and the domain's frame-ID region, which
+// its six frames come from. Then each three-byte step
 // is an access by any processor to any byte of any frame (every other
 // one made as core.System.Access makes it, Access only when Hit says
 // no), a CleanPage,
@@ -523,11 +542,7 @@ func FuzzDomain(f *testing.F) {
 		var dirs [nframes]*Dir
 		var refDirs [nframes]*refDir
 		for i := range frames {
-			id := region<<mem.RegionBits + uint64(i)
-			if script[2]>>2&(1<<i) != 0 {
-				id = (region+1+uint64(i%3))%5<<mem.RegionBits + uint64(i)
-			}
-			frames[i] = mem.NewFrame(id, pageSize)
+			frames[i] = mem.NewFrame(region<<mem.RegionBits+uint64(i), pageSize)
 			dirs[i], refDirs[i] = d.NewDir(i%nprocs), newRefDir(i%nprocs, pageSize, line)
 			d.Register(frames[i], dirs[i])
 			ref.Register(frames[i], refDirs[i])

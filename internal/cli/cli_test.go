@@ -33,9 +33,6 @@ func TestDefaultsAndConfig(t *testing.T) {
 	if cfg.P != 8 || cfg.C != 2 || cfg.PageSize != 1024 || cfg.Msg.InterDelay != 1000 {
 		t.Fatalf("Config did not use the paper defaults: %+v", cfg)
 	}
-	if cfg.Disabled {
-		t.Fatal("C < P must leave the software layer enabled")
-	}
 }
 
 func TestParsedValuesFlow(t *testing.T) {

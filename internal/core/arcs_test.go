@@ -14,7 +14,7 @@ import (
 // Arc 1: RTLBFault with pagestate != INV fills the TLB from the local
 // page table — no server traffic.
 func TestArc1LocalReadFill(t *testing.T) {
-	tm := buildTest(4, 4, 0, nil)
+	tm := buildTest(8, 4, 0, nil) // processors 0 and 1 share SSMP 0
 	va := tm.sys.Space().AllocPages(1024)
 	page := tm.sys.Space().PageOf(va)
 	tm.bodies[0] = func(p *sim.Proc) { load64(tm.sys, p, va) } // maps page

@@ -33,7 +33,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 			s.emitEngine(t0, p.ID, v, "LCLIENT", p.Clock()-t0, "proc %d write=%v", p.ID, write)
 		}()
 	}
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	s.spend(p, stats.MGS, c.FaultEntry)
 	if write {
 		s.count(ctrFaultWrite, 1)
@@ -41,7 +41,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		s.count(ctrFaultRead, 1)
 	}
 
-	if s.cfg.Disabled {
+	if s.null {
 		s.nullFill(p, ss, v)
 		return
 	}
@@ -103,7 +103,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 	}
 }
 
-// nullFill is the Disabled-mode fill: plain software virtual memory with
+// nullFill is the C = P fill: plain software virtual memory with
 // no coherence protocol. Every page maps the home frame directly.
 func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page) {
 	cp := s.ensurePage(ss, v)
@@ -115,7 +115,7 @@ func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page) {
 		ss.domain.Register(cp.frame, cp.dir)
 		cp.state = PWrite
 	}
-	s.spend(p, stats.User, s.cfg.Costs.NullFill)
+	s.spend(p, stats.User, s.cfg.Protocol.NullFill)
 	s.count(ctrTLBFillNull, 1)
 	s.insertTLB(ss, cp, p.ID, vm.Write)
 }
@@ -171,7 +171,7 @@ func (ss *ssmpState) retire(f *mem.Frame, d *cache.Dir) {
 // the processor owning the SSMP's copy. The requester holds the
 // page-table lock, so this handler runs lock-free.
 func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	o := cp.ownerProc
 	homeProc := s.space.HomeProc(cp.page)
 	isHome := cp.ssmp == s.ssmpOf(homeProc)

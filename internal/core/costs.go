@@ -16,7 +16,7 @@ type Costs struct {
 	FaultEntry sim.Time // trap into the Local Client and state save
 	PTLockOp   sim.Time // acquire or release a page-table lock
 	TLBFill    sim.Time // page-table walk plus software TLB insert
-	NullFill   sim.Time // plain SVM fill when MGS is disabled (C = P)
+	NullFill   sim.Time // plain SVM fill at C = P, where no protocol runs
 	MapPage    sim.Time // frame allocation and mapping bookkeeping
 
 	RelWork   sim.Time // server-side bookkeeping per REL

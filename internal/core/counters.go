@@ -16,7 +16,7 @@ const (
 	ctrFaultRead        ctr = iota // fault.read: a read TLB fault enters the Local Client (arcs 1–7)
 	ctrFaultWrite                  // fault.write: a write TLB fault enters the Local Client (arcs 1–7)
 	ctrTLBFillLocal                // tlbfill.local: arcs 1, 3–4, the SSMP already maps the page and the Local Client fills the TLB
-	ctrTLBFillNull                 // tlbfill.null: a fill with the protocol disabled (Config.Disabled), no Table 1 arc
+	ctrTLBFillNull                 // tlbfill.null: a fill at C = P, where no protocol runs (Config), no Table 1 arc
 	ctrTwin                        // twin: a twin is made, at a WDAT on a non-home SSMP (arcs 6–7) or an applied UPGRADE (arc 13)
 	ctrReqPended                   // req.pended: arc 22, an RREQ/WREQ that arrives during a release round queues behind it
 	ctrCleanServe                  // clean.serve: a serve to a non-home SSMP first cleans the home SSMP's cached copy (§4.2.4)

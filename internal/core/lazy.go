@@ -45,7 +45,7 @@ import (
 // release consistency: one diff-carrying REL per dirty page, no
 // invalidation round. Called by ReleaseAll.
 func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	for {
 		v, ok := d.pop()
 		if !ok {
@@ -112,7 +112,7 @@ func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
 // incarnation of the releasing copy when it was fetched or last
 // validated; a flush passes fetchGen -1, for a copy already torn down.
 func (s *System) onLazyRel(sp *serverPage, cp *clientPage, p *sim.Proc, d Diff, db *DiffBuf, fetchVer, fetchGen int64, at sim.Time) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	if len(d) > 0 {
 		at = s.net.Extend(sp.homeProc, at, c.MergeWork+sim.Time(d.Bytes(0))*c.ApplyPerByte)
 		d.Apply(sp.frame.Data)
@@ -153,7 +153,7 @@ func (s *System) lazyRelDone(cp *clientPage, at sim.Time) {
 // per-processor shootdown work to p (local inter-processor interrupts).
 func (s *System) shootLocal(cp *clientPage, p *sim.Proc) {
 	if n := s.dropMappings(cp); n > 0 {
-		s.spend(p, stats.MGS, sim.Time(n)*s.cfg.Costs.PinvWork)
+		s.spend(p, stats.MGS, sim.Time(n)*s.cfg.Protocol.PinvWork)
 	}
 }
 
@@ -163,10 +163,10 @@ func (s *System) shootLocal(cp *clientPage, p *sim.Proc) {
 // flush their diff home first; every stale copy is then torn down so
 // the next touch refetches the merged image.
 func (s *System) AcquireSync(p *sim.Proc) {
-	if !s.cfg.Variant.LazyRelease || s.cfg.Disabled {
+	if !s.cfg.Variant.LazyRelease || s.null {
 		return
 	}
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	ss := s.ssmps[s.ssmpOf(p.ID)]
 	// The page-table scan is in ascending page order — deterministic.
 	var pages []vm.Page

@@ -41,9 +41,9 @@ func buildTest(p, c int, delay sim.Time, mutate func(*Config)) *testMachine {
 	net.OnHandler = func(proc int, cyc sim.Time) { st.Charge(proc, stats.MGS, cyc) }
 	space := vm.NewSpace(1024, p)
 	cfg := Config{
-		NProcs: p, ClusterSize: c, PageSize: 1024, TLBSize: 64,
-		Costs: DefaultCosts(), Variant: DefaultVariant(),
-		CacheParams: cache.DefaultParams(), CacheCosts: testCacheCosts(),
+		P: p, C: c, PageSize: 1024, TLBSize: 64,
+		Protocol: DefaultCosts(), Variant: DefaultVariant(),
+		Cache: testCacheCosts(), CacheHW: cache.DefaultParams(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -72,7 +72,7 @@ func store64(s *System, p *sim.Proc, va vm.Addr, v uint64) {
 }
 
 func TestLocalReadFaultAndRefill(t *testing.T) {
-	tm := buildTest(4, 4, 0, nil) // one SSMP
+	tm := buildTest(8, 4, 0, nil) // two SSMPs; the page is homed in SSMP 0
 	va := tm.sys.Space().AllocPages(1024)
 	tm.sys.BackdoorStore64(va, 99)
 	var got uint64
@@ -89,7 +89,7 @@ func TestLocalReadFaultAndRefill(t *testing.T) {
 }
 
 func TestWriteThenReadSameSSMP(t *testing.T) {
-	tm := buildTest(4, 4, 0, nil)
+	tm := buildTest(8, 4, 0, nil) // processors 0 and 1 share SSMP 0
 	va := tm.sys.Space().AllocPages(1024)
 	done := make(map[int]uint64)
 	tm.bodies[0] = func(p *sim.Proc) { store64(tm.sys, p, va, 7) }
@@ -277,8 +277,10 @@ func TestTLBShootdownForcesRefault(t *testing.T) {
 	}
 }
 
+// At C = P the system makes null MGS calls: no Table 1 message, and
+// every fill is a plain-SVM one.
 func TestDisabledModeNoProtocol(t *testing.T) {
-	tm := buildTest(4, 4, 0, func(cfg *Config) { cfg.Disabled = true })
+	tm := buildTest(4, 4, 0, nil)
 	va := tm.sys.Space().AllocPages(1024)
 	var got uint64
 	tm.bodies[0] = func(p *sim.Proc) {
@@ -295,7 +297,7 @@ func TestDisabledModeNoProtocol(t *testing.T) {
 	}
 	for _, k := range []string{"rreq", "wreq", "rel", "inv"} {
 		if tm.st.Counter(k) != 0 {
-			t.Fatalf("counter %s = %d in disabled mode", k, tm.st.Counter(k))
+			t.Fatalf("counter %s = %d at C = P", k, tm.st.Counter(k))
 		}
 	}
 	if tm.st.Counter("tlbfill.null") == 0 {
@@ -441,7 +443,7 @@ func TestProbeAndAccessors(t *testing.T) {
 		}
 	}
 	tm.run(t)
-	if cfg := tm.sys.Config(); cfg.NProcs != 4 || cfg.ClusterSize != 2 {
+	if cfg := tm.sys.Config(); cfg.P != 4 || cfg.C != 2 {
 		t.Fatalf("Config = %+v", cfg)
 	}
 	cc := tm.sys.CacheCounters()

@@ -18,7 +18,7 @@ type ptLock struct {
 // lockProc acquires cp's page-table lock from processor context,
 // charging the lock operation and any wait time to category cat.
 func (s *System) lockProc(cp *clientPage, p *sim.Proc, cat stats.Category) {
-	s.spend(p, cat, s.cfg.Costs.PTLockOp)
+	s.spend(p, cat, s.cfg.Protocol.PTLockOp)
 	if !cp.lk.held {
 		cp.lk.held = true
 		return
@@ -53,6 +53,6 @@ func (s *System) unlock(cp *clientPage, at sim.Time) {
 	}
 	next := cp.lk.waiters[0]
 	cp.lk.waiters = append(cp.lk.waiters[:0], cp.lk.waiters[1:]...)
-	next.at = at + s.cfg.Costs.PTLockOp
+	next.at = at + s.cfg.Protocol.PTLockOp
 	s.eng.AtHandler(next.at, next)
 }

@@ -66,7 +66,7 @@ func TestPTLockHandlerQueuesAndHandsOverFIFO(t *testing.T) {
 		t.Fatalf("handler order = %v, want FIFO [1 2 3]", order)
 	}
 	// Each handoff costs PTLockOp after the 50-cycle hold.
-	step := 50 + tm.sys.cfg.Costs.PTLockOp
+	step := 50 + tm.sys.cfg.Protocol.PTLockOp
 	if times[1] != times[0]+step || times[2] != times[1]+step {
 		t.Fatalf("handoff times = %v, want +%d apart", times, step)
 	}

@@ -44,7 +44,7 @@ func (s *System) onRequest(sp *serverPage, cp *clientPage, p *sim.Proc, write bo
 // page (RDAT/WDAT). The home SSMP's own requests map the home frame
 // directly, with no data transfer.
 func (s *System) serveData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool, at sim.Time) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	r := cp.ssmp
 	homeSSMP := s.ssmpOf(sp.homeProc)
 	bytes := c.CtrlBytes
@@ -111,7 +111,7 @@ func (s *System) homeShootdown(sp *serverPage, hcp *clientPage, c ctr, at sim.Ti
 	}
 	n := s.dropMappings(hcp)
 	s.count(c, int64(n))
-	return s.net.Extend(sp.homeProc, at, sim.Time(n)*s.cfg.Costs.PinvWork)
+	return s.net.Extend(sp.homeProc, at, sim.Time(n)*s.cfg.Protocol.PinvWork)
 }
 
 // onData is the Local Client's RDAT/WDAT handler (arcs 6–7), running on
@@ -119,7 +119,7 @@ func (s *System) homeShootdown(sp *serverPage, hcp *clientPage, c ctr, at sim.Ti
 // the serve-time snapshot of the home frame (nil for the home SSMP's
 // own requests, which map the home frame directly).
 func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool, servedVer int64, img []byte, at sim.Time) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	ss := s.ssmps[cp.ssmp]
 	isHome := cp.ssmp == s.ssmpOf(sp.homeProc)
 	if isHome {
@@ -182,10 +182,10 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 // read, so a satisfied release costs one REL/RACK round trip instead
 // of zero messages.
 func (s *System) ReleaseAll(p *sim.Proc) {
-	if s.cfg.Disabled {
+	if s.null {
 		return
 	}
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	ss := s.ssmps[s.ssmpOf(p.ID)]
 	d := ss.duqs[s.within(p.ID)]
 	// Attribute each page's release work to that page; restore the
@@ -327,7 +327,7 @@ func (s *System) dispatchInv(sp *serverPage, at sim.Time) {
 	rc := sp.rmtGet(t.ssmp)
 	m := s.newMsg(mInv, sp.page)
 	m.sp, m.cp, m.inv, m.round = sp, rc.cp, t.inv, sp.round
-	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.Costs.CtrlBytes, 0, b2i(t.inv == inv1W))
+	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.Protocol.CtrlBytes, 0, b2i(t.inv == inv1W))
 }
 
 // onInv is the Remote Client's INV/1WINV handler (arcs 14–16), running
@@ -367,7 +367,7 @@ func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round in
 		s.finishInv(sp, cp, round, at)
 		return
 	}
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	for t := cp.tlbDir; t != 0; t &= t - 1 {
 		m := s.newMsg(mPInv, cp.page)
 		m.sp, m.cp, m.round = sp, cp, round
@@ -383,7 +383,7 @@ func (s *System) onPInv(sp *serverPage, cp *clientPage, round int64, o, q int, a
 	s.tlbs[q].Invalidate(cp.page)
 	m := s.newMsg(mPInvAck, cp.page)
 	m.sp, m.cp, m.round = sp, cp, round
-	s.send(m, q, o, at, s.cfg.Costs.CtrlBytes, 0, 0)
+	s.send(m, q, o, at, s.cfg.Protocol.CtrlBytes, 0, 0)
 }
 
 // onPInvAck is the Remote Client's PINV_ACK handler (arcs 15–16): the
@@ -396,7 +396,7 @@ func (s *System) onPInvAck(sp *serverPage, cp *clientPage, round int64, at sim.T
 }
 
 // ssmpBase returns the global processor ID of SSMP r's processor 0.
-func (s *System) ssmpBase(r int) int { return r * s.cfg.ClusterSize }
+func (s *System) ssmpBase(r int) int { return r * s.cfg.C }
 
 // clientOwner returns the processor the SSMP's Remote Client runs on:
 // the copy's first-touch owner, or (before any placement) the SSMP's
@@ -420,7 +420,7 @@ func (s *System) clientOwner(cp *clientPage) int {
 // makes routine.
 func (s *System) finishInv(sp *serverPage, cp *clientPage, round int64, at sim.Time) {
 	cp.capturedRound = round
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	o := s.clientOwner(cp)
 	ss := s.ssmps[cp.ssmp]
 	isHome := cp.ssmp == s.ssmpOf(sp.homeProc)
@@ -537,7 +537,7 @@ const (
 // db, when non-nil, is the pooled buffer backing d; the Server recycles
 // it after the merge.
 func (s *System) replyInv(sp *serverPage, from int, kind invReply, d Diff, db *DiffBuf, tornDown bool, at sim.Time) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	bytes := c.CtrlBytes
 	switch kind {
 	case diffReply:
@@ -565,7 +565,7 @@ func (s *System) replyInv(sp *serverPage, from int, kind invReply, d Diff, db *D
 // arrives, finish the release round. from is the replying Remote Client's
 // processor.
 func (s *System) onInvReply(sp *serverPage, from int, kind invReply, d Diff, db *DiffBuf, tornDown bool, at sim.Time) {
-	c := &s.cfg.Costs
+	c := &s.cfg.Protocol
 	if s.Obs.Tracing() {
 		s.emitPageArgs(at, -1, sp.page, "INVREPLY", [3]int64{int64(kind), int64(s.ssmpOf(from)), b2i(tornDown)},
 			"kind=%d diff=%d torn=%v count->%d", kind, len(d), tornDown, sp.count-1)
@@ -725,7 +725,7 @@ func (s *System) sendRefresh(sp *serverPage, r int, img []byte, at sim.Time) {
 	rc := sp.rmtGet(r)
 	m := s.newMsg(mRefresh, sp.page)
 	m.sp, m.cp, m.img = sp, rc.cp, img
-	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.PageSize+s.cfg.Costs.CtrlBytes, 0, 0)
+	s.send(m, sp.homeProc, int(rc.owner), at, s.cfg.PageSize+s.cfg.Protocol.CtrlBytes, 0, 0)
 }
 
 // onRefresh is a copy's refresh handler (update protocol). Like an INV
@@ -741,7 +741,7 @@ func (s *System) onRefresh(sp *serverPage, cp *clientPage, img []byte, at sim.Ti
 // post-capture writes on top, and acknowledge.
 func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at sim.Time) {
 	if cp.frame != nil && (cp.state == PWrite || cp.state == PRead) {
-		c := &s.cfg.Costs
+		c := &s.cfg.Protocol
 		at = s.net.Extend(s.clientOwner(cp), at,
 			c.MergeWork+sim.Time(s.cfg.PageSize)*c.ApplyPerByte)
 		if cp.state == PWrite && cp.twin != nil {
@@ -757,10 +757,10 @@ func (s *System) onRefreshLocked(sp *serverPage, cp *clientPage, img []byte, at 
 	s.unlock(cp, at)
 	m := s.newMsg(mRefreshAck, sp.page)
 	m.sp, m.img = sp, img
-	s.send(m, s.clientOwner(cp), sp.homeProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
+	s.send(m, s.clientOwner(cp), sp.homeProc, at, s.cfg.Protocol.CtrlBytes, 0, 0)
 }
 
 // sendRack acknowledges a release to the waiting processor (arc 9–10).
 func (s *System) sendRack(sp *serverPage, relProc int, at sim.Time) {
-	s.send(s.newMsg(mRack, sp.page), sp.homeProc, relProc, at, s.cfg.Costs.CtrlBytes, 0, 0)
+	s.send(s.newMsg(mRack, sp.page), sp.homeProc, relProc, at, s.cfg.Protocol.CtrlBytes, 0, 0)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mgs/internal/cache"
@@ -25,6 +27,15 @@ func dirSpans(d *cache.Dir) [2]span {
 	return [2]span{spanOf(v.FieldByName("sharers")), spanOf(v.FieldByName("owner"))}
 }
 
+// firstOther returns the index of the first byte of data that is not b,
+// or -1 if there is none.
+func firstOther(data []byte, b byte) int {
+	if bytes.Count(data, []byte{b}) == len(data) {
+		return -1
+	}
+	return slices.IndexFunc(data, func(x byte) bool { return x != b })
+}
+
 // FuzzPageStores draws frames and directories, fresh and recycled,
 // for two SSMPs that share one machine's stores as core.New wires
 // them, under any interleaving of allocation, writes and retirement,
@@ -38,7 +49,10 @@ func dirSpans(d *cache.Dir) [2]span {
 // an overlap shows as a changed byte), allocate a directory at home
 // a, write a directory by an access of processor a to byte b of a live
 // frame registered to it, clean a page, or retire a frame and a
-// directory together as teardown does (cleaned first or not).
+// directory together as teardown does (cleaned first or not). A frame
+// whose bytes another draw or write reached would no longer read its
+// fill byte: each step checks the frame it drew, wrote a directory for
+// or retired, and the end of the script checks every live frame.
 func FuzzPageStores(f *testing.F) {
 	const maxSteps = 300
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -63,6 +77,9 @@ func FuzzPageStores(f *testing.F) {
 			dirs  []*cache.Dir
 		}
 		var ssmps [2]ssmp
+		// fresh[home] is a directory as a fresh store carves it.
+		fresh := make([]*cache.Dir, csize)
+		freshDom := new(cache.Store).Domain(0, csize, pageSize, params, cache.Costs{})
 		for i := range ssmps {
 			base := uint64(i) << mem.RegionBits
 			ssmps[i].ss = &ssmpState{
@@ -71,26 +88,36 @@ func FuzzPageStores(f *testing.F) {
 				frames: frames.Allocator(base, pageSize),
 			}
 		}
-		// disjoint requires s to share no byte with any live frame or
-		// directory but the one it belongs to.
-		disjoint := func(step int, s span, self any) {
-			for i := range ssmps {
-				for _, p := range ssmps[i].pages {
-					if o := spanOf(reflect.ValueOf(p.f.Data)); p.f != self && o.lo < s.hi && s.lo < o.hi {
-						t.Fatalf("step %d: a new frame or directory shares bytes with live frame %#x", step, p.f.ID)
+		// live is the span of every live frame and directory array,
+		// taken when it was drawn.
+		type owned struct {
+			s     span
+			frame *mem.Frame // nil for a directory's
+			dir   *cache.Dir // nil for a frame's
+		}
+		var live []owned
+		// draw requires s to share no byte with any live frame or
+		// directory, then records it as o's.
+		draw := func(step int, o owned) {
+			for _, l := range live {
+				if l.s.lo < o.s.hi && o.s.lo < l.s.hi {
+					if l.frame != nil {
+						t.Fatalf("step %d: a new frame or directory shares bytes with live frame %#x", step, l.frame.ID)
 					}
+					t.Fatalf("step %d: a new frame or directory shares bytes with a live directory", step)
 				}
-				for _, d := range ssmps[i].dirs {
-					for _, o := range dirSpans(d) {
-						if d != self && o.lo < s.hi && s.lo < o.hi {
-							t.Fatalf("step %d: a new frame or directory shares bytes with a live directory", step)
-						}
-					}
-				}
+			}
+			live = append(live, o)
+		}
+		// filled requires p's frame to read its fill byte throughout.
+		filled := func(step int, p page) {
+			if j := firstOther(p.f.Data, p.fill); j >= 0 {
+				t.Fatalf("step %d: live frame %#x has Data[%d] = %d, written %d: another frame shares its bytes", step, p.f.ID, j, p.f.Data[j], p.fill)
 			}
 		}
 		var fill byte
-		for k := 1; k+2 < len(script); k += 3 {
+		k := 1
+		for ; k+2 < len(script); k += 3 {
 			step, op, a, b := k/3, script[k], int(script[k+1]), int(script[k+2])
 			m := &ssmps[op&1]
 			ss := m.ss
@@ -100,12 +127,10 @@ func FuzzPageStores(f *testing.F) {
 				if len(fr.Data) != pageSize || cap(fr.Data) != pageSize {
 					t.Fatalf("step %d: frame %#x has len %d, cap %d; want both %d", step, fr.ID, len(fr.Data), cap(fr.Data), pageSize)
 				}
-				for i, x := range fr.Data {
-					if x != 0 {
-						t.Fatalf("step %d: frame %#x drawn with Data[%d] = %d, want a zeroed frame", step, fr.ID, i, x)
-					}
+				if i := firstOther(fr.Data, 0); i >= 0 {
+					t.Fatalf("step %d: frame %#x drawn with Data[%d] = %d, want a zeroed frame", step, fr.ID, i, fr.Data[i])
 				}
-				disjoint(step, spanOf(reflect.ValueOf(fr.Data)), fr)
+				draw(step, owned{s: spanOf(reflect.ValueOf(fr.Data)), frame: fr})
 				fill++
 				for i := range fr.Data {
 					fr.Data[i] = fill
@@ -114,11 +139,14 @@ func FuzzPageStores(f *testing.F) {
 			case 1:
 				home := a % csize
 				d := ss.newDir(home)
-				if want := new(cache.Store).Domain(0, csize, pageSize, params, cache.Costs{}).NewDir(home); !reflect.DeepEqual(d, want) {
+				if fresh[home] == nil {
+					fresh[home] = freshDom.NewDir(home)
+				}
+				if want := fresh[home]; !reflect.DeepEqual(d, want) {
 					t.Fatalf("step %d: directory drawn as %+v, want %+v", step, *d, *want)
 				}
 				for _, s := range dirSpans(d) {
-					disjoint(step, s, d)
+					draw(step, owned{s: s, dir: d})
 				}
 				m.dirs = append(m.dirs, d)
 			case 2, 3:
@@ -132,6 +160,7 @@ func FuzzPageStores(f *testing.F) {
 				} else {
 					ss.domain.CleanPage(p.f, d)
 				}
+				filled(step, p)
 			case 4:
 				if len(m.pages) == 0 || len(m.dirs) == 0 {
 					continue
@@ -141,19 +170,17 @@ func FuzzPageStores(f *testing.F) {
 				if a&1 != 0 {
 					ss.domain.CleanPage(p.f, d)
 				}
+				filled(step, p)
+				live = slices.DeleteFunc(live, func(l owned) bool { return l.frame == p.f || l.dir == d })
 				ss.domain.Unregister(p.f)
 				ss.retire(p.f, d)
 				m.pages = append(m.pages[:i], m.pages[i+1:]...)
 				m.dirs = append(m.dirs[:j], m.dirs[j+1:]...)
 			}
-			for i := range ssmps {
-				for _, p := range ssmps[i].pages {
-					for j, x := range p.f.Data {
-						if x != p.fill {
-							t.Fatalf("step %d: live frame %#x has Data[%d] = %d, written %d: another frame shares its bytes", step, p.f.ID, j, x, p.fill)
-						}
-					}
-				}
+		}
+		for i := range ssmps {
+			for _, p := range ssmps[i].pages {
+				filled(k/3, p)
 			}
 		}
 	})

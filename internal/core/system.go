@@ -76,21 +76,23 @@ const (
 	sRel                      // release in progress
 )
 
-// Config sizes a System.
+// Config is a machine's shape and its protocol and cache cost tables.
+// The shape alone decides whether the software layer runs: at C = P
+// one SSMP holds every processor and the system makes the paper's
+// "null MGS calls" — every page is mapped from its home frame on first
+// touch at plain-SVM cost, and releases are no-ops.
 type Config struct {
-	NProcs      int // total processors (P)
-	ClusterSize int // processors per SSMP (C)
-	PageSize    int // bytes
-	TLBSize     int // software TLB entries per processor
-	Costs       Costs
-	Variant     Variant
-	CacheParams cache.Params
-	CacheCosts  cache.Costs
-	// Disabled turns the software layer off (the paper's "null MGS
-	// calls" 32-processor runs): every page is mapped locally on first
-	// touch at plain-SVM cost and releases are no-ops. Normally set
-	// only when ClusterSize == NProcs.
-	Disabled bool
+	P        int // total processors
+	C        int // processors per SSMP (cluster size)
+	PageSize int // bytes
+	TLBSize  int // software TLB entries per processor
+
+	Protocol Costs
+	// Variant selects the protocol that runs over those costs; the
+	// default is the paper's (DefaultVariant, Variants).
+	Variant Variant
+	Cache   cache.Costs
+	CacheHW cache.Params
 }
 
 // clientPage is the Local/Remote Client state for one page in one SSMP.
@@ -199,6 +201,7 @@ type serverPage struct {
 type System struct {
 	eng   *sim.Engine
 	cfg   Config
+	null  bool // P == C: null MGS calls (Config)
 	net   *msg.Network
 	space *vm.Space
 	st    *stats.Collector
@@ -304,18 +307,19 @@ type ssmpState struct {
 // New wires a System over an engine, network, address space, stats
 // collector, and the machine's processors (procs[i].ID must be i).
 func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector, procs []*sim.Proc, cfg Config) *System {
-	if cfg.NProcs%cfg.ClusterSize != 0 {
-		panic(fmt.Sprintf("core: P=%d not divisible by C=%d", cfg.NProcs, cfg.ClusterSize))
+	if cfg.P%cfg.C != 0 {
+		panic(fmt.Sprintf("core: P=%d not divisible by C=%d", cfg.P, cfg.C))
 	}
 	s := &System{
 		eng: eng, cfg: cfg, net: net, space: space, st: st, procs: procs,
-		tlbs:  make([]*vm.TLB, cfg.NProcs),
-		place: make([]procPlace, cfg.NProcs),
+		null:  cfg.P == cfg.C,
+		tlbs:  make([]*vm.TLB, cfg.P),
+		place: make([]procPlace, cfg.P),
 	}
-	nssmp := cfg.NProcs / cfg.ClusterSize
-	for i := 0; i < cfg.NProcs; i++ {
+	nssmp := cfg.P / cfg.C
+	for i := 0; i < cfg.P; i++ {
 		s.tlbs[i] = vm.NewTLB(cfg.TLBSize)
-		s.place[i] = procPlace{ssmp: int32(i / cfg.ClusterSize), local: int32(i % cfg.ClusterSize)}
+		s.place[i] = procPlace{ssmp: int32(i / cfg.C), local: int32(i % cfg.C)}
 	}
 	for i := 0; i < nssmp; i++ {
 		// Disjoint frame-ID regions (2^40 IDs each) keep frame tags
@@ -324,9 +328,9 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		base := uint64(i) << mem.RegionBits
 		ss := &ssmpState{
 			id:     i,
-			domain: s.lines.Domain(base, cfg.ClusterSize, cfg.PageSize, cfg.CacheParams, cfg.CacheCosts),
+			domain: s.lines.Domain(base, cfg.C, cfg.PageSize, cfg.CacheHW, cfg.Cache),
 			frames: s.frames.Allocator(base, cfg.PageSize),
-			duqs:   make([]*duq, cfg.ClusterSize),
+			duqs:   make([]*duq, cfg.C),
 		}
 		for j := range ss.duqs {
 			ss.duqs[j] = newDUQ()
@@ -554,9 +558,9 @@ func (s *System) SnapshotMemory() []byte {
 func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Frame, int) {
 	page := s.space.PageOf(va)
 	off := s.space.Offset(va)
-	tc := s.cfg.Costs.TransArray
+	tc := s.cfg.Protocol.TransArray
 	if pointer {
-		tc = s.cfg.Costs.TransPtr
+		tc = s.cfg.Protocol.TransPtr
 	}
 	pl := s.place[p.ID]
 	ss := s.ssmps[pl.ssmp]
@@ -565,7 +569,7 @@ func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Fram
 		if priv, ok := tlb.Lookup(page); ok && (priv == vm.Write || !write) {
 			cp := ss.pages.Get(page)
 			if ss.domain.Hit(int(pl.local), cp.frame, off, write) {
-				s.spend(p, stats.User, tc+s.cfg.CacheCosts.Hit)
+				s.spend(p, stats.User, tc+s.cfg.Cache.Hit)
 				return cp.frame, off
 			}
 			cost, _ := ss.domain.Access(int(pl.local), cp.frame, cp.dir, off, write)

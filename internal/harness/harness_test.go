@@ -336,6 +336,8 @@ func TestBadConfigIsAnErrorNotAPanic(t *testing.T) {
 		{"procs-huge", NewConfig(1<<40, 2), []string{"processor count 1099511627776", "at most 4096", "allocated on the host"}},
 		{"cache-huge", NewConfig(8, 2, func(c *Config) { c.CacheHW.CacheBytes = 1 << 40 }), []string{"cache size 1099511627776", "at most 1048576", "cache table"}},
 		{"delay", NewConfig(4, 2, WithInterSSMPDelay(-5)), []string{"delay -5"}},
+		{"bandwidth-zero", NewConfig(4, 2, func(c *Config) { c.Msg.BytesPerCycle = 0 }), []string{"bandwidth 0 bytes per cycle", "at least 1"}},
+		{"jitter-negative", NewConfig(4, 2, func(c *Config) { c.Msg.Jitter = -5 }), []string{"jitter -5"}},
 		{"lazy-update", NewConfig(4, 2, func(c *Config) { c.Variant.LazyRelease, c.Variant.UpdateProtocol = true, true }), []string{"lazy release", "update protocol"}},
 		{"fault-negative-rate", NewConfig(4, 2, WithFaultPlan(fault.Plan{DropBP: -5})), []string{"drop=-5", "0 to 10000"}},
 		{"fault-rate-above-10000", NewConfig(4, 2, WithFaultPlan(fault.Plan{DupBP: 20000})), []string{"dup=20000", "0 to 10000"}},

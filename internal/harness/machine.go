@@ -22,16 +22,14 @@ import (
 	"mgs/internal/vm"
 )
 
-// Config describes one DSSMP configuration.
+// Config describes one DSSMP configuration: the machine's shape and
+// its protocol and cache cost tables (core.Config, whose fields it
+// promotes: P, C, PageSize, TLBSize, Protocol, Variant, Cache and
+// CacheHW), and what lies around the protocol — the network, faults,
+// observers and synchronization. At C = P the software layer makes
+// null MGS calls, exactly as in the paper's 32-processor runs.
 type Config struct {
-	P        int // total processors
-	C        int // processors per SSMP (cluster size)
-	PageSize int // bytes
-	TLBSize  int // software TLB entries per processor
-
-	// Disabled substitutes null MGS calls (the paper's C = P runs):
-	// plain software virtual memory, no software coherence.
-	Disabled bool
+	core.Config
 
 	// Fault, when non-empty, interposes the deterministic fault-injecting
 	// reliable transport on every inter-SSMP message (internal/fault,
@@ -48,14 +46,8 @@ type Config struct {
 	// bit-identical either way.
 	Obs *obs.Observer
 
-	Protocol core.Costs
-	// Variant selects the protocol that runs over those costs; the
-	// default is the paper's (core.DefaultVariant, core.Variants).
-	Variant core.Variant
-	Cache   cache.Costs
-	CacheHW cache.Params
-	Msg     msg.Costs
-	Sync    algo.Costs
+	Msg  msg.Costs
+	Sync algo.Costs
 
 	// LockAlgo and BarrierAlgo name the synchronization algorithms from
 	// internal/msync/algo ("token", "ticket", "mcs", "tournament" /
@@ -77,10 +69,6 @@ func WithTLBSize(entries int) Option { return func(c *Config) { c.TLBSize = entr
 // WithInterSSMPDelay sets the fixed inter-SSMP message latency (the
 // paper's emulated-LAN knob, Figure 9's x-axis).
 func WithInterSSMPDelay(d sim.Time) Option { return func(c *Config) { c.Msg.InterDelay = d } }
-
-// WithDisabled forces the software coherence layer off or on,
-// overriding the c == P default.
-func WithDisabled(disabled bool) Option { return func(c *Config) { c.Disabled = disabled } }
 
 // WithFaultPlan attaches a deterministic fault-injection plan to the
 // inter-SSMP transport.
@@ -107,19 +95,19 @@ func WithBarrierAlgo(name string) Option { return func(c *Config) { c.BarrierAlg
 // NewConfig returns the calibrated configuration for a P-processor
 // machine with clusters of c processors and the paper's parameters —
 // 1K-byte pages, a 64-entry software TLB, and a 1000-cycle inter-SSMP
-// delay — then applies the options in order. When c == P the software
-// layer is disabled, exactly as in the paper's 32-processor runs.
+// delay — then applies the options in order.
 func NewConfig(p, c int, opts ...Option) Config {
 	cfg := Config{
-		P: p, C: c, PageSize: 1024, TLBSize: 64,
-		Disabled: c == p,
-		Protocol: core.DefaultCosts(),
-		Variant:  core.DefaultVariant(),
-		Cache: cache.Costs{
-			Hit: 2, Local: 11, Remote: 38, TwoParty: 42,
-			ThreeParty: 63, Software: 425, CleanPerLine: 40,
+		Config: core.Config{
+			P: p, C: c, PageSize: 1024, TLBSize: 64,
+			Protocol: core.DefaultCosts(),
+			Variant:  core.DefaultVariant(),
+			Cache: cache.Costs{
+				Hit: 2, Local: 11, Remote: 38, TwoParty: 42,
+				ThreeParty: 63, Software: 425, CleanPerLine: 40,
+			},
+			CacheHW: cache.DefaultParams(),
 		},
-		CacheHW: cache.DefaultParams(),
 		Msg: msg.Costs{
 			SendOverhead: 100, HandlerEntry: 500, PerHop: 2,
 			BytesPerCycle: 1, InterDelay: 1000, InterOverhead: 800,
@@ -150,12 +138,12 @@ const (
 
 // Validate reports the first reason the configuration cannot be built:
 // a machine shape that does not divide into SSMPs, a machine, TLB,
-// page, cache or delay the substrate cannot size, cache or page
-// dimensions the cache model cannot mask (cache.Params.Validate), a
-// protocol variant whose fields contradict each other, a fault plan
-// whose rates or delay bound are out of range, a trace sink that would
-// panic on its first event, or a lock or barrier name no registered
-// algorithm answers to.
+// page, cache, delay, bandwidth or jitter the substrate cannot size,
+// cache or page dimensions the cache model cannot mask
+// (cache.Params.Validate), a protocol variant whose fields contradict
+// each other, a fault plan whose rates or delay bound are out of range,
+// a trace sink that would panic on its first event, or a lock or
+// barrier name no registered algorithm answers to.
 func (cfg Config) Validate() error {
 	_, _, err := cfg.algos()
 	return err
@@ -179,6 +167,10 @@ func (cfg Config) algos() (la algo.NewLock, ba algo.NewBarrier, err error) {
 		err = fmt.Errorf("bad cache size %d: want at most %d bytes (every processor's cache table is sized from it on the host)", cfg.CacheHW.CacheBytes, maxCacheBytes)
 	case cfg.Msg.InterDelay < 0:
 		err = fmt.Errorf("bad inter-SSMP delay %d: want a non-negative cycle count", cfg.Msg.InterDelay)
+	case cfg.Msg.BytesPerCycle < 1:
+		err = fmt.Errorf("bad DMA bandwidth %d bytes per cycle: want at least 1", cfg.Msg.BytesPerCycle)
+	case cfg.Msg.Jitter < 0:
+		err = fmt.Errorf("bad message jitter %d: want a non-negative cycle count", cfg.Msg.Jitter)
 	case v.LazyRelease && v.UpdateProtocol:
 		err = fmt.Errorf("lazy release runs no eager release round, so it cannot be combined with the update protocol, which only modifies that round")
 	}
@@ -244,12 +236,7 @@ func NewMachine(cfg Config) *Machine {
 	m.Net.AttachFault(cfg.Fault, &st.Fault)
 	m.Net.Obs = cfg.Obs
 	space := vm.NewSpace(cfg.PageSize, cfg.P)
-	m.DSM = core.New(m.Eng, m.Net, space, st, m.Procs, core.Config{
-		NProcs: cfg.P, ClusterSize: cfg.C, PageSize: cfg.PageSize,
-		TLBSize: cfg.TLBSize, Costs: cfg.Protocol, Variant: cfg.Variant,
-		CacheParams: cfg.CacheHW, CacheCosts: cfg.Cache,
-		Disabled: cfg.Disabled,
-	})
+	m.DSM = core.New(m.Eng, m.Net, space, st, m.Procs, cfg.Config)
 	m.DSM.Obs = cfg.Obs
 	m.Sync = msync.New(m.Eng, m.DSM, m.Net, st, cfg.Sync, cfg.Obs)
 	m.Sync.SetAlgos(la, ba)

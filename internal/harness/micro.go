@@ -37,7 +37,7 @@ var PaperMicro = Micro{
 
 // microConfig is the Table 3 measurement machine: 0-cycle LAN delay.
 func microConfig(p, c int) Config {
-	return NewConfig(p, c, WithInterSSMPDelay(0), WithDisabled(false))
+	return NewConfig(p, c, WithInterSSMPDelay(0))
 }
 
 // MeasureMicro reproduces Table 3 on the current cost calibration.
@@ -76,14 +76,20 @@ func allocHomedAt(m *Machine, proc int) vm.Addr {
 
 // measureTLBFill: processor 1 touches a page its SSMP already maps
 // (transition 1: a pure software TLB fill from the local page table).
+// The protocol runs only at C < P, so the machine is two SSMPs of two
+// processors; processors 2 and 3 stay idle, so no other SSMP's traffic
+// reaches the timed fill.
 func measureTLBFill() sim.Time {
-	cfg := microConfig(2, 2) // one SSMP of two processors
+	cfg := microConfig(4, 2)
 	m := NewMachine(cfg)
 	va := allocHomedAt(m, 0)
 	var fill sim.Time
 	_, err := m.RunPer(func(i int) func(*Ctx) {
-		if i == 0 {
+		switch i {
+		case 0:
 			return func(c *Ctx) { c.LoadF64(va) } // maps the page
+		case 2, 3:
+			return nil
 		}
 		return func(c *Ctx) {
 			c.Proc.Sleep(1_000_000)

@@ -26,11 +26,7 @@ func (m *Mesh2D) sized(nssmp int, c Costs) Topology {
 	for w*w < nssmp {
 		w++
 	}
-	bpc := c.BytesPerCycle
-	if bpc <= 0 {
-		bpc = 1
-	}
-	return &Mesh2D{w: w, perHop: c.InterDelay / 4, bpc: bpc}
+	return &Mesh2D{w: w, perHop: c.InterDelay / 4, bpc: c.BytesPerCycle}
 }
 
 // next returns the node after cur on the X-then-Y dimension-ordered

@@ -125,11 +125,9 @@ type Network struct {
 type site struct{ ssmp, x, y int32 }
 
 // NewNetwork builds the network for nprocs processors grouped into SSMPs
-// of csize each. procs[i] must be the simulated processor i.
+// of csize each. procs[i] must be the simulated processor i, and
+// costs.BytesPerCycle at least 1 (harness.Config.Validate).
 func NewNetwork(eng *sim.Engine, procs []*sim.Proc, csize int, costs Costs) *Network {
-	if costs.BytesPerCycle <= 0 {
-		costs.BytesPerCycle = 1
-	}
 	w := 1
 	for w*w < csize {
 		w++
@@ -210,9 +208,6 @@ func (n *Network) Latency(from, to, bytes int) sim.Time {
 		if l.BytesPerCycle > 0 && l.BytesPerCycle < minBPC {
 			minBPC = l.BytesPerCycle
 		}
-	}
-	if minBPC <= 0 {
-		minBPC = 1
 	}
 	return lat + sim.Time(bytes/minBPC)
 }

@@ -114,11 +114,7 @@ type Uniform struct {
 func NewUniform() *Uniform { return &Uniform{} }
 
 func (u *Uniform) sized(nssmp int, c Costs) Topology {
-	bpc := c.BytesPerCycle
-	if bpc <= 0 {
-		bpc = 1
-	}
-	return &Uniform{delay: c.InterDelay, bpc: bpc}
+	return &Uniform{delay: c.InterDelay, bpc: c.BytesPerCycle}
 }
 
 func (u *Uniform) Route(a, b int) []Link {
@@ -171,9 +167,6 @@ func (t *Tiered) sized(nssmp int, c Costs) Topology {
 		wanLat = lanLat
 	}
 	lanBPC := c.BytesPerCycle
-	if lanBPC <= 0 {
-		lanBPC = 1
-	}
 	wanBPC := lanBPC / 4
 	if wanBPC < 1 {
 		wanBPC = 1

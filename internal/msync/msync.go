@@ -53,7 +53,7 @@ func New(eng *sim.Engine, dsm *core.System, net *msg.Network, st *stats.Collecto
 	cfg := dsm.Config()
 	m := &System{
 		dsm: dsm, st: st,
-		env:   algo.NewEnv(eng, net, st, o, cfg.NProcs, cfg.ClusterSize, costs),
+		env:   algo.NewEnv(eng, net, st, o, cfg.P, cfg.C, costs),
 		locks: make(map[int]*rcLock), barriers: make(map[int]*rcBarrier),
 	}
 	m.newLock, _ = algo.LockByName("") // the defaults always resolve

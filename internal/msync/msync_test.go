@@ -39,9 +39,9 @@ func buildTest(p, c int, delay sim.Time) *testMachine {
 	net.OnHandler = func(proc int, cyc sim.Time) { st.Charge(proc, stats.MGS, cyc) }
 	space := vm.NewSpace(1024, p)
 	cfg := core.Config{
-		NProcs: p, ClusterSize: c, PageSize: 1024, TLBSize: 64,
-		Costs: core.DefaultCosts(), Variant: core.DefaultVariant(), CacheParams: cache.DefaultParams(),
-		CacheCosts: cache.Costs{Hit: 2, Local: 11, Remote: 38, TwoParty: 42, ThreeParty: 63, Software: 425, CleanPerLine: 20},
+		P: p, C: c, PageSize: 1024, TLBSize: 64,
+		Protocol: core.DefaultCosts(), Variant: core.DefaultVariant(), CacheHW: cache.DefaultParams(),
+		Cache: cache.Costs{Hit: 2, Local: 11, Remote: 38, TwoParty: 42, ThreeParty: 63, Software: 425, CleanPerLine: 20},
 	}
 	tm.st, tm.net = st, net
 	tm.dsm = core.New(eng, net, space, st, tm.procs, cfg)

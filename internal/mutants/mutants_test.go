@@ -3,7 +3,8 @@
 // messages that failure must carry. They show that the checks the
 // reproduction rests on can fail: the determinism policy, cost
 // accounting, observer neutrality, Table 1's request/reply balance,
-// allocation counts and Setup's first-touch order. A new sentinel is a
+// allocation counts, Setup's first-touch order and the null protocol
+// at C = P. A new sentinel is a
 // row of sentinels, not a CI step. Run the table with
 //
 //	MGS_SENTINELS=1 go test -run TestSentinels ./internal/mutants
@@ -74,6 +75,9 @@ var sentinels = []sentinel{
 	{"first-touch", "Jacobi's Setup filling src before dst", "internal/apps/jacobi.go",
 		[][2]string{{"\n\tfillInTurn(m, j.src, j.dst, words, edge, edge)\n", "\n\tj.src.Fill(m, 0, words, edge)\n\tj.dst.Fill(m, 0, words, edge)\n"}},
 		"./internal/exp", "TestSetupFirstTouchOrder", []string{"jacobi: home frames hash to"}},
+	{"null-mgs", "the protocol running at C = P", "internal/core/system.go",
+		[][2]string{{"\n\t\tnull:  cfg.P == cfg.C,\n", "\n\t\tnull:  false,\n"}},
+		"./internal/core", "TestNullMGSAtCEqualsP", []string{"jacobi: rreq=", "a Table 1 message counter, at C = P", "where every fill is tlbfill.null"}},
 }
 
 // root is the module root, from this package's directory.

@@ -11,9 +11,9 @@ type Option = harness.Option
 
 // NewConfig returns the calibrated paper configuration for p processors
 // in clusters of c — 1K-byte pages, a 64-entry software TLB, a
-// 1000-cycle inter-SSMP delay, and software coherence disabled when
-// c == p (the paper's tightly-coupled baseline) — then applies the
-// options in order:
+// 1000-cycle inter-SSMP delay, and null MGS calls when c == p (the
+// paper's tightly-coupled baseline: one SSMP needs no software
+// coherence) — then applies the options in order:
 //
 //	cfg := mgs.NewConfig(16, 4,
 //	    mgs.WithPageSize(2048),
@@ -31,10 +31,6 @@ func WithTLBSize(entries int) Option { return harness.WithTLBSize(entries) }
 // WithInterSSMPDelay sets the fixed inter-SSMP message latency in
 // cycles (the paper's emulated-LAN knob).
 func WithInterSSMPDelay(d Time) Option { return harness.WithInterSSMPDelay(d) }
-
-// WithDisabled forces the software coherence layer off or on,
-// overriding the c == p default.
-func WithDisabled(disabled bool) Option { return harness.WithDisabled(disabled) }
 
 // WithFaultPlan attaches a deterministic fault-injection plan to the
 // inter-SSMP transport: messages are dropped, duplicated, and delayed
