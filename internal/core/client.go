@@ -64,7 +64,7 @@ func (s *System) fault(p *sim.Proc, ss *ssmpState, v vm.Page, write bool) {
 		}
 		s.insertTLB(ss, cp, p.ID, priv)
 		if write {
-			ss.duqs[s.within(p.ID)].add(v)
+			s.queue(p.ID, v)
 			// Touch the Server record only when this SSMP is the home
 			// (home state is the home SSMP's state).
 			if s.ssmpOf(s.space.HomeProc(v)) == cp.ssmp {
@@ -126,7 +126,7 @@ func (s *System) nullFill(p *sim.Proc, ss *ssmpState, v vm.Page) {
 // through here, so a mapping tlbDir does not know — one no shootdown
 // would reach — cannot exist.
 func (s *System) insertTLB(ss *ssmpState, cp *clientPage, proc int, priv vm.Priv) {
-	evicted, did := s.tlbs[proc].Insert(cp.page, priv)
+	evicted, did := s.cpus[proc].tlb.Insert(cp.page, priv)
 	if did {
 		if old := ss.pages.Get(evicted); old != nil {
 			old.tlbDir &^= bit(s.within(proc))
@@ -141,7 +141,7 @@ func (s *System) insertTLB(ss *ssmpState, cp *clientPage, proc int, priv vm.Priv
 func (s *System) dropMappings(cp *clientPage) int {
 	n := 0
 	for t := cp.tlbDir; t != 0; t &= t - 1 {
-		s.tlbs[s.ssmpBase(cp.ssmp)+bits.TrailingZeros64(t)].Invalidate(cp.page)
+		s.cpus[s.ssmpBase(cp.ssmp)+bits.TrailingZeros64(t)].tlb.Invalidate(cp.page)
 		n++
 	}
 	cp.tlbDir = 0
@@ -235,7 +235,7 @@ func (s *System) onUpgrade(cp *clientPage, requester *sim.Proc, at sim.Time) {
 // upgrading processor, which still holds the page-table lock.
 func (s *System) onUpAck(cp *clientPage, requester *sim.Proc, at sim.Time) {
 	ss := s.ssmps[cp.ssmp]
-	ss.duqs[s.within(requester.ID)].add(cp.page)
+	s.queue(requester.ID, cp.page)
 	// The fill records the mapping in tlbDir again: a serve-time
 	// shootdown of the home SSMP's mappings (serveData takes no
 	// page-table lock) may have cleared the bit the fault set.

@@ -170,31 +170,6 @@ func TestDiffSizeMismatchPanics(t *testing.T) {
 	ComputeDiff(make([]byte, 8), make([]byte, 16))
 }
 
-func TestDUQOrderAndDedup(t *testing.T) {
-	d := newDUQ()
-	d.add(3)
-	d.add(1)
-	d.add(3) // dup
-	d.add(2)
-	if d.len() != 3 {
-		t.Fatalf("len = %d, want 3", d.len())
-	}
-	var got []int
-	for {
-		p, ok := d.pop()
-		if !ok {
-			break
-		}
-		got = append(got, int(p))
-	}
-	want := []int{3, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestComputeDiffOwnsStorage checks the throwaway form's ownership
 // contract: the returned diff must survive later, different
 // computations.

@@ -44,10 +44,10 @@ import (
 // releaseLazy drains processor p's delayed update queue under lazy
 // release consistency: one diff-carrying REL per dirty page, no
 // invalidation round. Called by ReleaseAll.
-func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, d *duq) {
+func (s *System) releaseLazy(p *sim.Proc, ss *ssmpState, cu *cpu) {
 	c := &s.cfg.Protocol
 	for {
-		v, ok := d.pop()
+		v, ok := cu.duq.pop(&cu.tlb)
 		if !ok {
 			return
 		}

@@ -148,7 +148,7 @@ func (s *System) onData(sp *serverPage, cp *clientPage, p *sim.Proc, write bool,
 		if isHome {
 			sp.homeDirty = true
 		}
-		ss.duqs[s.within(p.ID)].add(cp.page)
+		s.queue(p.ID, cp.page)
 	} else {
 		cp.state = PRead
 	}
@@ -187,17 +187,17 @@ func (s *System) ReleaseAll(p *sim.Proc) {
 	}
 	c := &s.cfg.Protocol
 	ss := s.ssmps[s.ssmpOf(p.ID)]
-	d := ss.duqs[s.within(p.ID)]
+	cu := &s.cpus[p.ID]
 	// Attribute each page's release work to that page; restore the
 	// caller's context (the lock or barrier driving the release) after.
 	pk, pid := s.st.ProfContext(p.ID)
 	defer s.st.ProfSet(p.ID, pk, pid)
 	if s.cfg.Variant.LazyRelease {
-		s.releaseLazy(p, ss, d)
+		s.releaseLazy(p, ss, cu)
 		return
 	}
 	for {
-		v, ok := d.pop()
+		v, ok := cu.duq.pop(&cu.tlb)
 		if !ok {
 			return
 		}
@@ -380,7 +380,7 @@ func (s *System) onInvLocked(sp *serverPage, cp *clientPage, oneW bool, round in
 // the table's arc 12, the processor's DUQ entry stays — see the note in
 // finishInv.
 func (s *System) onPInv(sp *serverPage, cp *clientPage, round int64, o, q int, at sim.Time) {
-	s.tlbs[q].Invalidate(cp.page)
+	s.cpus[q].tlb.Invalidate(cp.page)
 	m := s.newMsg(mPInvAck, cp.page)
 	m.sp, m.cp, m.round = sp, cp, round
 	s.send(m, q, o, at, s.cfg.Protocol.CtrlBytes, 0, 0)

@@ -154,6 +154,6 @@ func (s *System) SnapshotProtocol() []PageSnap {
 // DUQPages returns processor p's delayed-update-queue entries in queue
 // order (tests and the model checker).
 func (s *System) DUQPages(p int) []vm.Page {
-	d := s.ssmps[s.ssmpOf(p)].duqs[s.within(p)]
+	d := &s.cpus[p].duq
 	return slices.Clone(d.queue[d.head:])
 }

@@ -127,9 +127,17 @@ type clientPage struct {
 	invOneW  bool // current invalidation is a 1WINV
 }
 
-// procPlace is where a processor sits: its SSMP and its index within
-// that SSMP, tabled so the access path divides by no cluster size.
-type procPlace struct{ ssmp, local int32 }
+// cpu is one processor's own software state: where it sits (its SSMP
+// and its index within that SSMP, tabled so the access path divides by
+// no cluster size), its software TLB and its delayed update queue,
+// whose membership is a mark in the TLB's table (duq). The machine's
+// records are one slice; the TLBs' tables and the queues' runs come
+// from the System's stores.
+type cpu struct {
+	ssmp, local int32
+	tlb         vm.TLB
+	duq         duq
+}
 
 // invTarget is one SSMP to invalidate in a release round.
 type invTarget struct {
@@ -207,16 +215,20 @@ type System struct {
 	st    *stats.Collector
 	procs []*sim.Proc
 
-	tlbs  []*vm.TLB
+	cpus  []cpu // by processor
 	ssmps []*ssmpState
-	place []procPlace // by processor: its SSMP and within-SSMP index
 
-	// Every SSMP's per-page host state comes from these stores, so a
-	// mapped page makes no allocation of its own.
-	lines       cache.Store          // cache chunks and frame directories
-	frames      mem.Store            // frame headers and bytes
-	clientPages mem.Slab[clientPage] // ensurePage's records
-	serverPages mem.Slab[serverPage] // server's records
+	// Every processor's and SSMP's per-page host state comes from these
+	// stores, so neither a mapped page nor a processor makes an
+	// allocation of its own.
+	lines        cache.Store               // cache chunks and frame directories
+	frames       mem.Store                 // frame headers and bytes
+	clientPages  mem.Slab[clientPage]      // ensurePage's records
+	serverPages  mem.Slab[serverPage]      // server's records
+	tlbTables    vm.PageStore[vm.Priv]     // every TLB's table
+	pageTables   vm.PageStore[*clientPage] // every SSMP's pages
+	serverTables vm.PageStore[*serverPage] // every SSMP's servers
+	queueRuns    mem.Blocks[vm.Page]       // every delayed update queue
 
 	// Obs is the observability spine. Nil (or an observer with no
 	// sinks) keeps the trace path structurally detached: emitPageArgs
@@ -301,7 +313,6 @@ type ssmpState struct {
 	servers vm.PageMap[*serverPage] // pages homed on this SSMP
 	frames  *mem.FrameAllocator     // this SSMP's physical frame region
 	dirs    mem.Pool[*cache.Dir]    // directories of recycled frames, for newDir
-	duqs    []*duq                  // one per local processor
 }
 
 // New wires a System over an engine, network, address space, stats
@@ -312,14 +323,16 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 	}
 	s := &System{
 		eng: eng, cfg: cfg, net: net, space: space, st: st, procs: procs,
-		null:  cfg.P == cfg.C,
-		tlbs:  make([]*vm.TLB, cfg.P),
-		place: make([]procPlace, cfg.P),
+		null: cfg.P == cfg.C,
+		cpus: make([]cpu, cfg.P),
 	}
 	nssmp := cfg.P / cfg.C
-	for i := 0; i < cfg.P; i++ {
-		s.tlbs[i] = vm.NewTLB(cfg.TLBSize)
-		s.place[i] = procPlace{ssmp: int32(i / cfg.C), local: int32(i % cfg.C)}
+	fifos := make([]uint32, cfg.P*cfg.TLBSize)
+	for i := range s.cpus {
+		s.cpus[i] = cpu{
+			ssmp: int32(i / cfg.C), local: int32(i % cfg.C),
+			tlb: vm.MakeTLB(&s.tlbTables, fifos[i*cfg.TLBSize:(i+1)*cfg.TLBSize]),
+		}
 	}
 	for i := 0; i < nssmp; i++ {
 		// Disjoint frame-ID regions (2^40 IDs each) keep frame tags
@@ -327,28 +340,26 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		// domain indexes its own region's directories by frame number.
 		base := uint64(i) << mem.RegionBits
 		ss := &ssmpState{
-			id:     i,
-			domain: s.lines.Domain(base, cfg.C, cfg.PageSize, cfg.CacheHW, cfg.Cache),
-			frames: s.frames.Allocator(base, cfg.PageSize),
-			duqs:   make([]*duq, cfg.C),
-		}
-		for j := range ss.duqs {
-			ss.duqs[j] = newDUQ()
+			id:      i,
+			domain:  s.lines.Domain(base, cfg.C, cfg.PageSize, cfg.CacheHW, cfg.Cache),
+			frames:  s.frames.Allocator(base, cfg.PageSize),
+			pages:   s.pageTables.Map(),
+			servers: s.serverTables.Map(),
 		}
 		s.ssmps = append(s.ssmps, ss)
 	}
-	reg, tlbs := st.Registry(), s.tlbs
+	reg, cpus := st.Registry(), s.cpus
 	reg.Gauge("tlb.fills", func() int64 {
 		var n int64
-		for _, t := range tlbs {
-			n += t.Fills
+		for i := range cpus {
+			n += cpus[i].tlb.Fills
 		}
 		return n
 	})
 	reg.Gauge("tlb.evictions", func() int64 {
 		var n int64
-		for _, t := range tlbs {
-			n += t.Evictions
+		for i := range cpus {
+			n += cpus[i].tlb.Evictions
 		}
 		return n
 	})
@@ -362,8 +373,14 @@ func (s *System) Config() Config { return s.cfg }
 // Space returns the virtual address space.
 func (s *System) Space() *vm.Space { return s.space }
 
-func (s *System) ssmpOf(proc int) int { return int(s.place[proc].ssmp) }
-func (s *System) within(proc int) int { return int(s.place[proc].local) }
+func (s *System) ssmpOf(proc int) int { return int(s.cpus[proc].ssmp) }
+func (s *System) within(proc int) int { return int(s.cpus[proc].local) }
+
+// queue adds page v to proc's delayed update queue, if it is not queued.
+func (s *System) queue(proc int, v vm.Page) {
+	c := &s.cpus[proc]
+	c.duq.add(&c.tlb, &s.queueRuns, v)
+}
 
 func bit(i int) uint64 { return 1 << uint(i) }
 
@@ -450,6 +467,16 @@ func (s *System) Pools() (msgs, pageBufs, diffBufs, frames, dirs mem.Counts) {
 // bytes, and of cache chunks.
 func (s *System) Blocks() (pages, chunks int64) {
 	return s.frames.PageBlocks(), s.lines.ChunkBlocks()
+}
+
+// TableBlocks returns the blocks the machine's page-table stores (every
+// TLB's and every SSMP's) allocated, of chunks and of indexes, and the
+// blocks of delayed-update-queue runs.
+func (s *System) TableBlocks() (chunks, indexes, queues int64) {
+	tc, ti := s.tlbTables.Blocks()
+	pc, pi := s.pageTables.Blocks()
+	sc, si := s.serverTables.Blocks()
+	return tc + pc + sc, ti + pi + si, s.queueRuns.Made()
 }
 
 // DirWords returns the sharer words the machine's frame directories
@@ -562,17 +589,16 @@ func (s *System) Access(p *sim.Proc, va vm.Addr, write, pointer bool) (*mem.Fram
 	if pointer {
 		tc = s.cfg.Protocol.TransPtr
 	}
-	pl := s.place[p.ID]
-	ss := s.ssmps[pl.ssmp]
-	tlb := s.tlbs[p.ID]
+	c := &s.cpus[p.ID]
+	ss := s.ssmps[c.ssmp]
 	for {
-		if priv, ok := tlb.Lookup(page); ok && (priv == vm.Write || !write) {
+		if priv, ok := c.tlb.Lookup(page); ok && (priv == vm.Write || !write) {
 			cp := ss.pages.Get(page)
-			if ss.domain.Hit(int(pl.local), cp.frame, off, write) {
+			if ss.domain.Hit(int(c.local), cp.frame, off, write) {
 				s.spend(p, stats.User, tc+s.cfg.Cache.Hit)
 				return cp.frame, off
 			}
-			cost, _ := ss.domain.Access(int(pl.local), cp.frame, cp.dir, off, write)
+			cost, _ := ss.domain.Access(int(c.local), cp.frame, cp.dir, off, write)
 			s.spend(p, stats.User, tc+cost)
 			return cp.frame, off
 		}
@@ -592,7 +618,7 @@ func (s *System) Probe(ssmp int, v vm.Page) PageState {
 }
 
 // TLB returns processor p's TLB (tests and tools).
-func (s *System) TLB(p int) *vm.TLB { return s.tlbs[p] }
+func (s *System) TLB(p int) *vm.TLB { return &s.cpus[p].tlb }
 
 // CacheCounters aggregates the hardware access-class counters across
 // all SSMP coherence domains.
@@ -608,5 +634,5 @@ func (s *System) CacheCounters() cache.Counters {
 
 // DUQLen reports the delayed-update-queue length of processor p.
 func (s *System) DUQLen(p int) int {
-	return s.ssmps[s.ssmpOf(p)].duqs[s.within(p)].len()
+	return s.cpus[p].duq.len()
 }

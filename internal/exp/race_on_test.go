@@ -1,0 +1,6 @@
+//go:build race
+
+package exp
+
+// raceEnabled: this test binary runs under the race runtime.
+const raceEnabled = true

@@ -385,6 +385,14 @@ type EngineCounts struct {
 	// cache chunks (cache.Store). A page or chunk allocated on its own
 	// instead of carved leaves them short.
 	PageBlocks, ChunkBlocks int64
+	// TableBlocks, IndexBlocks and QueueBlocks are the blocks the
+	// machine's page-table and queue stores allocated
+	// (core.System.TableBlocks): of page-table chunks and of page-table
+	// indexes, summed over the one store of every TLB's tables and the
+	// two of every SSMP's, and of delayed-update-queue runs. A table
+	// chunk or index, or a queue, allocated on its own instead of
+	// carved leaves them short.
+	TableBlocks, IndexBlocks, QueueBlocks int64
 	// DirWords is the sharer words the machine's frame directories were
 	// carved with (cache.Store.DirWords): a line's sharer set is as wide
 	// as its SSMP needs, so it falls with the cluster size.
@@ -428,6 +436,7 @@ func (m *Machine) RunPer(bodyFor func(i int) func(c *Ctx)) (Result, error) {
 	}
 	e.Messages, e.PageBufs, e.DiffBufs, e.Frames, e.Dirs = m.DSM.Pools()
 	e.PageBlocks, e.ChunkBlocks = m.DSM.Blocks()
+	e.TableBlocks, e.IndexBlocks, e.QueueBlocks = m.DSM.TableBlocks()
 	e.DirWords = m.DSM.DirWords()
 	return Result{
 		Cycles:     m.lastClock(),

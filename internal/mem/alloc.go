@@ -72,6 +72,9 @@ type Blocks[T any] struct {
 	made   int // blocks allocated
 }
 
+// Made returns the number of blocks allocated.
+func (b *Blocks[T]) Made() int64 { return int64(b.made) }
+
 // Carve returns a fresh run of n values, starting a block of at most
 // max(limit/n, 1) runs when the current one cannot hold it.
 func (b *Blocks[T]) Carve(n, limit int) []T {
@@ -100,7 +103,7 @@ type Store struct {
 const maxBlock = 64 << 10
 
 // PageBlocks returns the number of blocks of page bytes allocated.
-func (s *Store) PageBlocks() int64 { return int64(s.bytes.made) }
+func (s *Store) PageBlocks() int64 { return s.bytes.Made() }
 
 // frame returns a fresh zeroed frame of pageSize bytes tagged id.
 func (s *Store) frame(id uint64, pageSize int) *Frame {

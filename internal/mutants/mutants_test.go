@@ -3,8 +3,8 @@
 // messages that failure must carry. They show that the checks the
 // reproduction rests on can fail: the determinism policy, cost
 // accounting, observer neutrality, Table 1's request/reply balance,
-// allocation counts, Setup's first-touch order and the null protocol
-// at C = P. A new sentinel is a
+// allocation counts, Setup's first-touch order, delayed-update-queue
+// membership and the null protocol at C = P. A new sentinel is a
 // row of sentinels, not a CI step. Run the table with
 //
 //	MGS_SENTINELS=1 go test -run TestSentinels ./internal/mutants
@@ -75,8 +75,11 @@ var sentinels = []sentinel{
 	{"first-touch", "Jacobi's Setup filling src before dst", "internal/apps/jacobi.go",
 		[][2]string{{"\n\tfillInTurn(m, j.src, j.dst, words, edge, edge)\n", "\n\tj.src.Fill(m, 0, words, edge)\n\tj.dst.Fill(m, 0, words, edge)\n"}},
 		"./internal/exp", "TestSetupFirstTouchOrder", []string{"jacobi: home frames hash to"}},
+	{"duq-mark", "a delayed update queue's pop leaving the page's queued mark set, so a page written again after its release never queues again", "internal/core/duq.go",
+		[][2]string{{"\n\ttlb.Unmark(h)\n", "\n"}},
+		"./internal/core", "TestDUQAddPopMatchesFIFO", []string{"marked true, reference member false"}},
 	{"null-mgs", "the protocol running at C = P", "internal/core/system.go",
-		[][2]string{{"\n\t\tnull:  cfg.P == cfg.C,\n", "\n\t\tnull:  false,\n"}},
+		[][2]string{{"\n\t\tnull: cfg.P == cfg.C,\n", "\n\t\tnull: false,\n"}},
 		"./internal/core", "TestNullMGSAtCEqualsP", []string{"jacobi: rreq=", "a Table 1 message counter, at C = P", "where every fill is tlbfill.null"}},
 }
 

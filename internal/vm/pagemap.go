@@ -1,5 +1,11 @@
 package vm
 
+import (
+	"reflect"
+
+	"mgs/internal/mem"
+)
+
 // PageMap is a page-number-indexed table of per-page values: the one
 // store behind the software TLB, the home map and core's per-SSMP page
 // tables. Pages are small dense integers (the space is a bump
@@ -8,15 +14,20 @@ package vm
 // map-range determinism hazard).
 //
 // The zero T means absent: Get of an unset page returns it, and Put of
-// it deletes. The table is two-level, a top-level slice of pointers to
-// fixed-size chunks of pageChunk values, a chunk allocated on the first
+// it deletes. The table is two-level, a top-level index of pointers to
+// fixed-size chunks of pageChunk values, a chunk carved on the first
 // non-zero Put into it. Every SSMP keeps tables indexed by the
 // machine's global page numbers, so a flat array would cost O(SSMPs ×
 // pages) while an SSMP touches only its own slice of the pages.
-// Chunked, the storage follows the pages touched and the top level is
+// Chunked, the storage follows the pages touched and the index is
 // 1/pageChunk of the flat array. A chunk, once made, stays.
+//
+// Chunks and indexes come from the map's PageStore, which the maps of
+// one machine share (PageStore.Map), so a map pays no allocation of its
+// own. A zero PageMap makes its own store on its first non-zero Put.
 type PageMap[T comparable] struct {
 	chunks []*[pageChunk]T
+	store  *PageStore[T]
 }
 
 const (
@@ -24,6 +35,32 @@ const (
 	pageChunk = 1 << pageShift
 	pageMask  = pageChunk - 1
 )
+
+// PageStore carves the chunks and indexes of the PageMaps made from it:
+// chunks one to a run, an index as a run of chunk pointers, each kind
+// from mem.Blocks of at most maxTableBlock bytes. A map that outgrows
+// its index leaves the old run behind in its block; the index grows to
+// the chunk a Put reaches and then by doubling, so that happens a few
+// times per map. Nothing is freed back: maps live as long as their
+// store. The zero value is ready.
+type PageStore[T comparable] struct {
+	chunks mem.Blocks[[pageChunk]T]
+	index  mem.Blocks[*[pageChunk]T]
+}
+
+// maxTableBlock caps a block of chunks or of index entries: 16 KB less
+// the 8-byte header Go puts in front of a pointerful allocation, so a
+// full block fits the 16 KB size class.
+const maxTableBlock = 16<<10 - 8
+
+// Map returns an empty PageMap whose chunks and index come from s.
+func (s *PageStore[T]) Map() PageMap[T] { return PageMap[T]{store: s} }
+
+// Blocks returns the blocks the store allocated: of chunks, and of
+// index entries.
+func (s *PageStore[T]) Blocks() (chunks, index int64) {
+	return s.chunks.Made(), s.index.Made()
+}
 
 // Get returns the value stored for page p, or the zero T.
 //
@@ -50,13 +87,16 @@ func (m *PageMap[T]) Put(p Page, t T) {
 		return
 	}
 	if c >= Page(len(m.chunks)) {
-		grown := make([]*[pageChunk]T, max(2*len(m.chunks), int(c)+1))
+		if m.store == nil {
+			m.store = new(PageStore[T])
+		}
+		grown := m.store.index.Carve(max(2*len(m.chunks), int(c)+1), maxTableBlock/8)
 		copy(grown, m.chunks)
 		m.chunks = grown
 	}
 	ch := m.chunks[c]
 	if ch == nil {
-		ch = new([pageChunk]T)
+		ch = &m.store.chunks.Carve(1, maxTableBlock/int(reflect.TypeFor[[pageChunk]T]().Size()))[0]
 		m.chunks[c] = ch
 	}
 	ch[p&pageMask] = t

@@ -66,50 +66,61 @@ func TestPageMap(t *testing.T) {
 }
 
 // FuzzPageMap is the differential oracle for PageMap: a byte script of
-// Puts drives a PageMap[uint8] beside a map[Page]uint8 reference. After
-// every Put, Get of the page and its two neighbours must agree with the
-// map; at the end Each must visit exactly the map's pages, in ascending
-// order, with their values. Each step is three bytes: the low two bits
-// of the first are the value (0 deletes), its next bit moves the page
-// from near 0 to near 1<<20, and the other two bytes are the page's
-// offset there, so scripts cross the 63/64 chunk boundary and grow a
-// sparse top level. The seed corpus is testdata/fuzz/FuzzPageMap.
+// Puts drives two PageMap[uint8]s drawn from one PageStore, each beside
+// a map[Page]uint8 reference. After every Put, Get of the page and its
+// two neighbours must agree with the reference in both maps, so a chunk
+// or index the store hands to both shows as a value in the wrong map;
+// at the end Each must visit exactly each reference's pages, in
+// ascending order, with their values. Each step is three bytes: the low
+// two bits of the first are the value (0 deletes), its next bit moves
+// the page from near 0 to near 1<<20, the bit after that picks the
+// second map, and the other two bytes are the page's offset there, so
+// scripts cross the 63/64 chunk boundary, grow a sparse index and
+// interleave the two maps' carves. The seed corpus is
+// testdata/fuzz/FuzzPageMap.
 func FuzzPageMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
-		var m PageMap[uint8]
-		ref := map[Page]uint8{}
+		var store PageStore[uint8]
+		maps := [2]PageMap[uint8]{store.Map(), store.Map()}
+		refs := [2]map[Page]uint8{{}, {}}
 		for k := 0; k+2 < len(script); k += 3 {
 			v := script[k] & 3
 			p := Page(script[k+1])<<8 | Page(script[k+2])
 			if script[k]&4 != 0 {
 				p += 1<<20 - 1<<15
 			}
-			m.Put(p, v)
+			w := script[k] >> 3 & 1
+			maps[w].Put(p, v)
 			if v == 0 {
-				delete(ref, p)
+				delete(refs[w], p)
 			} else {
-				ref[p] = v
+				refs[w][p] = v
 			}
-			for _, q := range []Page{p - 1, p, p + 1} {
-				if got := m.Get(q); got != ref[q] {
-					t.Fatalf("step %d: Get(%d) = %d, reference %d", k/3, q, got, ref[q])
+			for i := range maps {
+				for _, q := range []Page{p - 1, p, p + 1} {
+					if got := maps[i].Get(q); got != refs[i][q] {
+						t.Fatalf("step %d (Put(%d, %d) into map %d): map %d Get(%d) = %d, reference %d",
+							k/3, p, v, w, i, q, got, refs[i][q])
+					}
 				}
 			}
 		}
-		want := make([]Page, 0, len(ref))
-		for p := range ref {
-			want = append(want, p)
-		}
-		slices.Sort(want)
-		var got []Page
-		m.Each(func(p Page, v uint8) {
-			if v != ref[p] {
-				t.Fatalf("Each(%d) = %d, reference %d", p, v, ref[p])
+		for i := range maps {
+			want := make([]Page, 0, len(refs[i]))
+			for p := range refs[i] {
+				want = append(want, p)
 			}
-			got = append(got, p)
-		})
-		if !slices.Equal(got, want) {
-			t.Fatalf("Each visited %v, reference %v", got, want)
+			slices.Sort(want)
+			var got []Page
+			maps[i].Each(func(p Page, v uint8) {
+				if v != refs[i][p] {
+					t.Fatalf("map %d: Each(%d) = %d, reference %d", i, p, v, refs[i][p])
+				}
+				got = append(got, p)
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("map %d: Each visited %v, reference %v", i, got, want)
+			}
 		}
 	})
 }

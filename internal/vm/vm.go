@@ -6,12 +6,18 @@
 // arithmetic (Layout), the global virtual allocator with address-based
 // home assignment (Space), the software TLB model with its three
 // mapping states TLB_INV / TLB_READ / TLB_WRITE (as Priv None/Read/
-// Write), and the page-indexed table all of them and the page tables
-// store their per-page state in (PageMap). Page-table state beyond the
-// TLB belongs to the MGS protocol itself and lives in internal/core.
+// Write) and a mark per page beside them, and the page-indexed table
+// all of them and the page tables store their per-page state in
+// (PageMap), whose chunks and index the tables of one machine carve
+// from a shared PageStore. Page-table state beyond the TLB belongs to
+// the MGS protocol itself and lives in internal/core; so does the use
+// of the mark, the membership of the processor's delayed update queue.
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Addr is a virtual byte address.
 type Addr uint64
@@ -140,27 +146,53 @@ func (s *Space) SetHome(p Page, proc int) {
 // structure with FIFO replacement. Replacement is deterministic.
 //
 // The mappings are a PageMap, so Lookup, which runs once per simulated
-// memory access, is two loads and allocation-free. The FIFO lists pages
-// in fill order. An invalidation leaves the page's entry in place, and
-// entries whose page no longer maps are skipped when they reach the
-// front: a page invalidated and filled again is next evicted at its old
-// position, which every simulated result depends on.
+// memory access, is two loads and a mask, and allocation-free. The FIFO
+// lists pages in fill order, as 32-bit page numbers (2^32 pages is 4 TB
+// of the smallest page; Insert panics past it), so a machine's FIFOs
+// take half the host memory. An invalidation leaves the page's entry in
+// place, and entries whose page no longer maps are skipped when they
+// reach the front: a page invalidated and filled again is next evicted
+// at its old position, which every simulated result depends on.
+//
+// The table's byte for a page also holds a mark its owner sets and
+// clears (Mark, Unmark): core keeps the membership of the processor's
+// delayed update queue there, one bit beside the privilege, exact for
+// any page at any machine shape. A mark outlives the mapping's
+// invalidation and eviction, and no mark changes what Lookup returns,
+// Len, Fills, Evictions or which page a fill evicts.
 type TLB struct {
 	cap  int
 	live int // pages mapped
 	m    PageMap[Priv]
-	fifo []Page
+	fifo []uint32 // pages, in fill order from head
 	head int
 	// Fills counts Insert calls; Evictions counts entries displaced.
 	Fills, Evictions int64
 }
 
-// NewTLB returns a TLB holding up to capacity mappings.
+// marked is the mark's bit in a table byte; the privilege is the rest.
+const marked Priv = 1 << 7
+
+// NewTLB returns a TLB holding up to capacity mappings, with a table
+// store of its own.
 func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("vm: TLB capacity must be positive")
 	}
-	return &TLB{cap: capacity, fifo: make([]Page, 0, capacity)}
+	t := MakeTLB(new(PageStore[Priv]), make([]uint32, capacity))
+	return &t
+}
+
+// MakeTLB returns an empty TLB holding up to len(fifo) mappings, its
+// table carved from tables and its FIFO starting in fifo's array. The
+// TLBs of one machine share a store, and their FIFOs start in one
+// array: a FIFO that outgrows its share (stale entries of invalidated
+// pages count) moves out to an array of its own.
+func MakeTLB(tables *PageStore[Priv], fifo []uint32) TLB {
+	if len(fifo) == 0 {
+		panic("vm: TLB capacity must be positive")
+	}
+	return TLB{cap: len(fifo), m: tables.Map(), fifo: fifo[:0:len(fifo)]}
 }
 
 // Lookup returns the privilege of the mapping for p, or (None, false) on
@@ -168,7 +200,7 @@ func NewTLB(capacity int) *TLB {
 //
 // Must not allocate: pinned by TestLookupZeroAllocs.
 func (t *TLB) Lookup(p Page) (Priv, bool) {
-	pr := t.m.Get(p)
+	pr := t.m.Get(p) &^ marked
 	return pr, pr != None
 }
 
@@ -180,9 +212,13 @@ func (t *TLB) Insert(p Page, pr Priv) (Page, bool) {
 	if pr == None {
 		panic("vm: TLB fill with TLB_INV")
 	}
+	if p > math.MaxUint32 {
+		panic(fmt.Sprintf("vm: TLB fill of page %d, beyond the FIFO's 32-bit page numbers", p))
+	}
 	t.Fills++
-	if t.m.Get(p) != None {
-		t.m.Put(p, pr)
+	e := t.m.Get(p)
+	if e&^marked != None {
+		t.m.Put(p, pr|e&marked)
 		return 0, false
 	}
 	var evicted Page
@@ -191,7 +227,7 @@ func (t *TLB) Insert(p Page, pr Priv) (Page, bool) {
 		// Pop FIFO entries until one still maps (others were
 		// invalidated in place).
 		for {
-			old := t.fifo[t.head]
+			old := Page(t.fifo[t.head])
 			t.head++
 			if t.head == len(t.fifo) {
 				t.fifo = t.fifo[:0]
@@ -204,7 +240,7 @@ func (t *TLB) Insert(p Page, pr Priv) (Page, bool) {
 			}
 		}
 	}
-	t.m.Put(p, pr)
+	t.m.Put(p, pr|e&marked)
 	t.live++
 	// Slide the FIFO down once the dead prefix dominates, so the queue's
 	// backing array stays bounded by the live population.
@@ -213,19 +249,37 @@ func (t *TLB) Insert(p Page, pr Priv) (Page, bool) {
 		t.fifo = t.fifo[:n]
 		t.head = 0
 	}
-	t.fifo = append(t.fifo, p)
+	t.fifo = append(t.fifo, uint32(p))
 	return evicted, did
 }
 
 // Invalidate removes the mapping for p, reporting whether it existed.
+// p's mark stays.
 func (t *TLB) Invalidate(p Page) bool {
-	if t.m.Get(p) == None {
+	e := t.m.Get(p)
+	if e&^marked == None {
 		return false
 	}
-	t.m.Put(p, None)
+	t.m.Put(p, e&marked)
 	t.live--
 	return true
 }
 
 // Len reports the number of live mappings.
 func (t *TLB) Len() int { return t.live }
+
+// Mark sets p's mark, reporting whether it was clear.
+func (t *TLB) Mark(p Page) bool {
+	e := t.m.Get(p)
+	if e&marked != 0 {
+		return false
+	}
+	t.m.Put(p, e|marked)
+	return true
+}
+
+// Unmark clears p's mark.
+func (t *TLB) Unmark(p Page) { t.m.Put(p, t.m.Get(p)&^marked) }
+
+// Marked reports whether p's mark is set.
+func (t *TLB) Marked(p Page) bool { return t.m.Get(p)&marked != 0 }

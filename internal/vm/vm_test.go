@@ -195,15 +195,20 @@ func (r *refTLB) insert(p Page, pr Priv) (evicted Page, did bool) {
 }
 
 // FuzzTLB is the differential oracle for TLB: a byte script drives
-// Lookup, Insert and Invalidate on a TLB and on refTLB, and every answer
-// (Lookup's privilege, Insert's eviction, Invalidate's result) and Len,
-// Fills and Evictions must agree after every step. The first byte sets
-// the capacity (1–8); each later step is two bytes, the low two bits of
-// the first the operation (lookup, fill Read, fill Write, invalidate),
-// the second the page, 56–75, so the TLB's table crosses a chunk
-// boundary. The seed corpus is testdata/fuzz/FuzzTLB; one seed
-// invalidates a page, fills it again and evicts it through its stale
-// FIFO entry.
+// Lookup, Insert, Invalidate, Mark and Unmark on a TLB and on refTLB
+// with a set of marked pages beside it. Every answer (Lookup's
+// privilege, Insert's eviction, Invalidate's and Mark's results) and
+// Len, Fills and Evictions must agree after every step, and so must
+// Lookup and Marked of every page: a mark outlives invalidation and
+// FIFO eviction, and never changes a lookup, a count or an evicted
+// page. The first byte sets the capacity (1–8); each later step is two
+// bytes, the second the page, 56–75, so the TLB's table crosses a chunk
+// boundary, and the first the operation: with bit 2 clear its low two
+// bits are lookup, fill Read, fill Write, invalidate; with it set, bit
+// 0 is mark or unmark. The seed corpus is testdata/fuzz/FuzzTLB; one
+// seed invalidates a page, fills it again and evicts it through its
+// stale FIFO entry, one marks pages and then invalidates, evicts,
+// refills and unmarks them.
 func FuzzTLB(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
@@ -212,9 +217,10 @@ func FuzzTLB(f *testing.F) {
 		capacity := int(script[0]%8) + 1
 		tlb := NewTLB(capacity)
 		ref := &refTLB{cap: capacity, m: map[Page]Priv{}}
+		marks := map[Page]bool{}
 		for k := 1; k+1 < len(script); k += 2 {
 			p := Page(56 + script[k+1]%20)
-			switch op := script[k] & 3; op {
+			switch op := script[k] & 7; op {
 			case 0:
 				pr, ok := tlb.Lookup(p)
 				want, wantOK := ref.m[p]
@@ -234,10 +240,25 @@ func FuzzTLB(f *testing.F) {
 				if got := tlb.Invalidate(p); got != want {
 					t.Fatalf("step %d: Invalidate(%d) = %v, reference %v", k/2, p, got, want)
 				}
+			case 4, 6:
+				if got := tlb.Mark(p); got != !marks[p] {
+					t.Fatalf("step %d: Mark(%d) = %v, reference mark was %v", k/2, p, got, marks[p])
+				}
+				marks[p] = true
+			case 5, 7:
+				tlb.Unmark(p)
+				delete(marks, p)
 			}
 			if tlb.Len() != len(ref.m) || tlb.Fills != ref.fills || tlb.Evictions != ref.evictions {
 				t.Fatalf("step %d: Len %d Fills %d Evictions %d, reference %d %d %d",
 					k/2, tlb.Len(), tlb.Fills, tlb.Evictions, len(ref.m), ref.fills, ref.evictions)
+			}
+			for q := Page(56); q < 76; q++ {
+				pr, ok := tlb.Lookup(q)
+				if want, wantOK := ref.m[q]; pr != want || ok != wantOK || tlb.Marked(q) != marks[q] {
+					t.Fatalf("step %d: page %d reads %v,%v marked %v, reference %v,%v marked %v",
+						k/2, q, pr, ok, tlb.Marked(q), want, wantOK, marks[q])
+				}
 			}
 		}
 	})
@@ -328,6 +349,18 @@ func TestNewTLBPanicsOnBadCapacity(t *testing.T) {
 		}
 	}()
 	NewTLB(0)
+}
+
+// TestTLBFillBeyond32BitPagesPanics: a FIFO entry is a 32-bit page
+// number, so a fill past them panics before it touches the table.
+func TestTLBFillBeyond32BitPagesPanics(t *testing.T) {
+	tlb := NewTLB(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a fill of page 1<<32 did not panic")
+		}
+	}()
+	tlb.Insert(1<<32, Read)
 }
 
 func TestTLBInsertUpgradesPrivilegeInPlace(t *testing.T) {
