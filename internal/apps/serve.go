@@ -53,7 +53,7 @@ func (a *Serve) Setup(m *harness.Machine) {
 
 // Body replays this processor's open-loop queue.
 func (a *Serve) Body(c *harness.Ctx) {
-	for _, r := range a.trace.PerProc[c.ID] {
+	for r := range a.trace.Queue(c.ID) {
 		if r.At > c.Clock() {
 			// Idle until the scheduled arrival. If the front end is
 			// already past it, the request has been queueing; the wait

@@ -327,11 +327,11 @@ func New(eng *sim.Engine, net *msg.Network, space *vm.Space, st *stats.Collector
 		cpus: make([]cpu, cfg.P),
 	}
 	nssmp := cfg.P / cfg.C
-	fifos := make([]uint32, cfg.P*cfg.TLBSize)
+	rings := make([]uint32, cfg.P*cfg.TLBSize)
 	for i := range s.cpus {
 		s.cpus[i] = cpu{
 			ssmp: int32(i / cfg.C), local: int32(i % cfg.C),
-			tlb: vm.MakeTLB(&s.tlbTables, fifos[i*cfg.TLBSize:(i+1)*cfg.TLBSize]),
+			tlb: vm.MakeTLB(&s.tlbTables, rings[i*cfg.TLBSize:(i+1)*cfg.TLBSize]),
 		}
 	}
 	for i := 0; i < nssmp; i++ {

@@ -74,7 +74,7 @@ func TestEngineCountsGolden(t *testing.T) {
 		{"tlb-thrash/matmul", func() harness.App { return &apps.MatMul{N: 24} }, harness.NewConfig(8, 4, harness.WithTLBSize(4)),
 			harness.EngineCounts{Events: 4625, Switches: 4437, Elided: 13, FrontHits: 99, PeakQueue: 8, Lookups: 17,
 				Deliveries: pool(4, 72), SyncRecords: pool(2, 2), Messages: pool(8, 101), PageBufs: pool(2, 6), DiffBufs: pool(1, 0), Frames: pool(22, 0), Dirs: pool(22, 0),
-				PageBlocks: 11, ChunkBlocks: 8, DirWords: 88, TableBlocks: 11, IndexBlocks: 11, QueueBlocks: 7}, hostAllocs{480, 130}, hostAllocs{495, 131}},
+				PageBlocks: 11, ChunkBlocks: 8, DirWords: 88, TableBlocks: 11, IndexBlocks: 11, QueueBlocks: 7}, hostAllocs{456, 128}, hostAllocs{471, 129}},
 		{"fig-fine/water", func() harness.App { return &apps.Water{N: 16, Iters: 1} }, harness.NewConfig(8, 2),
 			harness.EngineCounts{Events: 5624, Switches: 1315, Elided: 434, FrontHits: 1754, PeakQueue: 11, Lookups: 30,
 				Deliveries: pool(9, 2063), SyncRecords: pool(4, 399), Messages: pool(9, 1963), PageBufs: pool(4, 198), DiffBufs: pool(2, 123), Frames: pool(8, 114), Dirs: pool(7, 115),
@@ -98,11 +98,11 @@ func TestEngineCountsGolden(t *testing.T) {
 		{"scale-tiered/jacobi-c1", scaleJacobi, harness.NewConfig(256, 1, tiered),
 			harness.EngineCounts{Events: 23284, Switches: 6660, Elided: 12, FrontHits: 298, PeakQueue: 256, Lookups: 19,
 				Deliveries: pool(256, 8056), SyncRecords: pool(256, 256), Messages: pool(256, 7857), PageBufs: pool(347, 1434), DiffBufs: pool(91, 222), Frames: pool(2564, 8), Dirs: pool(2544, 24),
-				PageBlocks: 56, ChunkBlocks: 42, DirWords: 2544, TableBlocks: 84, IndexBlocks: 66, QueueBlocks: 20}, hostAllocs{10535, 7448}, hostAllocs{12059, 7494}},
+				PageBlocks: 56, ChunkBlocks: 42, DirWords: 2544, TableBlocks: 84, IndexBlocks: 66, QueueBlocks: 20}, hostAllocs{10535, 7440}, hostAllocs{12059, 7486}},
 		{"sync-serve/serve-token", func() harness.App { return apps.NewServe(serve.DefaultWorkload(true, 1)) }, harness.NewConfig(8, 4),
 			harness.EngineCounts{Events: 2392, Switches: 514, Elided: 368, FrontHits: 914, PeakQueue: 9, Lookups: 24,
 				Deliveries: pool(5, 923), SyncRecords: pool(4, 550), Messages: pool(4, 427), PageBufs: pool(3, 35), DiffBufs: pool(1, 22), Frames: pool(16, 20), Dirs: pool(16, 20),
-				PageBlocks: 10, ChunkBlocks: 7, DirWords: 64, TableBlocks: 11, IndexBlocks: 11, QueueBlocks: 7}, hostAllocs{501, 110}, hostAllocs{509, 111}},
+				PageBlocks: 10, ChunkBlocks: 7, DirWords: 64, TableBlocks: 11, IndexBlocks: 11, QueueBlocks: 7}, hostAllocs{499, 105}, hostAllocs{507, 106}},
 		{"sync-serve/syncbench-mcs", func() harness.App { return &apps.SyncBench{Iters: 12} }, harness.NewConfig(8, 4, mcs...),
 			harness.EngineCounts{Events: 3447, Switches: 622, Elided: 429, FrontHits: 1796, PeakQueue: 8, Lookups: 27,
 				Deliveries: pool(8, 1404), SyncRecords: pool(8, 328), Messages: pool(5, 1210), PageBufs: pool(2, 124), DiffBufs: pool(2, 136), Frames: pool(4, 61), Dirs: pool(4, 61),

@@ -57,6 +57,15 @@ type Config struct {
 	BarrierAlgo string
 }
 
+// DefaultHorizon bounds every run's virtual time: a run that passes it
+// fails with an error naming each processor's state and clock
+// (sim.Engine.SetHorizon). It is 2^37 cycles (1.37·10^11): 88 times
+// the longest committed run, Table 4's uniprocessor MatMul (1.56·10^9
+// cycles), and 11 times that run at the paper's 256² size. Processors polling a word no one writes again
+// (TSP's idle workers, backing off 50,000 cycles a poll) reach it in
+// seconds.
+const DefaultHorizon sim.Time = 1 << 37
+
 // Option mutates a Config under construction (NewConfig).
 type Option func(*Config)
 
@@ -217,6 +226,7 @@ func NewMachine(cfg Config) *Machine {
 	cfg.LockAlgo = cmp.Or(cfg.LockAlgo, algo.DefaultLock)
 	cfg.BarrierAlgo = cmp.Or(cfg.BarrierAlgo, algo.DefaultBarrier)
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), bodies: make([]func(*Ctx), cfg.P)}
+	m.Eng.SetHorizon(DefaultHorizon)
 	for i := 0; i < cfg.P; i++ {
 		i := i
 		m.Procs = append(m.Procs, m.Eng.NewProc(i, 0, func(p *sim.Proc) {

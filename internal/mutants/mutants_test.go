@@ -4,8 +4,9 @@
 // reproduction rests on can fail: the determinism policy, cost
 // accounting, observer neutrality, Table 1's request/reply balance,
 // allocation counts, Setup's first-touch order, delayed-update-queue
-// membership and the null protocol at C = P. A new sentinel is a
-// row of sentinels, not a CI step. Run the table with
+// membership and the end of a run it stalls, the TLB's FIFO order and
+// the null protocol at C = P. A new sentinel is a row of sentinels,
+// not a CI step. Run the table with
 //
 //	MGS_SENTINELS=1 go test -run TestSentinels ./internal/mutants
 package mutants
@@ -27,8 +28,8 @@ type sentinel struct {
 	what  string      // the mutation, in words
 	file  string      // the file it edits, from the module root
 	edits [][2]string // exact old → new texts, in order; each old text occurs once
-	pkg   string      // the package whose tests must fail
-	run   string      // the -run pattern; empty runs every test
+	pkg   string      // the packages whose tests must fail, space-separated
+	run   string      // the -run pattern, test names joined by |; empty runs every test
 	want  []string    // substrings the failing output must all contain
 }
 
@@ -77,7 +78,10 @@ var sentinels = []sentinel{
 		"./internal/exp", "TestSetupFirstTouchOrder", []string{"jacobi: home frames hash to"}},
 	{"duq-mark", "a delayed update queue's pop leaving the page's queued mark set, so a page written again after its release never queues again", "internal/core/duq.go",
 		[][2]string{{"\n\ttlb.Unmark(h)\n", "\n"}},
-		"./internal/core", "TestDUQAddPopMatchesFIFO", []string{"marked true, reference member false"}},
+		"./internal/core ./internal/apps", "TestDUQAddPopMatchesFIFO|TestTSPAllShapes", []string{"marked true, reference member false", "tsp: sim: virtual time", "passed the horizon"}},
+	{"tlb-ring", "a TLB invalidation leaving the page's entry in the FIFO ring", "internal/vm/vm.go",
+		[][2]string{{"\n\tt.remove(uint32(p))\n", "\n\tt.live--\n"}},
+		"./internal/vm", "FuzzTLB", []string{"FuzzTLB/refill-evicted-at-latest-fill", "Insert(58) evicted 56,true, reference 57,true"}},
 	{"null-mgs", "the protocol running at C = P", "internal/core/system.go",
 		[][2]string{{"\n\t\tnull: cfg.P == cfg.C,\n", "\n\t\tnull: false,\n"}},
 		"./internal/core", "TestNullMGSAtCEqualsP", []string{"jacobi: rreq=", "a Table 1 message counter, at C = P", "where every fill is tlbfill.null"}},
@@ -110,14 +114,20 @@ func TestSentinelsApply(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s sentinel: mutation does not apply: %v", s.name, err)
 		}
-		tests, _ := filepath.Glob(filepath.Join(root, s.pkg, "*_test.go"))
-		found := s.run == ""
-		for _, f := range tests {
-			src, _ := os.ReadFile(f) // a file that cannot be read declares nothing
-			found = found || strings.Contains(string(src), "func "+s.run+"(")
+		var tests []string
+		for _, pkg := range strings.Fields(s.pkg) {
+			files, _ := filepath.Glob(filepath.Join(root, pkg, "*_test.go"))
+			tests = append(tests, files...)
 		}
-		if !found {
-			t.Errorf("%s sentinel: no %s in %s", s.name, s.run, s.pkg)
+		for _, name := range strings.Split(s.run, "|") {
+			found := name == ""
+			for _, f := range tests {
+				src, _ := os.ReadFile(f) // a file that cannot be read declares nothing
+				found = found || strings.Contains(string(src), "func "+name+"(")
+			}
+			if !found {
+				t.Errorf("%s sentinel: no %s in %s", s.name, name, s.pkg)
+			}
 		}
 	}
 }
@@ -169,7 +179,7 @@ func TestSentinels(t *testing.T) {
 					t.Fatal(err)
 				}
 			}()
-			cmd := exec.Command("go", "test", "-count=1", "-run", s.run, s.pkg)
+			cmd := exec.Command("go", append([]string{"test", "-count=1", "-run", s.run}, strings.Fields(s.pkg)...)...)
 			cmd.Dir = dir
 			out, err := cmd.CombinedOutput()
 			if err == nil {

@@ -16,7 +16,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	s := Place(m, w.NKeys, DefaultCosts())
 	tr := w.Generate(m.Cfg.P)
 	if _, err := m.Run(func(c *harness.Ctx) {
-		for _, r := range tr.PerProc[c.ID] {
+		for r := range tr.Queue(c.ID) {
 			if r.Op == OpPut {
 				s.Put(c, r.Key, r.Val)
 			}

@@ -20,7 +20,11 @@
 // TestDeterminismPolicy covers the package.
 package serve
 
-import "mgs/internal/sim"
+import (
+	"iter"
+
+	"mgs/internal/sim"
+)
 
 // Op is a request type.
 type Op uint8
@@ -109,13 +113,25 @@ type Request struct {
 	Phase uint8 // index into Workload.Phases
 }
 
-// Trace is a materialized request schedule.
+// Trace is a materialized request schedule for a machine of nprocs
+// front-end processors, as Generate makes it.
 type Trace struct {
 	// Reqs is every request in arrival order.
-	Reqs []Request
-	// PerProc partitions Reqs round-robin by arrival index: PerProc[i]
-	// is front-end processor i's arrival-ordered queue.
-	PerProc [][]Request
+	Reqs   []Request
+	nprocs int
+}
+
+// Queue is front-end processor p's arrival-ordered queue: Reqs
+// partitioned round-robin by arrival index, so it yields requests p,
+// p+nprocs, p+2·nprocs, … of Reqs, read in place.
+func (tr Trace) Queue(p int) iter.Seq[Request] {
+	return func(yield func(Request) bool) {
+		for i := p; i < len(tr.Reqs); i += tr.nprocs {
+			if !yield(tr.Reqs[i]) {
+				return
+			}
+		}
+	}
 }
 
 // mix64 is the splitmix64 finalizer (same bijection internal/fault
@@ -280,8 +296,8 @@ func (w Workload) count(s stream) int {
 // front-end processors. The generation is a pure function of the
 // workload (seed included) and nprocs; it runs host-side with no
 // simulated cost. It counts the requests first, so Reqs is allocated
-// once at its final length, and the per-processor queues are carved
-// from one array of the same length.
+// once at its final length; the per-processor queues are read from it
+// (Queue).
 func (w Workload) Generate(nprocs int) Trace {
 	if w.NKeys <= 0 || w.NKeys&(w.NKeys-1) != 0 {
 		panic("serve: NKeys must be a positive power of two")
@@ -318,17 +334,7 @@ func (w Workload) Generate(nprocs int) Trace {
 		}
 		start = end
 	}
-	// Processor p's queue is requests p, p+nprocs, p+2·nprocs, …
-	per := make([][]Request, nprocs)
-	backing := make([]Request, len(reqs))
-	for p := range min(nprocs, len(reqs)) {
-		n := (len(reqs) - p + nprocs - 1) / nprocs
-		per[p], backing = backing[:n:n], backing[n:]
-	}
-	for i, r := range reqs {
-		per[i%nprocs][i/nprocs] = r
-	}
-	return Trace{Reqs: reqs, PerProc: per}
+	return Trace{Reqs: reqs, nprocs: nprocs}
 }
 
 // Expect is the host-side reference for the store's final state: puts

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -72,8 +73,8 @@ func TestRankOfIsLeastRankReaching(t *testing.T) {
 }
 
 // TestGenerateIsPureAndSeeded: a trace is a function of (workload,
-// nprocs) alone, every request lands in its round-robin queue in
-// arrival order, and two seeds give two different traces.
+// nprocs) alone, its requests arrive in order, and two seeds give two
+// different traces.
 func TestGenerateIsPureAndSeeded(t *testing.T) {
 	w := DefaultWorkload(true, 7)
 	a, b := w.Generate(4), w.Generate(4)
@@ -87,9 +88,6 @@ func TestGenerateIsPureAndSeeded(t *testing.T) {
 		if i > 0 && r.At < a.Reqs[i-1].At {
 			t.Fatalf("request %d arrives at %d, before request %d at %d", i, r.At, i-1, a.Reqs[i-1].At)
 		}
-		if q := a.PerProc[i%4][i/4]; q != r {
-			t.Fatalf("request %d is %+v in its proc queue, %+v in the trace", i, q, r)
-		}
 	}
 	w.Seed = 8
 	if c := w.Generate(4); reflect.DeepEqual(a.Reqs, c.Reqs) {
@@ -97,12 +95,10 @@ func TestGenerateIsPureAndSeeded(t *testing.T) {
 	}
 }
 
-// TestGenerateSizesOnce: Generate allocates the trace at its final
-// size — Reqs and one backing array its per-processor queues are
-// carved from, each with no spare capacity — so a call costs five
-// allocations (the two CDFs of the default workload's phases, Reqs,
-// the queue headers and their backing) whatever the request count,
-// and the queues are exactly the round-robin split of Reqs, for
+// TestGenerateSizesOnce: Generate allocates the trace once at its final
+// size, so a call costs three allocations (the two CDFs of the default
+// workload's phases and Reqs) whatever the request count, and the
+// processors' queues are exactly the round-robin split of Reqs, for
 // processor counts that divide the trace, do not, and exceed it.
 func TestGenerateSizesOnce(t *testing.T) {
 	w := DefaultWorkload(true, 3)
@@ -115,17 +111,14 @@ func TestGenerateSizesOnce(t *testing.T) {
 		for i, r := range tr.Reqs {
 			want[i%nprocs] = append(want[i%nprocs], r)
 		}
-		if !reflect.DeepEqual(tr.PerProc, want) {
-			t.Fatalf("nprocs %d: queues are not the round-robin split of the trace", nprocs)
-		}
-		for p, q := range tr.PerProc {
-			if len(q) != cap(q) {
-				t.Fatalf("nprocs %d: queue %d has len %d, cap %d", nprocs, p, len(q), cap(q))
+		for p := range nprocs {
+			if got := slices.Collect(tr.Queue(p)); !slices.Equal(got, want[p]) {
+				t.Fatalf("nprocs %d: queue %d holds %d requests, not its %d of the round-robin split", nprocs, p, len(got), len(want[p]))
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(5, func() { w.Generate(8) }); n != 5 {
-		t.Fatalf("Generate made %v allocations, want 5", n)
+	if n := testing.AllocsPerRun(5, func() { w.Generate(8) }); n != 3 {
+		t.Fatalf("Generate made %v allocations, want 3", n)
 	}
 }
 

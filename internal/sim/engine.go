@@ -37,6 +37,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -47,6 +48,7 @@ type Time int64
 // not usable; call NewEngine.
 type Engine struct {
 	now        Time
+	horizon    Time // the latest virtual time the run may reach
 	seq        uint64
 	queue      eventQueue
 	dispatched int64 // events Run took off the queue
@@ -76,8 +78,15 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an empty engine at time zero, with no horizon.
+func NewEngine() *Engine { return &Engine{horizon: math.MaxInt64} }
+
+// SetHorizon bounds the run's virtual time at t: Run stops with an
+// error, naming every processor's state and clock, at the first event
+// or resume later than t. A run that can no longer end (processors
+// polling, in simulated time, a word no one will write) then fails
+// instead of running forever.
+func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
 // Now returns the current virtual time: the timestamp of the event being
 // dispatched, or of the last dispatched event.
@@ -142,10 +151,11 @@ func (e *Engine) Stop(err error) {
 	e.stopErr = err
 }
 
-// Run dispatches events in time order until the queue drains or Stop is
-// called. It returns an error if any Proc is still parked or unfinished
-// when the queue drains (a simulated deadlock), with a diagnostic
-// listing the stuck processors.
+// Run dispatches events in time order until the queue drains, Stop is
+// called or an event lies past the horizon. It returns an error if any
+// Proc is still parked or unfinished when the queue drains (a simulated
+// deadlock), with a diagnostic listing the stuck processors, and one
+// listing every processor if the run passes its horizon.
 func (e *Engine) Run() error {
 	for e.queue.Len() > 0 && !e.stopped {
 		ev := e.next()
@@ -153,6 +163,10 @@ func (e *Engine) Run() error {
 		// earlier one; virtual time stays monotone (the clamp is a no-op
 		// on the nil-chooser path, where ev is always the queue minimum).
 		if ev.t > e.now {
+			if ev.t > e.horizon {
+				procs := e.describe(true)
+				return fmt.Errorf("sim: virtual time %d passed the horizon %d, %d processors: %v", ev.t, e.horizon, len(procs), procs)
+			}
 			e.now = ev.t
 		}
 		e.dispatched++
@@ -161,15 +175,22 @@ func (e *Engine) Run() error {
 	if e.stopped {
 		return e.stopErr
 	}
-	var stuck []string
-	for _, p := range e.procs {
-		if p.state != stateDone {
-			stuck = append(stuck, fmt.Sprintf("proc %d (%s, clock %d)", p.ID, p.state, p.clock))
-		}
-	}
+	stuck := e.describe(false)
 	if len(stuck) > 0 {
 		sort.Strings(stuck)
 		return fmt.Errorf("sim: deadlock, %d processors stuck: %v", len(stuck), stuck)
 	}
 	return nil
+}
+
+// describe names each processor not yet done, or every one if all is
+// set, with its state and clock, in processor order.
+func (e *Engine) describe(all bool) []string {
+	var out []string
+	for _, p := range e.procs {
+		if all || p.state != stateDone {
+			out = append(out, fmt.Sprintf("proc %d (%s, clock %d)", p.ID, p.state, p.clock))
+		}
+	}
+	return out
 }

@@ -125,13 +125,14 @@ func (p *Proc) HandlerStart(t, cost Time) Time {
 // panics outside the body.
 //
 // When nothing is due by the new clock — the engine is not stopped, the
-// clock is not behind Now, and the queue is empty or its earliest event
-// is strictly later — the processor's resume would be the strict queue
-// minimum, dispatched at once. Sleep then carries it out in place, without queueing it or
-// switching coroutines: it takes the resume's seq and moves Now to the
-// clock, exactly as the dispatched resume would (Engine.Elided counts
-// these). A tie keeps the switch, so an event already queued at the
-// clock still runs first.
+// clock is neither behind Now nor past the horizon, and the queue is
+// empty or its earliest event is strictly later — the processor's
+// resume would be the strict queue minimum, dispatched at once. Sleep
+// then carries it out in place, without queueing it or switching
+// coroutines: it takes the resume's seq and moves Now to the clock,
+// exactly as the dispatched resume would (Engine.Elided counts these).
+// A tie keeps the switch, so an event already queued at the clock still
+// runs first; a resume past the horizon is queued, so Run stops there.
 func (p *Proc) Sleep(d Time) {
 	if p.state != stateRunning {
 		panic("sim: Proc.Sleep outside the proc's own body")
@@ -139,7 +140,7 @@ func (p *Proc) Sleep(d Time) {
 	p.clock += d + p.debt
 	p.debt = 0
 	e := p.eng
-	if !e.stopped && p.clock >= e.now && (e.queue.Len() == 0 || e.queue.min().t > p.clock) {
+	if !e.stopped && p.clock >= e.now && p.clock <= e.horizon && (e.queue.Len() == 0 || e.queue.min().t > p.clock) {
 		e.seq++
 		e.now = p.clock
 		e.elided++

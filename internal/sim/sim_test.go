@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -211,6 +212,55 @@ func TestDeadlockDetected(t *testing.T) {
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+}
+
+// TestHorizonEndsAnEndlessRun: a run that passes its horizon fails,
+// whether its time is carried by dispatched events (an endless tick)
+// or by a processor's Sleeps alone, each elided while nothing else is
+// queued, and the error names every processor, its state and its
+// clock. A run that ends at the horizon itself does not fail.
+func TestHorizonEndsAnEndlessRun(t *testing.T) {
+	for _, c := range []struct {
+		name, proc0 string // the run, and how the error names proc 0
+		build       func(e *Engine)
+	}{
+		{"events", "proc 0 (parked, clock 0)", func(e *Engine) {
+			var tick func()
+			tick = func() { e.After(10, tick) }
+			e.At(0, tick)
+			e.NewProc(0, 0, func(p *Proc) { p.Park() })
+		}},
+		{"elided sleeps", "proc 0 (sleeping, clock 1001)", func(e *Engine) {
+			e.NewProc(0, 0, func(p *Proc) {
+				for {
+					p.Sleep(7)
+				}
+			})
+		}},
+	} {
+		e := NewEngine()
+		e.SetHorizon(1000)
+		c.build(e)
+		e.NewProc(1, 0, func(p *Proc) { p.Sleep(5) })
+		err := e.Run()
+		if err == nil {
+			t.Fatalf("%s: an endless run ended without an error", c.name)
+		}
+		for _, want := range []string{"passed the horizon 1000, 2 processors", c.proc0, "proc 1 (done, clock 5)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %q does not name %q", c.name, err, want)
+			}
+		}
+		if e.Now() > 1000 {
+			t.Errorf("%s: Now is %d, past the horizon", c.name, e.Now())
+		}
+	}
+	e := NewEngine()
+	e.SetHorizon(1000)
+	e.NewProc(0, 0, func(p *Proc) { p.Sleep(1000) })
+	if err := e.Run(); err != nil {
+		t.Fatalf("a run ending at its horizon: %v", err)
 	}
 }
 

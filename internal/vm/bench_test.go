@@ -70,3 +70,52 @@ func TestLookupZeroAllocs(t *testing.T) {
 		t.Errorf("TLB.Lookup allocated %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestTLBDoesNotAllocate: a TLB's FIFO is its fixed share of the ring
+// array MakeTLB is given, so fills, invalidations and evicting fills
+// allocate nothing, however long invalidations keep the TLB below
+// capacity. Each case runs once after a warm-up run, so a FIFO that
+// grew by doubling would allocate again in the measured run.
+func TestTLBDoesNotAllocate(t *testing.T) {
+	tlb := MakeTLB(new(PageStore[Priv]), make([]uint32, 4))
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Insert and Invalidate below capacity", func() {
+			for p := Page(0); p < 1<<12; p++ {
+				tlb.Insert(p, Read)
+				tlb.Invalidate(p)
+			}
+		}},
+		{"an evicting Insert", func() {
+			for p := Page(0); p < 1<<12; p++ {
+				tlb.Insert(p, Write)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(1, c.f); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", c.name, allocs)
+		}
+	}
+}
+
+// BenchmarkTLBInvalidateRefill measures a protocol invalidation and the
+// refill after it on a full TLB of 4,096 entries, the path a large TLB
+// under invalidation-heavy sharing takes. The invalidated page walks
+// the ring with a stride coprime to its size, so every distance from
+// the oldest fill is scanned and shifted alike.
+func BenchmarkTLBInvalidateRefill(b *testing.B) {
+	const n = 4096
+	tlb := NewTLB(n)
+	for p := Page(0); p < n; p++ {
+		tlb.Insert(p, Read)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := Page(i*1021) & (n - 1)
+		tlb.Invalidate(p)
+		tlb.Insert(p, Read)
+	}
+}

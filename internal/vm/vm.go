@@ -17,6 +17,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Addr is a virtual byte address.
@@ -147,12 +148,13 @@ func (s *Space) SetHome(p Page, proc int) {
 //
 // The mappings are a PageMap, so Lookup, which runs once per simulated
 // memory access, is two loads and a mask, and allocation-free. The FIFO
-// lists pages in fill order, as 32-bit page numbers (2^32 pages is 4 TB
-// of the smallest page; Insert panics past it), so a machine's FIFOs
-// take half the host memory. An invalidation leaves the page's entry in
-// place, and entries whose page no longer maps are skipped when they
-// reach the front: a page invalidated and filled again is next evicted
-// at its old position, which every simulated result depends on.
+// is a fixed ring of exactly the mapped pages, oldest fill at its head,
+// as 32-bit page numbers (2^32 pages is 4 TB of the smallest page;
+// Insert panics past it): a full Insert evicts the head, and Invalidate
+// takes the page out of the ring, a scan of at most capacity entries on
+// the protocol's invalidation path. A page invalidated and filled again
+// is therefore next evicted at its latest fill, and neither Insert nor
+// Invalidate allocates.
 //
 // The table's byte for a page also holds a mark its owner sets and
 // clears (Mark, Unmark): core keeps the membership of the processor's
@@ -161,11 +163,10 @@ func (s *Space) SetHome(p Page, proc int) {
 // invalidation and eviction, and no mark changes what Lookup returns,
 // Len, Fills, Evictions or which page a fill evicts.
 type TLB struct {
-	cap  int
-	live int // pages mapped
 	m    PageMap[Priv]
-	fifo []uint32 // pages, in fill order from head
+	ring []uint32 // the mapped pages, ring[head] the oldest fill
 	head int
+	live int // pages mapped
 	// Fills counts Insert calls; Evictions counts entries displaced.
 	Fills, Evictions int64
 }
@@ -183,16 +184,14 @@ func NewTLB(capacity int) *TLB {
 	return &t
 }
 
-// MakeTLB returns an empty TLB holding up to len(fifo) mappings, its
-// table carved from tables and its FIFO starting in fifo's array. The
-// TLBs of one machine share a store, and their FIFOs start in one
-// array: a FIFO that outgrows its share (stale entries of invalidated
-// pages count) moves out to an array of its own.
-func MakeTLB(tables *PageStore[Priv], fifo []uint32) TLB {
-	if len(fifo) == 0 {
+// MakeTLB returns an empty TLB holding up to len(ring) mappings, its
+// table carved from tables and its FIFO the ring. The TLBs of one
+// machine share a store, and their rings are shares of one array.
+func MakeTLB(tables *PageStore[Priv], ring []uint32) TLB {
+	if len(ring) == 0 {
 		panic("vm: TLB capacity must be positive")
 	}
-	return TLB{cap: len(fifo), m: tables.Map(), fifo: fifo[:0:len(fifo)]}
+	return TLB{m: tables.Map(), ring: ring}
 }
 
 // Lookup returns the privilege of the mapping for p, or (None, false) on
@@ -204,11 +203,19 @@ func (t *TLB) Lookup(p Page) (Priv, bool) {
 	return pr, pr != None
 }
 
+// slot returns the ring index of the k-th oldest mapping.
+func (t *TLB) slot(k int) int {
+	if i := t.head + k; i < len(t.ring) {
+		return i
+	}
+	return t.head + k - len(t.ring)
+}
+
 // Insert fills the mapping for p with privilege pr (Read or Write),
-// evicting the oldest entry if full. It returns the evicted page and
+// evicting the oldest mapping if full. It returns the evicted page and
 // true if an eviction happened. Inserting an already-present page just
 // updates its privilege.
-func (t *TLB) Insert(p Page, pr Priv) (Page, bool) {
+func (t *TLB) Insert(p Page, pr Priv) (evicted Page, did bool) {
 	if pr == None {
 		panic("vm: TLB fill with TLB_INV")
 	}
@@ -217,39 +224,18 @@ func (t *TLB) Insert(p Page, pr Priv) (Page, bool) {
 	}
 	t.Fills++
 	e := t.m.Get(p)
-	if e&^marked != None {
-		t.m.Put(p, pr|e&marked)
-		return 0, false
-	}
-	var evicted Page
-	var did bool
-	if t.live >= t.cap {
-		// Pop FIFO entries until one still maps (others were
-		// invalidated in place).
-		for {
-			old := Page(t.fifo[t.head])
-			t.head++
-			if t.head == len(t.fifo) {
-				t.fifo = t.fifo[:0]
-				t.head = 0
-			}
-			if t.Invalidate(old) {
-				evicted, did = old, true
-				t.Evictions++
-				break
-			}
+	if e&^marked == None {
+		if t.live == len(t.ring) {
+			evicted, did = Page(t.ring[t.head]), true
+			t.m.Put(evicted, t.m.Get(evicted)&marked)
+			t.head = t.slot(1)
+			t.live--
+			t.Evictions++
 		}
+		t.ring[t.slot(t.live)] = uint32(p)
+		t.live++
 	}
 	t.m.Put(p, pr|e&marked)
-	t.live++
-	// Slide the FIFO down once the dead prefix dominates, so the queue's
-	// backing array stays bounded by the live population.
-	if t.head > 16 && t.head*2 >= len(t.fifo) {
-		n := copy(t.fifo, t.fifo[t.head:])
-		t.fifo = t.fifo[:n]
-		t.head = 0
-	}
-	t.fifo = append(t.fifo, uint32(p))
 	return evicted, did
 }
 
@@ -261,8 +247,30 @@ func (t *TLB) Invalidate(p Page) bool {
 		return false
 	}
 	t.m.Put(p, e&marked)
-	t.live--
+	t.remove(uint32(p))
 	return true
+}
+
+// remove takes page q, which is in the ring, out of it: the later fills
+// move up one. The live fills are r[head:end], then r[:tail] if they
+// wrap, so the scan and the shift are at most two slice operations each.
+func (t *TLB) remove(q uint32) {
+	r := t.ring
+	end := min(t.head+t.live, len(r))
+	tail := t.head + t.live - end
+	i := slices.Index(r[t.head:end], q)
+	if i >= 0 {
+		copy(r[t.head+i:end], r[t.head+i+1:end])
+		if tail > 0 {
+			r[end-1], i = r[0], 0
+		}
+	} else {
+		i = slices.Index(r[:tail], q)
+	}
+	if tail > 0 {
+		copy(r[i:tail], r[i+1:tail])
+	}
+	t.live--
 }
 
 // Len reports the number of live mappings.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -128,7 +129,7 @@ func TestTLBInvalidateThenEvict(t *testing.T) {
 	if tlb.Invalidate(1) {
 		t.Fatal("double Invalidate(1) = true")
 	}
-	// Insert must skip the stale FIFO slot for page 1.
+	// Page 1 left the ring, so page 3 takes its room.
 	ev, did := tlb.Insert(3, Read)
 	if did {
 		t.Fatalf("unexpected eviction of %d; room existed", ev)
@@ -136,6 +137,25 @@ func TestTLBInvalidateThenEvict(t *testing.T) {
 	ev, did = tlb.Insert(4, Read)
 	if !did || ev != 2 {
 		t.Fatalf("evicted (%d,%v), want (2,true)", ev, did)
+	}
+}
+
+// TestTLBEvictsOldestLiveMapping pins the FIFO's order over a refill:
+// a page invalidated and filled again is as young as its latest fill,
+// so the page filled between its two fills is evicted first.
+func TestTLBEvictsOldestLiveMapping(t *testing.T) {
+	tlb := NewTLB(2)
+	tlb.Insert(1, Read)
+	tlb.Insert(2, Read)
+	tlb.Invalidate(1)
+	tlb.Insert(1, Write)
+	for _, c := range []struct{ fill, evict Page }{{3, 2}, {4, 1}, {5, 3}} {
+		if ev, did := tlb.Insert(c.fill, Read); !did || ev != c.evict {
+			t.Fatalf("Insert(%d) evicted %d,%v, want the oldest live mapping %d", c.fill, ev, did, c.evict)
+		}
+	}
+	if _, ok := tlb.Lookup(1); ok {
+		t.Fatal("page 1 still maps after its eviction")
 	}
 }
 
@@ -164,9 +184,9 @@ func TestTLBNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-// refTLB is FuzzTLB's reference: the mappings as a map and the fills as
-// a FIFO slice, whose entries for pages no longer mapped are dropped
-// only when they reach its front.
+// refTLB is FuzzTLB's reference: the mappings as a map and the live
+// mappings' pages as a slice in fill order, from which an invalidation
+// removes its page.
 type refTLB struct {
 	cap              int
 	m                map[Page]Priv
@@ -180,18 +200,24 @@ func (r *refTLB) insert(p Page, pr Priv) (evicted Page, did bool) {
 		r.m[p] = pr
 		return 0, false
 	}
-	for len(r.m) >= r.cap {
-		old := r.fifo[0]
+	if len(r.m) == r.cap {
+		evicted, did = r.fifo[0], true
 		r.fifo = r.fifo[1:]
-		if _, ok := r.m[old]; ok {
-			delete(r.m, old)
-			evicted, did = old, true
-			r.evictions++
-		}
+		delete(r.m, evicted)
+		r.evictions++
 	}
 	r.m[p] = pr
 	r.fifo = append(r.fifo, p)
 	return evicted, did
+}
+
+func (r *refTLB) invalidate(p Page) bool {
+	if _, ok := r.m[p]; !ok {
+		return false
+	}
+	delete(r.m, p)
+	r.fifo = slices.DeleteFunc(r.fifo, func(q Page) bool { return q == p })
+	return true
 }
 
 // FuzzTLB is the differential oracle for TLB: a byte script drives
@@ -206,9 +232,9 @@ func (r *refTLB) insert(p Page, pr Priv) (evicted Page, did bool) {
 // boundary, and the first the operation: with bit 2 clear its low two
 // bits are lookup, fill Read, fill Write, invalidate; with it set, bit
 // 0 is mark or unmark. The seed corpus is testdata/fuzz/FuzzTLB; one
-// seed invalidates a page, fills it again and evicts it through its
-// stale FIFO entry, one marks pages and then invalidates, evicts,
-// refills and unmarks them.
+// seed invalidates a page and fills it again, and the next eviction
+// takes the page filled between its two fills, not it; one marks pages
+// and then invalidates, evicts, refills and unmarks them.
 func FuzzTLB(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
@@ -235,9 +261,7 @@ func FuzzTLB(f *testing.F) {
 					t.Fatalf("step %d: Insert(%d) evicted %d,%v, reference %d,%v", k/2, p, ev, did, wantEv, wantDid)
 				}
 			case 3:
-				_, want := ref.m[p]
-				delete(ref.m, p)
-				if got := tlb.Invalidate(p); got != want {
+				if got, want := tlb.Invalidate(p), ref.invalidate(p); got != want {
 					t.Fatalf("step %d: Invalidate(%d) = %v, reference %v", k/2, p, got, want)
 				}
 			case 4, 6:
